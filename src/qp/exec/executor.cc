@@ -1,6 +1,7 @@
 #include "qp/exec/executor.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_set>
 
 #include "qp/exec/batch_table.h"
@@ -436,6 +437,7 @@ class BatchRunner {
         return BatchTable(width);
       }
     }
+    Resolve();
     size_t seed = CheapestUnbound();
     std::vector<RowId> ids = MaterializeIds(seed);
     if (stopped_) return BatchTable(width);
@@ -462,6 +464,7 @@ class BatchRunner {
         return BatchTable(width);
       }
     }
+    Resolve();
     // Part-specific selections on already-bound (core) variables.
     std::vector<uint8_t> keep(batch_.num_rows(), 1);
     for (size_t r = 0; r < batch_.num_rows(); ++r) {
@@ -470,7 +473,7 @@ class BatchRunner {
       for (size_t i = 0; i < slots_.size() && ok; ++i) {
         if (!bound_[i]) continue;
         if (slots_[i].selections.empty() && slots_[i].nears.empty()) continue;
-        ok = RowPassesSlot(slots_[i], batch_.column(i).row_id_at(r));
+        ok = RowPasses(i, batch_.column(i).row_id_at(r));
       }
       keep[r] = ok ? 1 : 0;
     }
@@ -483,6 +486,49 @@ class BatchRunner {
  private:
   static constexpr size_t kNone = static_cast<size_t>(-1);
   static constexpr uint64_t kPollStride = 128;
+
+  /// A pushed-down equality selection resolved against its column's key
+  /// index: a row passes when its code equals `code`.
+  struct CodedSelection {
+    std::span<const uint32_t> codes;  // The column's code per row.
+    uint32_t code;
+    std::span<const RowId> rows;  // The rows holding `code`.
+  };
+
+  /// Resolves every selection's value to its code once per run (a value
+  /// no row holds gets a code no row has, so the slot simply matches
+  /// nothing), and fixes each slot's estimate: the figure EstimateSlot
+  /// gives, without re-probing the index at every step.
+  void Resolve() {
+    coded_.assign(slots_.size(), {});
+    estimates_.assign(slots_.size(), 0);
+    for (size_t i = 0; i < slots_.size(); ++i) {
+      const VarSlot& slot = slots_[i];
+      size_t estimate = slot.table->num_rows();
+      for (const auto& [col, value] : slot.selections) {
+        const KeyIndex& keys = slot.table->Keys(col);
+        uint32_t code = slot.table->KeyCode(col, value);
+        coded_[i].push_back({keys.codes(), code, keys.postings(code)});
+        if (strategy_ == JoinStrategy::kHashJoin) {
+          estimate = std::min(estimate, coded_[i].back().rows.size());
+        }
+      }
+      estimates_[i] = estimate;
+    }
+  }
+
+  /// RowPassesSlot on codes: selections compare codes, near conditions
+  /// still read the cell.
+  bool RowPasses(size_t i, RowId id) const {
+    for (const CodedSelection& sel : coded_[i]) {
+      if (sel.codes[id] != sel.code) return false;
+    }
+    const VarSlot& slot = slots_[i];
+    for (const auto& [col, near] : slot.nears) {
+      if (near.Satisfaction(slot.table->At(id, col)) <= 0.0) return false;
+    }
+    return true;
+  }
 
   bool PollCancel() {
     if (stopped_) return true;
@@ -520,16 +566,12 @@ class BatchRunner {
     return std::move(batch_);
   }
 
-  size_t Estimate(size_t slot_index) const {
-    return EstimateSlot(slots_[slot_index], strategy_);
-  }
-
   size_t CheapestUnbound() const {
     size_t best = kNone;
     size_t best_cost = 0;
     for (size_t i = 0; i < slots_.size(); ++i) {
       if (bound_[i]) continue;
-      size_t cost = Estimate(i);
+      size_t cost = estimates_[i];
       if (best == kNone || cost < best_cost) {
         best = i;
         best_cost = cost;
@@ -546,7 +588,7 @@ class BatchRunner {
       if (bound_[join.va] && !bound_[join.vb]) target = join.vb;
       if (bound_[join.vb] && !bound_[join.va]) target = join.va;
       if (target == kNone) continue;
-      size_t cost = Estimate(target);
+      size_t cost = estimates_[target];
       if (best == kNone || cost < best_cost) {
         best = target;
         best_cost = cost;
@@ -558,30 +600,22 @@ class BatchRunner {
   /// Row ids of slot `i` passing its selections — the column-oriented
   /// Materialize (no per-row Binding allocations).
   std::vector<RowId> MaterializeIds(size_t i) {
-    const VarSlot& slot = slots_[i];
+    const std::vector<CodedSelection>& selections = coded_[i];
     std::vector<RowId> out;
-    if (!slot.selections.empty() && strategy_ == JoinStrategy::kHashJoin) {
-      size_t best_col = 0;
-      size_t best_size = static_cast<size_t>(-1);
-      for (size_t s = 0; s < slot.selections.size(); ++s) {
-        size_t size = slot.table
-                          ->Lookup(slot.selections[s].first,
-                                   slot.selections[s].second)
-                          .size();
-        if (size < best_size) {
-          best_size = size;
-          best_col = s;
-        }
+    if (!selections.empty() && strategy_ == JoinStrategy::kHashJoin) {
+      // Walk the most selective selection's rows, re-check the rest.
+      const CodedSelection* best = &selections[0];
+      for (const CodedSelection& sel : selections) {
+        if (sel.rows.size() < best->rows.size()) best = &sel;
       }
-      for (RowId id : slot.table->Lookup(slot.selections[best_col].first,
-                                         slot.selections[best_col].second)) {
+      for (RowId id : best->rows) {
         if (PollCancelStrided()) break;
-        if (RowPassesSlot(slot, id)) out.push_back(id);
+        if (RowPasses(i, id)) out.push_back(id);
       }
     } else {
-      for (RowId id = 0; id < slot.table->num_rows(); ++id) {
+      for (RowId id = 0; id < slots_[i].table->num_rows(); ++id) {
         if (PollCancelStrided()) break;
-        if (RowPassesSlot(slot, id)) out.push_back(id);
+        if (RowPasses(i, id)) out.push_back(id);
       }
     }
     if (stats_ != nullptr) stats_->bindings += out.size();
@@ -626,28 +660,45 @@ class BatchRunner {
     size_t source_col = probe->va == target ? probe->cb : probe->ca;
     size_t target_col = probe->va == target ? probe->ca : probe->cb;
 
-    const VarSlot& slot = slots_[target];
+    const Table* target_table = slots_[target].table;
     const Table* source_table = slots_[source].table;
-    const BatchColumn& src = batch_.column(source);
+    const std::vector<RowId>& src = batch_.column(source).row_ids();
     const size_t n = batch_.num_rows();
     std::vector<uint32_t> base;
     std::vector<RowId> matched;
-    for (size_t b = 0; b < n; ++b) {
-      if (PollCancelStrided()) break;
-      const Value& key = source_table->At(src.row_id_at(b), source_col);
-      if (strategy_ == JoinStrategy::kHashJoin) {
-        for (RowId id : slot.table->Lookup(target_col, key)) {
-          if (!RowPassesSlot(slot, id)) continue;
-          base.push_back(static_cast<uint32_t>(b));
-          matched.push_back(id);
+    auto emit = [&](size_t b, RowId id) {
+      if (!RowPasses(target, id)) return;
+      base.push_back(static_cast<uint32_t>(b));
+      matched.push_back(id);
+    };
+    if (strategy_ == JoinStrategy::kNestedLoop) {
+      for (size_t b = 0; b < n; ++b) {
+        if (PollCancelStrided()) break;
+        const Value& key = source_table->At(src[b], source_col);
+        for (RowId id = 0; id < target_table->num_rows(); ++id) {
+          if (target_table->At(id, target_col) == key) emit(b, id);
         }
-      } else {
-        for (RowId id = 0; id < slot.table->num_rows(); ++id) {
-          if (slot.table->At(id, target_col) != key) continue;
-          if (!RowPassesSlot(slot, id)) continue;
-          base.push_back(static_cast<uint32_t>(b));
-          matched.push_back(id);
+      }
+    } else {
+      const KeyIndex& from = source_table->Keys(source_col);
+      const KeyIndex& to = target_table->Keys(target_col);
+      // Both keys code as value - min: a source row's target code is its
+      // own code plus a constant, and no cell is read or hashed.
+      const bool by_offset = from.arithmetic() && to.arithmetic();
+      const uint64_t offset = KeyIndex::Offset(from, to);
+      for (size_t b = 0; b < n; ++b) {
+        if (PollCancelStrided()) break;
+        std::span<const RowId> rows;
+        if (by_offset) {
+          const uint64_t code = from.codes()[src[b]] + offset;
+          if (code < to.num_codes()) {
+            rows = to.postings(static_cast<uint32_t>(code));
+          }
+        } else {
+          rows = target_table->Lookup(target_col,
+                                      source_table->At(src[b], source_col));
         }
+        for (RowId id : rows) emit(b, id);
       }
     }
     batch_ = batch_.GatherRows(base);
@@ -662,13 +713,24 @@ class BatchRunner {
       join.applied = true;
       const size_t n = batch_.num_rows();
       std::vector<uint8_t> keep(n);
-      const BatchColumn& a = batch_.column(join.va);
-      const BatchColumn& b = batch_.column(join.vb);
-      for (size_t r = 0; r < n; ++r) {
-        keep[r] = slots_[join.va].table->At(a.row_id_at(r), join.ca) ==
-                          slots_[join.vb].table->At(b.row_id_at(r), join.cb)
-                      ? 1
-                      : 0;
+      const Table* ta = slots_[join.va].table;
+      const Table* tb = slots_[join.vb].table;
+      const std::vector<RowId>& a = batch_.column(join.va).row_ids();
+      const std::vector<RowId>& b = batch_.column(join.vb).row_ids();
+      const KeyIndex& ka = ta->Keys(join.ca);
+      const KeyIndex& kb = tb->Keys(join.cb);
+      if (ka.arithmetic() && kb.arithmetic()) {
+        // Equal values <=> codes equal after the offset (mod 2^64).
+        const std::span<const uint32_t> ca = ka.codes();
+        const std::span<const uint32_t> cb = kb.codes();
+        const uint64_t offset = KeyIndex::Offset(ka, kb);
+        for (size_t r = 0; r < n; ++r) {
+          keep[r] = ca[a[r]] + offset == cb[b[r]] ? 1 : 0;
+        }
+      } else {
+        for (size_t r = 0; r < n; ++r) {
+          keep[r] = ta->At(a[r], join.ca) == tb->At(b[r], join.cb) ? 1 : 0;
+        }
       }
       batch_.FilterRows(keep);
     }
@@ -701,6 +763,9 @@ class BatchRunner {
   std::vector<ResolvedJoin> joins_;
   std::vector<bool> bound_;
   std::vector<bool> needed_;
+  /// Per slot, set by Resolve().
+  std::vector<std::vector<CodedSelection>> coded_;
+  std::vector<size_t> estimates_;
   BatchTable batch_;
 };
 

@@ -38,8 +38,8 @@ struct ExecutorStats {
 /// (default) behaviour is hash joins with greedy connected ordering.
 enum class JoinStrategy {
   kHashJoin,
-  /// Force nested-loop probing (no hash indexes); quadratic, used only to
-  /// quantify what the hash indexes buy.
+  /// Force nested-loop probing (no index probes); quadratic, used only to
+  /// quantify what the key indexes buy.
   kNestedLoop,
 };
 

@@ -1,8 +1,137 @@
 #include "qp/relational/table.h"
 
-namespace qp {
+#include <algorithm>
+#include <cmath>
 
-const std::vector<RowId> Table::kEmptyPostings;
+namespace qp {
+namespace {
+
+constexpr size_t kInitialSlots = 16;
+
+/// Walks the dictionary's probe chain for a cell equal to `value` (whose
+/// hash is `hash`). Returns the slot holding its code, or the empty slot
+/// that ends the chain. `rep(code)` is the row whose cell stands for code.
+template <typename RepOf>
+size_t ProbeSlot(const std::vector<uint32_t>& slots,
+                 const std::vector<size_t>& hashes,
+                 const std::vector<Row>& rows, size_t column,
+                 const Value& value, size_t hash, RepOf rep) {
+  const size_t mask = slots.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    uint32_t code = slots[i];
+    if (code == KeyIndex::kNoCode) return i;
+    if (hashes[code] == hash && rows[rep(code)][column] == value) return i;
+  }
+}
+
+/// Doubles the slot table, re-placing every code by its stored hash.
+void GrowSlots(std::vector<uint32_t>* slots,
+               const std::vector<size_t>& hashes) {
+  std::vector<uint32_t> grown(slots->size() * 2, KeyIndex::kNoCode);
+  const size_t mask = grown.size() - 1;
+  for (uint32_t code = 0; code < hashes.size(); ++code) {
+    size_t i = hashes[code] & mask;
+    while (grown[i] != KeyIndex::kNoCode) i = (i + 1) & mask;
+    grown[i] = code;
+  }
+  *slots = std::move(grown);
+}
+
+}  // namespace
+
+void KeyIndex::Build(const std::vector<Row>& rows, size_t column) {
+  const size_t n = rows.size();
+  codes_.resize(n);
+  // Arithmetic coding needs a NULL-free int64 column with a small range.
+  bool all_int = n > 0;
+  int64_t lo = std::numeric_limits<int64_t>::max();
+  int64_t hi = std::numeric_limits<int64_t>::min();
+  for (const Row& row : rows) {
+    if (row[column].type() != DataType::kInt64) {
+      all_int = false;
+      break;
+    }
+    lo = std::min(lo, row[column].as_int());
+    hi = std::max(hi, row[column].as_int());
+  }
+  // Unsigned, so a range spanning the whole int64 domain cannot overflow.
+  const uint64_t diff = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+  if (all_int && diff < kMaxSpanPerRow * n && diff < kNoCode - 1) {
+    arithmetic_ = true;
+    min_ = lo;
+    for (size_t r = 0; r < n; ++r) {
+      codes_[r] = static_cast<uint32_t>(
+          static_cast<uint64_t>(rows[r][column].as_int()) -
+          static_cast<uint64_t>(lo));
+    }
+    offsets_.assign(diff + 2, 0);
+  } else {
+    slots_.assign(kInitialSlots, kNoCode);
+    // Row standing for each code while postings do not exist yet.
+    std::vector<RowId> reps;
+    auto rep = [&](uint32_t code) { return reps[code]; };
+    for (size_t r = 0; r < n; ++r) {
+      const Value& cell = rows[r][column];
+      const size_t hash = cell.Hash();
+      size_t slot = ProbeSlot(slots_, hashes_, rows, column, cell, hash, rep);
+      uint32_t code = slots_[slot];
+      if (code == kNoCode) {
+        code = static_cast<uint32_t>(reps.size());
+        reps.push_back(static_cast<RowId>(r));
+        hashes_.push_back(hash);
+        slots_[slot] = code;
+        if (2 * hashes_.size() > slots_.size()) GrowSlots(&slots_, hashes_);
+      }
+      codes_[r] = code;
+    }
+    offsets_.assign(reps.size() + 1, 0);
+  }
+  FillPostings();
+  built_ = true;
+}
+
+void KeyIndex::FillPostings() {
+  const size_t n = codes_.size();
+  for (uint32_t code : codes_) ++offsets_[code + 1];
+  for (size_t c = 1; c < offsets_.size(); ++c) offsets_[c] += offsets_[c - 1];
+  // offsets_[c + 1] is now the end of code c's postings. Filling each
+  // code's run back to front with descending row ids leaves it ascending
+  // and moves offsets_[c + 1] to the run's start, i.e. one slot right of
+  // where the start belongs.
+  postings_.resize(n);
+  for (size_t r = n; r-- > 0;) {
+    postings_[--offsets_[codes_[r] + 1]] = static_cast<RowId>(r);
+  }
+  std::copy(offsets_.begin() + 1, offsets_.end(), offsets_.begin());
+  offsets_.back() = static_cast<uint32_t>(n);
+}
+
+uint32_t KeyIndex::Find(const std::vector<Row>& rows, size_t column,
+                        const Value& value) const {
+  if (!arithmetic_) {
+    size_t slot = ProbeSlot(
+        slots_, hashes_, rows, column, value, value.Hash(),
+        [&](uint32_t code) { return postings_[offsets_[code]]; });
+    return slots_[slot];
+  }
+  int64_t v = 0;
+  if (value.type() == DataType::kInt64) {
+    v = value.as_int();
+  } else if (value.type() == DataType::kDouble) {
+    // Equal to an int64 cell only when integral; the range check keeps the
+    // conversion defined.
+    double d = value.as_double();
+    if (!(d >= -0x1p63 && d < 0x1p63) || d != std::trunc(d)) return kNoCode;
+    v = static_cast<int64_t>(d);
+  } else {
+    return kNoCode;  // NULL or a string: no cell of this column equals it.
+  }
+  uint64_t code = static_cast<uint64_t>(v) - static_cast<uint64_t>(min_);
+  return code < num_codes() ? static_cast<uint32_t>(code) : kNoCode;
+}
+
+Table::Table(TableSchema schema)
+    : schema_(std::move(schema)), indexes_(schema_.num_columns()) {}
 
 Status Table::Insert(Row row) {
   if (row.size() != schema_.num_columns()) {
@@ -21,38 +150,25 @@ Status Table::Insert(Row row) {
           DataTypeName(row[i].type()));
     }
   }
-  RowId id = static_cast<RowId>(rows_.size());
-  // Keep already-built indexes current.
-  for (auto& [col, index] : indexes_) {
-    index[row[col]].push_back(id);
+  for (KeyIndex& index : indexes_) {
+    if (index.built_) index = KeyIndex();
   }
   rows_.push_back(std::move(row));
   return Status::Ok();
 }
 
-const std::vector<RowId>& Table::Lookup(size_t column,
-                                        const Value& value) const {
-  const ColumnIndex& index = GetOrBuildIndex(column);
-  auto it = index.find(value);
-  if (it == index.end()) return kEmptyPostings;
-  return it->second;
+const KeyIndex& Table::Keys(size_t column) const {
+  KeyIndex& index = indexes_[column];
+  if (!index.built_) index.Build(rows_, column);
+  return index;
+}
+
+uint32_t Table::KeyCode(size_t column, const Value& value) const {
+  return Keys(column).Find(rows_, column, value);
 }
 
 void Table::BuildAllIndexes() const {
-  for (size_t col = 0; col < schema_.num_columns(); ++col) {
-    GetOrBuildIndex(col);
-  }
-}
-
-const Table::ColumnIndex& Table::GetOrBuildIndex(size_t column) const {
-  auto it = indexes_.find(column);
-  if (it != indexes_.end()) return it->second;
-  ColumnIndex index;
-  index.reserve(rows_.size());
-  for (RowId id = 0; id < rows_.size(); ++id) {
-    index[rows_[id][column]].push_back(id);
-  }
-  return indexes_.emplace(column, std::move(index)).first->second;
+  for (size_t col = 0; col < schema_.num_columns(); ++col) Keys(col);
 }
 
 }  // namespace qp

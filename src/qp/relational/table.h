@@ -2,7 +2,8 @@
 #define QP_RELATIONAL_TABLE_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "qp/relational/schema.h"
@@ -17,11 +18,78 @@ using Row = std::vector<Value>;
 /// Row identifier within a table (dense, 0-based).
 using RowId = uint32_t;
 
-/// In-memory row store for a single relation, with lazily built hash
-/// indexes per column used by the executor for selections and hash joins.
+/// Equality index over one column: a uint32 code per row, equal for two
+/// rows exactly when their cells are == (a NaN cell, equal to nothing,
+/// gets a code of its own), and CSR postings listing each code's row ids
+/// in ascending order.
+///
+/// A NULL-free int64 column whose value range is at most kMaxSpanPerRow
+/// times its row count codes arithmetically: code = value - min, so
+/// codes of two such columns convert by a constant offset and no value is
+/// hashed. Every other column codes through a dictionary, in order of
+/// first appearance.
+class KeyIndex {
+ public:
+  /// The code of a value no row holds; it has no postings.
+  static constexpr uint32_t kNoCode = std::numeric_limits<uint32_t>::max();
+  /// Largest value range per row that still codes arithmetically.
+  static constexpr uint64_t kMaxSpanPerRow = 4;
+
+  /// Code of every row, indexed by RowId.
+  std::span<const uint32_t> codes() const { return codes_; }
+
+  /// Row ids whose code is `code`, ascending; empty for kNoCode and for
+  /// codes inside an arithmetic range that no row holds.
+  std::span<const RowId> postings(uint32_t code) const {
+    if (code >= num_codes()) return {};
+    return std::span<const RowId>(postings_).subspan(
+        offsets_[code], offsets_[code + 1] - offsets_[code]);
+  }
+
+  /// Number of codes: the value range for an arithmetic index, the
+  /// number of distinct cells for a dictionary.
+  uint32_t num_codes() const {
+    return offsets_.empty() ? 0 : static_cast<uint32_t>(offsets_.size() - 1);
+  }
+
+  bool arithmetic() const { return arithmetic_; }
+
+  /// Added to a code of arithmetic index `from` (mod 2^64), gives the code
+  /// of the same value in arithmetic index `to`; the result names a code
+  /// of `to` only when it is below to.num_codes().
+  static uint64_t Offset(const KeyIndex& from, const KeyIndex& to) {
+    return static_cast<uint64_t>(from.min_) - static_cast<uint64_t>(to.min_);
+  }
+
+ private:
+  friend class Table;
+
+  /// Codes `column` of `rows`.
+  void Build(const std::vector<Row>& rows, size_t column);
+  /// Table::KeyCode for this index over `column` of `rows`.
+  uint32_t Find(const std::vector<Row>& rows, size_t column,
+                const Value& value) const;
+  /// Fills offsets_ and postings_ from codes_ (offsets_ sized already).
+  void FillPostings();
+
+  bool built_ = false;
+  bool arithmetic_ = false;
+  int64_t min_ = 0;  // Arithmetic only: the value of code 0.
+  std::vector<uint32_t> codes_;
+  std::vector<uint32_t> offsets_;  // num_codes() + 1 entries.
+  std::vector<RowId> postings_;
+  /// Dictionary only: open-addressing table of codes (kNoCode = empty)
+  /// and each code's hash. A code's first posting is the row whose cell
+  /// stands for it.
+  std::vector<uint32_t> slots_;
+  std::vector<size_t> hashes_;
+};
+
+/// In-memory row store for a single relation, with a lazily built
+/// KeyIndex per column used by the executor for selections and joins.
 class Table {
  public:
-  explicit Table(TableSchema schema) : schema_(std::move(schema)) {}
+  explicit Table(TableSchema schema);
 
   /// Movable, not copyable (tables can be large).
   Table(Table&&) = default;
@@ -35,34 +103,43 @@ class Table {
   const std::vector<Row>& rows() const { return rows_; }
 
   /// Appends a row. Fails unless arity and cell types match the schema
-  /// (NULL is accepted in any column). Invalidates indexes incrementally.
+  /// (NULL is accepted in any column). Invalidates every key index; the
+  /// next use rebuilds it.
   Status Insert(Row row);
 
-  /// Row ids whose `column` equals `value`; uses (and builds on first use)
-  /// the hash index for that column.
+  /// Row ids whose `column` equals `value`, ascending. Builds the
+  /// column's key index on first use.
   ///
   /// Thread safety: the lazy build mutates internal state, so concurrent
-  /// Lookup calls are only safe after BuildAllIndexes() — the service
-  /// layer warms every database it shares across workers.
-  const std::vector<RowId>& Lookup(size_t column, const Value& value) const;
+  /// calls are only safe after BuildAllIndexes() — the service layer
+  /// warms every database it shares across workers. The span is valid
+  /// until the next Insert.
+  std::span<const RowId> Lookup(size_t column, const Value& value) const {
+    return Keys(column).postings(KeyCode(column, value));
+  }
 
-  /// Eagerly builds the hash index of every column, after which the table
-  /// is safe for concurrent read-only use (Lookup no longer mutates).
+  /// The key index of `column`, built on first use (same thread-safety
+  /// contract as Lookup).
+  const KeyIndex& Keys(size_t column) const;
+
+  /// The code rows of `column` holding a cell == `value` have in the
+  /// column's key index. A value no row holds gets a code no row has:
+  /// KeyIndex::kNoCode, or an empty arithmetic code inside the range.
+  uint32_t KeyCode(size_t column, const Value& value) const;
+
+  /// Builds the key index of every column not built yet, after which the
+  /// table is safe for concurrent read-only use. Calling it again does
+  /// not write, so it may run while other threads read the table.
   void BuildAllIndexes() const;
 
   /// Value of `column` in row `id`.
   const Value& At(RowId id, size_t column) const { return rows_[id][column]; }
 
  private:
-  using ColumnIndex = std::unordered_map<Value, std::vector<RowId>, ValueHash>;
-
-  const ColumnIndex& GetOrBuildIndex(size_t column) const;
-
   TableSchema schema_;
   std::vector<Row> rows_;
-  /// column index -> hash index; built on demand, extended on insert.
-  mutable std::unordered_map<size_t, ColumnIndex> indexes_;
-  static const std::vector<RowId> kEmptyPostings;
+  /// One per column.
+  mutable std::vector<KeyIndex> indexes_;
 };
 
 }  // namespace qp

@@ -63,10 +63,14 @@ size_t Value::Hash() const {
       return 0x9b3f1d2cULL;
     case 1: {
       // Hash ints through double when the value is exactly representable,
-      // so 2 and 2.0 (which compare equal) hash alike.
+      // so 2 and 2.0 (which compare equal) hash alike. The range check
+      // keeps the cast back defined: INT64_MAX rounds to 2^63, which no
+      // int64 holds.
       int64_t v = std::get<int64_t>(rep_);
       double d = static_cast<double>(v);
-      if (static_cast<int64_t>(d) == v) return std::hash<double>{}(d);
+      if (d < 0x1p63 && static_cast<int64_t>(d) == v) {
+        return std::hash<double>{}(d);
+      }
       return std::hash<int64_t>{}(v);
     }
     case 2:

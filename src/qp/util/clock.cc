@@ -68,6 +68,11 @@ bool FakeClock::WaitFor(std::condition_variable& cv,
   return pred();
 }
 
+size_t FakeClock::num_waiters() const {
+  std::lock_guard<std::mutex> guard(waiters_mutex_);
+  return waiters_.size();
+}
+
 void FakeClock::Advance(std::chrono::nanoseconds duration) {
   now_ns_.fetch_add(duration.count(), std::memory_order_acq_rel);
   std::lock_guard<std::mutex> guard(waiters_mutex_);

@@ -73,6 +73,11 @@ class FakeClock : public Clock {
   /// can re-check its deadline.
   void Advance(std::chrono::nanoseconds duration);
 
+  /// Threads currently inside WaitFor. A waiter registers after reading
+  /// its deadline, so a test that advances once this count covers it
+  /// knows the advance lands after the deadline was computed.
+  size_t num_waiters() const;
+
  private:
   /// A parked WaitFor call. The waiter's mutex is recorded alongside its
   /// cv because Advance() must acquire it before notifying: notifying
@@ -84,7 +89,7 @@ class FakeClock : public Clock {
   };
 
   std::atomic<int64_t> now_ns_;
-  std::mutex waiters_mutex_;
+  mutable std::mutex waiters_mutex_;
   std::vector<Waiter> waiters_;
 };
 

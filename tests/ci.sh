@@ -34,7 +34,12 @@
 #      time-to-recover, scrub tax) or reshard migration-window p99 above
 #      2x its baseline, or a violated shard invariant (acked loss —
 #      kill/recover or live reshard — unbounded residency), fails the
-#      run.
+#      run;
+#   6. the end-to-end benchmark (bench/e2e) in smoke mode on each of its
+#      workloads: every run checks 512 answers against the serial
+#      Personalizer, and write_mix also checks every write after a
+#      close/reopen, so a wrong answer fails CI even though the
+#      timings of a smoke run mean nothing.
 #
 # Usage:
 #   tests/ci.sh            # everything
@@ -55,7 +60,7 @@ STORAGE_FILTER='crc32c|wal_test|record_fuzz|snapshot_test|durable_store|crash_re
 LIFECYCLE_FILTER='deadline_test|selection_deadline|executor_cancel|service_lifecycle|storage_retry'
 OBS_FILTER='obs_metrics|obs_trace|service_trace|executor_stats_attribution|service_stats_identity|flight_recorder|slo_test|histogram_percentile|cluster_trace'
 CHAOS_FILTER='fault_hub|breaker_recovery|scrubber_test|bitflip_robustness|chaos_property|chaos_blackbox'
-EXEC_FILTER='batch_table|exec_differential|vectorized_cancel'
+EXEC_FILTER='batch_table|exec_differential|vectorized_cancel|key_index_property'
 SHARD_FILTER='tiered_store|sharded_service|shard_chaos|routing_table|reshard_test|reshard_chaos'
 
 echo "==== [ci] regular build ===="
@@ -161,5 +166,10 @@ echo "==== [ci] bench regression gate (vs BENCH_baseline.json) ===="
 # the floor: copy build/bench_report.json over BENCH_baseline.json.
 python3 tests/check_bench_regression.py \
   "$ROOT/BENCH_baseline.json" "$REPORT"
+
+echo "==== [ci] end-to-end benchmark smoke runs (answers checked) ===="
+for workload in paper_grid cold_rewrite write_mix; do
+  python3 bench/e2e/run.py --workload "$workload" --smoke
+done
 
 echo "==== [ci] PASS ===="

@@ -29,6 +29,7 @@
 #include "qp/exec/executor.h"
 #include "qp/graph/personalization_graph.h"
 #include "qp/pref/profile_generator.h"
+#include "qp/query/sql_parser.h"
 #include "qp/util/deadline.h"
 #include "qp/util/fault_hub.h"
 #include "qp/util/random.h"
@@ -227,7 +228,9 @@ TEST_F(ExecDifferentialTest, RandomizedPersonalizedQueriesAgree) {
   // draws; demand that the overwhelming majority personalized + executed,
   // and that the headline >= 1000 differential-execution bar is met.
   EXPECT_GE(comparisons, trials);
-  if (trials >= 800) EXPECT_GE(comparisons, 1000u);
+  if (trials >= 800) {
+    EXPECT_GE(comparisons, 1000u);
+  }
 }
 
 TEST_F(ExecDifferentialTest, KAndLSweepAgrees) {
@@ -363,6 +366,161 @@ TEST_F(ExecDifferentialTest, ChaosFaultHitsBothEnginesIdentically) {
   }
   std::printf("[diff] chaos sweep over %zu personalized queries\n", checked);
   EXPECT_GT(checked, 0u);
+}
+
+/// A hand-built database whose join keys the movie database never has:
+/// a sparse int64 key and a NULL-bearing int64 key (both coded through a
+/// dictionary), a string key, and dense int64 keys with different ranges
+/// (coded arithmetically, offset apart, partly out of each other's range).
+Database KeyShapesDatabase() {
+  Schema schema;
+  const DataType i64 = DataType::kInt64;
+  const DataType str = DataType::kString;
+  EXPECT_TRUE(schema
+                  .AddTable(TableSchema(
+                      "ITEM",
+                      {{"id", i64}, {"tag", str}, {"ref", i64}, {"slot", i64}},
+                      {"id"}))
+                  .ok());
+  EXPECT_TRUE(schema
+                  .AddTable(TableSchema("LINK",
+                                        {{"item", i64},
+                                         {"tag", str},
+                                         {"ref", i64},
+                                         {"slot", i64},
+                                         {"note", str}},
+                                        {}))
+                  .ok());
+  Database db(std::move(schema));
+  const Value null = Value::Null();
+  auto I = [](int64_t v) { return Value::Int(v); };
+  auto S = [](const char* v) { return Value::Str(v); };
+  // ITEM.id is sparse, ITEM.ref carries NULLs, ITEM.slot spans [10, 19].
+  const std::vector<Row> items = {
+      {I(0), S("a"), I(1), I(10)},
+      {I(1000003), S("b"), null, I(11)},
+      {I(2000006), S("a"), I(2), I(12)},
+      {I(-3000009), S("c"), null, I(13)},
+      {I(9000027), S(""), I(1), I(14)},
+      {I(4000012), S("b"), I(3), I(15)},
+      {I(5000015), S("d"), I(2), I(16)},
+      {I(6000018), S("a"), null, I(19)},
+  };
+  // LINK.item holds ITEM ids, ids no ITEM has and one ITEM.slot value
+  // (12); LINK.slot spans
+  // [14, 25], so part of it falls outside ITEM.slot's range.
+  const std::vector<Row> links = {
+      {I(0), S("a"), I(1), I(14), S("x")},
+      {I(1000003), S("b"), null, I(15), S("y")},
+      {I(1000003), S("c"), I(2), I(16), S("x")},
+      {I(12), S("a"), null, I(25), S("z")},
+      {I(2000006), S(""), I(3), I(19), S("x")},
+      {I(-3000009), S("d"), null, I(14), S("y")},
+      {I(9000027), S("zz"), I(1), I(20), S("x")},
+      {I(6000018), S("a"), I(9), I(17), S("z")},
+      {I(123456789), S("b"), I(2), I(21), S("y")},
+      {I(0), S("a"), null, I(15), S("x")},
+  };
+  for (const Row& row : items) EXPECT_TRUE(db.Insert("ITEM", row).ok());
+  for (const Row& row : links) EXPECT_TRUE(db.Insert("LINK", row).ok());
+  return db;
+}
+
+TEST(ExecDifferentialKeyShapesTest, EnginesAgreeOnEveryKeyCoding) {
+  Database db = KeyShapesDatabase();
+  db.WarmIndexes();
+  for (const char* table : {"ITEM", "LINK"}) {
+    // The premise of the suite: which columns code which way.
+    const Table* t = *db.GetTable(table);
+    EXPECT_FALSE(t->Keys(0).arithmetic()) << table << " sparse key";
+    EXPECT_FALSE(t->Keys(2).arithmetic()) << table << " NULL-bearing key";
+    EXPECT_TRUE(t->Keys(3).arithmetic()) << table << " dense key";
+  }
+  const std::vector<std::string> selects = {
+      // Sparse int key: the probe falls back to one Lookup per row.
+      "select I.tag, L.note from ITEM I, LINK L where I.id=L.item",
+      // String key, with a selection on a value no row holds.
+      "select I.id, L.note from ITEM I, LINK L where I.tag=L.tag",
+      "select I.id from ITEM I, LINK L where I.tag=L.tag and L.note='w'",
+      // NULL-bearing key: NULL cells equal each other in this engine.
+      "select I.id, L.item from ITEM I, LINK L where I.ref=L.ref",
+      // Dense keys, offset apart: the code-to-code probe.
+      "select I.id, L.note from ITEM I, LINK L where I.slot=L.slot",
+      // Dense source, sparse target: the fallback probe again.
+      "select I.id, L.note from ITEM I, LINK L where I.slot=L.item",
+      // Second join atoms become filters on both codings.
+      "select I.id, L.note from ITEM I, LINK L where I.id=L.item and "
+      "I.slot=L.slot",
+      "select I.id, L.note from ITEM I, LINK L where I.slot=L.slot and "
+      "I.ref=L.ref",
+      "select I.id, L.note from ITEM I, LINK L where I.ref=L.ref and "
+      "I.tag=L.tag",
+      // Three variables, mixed keys, selections on each coding.
+      "select distinct I.id, J.tag from ITEM I, LINK L, ITEM J where "
+      "I.id=L.item and L.ref=J.ref and J.tag='a'",
+      "select I.tag, J.id from ITEM I, LINK L, ITEM J where I.slot=L.slot "
+      "and L.tag=J.tag and L.note='x'",
+      "select I.id from ITEM I, LINK L where I.id=L.item and "
+      "(I.tag='a' or L.ref=2 or L.item=12)",
+  };
+  for (JoinStrategy join : {JoinStrategy::kHashJoin,
+                            JoinStrategy::kNestedLoop}) {
+    auto run = [&](const auto& query, ExecStrategy engine,
+                   ExecutorStats* stats) {
+      Executor executor(&db);
+      executor.set_join_strategy(join);
+      executor.set_exec_strategy(engine);
+      return executor.Execute(query, stats);
+    };
+    auto check = [&](const auto& query, const std::string& label,
+                     ResultSet* out) {
+      ExecutorStats tuple_stats;
+      ExecutorStats vec_stats;
+      auto tuple_result = run(query, ExecStrategy::kTuple, &tuple_stats);
+      auto vec_result = run(query, ExecStrategy::kVectorized, &vec_stats);
+      ASSERT_TRUE(tuple_result.ok()) << label << ": " << tuple_result.status();
+      ASSERT_TRUE(vec_result.ok()) << label << ": " << vec_result.status();
+      EXPECT_EQ(tuple_result->DebugString(100000),
+                vec_result->DebugString(100000))
+          << label;
+      EXPECT_TRUE(StatsEqual(tuple_stats, vec_stats)) << label;
+      *out = std::move(vec_result).value();
+    };
+    for (const std::string& sql : selects) {
+      auto query = ParseSelectQuery(sql);
+      ASSERT_TRUE(query.ok()) << sql << ": " << query.status();
+      ResultSet result;
+      ASSERT_NO_FATAL_FAILURE(check(*query, sql, &result));
+      EXPECT_TRUE(testing_util::SameRows(
+          result.rows(), testing_util::ReferenceEvaluate(db, *query)))
+          << sql;
+    }
+    // An MQ-shaped compound whose parts share the sparse-key core and add
+    // residues on the other codings (the shared-core seeded runs).
+    CompoundQuery compound;
+    const char* parts[] = {
+        "select distinct I.id from ITEM I, LINK L where I.id=L.item and "
+        "I.tag='a'",
+        "select distinct I.id from ITEM I, LINK L where I.id=L.item and "
+        "L.ref=2",
+        "select distinct I.id from ITEM I, LINK L, ITEM J where "
+        "I.id=L.item and L.slot=J.slot and J.tag='b'",
+        "select distinct I.id from ITEM I, LINK L where I.id=L.item and "
+        "L.tag=I.tag",
+    };
+    double degree = 0.9;
+    for (const char* sql : parts) {
+      auto part = ParseSelectQuery(sql);
+      ASSERT_TRUE(part.ok()) << sql << ": " << part.status();
+      compound.AddPart(std::move(part).value(), degree);
+      degree -= 0.1;
+    }
+    compound.set_having(HavingClause::CountAtLeast(1));
+    compound.set_order_by_degree(true);
+    ResultSet ranked;
+    ASSERT_NO_FATAL_FAILURE(check(compound, "compound", &ranked));
+    EXPECT_GT(ranked.num_rows(), 0u);
+  }
 }
 
 }  // namespace

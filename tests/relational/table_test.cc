@@ -74,7 +74,7 @@ TEST(TableTest, LookupEmptyTable) {
 TEST(TableTest, LookupCoercesNumericKeys) {
   Table table(PersonSchema());
   QP_EXPECT_OK(table.Insert({Value::Int(5), Value::Str("x")}));
-  // Real(5.0) equals Int(5) and must hash alike, so the index finds it.
+  // Real(5.0) equals Int(5), so the index must find it.
   EXPECT_EQ(table.Lookup(0, Value::Real(5.0)).size(), 1u);
 }
 

@@ -65,15 +65,17 @@ TEST(FakeClockTest, AdvanceNeverLosesTheDeadlineWakeup) {
   std::condition_variable cv;
   std::mutex mutex;
   for (int i = 0; i < 500; ++i) {
-    std::atomic<bool> entered{false};
     std::thread waiter([&] {
       std::unique_lock<std::mutex> lock(mutex);
-      entered.store(true, std::memory_order_release);
       EXPECT_FALSE(clock.WaitFor(cv, lock, std::chrono::nanoseconds(10),
                                  [] { return false; }));
       EXPECT_TRUE(lock.owns_lock());
     });
-    while (!entered.load(std::memory_order_acquire)) std::this_thread::yield();
+    // Advance only once the waiter is registered: its deadline is read
+    // before that, so the single advance below is sure to pass it. An
+    // advance that ran before the deadline read would leave the deadline
+    // beyond the only advance, and the waiter would rightly park forever.
+    while (clock.num_waiters() == 0) std::this_thread::yield();
     // One shot past the deadline: the waiter must observe it no matter
     // where between evaluation and park it currently is.
     clock.Advance(std::chrono::nanoseconds(20));
