@@ -646,8 +646,8 @@ class BatchRunner {
   /// slot (the rest are checked by ApplyNewlyBoundJoins), gathering the
   /// surviving rows column-wise.
   void JoinStep(size_t target) {
-    const ResolvedJoin* probe = nullptr;
-    for (const ResolvedJoin& join : joins_) {
+    ResolvedJoin* probe = nullptr;
+    for (ResolvedJoin& join : joins_) {
       bool forward = bound_[join.va] && join.vb == target;
       bool backward = bound_[join.vb] && join.va == target;
       if (forward || backward) {
@@ -655,7 +655,9 @@ class BatchRunner {
         break;
       }
     }
-    // probe != nullptr by construction of PickNextJoined.
+    // probe != nullptr by construction of PickNextJoined. Every match
+    // satisfies the probe atom, so ApplyNewlyBoundJoins skips it.
+    probe->applied = true;
     size_t source = probe->va == target ? probe->vb : probe->va;
     size_t source_col = probe->va == target ? probe->cb : probe->ca;
     size_t target_col = probe->va == target ? probe->ca : probe->cb;
@@ -713,24 +715,13 @@ class BatchRunner {
       join.applied = true;
       const size_t n = batch_.num_rows();
       std::vector<uint8_t> keep(n);
-      const Table* ta = slots_[join.va].table;
-      const Table* tb = slots_[join.vb].table;
-      const std::vector<RowId>& a = batch_.column(join.va).row_ids();
-      const std::vector<RowId>& b = batch_.column(join.vb).row_ids();
-      const KeyIndex& ka = ta->Keys(join.ca);
-      const KeyIndex& kb = tb->Keys(join.cb);
-      if (ka.arithmetic() && kb.arithmetic()) {
-        // Equal values <=> codes equal after the offset (mod 2^64).
-        const std::span<const uint32_t> ca = ka.codes();
-        const std::span<const uint32_t> cb = kb.codes();
-        const uint64_t offset = KeyIndex::Offset(ka, kb);
-        for (size_t r = 0; r < n; ++r) {
-          keep[r] = ca[a[r]] + offset == cb[b[r]] ? 1 : 0;
-        }
-      } else {
-        for (size_t r = 0; r < n; ++r) {
-          keep[r] = ta->At(a[r], join.ca) == tb->At(b[r], join.cb) ? 1 : 0;
-        }
+      const BatchColumn& a = batch_.column(join.va);
+      const BatchColumn& b = batch_.column(join.vb);
+      for (size_t r = 0; r < n; ++r) {
+        keep[r] = slots_[join.va].table->At(a.row_id_at(r), join.ca) ==
+                          slots_[join.vb].table->At(b.row_id_at(r), join.cb)
+                      ? 1
+                      : 0;
       }
       batch_.FilterRows(keep);
     }

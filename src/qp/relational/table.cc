@@ -4,40 +4,6 @@
 #include <cmath>
 
 namespace qp {
-namespace {
-
-constexpr size_t kInitialSlots = 16;
-
-/// Walks the dictionary's probe chain for a cell equal to `value` (whose
-/// hash is `hash`). Returns the slot holding its code, or the empty slot
-/// that ends the chain. `rep(code)` is the row whose cell stands for code.
-template <typename RepOf>
-size_t ProbeSlot(const std::vector<uint32_t>& slots,
-                 const std::vector<size_t>& hashes,
-                 const std::vector<Row>& rows, size_t column,
-                 const Value& value, size_t hash, RepOf rep) {
-  const size_t mask = slots.size() - 1;
-  for (size_t i = hash & mask;; i = (i + 1) & mask) {
-    uint32_t code = slots[i];
-    if (code == KeyIndex::kNoCode) return i;
-    if (hashes[code] == hash && rows[rep(code)][column] == value) return i;
-  }
-}
-
-/// Doubles the slot table, re-placing every code by its stored hash.
-void GrowSlots(std::vector<uint32_t>* slots,
-               const std::vector<size_t>& hashes) {
-  std::vector<uint32_t> grown(slots->size() * 2, KeyIndex::kNoCode);
-  const size_t mask = grown.size() - 1;
-  for (uint32_t code = 0; code < hashes.size(); ++code) {
-    size_t i = hashes[code] & mask;
-    while (grown[i] != KeyIndex::kNoCode) i = (i + 1) & mask;
-    grown[i] = code;
-  }
-  *slots = std::move(grown);
-}
-
-}  // namespace
 
 void KeyIndex::Build(const std::vector<Row>& rows, size_t column) {
   const size_t n = rows.size();
@@ -66,25 +32,14 @@ void KeyIndex::Build(const std::vector<Row>& rows, size_t column) {
     }
     offsets_.assign(diff + 2, 0);
   } else {
-    slots_.assign(kInitialSlots, kNoCode);
-    // Row standing for each code while postings do not exist yet.
-    std::vector<RowId> reps;
-    auto rep = [&](uint32_t code) { return reps[code]; };
     for (size_t r = 0; r < n; ++r) {
-      const Value& cell = rows[r][column];
-      const size_t hash = cell.Hash();
-      size_t slot = ProbeSlot(slots_, hashes_, rows, column, cell, hash, rep);
-      uint32_t code = slots_[slot];
-      if (code == kNoCode) {
-        code = static_cast<uint32_t>(reps.size());
-        reps.push_back(static_cast<RowId>(r));
-        hashes_.push_back(hash);
-        slots_[slot] = code;
-        if (2 * hashes_.size() > slots_.size()) GrowSlots(&slots_, hashes_);
-      }
-      codes_[r] = code;
+      // A NaN cell equals no key, so it adds a code of its own.
+      codes_[r] = dictionary_
+                      .try_emplace(rows[r][column],
+                                   static_cast<uint32_t>(dictionary_.size()))
+                      .first->second;
     }
-    offsets_.assign(reps.size() + 1, 0);
+    offsets_.assign(dictionary_.size() + 1, 0);
   }
   FillPostings();
   built_ = true;
@@ -106,13 +61,10 @@ void KeyIndex::FillPostings() {
   offsets_.back() = static_cast<uint32_t>(n);
 }
 
-uint32_t KeyIndex::Find(const std::vector<Row>& rows, size_t column,
-                        const Value& value) const {
+uint32_t KeyIndex::Find(const Value& value) const {
   if (!arithmetic_) {
-    size_t slot = ProbeSlot(
-        slots_, hashes_, rows, column, value, value.Hash(),
-        [&](uint32_t code) { return postings_[offsets_[code]]; });
-    return slots_[slot];
+    auto it = dictionary_.find(value);
+    return it == dictionary_.end() ? kNoCode : it->second;
   }
   int64_t v = 0;
   if (value.type() == DataType::kInt64) {
@@ -164,7 +116,7 @@ const KeyIndex& Table::Keys(size_t column) const {
 }
 
 uint32_t Table::KeyCode(size_t column, const Value& value) const {
-  return Keys(column).Find(rows_, column, value);
+  return Keys(column).Find(value);
 }
 
 void Table::BuildAllIndexes() const {

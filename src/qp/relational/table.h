@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "qp/relational/schema.h"
@@ -26,8 +27,8 @@ using RowId = uint32_t;
 /// A NULL-free int64 column whose value range is at most kMaxSpanPerRow
 /// times its row count codes arithmetically: code = value - min, so
 /// codes of two such columns convert by a constant offset and no value is
-/// hashed. Every other column codes through a dictionary, in order of
-/// first appearance.
+/// hashed. Every other column codes through a dictionary (a hash map from
+/// cell to code), in order of first appearance.
 class KeyIndex {
  public:
   /// The code of a value no row holds; it has no postings.
@@ -66,9 +67,8 @@ class KeyIndex {
 
   /// Codes `column` of `rows`.
   void Build(const std::vector<Row>& rows, size_t column);
-  /// Table::KeyCode for this index over `column` of `rows`.
-  uint32_t Find(const std::vector<Row>& rows, size_t column,
-                const Value& value) const;
+  /// Table::KeyCode for this index.
+  uint32_t Find(const Value& value) const;
   /// Fills offsets_ and postings_ from codes_ (offsets_ sized already).
   void FillPostings();
 
@@ -78,11 +78,8 @@ class KeyIndex {
   std::vector<uint32_t> codes_;
   std::vector<uint32_t> offsets_;  // num_codes() + 1 entries.
   std::vector<RowId> postings_;
-  /// Dictionary only: open-addressing table of codes (kNoCode = empty)
-  /// and each code's hash. A code's first posting is the row whose cell
-  /// stands for it.
-  std::vector<uint32_t> slots_;
-  std::vector<size_t> hashes_;
+  /// Dictionary only: the code of each distinct cell.
+  std::unordered_map<Value, uint32_t, ValueHash> dictionary_;
 };
 
 /// In-memory row store for a single relation, with a lazily built

@@ -448,7 +448,7 @@ TEST(ExecDifferentialKeyShapesTest, EnginesAgreeOnEveryKeyCoding) {
       "select I.id, L.note from ITEM I, LINK L where I.slot=L.slot",
       // Dense source, sparse target: the fallback probe again.
       "select I.id, L.note from ITEM I, LINK L where I.slot=L.item",
-      // Second join atoms become filters on both codings.
+      // Second join atoms become join filters (cells compared).
       "select I.id, L.note from ITEM I, LINK L where I.id=L.item and "
       "I.slot=L.slot",
       "select I.id, L.note from ITEM I, LINK L where I.slot=L.slot and "

@@ -24,6 +24,10 @@ constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
 /// double: beyond it Value::Hash and operator== disagree on cross-type
 /// equality, and no index can follow both.
 constexpr double kExact = 9007199254740992.0;  // 2^53
+/// 2^60 + 1 + i * 2^20: no double holds these exactly, so Value::Hash
+/// hashes them as int64 (the identity in libstdc++), and every one has
+/// the same low 20 bits.
+int64_t HugeKey(int64_t i) { return (int64_t{1} << 60) + 1 + i * (1 << 20); }
 
 /// How a column's cells are drawn.
 enum class Shape {
@@ -33,10 +37,11 @@ enum class Shape {
   kExtremeInt,   // int64 extremes next to small values.
   kHighInt,      // Small range ending at INT64_MAX.
   kLowInt,       // Small range starting at INT64_MIN.
+  kHugeInt,      // Sparse, beyond 2^53, sharing their low 20 bits.
   kDouble,       // Includes ±0.0 and integral values.
   kString,
 };
-constexpr int kNumShapes = 8;
+constexpr int kNumShapes = 9;
 
 DataType TypeOf(Shape shape) {
   if (shape == Shape::kDouble) return DataType::kDouble;
@@ -60,6 +65,8 @@ Value Draw(Shape shape, Rng* rng) {
       return Value::Int(kMax - rng->Range(0, 6));
     case Shape::kLowInt:
       return Value::Int(kMin + rng->Range(0, 6));
+    case Shape::kHugeInt:
+      return Value::Int(HugeKey(rng->Range(-4, 8)));
     case Shape::kDouble: {
       static const double kPool[] = {0.0, -0.0, 5.0, -2.5, 1.5, 1e300, -7.0};
       return Value::Real(kPool[rng->Below(7)]);
@@ -177,6 +184,27 @@ TEST(KeyIndexPropertyTest, CodesEqualExactlyWhenCellsEqual) {
             << "trial " << trial << " rows " << a << ", " << b;
       }
     }
+  }
+}
+
+TEST(KeyIndexPropertyTest, SparseHugeKeysSharingLowBits) {
+  // 20,000 distinct keys whose hashes share their low bits, each held by
+  // two rows. A dictionary that masks the hash to a power of two piles
+  // them into one probe run.
+  const int64_t n = 20000;
+  Table table(TableSchema("T", {{"k", DataType::kInt64}}, {}));
+  for (int64_t i = 0; i < 2 * n; ++i) {
+    QP_ASSERT_OK(table.Insert({Value::Int(HugeKey(i % n))}));
+  }
+  ASSERT_FALSE(table.Keys(0).arithmetic());
+  EXPECT_EQ(table.Keys(0).num_codes(), static_cast<uint32_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    std::span<const RowId> rows = table.Lookup(0, Value::Int(HugeKey(i)));
+    ASSERT_EQ(std::vector<RowId>(rows.begin(), rows.end()),
+              (std::vector<RowId>{static_cast<RowId>(i),
+                                  static_cast<RowId>(i + n)}))
+        << "key " << i;
+    ASSERT_TRUE(table.Lookup(0, Value::Int(HugeKey(i) + 1)).empty());
   }
 }
 

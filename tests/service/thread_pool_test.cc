@@ -25,8 +25,10 @@ TEST(ThreadPoolTest, RunsEverySubmittedTask) {
 
   for (int i = 0; i < kTasks; ++i) {
     pool.Submit([i, &done, &results] {
-      results[i].set_value(i * i);
+      // Count before publishing: once every future is ready, every task
+      // has counted.
       done.fetch_add(1);
+      results[i].set_value(i * i);
     });
   }
   for (int i = 0; i < kTasks; ++i) {
