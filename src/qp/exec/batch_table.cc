@@ -1,5 +1,6 @@
 #include "qp/exec/batch_table.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -17,263 +18,29 @@ uint64_t Mix(uint64_t x) {
 
 }  // namespace
 
-BatchColumn::Type BatchColumn::TypeFor(DataType type) {
-  switch (type) {
-    case DataType::kInt64:
-      return Type::kInt64;
-    case DataType::kDouble:
-      return Type::kDouble;
-    case DataType::kString:
-      return Type::kString;
-    case DataType::kNull:
-      return Type::kInt64;
-  }
-  return Type::kInt64;
-}
-
-BatchColumn BatchColumn::FromTable(const Table& table, size_t col,
-                                   const std::vector<RowId>& ids) {
-  BatchColumn out(TypeFor(table.schema().column(col).type));
-  out.Reserve(ids.size());
-  for (RowId id : ids) out.AppendValue(table.At(id, col));
-  return out;
-}
-
 BatchColumn BatchColumn::RowIds(std::vector<RowId> ids) {
-  BatchColumn out(Type::kRowId);
+  BatchColumn out;
   out.row_ids_ = std::move(ids);
   return out;
 }
 
-size_t BatchColumn::size() const {
-  switch (type_) {
-    case Type::kRowId:
-      return row_ids_.size();
-    case Type::kInt64:
-      return ints_.size();
-    case Type::kDouble:
-      return doubles_.size();
-    case Type::kString:
-      return strings_.size();
-  }
-  return 0;
-}
-
-void BatchColumn::Reserve(size_t n) {
-  switch (type_) {
-    case Type::kRowId:
-      row_ids_.reserve(n);
-      break;
-    case Type::kInt64:
-      ints_.reserve(n);
-      break;
-    case Type::kDouble:
-      doubles_.reserve(n);
-      break;
-    case Type::kString:
-      strings_.reserve(n);
-      break;
-  }
-}
-
-void BatchColumn::AppendRowId(RowId id) {
-  assert(type_ == Type::kRowId);
-  row_ids_.push_back(id);
-  if (!nulls_.empty()) nulls_.push_back(0);
-}
-
-void BatchColumn::AppendValue(const Value& v) {
-  const size_t old_size = size();
-  if (v.is_null()) {
-    if (nulls_.empty()) nulls_.assign(old_size, 0);
-    nulls_.push_back(1);
-    switch (type_) {
-      case Type::kRowId:
-        row_ids_.push_back(0);
-        break;
-      case Type::kInt64:
-        ints_.push_back(0);
-        break;
-      case Type::kDouble:
-        doubles_.push_back(0.0);
-        break;
-      case Type::kString:
-        strings_.emplace_back();
-        break;
-    }
-    return;
-  }
-  switch (type_) {
-    case Type::kRowId:
-      assert(v.type() == DataType::kInt64);
-      row_ids_.push_back(static_cast<RowId>(v.as_int()));
-      break;
-    case Type::kInt64:
-      assert(v.type() == DataType::kInt64);
-      ints_.push_back(v.as_int());
-      break;
-    case Type::kDouble:
-      assert(v.type() == DataType::kDouble);
-      doubles_.push_back(v.as_double());
-      break;
-    case Type::kString:
-      assert(v.type() == DataType::kString);
-      strings_.push_back(v.as_string());
-      break;
-  }
-  if (!nulls_.empty()) nulls_.push_back(0);
-}
-
-void BatchColumn::AppendFrom(const BatchColumn& other, size_t i) {
-  assert(type_ == other.type_);
-  if (other.is_null(i)) {
-    AppendValue(Value::Null());
-    return;
-  }
-  switch (type_) {
-    case Type::kRowId:
-      AppendRowId(other.row_ids_[i]);
-      break;
-    case Type::kInt64:
-      ints_.push_back(other.ints_[i]);
-      if (!nulls_.empty()) nulls_.push_back(0);
-      break;
-    case Type::kDouble:
-      doubles_.push_back(other.doubles_[i]);
-      if (!nulls_.empty()) nulls_.push_back(0);
-      break;
-    case Type::kString:
-      strings_.push_back(other.strings_[i]);
-      if (!nulls_.empty()) nulls_.push_back(0);
-      break;
-  }
-}
-
-Value BatchColumn::ValueAt(size_t i) const {
-  if (is_null(i)) return Value::Null();
-  switch (type_) {
-    case Type::kRowId:
-      return Value::Int(static_cast<int64_t>(row_ids_[i]));
-    case Type::kInt64:
-      return Value::Int(ints_[i]);
-    case Type::kDouble:
-      return Value::Real(doubles_[i]);
-    case Type::kString:
-      return Value::Str(strings_[i]);
-  }
-  return Value::Null();
-}
-
-uint64_t BatchColumn::HashAt(size_t i) const {
-  if (is_null(i)) return Mix(0x6e756c6cULL);  // "null"
-  switch (type_) {
-    case Type::kRowId:
-      return Mix(row_ids_[i]);
-    case Type::kInt64:
-      return Mix(static_cast<uint64_t>(ints_[i]));
-    case Type::kDouble: {
-      // Match int/double coercion: an integral double hashes like the
-      // int it equals would not — batch hashes are only ever compared
-      // against cells of the same column type, so plain bit hashing is
-      // sufficient here (equality still verifies cells).
-      double d = doubles_[i];
-      if (d == 0.0) d = 0.0;  // Collapse -0.0 and +0.0.
-      uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(d));
-      __builtin_memcpy(&bits, &d, sizeof(bits));
-      return Mix(bits);
-    }
-    case Type::kString: {
-      uint64_t h = 0xcbf29ce484222325ULL;
-      for (char c : strings_[i]) {
-        h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
-      }
-      return Mix(h);
-    }
-  }
-  return 0;
-}
-
-bool BatchColumn::CellEquals(size_t i, const BatchColumn& other,
-                             size_t j) const {
-  if (type_ != other.type_) return false;
-  const bool a_null = is_null(i);
-  const bool b_null = other.is_null(j);
-  if (a_null || b_null) return a_null && b_null;
-  switch (type_) {
-    case Type::kRowId:
-      return row_ids_[i] == other.row_ids_[j];
-    case Type::kInt64:
-      return ints_[i] == other.ints_[j];
-    case Type::kDouble:
-      return doubles_[i] == other.doubles_[j];
-    case Type::kString:
-      return strings_[i] == other.strings_[j];
-  }
-  return false;
-}
+uint64_t BatchColumn::HashAt(size_t i) const { return Mix(row_ids_[i]); }
 
 BatchColumn BatchColumn::Gather(const std::vector<uint32_t>& indices) const {
-  BatchColumn out(type_);
-  out.Reserve(indices.size());
-  switch (type_) {
-    case Type::kRowId:
-      for (uint32_t i : indices) out.row_ids_.push_back(row_ids_[i]);
-      break;
-    case Type::kInt64:
-      for (uint32_t i : indices) out.ints_.push_back(ints_[i]);
-      break;
-    case Type::kDouble:
-      for (uint32_t i : indices) out.doubles_.push_back(doubles_[i]);
-      break;
-    case Type::kString:
-      for (uint32_t i : indices) out.strings_.push_back(strings_[i]);
-      break;
-  }
-  if (!nulls_.empty()) {
-    out.nulls_.reserve(indices.size());
-    for (uint32_t i : indices) out.nulls_.push_back(nulls_[i]);
-  }
+  BatchColumn out;
+  out.row_ids_.reserve(indices.size());
+  for (uint32_t i : indices) out.row_ids_.push_back(row_ids_[i]);
   return out;
 }
 
 void BatchColumn::Filter(const std::vector<uint8_t>& keep) {
-  size_t w = 0;
-  const size_t n = size();
+  const size_t n = row_ids_.size();
   assert(keep.size() >= n);
-  switch (type_) {
-    case Type::kRowId:
-      for (size_t i = 0; i < n; ++i) {
-        if (keep[i]) row_ids_[w++] = row_ids_[i];
-      }
-      row_ids_.resize(w);
-      break;
-    case Type::kInt64:
-      for (size_t i = 0; i < n; ++i) {
-        if (keep[i]) ints_[w++] = ints_[i];
-      }
-      ints_.resize(w);
-      break;
-    case Type::kDouble:
-      for (size_t i = 0; i < n; ++i) {
-        if (keep[i]) doubles_[w++] = doubles_[i];
-      }
-      doubles_.resize(w);
-      break;
-    case Type::kString:
-      for (size_t i = 0; i < n; ++i) {
-        if (keep[i]) strings_[w] = std::move(strings_[i]), ++w;
-      }
-      strings_.resize(w);
-      break;
+  size_t w = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (keep[i]) row_ids_[w++] = row_ids_[i];
   }
-  if (!nulls_.empty()) {
-    size_t nw = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (keep[i]) nulls_[nw++] = nulls_[i];
-    }
-    nulls_.resize(nw);
-  }
+  row_ids_.resize(w);
 }
 
 size_t BatchTable::live_columns() const {
@@ -374,6 +141,45 @@ void BatchHashTable::Probe(const BatchTable& probe, size_t row,
     if (build_->RowsEqual(candidate, probe, row, key_slots_, probe_slots)) {
       out->push_back(candidate);
     }
+  }
+}
+
+void CodedRows::Append(const uint32_t* codes, const RowId* ids) {
+  codes_.insert(codes_.end(), codes, codes + arity_);
+  ids_.insert(ids_.end(), ids, ids + arity_);
+  ++size_;
+}
+
+std::pair<uint32_t, bool> CodedRows::Insert(const uint32_t* codes,
+                                            const RowId* ids) {
+  if (2 * (size_ + 1) > slots_.size()) Grow();
+  const size_t mask = slots_.size() - 1;
+  for (size_t s = Hash(codes) & mask;; s = (s + 1) & mask) {
+    const uint32_t entry = slots_[s];
+    if (entry == 0) {
+      slots_[s] = static_cast<uint32_t>(size_ + 1);
+      Append(codes, ids);
+      return {static_cast<uint32_t>(size_ - 1), true};
+    }
+    if (std::equal(codes, codes + arity_, this->codes(entry - 1))) {
+      return {entry - 1, false};
+    }
+  }
+}
+
+uint64_t CodedRows::Hash(const uint32_t* codes) const {
+  uint64_t h = 0;
+  for (size_t j = 0; j < arity_; ++j) h = Mix(h ^ codes[j]);
+  return h;
+}
+
+void CodedRows::Grow() {
+  slots_.assign(std::max<size_t>(16, 2 * slots_.size()), 0);
+  const size_t mask = slots_.size() - 1;
+  for (size_t row = 0; row < size_; ++row) {
+    size_t s = Hash(codes(row)) & mask;
+    while (slots_[s] != 0) s = (s + 1) & mask;
+    slots_[s] = static_cast<uint32_t>(row + 1);
   }
 }
 

@@ -3,68 +3,42 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "qp/relational/table.h"
 
 namespace qp {
 
-/// One contiguous typed column of a BatchTable. Unlike a Table column
-/// (rows of Value variants), a BatchColumn stores its cells in a single
-/// typed vector — row ids for binding columns, int64/double/string for
-/// late-materialized payload columns — plus an optional null mask, so the
-/// executor's batch loops run over flat arrays instead of chasing
-/// per-tuple allocations.
+/// One slot's column of a BatchTable: the row ids, into the slot's base
+/// table, of the rows bound to that slot. Cells are never copied into a
+/// batch: output rows are identified by the key codes their ids read
+/// (CodedRows), and Values are built only for the rows of the answer.
 class BatchColumn {
  public:
-  enum class Type { kRowId, kInt64, kDouble, kString };
+  BatchColumn() = default;
 
-  explicit BatchColumn(Type type = Type::kRowId) : type_(type) {}
-
-  /// Column type backing a relational column of `type`. kNull-typed
-  /// columns (possible only for all-NULL literals) are carried as int64
-  /// with every cell null.
-  static Type TypeFor(DataType type);
-
-  /// Late materialization: gathers `table` column `col` at `ids` into a
-  /// contiguous typed column (one pass, no Value copies for numerics).
-  static BatchColumn FromTable(const Table& table, size_t col,
-                               const std::vector<RowId>& ids);
-
-  /// A binding column over the given row ids.
+  /// A column over the given row ids.
   static BatchColumn RowIds(std::vector<RowId> ids);
 
-  Type type() const { return type_; }
-  size_t size() const;
-  bool empty() const { return size() == 0; }
-  void Reserve(size_t n);
+  size_t size() const { return row_ids_.size(); }
+  bool empty() const { return row_ids_.empty(); }
 
-  /// Appends. AppendValue requires the value's type to match (or NULL).
-  void AppendRowId(RowId id);
-  void AppendValue(const Value& v);
-  void AppendFrom(const BatchColumn& other, size_t i);
-
-  /// Cell accessors.
-  RowId row_id_at(size_t i) const { return row_ids_[i]; }
-  /// Whole-column view of a kRowId column (the gather source for late
-  /// materialization).
-  const std::vector<RowId>& row_ids() const { return row_ids_; }
-  int64_t int_at(size_t i) const { return ints_[i]; }
-  double double_at(size_t i) const { return doubles_[i]; }
-  const std::string& string_at(size_t i) const { return strings_[i]; }
-  bool is_null(size_t i) const {
-    return !nulls_.empty() && nulls_[i] != 0;
+  void AppendFrom(const BatchColumn& other, size_t i) {
+    row_ids_.push_back(other.row_ids_[i]);
   }
-  /// Cell as a Value (NULL-aware) — the boundary back to row-at-a-time
-  /// consumers (ResultSet rows).
-  Value ValueAt(size_t i) const;
 
-  /// Cell hash / equality, the building blocks of batch hash joins,
-  /// group-by and duplicate elimination.
+  RowId row_id_at(size_t i) const { return row_ids_[i]; }
+  /// Whole-column view.
+  const std::vector<RowId>& row_ids() const { return row_ids_; }
+
+  /// Cell hash / equality, the building blocks of batch hash joins and
+  /// binding-level duplicate elimination.
   uint64_t HashAt(size_t i) const;
-  bool CellEquals(size_t i, const BatchColumn& other, size_t j) const;
+  bool CellEquals(size_t i, const BatchColumn& other, size_t j) const {
+    return row_ids_[i] == other.row_ids_[j];
+  }
 
   /// New column with the cells at `indices` (repeats/reorders allowed).
   BatchColumn Gather(const std::vector<uint32_t>& indices) const;
@@ -72,13 +46,7 @@ class BatchColumn {
   void Filter(const std::vector<uint8_t>& keep);
 
  private:
-  Type type_;
   std::vector<RowId> row_ids_;
-  std::vector<int64_t> ints_;
-  std::vector<double> doubles_;
-  std::vector<std::string> strings_;
-  /// Empty when the column has no nulls; else aligned with the cells.
-  std::vector<uint8_t> nulls_;
 };
 
 /// A batch of rows in columnar form: a fixed number of *slots* (stable
@@ -155,6 +123,44 @@ class BatchHashTable {
   const BatchTable* build_;
   std::vector<size_t> key_slots_;
   std::unordered_map<uint64_t, std::vector<uint32_t>> buckets_;
+};
+
+/// Projected rows in coded form. A row is a tuple of `arity` key codes,
+/// one per output column, each the code its cell has in that column's
+/// KeyIndex; two rows of the same output columns are equal exactly when
+/// their cells are ==. Each row also keeps the row ids its cells were read
+/// from, so its Values can be built later (late materialization).
+///
+/// A bag only Appends. A set only Inserts: a row equal to a present one
+/// is not added, and the present row (its first occurrence) stays.
+class CodedRows {
+ public:
+  explicit CodedRows(size_t arity) : arity_(arity) {}
+
+  size_t size() const { return size_; }
+  const uint32_t* codes(size_t row) const {
+    return codes_.data() + row * arity_;
+  }
+  const RowId* ids(size_t row) const { return ids_.data() + row * arity_; }
+
+  /// Adds the row (`arity` codes and ids), duplicates included.
+  void Append(const uint32_t* codes, const RowId* ids);
+  /// The index of the row equal to `codes`, adding it (with `ids`) when
+  /// none is; `second` is true when the row was added.
+  std::pair<uint32_t, bool> Insert(const uint32_t* codes, const RowId* ids);
+
+ private:
+  uint64_t Hash(const uint32_t* codes) const;
+  /// Doubles the index and re-inserts every row.
+  void Grow();
+
+  size_t arity_;
+  size_t size_ = 0;
+  std::vector<uint32_t> codes_;
+  std::vector<RowId> ids_;
+  /// Insert's open-addressing index: row + 1 per used slot, 0 for a free
+  /// one. Its size is a power of two, at least twice the row count.
+  std::vector<uint32_t> slots_;
 };
 
 }  // namespace qp

@@ -792,6 +792,22 @@ bool HasNearAtom(const std::vector<AtomicCondition>& atoms) {
   return false;
 }
 
+/// Output column names of a projection list.
+std::vector<std::string> ColumnNames(
+    const std::vector<ProjectionItem>& projections) {
+  std::vector<std::string> columns;
+  for (const auto& item : projections) columns.push_back(item.OutputName());
+  return columns;
+}
+
+/// The slot bound to `alias` (the first slot when none is).
+size_t SlotOf(const std::vector<VarSlot>& slots, const std::string& alias) {
+  for (size_t i = 0; i < slots.size(); ++i) {
+    if (slots[i].alias == alias) return i;
+  }
+  return 0;
+}
+
 /// Projects one binding according to `projections`.
 Row ProjectBinding(const std::vector<VarSlot>& slots,
                    const std::vector<ProjectionItem>& projections,
@@ -799,13 +815,7 @@ Row ProjectBinding(const std::vector<VarSlot>& slots,
   Row row;
   row.reserve(projections.size());
   for (const auto& item : projections) {
-    size_t slot = 0;
-    for (size_t i = 0; i < slots.size(); ++i) {
-      if (slots[i].alias == item.var) {
-        slot = i;
-        break;
-      }
-    }
+    size_t slot = SlotOf(slots, item.var);
     size_t col = *slots[slot].table->schema().ColumnIndex(item.column);
     row.push_back(slots[slot].table->At(binding[slot], col));
   }
@@ -829,31 +839,71 @@ std::vector<bool> NeededSlots(const std::vector<VarSlot>& slots,
   return needed;
 }
 
-/// Late materialization: projects a whole batch in one column-at-a-time
-/// pass (each projected payload column is gathered from its base table
-/// once), then assembles the output rows.
-std::vector<Row> ProjectBatch(const std::vector<VarSlot>& slots,
-                              const std::vector<ProjectionItem>& projections,
-                              const BatchTable& batch) {
-  std::vector<Row> rows(batch.num_rows());
-  if (batch.num_rows() == 0) return rows;
-  for (Row& row : rows) row.reserve(projections.size());
-  for (const auto& item : projections) {
-    size_t slot = 0;
-    for (size_t i = 0; i < slots.size(); ++i) {
-      if (slots[i].alias == item.var) {
-        slot = i;
-        break;
-      }
+/// Adds every row of `batch`, projected onto `projections` in coded form,
+/// to `rows`: inserted when `distinct` (a row equal to one already there
+/// keeps that row's ids and the better satisfaction), appended otherwise.
+/// `batch_sats` holds each batch row's near-condition satisfaction, or is
+/// empty when the query has none; `sats` then stays as it is.
+void AddCodedRows(const std::vector<VarSlot>& slots,
+                  const std::vector<ProjectionItem>& projections,
+                  const BatchTable& batch,
+                  const std::vector<double>& batch_sats, bool distinct,
+                  CodedRows* rows, std::vector<double>* sats) {
+  if (batch.num_rows() == 0) return;
+  const size_t arity = projections.size();
+  std::vector<const RowId*> column_ids(arity);
+  std::vector<const uint32_t*> column_codes(arity);
+  for (size_t j = 0; j < arity; ++j) {
+    const size_t slot = SlotOf(slots, projections[j].var);
+    const Table& table = *slots[slot].table;
+    column_ids[j] = batch.column(slot).row_ids().data();
+    column_codes[j] =
+        table.Keys(*table.schema().ColumnIndex(projections[j].column))
+            .codes()
+            .data();
+  }
+  std::vector<RowId> ids(arity);
+  std::vector<uint32_t> codes(arity);
+  for (size_t r = 0; r < batch.num_rows(); ++r) {
+    for (size_t j = 0; j < arity; ++j) {
+      ids[j] = column_ids[j][r];
+      codes[j] = column_codes[j][ids[j]];
     }
-    size_t col = *slots[slot].table->schema().ColumnIndex(item.column);
-    BatchColumn payload = BatchColumn::FromTable(
-        *slots[slot].table, col, batch.column(slot).row_ids());
-    for (size_t r = 0; r < rows.size(); ++r) {
-      rows[r].push_back(payload.ValueAt(r));
+    if (!distinct) {
+      rows->Append(codes.data(), ids.data());
+      if (!batch_sats.empty()) sats->push_back(batch_sats[r]);
+      continue;
+    }
+    const auto [row, added] = rows->Insert(codes.data(), ids.data());
+    if (batch_sats.empty()) continue;
+    if (added) {
+      sats->push_back(batch_sats[r]);
+    } else if (batch_sats[r] > (*sats)[row]) {
+      (*sats)[row] = batch_sats[r];
     }
   }
-  return rows;
+}
+
+/// The table and column each output column of `query` reads.
+std::vector<std::pair<const Table*, size_t>> OutputColumns(
+    const Database& db, const SelectQuery& query) {
+  std::vector<std::pair<const Table*, size_t>> columns;
+  for (const auto& item : query.projections()) {
+    const Table* table = *db.GetTable(query.FindVariable(item.var)->table);
+    columns.emplace_back(table, *table->schema().ColumnIndex(item.column));
+  }
+  return columns;
+}
+
+/// Late materialization: the Values of one coded row.
+Row Materialize(const std::vector<std::pair<const Table*, size_t>>& columns,
+                const RowId* ids) {
+  Row row;
+  row.reserve(columns.size());
+  for (size_t j = 0; j < columns.size(); ++j) {
+    row.push_back(columns[j].first->At(ids[j], columns[j].second));
+  }
+  return row;
 }
 
 /// Batch twin of BindingSatisfaction: per-row product of every near
@@ -970,7 +1020,7 @@ std::optional<SharedCorePlan> PlanSharedCore(const CompoundQuery& query) {
   return plan;
 }
 
-/// Per-row accumulation state for compound grouping/ranking, shared by
+/// Per-group accumulation state for compound grouping/ranking, shared by
 /// both engines.
 struct CompoundGroup {
   size_t count = 0;                // Positive parts only (count(*)).
@@ -980,45 +1030,46 @@ struct CompoundGroup {
 using CompoundGroupMap =
     std::unordered_map<Row, CompoundGroup, RowHash, RowEq>;
 
-void AccumulateGroup(CompoundGroupMap* groups, const Row& row,
-                     double part_degree) {
-  CompoundGroup& group = (*groups)[row];
+/// Adds one part's contribution to a group.
+void Accumulate(CompoundGroup* group, double part_degree) {
   if (part_degree < 0.0) {
-    group.dislike.Add(-part_degree);
+    group->dislike.Add(-part_degree);
   } else {
-    ++group.count;
-    group.degree.Add(part_degree);
+    ++group->count;
+    group->degree.Add(part_degree);
   }
 }
 
-/// Grouping, HAVING, dislike vetoes and ranking over the accumulated
-/// groups — the engine-independent tail of compound execution.
+/// HAVING over one group's aggregates: false when the group is not part
+/// of the answer. Sets `combined` to the signed combined degree, likes
+/// minus dislikes (SignedCombinedDoi).
+bool PassesHaving(const CompoundQuery& query, const CompoundGroup& group,
+                  double* combined) {
+  // A row produced only by penalty parts satisfies no positive
+  // preference; it is not part of the personalized answer.
+  if (group.count == 0) return false;
+  *combined = group.degree.Degree() - group.dislike.Degree();
+  switch (query.having().kind) {
+    case HavingClause::Kind::kNone:
+      return true;
+    case HavingClause::Kind::kCountAtLeast:
+      return group.count >= query.having().min_count;
+    case HavingClause::Kind::kDegreeAbove:
+      return *combined > query.having().min_degree;
+  }
+  return true;
+}
+
+/// The tuple engine's compound tail: HAVING, dislike vetoes and ranking
+/// over its Row-keyed groups.
 ResultSet BuildCompoundResult(
     const CompoundQuery& query, const CompoundGroupMap& groups,
     const std::unordered_set<Row, RowHash, RowEq>& vetoed, bool truncated) {
-  std::vector<std::string> columns;
-  if (!query.parts().empty()) {
-    for (const auto& item : query.parts()[0].query.projections()) {
-      columns.push_back(item.OutputName());
-    }
-  }
-  ResultSet out(std::move(columns));
+  ResultSet out(ColumnNames(query.parts()[0].query.projections()));
   for (const auto& [row, group] : groups) {
-    if (vetoed.contains(row)) continue;
-    // A row produced only by penalty parts satisfies no positive
-    // preference; it is not part of the personalized answer.
-    if (group.count == 0 && !query.parts().empty()) continue;
-    // Signed combined degree: likes minus dislikes (SignedCombinedDoi).
-    double combined = group.degree.Degree() - group.dislike.Degree();
-    switch (query.having().kind) {
-      case HavingClause::Kind::kNone:
-        break;
-      case HavingClause::Kind::kCountAtLeast:
-        if (group.count < query.having().min_count) continue;
-        break;
-      case HavingClause::Kind::kDegreeAbove:
-        if (combined <= query.having().min_degree) continue;
-        break;
+    double combined = 0.0;
+    if (vetoed.contains(row) || !PassesHaving(query, group, &combined)) {
+      continue;
     }
     out.AddRankedRow(row, group.count, combined);
   }
@@ -1135,11 +1186,7 @@ Result<ResultSet> Executor::ExecuteSelectTuple(const SelectQuery& query,
                                                ExecutorStats* stats) const {
   QP_RETURN_IF_ERROR(query.Validate(db_->schema()));
 
-  std::vector<std::string> columns;
-  for (const auto& item : query.projections()) {
-    columns.push_back(item.OutputName());
-  }
-  ResultSet out(columns);
+  ResultSet out(ColumnNames(query.projections()));
 
   // SQL semantics: any empty FROM table empties the whole product.
   for (const TupleVariable& var : query.from()) {
@@ -1260,7 +1307,7 @@ Result<ResultSet> Executor::ExecuteCompoundTuple(const CompoundQuery& query,
 
   CompoundGroupMap groups;
   auto accumulate = [&](const Row& row, double part_degree) {
-    AccumulateGroup(&groups, row, part_degree);
+    Accumulate(&groups[row], part_degree);
   };
 
   // A compound is truncated when any constituent execution was cut short
@@ -1486,17 +1533,29 @@ Result<ResultSet> Executor::ExecuteCompoundTuple(const CompoundQuery& query,
 Result<ResultSet> Executor::ExecuteSelectVec(const SelectQuery& query,
                                              ExecutorStats* stats) const {
   QP_RETURN_IF_ERROR(query.Validate(db_->schema()));
+  CodedRows rows(query.projections().size());
+  std::vector<double> sats;
+  bool truncated = false;
+  QP_RETURN_IF_ERROR(RunSelectVec(query, stats, &rows, &sats, &truncated));
 
-  std::vector<std::string> columns;
-  for (const auto& item : query.projections()) {
-    columns.push_back(item.OutputName());
+  ResultSet out(ColumnNames(query.projections()));
+  const auto columns = OutputColumns(*db_, query);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    out.AddRow(Materialize(columns, rows.ids(i)));
   }
-  ResultSet out(columns);
+  out.set_satisfactions(std::move(sats));
+  out.set_truncated(truncated);
+  out.Canonicalize();
+  return out;
+}
 
+Status Executor::RunSelectVec(const SelectQuery& query, ExecutorStats* stats,
+                              CodedRows* rows, std::vector<double>* sats,
+                              bool* truncated) const {
   // SQL semantics: any empty FROM table empties the whole product.
   for (const TupleVariable& var : query.from()) {
     QP_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(var.table));
-    if (table->num_rows() == 0) return out;
+    if (table->num_rows() == 0) return Status::Ok();
   }
 
   std::vector<std::vector<AtomicCondition>> dnf = ToDnf(query.where());
@@ -1504,7 +1563,6 @@ Result<ResultSet> Executor::ExecuteSelectVec(const SelectQuery& query,
   // Cooperative cancellation: a stopped runner discards the conjunct's
   // in-flight batch (only fully-joined rows ever surface), and the whole
   // result is flagged truncated.
-  bool truncated = false;
   auto run_conjunct = [&](const std::vector<AtomicCondition>& atoms,
                           const std::unordered_set<std::string>* subset,
                           bool need_all)
@@ -1522,7 +1580,7 @@ Result<ResultSet> Executor::ExecuteSelectVec(const SelectQuery& query,
     BatchTable batch =
         runner.Run(built.slots, std::move(built.joins),
                    NeededSlots(built.slots, query.projections(), need_all));
-    if (runner.stopped()) truncated = true;
+    if (runner.stopped()) *truncated = true;
     disjunct_span.Counter("rows", batch.num_rows());
     disjunct_span.Counter("stopped", runner.stopped() ? 1 : 0);
     return std::make_pair(std::move(built.slots), std::move(batch));
@@ -1534,16 +1592,14 @@ Result<ResultSet> Executor::ExecuteSelectVec(const SelectQuery& query,
     if (query.where() != nullptr) query.where()->CollectAtoms(&atoms);
     has_near = HasNearAtom(atoms);
   }
-  std::vector<double> satisfactions;
 
   if (query.distinct()) {
-    // Row-level dedup; a row reached through several bindings or
-    // disjuncts keeps its best soft-condition match.
-    std::unordered_map<Row, double, RowHash, RowEq> best;
-    std::unordered_set<Row, RowHash, RowEq> seen;
+    // Dedup on codes; a row reached through several bindings or
+    // disjuncts keeps its first occurrence and its best soft-condition
+    // match.
     for (const auto& disjunct : dnf) {
-      if (truncated || (cancel_ != nullptr && cancel_->ShouldStop())) {
-        truncated = true;  // Remaining disjuncts skipped.
+      if (*truncated || (cancel_ != nullptr && cancel_->ShouldStop())) {
+        *truncated = true;  // Remaining disjuncts skipped.
         break;
       }
       std::unordered_set<std::string> used =
@@ -1551,31 +1607,19 @@ Result<ResultSet> Executor::ExecuteSelectVec(const SelectQuery& query,
       QP_ASSIGN_OR_RETURN(auto result, run_conjunct(disjunct, &used, false));
       const auto& [slots, batch] = result;
       if (stats != nullptr) stats->raw_rows += batch.num_rows();
-      std::vector<Row> rows = ProjectBatch(slots, query.projections(), batch);
-      std::vector<double> sats;
-      if (has_near) sats = BatchSatisfactions(slots, batch);
-      for (size_t i = 0; i < rows.size(); ++i) {
-        if (has_near) {
-          auto [it, inserted] = best.emplace(std::move(rows[i]), sats[i]);
-          if (!inserted && sats[i] > it->second) it->second = sats[i];
-        } else if (seen.insert(rows[i]).second) {
-          out.AddRow(std::move(rows[i]));
-        }
-      }
-    }
-    if (has_near) {
-      for (auto& [row, sat] : best) {
-        out.AddRow(row);
-        satisfactions.push_back(sat);
-      }
+      AddCodedRows(slots, query.projections(), batch,
+                   has_near ? BatchSatisfactions(slots, batch)
+                            : std::vector<double>(),
+                   /*distinct=*/true, rows, sats);
     }
   } else if (dnf.size() == 1) {
     QP_ASSIGN_OR_RETURN(auto result, run_conjunct(dnf[0], nullptr, false));
     const auto& [slots, batch] = result;
     if (stats != nullptr) stats->raw_rows += batch.num_rows();
-    std::vector<Row> rows = ProjectBatch(slots, query.projections(), batch);
-    if (has_near) satisfactions = BatchSatisfactions(slots, batch);
-    for (Row& row : rows) out.AddRow(std::move(row));
+    AddCodedRows(slots, query.projections(), batch,
+                 has_near ? BatchSatisfactions(slots, batch)
+                          : std::vector<double>(),
+                 /*distinct=*/false, rows, sats);
   } else {
     // OR over the full variable product without DISTINCT: deduplicate at
     // the binding level, accumulating distinct bindings into a columnar
@@ -1587,8 +1631,8 @@ Result<ResultSet> Executor::ExecuteSelectVec(const SelectQuery& query,
     std::vector<size_t> all_slots;
     std::vector<VarSlot> full_slots;
     for (const auto& disjunct : dnf) {
-      if (truncated || (cancel_ != nullptr && cancel_->ShouldStop())) {
-        truncated = true;  // Remaining disjuncts skipped.
+      if (*truncated || (cancel_ != nullptr && cancel_->ShouldStop())) {
+        *truncated = true;  // Remaining disjuncts skipped.
         break;
       }
       QP_ASSIGN_OR_RETURN(auto result, run_conjunct(disjunct, nullptr, true));
@@ -1601,10 +1645,10 @@ Result<ResultSet> Executor::ExecuteSelectVec(const SelectQuery& query,
           distinct_bindings.SetColumn(s, BatchColumn::RowIds({}));
         }
       }
-      std::vector<double> sats;
-      if (has_near) sats = BatchSatisfactions(slots, batch);
+      std::vector<double> batch_sats;
+      if (has_near) batch_sats = BatchSatisfactions(slots, batch);
       for (size_t i = 0; i < batch.num_rows(); ++i) {
-        double sat = has_near ? sats[i] : 1.0;
+        double sat = has_near ? batch_sats[i] : 1.0;
         std::vector<uint32_t>& bucket = buckets[batch.RowHash(i, all_slots)];
         int64_t found = -1;
         for (uint32_t idx : bucket) {
@@ -1624,27 +1668,34 @@ Result<ResultSet> Executor::ExecuteSelectVec(const SelectQuery& query,
       }
       full_slots = std::move(slots);
     }
-    std::vector<Row> rows =
-        ProjectBatch(full_slots, query.projections(), distinct_bindings);
-    for (size_t i = 0; i < rows.size(); ++i) {
-      out.AddRow(std::move(rows[i]));
-      if (has_near) satisfactions.push_back(best_sat[i]);
-    }
+    if (!has_near) best_sat.clear();
+    AddCodedRows(full_slots, query.projections(), distinct_bindings, best_sat,
+                 /*distinct=*/false, rows, sats);
   }
-
-  if (has_near) out.set_satisfactions(std::move(satisfactions));
-  out.set_truncated(truncated);
-  out.Canonicalize();
-  return out;
+  return Status::Ok();
 }
 
 Result<ResultSet> Executor::ExecuteCompoundVec(const CompoundQuery& query,
                                                ExecutorStats* stats) const {
   QP_RETURN_IF_ERROR(query.Validate(db_->schema()));
 
-  CompoundGroupMap groups;
-  auto accumulate = [&](const Row& row, double part_degree) {
-    AccumulateGroup(&groups, row, part_degree);
+  // GROUP BY on codes: Validate makes every part project the same table
+  // column at each position, so one code tuple names one group across
+  // parts. A group's ids are those of its first occurrence.
+  const SelectQuery& first = query.parts()[0].query;
+  const size_t arity = first.projections().size();
+  CodedRows groups(arity);
+  std::vector<CompoundGroup> aggregates;
+  // One Add per row of the part's answer (one per group for a DISTINCT
+  // part), parts in order.
+  auto accumulate = [&](const CodedRows& rows, const std::vector<double>& sats,
+                        double part_degree) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const auto [group, added] = groups.Insert(rows.codes(i), rows.ids(i));
+      if (added) aggregates.emplace_back();
+      Accumulate(&aggregates[group],
+                 part_degree * (sats.empty() ? 1.0 : sats[i]));
+    }
   };
 
   bool truncated = false;
@@ -1723,13 +1774,15 @@ Result<ResultSet> Executor::ExecuteCompoundVec(const CompoundQuery& query,
         }
       }
       if (naive_entry * 4 < core_entry_estimate) {
-        QP_ASSIGN_OR_RETURN(ResultSet partial, Execute(part.query, stats));
-        if (partial.truncated()) truncated = true;
-        for (size_t i = 0; i < partial.num_rows(); ++i) {
-          accumulate(partial.row(i), part.degree * partial.satisfaction(i));
-        }
+        CodedRows rows(arity);
+        std::vector<double> sats;
+        bool part_truncated = false;
+        QP_RETURN_IF_ERROR(
+            RunSelectVec(part.query, stats, &rows, &sats, &part_truncated));
+        if (part_truncated) truncated = true;
+        accumulate(rows, sats, part.degree);
         part_span.Counter("naive", 1);
-        part_span.Counter("rows", partial.num_rows());
+        part_span.Counter("rows", rows.size());
         continue;
       }
       materialize_core();
@@ -1826,19 +1879,14 @@ Result<ResultSet> Executor::ExecuteCompoundVec(const CompoundQuery& query,
 
       if (stats != nullptr) stats->raw_rows += part_batch.num_rows();
       // Parts are DISTINCT; a row keeps its best soft-condition match.
-      std::vector<Row> rows =
-          ProjectBatch(built.slots, part.query.projections(), part_batch);
-      std::vector<double> sats = BatchSatisfactions(built.slots, part_batch);
-      std::unordered_map<Row, double, RowHash, RowEq> best;
-      for (size_t i = 0; i < rows.size(); ++i) {
-        auto [it, inserted] = best.emplace(std::move(rows[i]), sats[i]);
-        if (!inserted && sats[i] > it->second) it->second = sats[i];
-      }
-      for (const auto& [row, sat] : best) {
-        accumulate(row, part.degree * sat);
-      }
+      CodedRows rows(arity);
+      std::vector<double> sats;
+      AddCodedRows(built.slots, part.query.projections(), part_batch,
+                   BatchSatisfactions(built.slots, part_batch),
+                   /*distinct=*/true, &rows, &sats);
+      accumulate(rows, sats, part.degree);
       part_span.Counter(drive_from_core ? "drive" : "merge", 1);
-      part_span.Counter("rows", best.size());
+      part_span.Counter("rows", rows.size());
     }
   } else {
     for (const CompoundPart& part : query.parts()) {
@@ -1847,19 +1895,36 @@ Result<ResultSet> Executor::ExecuteCompoundVec(const CompoundQuery& query,
         break;
       }
       obs::ScopedSpan part_span(trace_, "part");
-      QP_ASSIGN_OR_RETURN(ResultSet partial, Execute(part.query, stats));
-      if (partial.truncated()) truncated = true;
-      for (size_t i = 0; i < partial.num_rows(); ++i) {
-        accumulate(partial.row(i), part.degree * partial.satisfaction(i));
-      }
+      CodedRows rows(arity);
+      std::vector<double> sats;
+      bool part_truncated = false;
+      QP_RETURN_IF_ERROR(
+          RunSelectVec(part.query, stats, &rows, &sats, &part_truncated));
+      if (part_truncated) truncated = true;
+      // Soft conditions scale the part's contribution by how closely the
+      // row matches.
+      accumulate(rows, sats, part.degree);
       part_span.Counter("naive", 1);
-      part_span.Counter("rows", partial.num_rows());
+      part_span.Counter("rows", rows.size());
     }
   }
 
   std::unordered_set<Row, RowHash, RowEq> vetoed;
   QP_RETURN_IF_ERROR(CollectExclusions(query, stats, &vetoed, &truncated));
-  return BuildCompoundResult(query, groups, vetoed, truncated);
+  // HAVING runs on the group aggregates; Values are built only for the
+  // groups that pass it, and the vetoes compare those.
+  ResultSet out(ColumnNames(first.projections()));
+  const auto columns = OutputColumns(*db_, first);
+  for (size_t g = 0; g < groups.size(); ++g) {
+    double combined = 0.0;
+    if (!PassesHaving(query, aggregates[g], &combined)) continue;
+    Row row = Materialize(columns, groups.ids(g));
+    if (vetoed.contains(row)) continue;
+    out.AddRankedRow(std::move(row), aggregates[g].count, combined);
+  }
+  out.set_truncated(truncated);
+  out.Canonicalize();
+  return out;
 }
 
 }  // namespace qp

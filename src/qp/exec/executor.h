@@ -2,6 +2,7 @@
 #define QP_EXEC_EXECUTOR_H_
 
 #include <unordered_set>
+#include <vector>
 
 #include "qp/exec/result.h"
 #include "qp/obs/metrics.h"
@@ -12,6 +13,8 @@
 #include "qp/util/status.h"
 
 namespace qp {
+
+class CodedRows;
 
 /// Execution counters, for tests and the executor ablation benchmark.
 /// Accumulated through an Execute call tree via a single caller-owned
@@ -52,8 +55,9 @@ enum class ExecStrategy {
   /// vector<RowId>. The original engine, kept as the differential oracle.
   kTuple,
   /// Columnar batches (BatchTable): one contiguous RowId column per tuple
-  /// variable, gather/filter join steps, late materialization of payload
-  /// columns, column drop after the last join that needs a slot.
+  /// variable, gather/filter join steps, column drop after the last join
+  /// that needs a slot, DISTINCT and GROUP BY on key codes, and Values
+  /// built only for the answer's rows.
   kVectorized,
 };
 
@@ -75,6 +79,13 @@ enum class ExecStrategy {
 /// preference chain on top — the "efficient execution of personalized
 /// queries" the paper lists as future work. Disable with
 /// set_shared_core(false) (used by the ablation benchmark).
+/// The vectorized engine identifies a projected row by the key codes of
+/// its output columns (Table::Keys), not by its Values: SELECT DISTINCT,
+/// each part's DISTINCT and the compound's GROUP BY run on those code
+/// tuples, HAVING on the group aggregates, and Values are built once per
+/// row of the answer (for a compound, per group that passes HAVING,
+/// before the EXCEPT vetoes). The tuple engine keeps Value rows, so the
+/// differential oracle stays independent of the codes.
 /// Results are canonicalized (deterministically ordered).
 class Executor {
  public:
@@ -129,6 +140,15 @@ class Executor {
   /// Columnar batch engine.
   Result<ResultSet> ExecuteSelectVec(const SelectQuery& query,
                                      ExecutorStats* stats) const;
+  /// The batch engine's SELECT up to its answer in coded form: the
+  /// distinct rows under DISTINCT, else every row, in the order produced.
+  /// `sats` gets each row's near-condition satisfaction (stays empty when
+  /// the query has no near condition); *truncated is set when execution
+  /// was cut short. ExecuteSelectVec builds the answer's Values from it;
+  /// compound parts group its coded rows directly.
+  Status RunSelectVec(const SelectQuery& query, ExecutorStats* stats,
+                      CodedRows* rows, std::vector<double>* sats,
+                      bool* truncated) const;
   Result<ResultSet> ExecuteCompoundVec(const CompoundQuery& query,
                                        ExecutorStats* stats) const;
   /// EXCEPT blocks, shared by both compound engines: rows returned by any

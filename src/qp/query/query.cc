@@ -133,12 +133,27 @@ Status CompoundQuery::Validate(const Schema& schema) const {
                                      std::to_string(part.degree));
     }
   }
-  const auto& first = parts_[0].query.projections();
+  // Every part projects the same table column at each position, each
+  // resolved through the part's own aliases: the parts' rows are grouped
+  // by value, and the executor groups them by that column's key codes.
+  const SelectQuery& first_part = parts_[0].query;
+  const auto& first = first_part.projections();
   for (size_t i = 1; i < parts_.size(); ++i) {
-    const auto& other = parts_[i].query.projections();
-    if (other.size() != first.size()) {
+    const SelectQuery& part = parts_[i].query;
+    if (part.projections().size() != first.size()) {
       return Status::InvalidArgument(
           "compound query parts have different projection arities");
+    }
+    for (size_t j = 0; j < first.size(); ++j) {
+      const ProjectionItem& item = part.projections()[j];
+      const std::string& table = part.FindVariable(item.var)->table;
+      const std::string& want = first_part.FindVariable(first[j].var)->table;
+      if (table != want || item.column != first[j].column) {
+        return Status::InvalidArgument(
+            "compound query part " + std::to_string(i) + " projects " +
+            table + "." + item.column + " at position " + std::to_string(j) +
+            ", the first part " + want + "." + first[j].column);
+      }
     }
   }
   for (const SelectQuery& exclusion : exclusions_) {

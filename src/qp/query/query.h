@@ -149,7 +149,9 @@ class CompoundQuery {
     return order_by_degree_ || having_.kind == HavingClause::Kind::kDegreeAbove;
   }
 
-  /// All parts valid and projection lists structurally identical.
+  /// All parts valid, and projection lists structurally identical: every
+  /// part projects the same table column at each position. Exclusions
+  /// need only the parts' arity.
   Status Validate(const Schema& schema) const;
 
  private:

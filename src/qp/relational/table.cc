@@ -33,7 +33,6 @@ void KeyIndex::Build(const std::vector<Row>& rows, size_t column) {
     offsets_.assign(diff + 2, 0);
   } else {
     for (size_t r = 0; r < n; ++r) {
-      // A NaN cell equals no key, so it adds a code of its own.
       codes_[r] = dictionary_
                       .try_emplace(rows[r][column],
                                    static_cast<uint32_t>(dictionary_.size()))
@@ -100,6 +99,16 @@ Status Table::Insert(Row row) {
           schema_.column(i).name + ": expected " +
           DataTypeName(schema_.column(i).type) + ", got " +
           DataTypeName(row[i].type()));
+    }
+    if (row[i].type() == DataType::kDouble) {
+      // One stored form per == class: NaN equals nothing, and -0.0 is
+      // stored as the 0.0 it equals.
+      const double d = row[i].as_double();
+      if (std::isnan(d)) {
+        return Status::InvalidArgument("NaN in " + schema_.name() + "." +
+                                       schema_.column(i).name);
+      }
+      if (d == 0.0) row[i] = Value::Real(0.0);
     }
   }
   for (KeyIndex& index : indexes_) {

@@ -20,9 +20,10 @@ using Row = std::vector<Value>;
 using RowId = uint32_t;
 
 /// Equality index over one column: a uint32 code per row, equal for two
-/// rows exactly when their cells are == (a NaN cell, equal to nothing,
-/// gets a code of its own), and CSR postings listing each code's row ids
-/// in ascending order.
+/// rows exactly when their cells are ==, and CSR postings listing each
+/// code's row ids in ascending order. Table::Insert stores no NaN (a cell
+/// equal to nothing, itself included) and only one form of each == class,
+/// so two rows share a code exactly when their cells are identical.
 ///
 /// A NULL-free int64 column whose value range is at most kMaxSpanPerRow
 /// times its row count codes arithmetically: code = value - min, so
@@ -100,8 +101,8 @@ class Table {
   const std::vector<Row>& rows() const { return rows_; }
 
   /// Appends a row. Fails unless arity and cell types match the schema
-  /// (NULL is accepted in any column). Invalidates every key index; the
-  /// next use rebuilds it.
+  /// (NULL is accepted in any column) and no double is NaN; stores -0.0
+  /// as 0.0. Invalidates every key index; the next use rebuilds it.
   Status Insert(Row row);
 
   /// Row ids whose `column` equals `value`, ascending. Builds the

@@ -52,7 +52,7 @@ struct ServiceOptions {
   /// Profile durability (WAL + snapshots). Leave `storage.dir` empty for
   /// a purely in-memory store; set it (via OpenDurable) to recover
   /// profiles across restarts.
-  storage::StorageOptions storage;
+  storage::StorageOptions storage{};
   /// External metrics registry. When null (default) the service creates
   /// and owns one; either way every layer underneath — cache, profile
   /// store, WAL — publishes into the same registry, exposed via
@@ -67,10 +67,10 @@ struct ServiceOptions {
   /// obs::SamplingPolicy). The default traces every request, matching
   /// the single-node plane; clusters dial head_rate down and rely on the
   /// tail rules to keep the interesting traces.
-  obs::SamplingPolicy sampling;
+  obs::SamplingPolicy sampling{};
   /// Rolling-window availability/latency objectives; evaluated into
   /// qp_slo_* gauges at DumpMetrics time and via SloStatus().
-  obs::SloOptions slo;
+  obs::SloOptions slo{};
 };
 
 /// One unit of batch work: personalize (and optionally execute) `query`

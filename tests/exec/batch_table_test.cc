@@ -1,125 +1,26 @@
-// BatchTable / BatchColumn / BatchHashTable edge cases: empty batches,
-// single-row batches, all-duplicate keys, null cells, and column values
-// at the int64 type boundaries. These are the primitives the vectorized
-// executor is built on, so their append/gather/filter/drop semantics are
-// pinned here independently of any query.
+// BatchTable / BatchColumn / BatchHashTable / CodedRows edge cases: empty
+// batches, single-row batches, all-duplicate keys, and coded rows that
+// agree on some columns only. These are the primitives the vectorized
+// executor is built on, so their append/gather/filter/drop and dedup
+// semantics are pinned here independently of any query.
 
 #include <cstdint>
-#include <limits>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "qp/exec/batch_table.h"
-#include "qp/relational/schema.h"
-#include "qp/relational/table.h"
 
 namespace qp {
 namespace {
 
-TableSchema MixedSchema() {
-  return TableSchema("T", {{"i", DataType::kInt64},
-                           {"d", DataType::kDouble},
-                           {"s", DataType::kString}});
-}
-
 TEST(BatchColumnTest, EmptyColumnBasics) {
-  BatchColumn col(BatchColumn::Type::kInt64);
+  BatchColumn col = BatchColumn::RowIds({});
   EXPECT_EQ(col.size(), 0u);
   EXPECT_TRUE(col.empty());
   BatchColumn gathered = col.Gather({});
   EXPECT_EQ(gathered.size(), 0u);
   col.Filter({});
   EXPECT_EQ(col.size(), 0u);
-}
-
-TEST(BatchColumnTest, Int64TypeBoundaries) {
-  BatchColumn col(BatchColumn::Type::kInt64);
-  const int64_t lo = std::numeric_limits<int64_t>::min();
-  const int64_t hi = std::numeric_limits<int64_t>::max();
-  col.AppendValue(Value::Int(lo));
-  col.AppendValue(Value::Int(hi));
-  col.AppendValue(Value::Int(0));
-  col.AppendValue(Value::Int(-1));
-  ASSERT_EQ(col.size(), 4u);
-  EXPECT_EQ(col.int_at(0), lo);
-  EXPECT_EQ(col.int_at(1), hi);
-  EXPECT_EQ(col.ValueAt(0), Value::Int(lo));
-  EXPECT_EQ(col.ValueAt(1), Value::Int(hi));
-  // Boundary values hash distinctly and compare exactly.
-  EXPECT_NE(col.HashAt(0), col.HashAt(1));
-  EXPECT_TRUE(col.CellEquals(0, col, 0));
-  EXPECT_FALSE(col.CellEquals(0, col, 1));
-  EXPECT_FALSE(col.CellEquals(2, col, 3));
-}
-
-TEST(BatchColumnTest, DoubleZeroesHashAlike) {
-  BatchColumn col(BatchColumn::Type::kDouble);
-  col.AppendValue(Value::Real(0.0));
-  col.AppendValue(Value::Real(-0.0));
-  // -0.0 == 0.0, so the hash must collapse the two bit patterns.
-  EXPECT_TRUE(col.CellEquals(0, col, 1));
-  EXPECT_EQ(col.HashAt(0), col.HashAt(1));
-}
-
-TEST(BatchColumnTest, NullCellsTrackedAndRoundTripped) {
-  BatchColumn col(BatchColumn::Type::kString);
-  col.AppendValue(Value::Str("a"));
-  col.AppendValue(Value::Null());
-  col.AppendValue(Value::Str(""));
-  ASSERT_EQ(col.size(), 3u);
-  EXPECT_FALSE(col.is_null(0));
-  EXPECT_TRUE(col.is_null(1));
-  EXPECT_FALSE(col.is_null(2));
-  EXPECT_EQ(col.ValueAt(1), Value::Null());
-  EXPECT_EQ(col.ValueAt(2), Value::Str(""));
-  // NULL equals NULL (grouping semantics), never a real cell — not even
-  // the empty string the null slot physically stores.
-  EXPECT_TRUE(col.CellEquals(1, col, 1));
-  EXPECT_FALSE(col.CellEquals(1, col, 2));
-  EXPECT_NE(col.HashAt(1), col.HashAt(2));
-  // Null mask survives gather and filter.
-  BatchColumn gathered = col.Gather({2, 1, 1, 0});
-  ASSERT_EQ(gathered.size(), 4u);
-  EXPECT_TRUE(gathered.is_null(1));
-  EXPECT_TRUE(gathered.is_null(2));
-  EXPECT_FALSE(gathered.is_null(3));
-  gathered.Filter({0, 1, 0, 1});
-  ASSERT_EQ(gathered.size(), 2u);
-  EXPECT_TRUE(gathered.is_null(0));
-  EXPECT_EQ(gathered.ValueAt(1), Value::Str("a"));
-  // AppendFrom propagates nullness.
-  BatchColumn copy(BatchColumn::Type::kString);
-  copy.AppendFrom(col, 1);
-  copy.AppendFrom(col, 0);
-  EXPECT_TRUE(copy.is_null(0));
-  EXPECT_EQ(copy.ValueAt(1), Value::Str("a"));
-}
-
-TEST(BatchColumnTest, FromTableLateMaterialization) {
-  Table table(MixedSchema());
-  ASSERT_TRUE(
-      table.Insert({Value::Int(1), Value::Real(1.5), Value::Str("x")}).ok());
-  ASSERT_TRUE(
-      table.Insert({Value::Int(2), Value::Null(), Value::Str("y")}).ok());
-  ASSERT_TRUE(
-      table.Insert({Value::Int(3), Value::Real(-2.5), Value::Null()}).ok());
-
-  // Gather out of order with a repeat — exactly what a binding column
-  // produces after joins.
-  std::vector<RowId> ids = {2, 0, 0, 1};
-  BatchColumn ints = BatchColumn::FromTable(table, 0, ids);
-  BatchColumn doubles = BatchColumn::FromTable(table, 1, ids);
-  BatchColumn strings = BatchColumn::FromTable(table, 2, ids);
-  ASSERT_EQ(ints.size(), 4u);
-  EXPECT_EQ(ints.int_at(0), 3);
-  EXPECT_EQ(ints.int_at(1), 1);
-  EXPECT_EQ(ints.int_at(2), 1);
-  EXPECT_EQ(ints.int_at(3), 2);
-  EXPECT_EQ(doubles.ValueAt(0), Value::Real(-2.5));
-  EXPECT_TRUE(doubles.is_null(3));
-  EXPECT_TRUE(strings.is_null(0));
-  EXPECT_EQ(strings.ValueAt(1), Value::Str("x"));
-  // Empty gather: legal, yields an empty column.
-  EXPECT_EQ(BatchColumn::FromTable(table, 0, {}).size(), 0u);
 }
 
 TEST(BatchTableTest, EmptyTableAndSingleRow) {
@@ -242,6 +143,47 @@ TEST(BatchHashTableTest, EmptyKeyMatchesEverything) {
   std::vector<uint32_t> out;
   ht.Probe(probe, 0, {}, &out);
   EXPECT_EQ(out.size(), 3u);
+}
+
+TEST(CodedRowsTest, InsertKeepsFirstOccurrence) {
+  // Arity 2: rows equal on one column only are distinct, and a repeat
+  // keeps the ids of the row's first occurrence.
+  CodedRows set(2);
+  const uint32_t a[] = {1, 7};
+  const uint32_t b[] = {1, 8};
+  const uint32_t c[] = {8, 1};
+  const RowId first[] = {10, 11};
+  const RowId later[] = {20, 21};
+  EXPECT_EQ(set.Insert(a, first), (std::pair<uint32_t, bool>{0, true}));
+  EXPECT_EQ(set.Insert(b, first), (std::pair<uint32_t, bool>{1, true}));
+  EXPECT_EQ(set.Insert(c, first), (std::pair<uint32_t, bool>{2, true}));
+  EXPECT_EQ(set.Insert(a, later), (std::pair<uint32_t, bool>{0, false}));
+  ASSERT_EQ(set.size(), 3u);
+  EXPECT_EQ(set.ids(0)[0], 10u);
+  EXPECT_EQ(set.ids(0)[1], 11u);
+  EXPECT_EQ(set.codes(2)[0], 8u);
+}
+
+TEST(CodedRowsTest, ManyRowsSurviveGrowth) {
+  // Enough rows to grow the index several times; every row is found at
+  // its own index afterwards, and a bag keeps duplicates.
+  CodedRows set(1);
+  CodedRows bag(1);
+  for (uint32_t code = 0; code < 5000; ++code) {
+    const RowId id = code * 3;
+    ASSERT_TRUE(set.Insert(&code, &id).second);
+    bag.Append(&code, &id);
+    bag.Append(&code, &id);
+  }
+  for (uint32_t code = 0; code < 5000; ++code) {
+    const RowId id = 0;
+    ASSERT_EQ(set.Insert(&code, &id),
+              (std::pair<uint32_t, bool>{code, false}));
+    ASSERT_EQ(set.ids(code)[0], code * 3);
+  }
+  EXPECT_EQ(set.size(), 5000u);
+  EXPECT_EQ(bag.size(), 10000u);
+  EXPECT_EQ(bag.codes(9999)[0], 4999u);
 }
 
 }  // namespace

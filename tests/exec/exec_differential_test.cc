@@ -372,15 +372,21 @@ TEST_F(ExecDifferentialTest, ChaosFaultHitsBothEnginesIdentically) {
 /// a sparse int64 key and a NULL-bearing int64 key (both coded through a
 /// dictionary), a string key, and dense int64 keys with different ranges
 /// (coded arithmetically, offset apart, partly out of each other's range).
+/// ITEM.score is a double column holding 0.0, -0.0 (stored as 0.0), NULLs
+/// and repeats, projected by the coded-grouping queries below.
 Database KeyShapesDatabase() {
   Schema schema;
   const DataType i64 = DataType::kInt64;
+  const DataType f64 = DataType::kDouble;
   const DataType str = DataType::kString;
   EXPECT_TRUE(schema
-                  .AddTable(TableSchema(
-                      "ITEM",
-                      {{"id", i64}, {"tag", str}, {"ref", i64}, {"slot", i64}},
-                      {"id"}))
+                  .AddTable(TableSchema("ITEM",
+                                        {{"id", i64},
+                                         {"tag", str},
+                                         {"ref", i64},
+                                         {"slot", i64},
+                                         {"score", f64}},
+                                        {"id"}))
                   .ok());
   EXPECT_TRUE(schema
                   .AddTable(TableSchema("LINK",
@@ -394,17 +400,18 @@ Database KeyShapesDatabase() {
   Database db(std::move(schema));
   const Value null = Value::Null();
   auto I = [](int64_t v) { return Value::Int(v); };
+  auto D = [](double v) { return Value::Real(v); };
   auto S = [](const char* v) { return Value::Str(v); };
   // ITEM.id is sparse, ITEM.ref carries NULLs, ITEM.slot spans [10, 19].
   const std::vector<Row> items = {
-      {I(0), S("a"), I(1), I(10)},
-      {I(1000003), S("b"), null, I(11)},
-      {I(2000006), S("a"), I(2), I(12)},
-      {I(-3000009), S("c"), null, I(13)},
-      {I(9000027), S(""), I(1), I(14)},
-      {I(4000012), S("b"), I(3), I(15)},
-      {I(5000015), S("d"), I(2), I(16)},
-      {I(6000018), S("a"), null, I(19)},
+      {I(0), S("a"), I(1), I(10), D(0.0)},
+      {I(1000003), S("b"), null, I(11), D(-0.0)},
+      {I(2000006), S("a"), I(2), I(12), null},
+      {I(-3000009), S("c"), null, I(13), D(2.5)},
+      {I(9000027), S(""), I(1), I(14), D(0.0)},
+      {I(4000012), S("b"), I(3), I(15), null},
+      {I(5000015), S("d"), I(2), I(16), D(2.5)},
+      {I(6000018), S("a"), null, I(19), D(-0.0)},
   };
   // LINK.item holds ITEM ids, ids no ITEM has and one ITEM.slot value
   // (12); LINK.slot spans
@@ -462,6 +469,18 @@ TEST(ExecDifferentialKeyShapesTest, EnginesAgreeOnEveryKeyCoding) {
       "and L.tag=J.tag and L.note='x'",
       "select I.id from ITEM I, LINK L where I.id=L.item and "
       "(I.tag='a' or L.ref=2 or L.item=12)",
+      // DISTINCT on codes: the NULL-bearing int column and the double
+      // column, alone and together, each output reached through several
+      // bindings of the to-many joins (ids 0 and 1000003 have two links).
+      "select distinct I.ref from ITEM I, LINK L where I.id=L.item",
+      "select distinct I.score from ITEM I, LINK L where I.tag=L.tag",
+      "select distinct I.ref, I.score from ITEM I, LINK L where "
+      "I.slot=L.slot or I.tag=L.tag",
+      "select distinct L.note, I.score from ITEM I, LINK L where "
+      "I.id=L.item",
+      // Zeros entered as 0.0 and -0.0 sort as one value in both engines.
+      "select I.score from ITEM I, LINK L where I.id=L.item and "
+      "(L.note='x' or I.tag='a')",
   };
   for (JoinStrategy join : {JoinStrategy::kHashJoin,
                             JoinStrategy::kNestedLoop}) {
@@ -520,6 +539,57 @@ TEST(ExecDifferentialKeyShapesTest, EnginesAgreeOnEveryKeyCoding) {
     ResultSet ranked;
     ASSERT_NO_FATAL_FAILURE(check(compound, "compound", &ranked));
     EXPECT_GT(ranked.num_rows(), 0u);
+
+    // An MQ-shaped compound grouped on two coded columns, the
+    // NULL-bearing int and the double: shared-core parts (a near part
+    // among them) and one part selective enough to run from scratch
+    // (I.tag='c' holds one row against a core entry of eight).
+    const char* grouped_parts[] = {
+        "select distinct I.ref, I.score from ITEM I, LINK L where "
+        "I.id=L.item and L.note='x'",
+        "select distinct I.ref, I.score from ITEM I, LINK L where "
+        "I.id=L.item and I.tag='a'",
+        "select distinct I.ref, I.score from ITEM I, LINK L, ITEM J where "
+        "I.id=L.item and L.slot=J.slot and J.tag='b'",
+        "select distinct I.ref, I.score from ITEM I, LINK L where "
+        "I.id=L.item and near(I.slot, 12, 3)",
+        "select distinct I.ref, I.score from ITEM I, LINK L where "
+        "I.id=L.item and I.tag='c'",
+    };
+    auto grouped = [&](HavingClause having, bool with_exclusion) {
+      CompoundQuery q;
+      double d = 0.9;
+      for (const char* sql : grouped_parts) {
+        auto part = ParseSelectQuery(sql);
+        EXPECT_TRUE(part.ok()) << sql << ": " << part.status();
+        q.AddPart(std::move(part).value(), d);
+        d -= 0.15;
+      }
+      if (with_exclusion) {
+        auto exclusion = ParseSelectQuery(
+            "select I.ref, I.score from ITEM I where I.tag='b'");
+        EXPECT_TRUE(exclusion.ok()) << exclusion.status();
+        q.AddExclusion(std::move(exclusion).value());
+      }
+      q.set_having(having);
+      q.set_order_by_degree(true);
+      return q;
+    };
+    ResultSet at_least_two;
+    ASSERT_NO_FATAL_FAILURE(check(grouped(HavingClause::CountAtLeast(2), false),
+                                  "grouped count >= 2", &at_least_two));
+    EXPECT_GT(at_least_two.num_rows(), 0u);
+    ResultSet none;
+    ASSERT_NO_FATAL_FAILURE(check(grouped(HavingClause::CountAtLeast(6), false),
+                                  "grouped count >= 6", &none));
+    EXPECT_EQ(none.num_rows(), 0u);
+    ResultSet all;
+    ASSERT_NO_FATAL_FAILURE(check(grouped(HavingClause::CountAtLeast(1), false),
+                                  "grouped", &all));
+    ResultSet excepted;
+    ASSERT_NO_FATAL_FAILURE(check(grouped(HavingClause::CountAtLeast(1), true),
+                                  "grouped except", &excepted));
+    EXPECT_LT(excepted.num_rows(), all.num_rows());
   }
 }
 

@@ -155,6 +155,32 @@ TEST_F(ExecutorEdgeTest, ExclusionArityMismatchRejected) {
   EXPECT_FALSE(executor_->Execute(compound).ok());
 }
 
+TEST_F(ExecutorEdgeTest, PartProjectionColumnMismatchRejected) {
+  // Parts are grouped by value, so every part must project the same table
+  // column at each position, resolved through its own aliases.
+  SelectQuery titles = Parse("select distinct MV.title from MOVIE MV");
+  SelectQuery renamed = Parse("select distinct M2.title from MOVIE M2");
+  SelectQuery other_column = Parse(
+      "select distinct MV.year from MOVIE MV where MV.year=1999");
+  SelectQuery other_table = Parse(
+      "select distinct AC.name from MOVIE MV, CAST CA, ACTOR AC where "
+      "MV.mid=CA.mid and CA.aid=AC.aid");
+
+  CompoundQuery same;
+  same.AddPart(titles, 0.5);
+  same.AddPart(renamed, 0.4);
+  EXPECT_TRUE(executor_->Execute(same).ok());
+
+  for (const SelectQuery* mismatch : {&other_column, &other_table}) {
+    CompoundQuery compound;
+    compound.AddPart(titles, 0.5);
+    compound.AddPart(*mismatch, 0.4);
+    auto result = executor_->Execute(compound);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST_F(ExecutorEdgeTest, StringIndexLookupWithDates) {
   auto result = executor_->Execute(Parse(
       "select PL.mid from PLAY PL where PL.date='3/7/2003'"));

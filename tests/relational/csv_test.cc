@@ -1,5 +1,6 @@
 #include "qp/relational/csv.h"
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 
@@ -86,6 +87,19 @@ TEST(CsvTest, ArityAndTypeErrors) {
       AppendCsvToTable(&table, "id,name,score\n1,\"a\",not_a_double\n")
           .code(),
       StatusCode::kParseError);
+}
+
+TEST(CsvTest, NaNRejectedAndNegativeZeroStoredAsZero) {
+  // strtod reads "nan"; the table refuses it like any other insert.
+  Table table(MixedSchema());
+  EXPECT_EQ(
+      AppendCsvToTable(&table, "id,name,score\n1,\"a\",nan\n").code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(table.num_rows(), 0u);
+  QP_ASSERT_OK(AppendCsvToTable(&table, "id,name,score\n2,\"b\",-0\n"));
+  ASSERT_EQ(table.num_rows(), 1u);
+  EXPECT_FALSE(std::signbit(table.At(0, 2).as_double()));
+  EXPECT_EQ(TableToCsv(table), "id,name,score\n2,\"b\",0\n");
 }
 
 TEST(CsvTest, UnterminatedQuoteFails) {

@@ -38,7 +38,7 @@ enum class Shape {
   kHighInt,      // Small range ending at INT64_MAX.
   kLowInt,       // Small range starting at INT64_MIN.
   kHugeInt,      // Sparse, beyond 2^53, sharing their low 20 bits.
-  kDouble,       // Includes ±0.0 and integral values.
+  kDouble,       // Includes ±0.0 (stored as 0.0) and integral values.
   kString,
 };
 constexpr int kNumShapes = 9;
@@ -89,12 +89,14 @@ std::vector<RowId> Scan(const Table& table, size_t col, const Value& probe) {
 }
 
 /// Probes for one column: every cell, NULL, Real(5.0) and Int(5),
+/// Real(-0.0) (a table stores -0.0 cells as 0.0, so no cell probes it),
 /// neighbours of every integral cell (which land just outside or inside
 /// an arithmetic range), and each cell's value in the other numeric type
 /// where that conversion is exact.
 std::vector<Value> Probes(const Table& table, size_t col) {
-  std::vector<Value> probes = {Value::Null(), Value::Real(5.0), Value::Int(5),
-                               Value::Real(5.5), Value::Str("ann")};
+  std::vector<Value> probes = {Value::Null(),     Value::Real(5.0),
+                               Value::Int(5),     Value::Real(5.5),
+                               Value::Str("ann"), Value::Real(-0.0)};
   for (RowId id = 0; id < table.num_rows(); ++id) {
     const Value& cell = table.At(id, col);
     probes.push_back(cell);

@@ -1,5 +1,7 @@
 #include "qp/relational/table.h"
 
+#include <cmath>
+
 #include "common/test_util.h"
 #include "gtest/gtest.h"
 
@@ -76,6 +78,30 @@ TEST(TableTest, LookupCoercesNumericKeys) {
   QP_EXPECT_OK(table.Insert({Value::Int(5), Value::Str("x")}));
   // Real(5.0) equals Int(5), so the index must find it.
   EXPECT_EQ(table.Lookup(0, Value::Real(5.0)).size(), 1u);
+}
+
+TEST(TableTest, InsertRejectsNaN) {
+  // NaN equals nothing, itself included: a stored NaN could never join,
+  // match a selection or group with its own row.
+  Table table(TableSchema("T", {{"d", DataType::kDouble}}, {}));
+  EXPECT_EQ(table.Insert({Value::Real(std::nan(""))}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(table.Insert({Value::Real(-std::nan(""))}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(table.num_rows(), 0u);
+}
+
+TEST(TableTest, InsertStoresNegativeZeroAsZero) {
+  // -0.0 == 0.0 but prints and sorts apart from it; the table keeps one
+  // form, so equal cells are identical cells.
+  Table table(TableSchema("T", {{"d", DataType::kDouble}}, {}));
+  QP_EXPECT_OK(table.Insert({Value::Real(-0.0)}));
+  QP_EXPECT_OK(table.Insert({Value::Real(0.0)}));
+  QP_EXPECT_OK(table.Insert({Value::Null()}));
+  EXPECT_FALSE(std::signbit(table.At(0, 0).as_double()));
+  EXPECT_EQ(table.At(0, 0).ToString(), table.At(1, 0).ToString());
+  EXPECT_EQ(table.Keys(0).codes()[0], table.Keys(0).codes()[1]);
+  EXPECT_EQ(table.Lookup(0, Value::Real(-0.0)).size(), 2u);
 }
 
 TEST(TableTest, RowsAccessor) {

@@ -57,7 +57,9 @@ class BitflipRobustnessTest : public ::testing::Test {
       EXPECT_TRUE(store_or.ok()) << store_or.status();
       auto store = std::move(store_or).value();
       EXPECT_TRUE(store->Put("u1", JulieProfile()).ok());
-      if (with_snapshot) EXPECT_TRUE(store->Checkpoint().ok());
+      if (with_snapshot) {
+        EXPECT_TRUE(store->Checkpoint().ok());
+      }
       EXPECT_TRUE(store->Put("u2", RobProfile()).ok());
       EXPECT_TRUE(store->Put("u3", SmallProfile()).ok());
       EXPECT_TRUE(store->Close().ok());
