@@ -1,10 +1,8 @@
-// Ablation A3: executor engine and join strategies on the movie schema
-// (DESIGN.md row A3): the tuple-at-a-time engine vs the vectorized
-// columnar batch engine, each with index-backed hash joins (default) and
-// forced nested loops. Uses google-benchmark over representative
-// personalization-shaped queries, then writes a BenchReport JSON sidecar
-// ($QP_BENCH_JSON) with mean per-query times and the vectorized speedup
-// so CI snapshots can diff strategies.
+// Ablation A3: the executor on representative personalization-shaped
+// queries over the movie schema (DESIGN.md row A3). Uses google-benchmark
+// per query, then writes a BenchReport JSON sidecar ($QP_BENCH_JSON) with
+// the mean time per query and their total, which CI holds under 2x the
+// baseline.
 
 #include <memory>
 #include <string>
@@ -50,42 +48,15 @@ const char* QueryFor(int index) {
   }
 }
 
-Executor MakeExecutor(ExecStrategy engine, JoinStrategy joins) {
+void BM_Execute(benchmark::State& state) {
   Executor executor(&SharedDb());
-  executor.set_exec_strategy(engine);
-  executor.set_join_strategy(joins);
-  return executor;
-}
-
-void RunQuery(benchmark::State& state, ExecStrategy engine,
-              JoinStrategy joins) {
-  Executor executor = MakeExecutor(engine, joins);
   auto query = ParseSelectQuery(QueryFor(static_cast<int>(state.range(0))));
   for (auto _ : state) {
     auto result = executor.Execute(*query);
     benchmark::DoNotOptimize(result);
   }
 }
-
-void BM_TupleHashJoin(benchmark::State& state) {
-  RunQuery(state, ExecStrategy::kTuple, JoinStrategy::kHashJoin);
-}
-BENCHMARK(BM_TupleHashJoin)->Arg(0)->Arg(1)->Arg(2);
-
-void BM_VectorizedHashJoin(benchmark::State& state) {
-  RunQuery(state, ExecStrategy::kVectorized, JoinStrategy::kHashJoin);
-}
-BENCHMARK(BM_VectorizedHashJoin)->Arg(0)->Arg(1)->Arg(2);
-
-void BM_TupleNestedLoop(benchmark::State& state) {
-  RunQuery(state, ExecStrategy::kTuple, JoinStrategy::kNestedLoop);
-}
-BENCHMARK(BM_TupleNestedLoop)->Arg(0)->Arg(1)->Arg(2);
-
-void BM_VectorizedNestedLoop(benchmark::State& state) {
-  RunQuery(state, ExecStrategy::kVectorized, JoinStrategy::kNestedLoop);
-}
-BENCHMARK(BM_VectorizedNestedLoop)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_Execute)->Arg(0)->Arg(1)->Arg(2);
 
 /// Mean wall time per execution over `iters` runs, in milliseconds.
 double MeanMillis(Executor* executor, const SelectQuery& query,
@@ -98,37 +69,21 @@ double MeanMillis(Executor* executor, const SelectQuery& query,
   return timer.ElapsedMillis() / iters;
 }
 
-/// The machine-readable snapshot: per-query mean times for both engines
-/// (hash joins — the production configuration) and the aggregate
-/// tuple/vectorized ratio.
+/// The machine-readable snapshot: per-query mean times and their total.
 void WriteReport() {
   bench::BenchReport report("ablation_exec");
   const int kIters = 30;
-  double total_tuple = 0;
-  double total_vec = 0;
+  double total = 0;
   for (int q = 0; q < kQueries; ++q) {
     auto query = ParseSelectQuery(QueryFor(q));
-    Executor tuple =
-        MakeExecutor(ExecStrategy::kTuple, JoinStrategy::kHashJoin);
-    Executor vec =
-        MakeExecutor(ExecStrategy::kVectorized, JoinStrategy::kHashJoin);
-    // Warm both paths once so lazily built postings indexes don't skew
-    // whichever engine runs first.
-    (void)tuple.Execute(*query);
-    (void)vec.Execute(*query);
-    const double tuple_ms = MeanMillis(&tuple, *query, kIters);
-    const double vec_ms = MeanMillis(&vec, *query, kIters);
-    total_tuple += tuple_ms;
-    total_vec += vec_ms;
-    const std::string qq = std::to_string(q);
-    report.AddScalar("q" + qq + "_tuple_ms", tuple_ms);
-    report.AddScalar("q" + qq + "_vec_ms", vec_ms);
+    Executor executor(&SharedDb());
+    // Run once first so the lazily built key indexes aren't timed.
+    (void)executor.Execute(*query);
+    const double ms = MeanMillis(&executor, *query, kIters);
+    total += ms;
+    report.AddScalar("q" + std::to_string(q) + "_ms", ms);
   }
-  report.AddScalar("total_tuple_ms", total_tuple);
-  report.AddScalar("total_vec_ms", total_vec);
-  if (total_vec > 0) {
-    report.AddScalar("vec_speedup", total_tuple / total_vec);
-  }
+  report.AddScalar("total_ms", total);
   report.Write();
 }
 

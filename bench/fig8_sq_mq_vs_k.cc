@@ -7,10 +7,8 @@
 // elimination / minimal-query construction), and MQ executes faster (SQ
 // returns each result many times and must deduplicate).
 //
-// Execution times are reported for both executor engines — the
-// tuple-at-a-time reference and the vectorized batch engine — and the
-// per-K numbers plus aggregate speedups go into a BenchReport JSON
-// sidecar ($QP_BENCH_JSON) so CI snapshots can diff strategies.
+// The per-K execution times and their totals go into a BenchReport JSON
+// sidecar ($QP_BENCH_JSON); CI holds the totals under 2x the baseline.
 
 #include <string>
 #include <vector>
@@ -30,31 +28,28 @@ void Run() {
   PrintHeader("Figure 8", "SQ vs MQ integration & execution time with K "
               "(L=1, ms)",
               "MQ integration ~0 and flat; SQ integration grows with K; "
-              "MQ execution faster than SQ, gap widening with K; "
-              "vectorized execution beats tuple-at-a-time");
+              "MQ execution faster than SQ, gap widening with K");
 
   BenchEnv env;
-  Executor tuple_exec(&env.db());
-  tuple_exec.set_exec_strategy(ExecStrategy::kTuple);
-  Executor vec_exec(&env.db());
-  vec_exec.set_exec_strategy(ExecStrategy::kVectorized);
+  env.db().WarmIndexes();  // Time execution, not the lazy index builds.
+  Executor executor(&env.db());
   PreferenceIntegrator integrator;
   const size_t kProfiles = 6;
   const size_t kQueries = 4;
   std::vector<SelectQuery> queries = env.MakeQueries(kQueries, 81);
 
   BenchReport report("fig8_sq_mq_vs_k");
-  double total_sq_tuple = 0, total_sq_vec = 0;
-  double total_mq_tuple = 0, total_mq_vec = 0;
+  double total_sq = 0;
+  double total_mq = 0;
 
-  PrintRow({"K", "SQ integ", "MQ integ", "SQ ex(t)", "SQ ex(v)",
-            "MQ ex(t)", "MQ ex(v)", "avg K used"});
+  PrintRow({"K", "SQ integ", "MQ integ", "SQ exec", "MQ exec",
+            "avg K used"});
   Rng rng(4242);
   for (size_t k : {0, 5, 10, 20, 30, 40, 50, 60}) {
     double sq_integ = 0;
     double mq_integ = 0;
-    double sq_tuple = 0, sq_vec = 0;
-    double mq_tuple = 0, mq_vec = 0;
+    double sq_exec = 0;
+    double mq_exec = 0;
     size_t runs = 0;
     size_t total_k = 0;
     for (size_t p = 0; p < kProfiles; ++p) {
@@ -79,49 +74,29 @@ void Run() {
         if (!sq.ok() || !mq.ok()) continue;
 
         timer.Restart();
-        auto sq_t = tuple_exec.Execute(*sq);
-        sq_tuple += timer.ElapsedMillis();
+        auto sq_result = executor.Execute(*sq);
+        sq_exec += timer.ElapsedMillis();
         timer.Restart();
-        auto sq_v = vec_exec.Execute(*sq);
-        sq_vec += timer.ElapsedMillis();
-        timer.Restart();
-        auto mq_t = tuple_exec.Execute(*mq);
-        mq_tuple += timer.ElapsedMillis();
-        timer.Restart();
-        auto mq_v = vec_exec.Execute(*mq);
-        mq_vec += timer.ElapsedMillis();
-        if (!sq_t.ok() || !sq_v.ok() || !mq_t.ok() || !mq_v.ok()) continue;
+        auto mq_result = executor.Execute(*mq);
+        mq_exec += timer.ElapsedMillis();
+        if (!sq_result.ok() || !mq_result.ok()) continue;
         ++runs;
       }
     }
     if (runs == 0) continue;
-    total_sq_tuple += sq_tuple;
-    total_sq_vec += sq_vec;
-    total_mq_tuple += mq_tuple;
-    total_mq_vec += mq_vec;
+    total_sq += sq_exec;
+    total_mq += mq_exec;
     const std::string kk = std::to_string(k);
-    report.AddScalar("k" + kk + "_sq_exec_tuple_ms", sq_tuple / runs);
-    report.AddScalar("k" + kk + "_sq_exec_vec_ms", sq_vec / runs);
-    report.AddScalar("k" + kk + "_mq_exec_tuple_ms", mq_tuple / runs);
-    report.AddScalar("k" + kk + "_mq_exec_vec_ms", mq_vec / runs);
+    report.AddScalar("k" + kk + "_sq_exec_ms", sq_exec / runs);
+    report.AddScalar("k" + kk + "_mq_exec_ms", mq_exec / runs);
     PrintRow({kk, FormatDouble(sq_integ / runs, 4),
               FormatDouble(mq_integ / runs, 4),
-              FormatDouble(sq_tuple / runs, 4),
-              FormatDouble(sq_vec / runs, 4),
-              FormatDouble(mq_tuple / runs, 4),
-              FormatDouble(mq_vec / runs, 4),
+              FormatDouble(sq_exec / runs, 4),
+              FormatDouble(mq_exec / runs, 4),
               std::to_string(total_k / (kProfiles * kQueries))});
   }
-  report.AddScalar("total_sq_exec_tuple_ms", total_sq_tuple);
-  report.AddScalar("total_sq_exec_vec_ms", total_sq_vec);
-  report.AddScalar("total_mq_exec_tuple_ms", total_mq_tuple);
-  report.AddScalar("total_mq_exec_vec_ms", total_mq_vec);
-  if (total_sq_vec > 0) {
-    report.AddScalar("vec_speedup_sq", total_sq_tuple / total_sq_vec);
-  }
-  if (total_mq_vec > 0) {
-    report.AddScalar("vec_speedup_mq", total_mq_tuple / total_mq_vec);
-  }
+  report.AddScalar("total_sq_exec_ms", total_sq);
+  report.AddScalar("total_mq_exec_ms", total_mq);
   report.Write();
 }
 

@@ -5,9 +5,8 @@
 // coefficient (peaking at L = K/2); MQ builds K - M partial queries
 // regardless of L, so both its times are flat and near zero.
 //
-// Execution times are reported for both executor engines (tuple vs
-// vectorized batch) and emitted as a BenchReport JSON sidecar
-// ($QP_BENCH_JSON) alongside the table.
+// The per-L execution times and their totals go into a BenchReport JSON
+// sidecar ($QP_BENCH_JSON); CI holds the totals under 2x the baseline.
 
 #include <string>
 #include <vector>
@@ -27,14 +26,11 @@ void Run() {
   PrintHeader("Figure 9", "SQ vs MQ integration & execution time with L "
               "(K=10, ms)",
               "MQ flat and ~0 (K-M partial queries independent of L); SQ "
-              "tracks C(K-M, L) — rises towards L=K/2, falls at L=K; "
-              "vectorized execution beats tuple-at-a-time");
+              "tracks C(K-M, L) — rises towards L=K/2, falls at L=K");
 
   BenchEnv env;
-  Executor tuple_exec(&env.db());
-  tuple_exec.set_exec_strategy(ExecStrategy::kTuple);
-  Executor vec_exec(&env.db());
-  vec_exec.set_exec_strategy(ExecStrategy::kVectorized);
+  env.db().WarmIndexes();  // Time execution, not the lazy index builds.
+  Executor executor(&env.db());
   PreferenceIntegrator integrator;
   const size_t kProfiles = 5;
   const size_t kQueries = 3;
@@ -64,16 +60,15 @@ void Run() {
   }
 
   BenchReport report("fig9_sq_mq_vs_l");
-  double total_sq_tuple = 0, total_sq_vec = 0;
-  double total_mq_tuple = 0, total_mq_vec = 0;
+  double total_sq = 0;
+  double total_mq = 0;
 
-  PrintRow({"L", "C(10,L)", "SQ integ", "MQ integ", "SQ ex(t)", "SQ ex(v)",
-            "MQ ex(t)", "MQ ex(v)"});
+  PrintRow({"L", "C(10,L)", "SQ integ", "MQ integ", "SQ exec", "MQ exec"});
   for (size_t l = 1; l <= 10; ++l) {
     double sq_integ = 0;
     double mq_integ = 0;
-    double sq_tuple = 0, sq_vec = 0;
-    double mq_tuple = 0, mq_vec = 0;
+    double sq_exec = 0;
+    double mq_exec = 0;
     size_t runs = 0;
     for (const Prepared& item : prepared) {
       IntegrationParams params;
@@ -89,50 +84,30 @@ void Run() {
       if (!sq.ok() || !mq.ok()) continue;
 
       timer.Restart();
-      auto sq_t = tuple_exec.Execute(*sq);
-      sq_tuple += timer.ElapsedMillis();
+      auto sq_result = executor.Execute(*sq);
+      sq_exec += timer.ElapsedMillis();
       timer.Restart();
-      auto sq_v = vec_exec.Execute(*sq);
-      sq_vec += timer.ElapsedMillis();
-      timer.Restart();
-      auto mq_t = tuple_exec.Execute(*mq);
-      mq_tuple += timer.ElapsedMillis();
-      timer.Restart();
-      auto mq_v = vec_exec.Execute(*mq);
-      mq_vec += timer.ElapsedMillis();
-      if (!sq_t.ok() || !sq_v.ok() || !mq_t.ok() || !mq_v.ok()) continue;
+      auto mq_result = executor.Execute(*mq);
+      mq_exec += timer.ElapsedMillis();
+      if (!sq_result.ok() || !mq_result.ok()) continue;
       ++runs;
     }
     if (runs == 0) continue;
-    total_sq_tuple += sq_tuple;
-    total_sq_vec += sq_vec;
-    total_mq_tuple += mq_tuple;
-    total_mq_vec += mq_vec;
+    total_sq += sq_exec;
+    total_mq += mq_exec;
     size_t combos = 1;
     for (size_t i = 0; i < l; ++i) combos = combos * (10 - i) / (i + 1);
     const std::string ll = std::to_string(l);
-    report.AddScalar("l" + ll + "_sq_exec_tuple_ms", sq_tuple / runs);
-    report.AddScalar("l" + ll + "_sq_exec_vec_ms", sq_vec / runs);
-    report.AddScalar("l" + ll + "_mq_exec_tuple_ms", mq_tuple / runs);
-    report.AddScalar("l" + ll + "_mq_exec_vec_ms", mq_vec / runs);
+    report.AddScalar("l" + ll + "_sq_exec_ms", sq_exec / runs);
+    report.AddScalar("l" + ll + "_mq_exec_ms", mq_exec / runs);
     PrintRow({ll, std::to_string(combos),
               FormatDouble(sq_integ / runs, 4),
               FormatDouble(mq_integ / runs, 4),
-              FormatDouble(sq_tuple / runs, 4),
-              FormatDouble(sq_vec / runs, 4),
-              FormatDouble(mq_tuple / runs, 4),
-              FormatDouble(mq_vec / runs, 4)});
+              FormatDouble(sq_exec / runs, 4),
+              FormatDouble(mq_exec / runs, 4)});
   }
-  report.AddScalar("total_sq_exec_tuple_ms", total_sq_tuple);
-  report.AddScalar("total_sq_exec_vec_ms", total_sq_vec);
-  report.AddScalar("total_mq_exec_tuple_ms", total_mq_tuple);
-  report.AddScalar("total_mq_exec_vec_ms", total_mq_vec);
-  if (total_sq_vec > 0) {
-    report.AddScalar("vec_speedup_sq", total_sq_tuple / total_sq_vec);
-  }
-  if (total_mq_vec > 0) {
-    report.AddScalar("vec_speedup_mq", total_mq_tuple / total_mq_vec);
-  }
+  report.AddScalar("total_sq_exec_ms", total_sq);
+  report.AddScalar("total_mq_exec_ms", total_mq);
   report.Write();
 }
 

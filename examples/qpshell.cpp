@@ -215,8 +215,7 @@ class Shell {
         "options:\n"
         "  \\k N  \\l N  \\m N    top-K / at-least-L / mandatory-M\n"
         "  \\mode sq|mq  \\topn N  \\negatives N  \\negmode veto|penalty\n"
-        "  \\exec sq|mq|vec|tuple  integration approach and executor\n"
-        "                      engine (vectorized batch vs tuple-at-a-time)\n"
+        "  \\exec sq|mq         integration approach (as \\mode)\n"
         "overload (apply to the next \\batch):\n"
         "  \\deadline MS        per-request deadline (0 = none)\n"
         "  \\qbound N           shed requests past N queued (0 = unbounded)\n"
@@ -394,28 +393,20 @@ class Shell {
     return query;
   }
 
-  /// \exec sq|mq|vec|tuple: one knob for "how do queries run" — the
-  /// integration approach (which personalized query gets built) and the
-  /// executor engine (which runtime evaluates it). With no argument,
-  /// prints the current setting.
+  /// \exec sq|mq: the integration approach (which personalized query
+  /// gets built). With no argument, prints the current setting.
   void SetExec(const std::string& arg) {
     if (arg == "sq" || arg == "mq") {
       options_.approach = (arg == "sq")
                               ? IntegrationApproach::kSingleQuery
                               : IntegrationApproach::kMultipleQueries;
-    } else if (arg == "vec" || arg == "vectorized") {
-      exec_strategy_ = ExecStrategy::kVectorized;
-    } else if (arg == "tuple") {
-      exec_strategy_ = ExecStrategy::kTuple;
     } else if (!arg.empty()) {
-      std::printf("usage: \\exec sq|mq|vec|tuple\n");
+      std::printf("usage: \\exec sq|mq\n");
       return;
     }
     std::printf(
-        "approach=%s engine=%s\n",
-        options_.approach == IntegrationApproach::kSingleQuery ? "sq" : "mq",
-        exec_strategy_ == ExecStrategy::kVectorized ? "vectorized"
-                                                    : "tuple");
+        "approach=%s\n",
+        options_.approach == IntegrationApproach::kSingleQuery ? "sq" : "mq");
   }
 
   void RunRaw(const std::string& sql) {
@@ -423,7 +414,6 @@ class Shell {
     auto query = Parse(sql);
     if (!Check(query.status())) return;
     Executor executor(db_.get());
-    executor.set_exec_strategy(exec_strategy_);
     auto result = executor.Execute(*query);
     if (Check(result.status())) {
       std::printf("%s(%zu rows)\n", result->DebugString().c_str(),
@@ -459,7 +449,6 @@ class Shell {
     if (!Check(personalized.status())) return;
     PersonalizationOutcome outcome = std::move(personalized).value();
     Executor executor(db_.get());
-    executor.set_exec_strategy(exec_strategy_);
     auto result = outcome.sq.has_value() ? executor.Execute(*outcome.sq)
                                          : executor.Execute(*outcome.mq);
     if (!Check(result.status())) return;
@@ -1094,9 +1083,6 @@ class Shell {
   std::unique_ptr<PersonalizationGraph> graph_;
   std::unique_ptr<ProfileLearner> learner_;
   PersonalizationOptions options_;
-  // Executor engine used by the in-shell execution paths (<sql>, \raw);
-  // \exec vec|tuple switches it, \exec sq|mq is a \mode alias.
-  ExecStrategy exec_strategy_ = ExecStrategy::kVectorized;
   // Overload knobs applied to the next \batch (see \deadline / \qbound /
   // \degrade), and the stats snapshot \stats reports on.
   double deadline_ms_ = 0;

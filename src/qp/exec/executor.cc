@@ -11,18 +11,6 @@
 namespace qp {
 namespace {
 
-/// A partial assignment of rows to tuple variables; entry i is the row id
-/// bound to variable slot i (meaningful only once the slot is bound).
-using Binding = std::vector<RowId>;
-
-struct BindingHash {
-  size_t operator()(const Binding& b) const {
-    size_t h = 0x12345ULL;
-    for (RowId id : b) h = h * 1000003ULL ^ id;
-    return h;
-  }
-};
-
 /// One tuple variable being joined, with its pushed-down selections.
 struct VarSlot {
   std::string alias;
@@ -48,22 +36,9 @@ struct BuiltConjunct {
   std::unordered_map<std::string, size_t> slot_index;
 };
 
-bool RowPassesSlot(const VarSlot& slot, RowId id) {
-  for (const auto& [col, value] : slot.selections) {
-    if (slot.table->At(id, col) != value) return false;
-  }
-  for (const auto& [col, near] : slot.nears) {
-    if (near.Satisfaction(slot.table->At(id, col)) <= 0.0) return false;
-  }
-  return true;
-}
-
-/// Estimated cardinality of a slot after its selections (index-probed
-/// under hash joins).
-size_t EstimateSlot(const VarSlot& slot, JoinStrategy strategy) {
-  if (slot.selections.empty() || strategy == JoinStrategy::kNestedLoop) {
-    return slot.table->num_rows();
-  }
+/// Estimated cardinality of a slot after its selections: the smallest
+/// posting list among its equality selections.
+size_t EstimateSlot(const VarSlot& slot) {
   size_t best = slot.table->num_rows();
   for (const auto& [col, value] : slot.selections) {
     best = std::min(best, slot.table->Lookup(col, value).size());
@@ -128,296 +103,26 @@ Result<BuiltConjunct> BuildConjunct(const Database& db,
   return built;
 }
 
-/// Executes one conjunctive SPJ block over the given variable slots,
-/// optionally continuing from pre-bound seed bindings (the shared-core
-/// optimization for MQ compounds).
-class ConjunctRunner {
- public:
-  ConjunctRunner(JoinStrategy strategy, ExecutorStats* stats,
-                 const CancelToken* cancel = nullptr)
-      : strategy_(strategy), stats_(stats), cancel_(cancel) {}
-
-  /// True when the run was cut short by the cancel token. The bindings of
-  /// the interrupted join step are discarded (they may have unbound
-  /// slots), so a stopped run returns only fully-joined bindings — for a
-  /// fresh Run that means none; callers treat the conjunct's output as
-  /// incomplete and flag the result truncated.
-  bool stopped() const { return stopped_; }
-
-  /// Fresh run: nothing bound yet.
-  std::vector<Binding> Run(std::vector<VarSlot> slots,
-                           std::vector<ResolvedJoin> joins) {
-    slots_ = std::move(slots);
-    joins_ = std::move(joins);
-    bound_.assign(slots_.size(), false);
-
-    for (const VarSlot& slot : slots_) {
-      if (slot.impossible || slot.table->num_rows() == 0) return {};
-    }
-    size_t seed = CheapestUnbound();
-    std::vector<Binding> bindings = Materialize(seed);
-    if (stopped_) return {};
-    bound_[seed] = true;
-    return Loop(std::move(bindings));
-  }
-
-  /// Seeded run: `initial` are bindings over the slots marked in `bound`
-  /// (core variables already joined). Selections on bound slots and joins
-  /// among bound slots are applied as filters first; the remaining slots
-  /// are then joined in as usual.
-  std::vector<Binding> RunSeeded(std::vector<VarSlot> slots,
-                                 std::vector<ResolvedJoin> joins,
-                                 std::vector<Binding> initial,
-                                 std::vector<bool> bound) {
-    slots_ = std::move(slots);
-    joins_ = std::move(joins);
-    bound_ = std::move(bound);
-
-    for (size_t i = 0; i < slots_.size(); ++i) {
-      if (slots_[i].impossible) return {};
-      if (!bound_[i] && slots_[i].table->num_rows() == 0) return {};
-    }
-    // Part-specific selections on already-bound (core) variables.
-    std::vector<Binding> bindings;
-    bindings.reserve(initial.size());
-    for (Binding& b : initial) {
-      if (PollCancelStrided()) break;
-      bool keep = true;
-      for (size_t i = 0; i < slots_.size() && keep; ++i) {
-        if (!bound_[i]) continue;
-        if (slots_[i].selections.empty() && slots_[i].nears.empty()) continue;
-        keep = RowPassesSlot(slots_[i], b[i]);
-      }
-      if (keep) bindings.push_back(std::move(b));
-    }
-    if (stopped_) return {};
-    ApplyNewlyBoundJoins(&bindings);
-    return Loop(std::move(bindings));
-  }
-
- private:
-  static constexpr size_t kNone = static_cast<size_t>(-1);
-  /// Rows between cancel polls in the inner row loops. Small enough that
-  /// a tripped deadline stops within microseconds, large enough that the
-  /// atomic loads never show up in profiles.
-  static constexpr uint64_t kPollStride = 128;
-
-  /// Direct cancel poll, used at coarse boundaries (once per join step).
-  /// Sticky: once tripped the runner stays stopped.
-  bool PollCancel() {
-    if (stopped_) return true;
-    if (cancel_ != nullptr && cancel_->ShouldStop()) stopped_ = true;
-    return stopped_;
-  }
-
-  /// Row-loop poll: consults the token every kPollStride calls.
-  bool PollCancelStrided() {
-    if (stopped_) return true;
-    if (cancel_ == nullptr) return false;
-    if ((++poll_counter_ % kPollStride) != 0) return false;
-    return PollCancel();
-  }
-
-  std::vector<Binding> Loop(std::vector<Binding> bindings) {
-    while (true) {
-      // Stopping between join steps discards the in-flight bindings:
-      // they may have unbound slots and must not surface as rows.
-      if (PollCancel()) return {};
-      if (bindings.empty()) return {};
-      size_t next = PickNextJoined();
-      if (next == kNone) {
-        next = CheapestUnbound();
-        if (next == kNone) break;  // All bound.
-        bindings = CrossProduct(std::move(bindings), next);
-      } else {
-        bindings = JoinStep(std::move(bindings), next);
-      }
-      if (stopped_) return {};
-      bound_[next] = true;
-      ApplyNewlyBoundJoins(&bindings);
-    }
-    return bindings;
-  }
-
-  size_t Estimate(size_t slot_index) const {
-    return EstimateSlot(slots_[slot_index], strategy_);
-  }
-
-  size_t CheapestUnbound() const {
-    size_t best = kNone;
-    size_t best_cost = 0;
-    for (size_t i = 0; i < slots_.size(); ++i) {
-      if (bound_[i]) continue;
-      size_t cost = Estimate(i);
-      if (best == kNone || cost < best_cost) {
-        best = i;
-        best_cost = cost;
-      }
-    }
-    return best;
-  }
-
-  /// The unbound slot reachable through a join atom from a bound slot
-  /// with the smallest estimate; kNone if the join graph is exhausted.
-  size_t PickNextJoined() const {
-    size_t best = kNone;
-    size_t best_cost = 0;
-    for (const ResolvedJoin& join : joins_) {
-      size_t target = kNone;
-      if (bound_[join.va] && !bound_[join.vb]) target = join.vb;
-      if (bound_[join.vb] && !bound_[join.va]) target = join.va;
-      if (target == kNone) continue;
-      size_t cost = Estimate(target);
-      if (best == kNone || cost < best_cost) {
-        best = target;
-        best_cost = cost;
-      }
-    }
-    return best;
-  }
-
-  /// All rows of slot `i` passing its selections, as 1-variable bindings
-  /// (padded to full width).
-  std::vector<Binding> Materialize(size_t i) {
-    const VarSlot& slot = slots_[i];
-    std::vector<Binding> out;
-    auto emit = [&](RowId id) {
-      Binding b(slots_.size(), 0);
-      b[i] = id;
-      out.push_back(std::move(b));
-    };
-    if (!slot.selections.empty() && strategy_ == JoinStrategy::kHashJoin) {
-      // Probe the most selective index, re-check the rest.
-      size_t best_col = 0;
-      size_t best_size = static_cast<size_t>(-1);
-      for (size_t s = 0; s < slot.selections.size(); ++s) {
-        size_t size = slot.table
-                          ->Lookup(slot.selections[s].first,
-                                   slot.selections[s].second)
-                          .size();
-        if (size < best_size) {
-          best_size = size;
-          best_col = s;
-        }
-      }
-      for (RowId id : slot.table->Lookup(slot.selections[best_col].first,
-                                         slot.selections[best_col].second)) {
-        if (PollCancelStrided()) break;
-        if (RowPassesSlot(slot, id)) emit(id);
-      }
-    } else {
-      for (RowId id = 0; id < slot.table->num_rows(); ++id) {
-        if (PollCancelStrided()) break;
-        if (RowPassesSlot(slot, id)) emit(id);
-      }
-    }
-    if (stats_ != nullptr) stats_->bindings += out.size();
-    return out;
-  }
-
-  std::vector<Binding> CrossProduct(std::vector<Binding> bindings, size_t i) {
-    std::vector<Binding> rows = Materialize(i);
-    std::vector<Binding> out;
-    out.reserve(bindings.size() * rows.size());
-    for (const Binding& b : bindings) {
-      if (PollCancelStrided()) break;
-      for (const Binding& r : rows) {
-        Binding merged = b;
-        merged[i] = r[i];
-        out.push_back(std::move(merged));
-      }
-    }
-    if (stats_ != nullptr) stats_->bindings += out.size();
-    return out;
-  }
-
-  /// Extends bindings through a join atom that connects a bound slot to
-  /// `target` (the first such atom probes; the rest are checked by
-  /// ApplyNewlyBoundJoins).
-  std::vector<Binding> JoinStep(std::vector<Binding> bindings, size_t target) {
-    const ResolvedJoin* probe = nullptr;
-    for (const ResolvedJoin& join : joins_) {
-      bool forward = bound_[join.va] && join.vb == target;
-      bool backward = bound_[join.vb] && join.va == target;
-      if (forward || backward) {
-        probe = &join;
-        break;
-      }
-    }
-    // probe != nullptr by construction of PickNextJoined.
-    size_t source = probe->va == target ? probe->vb : probe->va;
-    size_t source_col = probe->va == target ? probe->cb : probe->ca;
-    size_t target_col = probe->va == target ? probe->ca : probe->cb;
-
-    const VarSlot& slot = slots_[target];
-    std::vector<Binding> out;
-    for (const Binding& b : bindings) {
-      if (PollCancelStrided()) break;
-      const Value& key = slots_[source].table->At(b[source], source_col);
-      if (strategy_ == JoinStrategy::kHashJoin) {
-        for (RowId id : slot.table->Lookup(target_col, key)) {
-          if (!RowPassesSlot(slot, id)) continue;
-          Binding merged = b;
-          merged[target] = id;
-          out.push_back(std::move(merged));
-        }
-      } else {
-        for (RowId id = 0; id < slot.table->num_rows(); ++id) {
-          if (slot.table->At(id, target_col) != key) continue;
-          if (!RowPassesSlot(slot, id)) continue;
-          Binding merged = b;
-          merged[target] = id;
-          out.push_back(std::move(merged));
-        }
-      }
-    }
-    if (stats_ != nullptr) stats_->bindings += out.size();
-    return out;
-  }
-
-  /// Filters bindings by join atoms whose two sides just became bound.
-  void ApplyNewlyBoundJoins(std::vector<Binding>* bindings) {
-    for (ResolvedJoin& join : joins_) {
-      if (join.applied || !bound_[join.va] || !bound_[join.vb]) continue;
-      join.applied = true;
-      std::vector<Binding> kept;
-      kept.reserve(bindings->size());
-      for (Binding& b : *bindings) {
-        if (slots_[join.va].table->At(b[join.va], join.ca) ==
-            slots_[join.vb].table->At(b[join.vb], join.cb)) {
-          kept.push_back(std::move(b));
-        }
-      }
-      *bindings = std::move(kept);
-    }
-  }
-
-  JoinStrategy strategy_;
-  ExecutorStats* stats_;
-  const CancelToken* cancel_;
-  bool stopped_ = false;
-  uint64_t poll_counter_ = 0;
-  std::vector<VarSlot> slots_;
-  std::vector<ResolvedJoin> joins_;
-  std::vector<bool> bound_;
-};
-
-/// Columnar twin of ConjunctRunner: the working set is a BatchTable with
-/// one contiguous RowId column per slot instead of a vector of per-row
-/// Binding allocations. Join steps emit (source row, matched id) index
-/// pairs and gather the surviving columns in one pass; slots whose column
-/// no later join or projection needs are dropped after each step so wide
-/// conjuncts narrow as they go. Stats counters are bumped at the exact
-/// sites ConjunctRunner bumps them (Materialize, cross product, probe
-/// output), so both engines report identical ExecutorStats.
+/// Executes one conjunctive SPJ block, fresh or continuing from seed
+/// bindings (the shared-core optimization for MQ compounds). The working
+/// set is a BatchTable with one contiguous RowId column per slot. The
+/// runner materializes the cheapest slot's candidate ids, then repeatedly
+/// joins in the cheapest slot reachable through a join atom (a cross
+/// product when none is), re-filtering on join atoms whose two sides are
+/// now bound. Join steps emit (source row, matched id) index pairs and
+/// gather the surviving columns in one pass; slots whose column no later
+/// join or projection needs are dropped after each step, so wide
+/// conjuncts narrow as they go. ExecutorStats::bindings counts the rows
+/// each step produces (materialization, cross product, probe output).
 class BatchRunner {
  public:
-  BatchRunner(JoinStrategy strategy, ExecutorStats* stats,
-              const CancelToken* cancel = nullptr)
-      : strategy_(strategy), stats_(stats), cancel_(cancel) {}
+  BatchRunner(ExecutorStats* stats, const CancelToken* cancel)
+      : stats_(stats), cancel_(cancel) {}
 
-  /// Same contract as ConjunctRunner::stopped(): a stopped run discards
-  /// the in-flight batch and returns an empty one.
+  /// True when the run was cut short by the cancel token. A stopped run
+  /// discards the in-flight batch (it may have unbound slots) and returns
+  /// an empty one, so only fully joined rows ever surface; callers flag
+  /// the result truncated.
   bool stopped() const { return stopped_; }
 
   /// Fresh run. `needed[i]` marks slots whose column must survive to the
@@ -485,6 +190,9 @@ class BatchRunner {
 
  private:
   static constexpr size_t kNone = static_cast<size_t>(-1);
+  /// Rows between cancel polls in the inner row loops. Small enough that
+  /// a tripped deadline stops within microseconds, large enough that the
+  /// atomic loads never show up in profiles.
   static constexpr uint64_t kPollStride = 128;
 
   /// A pushed-down equality selection resolved against its column's key
@@ -509,16 +217,14 @@ class BatchRunner {
         const KeyIndex& keys = slot.table->Keys(col);
         uint32_t code = slot.table->KeyCode(col, value);
         coded_[i].push_back({keys.codes(), code, keys.postings(code)});
-        if (strategy_ == JoinStrategy::kHashJoin) {
-          estimate = std::min(estimate, coded_[i].back().rows.size());
-        }
+        estimate = std::min(estimate, coded_[i].back().rows.size());
       }
       estimates_[i] = estimate;
     }
   }
 
-  /// RowPassesSlot on codes: selections compare codes, near conditions
-  /// still read the cell.
+  /// Whether row `id` of slot `i` passes the slot's selections (compared
+  /// on codes) and near conditions (which read the cell).
   bool RowPasses(size_t i, RowId id) const {
     for (const CodedSelection& sel : coded_[i]) {
       if (sel.codes[id] != sel.code) return false;
@@ -530,12 +236,15 @@ class BatchRunner {
     return true;
   }
 
+  /// Direct cancel poll, used at coarse boundaries (once per join step).
+  /// Sticky: once tripped the runner stays stopped.
   bool PollCancel() {
     if (stopped_) return true;
     if (cancel_ != nullptr && cancel_->ShouldStop()) stopped_ = true;
     return stopped_;
   }
 
+  /// Row-loop poll: consults the token every kPollStride calls.
   bool PollCancelStrided() {
     if (stopped_) return true;
     if (cancel_ == nullptr) return false;
@@ -597,12 +306,11 @@ class BatchRunner {
     return best;
   }
 
-  /// Row ids of slot `i` passing its selections — the column-oriented
-  /// Materialize (no per-row Binding allocations).
+  /// Row ids of slot `i` passing its selections and near conditions.
   std::vector<RowId> MaterializeIds(size_t i) {
     const std::vector<CodedSelection>& selections = coded_[i];
     std::vector<RowId> out;
-    if (!selections.empty() && strategy_ == JoinStrategy::kHashJoin) {
+    if (!selections.empty()) {
       // Walk the most selective selection's rows, re-check the rest.
       const CodedSelection* best = &selections[0];
       for (const CodedSelection& sel : selections) {
@@ -673,35 +381,25 @@ class BatchRunner {
       base.push_back(static_cast<uint32_t>(b));
       matched.push_back(id);
     };
-    if (strategy_ == JoinStrategy::kNestedLoop) {
-      for (size_t b = 0; b < n; ++b) {
-        if (PollCancelStrided()) break;
-        const Value& key = source_table->At(src[b], source_col);
-        for (RowId id = 0; id < target_table->num_rows(); ++id) {
-          if (target_table->At(id, target_col) == key) emit(b, id);
+    const KeyIndex& from = source_table->Keys(source_col);
+    const KeyIndex& to = target_table->Keys(target_col);
+    // Both keys code as value - min: a source row's target code is its
+    // own code plus a constant, and no cell is read or hashed.
+    const bool by_offset = from.arithmetic() && to.arithmetic();
+    const uint64_t offset = KeyIndex::Offset(from, to);
+    for (size_t b = 0; b < n; ++b) {
+      if (PollCancelStrided()) break;
+      std::span<const RowId> rows;
+      if (by_offset) {
+        const uint64_t code = from.codes()[src[b]] + offset;
+        if (code < to.num_codes()) {
+          rows = to.postings(static_cast<uint32_t>(code));
         }
+      } else {
+        rows = target_table->Lookup(target_col,
+                                    source_table->At(src[b], source_col));
       }
-    } else {
-      const KeyIndex& from = source_table->Keys(source_col);
-      const KeyIndex& to = target_table->Keys(target_col);
-      // Both keys code as value - min: a source row's target code is its
-      // own code plus a constant, and no cell is read or hashed.
-      const bool by_offset = from.arithmetic() && to.arithmetic();
-      const uint64_t offset = KeyIndex::Offset(from, to);
-      for (size_t b = 0; b < n; ++b) {
-        if (PollCancelStrided()) break;
-        std::span<const RowId> rows;
-        if (by_offset) {
-          const uint64_t code = from.codes()[src[b]] + offset;
-          if (code < to.num_codes()) {
-            rows = to.postings(static_cast<uint32_t>(code));
-          }
-        } else {
-          rows = target_table->Lookup(target_col,
-                                      source_table->At(src[b], source_col));
-        }
-        for (RowId id : rows) emit(b, id);
-      }
+      for (RowId id : rows) emit(b, id);
     }
     batch_ = batch_.GatherRows(base);
     batch_.SetColumn(target, BatchColumn::RowIds(std::move(matched)));
@@ -745,7 +443,6 @@ class BatchRunner {
     }
   }
 
-  JoinStrategy strategy_;
   ExecutorStats* stats_;
   const CancelToken* cancel_;
   bool stopped_ = false;
@@ -772,19 +469,6 @@ std::unordered_set<std::string> UsedAliases(
   return used;
 }
 
-/// Product of the satisfactions of every near condition pushed into
-/// `slots`, evaluated on one binding. 1 when there are none.
-double BindingSatisfaction(const std::vector<VarSlot>& slots,
-                           const Binding& binding) {
-  double sat = 1.0;
-  for (size_t i = 0; i < slots.size(); ++i) {
-    for (const auto& [col, near] : slots[i].nears) {
-      sat *= near.Satisfaction(slots[i].table->At(binding[i], col));
-    }
-  }
-  return sat;
-}
-
 bool HasNearAtom(const std::vector<AtomicCondition>& atoms) {
   for (const AtomicCondition& atom : atoms) {
     if (atom.is_near()) return true;
@@ -806,20 +490,6 @@ size_t SlotOf(const std::vector<VarSlot>& slots, const std::string& alias) {
     if (slots[i].alias == alias) return i;
   }
   return 0;
-}
-
-/// Projects one binding according to `projections`.
-Row ProjectBinding(const std::vector<VarSlot>& slots,
-                   const std::vector<ProjectionItem>& projections,
-                   const Binding& binding) {
-  Row row;
-  row.reserve(projections.size());
-  for (const auto& item : projections) {
-    size_t slot = SlotOf(slots, item.var);
-    size_t col = *slots[slot].table->schema().ColumnIndex(item.column);
-    row.push_back(slots[slot].table->At(binding[slot], col));
-  }
-  return row;
 }
 
 /// Which slots' columns must survive a batch run: projected slots and
@@ -906,9 +576,8 @@ Row Materialize(const std::vector<std::pair<const Table*, size_t>>& columns,
   return row;
 }
 
-/// Batch twin of BindingSatisfaction: per-row product of every near
-/// condition's satisfaction, multiplying factors in the same (slot, near)
-/// order so the doubles are bit-identical to the tuple engine's.
+/// Per-row product of every near condition's satisfaction (1 when there
+/// are none), multiplying factors in (slot, near) order.
 std::vector<double> BatchSatisfactions(const std::vector<VarSlot>& slots,
                                        const BatchTable& batch) {
   std::vector<double> sat(batch.num_rows(), 1.0);
@@ -1020,15 +689,12 @@ std::optional<SharedCorePlan> PlanSharedCore(const CompoundQuery& query) {
   return plan;
 }
 
-/// Per-group accumulation state for compound grouping/ranking, shared by
-/// both engines.
+/// Per-group accumulation state for compound grouping/ranking.
 struct CompoundGroup {
   size_t count = 0;                // Positive parts only (count(*)).
   ConjunctiveAccumulator degree;   // Positive parts' degrees.
   ConjunctiveAccumulator dislike;  // |degree| of negative parts.
 };
-using CompoundGroupMap =
-    std::unordered_map<Row, CompoundGroup, RowHash, RowEq>;
 
 /// Adds one part's contribution to a group.
 void Accumulate(CompoundGroup* group, double part_degree) {
@@ -1058,24 +724,6 @@ bool PassesHaving(const CompoundQuery& query, const CompoundGroup& group,
       return *combined > query.having().min_degree;
   }
   return true;
-}
-
-/// The tuple engine's compound tail: HAVING, dislike vetoes and ranking
-/// over its Row-keyed groups.
-ResultSet BuildCompoundResult(
-    const CompoundQuery& query, const CompoundGroupMap& groups,
-    const std::unordered_set<Row, RowHash, RowEq>& vetoed, bool truncated) {
-  ResultSet out(ColumnNames(query.parts()[0].query.projections()));
-  for (const auto& [row, group] : groups) {
-    double combined = 0.0;
-    if (vetoed.contains(row) || !PassesHaving(query, group, &combined)) {
-      continue;
-    }
-    out.AddRankedRow(row, group.count, combined);
-  }
-  out.set_truncated(truncated);
-  out.Canonicalize();
-  return out;
 }
 
 }  // namespace
@@ -1123,12 +771,12 @@ Result<ResultSet> Executor::Execute(const SelectQuery& query,
   // Recursive frames (compound parts / exclusions) skip straight to the
   // body: the outermost frame already owns the span and metric flush, and
   // the shared stats pointer is only ever bumped at the working site.
-  if (exec_depth_ > 0) return ExecuteSelect(query, stats);
+  if (exec_depth_ > 0) return ExecuteSelectVec(query, stats);
 
   obs::ScopedSpan span(trace_, "execution");
   const ExecutorStats entry = *stats;
   ++exec_depth_;
-  Result<ResultSet> result = ExecuteSelect(query, stats);
+  Result<ResultSet> result = ExecuteSelectVec(query, stats);
   --exec_depth_;
   FinishOuterExecute(&span, entry, *stats, result);
   return result;
@@ -1138,28 +786,15 @@ Result<ResultSet> Executor::Execute(const CompoundQuery& query,
                                     ExecutorStats* stats) const {
   ExecutorStats local;
   if (stats == nullptr) stats = &local;
-  if (exec_depth_ > 0) return ExecuteCompound(query, stats);
+  if (exec_depth_ > 0) return ExecuteCompoundVec(query, stats);
 
   obs::ScopedSpan span(trace_, "execution");
   const ExecutorStats entry = *stats;
   ++exec_depth_;
-  Result<ResultSet> result = ExecuteCompound(query, stats);
+  Result<ResultSet> result = ExecuteCompoundVec(query, stats);
   --exec_depth_;
   FinishOuterExecute(&span, entry, *stats, result);
   return result;
-}
-
-Result<ResultSet> Executor::ExecuteSelect(const SelectQuery& query,
-                                          ExecutorStats* stats) const {
-  return exec_ == ExecStrategy::kVectorized ? ExecuteSelectVec(query, stats)
-                                            : ExecuteSelectTuple(query, stats);
-}
-
-Result<ResultSet> Executor::ExecuteCompound(const CompoundQuery& query,
-                                            ExecutorStats* stats) const {
-  return exec_ == ExecStrategy::kVectorized
-             ? ExecuteCompoundVec(query, stats)
-             : ExecuteCompoundTuple(query, stats);
 }
 
 Status Executor::CollectExclusions(
@@ -1180,354 +815,6 @@ Status Executor::CollectExclusions(
     }
   }
   return Status::Ok();
-}
-
-Result<ResultSet> Executor::ExecuteSelectTuple(const SelectQuery& query,
-                                               ExecutorStats* stats) const {
-  QP_RETURN_IF_ERROR(query.Validate(db_->schema()));
-
-  ResultSet out(ColumnNames(query.projections()));
-
-  // SQL semantics: any empty FROM table empties the whole product.
-  for (const TupleVariable& var : query.from()) {
-    QP_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(var.table));
-    if (table->num_rows() == 0) return out;
-  }
-
-  std::vector<std::vector<AtomicCondition>> dnf = ToDnf(query.where());
-
-  // Cooperative cancellation: a stopped runner discards the conjunct's
-  // in-flight bindings (only fully-joined rows ever surface), and the
-  // whole result is flagged truncated.
-  bool truncated = false;
-  auto run_conjunct = [&](const std::vector<AtomicCondition>& atoms,
-                          const std::unordered_set<std::string>* subset)
-      -> Result<std::pair<std::vector<VarSlot>, std::vector<Binding>>> {
-    std::vector<TupleVariable> vars;
-    for (const TupleVariable& var : query.from()) {
-      if (subset != nullptr && !subset->contains(var.alias)) continue;
-      vars.push_back(var);
-    }
-    QP_ASSIGN_OR_RETURN(BuiltConjunct built,
-                        BuildConjunct(*db_, vars, atoms));
-    if (stats != nullptr) ++stats->disjuncts;
-    obs::ScopedSpan disjunct_span(trace_, "disjunct");
-    ConjunctRunner runner(strategy_, stats, cancel_);
-    std::vector<Binding> bindings =
-        runner.Run(built.slots, std::move(built.joins));
-    if (runner.stopped()) truncated = true;
-    disjunct_span.Counter("rows", bindings.size());
-    disjunct_span.Counter("stopped", runner.stopped() ? 1 : 0);
-    return std::make_pair(std::move(built.slots), std::move(bindings));
-  };
-
-  // Soft (near) conditions produce a per-row satisfaction column; a row
-  // reached through several bindings or disjuncts keeps its best match.
-  bool has_near = false;
-  {
-    std::vector<AtomicCondition> atoms;
-    if (query.where() != nullptr) query.where()->CollectAtoms(&atoms);
-    has_near = HasNearAtom(atoms);
-  }
-  std::vector<double> satisfactions;
-
-  if (query.distinct()) {
-    std::unordered_map<Row, double, RowHash, RowEq> best;
-    std::unordered_set<Row, RowHash, RowEq> seen;
-    for (const auto& disjunct : dnf) {
-      if (truncated || (cancel_ != nullptr && cancel_->ShouldStop())) {
-        truncated = true;  // Remaining disjuncts skipped.
-        break;
-      }
-      std::unordered_set<std::string> used =
-          UsedAliases(disjunct, query.projections());
-      QP_ASSIGN_OR_RETURN(auto result, run_conjunct(disjunct, &used));
-      const auto& [slots, bindings] = result;
-      if (stats != nullptr) stats->raw_rows += bindings.size();
-      for (const Binding& b : bindings) {
-        Row row = ProjectBinding(slots, query.projections(), b);
-        if (has_near) {
-          double sat = BindingSatisfaction(slots, b);
-          auto [it, inserted] = best.emplace(std::move(row), sat);
-          if (!inserted && sat > it->second) it->second = sat;
-        } else if (seen.insert(row).second) {
-          out.AddRow(std::move(row));
-        }
-      }
-    }
-    if (has_near) {
-      for (auto& [row, sat] : best) {
-        out.AddRow(row);
-        satisfactions.push_back(sat);
-      }
-    }
-  } else if (dnf.size() == 1) {
-    QP_ASSIGN_OR_RETURN(auto result, run_conjunct(dnf[0], nullptr));
-    const auto& [slots, bindings] = result;
-    if (stats != nullptr) stats->raw_rows += bindings.size();
-    for (const Binding& b : bindings) {
-      out.AddRow(ProjectBinding(slots, query.projections(), b));
-      if (has_near) satisfactions.push_back(BindingSatisfaction(slots, b));
-    }
-  } else {
-    // OR over the full variable product without DISTINCT: deduplicate at
-    // the binding level so each satisfying assignment counts once.
-    std::unordered_map<Binding, double, BindingHash> seen;
-    std::vector<VarSlot> full_slots;
-    for (const auto& disjunct : dnf) {
-      if (truncated || (cancel_ != nullptr && cancel_->ShouldStop())) {
-        truncated = true;  // Remaining disjuncts skipped.
-        break;
-      }
-      QP_ASSIGN_OR_RETURN(auto result, run_conjunct(disjunct, nullptr));
-      auto& [slots, bindings] = result;
-      if (stats != nullptr) stats->raw_rows += bindings.size();
-      for (Binding& b : bindings) {
-        double sat = has_near ? BindingSatisfaction(slots, b) : 1.0;
-        auto [it, inserted] = seen.emplace(std::move(b), sat);
-        if (!inserted && sat > it->second) it->second = sat;
-      }
-      full_slots = std::move(slots);
-    }
-    for (const auto& [b, sat] : seen) {
-      out.AddRow(ProjectBinding(full_slots, query.projections(), b));
-      if (has_near) satisfactions.push_back(sat);
-    }
-  }
-
-  if (has_near) out.set_satisfactions(std::move(satisfactions));
-  out.set_truncated(truncated);
-  out.Canonicalize();
-  return out;
-}
-
-Result<ResultSet> Executor::ExecuteCompoundTuple(const CompoundQuery& query,
-                                                 ExecutorStats* stats) const {
-  QP_RETURN_IF_ERROR(query.Validate(db_->schema()));
-
-  CompoundGroupMap groups;
-  auto accumulate = [&](const Row& row, double part_degree) {
-    Accumulate(&groups[row], part_degree);
-  };
-
-  // A compound is truncated when any constituent execution was cut short
-  // or whole parts/exclusions were skipped: counts and degrees are then
-  // under-accumulated and dislike vetoes may be under-applied, but every
-  // emitted row is still a genuine answer of some part.
-  bool truncated = false;
-
-  std::optional<SharedCorePlan> plan;
-  if (shared_core_) plan = PlanSharedCore(query);
-
-  if (plan.has_value()) {
-    // Execute the common block once (lazily — only if some part actually
-    // reuses it), then each part's residue on top of the materialized
-    // core bindings.
-    bool core_table_empty = false;
-    for (const TupleVariable& var : plan->core_vars) {
-      QP_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(var.table));
-      if (table->num_rows() == 0) core_table_empty = true;
-    }
-    QP_ASSIGN_OR_RETURN(
-        BuiltConjunct core,
-        BuildConjunct(*db_, plan->core_vars, plan->core_atoms));
-    size_t core_entry_estimate = SIZE_MAX;
-    for (const VarSlot& slot : core.slots) {
-      core_entry_estimate =
-          std::min(core_entry_estimate, EstimateSlot(slot, strategy_));
-    }
-    bool core_materialized = false;
-    std::vector<Binding> core_bindings;
-    auto materialize_core = [&]() {
-      if (core_materialized) return;
-      core_materialized = true;
-      if (core_table_empty) return;
-      if (stats != nullptr) ++stats->disjuncts;
-      ConjunctRunner runner(strategy_, stats, cancel_);
-      core_bindings = runner.Run(core.slots, std::move(core.joins));
-      if (runner.stopped()) truncated = true;
-    };
-
-    for (size_t p = 0; p < query.parts().size(); ++p) {
-      if (truncated || (cancel_ != nullptr && cancel_->ShouldStop())) {
-        truncated = true;  // Remaining parts skipped.
-        break;
-      }
-      obs::ScopedSpan part_span(trace_, "part");
-      const CompoundPart& part = query.parts()[p];
-      const SharedCorePlan::PartResidue& residue = plan->parts[p];
-      // Slots: core variables first (matching core binding order), then
-      // the part's extra variables.
-      std::vector<TupleVariable> vars = plan->core_vars;
-      vars.insert(vars.end(), residue.extra_vars.begin(),
-                  residue.extra_vars.end());
-      // Core near conditions participate in every part's satisfaction, so
-      // they are re-attached to the part's slot set (they re-filter core
-      // bindings, which is a no-op, and feed BindingSatisfaction).
-      std::vector<AtomicCondition> part_atoms = residue.extra_atoms;
-      for (const AtomicCondition& atom : plan->core_atoms) {
-        if (atom.is_near()) part_atoms.push_back(atom);
-      }
-      QP_ASSIGN_OR_RETURN(BuiltConjunct built,
-                          BuildConjunct(*db_, vars, part_atoms));
-
-      // Cost-based residue strategy, cheapest entry point first:
-      //  - drive: extend each materialized core binding through the
-      //    preference chain (pays ~|core|);
-      //  - merge: run the chain from its own most selective end and
-      //    hash-join back onto the core (pays ~|core| + chain entry);
-      //  - naive: when the part's own cheapest slot (with the *core's*
-      //    selections included) undercuts both, re-running the part from
-      //    scratch beats any reuse of a bloated core — typical for
-      //    unselective base queries with selective preferences.
-      size_t residue_entry = SIZE_MAX;
-      for (size_t i = plan->core_vars.size(); i < built.slots.size(); ++i) {
-        residue_entry =
-            std::min(residue_entry, EstimateSlot(built.slots[i], strategy_));
-      }
-      size_t naive_entry = SIZE_MAX;
-      {
-        QP_ASSIGN_OR_RETURN(BuiltConjunct full,
-                            BuildConjunct(*db_, vars, residue.all_atoms));
-        for (const VarSlot& slot : full.slots) {
-          naive_entry = std::min(naive_entry, EstimateSlot(slot, strategy_));
-        }
-      }
-      // Any core-reusing strategy costs at least ~|core|; if the part's
-      // own cheapest entry point (usually its preference selection) is
-      // far more selective than the core's, fresh execution wins. The 4x
-      // pad absorbs the part's join fan-out.
-      if (naive_entry * 4 < core_entry_estimate) {
-        QP_ASSIGN_OR_RETURN(ResultSet partial, Execute(part.query, stats));
-        if (partial.truncated()) truncated = true;
-        for (size_t i = 0; i < partial.num_rows(); ++i) {
-          accumulate(partial.row(i), part.degree * partial.satisfaction(i));
-        }
-        part_span.Counter("naive", 1);
-        part_span.Counter("rows", partial.num_rows());
-        continue;
-      }
-      materialize_core();
-      const bool drive_from_core =
-          residue.extra_vars.empty() || core_bindings.size() <= residue_entry;
-      if (stats != nullptr) ++stats->core_reuses;
-
-      std::vector<Binding> bindings;
-      if (drive_from_core) {
-        std::vector<bool> bound(vars.size(), false);
-        for (size_t i = 0; i < plan->core_vars.size(); ++i) bound[i] = true;
-        std::vector<Binding> seeded;
-        seeded.reserve(core_bindings.size());
-        for (const Binding& b : core_bindings) {
-          Binding padded(vars.size(), 0);
-          std::copy(b.begin(), b.end(), padded.begin());
-          seeded.push_back(std::move(padded));
-        }
-        // The residue is one conjunctive block: count it like the naive
-        // path (which recurses into Execute) does, so per-part disjunct
-        // attribution is strategy-independent.
-        if (stats != nullptr) ++stats->disjuncts;
-        ConjunctRunner runner(strategy_, stats, cancel_);
-        bindings = runner.RunSeeded(built.slots, std::move(built.joins),
-                                    std::move(seeded), std::move(bound));
-        if (runner.stopped()) truncated = true;
-      } else {
-        // Anchor core variables: the ones the residue's atoms touch.
-        std::vector<size_t> anchors;  // Indices into the core/var order.
-        {
-          std::unordered_set<std::string> referenced;
-          for (const AtomicCondition& atom : residue.extra_atoms) {
-            for (const std::string& alias : atom.ReferencedVars()) {
-              referenced.insert(alias);
-            }
-          }
-          for (size_t i = 0; i < plan->core_vars.size(); ++i) {
-            if (referenced.contains(plan->core_vars[i].alias)) {
-              anchors.push_back(i);
-            }
-          }
-        }
-        // Run the residue independently over anchors + extras.
-        std::vector<TupleVariable> residue_vars;
-        for (size_t i : anchors) residue_vars.push_back(plan->core_vars[i]);
-        residue_vars.insert(residue_vars.end(), residue.extra_vars.begin(),
-                            residue.extra_vars.end());
-        QP_ASSIGN_OR_RETURN(
-            BuiltConjunct residue_built,
-            BuildConjunct(*db_, residue_vars, residue.extra_atoms));
-        // One conjunctive block, same attribution as the other strategies.
-        if (stats != nullptr) ++stats->disjuncts;
-        ConjunctRunner runner(strategy_, stats, cancel_);
-        std::vector<Binding> residue_bindings = runner.Run(
-            residue_built.slots, std::move(residue_built.joins));
-        if (runner.stopped()) truncated = true;
-
-        // Hash the residue results by their anchor row ids and merge with
-        // the core bindings.
-        std::unordered_map<Binding, std::vector<const Binding*>, BindingHash>
-            by_anchor;
-        for (const Binding& rb : residue_bindings) {
-          Binding key;
-          key.reserve(anchors.size());
-          for (size_t i = 0; i < anchors.size(); ++i) key.push_back(rb[i]);
-          by_anchor[key].push_back(&rb);
-        }
-        for (const Binding& cb : core_bindings) {
-          Binding key;
-          key.reserve(anchors.size());
-          for (size_t i : anchors) key.push_back(cb[i]);
-          auto it = by_anchor.find(key);
-          if (it == by_anchor.end()) continue;
-          for (const Binding* rb : it->second) {
-            Binding merged(vars.size(), 0);
-            std::copy(cb.begin(), cb.end(), merged.begin());
-            for (size_t e = 0; e < residue.extra_vars.size(); ++e) {
-              merged[plan->core_vars.size() + e] = (*rb)[anchors.size() + e];
-            }
-            bindings.push_back(std::move(merged));
-          }
-        }
-        if (stats != nullptr) stats->bindings += bindings.size();
-      }
-
-      if (stats != nullptr) stats->raw_rows += bindings.size();
-      // Parts are DISTINCT; a row keeps its best soft-condition match.
-      std::unordered_map<Row, double, RowHash, RowEq> best;
-      for (const Binding& b : bindings) {
-        Row row =
-            ProjectBinding(built.slots, part.query.projections(), b);
-        double sat = BindingSatisfaction(built.slots, b);
-        auto [it, inserted] = best.emplace(std::move(row), sat);
-        if (!inserted && sat > it->second) it->second = sat;
-      }
-      for (const auto& [row, sat] : best) {
-        accumulate(row, part.degree * sat);
-      }
-      part_span.Counter(drive_from_core ? "drive" : "merge", 1);
-      part_span.Counter("rows", best.size());
-    }
-  } else {
-    for (const CompoundPart& part : query.parts()) {
-      if (truncated || (cancel_ != nullptr && cancel_->ShouldStop())) {
-        truncated = true;  // Remaining parts skipped.
-        break;
-      }
-      obs::ScopedSpan part_span(trace_, "part");
-      QP_ASSIGN_OR_RETURN(ResultSet partial, Execute(part.query, stats));
-      if (partial.truncated()) truncated = true;
-      for (size_t i = 0; i < partial.num_rows(); ++i) {
-        // Soft conditions scale the part's contribution by how closely
-        // the row matches.
-        accumulate(partial.row(i), part.degree * partial.satisfaction(i));
-      }
-      part_span.Counter("naive", 1);
-      part_span.Counter("rows", partial.num_rows());
-    }
-  }
-
-  std::unordered_set<Row, RowHash, RowEq> vetoed;
-  QP_RETURN_IF_ERROR(CollectExclusions(query, stats, &vetoed, &truncated));
-  return BuildCompoundResult(query, groups, vetoed, truncated);
 }
 
 Result<ResultSet> Executor::ExecuteSelectVec(const SelectQuery& query,
@@ -1576,7 +863,7 @@ Status Executor::RunSelectVec(const SelectQuery& query, ExecutorStats* stats,
                         BuildConjunct(*db_, vars, atoms));
     if (stats != nullptr) ++stats->disjuncts;
     obs::ScopedSpan disjunct_span(trace_, "disjunct");
-    BatchRunner runner(strategy_, stats, cancel_);
+    BatchRunner runner(stats, cancel_);
     BatchTable batch =
         runner.Run(built.slots, std::move(built.joins),
                    NeededSlots(built.slots, query.projections(), need_all));
@@ -1718,7 +1005,7 @@ Result<ResultSet> Executor::ExecuteCompoundVec(const CompoundQuery& query,
     size_t core_entry_estimate = SIZE_MAX;
     for (const VarSlot& slot : core.slots) {
       core_entry_estimate =
-          std::min(core_entry_estimate, EstimateSlot(slot, strategy_));
+          std::min(core_entry_estimate, EstimateSlot(slot));
     }
     const size_t core_n = plan->core_vars.size();
     bool core_materialized = false;
@@ -1728,7 +1015,7 @@ Result<ResultSet> Executor::ExecuteCompoundVec(const CompoundQuery& query,
       core_materialized = true;
       if (core_table_empty) return;
       if (stats != nullptr) ++stats->disjuncts;
-      BatchRunner runner(strategy_, stats, cancel_);
+      BatchRunner runner(stats, cancel_);
       // Every core column is needed: parts project them and residues
       // join through them.
       core_batch = runner.Run(core.slots, std::move(core.joins),
@@ -1758,21 +1045,32 @@ Result<ResultSet> Executor::ExecuteCompoundVec(const CompoundQuery& query,
       QP_ASSIGN_OR_RETURN(BuiltConjunct built,
                           BuildConjunct(*db_, vars, part_atoms));
 
-      // Cost model identical to the tuple engine (see
-      // ExecuteCompoundTuple): naive vs drive vs merge.
+      // Cost-based residue strategy, cheapest entry point first:
+      //  - drive: extend each materialized core binding through the
+      //    preference chain (pays ~|core|);
+      //  - merge: run the chain from its own most selective end and
+      //    hash-join back onto the core (pays ~|core| + chain entry);
+      //  - naive: when the part's own cheapest slot (with the *core's*
+      //    selections included) undercuts both, re-running the part from
+      //    scratch beats any reuse of a bloated core — typical for
+      //    unselective base queries with selective preferences.
       size_t residue_entry = SIZE_MAX;
       for (size_t i = core_n; i < built.slots.size(); ++i) {
         residue_entry =
-            std::min(residue_entry, EstimateSlot(built.slots[i], strategy_));
+            std::min(residue_entry, EstimateSlot(built.slots[i]));
       }
       size_t naive_entry = SIZE_MAX;
       {
         QP_ASSIGN_OR_RETURN(BuiltConjunct full,
                             BuildConjunct(*db_, vars, residue.all_atoms));
         for (const VarSlot& slot : full.slots) {
-          naive_entry = std::min(naive_entry, EstimateSlot(slot, strategy_));
+          naive_entry = std::min(naive_entry, EstimateSlot(slot));
         }
       }
+      // Any core-reusing strategy costs at least ~|core|; if the part's
+      // own cheapest entry point (usually its preference selection) is
+      // far more selective than the core's, fresh execution wins. The 4x
+      // pad absorbs the part's join fan-out.
       if (naive_entry * 4 < core_entry_estimate) {
         CodedRows rows(arity);
         std::vector<double> sats;
@@ -1804,10 +1102,10 @@ Result<ResultSet> Executor::ExecuteCompoundVec(const CompoundQuery& query,
           seeded.SetColumn(i, core_batch.column(i));
         }
         // The residue is one conjunctive block: count it like the naive
-        // path (which recurses into Execute) does, so per-part disjunct
+        // path (which runs the part's SELECT) does, so per-part disjunct
         // attribution is strategy-independent.
         if (stats != nullptr) ++stats->disjuncts;
-        BatchRunner runner(strategy_, stats, cancel_);
+        BatchRunner runner(stats, cancel_);
         part_batch =
             runner.RunSeeded(built.slots, std::move(built.joins),
                              std::move(seeded), std::move(bound), needed);
@@ -1840,7 +1138,7 @@ Result<ResultSet> Executor::ExecuteCompoundVec(const CompoundQuery& query,
             BuildConjunct(*db_, residue_vars, residue.extra_atoms));
         // One conjunctive block, same attribution as the other strategies.
         if (stats != nullptr) ++stats->disjuncts;
-        BatchRunner runner(strategy_, stats, cancel_);
+        BatchRunner runner(stats, cancel_);
         BatchTable residue_batch =
             runner.Run(residue_built.slots, std::move(residue_built.joins),
                        std::vector<bool>(residue_vars.size(), true));

@@ -16,11 +16,13 @@ namespace qp {
 
 class CodedRows;
 
-/// Execution counters, for tests and the executor ablation benchmark.
-/// Accumulated through an Execute call tree via a single caller-owned
-/// instance: compound execution passes the same pointer into its part /
-/// exclusion recursions, so every counter is bumped exactly once at the
-/// site that does the work — never again at an enclosing level.
+/// Execution counters: the work an execution did, which the
+/// `qp_exec_*` metrics, the "execution" span and the end-to-end
+/// benchmark's exec.* rows report. Accumulated through an Execute call
+/// tree via a single caller-owned instance: compound execution passes the
+/// same pointer into its part / exclusion recursions, so every counter is
+/// bumped exactly once at the site that does the work — never again at
+/// an enclosing level.
 struct ExecutorStats {
   /// Number of conjunctive blocks executed (SQ queries pay C(K-M, L) of
   /// these). Under the shared-core MQ optimization this counts the core
@@ -37,30 +39,6 @@ struct ExecutorStats {
   size_t core_reuses = 0;
 };
 
-/// Join strategy knob, exposed for the ablation benchmark. Production
-/// (default) behaviour is hash joins with greedy connected ordering.
-enum class JoinStrategy {
-  kHashJoin,
-  /// Force nested-loop probing (no index probes); quadratic, used only to
-  /// quantify what the key indexes buy.
-  kNestedLoop,
-};
-
-/// Execution engine knob. Both engines produce canonically identical
-/// ResultSets and identical ExecutorStats (pinned by the differential
-/// oracle and the stats-attribution regression suite); they differ only
-/// in how intermediate bindings are represented.
-enum class ExecStrategy {
-  /// Tuple-at-a-time: each intermediate binding is a heap-allocated
-  /// vector<RowId>. The original engine, kept as the differential oracle.
-  kTuple,
-  /// Columnar batches (BatchTable): one contiguous RowId column per tuple
-  /// variable, gather/filter join steps, column drop after the last join
-  /// that needs a slot, DISTINCT and GROUP BY on key codes, and Values
-  /// built only for the answer's rows.
-  kVectorized,
-};
-
 /// Evaluates queries against an in-memory Database. The executor handles
 /// the SQL subset the personalization framework emits:
 ///  - SelectQuery: arbitrary and/or trees of equality selections and
@@ -72,6 +50,14 @@ enum class ExecStrategy {
 ///    HAVING count(*) >= L or DEGREE_OF_CONJUNCTION(doi) > d, ORDER BY
 ///    combined degree of interest descending (ranking), EXCEPT blocks,
 ///    and signed degrees for dislike penalties.
+/// Execution is columnar: each conjunct runs over batches with one row-id
+/// column per tuple variable (BatchTable), joining on the tables' key
+/// codes. A projected row is identified by the key codes of its output
+/// columns (Table::Keys), not by its Values: SELECT DISTINCT, each part's
+/// DISTINCT and the compound's GROUP BY run on those code tuples, HAVING
+/// on the group aggregates, and Values are built once per row of the
+/// answer (for a compound, per group that passes HAVING, before the
+/// EXCEPT vetoes).
 /// MQ compounds whose parts share a common conjunctive block (they always
 /// do when built by PreferenceIntegrator: the original query is repeated
 /// in every part) are executed with the *shared-core* optimization: the
@@ -79,14 +65,8 @@ enum class ExecStrategy {
 /// preference chain on top — the "efficient execution of personalized
 /// queries" the paper lists as future work. Disable with
 /// set_shared_core(false) (used by the ablation benchmark).
-/// The vectorized engine identifies a projected row by the key codes of
-/// its output columns (Table::Keys), not by its Values: SELECT DISTINCT,
-/// each part's DISTINCT and the compound's GROUP BY run on those code
-/// tuples, HAVING on the group aggregates, and Values are built once per
-/// row of the answer (for a compound, per group that passes HAVING,
-/// before the EXCEPT vetoes). The tuple engine keeps Value rows, so the
-/// differential oracle stays independent of the codes.
-/// Results are canonicalized (deterministically ordered).
+/// Results are canonicalized (deterministically ordered). Tests check
+/// them against a brute-force oracle (testing_util::ReferenceExecute).
 class Executor {
  public:
   /// `db` is retained and must outlive the executor.
@@ -97,14 +77,7 @@ class Executor {
   Result<ResultSet> Execute(const CompoundQuery& query,
                             ExecutorStats* stats = nullptr) const;
 
-  void set_join_strategy(JoinStrategy strategy) { strategy_ = strategy; }
   void set_shared_core(bool enabled) { shared_core_ = enabled; }
-
-  /// Selects the execution engine (default: vectorized batches). The
-  /// tuple engine remains available as the differential-testing oracle
-  /// and for ablation benchmarks.
-  void set_exec_strategy(ExecStrategy strategy) { exec_ = strategy; }
-  ExecStrategy exec_strategy() const { return exec_; }
 
   /// Cooperative cancellation: `cancel` (not owned; may be null) is
   /// polled periodically from the row loops. When it trips, execution
@@ -127,21 +100,10 @@ class Executor {
   void BindMetrics(obs::MetricsRegistry* registry);
 
  private:
-  /// Strategy dispatchers.
-  Result<ResultSet> ExecuteSelect(const SelectQuery& query,
-                                  ExecutorStats* stats) const;
-  Result<ResultSet> ExecuteCompound(const CompoundQuery& query,
-                                    ExecutorStats* stats) const;
-  /// Tuple-at-a-time engine.
-  Result<ResultSet> ExecuteSelectTuple(const SelectQuery& query,
-                                       ExecutorStats* stats) const;
-  Result<ResultSet> ExecuteCompoundTuple(const CompoundQuery& query,
-                                         ExecutorStats* stats) const;
-  /// Columnar batch engine.
   Result<ResultSet> ExecuteSelectVec(const SelectQuery& query,
                                      ExecutorStats* stats) const;
-  /// The batch engine's SELECT up to its answer in coded form: the
-  /// distinct rows under DISTINCT, else every row, in the order produced.
+  /// Runs a SELECT up to its answer in coded form: the distinct rows
+  /// under DISTINCT, else every row, in the order produced.
   /// `sats` gets each row's near-condition satisfaction (stays empty when
   /// the query has no near condition); *truncated is set when execution
   /// was cut short. ExecuteSelectVec builds the answer's Values from it;
@@ -151,8 +113,8 @@ class Executor {
                       bool* truncated) const;
   Result<ResultSet> ExecuteCompoundVec(const CompoundQuery& query,
                                        ExecutorStats* stats) const;
-  /// EXCEPT blocks, shared by both compound engines: rows returned by any
-  /// exclusion query land in `vetoed`.
+  /// EXCEPT blocks: rows returned by any exclusion query land in
+  /// `vetoed`.
   Status CollectExclusions(const CompoundQuery& query, ExecutorStats* stats,
                            std::unordered_set<Row, RowHash, RowEq>* vetoed,
                            bool* truncated) const;
@@ -163,8 +125,6 @@ class Executor {
                           const Result<ResultSet>& result) const;
 
   const Database* db_;
-  JoinStrategy strategy_ = JoinStrategy::kHashJoin;
-  ExecStrategy exec_ = ExecStrategy::kVectorized;
   bool shared_core_ = true;
   const CancelToken* cancel_ = nullptr;
   obs::RequestTrace* trace_ = nullptr;

@@ -6,16 +6,17 @@ Usage:
 
 Two kinds of checks, mirroring what a reviewer reads the sidecar for:
 
-  1. Ratio guards: higher-is-better metrics (vectorized-executor speedups,
-     service throughput, shard-cluster closed-loop throughput) must not
-     fall more than MAX_REGRESSION below the committed baseline. Timings
-     jitter; ratios and throughputs on the same machine class stay stable
-     well inside 25%.
-  2. Ceiling guards: lower-is-better metrics (breaker recovery latency,
-     the scrubber's throughput tax, request p99 inside the live-reshard
-     migration window) must not exceed baseline * headroom. Absolute
-     latencies jitter more than ratios, so the headroom is generous (2x)
-     — the gate catches order-of-magnitude cliffs, not noise.
+  1. Ratio guards: higher-is-better metrics (service throughput,
+     shard-cluster closed-loop throughput) must not fall more than
+     MAX_REGRESSION below the committed baseline. Timings jitter;
+     throughputs on the same machine class stay stable well inside 25%.
+  2. Ceiling guards: lower-is-better metrics (executor totals over the
+     ablation_exec queries and the fig8/fig9 sweeps, breaker recovery
+     latency, the scrubber's throughput tax, request p99 inside the
+     live-reshard migration window) must not exceed baseline * headroom.
+     Absolute latencies jitter more than ratios, so the headroom is
+     generous (2x) — the gate catches order-of-magnitude cliffs, not
+     noise.
   3. Invariants: booleans the current run must satisfy outright, whatever
      the baseline says — the shard chaos phase and the live reshard lost
      no acknowledged mutation, and the tiered resident set stayed inside
@@ -38,11 +39,6 @@ MAX_REGRESSION = 0.25
 # (bench, scalar) pairs where current >= baseline * (1 - MAX_REGRESSION)
 # must hold. All are higher-is-better.
 GUARDED = [
-    ("ablation_exec", "vec_speedup"),
-    ("fig8_sq_mq_vs_k", "vec_speedup_sq"),
-    ("fig8_sq_mq_vs_k", "vec_speedup_mq"),
-    ("fig9_sq_mq_vs_l", "vec_speedup_sq"),
-    ("fig9_sq_mq_vs_l", "vec_speedup_mq"),
     ("service_throughput", "qps/w2_nocache"),
     ("service_throughput", "qps/w2_cache"),
     ("shard_scale", "closed_loop_qps"),
@@ -51,6 +47,11 @@ GUARDED = [
 # (bench, scalar, headroom) where current <= baseline * headroom must
 # hold. All are lower-is-better latencies/taxes.
 GUARDED_MAX = [
+    ("ablation_exec", "total_ms", 2.0),
+    ("fig8_sq_mq_vs_k", "total_sq_exec_ms", 2.0),
+    ("fig8_sq_mq_vs_k", "total_mq_exec_ms", 2.0),
+    ("fig9_sq_mq_vs_l", "total_sq_exec_ms", 2.0),
+    ("fig9_sq_mq_vs_l", "total_mq_exec_ms", 2.0),
     ("fault_recovery", "breaker_recover_ms", 2.0),
     ("fault_recovery", "scrub_tax_pct", 2.0),
     ("shard_scale", "reshard_window_p99_ms", 2.0),

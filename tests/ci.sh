@@ -9,8 +9,8 @@
 #      randomized crash-recovery property suite (>= 500 trials), the
 #      overload/admission tests, the metrics/trace accounting tests, the
 #      seeded chaos trials (QP_CHAOS_TRIALS=100 per sanitizer, >= 200
-#      total) and the executor differential oracle (vectorized vs tuple;
-#      QP_EXEC_TRIALS=150 per sanitizer — the full 800-trial sweep runs
+#      total) and the executor against its brute-force oracle
+#      (QP_EXEC_TRIALS=150 per sanitizer — the full 800-trial sweep runs
 #      unsanitized in stage 1; every trial prints its seed, so a failure
 #      names its exact replay) are only trusted once they have passed
 #      under both;
@@ -23,18 +23,18 @@
 #      (build/bench_report.json: one BenchReport object per line —
 #      overload disposition fractions, service-throughput latency
 #      percentiles, fault-recovery costs: breaker time-to-recover and
-#      the steady-state scrub tax, and executor-engine timings — the
-#      ablation_exec / fig8 / fig9 reports record both the tuple and the
-#      vectorized engine plus their speedup ratio), so a regression in
+#      the steady-state scrub tax, and executor timings — the
+#      ablation_exec / fig8 / fig9 reports record per-query, per-K and
+#      per-L execution times and their totals), so a regression in
 #      shed/degrade/recovery behaviour or the perf trajectory shows up
 #      as an artifact diff;
 #   5. a regression gate: the fresh bench report is checked against the
-#      committed BENCH_baseline.json — a >25% drop in vec_speedup* or
-#      service/shard throughput, a fault-recovery cost (breaker
-#      time-to-recover, scrub tax) or reshard migration-window p99 above
-#      2x its baseline, or a violated shard invariant (acked loss —
-#      kill/recover or live reshard — unbounded residency), fails the
-#      run;
+#      committed BENCH_baseline.json — a >25% drop in service/shard
+#      throughput, an executor total (ablation_exec, fig8, fig9), a
+#      fault-recovery cost (breaker time-to-recover, scrub tax) or
+#      reshard migration-window p99 above 2x its baseline, or a violated
+#      shard invariant (acked loss — kill/recover or live reshard —
+#      unbounded residency), fails the run;
 #   6. the end-to-end benchmark (bench/e2e) in smoke mode on each of its
 #      workloads: every run checks 512 answers against the serial
 #      Personalizer, and write_mix also checks every write after a
@@ -77,7 +77,7 @@ fi
 
 echo "==== [ci] sanitized storage + lifecycle + obs + chaos + exec suites ===="
 # 100 seeded chaos trials per sanitizer build (>= 200 total), and 150
-# executor differential trials per sanitizer build (the unsanitized
+# executor-vs-oracle trials per sanitizer build (the unsanitized
 # 800-trial sweep already ran in stage 1). A failing or hanging trial
 # prints "[chaos] trial N seed=S" / "[diff] trial N seed=S" before it
 # runs, so the log always names the seed to replay.
@@ -142,9 +142,8 @@ QP_BENCH_JSON="$REPORT" "$ROOT/build/bench/service_throughput" \
 # time-to-recover, steady-state scrub tax (acceptance bar: < 2%).
 QP_BENCH_JSON="$REPORT" "$ROOT/build/bench/fault_recovery" \
   --benchmark_min_time=0.05 >/dev/null
-# Executor-engine timings: both strategies (tuple vs vectorized batch)
-# per query shape / K / L, plus the aggregate vec_speedup* ratios — the
-# before/after evidence for the columnar executor.
+# Executor timings per query shape / K / L, plus their totals, which the
+# gate below holds under 2x the baseline.
 QP_BENCH_JSON="$REPORT" "$ROOT/build/bench/ablation_exec" \
   --benchmark_min_time=0.05 >/dev/null
 QP_BENCH_JSON="$REPORT" "$ROOT/build/bench/fig8_sq_mq_vs_k" >/dev/null
@@ -160,8 +159,9 @@ echo "wrote $REPORT:"
 cat "$REPORT"
 
 echo "==== [ci] bench regression gate (vs BENCH_baseline.json) ===="
-# Fails on a >25% drop in any vectorized-executor speedup or service /
-# shard-cluster throughput, or on a violated shard invariant. Regenerate
+# Fails on a >25% drop in service / shard-cluster throughput, on an
+# executor total or other guarded latency above 2x its baseline, or on a
+# violated shard invariant. Regenerate
 # the baseline (and review the diff) when a deliberate perf change moves
 # the floor: copy build/bench_report.json over BENCH_baseline.json.
 python3 tests/check_bench_regression.py \

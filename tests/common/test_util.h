@@ -36,19 +36,37 @@ namespace testing_util {
   ASSERT_TRUE(tmp.ok()) << tmp.status();                       \
   lhs = std::move(tmp).value()
 
-/// Reference (oracle) evaluation of a SelectQuery by enumerating the full
-/// cross product of the FROM tables and evaluating the condition tree per
-/// assignment. Exponential — only for small test databases. Returns
-/// projected rows; duplicates preserved under SQL bag semantics (distinct
-/// assignments), collapsed when `query.distinct()`.
-std::vector<Row> ReferenceEvaluate(const Database& db,
-                                   const SelectQuery& query);
+/// The executor's test oracle: a brute-force reading of the paper's two
+/// query forms that uses no index, key code, join order, shared core or
+/// cancellation. Each overload returns the canonicalized answer, so it
+/// compares with Executor::Execute row for row. `query` must be valid.
+///
+/// SELECT: for each conjunct of the qualification's DNF, nested loops
+/// bind tuple variables in FROM order, checking each atom as soon as its
+/// variables are bound. A binding's satisfaction is the product of its
+/// near conditions. Without DISTINCT a row is a satisfying binding of
+/// every FROM variable, counted once however many conjuncts it
+/// satisfies; with DISTINCT it is a distinct projected row, and a
+/// conjunct binds only the variables it or the projection uses (an empty
+/// FROM table empties the answer either way). A row reached more than
+/// once keeps its best satisfaction.
+///
+/// Compound (UNION ALL / GROUP BY / HAVING / ORDER BY doi / EXCEPT): each
+/// part's rows, parts in order, add part degree x satisfaction to their
+/// row's group, a negative product as a dislike. A group that some
+/// positive part reached then passes HAVING on its count or on likes
+/// minus dislikes, unless an exclusion query returns its row.
+ResultSet ReferenceExecute(const Database& db, const SelectQuery& query);
+ResultSet ReferenceExecute(const Database& db, const CompoundQuery& query);
+
+/// Every observable of a result, one line per row in order: columns,
+/// cells, count and degree when ranked, satisfaction when present, and
+/// the truncated flag. Doubles print as %a, so two results render alike
+/// exactly when their doubles are bit-identical.
+std::string ExactString(const ResultSet& result);
 
 /// Multiset equality of row collections (order-insensitive).
 bool SameRows(const std::vector<Row>& a, const std::vector<Row>& b);
-
-/// Renders rows as sorted strings, for readable failure messages.
-std::string RowsToString(const std::vector<Row>& rows);
 
 /// Writes the flight recorder's JSON dump to `<label>_blackbox.json`
 /// (under $QP_ARTIFACT_DIR when set, the working directory otherwise)

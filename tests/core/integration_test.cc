@@ -426,6 +426,12 @@ TEST_P(SqMqEquivalenceTest, SameRowsOnRandomWorkload) {
     EXPECT_TRUE(SameRows(sq_result->rows(), mq_result->rows()))
         << "trial " << trial << " K=" << prefs->size() << " L=" << l
         << "\nSQ: " << ToSql(*sq) << "\nMQ: " << ToSql(*mq);
+    // And the SQ answer is the one the brute-force oracle reads off the
+    // query's definition.
+    EXPECT_EQ(testing_util::ExactString(*sq_result),
+              testing_util::ExactString(
+                  testing_util::ReferenceExecute(*db, *sq)))
+        << "trial " << trial << "\nSQ: " << ToSql(*sq);
   }
 }
 

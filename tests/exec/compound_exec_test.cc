@@ -41,6 +41,18 @@ class CompoundExecTest : public ::testing::Test {
                 "AC.name='N. Kidman'");
   }
 
+  /// Executes `c` and checks the answer against the brute-force oracle:
+  /// rows, order, counts and degrees bit for bit.
+  Result<ResultSet> Run(const CompoundQuery& c) {
+    auto result = executor_->Execute(c);
+    if (result.ok()) {
+      EXPECT_EQ(testing_util::ExactString(*result),
+                testing_util::ExactString(
+                    testing_util::ReferenceExecute(*db_, c)));
+    }
+    return result;
+  }
+
   std::unique_ptr<Database> db_;
   std::unique_ptr<Executor> executor_;
 };
@@ -52,7 +64,7 @@ TEST_F(CompoundExecTest, UnionAllCountsParts) {
   c.AddPart(KidmanPart(), 0.72);
   c.set_having(HavingClause::None());
 
-  auto r = executor_->Execute(c);
+  auto r = Run(c);
   ASSERT_TRUE(r.ok()) << r.status();
   // Union over {comedy: 0,1,5} {lynch: 0,2} {kidman: 0,2,5} = movies
   // 0,1,2,5.
@@ -68,7 +80,7 @@ TEST_F(CompoundExecTest, HavingCountAtLeastTwo) {
   c.AddPart(KidmanPart(), 0.72);
   c.set_having(HavingClause::CountAtLeast(2));
 
-  auto r = executor_->Execute(c);
+  auto r = Run(c);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->num_rows(), 3u);
   EXPECT_TRUE(r->Contains({Value::Str("The Quiet Comedy")}));   // All 3.
@@ -85,7 +97,7 @@ TEST_F(CompoundExecTest, CountsAreSatisfiedPreferenceCounts) {
   c.set_having(HavingClause::CountAtLeast(1));
   c.set_order_by_degree(true);
 
-  auto r = executor_->Execute(c);
+  auto r = Run(c);
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->num_rows(), 4u);
   // Ranked by combined degree: The Quiet Comedy satisfies all three.
@@ -103,7 +115,7 @@ TEST_F(CompoundExecTest, RankingOrderIsNonIncreasing) {
   c.set_having(HavingClause::None());
   c.set_order_by_degree(true);
 
-  auto r = executor_->Execute(c);
+  auto r = Run(c);
   ASSERT_TRUE(r.ok());
   for (size_t i = 1; i < r->num_rows(); ++i) {
     EXPECT_GE(r->degrees()[i - 1], r->degrees()[i]);
@@ -118,7 +130,7 @@ TEST_F(CompoundExecTest, HavingDegreeAbove) {
   c.set_having(HavingClause::DegreeAbove(0.9));
   c.set_order_by_degree(true);
 
-  auto r = executor_->Execute(c);
+  auto r = Run(c);
   ASSERT_TRUE(r.ok());
   // Degrees: QuietComedy 0.98936, DreamTheatre 1-(.19*.28)=0.9468,
   // NightChase 1-(.2*.28)=0.944, LaughLines 0.81.
@@ -130,7 +142,7 @@ TEST_F(CompoundExecTest, SinglePartDegenerate) {
   CompoundQuery c;
   c.AddPart(ComedyPart(), 0.81);
   c.set_having(HavingClause::CountAtLeast(1));
-  auto r = executor_->Execute(c);
+  auto r = Run(c);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->num_rows(), 3u);
   for (size_t i = 0; i < r->num_rows(); ++i) {
@@ -144,7 +156,7 @@ TEST_F(CompoundExecTest, HavingCountZeroKeepsEverything) {
   c.AddPart(ComedyPart(), 0.81);
   c.AddPart(KidmanPart(), 0.72);
   c.set_having(HavingClause::CountAtLeast(0));
-  auto r = executor_->Execute(c);
+  auto r = Run(c);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->num_rows(), 4u);
 }
@@ -153,7 +165,7 @@ TEST_F(CompoundExecTest, ImpossibleCountYieldsNothing) {
   CompoundQuery c;
   c.AddPart(ComedyPart(), 0.81);
   c.set_having(HavingClause::CountAtLeast(5));
-  auto r = executor_->Execute(c);
+  auto r = Run(c);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->num_rows(), 0u);
 }

@@ -1,19 +1,21 @@
-// The executor differential oracle: the vectorized batch engine must be
-// observationally identical to the tuple-at-a-time engine. Thousands of
-// seeded trials draw a random profile, a random SPJ query and random
-// K/L/near/negative knobs, personalize it both as SQ and MQ, execute
-// through both engines, and assert canonicalized result equality
-// (DebugString pins rows, order, satisfactions, counts and degrees) plus
-// identical ExecutorStats. Additional trials check the truncation
-// contract under mid-flight cancellation and result equality when an
-// armed `exec.disjunct` chaos fault hits both engines the same way.
+// Checks the executor against its brute-force oracle,
+// testing_util::ReferenceExecute. Hundreds of seeded trials draw a random
+// profile, a random SPJ query and random K/L/near/negative knobs,
+// personalize it as SQ and as MQ, execute it, and require the oracle's
+// answer exactly: rows, row order, counts, the truncated flag, and
+// degrees and satisfactions bit for bit (ExactString prints doubles as
+// %a). The oracle shares no index, key code, join order, shared-core plan
+// or HAVING code with the executor, so a bug in any of them shows.
+// Further trials check the truncation contract under mid-flight
+// cancellation, and that an armed `exec.disjunct` chaos fault yields
+// either the injected error or the oracle's answer.
 //
 // Every trial prints "[diff] trial N seed=S" before running, so a
 // failure names its exact replay. QP_EXEC_TRIALS overrides the trial
 // count (CI's sanitizer stage lowers it; the default of 800 randomized
-// trials yields well over 1000 differential executions on its own —
-// most trials compare both an SQ and an MQ plan — plus the K/L grid,
-// cancellation and chaos sweeps on top).
+// trials yields well over 1000 comparisons on its own — most trials
+// compare both an SQ and an MQ plan — plus the K/L grid, cancellation
+// and chaos sweeps on top).
 
 #include <cstdlib>
 #include <memory>
@@ -53,11 +55,6 @@ bool SubMultiset(const std::vector<Row>& part, const std::vector<Row>& whole) {
     if (--counts[row] < 0) return false;
   }
   return true;
-}
-
-bool StatsEqual(const ExecutorStats& a, const ExecutorStats& b) {
-  return a.disjuncts == b.disjuncts && a.bindings == b.bindings &&
-         a.raw_rows == b.raw_rows && a.core_reuses == b.core_reuses;
 }
 
 /// Shared fixture state: a small but join-rich database (every relation
@@ -134,20 +131,18 @@ class ExecDifferentialTest : public ::testing::Test {
     return true;
   }
 
-  /// Executes `query` through one engine.
+  /// Executes `query`, optionally under a cancel token.
   template <typename Query>
-  static Result<ResultSet> Run(const Query& query, ExecStrategy engine,
-                               ExecutorStats* stats,
+  static Result<ResultSet> Run(const Query& query,
                                const CancelToken* cancel = nullptr) {
     Executor executor(db_);
-    executor.set_exec_strategy(engine);
-    if (cancel != nullptr) executor.set_cancel_token(cancel);
-    return executor.Execute(query, stats);
+    executor.set_cancel_token(cancel);
+    return executor.Execute(query);
   }
 
-  /// Asserts tuple == vectorized for one personalized query (both SQ and
-  /// MQ where produced). Adds the number of differential comparisons
-  /// made to *comparisons (0 when personalization failed for this draw).
+  /// Checks the executor against the oracle for one personalized query
+  /// (both SQ and MQ where produced). Adds the number of comparisons made
+  /// to *comparisons (0 when personalization failed for this draw).
   static void CheckTrial(const Trial& trial, uint64_t seed,
                          size_t* comparisons) {
     Personalizer personalizer(trial.graph.get());
@@ -163,33 +158,15 @@ class ExecDifferentialTest : public ::testing::Test {
       auto outcome = personalizer.Personalize(trial.query, options);
       if (!outcome.ok()) continue;  // Degenerate draw (e.g. C(K-M,L) cap).
 
-      ExecutorStats tuple_stats;
-      ExecutorStats vec_stats;
-      Result<ResultSet> tuple_result =
-          outcome->sq.has_value()
-              ? Run(*outcome->sq, ExecStrategy::kTuple, &tuple_stats)
-              : Run(*outcome->mq, ExecStrategy::kTuple, &tuple_stats);
-      Result<ResultSet> vec_result =
-          outcome->sq.has_value()
-              ? Run(*outcome->sq, ExecStrategy::kVectorized, &vec_stats)
-              : Run(*outcome->mq, ExecStrategy::kVectorized, &vec_stats);
-      ASSERT_EQ(tuple_result.ok(), vec_result.ok()) << "seed=" << seed;
-      if (!tuple_result.ok()) continue;
-      // Canonicalized equality: rows, order, counts, degrees,
-      // satisfactions and the truncated flag all serialize into
-      // DebugString.
-      EXPECT_EQ(tuple_result->DebugString(100000),
-                vec_result->DebugString(100000))
-          << "seed=" << seed << " approach="
-          << (outcome->sq.has_value() ? "SQ" : "MQ");
-      EXPECT_EQ(tuple_result->truncated(), vec_result->truncated())
-          << "seed=" << seed;
-      EXPECT_TRUE(StatsEqual(tuple_stats, vec_stats))
-          << "seed=" << seed << " tuple={" << tuple_stats.disjuncts << ","
-          << tuple_stats.bindings << "," << tuple_stats.raw_rows << ","
-          << tuple_stats.core_reuses << "} vec={" << vec_stats.disjuncts
-          << "," << vec_stats.bindings << "," << vec_stats.raw_rows << ","
-          << vec_stats.core_reuses << "}";
+      const bool sq = outcome->sq.has_value();
+      Result<ResultSet> result = sq ? Run(*outcome->sq) : Run(*outcome->mq);
+      ASSERT_TRUE(result.ok()) << "seed=" << seed << ": " << result.status();
+      const ResultSet expected =
+          sq ? testing_util::ReferenceExecute(*db_, *outcome->sq)
+             : testing_util::ReferenceExecute(*db_, *outcome->mq);
+      EXPECT_EQ(testing_util::ExactString(*result),
+                testing_util::ExactString(expected))
+          << "seed=" << seed << " approach=" << (sq ? "SQ" : "MQ");
       ++*comparisons;
     }
   }
@@ -203,7 +180,7 @@ Database* ExecDifferentialTest::db_ = nullptr;
 Schema* ExecDifferentialTest::schema_ = nullptr;
 std::vector<CandidatePool>* ExecDifferentialTest::pools_ = nullptr;
 
-TEST_F(ExecDifferentialTest, RandomizedPersonalizedQueriesAgree) {
+TEST_F(ExecDifferentialTest, RandomizedPersonalizedQueriesMatchTheOracle) {
   const size_t trials = TrialsFromEnv(800);
   size_t comparisons = 0;
   for (size_t n = 0; n < trials; ++n) {
@@ -222,20 +199,20 @@ TEST_F(ExecDifferentialTest, RandomizedPersonalizedQueriesAgree) {
       return;
     }
   }
-  std::printf("[diff] %zu trials -> %zu differential comparisons\n", trials,
+  std::printf("[diff] %zu trials -> %zu oracle comparisons\n", trials,
               comparisons);
   // The suite is meaningless if the generator mostly produced degenerate
   // draws; demand that the overwhelming majority personalized + executed,
-  // and that the headline >= 1000 differential-execution bar is met.
+  // and that the headline >= 1000-comparison bar is met.
   EXPECT_GE(comparisons, trials);
   if (trials >= 800) {
     EXPECT_GE(comparisons, 1000u);
   }
 }
 
-TEST_F(ExecDifferentialTest, KAndLSweepAgrees) {
+TEST_F(ExecDifferentialTest, KAndLSweepMatchesTheOracle) {
   // Deterministic K/L grid over one profile/query draw per cell — the
-  // paper's fig8/fig9 axes, differentially checked.
+  // paper's fig8/fig9 axes, checked against the oracle.
   const size_t trials = TrialsFromEnv(800);
   const size_t per_cell = std::max<size_t>(1, trials / 60);
   size_t comparisons = 0;
@@ -256,17 +233,16 @@ TEST_F(ExecDifferentialTest, KAndLSweepAgrees) {
       }
     }
   }
-  std::printf("[diff] K/L sweep -> %zu differential comparisons\n",
+  std::printf("[diff] K/L sweep -> %zu oracle comparisons\n",
               comparisons);
   EXPECT_GT(comparisons, 0u);
 }
 
-TEST_F(ExecDifferentialTest, CancellationPrefixAgreesAcrossEngines) {
-  // Under a poll budget each engine independently guarantees the
-  // truncation contract: every produced row is a genuine answer (a
-  // sub-multiset of its own full result). The engines poll at different
-  // rates, so the cut points differ — the contract, not bitwise equality
-  // of partial results, is the cross-engine property.
+TEST_F(ExecDifferentialTest, CancellationCutsAreSubMultisetsOfTheOracle) {
+  // Under a poll budget the executor stops wherever the budget runs out:
+  // every produced row must still be a genuine answer (a sub-multiset of
+  // the oracle's), and a run the budget did not cut must be the oracle's
+  // answer exactly.
   const size_t trials = std::max<size_t>(20, TrialsFromEnv(800) / 12);
   size_t checked = 0;
   for (size_t n = 0; n < trials; ++n) {
@@ -280,24 +256,18 @@ TEST_F(ExecDifferentialTest, CancellationPrefixAgreesAcrossEngines) {
     auto outcome = personalizer.Personalize(trial.query, options);
     if (!outcome.ok() || !outcome->sq.has_value()) continue;
 
-    for (ExecStrategy engine :
-         {ExecStrategy::kTuple, ExecStrategy::kVectorized}) {
-      ExecutorStats full_stats;
-      auto full = Run(*outcome->sq, engine, &full_stats);
-      ASSERT_TRUE(full.ok()) << "seed=" << seed;
-      for (int64_t budget : {0, 1, 3, 7, 19, 53, 211}) {
-        CancelToken token;
-        token.set_poll_budget(budget);
-        ExecutorStats cut_stats;
-        auto cut = Run(*outcome->sq, engine, &cut_stats, &token);
-        ASSERT_TRUE(cut.ok()) << "seed=" << seed << " budget=" << budget;
-        EXPECT_TRUE(SubMultiset(cut->rows(), full->rows()))
-            << "seed=" << seed << " budget=" << budget << " engine="
-            << (engine == ExecStrategy::kTuple ? "tuple" : "vec");
-        if (!cut->truncated()) {
-          EXPECT_EQ(cut->DebugString(100000), full->DebugString(100000))
-              << "seed=" << seed << " budget=" << budget;
-        }
+    const ResultSet full = testing_util::ReferenceExecute(*db_, *outcome->sq);
+    for (int64_t budget : {0, 1, 3, 7, 19, 53, 211}) {
+      CancelToken token;
+      token.set_poll_budget(budget);
+      auto cut = Run(*outcome->sq, &token);
+      ASSERT_TRUE(cut.ok()) << "seed=" << seed << " budget=" << budget;
+      EXPECT_TRUE(SubMultiset(cut->rows(), full.rows()))
+          << "seed=" << seed << " budget=" << budget;
+      if (!cut->truncated()) {
+        EXPECT_EQ(testing_util::ExactString(*cut),
+                  testing_util::ExactString(full))
+            << "seed=" << seed << " budget=" << budget;
       }
     }
     ++checked;
@@ -312,12 +282,11 @@ TEST_F(ExecDifferentialTest, CancellationPrefixAgreesAcrossEngines) {
   EXPECT_GT(checked, 0u);
 }
 
-TEST_F(ExecDifferentialTest, ChaosFaultHitsBothEnginesIdentically) {
-  // Arm the exec.disjunct fault site deterministically: both engines
-  // call QP_FAULT_POINT from the same shared BuildConjunct, so the Nth
-  // disjunct of a query faults identically regardless of engine — the
-  // error (or, for later disjuncts, the identical partial result) must
-  // match.
+TEST_F(ExecDifferentialTest, ChaosFaultYieldsTheErrorOrTheOracleAnswer) {
+  // Arm the exec.disjunct fault site to fire once, on the Nth disjunct
+  // the executor builds. A run the fault hit must return the injected
+  // error; a run that built fewer than N disjuncts must return the
+  // oracle's answer.
 #ifdef QP_FAULTS_DISABLED
   GTEST_SKIP() << "fault injection compiled out";
 #endif
@@ -333,27 +302,27 @@ TEST_F(ExecDifferentialTest, ChaosFaultHitsBothEnginesIdentically) {
     auto outcome = personalizer.Personalize(trial.query, options);
     if (!outcome.ok() || !outcome->mq.has_value()) continue;
 
+    const std::string expected =
+        testing_util::ExactString(
+            testing_util::ReferenceExecute(*db_, *outcome->mq));
     for (uint64_t nth : {1u, 2u, 3u}) {
-      auto run_faulted = [&](ExecStrategy engine) {
-        ScopedFaultInjection injection(seed);
-        FaultRule rule;
-        rule.fire_on_nth = nth;
-        rule.max_fires = 1;
-        rule.mode = FaultMode::kError;
-        FaultHub::Global()->SetRule("exec.disjunct", rule);
-        ExecutorStats stats;
-        return Run(*outcome->mq, engine, &stats);
-      };
-      auto tuple_result = run_faulted(ExecStrategy::kTuple);
-      auto vec_result = run_faulted(ExecStrategy::kVectorized);
-      ASSERT_EQ(tuple_result.ok(), vec_result.ok())
-          << "seed=" << seed << " nth=" << nth;
-      if (tuple_result.ok()) {
-        EXPECT_EQ(tuple_result->DebugString(100000),
-                  vec_result->DebugString(100000))
+      ScopedFaultInjection injection(seed);
+      FaultRule rule;
+      rule.fire_on_nth = nth;
+      rule.max_fires = 1;
+      rule.mode = FaultMode::kError;
+      FaultHub::Global()->SetRule("exec.disjunct", rule);
+      auto result = Run(*outcome->mq);
+      if (FaultHub::Global()->fires("exec.disjunct") > 0) {
+        ASSERT_FALSE(result.ok()) << "seed=" << seed << " nth=" << nth;
+        EXPECT_EQ(result.status().code(), StatusCode::kUnavailable)
+            << "seed=" << seed << " nth=" << nth;
+        EXPECT_EQ(result.status().message(),
+                  "injected fault at exec.disjunct")
             << "seed=" << seed << " nth=" << nth;
       } else {
-        EXPECT_EQ(tuple_result.status().code(), vec_result.status().code())
+        ASSERT_TRUE(result.ok()) << "seed=" << seed << " nth=" << nth;
+        EXPECT_EQ(testing_util::ExactString(*result), expected)
             << "seed=" << seed << " nth=" << nth;
       }
     }
@@ -433,7 +402,7 @@ Database KeyShapesDatabase() {
   return db;
 }
 
-TEST(ExecDifferentialKeyShapesTest, EnginesAgreeOnEveryKeyCoding) {
+TEST(ExecDifferentialKeyShapesTest, EveryKeyCodingMatchesTheOracle) {
   Database db = KeyShapesDatabase();
   db.WarmIndexes();
   for (const char* table : {"ITEM", "LINK"}) {
@@ -478,119 +447,104 @@ TEST(ExecDifferentialKeyShapesTest, EnginesAgreeOnEveryKeyCoding) {
       "I.slot=L.slot or I.tag=L.tag",
       "select distinct L.note, I.score from ITEM I, LINK L where "
       "I.id=L.item",
-      // Zeros entered as 0.0 and -0.0 sort as one value in both engines.
+      // Zeros entered as 0.0 and -0.0 sort as one value.
       "select I.score from ITEM I, LINK L where I.id=L.item and "
       "(L.note='x' or I.tag='a')",
   };
-  for (JoinStrategy join : {JoinStrategy::kHashJoin,
-                            JoinStrategy::kNestedLoop}) {
-    auto run = [&](const auto& query, ExecStrategy engine,
-                   ExecutorStats* stats) {
-      Executor executor(&db);
-      executor.set_join_strategy(join);
-      executor.set_exec_strategy(engine);
-      return executor.Execute(query, stats);
-    };
-    auto check = [&](const auto& query, const std::string& label,
-                     ResultSet* out) {
-      ExecutorStats tuple_stats;
-      ExecutorStats vec_stats;
-      auto tuple_result = run(query, ExecStrategy::kTuple, &tuple_stats);
-      auto vec_result = run(query, ExecStrategy::kVectorized, &vec_stats);
-      ASSERT_TRUE(tuple_result.ok()) << label << ": " << tuple_result.status();
-      ASSERT_TRUE(vec_result.ok()) << label << ": " << vec_result.status();
-      EXPECT_EQ(tuple_result->DebugString(100000),
-                vec_result->DebugString(100000))
-          << label;
-      EXPECT_TRUE(StatsEqual(tuple_stats, vec_stats)) << label;
-      *out = std::move(vec_result).value();
-    };
-    for (const std::string& sql : selects) {
-      auto query = ParseSelectQuery(sql);
-      ASSERT_TRUE(query.ok()) << sql << ": " << query.status();
-      ResultSet result;
-      ASSERT_NO_FATAL_FAILURE(check(*query, sql, &result));
-      EXPECT_TRUE(testing_util::SameRows(
-          result.rows(), testing_util::ReferenceEvaluate(db, *query)))
-          << sql;
-    }
-    // An MQ-shaped compound whose parts share the sparse-key core and add
-    // residues on the other codings (the shared-core seeded runs).
-    CompoundQuery compound;
-    const char* parts[] = {
-        "select distinct I.id from ITEM I, LINK L where I.id=L.item and "
-        "I.tag='a'",
-        "select distinct I.id from ITEM I, LINK L where I.id=L.item and "
-        "L.ref=2",
-        "select distinct I.id from ITEM I, LINK L, ITEM J where "
-        "I.id=L.item and L.slot=J.slot and J.tag='b'",
-        "select distinct I.id from ITEM I, LINK L where I.id=L.item and "
-        "L.tag=I.tag",
-    };
-    double degree = 0.9;
-    for (const char* sql : parts) {
-      auto part = ParseSelectQuery(sql);
-      ASSERT_TRUE(part.ok()) << sql << ": " << part.status();
-      compound.AddPart(std::move(part).value(), degree);
-      degree -= 0.1;
-    }
-    compound.set_having(HavingClause::CountAtLeast(1));
-    compound.set_order_by_degree(true);
-    ResultSet ranked;
-    ASSERT_NO_FATAL_FAILURE(check(compound, "compound", &ranked));
-    EXPECT_GT(ranked.num_rows(), 0u);
-
-    // An MQ-shaped compound grouped on two coded columns, the
-    // NULL-bearing int and the double: shared-core parts (a near part
-    // among them) and one part selective enough to run from scratch
-    // (I.tag='c' holds one row against a core entry of eight).
-    const char* grouped_parts[] = {
-        "select distinct I.ref, I.score from ITEM I, LINK L where "
-        "I.id=L.item and L.note='x'",
-        "select distinct I.ref, I.score from ITEM I, LINK L where "
-        "I.id=L.item and I.tag='a'",
-        "select distinct I.ref, I.score from ITEM I, LINK L, ITEM J where "
-        "I.id=L.item and L.slot=J.slot and J.tag='b'",
-        "select distinct I.ref, I.score from ITEM I, LINK L where "
-        "I.id=L.item and near(I.slot, 12, 3)",
-        "select distinct I.ref, I.score from ITEM I, LINK L where "
-        "I.id=L.item and I.tag='c'",
-    };
-    auto grouped = [&](HavingClause having, bool with_exclusion) {
-      CompoundQuery q;
-      double d = 0.9;
-      for (const char* sql : grouped_parts) {
-        auto part = ParseSelectQuery(sql);
-        EXPECT_TRUE(part.ok()) << sql << ": " << part.status();
-        q.AddPart(std::move(part).value(), d);
-        d -= 0.15;
-      }
-      if (with_exclusion) {
-        auto exclusion = ParseSelectQuery(
-            "select I.ref, I.score from ITEM I where I.tag='b'");
-        EXPECT_TRUE(exclusion.ok()) << exclusion.status();
-        q.AddExclusion(std::move(exclusion).value());
-      }
-      q.set_having(having);
-      q.set_order_by_degree(true);
-      return q;
-    };
-    ResultSet at_least_two;
-    ASSERT_NO_FATAL_FAILURE(check(grouped(HavingClause::CountAtLeast(2), false),
-                                  "grouped count >= 2", &at_least_two));
-    EXPECT_GT(at_least_two.num_rows(), 0u);
-    ResultSet none;
-    ASSERT_NO_FATAL_FAILURE(check(grouped(HavingClause::CountAtLeast(6), false),
-                                  "grouped count >= 6", &none));
-    EXPECT_EQ(none.num_rows(), 0u);
-    ResultSet all;
-    ASSERT_NO_FATAL_FAILURE(check(grouped(HavingClause::CountAtLeast(1), false),
-                                  "grouped", &all));
-    ResultSet excepted;
-    ASSERT_NO_FATAL_FAILURE(check(grouped(HavingClause::CountAtLeast(1), true),
-                                  "grouped except", &excepted));
-    EXPECT_LT(excepted.num_rows(), all.num_rows());
+  // Checks one query against the oracle and hands back the answer.
+  auto check = [&](const auto& query, const std::string& label,
+                   ResultSet* out) {
+    Executor executor(&db);
+    auto result = executor.Execute(query);
+    ASSERT_TRUE(result.ok()) << label << ": " << result.status();
+    EXPECT_EQ(testing_util::ExactString(*result),
+              testing_util::ExactString(
+                  testing_util::ReferenceExecute(db, query)))
+        << label;
+    *out = std::move(result).value();
+  };
+  for (const std::string& sql : selects) {
+    auto query = ParseSelectQuery(sql);
+    ASSERT_TRUE(query.ok()) << sql << ": " << query.status();
+    ResultSet result;
+    ASSERT_NO_FATAL_FAILURE(check(*query, sql, &result));
   }
+  // An MQ-shaped compound whose parts share the sparse-key core and add
+  // residues on the other codings (the shared-core seeded runs).
+  CompoundQuery compound;
+  const char* parts[] = {
+      "select distinct I.id from ITEM I, LINK L where I.id=L.item and "
+      "I.tag='a'",
+      "select distinct I.id from ITEM I, LINK L where I.id=L.item and "
+      "L.ref=2",
+      "select distinct I.id from ITEM I, LINK L, ITEM J where "
+      "I.id=L.item and L.slot=J.slot and J.tag='b'",
+      "select distinct I.id from ITEM I, LINK L where I.id=L.item and "
+      "L.tag=I.tag",
+  };
+  double degree = 0.9;
+  for (const char* sql : parts) {
+    auto part = ParseSelectQuery(sql);
+    ASSERT_TRUE(part.ok()) << sql << ": " << part.status();
+    compound.AddPart(std::move(part).value(), degree);
+    degree -= 0.1;
+  }
+  compound.set_having(HavingClause::CountAtLeast(1));
+  compound.set_order_by_degree(true);
+  ResultSet ranked;
+  ASSERT_NO_FATAL_FAILURE(check(compound, "compound", &ranked));
+  EXPECT_GT(ranked.num_rows(), 0u);
+
+  // An MQ-shaped compound grouped on two coded columns, the
+  // NULL-bearing int and the double: shared-core parts (a near part
+  // among them) and one part selective enough to run from scratch
+  // (I.tag='c' holds one row against a core entry of eight).
+  const char* grouped_parts[] = {
+      "select distinct I.ref, I.score from ITEM I, LINK L where "
+      "I.id=L.item and L.note='x'",
+      "select distinct I.ref, I.score from ITEM I, LINK L where "
+      "I.id=L.item and I.tag='a'",
+      "select distinct I.ref, I.score from ITEM I, LINK L, ITEM J where "
+      "I.id=L.item and L.slot=J.slot and J.tag='b'",
+      "select distinct I.ref, I.score from ITEM I, LINK L where "
+      "I.id=L.item and near(I.slot, 12, 3)",
+      "select distinct I.ref, I.score from ITEM I, LINK L where "
+      "I.id=L.item and I.tag='c'",
+  };
+  auto grouped = [&](HavingClause having, bool with_exclusion) {
+    CompoundQuery q;
+    double d = 0.9;
+    for (const char* sql : grouped_parts) {
+      auto part = ParseSelectQuery(sql);
+      EXPECT_TRUE(part.ok()) << sql << ": " << part.status();
+      q.AddPart(std::move(part).value(), d);
+      d -= 0.15;
+    }
+    if (with_exclusion) {
+      auto exclusion = ParseSelectQuery(
+          "select I.ref, I.score from ITEM I where I.tag='b'");
+      EXPECT_TRUE(exclusion.ok()) << exclusion.status();
+      q.AddExclusion(std::move(exclusion).value());
+    }
+    q.set_having(having);
+    q.set_order_by_degree(true);
+    return q;
+  };
+  ResultSet at_least_two;
+  ASSERT_NO_FATAL_FAILURE(check(grouped(HavingClause::CountAtLeast(2), false),
+                                "grouped count >= 2", &at_least_two));
+  EXPECT_GT(at_least_two.num_rows(), 0u);
+  ResultSet none;
+  ASSERT_NO_FATAL_FAILURE(check(grouped(HavingClause::CountAtLeast(6), false),
+                                "grouped count >= 6", &none));
+  EXPECT_EQ(none.num_rows(), 0u);
+  ResultSet all;
+  ASSERT_NO_FATAL_FAILURE(check(grouped(HavingClause::CountAtLeast(1), false),
+                                "grouped", &all));
+  ResultSet excepted;
+  ASSERT_NO_FATAL_FAILURE(check(grouped(HavingClause::CountAtLeast(1), true),
+                                "grouped except", &excepted));
+  EXPECT_LT(excepted.num_rows(), all.num_rows());
 }
 
 }  // namespace

@@ -10,9 +10,8 @@
 namespace qp {
 namespace {
 
-using testing_util::ReferenceEvaluate;
-using testing_util::RowsToString;
-using testing_util::SameRows;
+using testing_util::ExactString;
+using testing_util::ReferenceExecute;
 
 class ExecutorTest : public ::testing::Test {
  protected:
@@ -161,16 +160,14 @@ TEST_F(ExecutorTest, StatsPopulated) {
 }
 
 TEST_F(ExecutorTest, NestedLoopAgreesWithHashJoin) {
+  // The oracle joins by nested loops over every row; the executor probes
+  // the key indexes.
   auto q = ParseSelectQuery(
       "select distinct MV.title from MOVIE MV, CAST CA, ACTOR AC where "
       "MV.mid=CA.mid and CA.aid=AC.aid and AC.name='N. Kidman'");
   auto hash = executor_->Execute(*q);
   ASSERT_TRUE(hash.ok());
-  Executor nested(db_.get());
-  nested.set_join_strategy(JoinStrategy::kNestedLoop);
-  auto loop = nested.Execute(*q);
-  ASSERT_TRUE(loop.ok());
-  EXPECT_TRUE(SameRows(hash->rows(), loop->rows()));
+  EXPECT_EQ(ExactString(*hash), ExactString(ReferenceExecute(*db_, *q)));
 }
 
 TEST_F(ExecutorTest, AgainstReferenceOnHandQueries) {
@@ -191,16 +188,13 @@ TEST_F(ExecutorTest, AgainstReferenceOnHandQueries) {
     ASSERT_TRUE(q.ok()) << sql;
     auto got = executor_->Execute(*q);
     ASSERT_TRUE(got.ok()) << got.status() << "\n" << sql;
-    std::vector<Row> expected = ReferenceEvaluate(*db_, *q);
-    EXPECT_TRUE(SameRows(got->rows(), expected))
-        << sql << "\ngot:\n"
-        << RowsToString(got->rows()) << "expected:\n"
-        << RowsToString(expected);
+    EXPECT_EQ(ExactString(*got), ExactString(ReferenceExecute(*db_, *q)))
+        << sql;
   }
 }
 
-// Property: executor output equals the cross-product reference evaluation
-// on random workload queries over a small generated database.
+// Property: executor output equals the brute-force oracle's on random
+// workload queries over a small generated database.
 class ExecutorPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ExecutorPropertyTest, MatchesReferenceOnRandomQueries) {
@@ -222,11 +216,8 @@ TEST_P(ExecutorPropertyTest, MatchesReferenceOnRandomQueries) {
     ASSERT_TRUE(query.ok()) << query.status();
     auto got = executor.Execute(*query);
     ASSERT_TRUE(got.ok()) << got.status();
-    std::vector<Row> expected = ReferenceEvaluate(*db, *query);
-    EXPECT_TRUE(SameRows(got->rows(), expected))
-        << "seed=" << GetParam() << " query " << i << "\ngot:\n"
-        << RowsToString(got->rows()) << "expected:\n"
-        << RowsToString(expected);
+    EXPECT_EQ(ExactString(*got), ExactString(ReferenceExecute(*db, *query)))
+        << "seed=" << GetParam() << " query " << i;
   }
 }
 

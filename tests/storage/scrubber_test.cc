@@ -256,9 +256,14 @@ TEST_F(ScrubberTest, BackgroundScrubberFindsDamageOnItsOwn) {
   // Its interval waits consult the injected clock, so the test advances
   // fake time instead of sleeping; the yield gives the scrub thread a
   // chance to run between advances (ctest's timeout is the backstop).
+  // A pass counts its repairs before it counts itself and the
+  // corruptions it found, so wait until the whole pass is counted.
   for (;;) {
     StorageStats stats = store->storage_stats();
-    if (stats.repairs > 0 && stats.quarantined_profiles == 0) break;
+    if (stats.repairs > 0 && stats.scrubs > 0 &&
+        stats.scrub_corruptions > 0 && stats.quarantined_profiles == 0) {
+      break;
+    }
     clock.Advance(std::chrono::milliseconds(5));
     std::this_thread::yield();
   }
