@@ -144,21 +144,19 @@ void BatchHashTable::Probe(const BatchTable& probe, size_t row,
   }
 }
 
-void CodedRows::Append(const uint32_t* codes, const RowId* ids) {
+void CodedRows::Append(const uint32_t* codes) {
   codes_.insert(codes_.end(), codes, codes + arity_);
-  ids_.insert(ids_.end(), ids, ids + arity_);
   ++size_;
 }
 
-std::pair<uint32_t, bool> CodedRows::Insert(const uint32_t* codes,
-                                            const RowId* ids) {
+std::pair<uint32_t, bool> CodedRows::Insert(const uint32_t* codes) {
   if (2 * (size_ + 1) > slots_.size()) Grow();
   const size_t mask = slots_.size() - 1;
   for (size_t s = Hash(codes) & mask;; s = (s + 1) & mask) {
     const uint32_t entry = slots_[s];
     if (entry == 0) {
       slots_[s] = static_cast<uint32_t>(size_ + 1);
-      Append(codes, ids);
+      Append(codes);
       return {static_cast<uint32_t>(size_ - 1), true};
     }
     if (std::equal(codes, codes + arity_, this->codes(entry - 1))) {

@@ -14,7 +14,8 @@ namespace qp {
 /// One slot's column of a BatchTable: the row ids, into the slot's base
 /// table, of the rows bound to that slot. Cells are never copied into a
 /// batch: output rows are identified by the key codes their ids read
-/// (CodedRows), and Values are built only for the rows of the answer.
+/// (CodedRows), and Values are decoded from those codes only for the rows
+/// of the answer.
 class BatchColumn {
  public:
   BatchColumn() = default;
@@ -128,8 +129,8 @@ class BatchHashTable {
 /// Projected rows in coded form. A row is a tuple of `arity` key codes,
 /// one per output column, each the code its cell has in that column's
 /// KeyIndex; two rows of the same output columns are equal exactly when
-/// their cells are ==. Each row also keeps the row ids its cells were read
-/// from, so its Values can be built later (late materialization).
+/// their cells are ==, and KeyIndex::Decode turns each code back into its
+/// cell (late materialization).
 ///
 /// A bag only Appends. A set only Inserts: a row equal to a present one
 /// is not added, and the present row (its first occurrence) stays.
@@ -141,13 +142,12 @@ class CodedRows {
   const uint32_t* codes(size_t row) const {
     return codes_.data() + row * arity_;
   }
-  const RowId* ids(size_t row) const { return ids_.data() + row * arity_; }
 
-  /// Adds the row (`arity` codes and ids), duplicates included.
-  void Append(const uint32_t* codes, const RowId* ids);
-  /// The index of the row equal to `codes`, adding it (with `ids`) when
-  /// none is; `second` is true when the row was added.
-  std::pair<uint32_t, bool> Insert(const uint32_t* codes, const RowId* ids);
+  /// Adds the row (`arity` codes), duplicates included.
+  void Append(const uint32_t* codes);
+  /// The index of the row equal to `codes`, adding it when none is;
+  /// `second` is true when the row was added.
+  std::pair<uint32_t, bool> Insert(const uint32_t* codes);
 
  private:
   uint64_t Hash(const uint32_t* codes) const;
@@ -157,7 +157,6 @@ class CodedRows {
   size_t arity_;
   size_t size_ = 0;
   std::vector<uint32_t> codes_;
-  std::vector<RowId> ids_;
   /// Insert's open-addressing index: row + 1 per used slot, 0 for a free
   /// one. Its size is a power of two, at least twice the row count.
   std::vector<uint32_t> slots_;

@@ -112,8 +112,15 @@ Result<BuiltConjunct> BuildConjunct(const Database& db,
 /// now bound. Join steps emit (source row, matched id) index pairs and
 /// gather the surviving columns in one pass; slots whose column no later
 /// join or projection needs are dropped after each step, so wide
-/// conjuncts narrow as they go. ExecutorStats::bindings counts the rows
-/// each step produces (materialization, cross product, probe output).
+/// conjuncts narrow as they go.
+///
+/// A run with set semantics (its caller keeps only distinct rows of the
+/// needed slots) semi-joins its existential slots: those not needed and
+/// touched by no join atom but the one they are probed through. Such a
+/// slot only asserts that a matching row exists, so its join step keeps
+/// each batch row once if some target row passes, and binds no column.
+/// ExecutorStats::bindings counts the rows each step produces
+/// (materialization, cross product, probe output, rows a semi step keeps).
 class BatchRunner {
  public:
   BatchRunner(ExecutorStats* stats, const CancelToken* cancel)
@@ -127,13 +134,16 @@ class BatchRunner {
 
   /// Fresh run. `needed[i]` marks slots whose column must survive to the
   /// end (projections, near conditions, dedup keys); the rest may be
-  /// dropped once every join touching them has been applied.
+  /// dropped once every join touching them has been applied. `distinct`
+  /// gives the run set semantics: only which distinct needed-slot tuples
+  /// it yields matters, not how often each comes.
   BatchTable Run(std::vector<VarSlot> slots, std::vector<ResolvedJoin> joins,
-                 std::vector<bool> needed) {
+                 std::vector<bool> needed, bool distinct) {
     const size_t width = slots.size();
     slots_ = std::move(slots);
     joins_ = std::move(joins);
     needed_ = std::move(needed);
+    MarkExistential(distinct);
     bound_.assign(width, false);
     batch_ = BatchTable(width);
 
@@ -152,14 +162,17 @@ class BatchRunner {
   }
 
   /// Seeded run over an initial batch whose `bound` slots carry core
-  /// bindings (the shared-core optimization).
+  /// bindings (the shared-core optimization). A bound slot may have no
+  /// column when the seeded run never reads it.
   BatchTable RunSeeded(std::vector<VarSlot> slots,
                        std::vector<ResolvedJoin> joins, BatchTable initial,
-                       std::vector<bool> bound, std::vector<bool> needed) {
+                       std::vector<bool> bound, std::vector<bool> needed,
+                       bool distinct) {
     const size_t width = slots.size();
     slots_ = std::move(slots);
     joins_ = std::move(joins);
     needed_ = std::move(needed);
+    MarkExistential(distinct);
     bound_ = std::move(bound);
     batch_ = std::move(initial);
 
@@ -223,11 +236,28 @@ class BatchRunner {
     }
   }
 
+  /// Under set semantics, marks the slots that are not needed and touch
+  /// exactly one join atom (a self-join atom counts twice).
+  void MarkExistential(bool distinct) {
+    existential_.assign(slots_.size(), false);
+    if (!distinct) return;
+    std::vector<size_t> atoms(slots_.size(), 0);
+    for (const ResolvedJoin& join : joins_) {
+      ++atoms[join.va];
+      ++atoms[join.vb];
+    }
+    for (size_t i = 0; i < slots_.size(); ++i) {
+      existential_[i] = !needed_[i] && atoms[i] == 1;
+    }
+  }
+
   /// Whether row `id` of slot `i` passes the slot's selections (compared
-  /// on codes) and near conditions (which read the cell).
-  bool RowPasses(size_t i, RowId id) const {
+  /// on codes; `skip`, one the caller knows the row passes, is not) and
+  /// near conditions (which read the cell).
+  bool RowPasses(size_t i, RowId id,
+                 const CodedSelection* skip = nullptr) const {
     for (const CodedSelection& sel : coded_[i]) {
-      if (sel.codes[id] != sel.code) return false;
+      if (&sel != skip && sel.codes[id] != sel.code) return false;
     }
     const VarSlot& slot = slots_[i];
     for (const auto& [col, near] : slot.nears) {
@@ -311,14 +341,19 @@ class BatchRunner {
     const std::vector<CodedSelection>& selections = coded_[i];
     std::vector<RowId> out;
     if (!selections.empty()) {
-      // Walk the most selective selection's rows, re-check the rest.
+      // Walk the most selective selection's rows, which all hold its
+      // code, and check the rest.
       const CodedSelection* best = &selections[0];
       for (const CodedSelection& sel : selections) {
         if (sel.rows.size() < best->rows.size()) best = &sel;
       }
-      for (RowId id : best->rows) {
-        if (PollCancelStrided()) break;
-        if (RowPasses(i, id)) out.push_back(id);
+      if (selections.size() == 1 && slots_[i].nears.empty()) {
+        out.assign(best->rows.begin(), best->rows.end());
+      } else {
+        for (RowId id : best->rows) {
+          if (PollCancelStrided()) break;
+          if (RowPasses(i, id, best)) out.push_back(id);
+        }
       }
     } else {
       for (RowId id = 0; id < slots_[i].table->num_rows(); ++id) {
@@ -352,7 +387,7 @@ class BatchRunner {
 
   /// Probes `target` through the first join atom connecting it to a bound
   /// slot (the rest are checked by ApplyNewlyBoundJoins), gathering the
-  /// surviving rows column-wise.
+  /// surviving rows column-wise; into an existential slot, a semi-join.
   void JoinStep(size_t target) {
     ResolvedJoin* probe = nullptr;
     for (ResolvedJoin& join : joins_) {
@@ -374,32 +409,50 @@ class BatchRunner {
     const Table* source_table = slots_[source].table;
     const std::vector<RowId>& src = batch_.column(source).row_ids();
     const size_t n = batch_.num_rows();
-    std::vector<uint32_t> base;
-    std::vector<RowId> matched;
-    auto emit = [&](size_t b, RowId id) {
-      if (!RowPasses(target, id)) return;
-      base.push_back(static_cast<uint32_t>(b));
-      matched.push_back(id);
-    };
     const KeyIndex& from = source_table->Keys(source_col);
     const KeyIndex& to = target_table->Keys(target_col);
     // Both keys code as value - min: a source row's target code is its
     // own code plus a constant, and no cell is read or hashed.
     const bool by_offset = from.arithmetic() && to.arithmetic();
     const uint64_t offset = KeyIndex::Offset(from, to);
-    for (size_t b = 0; b < n; ++b) {
-      if (PollCancelStrided()) break;
-      std::span<const RowId> rows;
-      if (by_offset) {
-        const uint64_t code = from.codes()[src[b]] + offset;
-        if (code < to.num_codes()) {
-          rows = to.postings(static_cast<uint32_t>(code));
-        }
-      } else {
-        rows = target_table->Lookup(target_col,
+    // The target rows whose key equals batch row b's source key.
+    auto matches = [&](size_t b) -> std::span<const RowId> {
+      if (!by_offset) {
+        return target_table->Lookup(target_col,
                                     source_table->At(src[b], source_col));
       }
-      for (RowId id : rows) emit(b, id);
+      const uint64_t code = from.codes()[src[b]] + offset;
+      if (code >= to.num_codes()) return {};
+      return to.postings(static_cast<uint32_t>(code));
+    };
+    if (existential_[target]) {
+      // Keep row b once if some match passes the slot's selections;
+      // without selections (it has no near condition), any match does.
+      const bool unselected =
+          coded_[target].empty() && slots_[target].nears.empty();
+      std::vector<uint8_t> keep(n, 0);
+      for (size_t b = 0; b < n; ++b) {
+        if (PollCancelStrided()) break;
+        std::span<const RowId> rows = matches(b);
+        keep[b] = unselected ? !rows.empty()
+                             : std::any_of(rows.begin(), rows.end(),
+                                           [&](RowId id) {
+                                             return RowPasses(target, id);
+                                           });
+      }
+      batch_.FilterRows(keep);
+      if (stats_ != nullptr) stats_->bindings += batch_.num_rows();
+      return;
+    }
+    std::vector<uint32_t> base;
+    std::vector<RowId> matched;
+    for (size_t b = 0; b < n; ++b) {
+      if (PollCancelStrided()) break;
+      for (RowId id : matches(b)) {
+        if (!RowPasses(target, id)) continue;
+        base.push_back(static_cast<uint32_t>(b));
+        matched.push_back(id);
+      }
     }
     batch_ = batch_.GatherRows(base);
     batch_.SetColumn(target, BatchColumn::RowIds(std::move(matched)));
@@ -451,6 +504,7 @@ class BatchRunner {
   std::vector<ResolvedJoin> joins_;
   std::vector<bool> bound_;
   std::vector<bool> needed_;
+  std::vector<bool> existential_;
   /// Per slot, set by Resolve().
   std::vector<std::vector<CodedSelection>> coded_;
   std::vector<size_t> estimates_;
@@ -511,7 +565,7 @@ std::vector<bool> NeededSlots(const std::vector<VarSlot>& slots,
 
 /// Adds every row of `batch`, projected onto `projections` in coded form,
 /// to `rows`: inserted when `distinct` (a row equal to one already there
-/// keeps that row's ids and the better satisfaction), appended otherwise.
+/// keeps the better satisfaction), appended otherwise.
 /// `batch_sats` holds each batch row's near-condition satisfaction, or is
 /// empty when the query has none; `sats` then stays as it is.
 void AddCodedRows(const std::vector<VarSlot>& slots,
@@ -532,19 +586,17 @@ void AddCodedRows(const std::vector<VarSlot>& slots,
             .codes()
             .data();
   }
-  std::vector<RowId> ids(arity);
   std::vector<uint32_t> codes(arity);
   for (size_t r = 0; r < batch.num_rows(); ++r) {
     for (size_t j = 0; j < arity; ++j) {
-      ids[j] = column_ids[j][r];
-      codes[j] = column_codes[j][ids[j]];
+      codes[j] = column_codes[j][column_ids[j][r]];
     }
     if (!distinct) {
-      rows->Append(codes.data(), ids.data());
+      rows->Append(codes.data());
       if (!batch_sats.empty()) sats->push_back(batch_sats[r]);
       continue;
     }
-    const auto [row, added] = rows->Insert(codes.data(), ids.data());
+    const auto [row, added] = rows->Insert(codes.data());
     if (batch_sats.empty()) continue;
     if (added) {
       sats->push_back(batch_sats[r]);
@@ -554,24 +606,25 @@ void AddCodedRows(const std::vector<VarSlot>& slots,
   }
 }
 
-/// The table and column each output column of `query` reads.
-std::vector<std::pair<const Table*, size_t>> OutputColumns(
-    const Database& db, const SelectQuery& query) {
-  std::vector<std::pair<const Table*, size_t>> columns;
+/// The key index of each output column of `query`.
+std::vector<const KeyIndex*> OutputKeys(const Database& db,
+                                        const SelectQuery& query) {
+  std::vector<const KeyIndex*> keys;
   for (const auto& item : query.projections()) {
     const Table* table = *db.GetTable(query.FindVariable(item.var)->table);
-    columns.emplace_back(table, *table->schema().ColumnIndex(item.column));
+    keys.push_back(&table->Keys(*table->schema().ColumnIndex(item.column)));
   }
-  return columns;
+  return keys;
 }
 
-/// Late materialization: the Values of one coded row.
-Row Materialize(const std::vector<std::pair<const Table*, size_t>>& columns,
-                const RowId* ids) {
+/// Late materialization: the Values of one coded row, decoded from its
+/// codes.
+Row Materialize(const std::vector<const KeyIndex*>& keys,
+                const uint32_t* codes) {
   Row row;
-  row.reserve(columns.size());
-  for (size_t j = 0; j < columns.size(); ++j) {
-    row.push_back(columns[j].first->At(ids[j], columns[j].second));
+  row.reserve(keys.size());
+  for (size_t j = 0; j < keys.size(); ++j) {
+    row.push_back(keys[j]->Decode(codes[j]));
   }
   return row;
 }
@@ -826,9 +879,9 @@ Result<ResultSet> Executor::ExecuteSelectVec(const SelectQuery& query,
   QP_RETURN_IF_ERROR(RunSelectVec(query, stats, &rows, &sats, &truncated));
 
   ResultSet out(ColumnNames(query.projections()));
-  const auto columns = OutputColumns(*db_, query);
+  const auto keys = OutputKeys(*db_, query);
   for (size_t i = 0; i < rows.size(); ++i) {
-    out.AddRow(Materialize(columns, rows.ids(i)));
+    out.AddRow(Materialize(keys, rows.codes(i)));
   }
   out.set_satisfactions(std::move(sats));
   out.set_truncated(truncated);
@@ -866,7 +919,8 @@ Status Executor::RunSelectVec(const SelectQuery& query, ExecutorStats* stats,
     BatchRunner runner(stats, cancel_);
     BatchTable batch =
         runner.Run(built.slots, std::move(built.joins),
-                   NeededSlots(built.slots, query.projections(), need_all));
+                   NeededSlots(built.slots, query.projections(), need_all),
+                   query.distinct());
     if (runner.stopped()) *truncated = true;
     disjunct_span.Counter("rows", batch.num_rows());
     disjunct_span.Counter("stopped", runner.stopped() ? 1 : 0);
@@ -968,7 +1022,7 @@ Result<ResultSet> Executor::ExecuteCompoundVec(const CompoundQuery& query,
 
   // GROUP BY on codes: Validate makes every part project the same table
   // column at each position, so one code tuple names one group across
-  // parts. A group's ids are those of its first occurrence.
+  // parts.
   const SelectQuery& first = query.parts()[0].query;
   const size_t arity = first.projections().size();
   CodedRows groups(arity);
@@ -978,7 +1032,7 @@ Result<ResultSet> Executor::ExecuteCompoundVec(const CompoundQuery& query,
   auto accumulate = [&](const CodedRows& rows, const std::vector<double>& sats,
                         double part_degree) {
     for (size_t i = 0; i < rows.size(); ++i) {
-      const auto [group, added] = groups.Insert(rows.codes(i), rows.ids(i));
+      const auto [group, added] = groups.Insert(rows.codes(i));
       if (added) aggregates.emplace_back();
       Accumulate(&aggregates[group],
                  part_degree * (sats.empty() ? 1.0 : sats[i]));
@@ -1008,6 +1062,26 @@ Result<ResultSet> Executor::ExecuteCompoundVec(const CompoundQuery& query,
           std::min(core_entry_estimate, EstimateSlot(slot));
     }
     const size_t core_n = plan->core_vars.size();
+    // A core column is needed when some part projects it, its slot carries
+    // a near condition or some residue atom references it. Every part is
+    // DISTINCT, so the core runs with set semantics: any other core slot
+    // is dropped once joined, or semi-joined when existential.
+    std::vector<bool> core_needed(core_n, false);
+    auto need = [&](const std::string& alias) {
+      auto it = core.slot_index.find(alias);
+      if (it != core.slot_index.end()) core_needed[it->second] = true;
+    };
+    for (size_t i = 0; i < core_n; ++i) {
+      if (!core.slots[i].nears.empty()) core_needed[i] = true;
+    }
+    for (size_t p = 0; p < query.parts().size(); ++p) {
+      for (const auto& item : query.parts()[p].query.projections()) {
+        need(item.var);
+      }
+      for (const AtomicCondition& atom : plan->parts[p].extra_atoms) {
+        for (const std::string& alias : atom.ReferencedVars()) need(alias);
+      }
+    }
     bool core_materialized = false;
     BatchTable core_batch(core_n);
     auto materialize_core = [&]() {
@@ -1016,10 +1090,8 @@ Result<ResultSet> Executor::ExecuteCompoundVec(const CompoundQuery& query,
       if (core_table_empty) return;
       if (stats != nullptr) ++stats->disjuncts;
       BatchRunner runner(stats, cancel_);
-      // Every core column is needed: parts project them and residues
-      // join through them.
-      core_batch = runner.Run(core.slots, std::move(core.joins),
-                              std::vector<bool>(core_n, true));
+      core_batch = runner.Run(core.slots, std::move(core.joins), core_needed,
+                              /*distinct=*/true);
       if (runner.stopped()) truncated = true;
     };
 
@@ -1097,18 +1169,22 @@ Result<ResultSet> Executor::ExecuteCompoundVec(const CompoundQuery& query,
         BatchTable seeded(vars.size());
         for (size_t i = 0; i < core_n; ++i) {
           bound[i] = true;
-          // Copies the core column; an unmaterialized (empty) core simply
-          // installs empty columns.
-          seeded.SetColumn(i, core_batch.column(i));
+          // Copies the core's live columns; the residue reads no other.
+          if (core_batch.has_column(i)) {
+            seeded.SetColumn(i, core_batch.column(i));
+          }
+        }
+        if (seeded.live_columns() == 0) {
+          seeded.SetNumRowsColumnless(core_batch.num_rows());
         }
         // The residue is one conjunctive block: count it like the naive
         // path (which runs the part's SELECT) does, so per-part disjunct
         // attribution is strategy-independent.
         if (stats != nullptr) ++stats->disjuncts;
         BatchRunner runner(stats, cancel_);
-        part_batch =
-            runner.RunSeeded(built.slots, std::move(built.joins),
-                             std::move(seeded), std::move(bound), needed);
+        part_batch = runner.RunSeeded(built.slots, std::move(built.joins),
+                                      std::move(seeded), std::move(bound),
+                                      needed, /*distinct=*/true);
         if (runner.stopped()) truncated = true;
       } else {
         // Anchor core variables: the ones the residue's atoms touch.
@@ -1141,7 +1217,8 @@ Result<ResultSet> Executor::ExecuteCompoundVec(const CompoundQuery& query,
         BatchRunner runner(stats, cancel_);
         BatchTable residue_batch =
             runner.Run(residue_built.slots, std::move(residue_built.joins),
-                       std::vector<bool>(residue_vars.size(), true));
+                       std::vector<bool>(residue_vars.size(), true),
+                       /*distinct=*/false);
         if (runner.stopped()) truncated = true;
 
         // Vectorized merge: hash-build over the residue's anchor columns,
@@ -1162,7 +1239,9 @@ Result<ResultSet> Executor::ExecuteCompoundVec(const CompoundQuery& query,
           }
         }
         for (size_t i = 0; i < core_n; ++i) {
-          part_batch.SetColumn(i, core_batch.column(i).Gather(core_idx));
+          if (core_batch.has_column(i)) {
+            part_batch.SetColumn(i, core_batch.column(i).Gather(core_idx));
+          }
         }
         for (size_t e = 0; e < residue.extra_vars.size(); ++e) {
           part_batch.SetColumn(
@@ -1212,11 +1291,11 @@ Result<ResultSet> Executor::ExecuteCompoundVec(const CompoundQuery& query,
   // HAVING runs on the group aggregates; Values are built only for the
   // groups that pass it, and the vetoes compare those.
   ResultSet out(ColumnNames(first.projections()));
-  const auto columns = OutputColumns(*db_, first);
+  const auto keys = OutputKeys(*db_, first);
   for (size_t g = 0; g < groups.size(); ++g) {
     double combined = 0.0;
     if (!PassesHaving(query, aggregates[g], &combined)) continue;
-    Row row = Materialize(columns, groups.ids(g));
+    Row row = Materialize(keys, groups.codes(g));
     if (vetoed.contains(row)) continue;
     out.AddRankedRow(std::move(row), aggregates[g].count, combined);
   }

@@ -30,9 +30,12 @@ struct ExecutorStats {
   /// attribution consistent across the naive / drive / merge strategies.
   size_t disjuncts = 0;
   /// Variable bindings produced across all join steps, including
-  /// intermediate ones — a proxy for work done.
+  /// intermediate ones — a proxy for work done. A semi step (a join into
+  /// an existential tuple variable under set semantics) counts the rows
+  /// it keeps, one per row that has a match.
   size_t bindings = 0;
-  /// Rows emitted before duplicate elimination.
+  /// Rows emitted before duplicate elimination. Under set semantics a
+  /// semi step has kept each row once, not once per match.
   size_t raw_rows = 0;
   /// Partial queries served from a shared materialized core instead of a
   /// from-scratch execution (the MQ shared-core optimization).
@@ -55,9 +58,15 @@ struct ExecutorStats {
 /// codes. A projected row is identified by the key codes of its output
 /// columns (Table::Keys), not by its Values: SELECT DISTINCT, each part's
 /// DISTINCT and the compound's GROUP BY run on those code tuples, HAVING
-/// on the group aggregates, and Values are built once per row of the
-/// answer (for a compound, per group that passes HAVING, before the
-/// EXCEPT vetoes).
+/// on the group aggregates, and Values are decoded from the codes
+/// (KeyIndex::Decode) once per row of the answer (for a compound, per
+/// group that passes HAVING, before the EXCEPT vetoes).
+/// Runs with set semantics (a DISTINCT SELECT's conjuncts, a compound's
+/// shared core and drive residues) semi-join their existential tuple
+/// variables: one neither projected nor under a near condition, and
+/// joined through a single atom, only has to have a matching row, so its
+/// join keeps each row once instead of once per match. Bag SELECTs and
+/// the binding-level OR dedup keep the expanding join.
 /// MQ compounds whose parts share a common conjunctive block (they always
 /// do when built by PreferenceIntegrator: the original query is repeated
 /// in every part) are executed with the *shared-core* optimization: the

@@ -32,13 +32,21 @@ void KeyIndex::Build(const std::vector<Row>& rows, size_t column) {
     }
     offsets_.assign(diff + 2, 0);
   } else {
+    cells_ = std::make_unique<std::vector<Value>>();
+    dictionary_ = decltype(dictionary_)(0, CodeCellHash{cells_.get()},
+                                        CodeCellEq{cells_.get()});
     for (size_t r = 0; r < n; ++r) {
-      codes_[r] = dictionary_
-                      .try_emplace(rows[r][column],
-                                   static_cast<uint32_t>(dictionary_.size()))
-                      .first->second;
+      const Value& cell = rows[r][column];
+      auto it = dictionary_.find(cell);
+      if (it != dictionary_.end()) {
+        codes_[r] = *it;
+        continue;
+      }
+      codes_[r] = static_cast<uint32_t>(cells_->size());
+      cells_->push_back(cell);
+      dictionary_.insert(codes_[r]);
     }
-    offsets_.assign(dictionary_.size() + 1, 0);
+    offsets_.assign(cells_->size() + 1, 0);
   }
   FillPostings();
   built_ = true;
@@ -63,7 +71,7 @@ void KeyIndex::FillPostings() {
 uint32_t KeyIndex::Find(const Value& value) const {
   if (!arithmetic_) {
     auto it = dictionary_.find(value);
-    return it == dictionary_.end() ? kNoCode : it->second;
+    return it == dictionary_.end() ? kNoCode : *it;
   }
   int64_t v = 0;
   if (value.type() == DataType::kInt64) {

@@ -3,8 +3,9 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "qp/relational/schema.h"
@@ -19,6 +20,27 @@ using Row = std::vector<Value>;
 /// Row identifier within a table (dense, 0-based).
 using RowId = uint32_t;
 
+/// Hash and equality of KeyIndex's dictionary, a set of codes: a code
+/// stands for the cell stored at it in `cells`, and a Value probes with
+/// Value::Hash and Value::operator==.
+struct CodeCellHash {
+  using is_transparent = void;
+  size_t operator()(uint32_t code) const { return (*cells)[code].Hash(); }
+  size_t operator()(const Value& value) const { return value.Hash(); }
+  const std::vector<Value>* cells = nullptr;
+};
+struct CodeCellEq {
+  using is_transparent = void;
+  bool operator()(uint32_t a, uint32_t b) const { return a == b; }
+  bool operator()(const Value& value, uint32_t code) const {
+    return value == (*cells)[code];
+  }
+  bool operator()(uint32_t code, const Value& value) const {
+    return value == (*cells)[code];
+  }
+  const std::vector<Value>* cells = nullptr;
+};
+
 /// Equality index over one column: a uint32 code per row, equal for two
 /// rows exactly when their cells are ==, and CSR postings listing each
 /// code's row ids in ascending order. Table::Insert stores no NaN (a cell
@@ -28,8 +50,10 @@ using RowId = uint32_t;
 /// A NULL-free int64 column whose value range is at most kMaxSpanPerRow
 /// times its row count codes arithmetically: code = value - min, so
 /// codes of two such columns convert by a constant offset and no value is
-/// hashed. Every other column codes through a dictionary (a hash map from
-/// cell to code), in order of first appearance.
+/// hashed. Every other column codes through a dictionary, in order of
+/// first appearance: each distinct cell is kept once, at its code, and a
+/// hash set of codes finds a cell's code. Either way a code decodes back
+/// to its cell without reading the table.
 class KeyIndex {
  public:
   /// The code of a value no row holds; it has no postings.
@@ -56,6 +80,16 @@ class KeyIndex {
 
   bool arithmetic() const { return arithmetic_; }
 
+  /// The cell that rows holding `code` store (== and identical to it, with
+  /// its type); `code` must be below num_codes().
+  Value Decode(uint32_t code) const {
+    if (arithmetic_) {
+      return Value::Int(
+          static_cast<int64_t>(static_cast<uint64_t>(min_) + code));
+    }
+    return (*cells_)[code];
+  }
+
   /// Added to a code of arithmetic index `from` (mod 2^64), gives the code
   /// of the same value in arithmetic index `to`; the result names a code
   /// of `to` only when it is below to.num_codes().
@@ -79,8 +113,11 @@ class KeyIndex {
   std::vector<uint32_t> codes_;
   std::vector<uint32_t> offsets_;  // num_codes() + 1 entries.
   std::vector<RowId> postings_;
-  /// Dictionary only: the code of each distinct cell.
-  std::unordered_map<Value, uint32_t, ValueHash> dictionary_;
+  /// Dictionary only: each distinct cell at its code. On the heap, so the
+  /// set's functors still point at it after the index is moved.
+  std::unique_ptr<std::vector<Value>> cells_;
+  /// Dictionary only: every code, hashed and compared by its cell.
+  std::unordered_set<uint32_t, CodeCellHash, CodeCellEq> dictionary_;
 };
 
 /// In-memory row store for a single relation, with a lazily built

@@ -60,7 +60,7 @@ STORAGE_FILTER='crc32c|wal_test|record_fuzz|snapshot_test|durable_store|crash_re
 LIFECYCLE_FILTER='deadline_test|selection_deadline|executor_cancel|service_lifecycle|storage_retry'
 OBS_FILTER='obs_metrics|obs_trace|service_trace|executor_stats_attribution|service_stats_identity|flight_recorder|slo_test|histogram_percentile|cluster_trace'
 CHAOS_FILTER='fault_hub|breaker_recovery|scrubber_test|bitflip_robustness|chaos_property|chaos_blackbox'
-EXEC_FILTER='batch_table|exec_differential|vectorized_cancel|key_index_property|compound_exec|executor_edge'
+EXEC_FILTER='batch_table|exec_differential|vectorized_cancel|key_index_property|compound_exec|executor_edge|executor_test|shared_core'
 SHARD_FILTER='tiered_store|sharded_service|shard_chaos|routing_table|reshard_test|reshard_chaos'
 
 echo "==== [ci] regular build ===="

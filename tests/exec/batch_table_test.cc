@@ -147,20 +147,17 @@ TEST(BatchHashTableTest, EmptyKeyMatchesEverything) {
 
 TEST(CodedRowsTest, InsertKeepsFirstOccurrence) {
   // Arity 2: rows equal on one column only are distinct, and a repeat
-  // keeps the ids of the row's first occurrence.
+  // finds the row's first occurrence without adding it again.
   CodedRows set(2);
   const uint32_t a[] = {1, 7};
   const uint32_t b[] = {1, 8};
   const uint32_t c[] = {8, 1};
-  const RowId first[] = {10, 11};
-  const RowId later[] = {20, 21};
-  EXPECT_EQ(set.Insert(a, first), (std::pair<uint32_t, bool>{0, true}));
-  EXPECT_EQ(set.Insert(b, first), (std::pair<uint32_t, bool>{1, true}));
-  EXPECT_EQ(set.Insert(c, first), (std::pair<uint32_t, bool>{2, true}));
-  EXPECT_EQ(set.Insert(a, later), (std::pair<uint32_t, bool>{0, false}));
+  EXPECT_EQ(set.Insert(a), (std::pair<uint32_t, bool>{0, true}));
+  EXPECT_EQ(set.Insert(b), (std::pair<uint32_t, bool>{1, true}));
+  EXPECT_EQ(set.Insert(c), (std::pair<uint32_t, bool>{2, true}));
+  EXPECT_EQ(set.Insert(a), (std::pair<uint32_t, bool>{0, false}));
   ASSERT_EQ(set.size(), 3u);
-  EXPECT_EQ(set.ids(0)[0], 10u);
-  EXPECT_EQ(set.ids(0)[1], 11u);
+  EXPECT_EQ(set.codes(0)[1], 7u);
   EXPECT_EQ(set.codes(2)[0], 8u);
 }
 
@@ -170,16 +167,13 @@ TEST(CodedRowsTest, ManyRowsSurviveGrowth) {
   CodedRows set(1);
   CodedRows bag(1);
   for (uint32_t code = 0; code < 5000; ++code) {
-    const RowId id = code * 3;
-    ASSERT_TRUE(set.Insert(&code, &id).second);
-    bag.Append(&code, &id);
-    bag.Append(&code, &id);
+    ASSERT_TRUE(set.Insert(&code).second);
+    bag.Append(&code);
+    bag.Append(&code);
   }
   for (uint32_t code = 0; code < 5000; ++code) {
-    const RowId id = 0;
-    ASSERT_EQ(set.Insert(&code, &id),
-              (std::pair<uint32_t, bool>{code, false}));
-    ASSERT_EQ(set.ids(code)[0], code * 3);
+    ASSERT_EQ(set.Insert(&code), (std::pair<uint32_t, bool>{code, false}));
+    ASSERT_EQ(set.codes(code)[0], code);
   }
   EXPECT_EQ(set.size(), 5000u);
   EXPECT_EQ(bag.size(), 10000u);

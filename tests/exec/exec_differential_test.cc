@@ -10,6 +10,11 @@
 // cancellation, and that an armed `exec.disjunct` chaos fault yields
 // either the injected error or the oracle's answer.
 //
+// A hand-built database covers the key codings the movie database never
+// reaches, and the semi-joined (existential) tuple variables of DISTINCT
+// selects and shared cores next to the bag and near-condition forms that
+// must keep the expanding join.
+//
 // Every trial prints "[diff] trial N seed=S" before running, so a
 // failure names its exact replay. QP_EXEC_TRIALS overrides the trial
 // count (CI's sanitizer stage lowers it; the default of 800 randomized
@@ -30,6 +35,7 @@
 #include "qp/data/workload.h"
 #include "qp/exec/executor.h"
 #include "qp/graph/personalization_graph.h"
+#include "qp/obs/trace.h"
 #include "qp/pref/profile_generator.h"
 #include "qp/query/sql_parser.h"
 #include "qp/util/deadline.h"
@@ -402,6 +408,23 @@ Database KeyShapesDatabase() {
   return db;
 }
 
+/// Executes `query` on `db` and requires the oracle's answer exactly.
+template <typename Query>
+ResultSet CheckAgainstOracle(const Database& db, const Query& query,
+                             const std::string& label,
+                             obs::RequestTrace* trace = nullptr) {
+  Executor executor(&db);
+  executor.set_trace(trace);
+  auto result = executor.Execute(query);
+  EXPECT_TRUE(result.ok()) << label << ": " << result.status();
+  if (!result.ok()) return ResultSet();
+  EXPECT_EQ(testing_util::ExactString(*result),
+            testing_util::ExactString(
+                testing_util::ReferenceExecute(db, query)))
+      << label;
+  return std::move(result).value();
+}
+
 TEST(ExecDifferentialKeyShapesTest, EveryKeyCodingMatchesTheOracle) {
   Database db = KeyShapesDatabase();
   db.WarmIndexes();
@@ -451,23 +474,10 @@ TEST(ExecDifferentialKeyShapesTest, EveryKeyCodingMatchesTheOracle) {
       "select I.score from ITEM I, LINK L where I.id=L.item and "
       "(L.note='x' or I.tag='a')",
   };
-  // Checks one query against the oracle and hands back the answer.
-  auto check = [&](const auto& query, const std::string& label,
-                   ResultSet* out) {
-    Executor executor(&db);
-    auto result = executor.Execute(query);
-    ASSERT_TRUE(result.ok()) << label << ": " << result.status();
-    EXPECT_EQ(testing_util::ExactString(*result),
-              testing_util::ExactString(
-                  testing_util::ReferenceExecute(db, query)))
-        << label;
-    *out = std::move(result).value();
-  };
   for (const std::string& sql : selects) {
     auto query = ParseSelectQuery(sql);
     ASSERT_TRUE(query.ok()) << sql << ": " << query.status();
-    ResultSet result;
-    ASSERT_NO_FATAL_FAILURE(check(*query, sql, &result));
+    CheckAgainstOracle(db, *query, sql);
   }
   // An MQ-shaped compound whose parts share the sparse-key core and add
   // residues on the other codings (the shared-core seeded runs).
@@ -491,8 +501,7 @@ TEST(ExecDifferentialKeyShapesTest, EveryKeyCodingMatchesTheOracle) {
   }
   compound.set_having(HavingClause::CountAtLeast(1));
   compound.set_order_by_degree(true);
-  ResultSet ranked;
-  ASSERT_NO_FATAL_FAILURE(check(compound, "compound", &ranked));
+  ResultSet ranked = CheckAgainstOracle(db, compound, "compound");
   EXPECT_GT(ranked.num_rows(), 0u);
 
   // An MQ-shaped compound grouped on two coded columns, the
@@ -530,21 +539,135 @@ TEST(ExecDifferentialKeyShapesTest, EveryKeyCodingMatchesTheOracle) {
     q.set_order_by_degree(true);
     return q;
   };
-  ResultSet at_least_two;
-  ASSERT_NO_FATAL_FAILURE(check(grouped(HavingClause::CountAtLeast(2), false),
-                                "grouped count >= 2", &at_least_two));
+  const ResultSet at_least_two = CheckAgainstOracle(
+      db, grouped(HavingClause::CountAtLeast(2), false), "grouped count >= 2");
   EXPECT_GT(at_least_two.num_rows(), 0u);
-  ResultSet none;
-  ASSERT_NO_FATAL_FAILURE(check(grouped(HavingClause::CountAtLeast(6), false),
-                                "grouped count >= 6", &none));
+  const ResultSet none = CheckAgainstOracle(
+      db, grouped(HavingClause::CountAtLeast(6), false), "grouped count >= 6");
   EXPECT_EQ(none.num_rows(), 0u);
-  ResultSet all;
-  ASSERT_NO_FATAL_FAILURE(check(grouped(HavingClause::CountAtLeast(1), false),
-                                "grouped", &all));
-  ResultSet excepted;
-  ASSERT_NO_FATAL_FAILURE(check(grouped(HavingClause::CountAtLeast(1), true),
-                                "grouped except", &excepted));
+  const ResultSet all = CheckAgainstOracle(
+      db, grouped(HavingClause::CountAtLeast(1), false), "grouped");
+  const ResultSet excepted = CheckAgainstOracle(
+      db, grouped(HavingClause::CountAtLeast(1), true), "grouped except");
   EXPECT_LT(excepted.num_rows(), all.num_rows());
+}
+
+/// The shared-core strategy of each part, in part order, as the "part"
+/// spans' counters name it.
+std::vector<std::string> PartStrategies(const obs::RequestTrace& trace) {
+  std::vector<std::string> strategies;
+  for (const obs::TraceSpan& span : trace.spans()) {
+    if (span.name != "part") continue;
+    for (const char* strategy : {"naive", "drive", "merge"}) {
+      if (span.counter(strategy) == 1) strategies.push_back(strategy);
+    }
+  }
+  return strategies;
+}
+
+TEST(ExecDifferentialKeyShapesTest, ExistentialVariablesMatchTheOracle) {
+  Database db = KeyShapesDatabase();
+  db.WarmIndexes();
+  // In each select the projected ITEM slot is at most as costly as the
+  // LINK leaf, so it is materialized first and the leaf is joined into.
+  const std::vector<std::string> selects = {
+      // Bag SELECTs with an unprojected to-many leaf: ids 0 and 1000003
+      // have two links each, and each link is a row of the answer.
+      "select I.id from ITEM I, LINK L where I.id=L.item",
+      "select I.tag from ITEM I, LINK L where I.slot=L.slot",
+      "select I.id from ITEM I, LINK L where I.id=L.item and I.tag='a' "
+      "and L.tag='a'",
+      // DISTINCT SELECTs whose existential leaf carries selections: on
+      // the dictionary probe (6000018's one link is noted 'z'), the
+      // arithmetic probe (4000012's links are noted 'x' and 'y'), and two
+      // selections at once (9000027's one link is tagged 'zz').
+      "select distinct I.id from ITEM I, LINK L where I.id=L.item and "
+      "I.tag='a' and L.note='x'",
+      "select distinct I.id from ITEM I, LINK L where I.slot=L.slot and "
+      "I.tag='b' and L.note='z'",
+      "select distinct I.id from ITEM I, LINK L where I.slot=L.slot and "
+      "I.tag='b' and L.note='y'",
+      "select distinct I.tag from ITEM I, LINK L where I.id=L.item and "
+      "I.ref=1 and L.note='x' and L.tag='a'",
+      // Existential leaves without selections.
+      "select distinct I.tag from ITEM I, LINK L where I.slot=L.slot",
+      "select distinct I.id, I.score from ITEM I, LINK L where "
+      "I.ref=L.ref",
+      // A near condition keeps the leaf needed: each answer row keeps
+      // its best match's satisfaction.
+      "select distinct I.id from ITEM I, LINK L where I.id=L.item and "
+      "near(L.slot, 15, 2)",
+      "select distinct I.tag from ITEM I, LINK L where I.slot=L.slot and "
+      "near(L.slot, 16, 3)",
+      // A second join atom to a bound slot keeps the expanding join.
+      "select distinct I.id from ITEM I, LINK L where I.id=L.item and "
+      "I.tag=L.tag",
+      "select distinct I.tag from ITEM I, LINK L where I.slot=L.slot and "
+      "I.ref=L.ref",
+  };
+  for (const std::string& sql : selects) {
+    auto query = ParseSelectQuery(sql);
+    ASSERT_TRUE(query.ok()) << sql << ": " << query.status();
+    CheckAgainstOracle(db, *query, sql);
+  }
+
+  // An MQ compound whose core (I, L joined on I.id=L.item) holds L as an
+  // existential to-many variable: no part projects it, none has a near
+  // condition on it, and no residue atom references it. The core entry
+  // estimate is 8 (ITEM), so I.tag='c' (1 row) runs naive, the parts
+  // with no extra variable drive from the core, and J.tag='b' (2 rows,
+  // fewer than the core's rows) merges onto it.
+  CompoundQuery compound;
+  const char* parts[] = {
+      "select distinct I.id from ITEM I, LINK L where I.id=L.item and "
+      "I.tag='a'",
+      "select distinct I.id from ITEM I, LINK L where I.id=L.item and "
+      "I.tag='c'",
+      "select distinct I.id from ITEM I, LINK L, ITEM J where "
+      "I.id=L.item and I.slot=J.slot and J.tag='b'",
+      "select distinct I.id from ITEM I, LINK L where I.id=L.item and "
+      "near(I.slot, 14, 3)",
+  };
+  double degree = 0.9;
+  for (const char* sql : parts) {
+    auto part = ParseSelectQuery(sql);
+    ASSERT_TRUE(part.ok()) << sql << ": " << part.status();
+    compound.AddPart(std::move(part).value(), degree);
+    degree -= 0.2;
+  }
+  compound.set_having(HavingClause::CountAtLeast(1));
+  compound.set_order_by_degree(true);
+  obs::RequestTrace trace;
+  ResultSet ranked = CheckAgainstOracle(db, compound, "compound", &trace);
+  EXPECT_GT(ranked.num_rows(), 0u);
+  if (obs::kTracingCompiledIn) {
+    EXPECT_EQ(PartStrategies(trace),
+              (std::vector<std::string>{"drive", "naive", "merge", "drive"}));
+  }
+
+  // A core no part reads: each part projects ITEM.id through its own
+  // alias and no residue atom touches I or L, so the core keeps no column
+  // and only its row count (6) reaches the parts. A's residue (3 rows)
+  // merges onto it with no anchor; C's (8 rows) drives from it.
+  CompoundQuery unread;
+  for (const char* sql :
+       {"select distinct A.id from ITEM A, ITEM I, LINK L where "
+        "I.id=L.item and A.tag='a'",
+        "select distinct C.id from ITEM C, ITEM I, LINK L where "
+        "I.id=L.item"}) {
+    auto part = ParseSelectQuery(sql);
+    ASSERT_TRUE(part.ok()) << sql << ": " << part.status();
+    unread.AddPart(std::move(part).value(), 0.7);
+  }
+  unread.set_having(HavingClause::CountAtLeast(1));
+  obs::RequestTrace unread_trace;
+  ResultSet all_items =
+      CheckAgainstOracle(db, unread, "unread core", &unread_trace);
+  EXPECT_EQ(all_items.num_rows(), 8u);
+  if (obs::kTracingCompiledIn) {
+    EXPECT_EQ(PartStrategies(unread_trace),
+              (std::vector<std::string>{"merge", "drive"}));
+  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "qp/data/paper_example.h"
 #include "qp/obs/metrics.h"
 #include "qp/obs/trace.h"
+#include "qp/query/sql_parser.h"
 
 namespace qp {
 namespace {
@@ -124,6 +125,38 @@ TEST(ExecutorStatsAttributionTest, CountModelIsPinnedOnThePaperMq) {
         << "shared_core=" << want.shared_core;
     EXPECT_EQ(stats.core_reuses, want.core_reuses)
         << "shared_core=" << want.shared_core;
+  }
+}
+
+TEST(ExecutorStatsAttributionTest, SemiStepCountsTheRowsItKeeps) {
+  // Movie 5 has two genres. GN is neither projected nor under a near
+  // condition and is joined through one atom, so the DISTINCT form
+  // semi-joins it: the join step keeps MV's one row once (bindings 1 + 1,
+  // raw_rows 1). The bag form must keep each genre's copy of the row
+  // (bindings 1 + 2, raw_rows 2).
+  auto db = BuildPaperDatabase();
+  ASSERT_TRUE(db.ok());
+  struct Expected {
+    const char* sql;
+    size_t bindings, raw_rows, rows;
+  };
+  for (const Expected& want :
+       {Expected{"select distinct MV.title from MOVIE MV, GENRE GN where "
+                 "MV.mid=GN.mid and MV.mid=5",
+                 2, 1, 1},
+        Expected{"select MV.title from MOVIE MV, GENRE GN where "
+                 "MV.mid=GN.mid and MV.mid=5",
+                 3, 2, 2}}) {
+    auto query = ParseSelectQuery(want.sql);
+    ASSERT_TRUE(query.ok()) << want.sql << ": " << query.status();
+    Executor executor(&*db);
+    ExecutorStats stats;
+    auto result = executor.Execute(*query, &stats);
+    ASSERT_TRUE(result.ok()) << want.sql << ": " << result.status();
+    EXPECT_EQ(stats.disjuncts, 1u) << want.sql;
+    EXPECT_EQ(stats.bindings, want.bindings) << want.sql;
+    EXPECT_EQ(stats.raw_rows, want.raw_rows) << want.sql;
+    EXPECT_EQ(result->num_rows(), want.rows) << want.sql;
   }
 }
 

@@ -1,7 +1,8 @@
 // Property suite for Table's coded key index: on seeded random tables,
 // Lookup must return exactly the rows a brute-force scan finds equal
 // (Value::operator==), in ascending id order, for every column and every
-// probe — before and after rows are inserted behind a built index.
+// probe — before and after rows are inserted behind a built index — and
+// every row's code must decode to the cell the row stores.
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -164,6 +165,87 @@ TEST(KeyIndexPropertyTest, LookupMatchesBruteForce) {
     insert(1 + rng.Below(30));
     ASSERT_NO_FATAL_FAILURE(CheckEveryProbe(table, context + " grown"));
   }
+}
+
+/// A cell's type and rendering, doubles as %a: equal for two cells
+/// exactly when they are identical.
+std::string Exact(const Value& cell) {
+  std::string out = DataTypeName(cell.type());
+  if (cell.type() == DataType::kDouble) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, " %a", cell.as_double());
+    return out.append(buf);
+  }
+  return out.append(" ").append(cell.ToString());
+}
+
+/// Decode(codes()[r]) must be row r's cell, for every row and column.
+/// Counts the columns that coded each way.
+void CheckDecode(const Table& table, const std::string& context,
+                 size_t* arithmetic, size_t* dictionary) {
+  for (size_t col = 0; col < table.schema().num_columns(); ++col) {
+    const KeyIndex& keys = table.Keys(col);
+    ++*(keys.arithmetic() ? arithmetic : dictionary);
+    for (RowId id = 0; id < table.num_rows(); ++id) {
+      const Value& cell = table.At(id, col);
+      const Value decoded = keys.Decode(keys.codes()[id]);
+      ASSERT_EQ(decoded.type(), cell.type())
+          << context << " column " << col << " row " << id;
+      ASSERT_TRUE(decoded == cell)
+          << context << " column " << col << " row " << id << ": "
+          << decoded << " != " << cell;
+      ASSERT_EQ(Exact(decoded), Exact(cell))
+          << context << " column " << col << " row " << id;
+    }
+  }
+}
+
+TEST(KeyIndexPropertyTest, DecodeReturnsTheStoredCell) {
+  size_t arithmetic = 0;
+  size_t dictionary = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const uint64_t seed = 0x6465636fULL + static_cast<uint64_t>(trial);
+    Rng rng(seed);
+    std::vector<Column> columns;
+    std::vector<Shape> shapes;
+    const size_t width = 1 + rng.Below(5);
+    for (size_t c = 0; c < width; ++c) {
+      shapes.push_back(static_cast<Shape>(rng.Below(kNumShapes)));
+      columns.push_back({std::string("c").append(std::to_string(c)),
+                         TypeOf(shapes.back())});
+    }
+    const double null_rate = rng.Bernoulli(0.5) ? 0.0 : 0.15;
+    auto insert = [&](Table* table, size_t n) {
+      for (size_t r = 0; r < n; ++r) {
+        Row row;
+        for (Shape shape : shapes) {
+          row.push_back(rng.Bernoulli(null_rate) ? Value::Null()
+                                                 : Draw(shape, &rng));
+        }
+        QP_ASSERT_OK(table->Insert(std::move(row)));
+      }
+    };
+    const std::string context = std::string("trial ")
+                                    .append(std::to_string(trial))
+                                    .append(" seed=")
+                                    .append(std::to_string(seed));
+    Table table(TableSchema("T", columns, {}));
+    ASSERT_NO_FATAL_FAILURE(insert(&table, 1 + rng.Below(60)));
+    table.BuildAllIndexes();
+    ASSERT_NO_FATAL_FAILURE(
+        CheckDecode(table, context + " built", &arithmetic, &dictionary));
+    // A moved table keeps its built indexes, and they still decode.
+    Table moved(std::move(table));
+    ASSERT_NO_FATAL_FAILURE(
+        CheckDecode(moved, context + " moved", &arithmetic, &dictionary));
+    // Insert drops every index; the rebuilt ones decode the new rows too.
+    ASSERT_NO_FATAL_FAILURE(insert(&moved, 1 + rng.Below(30)));
+    ASSERT_NO_FATAL_FAILURE(
+        CheckDecode(moved, context + " grown", &arithmetic, &dictionary));
+  }
+  // Both codings were exercised.
+  EXPECT_GT(arithmetic, 100u);
+  EXPECT_GT(dictionary, 100u);
 }
 
 TEST(KeyIndexPropertyTest, CodesEqualExactlyWhenCellsEqual) {
