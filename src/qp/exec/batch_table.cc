@@ -66,11 +66,6 @@ void BatchTable::DropColumn(size_t slot) {
   columns_[slot].live = false;
 }
 
-void BatchTable::SetNumRowsColumnless(size_t n) {
-  assert(live_columns() == 0);
-  num_rows_ = n;
-}
-
 BatchTable BatchTable::GatherRows(const std::vector<uint32_t>& indices) const {
   BatchTable out(columns_.size());
   out.num_rows_ = indices.size();
@@ -120,28 +115,6 @@ bool BatchTable::RowsEqual(size_t row, const BatchTable& other,
     }
   }
   return true;
-}
-
-BatchHashTable::BatchHashTable(const BatchTable* build,
-                               std::vector<size_t> key_slots)
-    : build_(build), key_slots_(std::move(key_slots)) {
-  buckets_.reserve(build_->num_rows());
-  for (size_t i = 0; i < build_->num_rows(); ++i) {
-    buckets_[build_->RowHash(i, key_slots_)].push_back(
-        static_cast<uint32_t>(i));
-  }
-}
-
-void BatchHashTable::Probe(const BatchTable& probe, size_t row,
-                           const std::vector<size_t>& probe_slots,
-                           std::vector<uint32_t>* out) const {
-  auto it = buckets_.find(probe.RowHash(row, probe_slots));
-  if (it == buckets_.end()) return;
-  for (uint32_t candidate : it->second) {
-    if (build_->RowsEqual(candidate, probe, row, key_slots_, probe_slots)) {
-      out->push_back(candidate);
-    }
-  }
 }
 
 void CodedRows::Append(const uint32_t* codes) {

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -34,8 +33,8 @@ class BatchColumn {
   /// Whole-column view.
   const std::vector<RowId>& row_ids() const { return row_ids_; }
 
-  /// Cell hash / equality, the building blocks of batch hash joins and
-  /// binding-level duplicate elimination.
+  /// Cell hash / equality, the building blocks of binding-level duplicate
+  /// elimination.
   uint64_t HashAt(size_t i) const;
   bool CellEquals(size_t i, const BatchColumn& other, size_t j) const {
     return row_ids_[i] == other.row_ids_[j];
@@ -77,10 +76,6 @@ class BatchTable {
   /// Releases the slot's storage. The slot index stays valid (absent).
   void DropColumn(size_t slot);
 
-  /// Sets the row count of a table with no live columns (a conjunct whose
-  /// every slot was dropped still has a row multiplicity).
-  void SetNumRowsColumnless(size_t n);
-
   /// New table with the rows at `indices`, gathering only live columns.
   BatchTable GatherRows(const std::vector<uint32_t>& indices) const;
   /// In-place compaction keeping rows where keep[i] != 0.
@@ -102,28 +97,6 @@ class BatchTable {
   };
   std::vector<Slot> columns_;
   size_t num_rows_ = 0;
-};
-
-/// Vectorized hash join over batch key columns: build once over the key
-/// slots of a build-side batch, then probe with rows of another batch.
-/// Collisions are resolved by cell-level comparison at probe time, so
-/// matches are exact.
-class BatchHashTable {
- public:
-  /// `build` is retained and must outlive the hash table.
-  BatchHashTable(const BatchTable* build, std::vector<size_t> key_slots);
-
-  /// Appends to `out` the build-side row indices whose key equals row
-  /// `row` of `probe` (keyed by `probe_slots`, same arity as the build
-  /// key).
-  void Probe(const BatchTable& probe, size_t row,
-             const std::vector<size_t>& probe_slots,
-             std::vector<uint32_t>* out) const;
-
- private:
-  const BatchTable* build_;
-  std::vector<size_t> key_slots_;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> buckets_;
 };
 
 /// Projected rows in coded form. A row is a tuple of `arity` key codes,

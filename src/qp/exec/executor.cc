@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <span>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "qp/exec/batch_table.h"
@@ -33,39 +34,29 @@ struct ResolvedJoin {
 struct BuiltConjunct {
   std::vector<VarSlot> slots;
   std::vector<ResolvedJoin> joins;
-  std::unordered_map<std::string, size_t> slot_index;
 };
-
-/// Estimated cardinality of a slot after its selections: the smallest
-/// posting list among its equality selections.
-size_t EstimateSlot(const VarSlot& slot) {
-  size_t best = slot.table->num_rows();
-  for (const auto& [col, value] : slot.selections) {
-    best = std::min(best, slot.table->Lookup(col, value).size());
-  }
-  return best;
-}
 
 /// Resolves `vars` and `atoms` into slots with pushed-down selections and
 /// resolved join atoms. Every atom must reference only aliases in `vars`.
 Result<BuiltConjunct> BuildConjunct(const Database& db,
                                     const std::vector<TupleVariable>& vars,
                                     const std::vector<AtomicCondition>& atoms) {
-  // Chaos site covering every disjunct drive (select, compound core and
-  // residues). Error mode surfaces as a per-response error; delay mode
+  // Chaos site covering every conjunct run (a select's, so each compound
+  // part's). Error mode surfaces as a per-response error; delay mode
   // stalls the disjunct, which under a deadline becomes a truncated —
   // still exact-prefix — result.
   QP_RETURN_IF_ERROR(QP_FAULT_POINT("exec.disjunct"));
   BuiltConjunct built;
+  std::unordered_map<std::string, size_t> slot_index;
   for (const TupleVariable& var : vars) {
     QP_ASSIGN_OR_RETURN(const Table* table, db.GetTable(var.table));
-    built.slot_index[var.alias] = built.slots.size();
+    slot_index[var.alias] = built.slots.size();
     built.slots.push_back(VarSlot{var.alias, table, {}, {}, false});
   }
   for (const AtomicCondition& atom : atoms) {
     if (atom.is_selection()) {
-      auto it = built.slot_index.find(atom.var());
-      if (it == built.slot_index.end()) {
+      auto it = slot_index.find(atom.var());
+      if (it == slot_index.end()) {
         return Status::Internal("unresolved alias: " + atom.var());
       }
       VarSlot& slot = built.slots[it->second];
@@ -77,18 +68,17 @@ Result<BuiltConjunct> BuildConjunct(const Database& db,
       }
       if (!slot.impossible) slot.selections.emplace_back(col, atom.value());
     } else if (atom.is_near()) {
-      auto it = built.slot_index.find(atom.var());
-      if (it == built.slot_index.end()) {
+      auto it = slot_index.find(atom.var());
+      if (it == slot_index.end()) {
         return Status::Internal("unresolved alias: " + atom.var());
       }
       VarSlot& slot = built.slots[it->second];
       size_t col = *slot.table->schema().ColumnIndex(atom.column());
       slot.nears.emplace_back(col, atom);
     } else {
-      auto left = built.slot_index.find(atom.left_var());
-      auto right = built.slot_index.find(atom.right_var());
-      if (left == built.slot_index.end() ||
-          right == built.slot_index.end()) {
+      auto left = slot_index.find(atom.left_var());
+      auto right = slot_index.find(atom.right_var());
+      if (left == slot_index.end() || right == slot_index.end()) {
         return Status::Internal("unresolved join alias in " + atom.ToSql());
       }
       size_t va = left->second;
@@ -103,16 +93,15 @@ Result<BuiltConjunct> BuildConjunct(const Database& db,
   return built;
 }
 
-/// Executes one conjunctive SPJ block, fresh or continuing from seed
-/// bindings (the shared-core optimization for MQ compounds). The working
-/// set is a BatchTable with one contiguous RowId column per slot. The
-/// runner materializes the cheapest slot's candidate ids, then repeatedly
-/// joins in the cheapest slot reachable through a join atom (a cross
-/// product when none is), re-filtering on join atoms whose two sides are
-/// now bound. Join steps emit (source row, matched id) index pairs and
-/// gather the surviving columns in one pass; slots whose column no later
-/// join or projection needs are dropped after each step, so wide
-/// conjuncts narrow as they go.
+/// Executes one conjunctive SPJ block. The working set is a BatchTable
+/// with one contiguous RowId column per slot. The runner materializes the
+/// cheapest slot's candidate ids, then repeatedly joins in the cheapest
+/// slot reachable through a join atom (a cross product when none is),
+/// re-filtering on join atoms whose two sides are now bound. Join steps
+/// emit (source row, matched id) index pairs and gather the surviving
+/// columns in one pass; slots whose column no later join or projection
+/// needs are dropped after each step, so wide conjuncts narrow as they
+/// go.
 ///
 /// A run with set semantics (its caller keeps only distinct rows of the
 /// needed slots) semi-joins its existential slots: those not needed and
@@ -132,11 +121,11 @@ class BatchRunner {
   /// the result truncated.
   bool stopped() const { return stopped_; }
 
-  /// Fresh run. `needed[i]` marks slots whose column must survive to the
-  /// end (projections, near conditions, dedup keys); the rest may be
-  /// dropped once every join touching them has been applied. `distinct`
-  /// gives the run set semantics: only which distinct needed-slot tuples
-  /// it yields matters, not how often each comes.
+  /// `needed[i]` marks slots whose column must survive to the end
+  /// (projections, near conditions, dedup keys); the rest may be dropped
+  /// once every join touching them has been applied. `distinct` gives the
+  /// run set semantics: only which distinct needed-slot tuples it yields
+  /// matters, not how often each comes.
   BatchTable Run(std::vector<VarSlot> slots, std::vector<ResolvedJoin> joins,
                  std::vector<bool> needed, bool distinct) {
     const size_t width = slots.size();
@@ -161,46 +150,6 @@ class BatchRunner {
     return Loop();
   }
 
-  /// Seeded run over an initial batch whose `bound` slots carry core
-  /// bindings (the shared-core optimization). A bound slot may have no
-  /// column when the seeded run never reads it.
-  BatchTable RunSeeded(std::vector<VarSlot> slots,
-                       std::vector<ResolvedJoin> joins, BatchTable initial,
-                       std::vector<bool> bound, std::vector<bool> needed,
-                       bool distinct) {
-    const size_t width = slots.size();
-    slots_ = std::move(slots);
-    joins_ = std::move(joins);
-    needed_ = std::move(needed);
-    MarkExistential(distinct);
-    bound_ = std::move(bound);
-    batch_ = std::move(initial);
-
-    for (size_t i = 0; i < slots_.size(); ++i) {
-      if (slots_[i].impossible) return BatchTable(width);
-      if (!bound_[i] && slots_[i].table->num_rows() == 0) {
-        return BatchTable(width);
-      }
-    }
-    Resolve();
-    // Part-specific selections on already-bound (core) variables.
-    std::vector<uint8_t> keep(batch_.num_rows(), 1);
-    for (size_t r = 0; r < batch_.num_rows(); ++r) {
-      if (PollCancelStrided()) break;
-      bool ok = true;
-      for (size_t i = 0; i < slots_.size() && ok; ++i) {
-        if (!bound_[i]) continue;
-        if (slots_[i].selections.empty() && slots_[i].nears.empty()) continue;
-        ok = RowPasses(i, batch_.column(i).row_id_at(r));
-      }
-      keep[r] = ok ? 1 : 0;
-    }
-    if (stopped_) return BatchTable(width);
-    batch_.FilterRows(keep);
-    ApplyNewlyBoundJoins();
-    return Loop();
-  }
-
  private:
   static constexpr size_t kNone = static_cast<size_t>(-1);
   /// Rows between cancel polls in the inner row loops. Small enough that
@@ -218,8 +167,8 @@ class BatchRunner {
 
   /// Resolves every selection's value to its code once per run (a value
   /// no row holds gets a code no row has, so the slot simply matches
-  /// nothing), and fixes each slot's estimate: the figure EstimateSlot
-  /// gives, without re-probing the index at every step.
+  /// nothing), and fixes each slot's estimate, the smallest posting list
+  /// among its selections, without re-probing the index at every step.
   void Resolve() {
     coded_.assign(slots_.size(), {});
     estimates_.assign(slots_.size(), 0);
@@ -523,7 +472,9 @@ std::unordered_set<std::string> UsedAliases(
   return used;
 }
 
-bool HasNearAtom(const std::vector<AtomicCondition>& atoms) {
+bool HasNearAtom(const SelectQuery& query) {
+  std::vector<AtomicCondition> atoms;
+  if (query.where() != nullptr) query.where()->CollectAtoms(&atoms);
   for (const AtomicCondition& atom : atoms) {
     if (atom.is_near()) return true;
   }
@@ -563,16 +514,13 @@ std::vector<bool> NeededSlots(const std::vector<VarSlot>& slots,
   return needed;
 }
 
-/// Adds every row of `batch`, projected onto `projections` in coded form,
-/// to `rows`: inserted when `distinct` (a row equal to one already there
-/// keeps the better satisfaction), appended otherwise.
-/// `batch_sats` holds each batch row's near-condition satisfaction, or is
-/// empty when the query has none; `sats` then stays as it is.
-void AddCodedRows(const std::vector<VarSlot>& slots,
-                  const std::vector<ProjectionItem>& projections,
-                  const BatchTable& batch,
-                  const std::vector<double>& batch_sats, bool distinct,
-                  CodedRows* rows, std::vector<double>* sats) {
+/// Hands `sink` every row of `batch`, projected onto `projections` in
+/// coded form, with its satisfaction from `sats` (1 when `sats` is empty).
+template <typename Sink>
+void EmitRows(const std::vector<VarSlot>& slots,
+              const std::vector<ProjectionItem>& projections,
+              const BatchTable& batch, const std::vector<double>& sats,
+              const Sink& sink) {
   if (batch.num_rows() == 0) return;
   const size_t arity = projections.size();
   std::vector<const RowId*> column_ids(arity);
@@ -591,18 +539,7 @@ void AddCodedRows(const std::vector<VarSlot>& slots,
     for (size_t j = 0; j < arity; ++j) {
       codes[j] = column_codes[j][column_ids[j][r]];
     }
-    if (!distinct) {
-      rows->Append(codes.data());
-      if (!batch_sats.empty()) sats->push_back(batch_sats[r]);
-      continue;
-    }
-    const auto [row, added] = rows->Insert(codes.data());
-    if (batch_sats.empty()) continue;
-    if (added) {
-      sats->push_back(batch_sats[r]);
-    } else if (batch_sats[r] > (*sats)[row]) {
-      (*sats)[row] = batch_sats[r];
-    }
+    sink(codes.data(), sats.empty() ? 1.0 : sats[r]);
   }
 }
 
@@ -629,13 +566,15 @@ Row Materialize(const std::vector<const KeyIndex*>& keys,
   return row;
 }
 
-/// Per-row product of every near condition's satisfaction (1 when there
-/// are none), multiplying factors in (slot, near) order.
+/// Per-row product of every near condition's satisfaction, multiplying
+/// factors in (slot, near) order; empty when no slot has a near
+/// condition.
 std::vector<double> BatchSatisfactions(const std::vector<VarSlot>& slots,
                                        const BatchTable& batch) {
-  std::vector<double> sat(batch.num_rows(), 1.0);
+  std::vector<double> sat;
   for (size_t i = 0; i < slots.size(); ++i) {
     if (slots[i].nears.empty()) continue;
+    sat.resize(batch.num_rows(), 1.0);
     const std::vector<RowId>& ids = batch.column(i).row_ids();
     for (const auto& [col, near] : slots[i].nears) {
       for (size_t r = 0; r < ids.size(); ++r) {
@@ -646,107 +585,15 @@ std::vector<double> BatchSatisfactions(const std::vector<VarSlot>& slots,
   return sat;
 }
 
-/// Analysis result of the shared-core optimization: the conjunctive block
-/// common to every part of an MQ compound, plus each part's residue.
-struct SharedCorePlan {
-  std::vector<TupleVariable> core_vars;
-  std::vector<AtomicCondition> core_atoms;
-  struct PartResidue {
-    std::vector<TupleVariable> extra_vars;
-    std::vector<AtomicCondition> extra_atoms;
-    std::vector<AtomicCondition> all_atoms;  // Full conjunct of the part.
-  };
-  std::vector<PartResidue> parts;
-};
-
-bool Contains(const std::vector<TupleVariable>& vars,
-              const TupleVariable& var) {
-  for (const TupleVariable& v : vars) {
-    if (v == var) return true;
-  }
-  return false;
-}
-
-bool ContainsAtom(const std::vector<AtomicCondition>& atoms,
-                  const AtomicCondition& atom) {
-  for (const AtomicCondition& a : atoms) {
-    if (a == atom) return true;
-  }
-  return false;
-}
-
-/// Returns the plan, or nullopt when the optimization does not apply
-/// (OR-qualifications, non-distinct parts, or no common block). Parts
-/// built by PreferenceIntegrator always qualify: they share the original
-/// query verbatim and add one conjunctive preference chain each.
-std::optional<SharedCorePlan> PlanSharedCore(const CompoundQuery& query) {
-  if (query.parts().size() < 2) return std::nullopt;
-
-  std::vector<std::vector<AtomicCondition>> part_atoms;
-  for (const CompoundPart& part : query.parts()) {
-    if (!part.query.distinct()) return std::nullopt;
-    auto dnf = ToDnf(part.query.where());
-    if (dnf.size() != 1) return std::nullopt;
-    part_atoms.push_back(std::move(dnf[0]));
-  }
-
-  SharedCorePlan plan;
-  // Core variables: present (same alias, same table) in every part.
-  const auto& first = query.parts()[0].query;
-  for (const TupleVariable& var : first.from()) {
-    bool everywhere = true;
-    for (size_t p = 1; p < query.parts().size() && everywhere; ++p) {
-      const TupleVariable* found =
-          query.parts()[p].query.FindVariable(var.alias);
-      everywhere = found != nullptr && found->table == var.table;
-    }
-    if (everywhere) plan.core_vars.push_back(var);
-  }
-  if (plan.core_vars.empty()) return std::nullopt;
-
-  // Core atoms: in every part and confined to core variables.
-  for (const AtomicCondition& atom : part_atoms[0]) {
-    bool core = true;
-    for (const std::string& alias : atom.ReferencedVars()) {
-      if (std::none_of(plan.core_vars.begin(), plan.core_vars.end(),
-                       [&](const TupleVariable& v) {
-                         return v.alias == alias;
-                       })) {
-        core = false;
-        break;
-      }
-    }
-    if (!core) continue;
-    for (size_t p = 1; p < part_atoms.size() && core; ++p) {
-      core = ContainsAtom(part_atoms[p], atom);
-    }
-    if (core && !ContainsAtom(plan.core_atoms, atom)) {
-      plan.core_atoms.push_back(atom);
-    }
-  }
-
-  // Residues.
-  for (size_t p = 0; p < query.parts().size(); ++p) {
-    SharedCorePlan::PartResidue residue;
-    for (const TupleVariable& var : query.parts()[p].query.from()) {
-      if (!Contains(plan.core_vars, var)) residue.extra_vars.push_back(var);
-    }
-    for (const AtomicCondition& atom : part_atoms[p]) {
-      if (!ContainsAtom(plan.core_atoms, atom)) {
-        residue.extra_atoms.push_back(atom);
-      }
-    }
-    residue.all_atoms = part_atoms[p];
-    plan.parts.push_back(std::move(residue));
-  }
-  return plan;
-}
-
 /// Per-group accumulation state for compound grouping/ranking.
 struct CompoundGroup {
   size_t count = 0;                // Positive parts only (count(*)).
   ConjunctiveAccumulator degree;   // Positive parts' degrees.
   ConjunctiveAccumulator dislike;  // |degree| of negative parts.
+  /// The last DISTINCT part that reached the group, and the best
+  /// satisfaction among that part's rows in it.
+  size_t last_part = SIZE_MAX;
+  double best = 0.0;
 };
 
 /// Adds one part's contribution to a group.
@@ -786,13 +633,11 @@ void Executor::BindMetrics(obs::MetricsRegistry* registry) {
     metric_disjuncts_ = nullptr;
     metric_bindings_ = nullptr;
     metric_raw_rows_ = nullptr;
-    metric_core_reuses_ = nullptr;
     return;
   }
   metric_disjuncts_ = registry->counter("qp_exec_disjuncts_total");
   metric_bindings_ = registry->counter("qp_exec_bindings_total");
   metric_raw_rows_ = registry->counter("qp_exec_raw_rows_total");
-  metric_core_reuses_ = registry->counter("qp_exec_core_reuses_total");
 }
 
 void Executor::FinishOuterExecute(obs::ScopedSpan* span,
@@ -802,11 +647,9 @@ void Executor::FinishOuterExecute(obs::ScopedSpan* span,
   const size_t disjuncts = exit.disjuncts - entry.disjuncts;
   const size_t bindings = exit.bindings - entry.bindings;
   const size_t raw_rows = exit.raw_rows - entry.raw_rows;
-  const size_t core_reuses = exit.core_reuses - entry.core_reuses;
   span->Counter("disjuncts", disjuncts);
   span->Counter("bindings", bindings);
   span->Counter("raw_rows", raw_rows);
-  span->Counter("core_reuses", core_reuses);
   span->Counter("rows", result.ok() ? result.value().num_rows() : 0);
   span->Counter("truncated",
                 result.ok() && result.value().truncated() ? 1 : 0);
@@ -814,7 +657,6 @@ void Executor::FinishOuterExecute(obs::ScopedSpan* span,
   if (metric_disjuncts_ != nullptr) metric_disjuncts_->Add(disjuncts);
   if (metric_bindings_ != nullptr) metric_bindings_->Add(bindings);
   if (metric_raw_rows_ != nullptr) metric_raw_rows_->Add(raw_rows);
-  if (metric_core_reuses_ != nullptr) metric_core_reuses_->Add(core_reuses);
 }
 
 Result<ResultSet> Executor::Execute(const SelectQuery& query,
@@ -873,10 +715,29 @@ Status Executor::CollectExclusions(
 Result<ResultSet> Executor::ExecuteSelectVec(const SelectQuery& query,
                                              ExecutorStats* stats) const {
   QP_RETURN_IF_ERROR(query.Validate(db_->schema()));
+  // The answer in coded form: every row of a bag SELECT; under DISTINCT
+  // each row once, at its first occurrence, with its best soft-condition
+  // match. `sats` stays empty when the query has no near condition.
   CodedRows rows(query.projections().size());
   std::vector<double> sats;
+  const bool distinct = query.distinct();
+  const bool has_near = HasNearAtom(query);
   bool truncated = false;
-  QP_RETURN_IF_ERROR(RunSelectVec(query, stats, &rows, &sats, &truncated));
+  QP_RETURN_IF_ERROR(RunSelectVec(
+      query, stats, &truncated, [&](const uint32_t* codes, double sat) {
+        if (!distinct) {
+          rows.Append(codes);
+          if (has_near) sats.push_back(sat);
+          return;
+        }
+        const auto [row, added] = rows.Insert(codes);
+        if (!has_near) return;
+        if (added) {
+          sats.push_back(sat);
+        } else if (sat > sats[row]) {
+          sats[row] = sat;
+        }
+      }));
 
   ResultSet out(ColumnNames(query.projections()));
   const auto keys = OutputKeys(*db_, query);
@@ -890,8 +751,7 @@ Result<ResultSet> Executor::ExecuteSelectVec(const SelectQuery& query,
 }
 
 Status Executor::RunSelectVec(const SelectQuery& query, ExecutorStats* stats,
-                              CodedRows* rows, std::vector<double>* sats,
-                              bool* truncated) const {
+                              bool* truncated, const RowSink& sink) const {
   // SQL semantics: any empty FROM table empties the whole product.
   for (const TupleVariable& var : query.from()) {
     QP_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(var.table));
@@ -927,17 +787,9 @@ Status Executor::RunSelectVec(const SelectQuery& query, ExecutorStats* stats,
     return std::make_pair(std::move(built.slots), std::move(batch));
   };
 
-  bool has_near = false;
-  {
-    std::vector<AtomicCondition> atoms;
-    if (query.where() != nullptr) query.where()->CollectAtoms(&atoms);
-    has_near = HasNearAtom(atoms);
-  }
-
   if (query.distinct()) {
-    // Dedup on codes; a row reached through several bindings or
-    // disjuncts keeps its first occurrence and its best soft-condition
-    // match.
+    // Each conjunct binds only the variables it or the projection uses;
+    // the sink keeps one row per distinct code tuple.
     for (const auto& disjunct : dnf) {
       if (*truncated || (cancel_ != nullptr && cancel_->ShouldStop())) {
         *truncated = true;  // Remaining disjuncts skipped.
@@ -948,19 +800,15 @@ Status Executor::RunSelectVec(const SelectQuery& query, ExecutorStats* stats,
       QP_ASSIGN_OR_RETURN(auto result, run_conjunct(disjunct, &used, false));
       const auto& [slots, batch] = result;
       if (stats != nullptr) stats->raw_rows += batch.num_rows();
-      AddCodedRows(slots, query.projections(), batch,
-                   has_near ? BatchSatisfactions(slots, batch)
-                            : std::vector<double>(),
-                   /*distinct=*/true, rows, sats);
+      EmitRows(slots, query.projections(), batch,
+               BatchSatisfactions(slots, batch), sink);
     }
   } else if (dnf.size() == 1) {
     QP_ASSIGN_OR_RETURN(auto result, run_conjunct(dnf[0], nullptr, false));
     const auto& [slots, batch] = result;
     if (stats != nullptr) stats->raw_rows += batch.num_rows();
-    AddCodedRows(slots, query.projections(), batch,
-                 has_near ? BatchSatisfactions(slots, batch)
-                          : std::vector<double>(),
-                 /*distinct=*/false, rows, sats);
+    EmitRows(slots, query.projections(), batch,
+             BatchSatisfactions(slots, batch), sink);
   } else {
     // OR over the full variable product without DISTINCT: deduplicate at
     // the binding level, accumulating distinct bindings into a columnar
@@ -986,10 +834,9 @@ Status Executor::RunSelectVec(const SelectQuery& query, ExecutorStats* stats,
           distinct_bindings.SetColumn(s, BatchColumn::RowIds({}));
         }
       }
-      std::vector<double> batch_sats;
-      if (has_near) batch_sats = BatchSatisfactions(slots, batch);
+      const std::vector<double> batch_sats = BatchSatisfactions(slots, batch);
       for (size_t i = 0; i < batch.num_rows(); ++i) {
-        double sat = has_near ? batch_sats[i] : 1.0;
+        double sat = batch_sats.empty() ? 1.0 : batch_sats[i];
         std::vector<uint32_t>& bucket = buckets[batch.RowHash(i, all_slots)];
         int64_t found = -1;
         for (uint32_t idx : bucket) {
@@ -1009,9 +856,8 @@ Status Executor::RunSelectVec(const SelectQuery& query, ExecutorStats* stats,
       }
       full_slots = std::move(slots);
     }
-    if (!has_near) best_sat.clear();
-    AddCodedRows(full_slots, query.projections(), distinct_bindings, best_sat,
-                 /*distinct=*/false, rows, sats);
+    EmitRows(full_slots, query.projections(), distinct_bindings, best_sat,
+             sink);
   }
   return Status::Ok();
 }
@@ -1020,270 +866,52 @@ Result<ResultSet> Executor::ExecuteCompoundVec(const CompoundQuery& query,
                                                ExecutorStats* stats) const {
   QP_RETURN_IF_ERROR(query.Validate(db_->schema()));
 
-  // GROUP BY on codes: Validate makes every part project the same table
-  // column at each position, so one code tuple names one group across
-  // parts.
+  // GROUP BY on codes, fed as each part's rows are produced: Validate
+  // makes every part project the same table column at each position, so
+  // one code tuple names one group across parts. Each group gets one Add
+  // per row of each part's answer, parts in order: a bag part adds per
+  // row; a DISTINCT part keeps its best satisfaction per group and adds
+  // it once when the part ends.
   const SelectQuery& first = query.parts()[0].query;
-  const size_t arity = first.projections().size();
-  CodedRows groups(arity);
+  CodedRows groups(first.projections().size());
   std::vector<CompoundGroup> aggregates;
-  // One Add per row of the part's answer (one per group for a DISTINCT
-  // part), parts in order.
-  auto accumulate = [&](const CodedRows& rows, const std::vector<double>& sats,
-                        double part_degree) {
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const auto [group, added] = groups.Insert(rows.codes(i));
-      if (added) aggregates.emplace_back();
-      Accumulate(&aggregates[group],
-                 part_degree * (sats.empty() ? 1.0 : sats[i]));
-    }
-  };
-
+  std::vector<uint32_t> reached;  // Groups the current part reached.
   bool truncated = false;
-
-  std::optional<SharedCorePlan> plan;
-  if (shared_core_) plan = PlanSharedCore(query);
-
-  if (plan.has_value()) {
-    // Execute the common block once (lazily — only if some part actually
-    // reuses it), keeping the core as a columnar batch; each part's
-    // residue then drives from or merges onto those columns.
-    bool core_table_empty = false;
-    for (const TupleVariable& var : plan->core_vars) {
-      QP_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(var.table));
-      if (table->num_rows() == 0) core_table_empty = true;
+  for (size_t p = 0; p < query.parts().size(); ++p) {
+    if (truncated || (cancel_ != nullptr && cancel_->ShouldStop())) {
+      truncated = true;  // Remaining parts skipped.
+      break;
     }
-    QP_ASSIGN_OR_RETURN(
-        BuiltConjunct core,
-        BuildConjunct(*db_, plan->core_vars, plan->core_atoms));
-    size_t core_entry_estimate = SIZE_MAX;
-    for (const VarSlot& slot : core.slots) {
-      core_entry_estimate =
-          std::min(core_entry_estimate, EstimateSlot(slot));
-    }
-    const size_t core_n = plan->core_vars.size();
-    // A core column is needed when some part projects it, its slot carries
-    // a near condition or some residue atom references it. Every part is
-    // DISTINCT, so the core runs with set semantics: any other core slot
-    // is dropped once joined, or semi-joined when existential.
-    std::vector<bool> core_needed(core_n, false);
-    auto need = [&](const std::string& alias) {
-      auto it = core.slot_index.find(alias);
-      if (it != core.slot_index.end()) core_needed[it->second] = true;
-    };
-    for (size_t i = 0; i < core_n; ++i) {
-      if (!core.slots[i].nears.empty()) core_needed[i] = true;
-    }
-    for (size_t p = 0; p < query.parts().size(); ++p) {
-      for (const auto& item : query.parts()[p].query.projections()) {
-        need(item.var);
-      }
-      for (const AtomicCondition& atom : plan->parts[p].extra_atoms) {
-        for (const std::string& alias : atom.ReferencedVars()) need(alias);
-      }
-    }
-    bool core_materialized = false;
-    BatchTable core_batch(core_n);
-    auto materialize_core = [&]() {
-      if (core_materialized) return;
-      core_materialized = true;
-      if (core_table_empty) return;
-      if (stats != nullptr) ++stats->disjuncts;
-      BatchRunner runner(stats, cancel_);
-      core_batch = runner.Run(core.slots, std::move(core.joins), core_needed,
-                              /*distinct=*/true);
-      if (runner.stopped()) truncated = true;
-    };
-
-    for (size_t p = 0; p < query.parts().size(); ++p) {
-      if (truncated || (cancel_ != nullptr && cancel_->ShouldStop())) {
-        truncated = true;  // Remaining parts skipped.
-        break;
-      }
-      obs::ScopedSpan part_span(trace_, "part");
-      const CompoundPart& part = query.parts()[p];
-      const SharedCorePlan::PartResidue& residue = plan->parts[p];
-      // Slots: core variables first (matching core column order), then
-      // the part's extra variables.
-      std::vector<TupleVariable> vars = plan->core_vars;
-      vars.insert(vars.end(), residue.extra_vars.begin(),
-                  residue.extra_vars.end());
-      // Core near conditions participate in every part's satisfaction, so
-      // they are re-attached to the part's slot set.
-      std::vector<AtomicCondition> part_atoms = residue.extra_atoms;
-      for (const AtomicCondition& atom : plan->core_atoms) {
-        if (atom.is_near()) part_atoms.push_back(atom);
-      }
-      QP_ASSIGN_OR_RETURN(BuiltConjunct built,
-                          BuildConjunct(*db_, vars, part_atoms));
-
-      // Cost-based residue strategy, cheapest entry point first:
-      //  - drive: extend each materialized core binding through the
-      //    preference chain (pays ~|core|);
-      //  - merge: run the chain from its own most selective end and
-      //    hash-join back onto the core (pays ~|core| + chain entry);
-      //  - naive: when the part's own cheapest slot (with the *core's*
-      //    selections included) undercuts both, re-running the part from
-      //    scratch beats any reuse of a bloated core — typical for
-      //    unselective base queries with selective preferences.
-      size_t residue_entry = SIZE_MAX;
-      for (size_t i = core_n; i < built.slots.size(); ++i) {
-        residue_entry =
-            std::min(residue_entry, EstimateSlot(built.slots[i]));
-      }
-      size_t naive_entry = SIZE_MAX;
-      {
-        QP_ASSIGN_OR_RETURN(BuiltConjunct full,
-                            BuildConjunct(*db_, vars, residue.all_atoms));
-        for (const VarSlot& slot : full.slots) {
-          naive_entry = std::min(naive_entry, EstimateSlot(slot));
-        }
-      }
-      // Any core-reusing strategy costs at least ~|core|; if the part's
-      // own cheapest entry point (usually its preference selection) is
-      // far more selective than the core's, fresh execution wins. The 4x
-      // pad absorbs the part's join fan-out.
-      if (naive_entry * 4 < core_entry_estimate) {
-        CodedRows rows(arity);
-        std::vector<double> sats;
-        bool part_truncated = false;
-        QP_RETURN_IF_ERROR(
-            RunSelectVec(part.query, stats, &rows, &sats, &part_truncated));
-        if (part_truncated) truncated = true;
-        accumulate(rows, sats, part.degree);
-        part_span.Counter("naive", 1);
-        part_span.Counter("rows", rows.size());
-        continue;
-      }
-      materialize_core();
-      const bool drive_from_core =
-          residue.extra_vars.empty() ||
-          core_batch.num_rows() <= residue_entry;
-      if (stats != nullptr) ++stats->core_reuses;
-
-      std::vector<bool> needed =
-          NeededSlots(built.slots, part.query.projections(), false);
-      BatchTable part_batch(vars.size());
-      if (drive_from_core) {
-        std::vector<bool> bound(vars.size(), false);
-        BatchTable seeded(vars.size());
-        for (size_t i = 0; i < core_n; ++i) {
-          bound[i] = true;
-          // Copies the core's live columns; the residue reads no other.
-          if (core_batch.has_column(i)) {
-            seeded.SetColumn(i, core_batch.column(i));
+    obs::ScopedSpan part_span(trace_, "part");
+    const CompoundPart& part = query.parts()[p];
+    const bool distinct = part.query.distinct();
+    size_t bag_rows = 0;
+    reached.clear();
+    bool part_truncated = false;
+    QP_RETURN_IF_ERROR(RunSelectVec(
+        part.query, stats, &part_truncated,
+        [&](const uint32_t* codes, double sat) {
+          const auto [g, added] = groups.Insert(codes);
+          if (added) aggregates.emplace_back();
+          CompoundGroup& group = aggregates[g];
+          // Soft conditions scale the part's contribution by how closely
+          // the row matches.
+          if (!distinct) {
+            Accumulate(&group, part.degree * sat);
+            ++bag_rows;
+          } else if (group.last_part != p) {
+            group.last_part = p;
+            group.best = sat;
+            reached.push_back(g);
+          } else if (sat > group.best) {
+            group.best = sat;
           }
-        }
-        if (seeded.live_columns() == 0) {
-          seeded.SetNumRowsColumnless(core_batch.num_rows());
-        }
-        // The residue is one conjunctive block: count it like the naive
-        // path (which runs the part's SELECT) does, so per-part disjunct
-        // attribution is strategy-independent.
-        if (stats != nullptr) ++stats->disjuncts;
-        BatchRunner runner(stats, cancel_);
-        part_batch = runner.RunSeeded(built.slots, std::move(built.joins),
-                                      std::move(seeded), std::move(bound),
-                                      needed, /*distinct=*/true);
-        if (runner.stopped()) truncated = true;
-      } else {
-        // Anchor core variables: the ones the residue's atoms touch.
-        std::vector<size_t> anchors;  // Indices into the core/var order.
-        {
-          std::unordered_set<std::string> referenced;
-          for (const AtomicCondition& atom : residue.extra_atoms) {
-            for (const std::string& alias : atom.ReferencedVars()) {
-              referenced.insert(alias);
-            }
-          }
-          for (size_t i = 0; i < core_n; ++i) {
-            if (referenced.contains(plan->core_vars[i].alias)) {
-              anchors.push_back(i);
-            }
-          }
-        }
-        // Run the residue independently over anchors + extras, keeping
-        // every residue column (anchors are join keys, extras may be
-        // projected or carry nears).
-        std::vector<TupleVariable> residue_vars;
-        for (size_t i : anchors) residue_vars.push_back(plan->core_vars[i]);
-        residue_vars.insert(residue_vars.end(), residue.extra_vars.begin(),
-                            residue.extra_vars.end());
-        QP_ASSIGN_OR_RETURN(
-            BuiltConjunct residue_built,
-            BuildConjunct(*db_, residue_vars, residue.extra_atoms));
-        // One conjunctive block, same attribution as the other strategies.
-        if (stats != nullptr) ++stats->disjuncts;
-        BatchRunner runner(stats, cancel_);
-        BatchTable residue_batch =
-            runner.Run(residue_built.slots, std::move(residue_built.joins),
-                       std::vector<bool>(residue_vars.size(), true),
-                       /*distinct=*/false);
-        if (runner.stopped()) truncated = true;
-
-        // Vectorized merge: hash-build over the residue's anchor columns,
-        // probe with the core batch, then gather both sides column-wise
-        // into the merged part batch.
-        std::vector<size_t> residue_keys;
-        for (size_t i = 0; i < anchors.size(); ++i) residue_keys.push_back(i);
-        BatchHashTable by_anchor(&residue_batch, residue_keys);
-        std::vector<uint32_t> core_idx;
-        std::vector<uint32_t> residue_idx;
-        std::vector<uint32_t> matches;
-        for (size_t r = 0; r < core_batch.num_rows(); ++r) {
-          matches.clear();
-          by_anchor.Probe(core_batch, r, anchors, &matches);
-          for (uint32_t m : matches) {
-            core_idx.push_back(static_cast<uint32_t>(r));
-            residue_idx.push_back(m);
-          }
-        }
-        for (size_t i = 0; i < core_n; ++i) {
-          if (core_batch.has_column(i)) {
-            part_batch.SetColumn(i, core_batch.column(i).Gather(core_idx));
-          }
-        }
-        for (size_t e = 0; e < residue.extra_vars.size(); ++e) {
-          part_batch.SetColumn(
-              core_n + e,
-              residue_batch.column(anchors.size() + e).Gather(residue_idx));
-        }
-        if (part_batch.live_columns() == 0) {
-          part_batch.SetNumRowsColumnless(core_idx.size());
-        }
-        if (stats != nullptr) stats->bindings += part_batch.num_rows();
-      }
-
-      if (stats != nullptr) stats->raw_rows += part_batch.num_rows();
-      // Parts are DISTINCT; a row keeps its best soft-condition match.
-      CodedRows rows(arity);
-      std::vector<double> sats;
-      AddCodedRows(built.slots, part.query.projections(), part_batch,
-                   BatchSatisfactions(built.slots, part_batch),
-                   /*distinct=*/true, &rows, &sats);
-      accumulate(rows, sats, part.degree);
-      part_span.Counter(drive_from_core ? "drive" : "merge", 1);
-      part_span.Counter("rows", rows.size());
+        }));
+    if (part_truncated) truncated = true;
+    for (uint32_t g : reached) {
+      Accumulate(&aggregates[g], part.degree * aggregates[g].best);
     }
-  } else {
-    for (const CompoundPart& part : query.parts()) {
-      if (truncated || (cancel_ != nullptr && cancel_->ShouldStop())) {
-        truncated = true;  // Remaining parts skipped.
-        break;
-      }
-      obs::ScopedSpan part_span(trace_, "part");
-      CodedRows rows(arity);
-      std::vector<double> sats;
-      bool part_truncated = false;
-      QP_RETURN_IF_ERROR(
-          RunSelectVec(part.query, stats, &rows, &sats, &part_truncated));
-      if (part_truncated) truncated = true;
-      // Soft conditions scale the part's contribution by how closely the
-      // row matches.
-      accumulate(rows, sats, part.degree);
-      part_span.Counter("naive", 1);
-      part_span.Counter("rows", rows.size());
-    }
+    part_span.Counter("rows", bag_rows + reached.size());
   }
 
   std::unordered_set<Row, RowHash, RowEq> vetoed;

@@ -1,6 +1,8 @@
 #ifndef QP_EXEC_EXECUTOR_H_
 #define QP_EXEC_EXECUTOR_H_
 
+#include <cstdint>
+#include <functional>
 #include <unordered_set>
 #include <vector>
 
@@ -14,8 +16,6 @@
 
 namespace qp {
 
-class CodedRows;
-
 /// Execution counters: the work an execution did, which the
 /// `qp_exec_*` metrics, the "execution" span and the end-to-end
 /// benchmark's exec.* rows report. Accumulated through an Execute call
@@ -24,10 +24,10 @@ class CodedRows;
 /// bumped exactly once at the site that does the work — never again at
 /// an enclosing level.
 struct ExecutorStats {
-  /// Number of conjunctive blocks executed (SQ queries pay C(K-M, L) of
-  /// these). Under the shared-core MQ optimization this counts the core
-  /// materialization plus one per part residue run, keeping per-part
-  /// attribution consistent across the naive / drive / merge strategies.
+  /// Number of conjunctive blocks executed: one per conjunct of a
+  /// SELECT's qualification (SQ queries pay C(K-M, L) of these). The
+  /// parts of an MQ compound built by PreferenceIntegrator are conjunctive,
+  /// so it pays one per part, plus its exclusions' conjuncts.
   size_t disjuncts = 0;
   /// Variable bindings produced across all join steps, including
   /// intermediate ones — a proxy for work done. A semi step (a join into
@@ -37,9 +37,6 @@ struct ExecutorStats {
   /// Rows emitted before duplicate elimination. Under set semantics a
   /// semi step has kept each row once, not once per match.
   size_t raw_rows = 0;
-  /// Partial queries served from a shared materialized core instead of a
-  /// from-scratch execution (the MQ shared-core optimization).
-  size_t core_reuses = 0;
 };
 
 /// Evaluates queries against an in-memory Database. The executor handles
@@ -61,19 +58,17 @@ struct ExecutorStats {
 /// on the group aggregates, and Values are decoded from the codes
 /// (KeyIndex::Decode) once per row of the answer (for a compound, per
 /// group that passes HAVING, before the EXCEPT vetoes).
-/// Runs with set semantics (a DISTINCT SELECT's conjuncts, a compound's
-/// shared core and drive residues) semi-join their existential tuple
-/// variables: one neither projected nor under a near condition, and
-/// joined through a single atom, only has to have a matching row, so its
-/// join keeps each row once instead of once per match. Bag SELECTs and
-/// the binding-level OR dedup keep the expanding join.
-/// MQ compounds whose parts share a common conjunctive block (they always
-/// do when built by PreferenceIntegrator: the original query is repeated
-/// in every part) are executed with the *shared-core* optimization: the
-/// common block is materialized once and each part only joins its own
-/// preference chain on top — the "efficient execution of personalized
-/// queries" the paper lists as future work. Disable with
-/// set_shared_core(false) (used by the ablation benchmark).
+/// Runs with set semantics (a DISTINCT SELECT's conjuncts, so every part
+/// of an MQ compound) semi-join their existential tuple variables: one
+/// neither projected nor under a near condition, and joined through a
+/// single atom, only has to have a matching row, so its join keeps each
+/// row once instead of once per match. Bag SELECTs and the binding-level
+/// OR dedup keep the expanding join.
+/// A compound runs its parts one after another through the SELECT path
+/// and groups each part's rows as they are produced: a row's code tuple
+/// finds its group; a DISTINCT part adds to each group it reaches once,
+/// its degree times the best satisfaction among its rows there, and a bag
+/// part adds once per row.
 /// Results are canonicalized (deterministically ordered). Tests check
 /// them against a brute-force oracle (testing_util::ReferenceExecute).
 class Executor {
@@ -85,8 +80,6 @@ class Executor {
                             ExecutorStats* stats = nullptr) const;
   Result<ResultSet> Execute(const CompoundQuery& query,
                             ExecutorStats* stats = nullptr) const;
-
-  void set_shared_core(bool enabled) { shared_core_ = enabled; }
 
   /// Cooperative cancellation: `cancel` (not owned; may be null) is
   /// polled periodically from the row loops. When it trips, execution
@@ -105,21 +98,24 @@ class Executor {
 
   /// Mirrors ExecutorStats deltas into `registry` (qp_exec_* counters)
   /// after each outermost Execute. Counter pointers are cached here, so
-  /// the per-query cost is four atomic adds. May be null to unbind.
+  /// the per-query cost is three atomic adds. May be null to unbind.
   void BindMetrics(obs::MetricsRegistry* registry);
 
  private:
   Result<ResultSet> ExecuteSelectVec(const SelectQuery& query,
                                      ExecutorStats* stats) const;
-  /// Runs a SELECT up to its answer in coded form: the distinct rows
-  /// under DISTINCT, else every row, in the order produced.
-  /// `sats` gets each row's near-condition satisfaction (stays empty when
-  /// the query has no near condition); *truncated is set when execution
-  /// was cut short. ExecuteSelectVec builds the answer's Values from it;
-  /// compound parts group its coded rows directly.
+  /// Receives a SELECT's rows as they are produced: one row's output key
+  /// codes and its near-condition satisfaction (1 when its conjunct has
+  /// none).
+  using RowSink = std::function<void(const uint32_t* codes, double sat)>;
+  /// Runs a SELECT, handing `sink` each row in the order produced. Rows
+  /// come with their duplicates (keeping one per distinct row is the
+  /// sink's job under DISTINCT), except that a bag SELECT with several
+  /// conjuncts yields each distinct binding once. *truncated is set when
+  /// execution was cut short. ExecuteSelectVec's sink builds the answer;
+  /// a compound's sink is its GROUP BY.
   Status RunSelectVec(const SelectQuery& query, ExecutorStats* stats,
-                      CodedRows* rows, std::vector<double>* sats,
-                      bool* truncated) const;
+                      bool* truncated, const RowSink& sink) const;
   Result<ResultSet> ExecuteCompoundVec(const CompoundQuery& query,
                                        ExecutorStats* stats) const;
   /// EXCEPT blocks: rows returned by any exclusion query land in
@@ -134,13 +130,11 @@ class Executor {
                           const Result<ResultSet>& result) const;
 
   const Database* db_;
-  bool shared_core_ = true;
   const CancelToken* cancel_ = nullptr;
   obs::RequestTrace* trace_ = nullptr;
   obs::Counter* metric_disjuncts_ = nullptr;
   obs::Counter* metric_bindings_ = nullptr;
   obs::Counter* metric_raw_rows_ = nullptr;
-  obs::Counter* metric_core_reuses_ = nullptr;
   /// Execute recursion depth (compound -> part / exclusion -> select).
   /// Spans and metric flushes attach to the outermost frame only; stats
   /// themselves are incremented exactly once at the working site.

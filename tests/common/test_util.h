@@ -37,9 +37,9 @@ namespace testing_util {
   lhs = std::move(tmp).value()
 
 /// The executor's test oracle: a brute-force reading of the paper's two
-/// query forms that uses no index, key code, join order, shared core or
-/// cancellation. Each overload returns the canonicalized answer, so it
-/// compares with Executor::Execute row for row. `query` must be valid.
+/// query forms that uses no index, key code, join order, code-tuple
+/// grouping or cancellation. Each overload returns the canonicalized
+/// answer, so it compares with Executor::Execute row for row. `query` must be valid.
 ///
 /// SELECT: for each conjunct of the qualification's DNF, nested loops
 /// bind tuple variables in FROM order, checking each atom as soon as its

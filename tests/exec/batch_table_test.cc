@@ -1,8 +1,8 @@
-// BatchTable / BatchColumn / BatchHashTable / CodedRows edge cases: empty
-// batches, single-row batches, all-duplicate keys, and coded rows that
-// agree on some columns only. These are the primitives the vectorized
-// executor is built on, so their append/gather/filter/drop and dedup
-// semantics are pinned here independently of any query.
+// BatchTable / BatchColumn / CodedRows edge cases: empty batches,
+// single-row batches, and coded rows that agree on some columns only.
+// These are the primitives the vectorized executor is built on, so their
+// append/gather/filter/drop and dedup semantics are pinned here
+// independently of any query.
 
 #include <cstdint>
 #include <vector>
@@ -59,12 +59,10 @@ TEST(BatchTableTest, DropColumnKeepsRowCountAndSlotIndices) {
   batch.FilterRows({1, 0, 1});
   EXPECT_EQ(batch.num_rows(), 2u);
   EXPECT_EQ(batch.column(2).row_id_at(1), 6u);
-  // Dropping every column leaves a pure multiplicity, still settable.
+  // Dropping every column leaves a pure multiplicity.
   batch.DropColumn(2);
   EXPECT_EQ(batch.live_columns(), 0u);
   EXPECT_EQ(batch.num_rows(), 2u);
-  batch.SetNumRowsColumnless(5);
-  EXPECT_EQ(batch.num_rows(), 5u);
 }
 
 TEST(BatchTableTest, AppendRowFromAccumulates) {
@@ -83,66 +81,6 @@ TEST(BatchTableTest, AppendRowFromAccumulates) {
   EXPECT_TRUE(acc.RowsEqual(0, src, 1, {0, 1}, {0, 1}));
   EXPECT_FALSE(acc.RowsEqual(0, src, 0, {0, 1}, {0, 1}));
   EXPECT_EQ(acc.RowHash(0, {0, 1}), src.RowHash(1, {0, 1}));
-}
-
-TEST(BatchHashTableTest, EmptyBuildSideMatchesNothing) {
-  BatchTable build(1);
-  build.SetColumn(0, BatchColumn::RowIds({}));
-  BatchHashTable ht(&build, {0});
-  BatchTable probe(1);
-  probe.SetColumn(0, BatchColumn::RowIds({42}));
-  std::vector<uint32_t> out;
-  ht.Probe(probe, 0, {0}, &out);
-  EXPECT_TRUE(out.empty());
-}
-
-TEST(BatchHashTableTest, AllDuplicateKeysReturnEveryMatch) {
-  // Every build row has the same key: a probe must surface all of them,
-  // in build order (join fan-out correctness).
-  BatchTable build(2);
-  build.SetColumn(0, BatchColumn::RowIds({5, 5, 5, 5}));
-  build.SetColumn(1, BatchColumn::RowIds({0, 1, 2, 3}));
-  BatchHashTable ht(&build, {0});
-  BatchTable probe(1);
-  probe.SetColumn(0, BatchColumn::RowIds({5, 6}));
-  std::vector<uint32_t> out;
-  ht.Probe(probe, 0, {0}, &out);
-  EXPECT_EQ(out, (std::vector<uint32_t>{0, 1, 2, 3}));
-  out.clear();
-  ht.Probe(probe, 1, {0}, &out);
-  EXPECT_TRUE(out.empty());
-}
-
-TEST(BatchHashTableTest, CompositeKeysVerifyCellEquality) {
-  BatchTable build(2);
-  build.SetColumn(0, BatchColumn::RowIds({1, 1, 2}));
-  build.SetColumn(1, BatchColumn::RowIds({10, 20, 10}));
-  BatchHashTable ht(&build, {0, 1});
-  BatchTable probe(2);
-  probe.SetColumn(0, BatchColumn::RowIds({1, 2, 2}));
-  probe.SetColumn(1, BatchColumn::RowIds({20, 10, 20}));
-  std::vector<uint32_t> out;
-  ht.Probe(probe, 0, {0, 1}, &out);
-  EXPECT_EQ(out, (std::vector<uint32_t>{1}));
-  out.clear();
-  ht.Probe(probe, 1, {0, 1}, &out);
-  EXPECT_EQ(out, (std::vector<uint32_t>{2}));
-  out.clear();
-  ht.Probe(probe, 2, {0, 1}, &out);
-  EXPECT_TRUE(out.empty());
-}
-
-TEST(BatchHashTableTest, EmptyKeyMatchesEverything) {
-  // A zero-arity key (the merge path with no anchor variables) degrades
-  // to a cross product: every build row matches every probe row.
-  BatchTable build(1);
-  build.SetColumn(0, BatchColumn::RowIds({0, 1, 2}));
-  BatchHashTable ht(&build, {});
-  BatchTable probe(1);
-  probe.SetColumn(0, BatchColumn::RowIds({9}));
-  std::vector<uint32_t> out;
-  ht.Probe(probe, 0, {}, &out);
-  EXPECT_EQ(out.size(), 3u);
 }
 
 TEST(CodedRowsTest, InsertKeepsFirstOccurrence) {

@@ -4,16 +4,16 @@
 // personalize it as SQ and as MQ, execute it, and require the oracle's
 // answer exactly: rows, row order, counts, the truncated flag, and
 // degrees and satisfactions bit for bit (ExactString prints doubles as
-// %a). The oracle shares no index, key code, join order, shared-core plan
-// or HAVING code with the executor, so a bug in any of them shows.
+// %a). The oracle shares no index, key code, join order, grouping or
+// HAVING code with the executor, so a bug in any of them shows.
 // Further trials check the truncation contract under mid-flight
 // cancellation, and that an armed `exec.disjunct` chaos fault yields
 // either the injected error or the oracle's answer.
 //
 // A hand-built database covers the key codings the movie database never
 // reaches, and the semi-joined (existential) tuple variables of DISTINCT
-// selects and shared cores next to the bag and near-condition forms that
-// must keep the expanding join.
+// selects and MQ parts next to the bag and near-condition forms that must
+// keep the expanding join.
 //
 // Every trial prints "[diff] trial N seed=S" before running, so a
 // failure names its exact replay. QP_EXEC_TRIALS overrides the trial
@@ -35,7 +35,6 @@
 #include "qp/data/workload.h"
 #include "qp/exec/executor.h"
 #include "qp/graph/personalization_graph.h"
-#include "qp/obs/trace.h"
 #include "qp/pref/profile_generator.h"
 #include "qp/query/sql_parser.h"
 #include "qp/util/deadline.h"
@@ -411,10 +410,8 @@ Database KeyShapesDatabase() {
 /// Executes `query` on `db` and requires the oracle's answer exactly.
 template <typename Query>
 ResultSet CheckAgainstOracle(const Database& db, const Query& query,
-                             const std::string& label,
-                             obs::RequestTrace* trace = nullptr) {
+                             const std::string& label) {
   Executor executor(&db);
-  executor.set_trace(trace);
   auto result = executor.Execute(query);
   EXPECT_TRUE(result.ok()) << label << ": " << result.status();
   if (!result.ok()) return ResultSet();
@@ -479,8 +476,8 @@ TEST(ExecDifferentialKeyShapesTest, EveryKeyCodingMatchesTheOracle) {
     ASSERT_TRUE(query.ok()) << sql << ": " << query.status();
     CheckAgainstOracle(db, *query, sql);
   }
-  // An MQ-shaped compound whose parts share the sparse-key core and add
-  // residues on the other codings (the shared-core seeded runs).
+  // An MQ-shaped compound whose parts share the sparse-key join and add
+  // preferences on the other codings.
   CompoundQuery compound;
   const char* parts[] = {
       "select distinct I.id from ITEM I, LINK L where I.id=L.item and "
@@ -505,9 +502,8 @@ TEST(ExecDifferentialKeyShapesTest, EveryKeyCodingMatchesTheOracle) {
   EXPECT_GT(ranked.num_rows(), 0u);
 
   // An MQ-shaped compound grouped on two coded columns, the
-  // NULL-bearing int and the double: shared-core parts (a near part
-  // among them) and one part selective enough to run from scratch
-  // (I.tag='c' holds one row against a core entry of eight).
+  // NULL-bearing int and the double, with a near part among its parts and
+  // one very selective part (I.tag='c' holds one row of ITEM's eight).
   const char* grouped_parts[] = {
       "select distinct I.ref, I.score from ITEM I, LINK L where "
       "I.id=L.item and L.note='x'",
@@ -550,19 +546,6 @@ TEST(ExecDifferentialKeyShapesTest, EveryKeyCodingMatchesTheOracle) {
   const ResultSet excepted = CheckAgainstOracle(
       db, grouped(HavingClause::CountAtLeast(1), true), "grouped except");
   EXPECT_LT(excepted.num_rows(), all.num_rows());
-}
-
-/// The shared-core strategy of each part, in part order, as the "part"
-/// spans' counters name it.
-std::vector<std::string> PartStrategies(const obs::RequestTrace& trace) {
-  std::vector<std::string> strategies;
-  for (const obs::TraceSpan& span : trace.spans()) {
-    if (span.name != "part") continue;
-    for (const char* strategy : {"naive", "drive", "merge"}) {
-      if (span.counter(strategy) == 1) strategies.push_back(strategy);
-    }
-  }
-  return strategies;
 }
 
 TEST(ExecDifferentialKeyShapesTest, ExistentialVariablesMatchTheOracle) {
@@ -611,12 +594,11 @@ TEST(ExecDifferentialKeyShapesTest, ExistentialVariablesMatchTheOracle) {
     CheckAgainstOracle(db, *query, sql);
   }
 
-  // An MQ compound whose core (I, L joined on I.id=L.item) holds L as an
-  // existential to-many variable: no part projects it, none has a near
-  // condition on it, and no residue atom references it. The core entry
-  // estimate is 8 (ITEM), so I.tag='c' (1 row) runs naive, the parts
-  // with no extra variable drive from the core, and J.tag='b' (2 rows,
-  // fewer than the core's rows) merges onto it.
+  // An MQ compound whose shared join (I, L on I.id=L.item) holds L as an
+  // existential to-many variable in every part: no part projects it,
+  // none has a near condition on it, and no other atom references it.
+  // The preferences are selective (I.tag='c', 1 row; J.tag='b', 2 rows,
+  // through a second ITEM variable) or not (I.tag='a', the near part).
   CompoundQuery compound;
   const char* parts[] = {
       "select distinct I.id from ITEM I, LINK L where I.id=L.item and "
@@ -637,18 +619,12 @@ TEST(ExecDifferentialKeyShapesTest, ExistentialVariablesMatchTheOracle) {
   }
   compound.set_having(HavingClause::CountAtLeast(1));
   compound.set_order_by_degree(true);
-  obs::RequestTrace trace;
-  ResultSet ranked = CheckAgainstOracle(db, compound, "compound", &trace);
+  ResultSet ranked = CheckAgainstOracle(db, compound, "compound");
   EXPECT_GT(ranked.num_rows(), 0u);
-  if (obs::kTracingCompiledIn) {
-    EXPECT_EQ(PartStrategies(trace),
-              (std::vector<std::string>{"drive", "naive", "merge", "drive"}));
-  }
 
-  // A core no part reads: each part projects ITEM.id through its own
-  // alias and no residue atom touches I or L, so the core keeps no column
-  // and only its row count (6) reaches the parts. A's residue (3 rows)
-  // merges onto it with no anchor; C's (8 rows) drives from it.
+  // A shared join no part reads: each part projects ITEM.id through its
+  // own alias and no other atom touches I or L, so the join only asserts
+  // that some linked item exists (6 of the 8 do).
   CompoundQuery unread;
   for (const char* sql :
        {"select distinct A.id from ITEM A, ITEM I, LINK L where "
@@ -660,14 +636,8 @@ TEST(ExecDifferentialKeyShapesTest, ExistentialVariablesMatchTheOracle) {
     unread.AddPart(std::move(part).value(), 0.7);
   }
   unread.set_having(HavingClause::CountAtLeast(1));
-  obs::RequestTrace unread_trace;
-  ResultSet all_items =
-      CheckAgainstOracle(db, unread, "unread core", &unread_trace);
+  ResultSet all_items = CheckAgainstOracle(db, unread, "unread join");
   EXPECT_EQ(all_items.num_rows(), 8u);
-  if (obs::kTracingCompiledIn) {
-    EXPECT_EQ(PartStrategies(unread_trace),
-              (std::vector<std::string>{"merge", "drive"}));
-  }
 }
 
 }  // namespace

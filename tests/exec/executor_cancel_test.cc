@@ -1,8 +1,9 @@
 // Cooperative cancellation in the executor's row loops: a tripped token
 // stops production and yields a partial ResultSet flagged truncated().
 // Every row of a truncated SelectQuery result must be a genuine answer
-// (a sub-multiset of the full result); compound results may additionally
-// under-apply dislike vetoes, so only the flag is asserted there.
+// (a sub-multiset of the full result). Compound results may additionally
+// under-apply dislike vetoes, so their rows are checked only against the
+// oracle of a dislike-free compound.
 
 #include <memory>
 #include <unordered_map>
@@ -156,7 +157,7 @@ TEST_F(ExecutorCancelTest, CompoundQueryHonoursTheToken) {
   EXPECT_TRUE(saw_full) << "no budget large enough to finish the run";
 }
 
-TEST_F(ExecutorCancelTest, SharedCoreAndFallbackBothTruncate) {
+TEST_F(ExecutorCancelTest, MqTruncatesToOracleRows) {
   Schema schema = MovieSchema();
   auto graph = PersonalizationGraph::Build(&schema, JulieProfile());
   ASSERT_TRUE(graph.ok());
@@ -167,16 +168,26 @@ TEST_F(ExecutorCancelTest, SharedCoreAndFallbackBothTruncate) {
   ASSERT_TRUE(outcome.ok());
   ASSERT_TRUE(outcome->mq.has_value());
 
-  for (bool shared_core : {true, false}) {
-    CancelToken token;
-    token.set_poll_budget(5);
-    Executor executor(db_.get());
-    executor.set_shared_core(shared_core);
-    executor.set_cancel_token(&token);
-    auto cut = executor.Execute(*outcome->mq);
-    ASSERT_TRUE(cut.ok()) << "shared_core=" << shared_core;
-    EXPECT_TRUE(cut->truncated()) << "shared_core=" << shared_core;
-  }
+  // Uncut, the MQ is the oracle's answer. Cut after five polls it is
+  // flagged truncated, and (Julie has no dislikes to under-apply and
+  // HAVING count(*) >= 1 holds for any group a part reached) each of its
+  // rows is one of the oracle's.
+  const ResultSet full = testing_util::ReferenceExecute(*db_, *outcome->mq);
+  Executor uncut(db_.get());
+  auto whole = uncut.Execute(*outcome->mq);
+  ASSERT_TRUE(whole.ok());
+  EXPECT_EQ(testing_util::ExactString(*whole),
+            testing_util::ExactString(full));
+
+  CancelToken token;
+  token.set_poll_budget(5);
+  Executor executor(db_.get());
+  executor.set_cancel_token(&token);
+  auto cut = executor.Execute(*outcome->mq);
+  ASSERT_TRUE(cut.ok());
+  EXPECT_TRUE(cut->truncated());
+  EXPECT_LT(cut->num_rows(), full.num_rows());
+  EXPECT_TRUE(SubMultiset(cut->rows(), full.rows()));
 }
 
 }  // namespace

@@ -1,11 +1,8 @@
 // Regression tests for ExecutorStats attribution: `disjuncts` must
-// count one unit per conjunctive block *per part*, independent of which
-// shared-core strategy (naive recursion, drive, merge) ran the part, and
-// repeated / recursive executions must accumulate linearly — the
-// shared-core residue paths once under-counted by attributing drive and
-// merge residues to the core instead of their parts. The qp_exec_*
-// registry mirrors and the "execution" trace span must report the same
-// deltas as the caller's stats struct.
+// count one unit per conjunctive block *per part*, and repeated /
+// recursive executions must accumulate linearly. The qp_exec_* registry
+// mirrors and the "execution" trace span must report the same deltas as
+// the caller's stats struct.
 
 #include "common/test_util.h"
 #include "gtest/gtest.h"
@@ -40,23 +37,12 @@ TEST(ExecutorStatsAttributionTest, DisjunctCountIsStrategyIndependent) {
   const size_t parts = outcome.mq->parts().size();
   ASSERT_GT(parts, 1u);
 
-  Executor with(&*db);
-  Executor without(&*db);
-  without.set_shared_core(false);
-
-  ExecutorStats with_stats;
-  ExecutorStats without_stats;
-  ASSERT_TRUE(with.Execute(*outcome.mq, &with_stats).ok());
-  ASSERT_TRUE(without.Execute(*outcome.mq, &without_stats).ok());
-
-  // Every part is one conjunctive block. Without the shared core each
-  // part runs from scratch: exactly one disjunct per part.
-  EXPECT_EQ(without_stats.disjuncts, parts);
-  // With the shared core, drive/merge residues still count one disjunct
-  // for their part (the regression: they used to be silent), and the
-  // core materialization adds exactly one more when any part reused it.
-  ASSERT_GE(with_stats.core_reuses, 1u);
-  EXPECT_EQ(with_stats.disjuncts, parts + 1);
+  // Every part is one conjunctive block, run as the SELECT it is: exactly
+  // one disjunct per part.
+  Executor executor(&*db);
+  ExecutorStats stats;
+  ASSERT_TRUE(executor.Execute(*outcome.mq, &stats).ok());
+  EXPECT_EQ(stats.disjuncts, parts);
 }
 
 TEST(ExecutorStatsAttributionTest, SinglePartCompoundCountsOneDisjunct) {
@@ -70,7 +56,6 @@ TEST(ExecutorStatsAttributionTest, SinglePartCompoundCountsOneDisjunct) {
   Executor executor(&*db);
   ExecutorStats stats;
   ASSERT_TRUE(executor.Execute(compound, &stats).ok());
-  EXPECT_EQ(stats.core_reuses, 0u);
   EXPECT_EQ(stats.disjuncts, 1u);
 }
 
@@ -94,38 +79,23 @@ TEST(ExecutorStatsAttributionTest, RepeatedExecutionAccumulatesLinearly) {
   EXPECT_EQ(twice.disjuncts, 2 * once.disjuncts);
   EXPECT_EQ(twice.bindings, 2 * once.bindings);
   EXPECT_EQ(twice.raw_rows, 2 * once.raw_rows);
-  EXPECT_EQ(twice.core_reuses, 2 * once.core_reuses);
 }
 
 TEST(ExecutorStatsAttributionTest, CountModelIsPinnedOnThePaperMq) {
-  // Exact counts for the Julie MQ (K = 3, L = 2) with the shared core on
-  // and off. exec.bindings_per_exec and the benchmark's other work counts
-  // read these, so a change to where or what the executor counts shows
-  // here first.
+  // Exact counts for the Julie MQ (K = 3, L = 2). exec.bindings_per_exec
+  // and the benchmark's other work counts read these, so a change to
+  // where or what the executor counts shows here first.
   auto db = BuildPaperDatabase();
   ASSERT_TRUE(db.ok());
   PersonalizationOutcome outcome = PaperOutcome();
   ASSERT_TRUE(outcome.mq.has_value());
 
-  struct Expected {
-    bool shared_core;
-    size_t disjuncts, bindings, raw_rows, core_reuses;
-  };
-  for (const Expected& want : {Expected{true, 4, 38, 8, 1},
-                               Expected{false, 3, 26, 8, 0}}) {
-    Executor executor(&*db);
-    executor.set_shared_core(want.shared_core);
-    ExecutorStats stats;
-    ASSERT_TRUE(executor.Execute(*outcome.mq, &stats).ok());
-    EXPECT_EQ(stats.disjuncts, want.disjuncts)
-        << "shared_core=" << want.shared_core;
-    EXPECT_EQ(stats.bindings, want.bindings)
-        << "shared_core=" << want.shared_core;
-    EXPECT_EQ(stats.raw_rows, want.raw_rows)
-        << "shared_core=" << want.shared_core;
-    EXPECT_EQ(stats.core_reuses, want.core_reuses)
-        << "shared_core=" << want.shared_core;
-  }
+  Executor executor(&*db);
+  ExecutorStats stats;
+  ASSERT_TRUE(executor.Execute(*outcome.mq, &stats).ok());
+  EXPECT_EQ(stats.disjuncts, 3u);
+  EXPECT_EQ(stats.bindings, 26u);
+  EXPECT_EQ(stats.raw_rows, 8u);
 }
 
 TEST(ExecutorStatsAttributionTest, SemiStepCountsTheRowsItKeeps) {
@@ -181,15 +151,12 @@ TEST(ExecutorStatsAttributionTest, RegistryAndTraceMirrorStatsDeltas) {
             stats.bindings);
   EXPECT_EQ(registry.counter("qp_exec_raw_rows_total")->Value(),
             stats.raw_rows);
-  EXPECT_EQ(registry.counter("qp_exec_core_reuses_total")->Value(),
-            stats.core_reuses);
 
   if (obs::kTracingCompiledIn) {
     const obs::TraceSpan* span = trace.FindSpan("execution");
     ASSERT_NE(span, nullptr);
     EXPECT_EQ(span->counter("disjuncts"), stats.disjuncts);
     EXPECT_EQ(span->counter("bindings"), stats.bindings);
-    EXPECT_EQ(span->counter("core_reuses"), stats.core_reuses);
     // One "part" child span per MQ part.
     size_t part_spans = 0;
     for (const obs::TraceSpan& s : trace.spans()) {
