@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 
 namespace qp {
 namespace bench {
@@ -90,6 +91,25 @@ void Upsert(std::vector<std::pair<std::string, T>>* entries,
 }
 
 }  // namespace
+
+obs::HistogramSnapshot MergedHistogram(const obs::MetricsSnapshot& snapshot,
+                                       const std::string& name) {
+  obs::HistogramSnapshot merged;
+  std::map<double, uint64_t> buckets;
+  auto merge = [&](const obs::HistogramSnapshot& h) {
+    merged.count += h.count;
+    merged.sum += h.sum;
+    for (const auto& [bound, count] : h.buckets) buckets[bound] += count;
+  };
+  for (const auto& [series, h] : snapshot.histograms) {
+    if (series == name) merge(h);
+  }
+  for (const auto& sample : snapshot.labeled_histograms) {
+    if (sample.name == name) merge(sample.value);
+  }
+  merged.buckets.assign(buckets.begin(), buckets.end());
+  return merged;
+}
 
 void BenchReport::AddScalar(const std::string& name, double value) {
   Upsert(&scalars_, name, value);

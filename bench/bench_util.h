@@ -49,6 +49,12 @@ void PrintHeader(const std::string& figure, const std::string& title,
 /// Prints one aligned data row: label followed by columns.
 void PrintRow(const std::vector<std::string>& cells);
 
+/// Every series of histogram `name` in `snapshot`, unlabeled and under
+/// each label set, merged bucket by bucket: a cluster registers one
+/// series per shard.
+obs::HistogramSnapshot MergedHistogram(const obs::MetricsSnapshot& snapshot,
+                                       const std::string& name);
+
 /// One benchmark binary's machine-readable sidecar: named scalars plus
 /// histogram percentile summaries, serialized as a single JSON object.
 /// The service/storage benchmarks used to hand-roll their own JSON

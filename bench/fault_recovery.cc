@@ -121,6 +121,12 @@ void BM_BreakerTimeToRecover(benchmark::State& state) {
     auto elapsed = std::chrono::steady_clock::now() - start;
     total_ms += std::chrono::duration<double, std::milli>(elapsed).count();
     ++recoveries;
+    // The store's registry saw exactly this trip-and-heal cycle.
+    const StorageStats stats = store->storage_stats();
+    if (stats.breaker_trips < 1 || stats.breaker_recoveries != 1) {
+      state.SkipWithError("breaker cycle missing from the store's counters");
+      return;
+    }
   }
   if (recoveries > 0) {
     state.counters["recover_ms"] = total_ms / static_cast<double>(recoveries);
@@ -196,6 +202,8 @@ void BM_ScrubSteadyStateOverhead(benchmark::State& state) {
     Report().AddScalar("scrub_off_records_per_s", records_per_s);
   } else {
     Report().AddScalar("scrub_on_records_per_s", records_per_s);
+    Report().AddScalar("scrub_passes",
+                       static_cast<double>(store->storage_stats().scrubs));
     if (baseline_rps > 0.0) {
       const double tax = 100.0 * (1.0 - records_per_s / baseline_rps);
       state.counters["scrub_tax_pct"] = tax;

@@ -401,7 +401,8 @@ void BM_ZipfianClosedLoopAndKillRecover(benchmark::State& state) {
     Report().AddScalar("zero_acked_loss", acked_loss == 0 ? 1.0 : 0.0);
     Report().AddHistogram(
         "qp_tier_load_seconds",
-        sharded->metrics()->histogram("qp_tier_load_seconds")->Snapshot());
+        bench::MergedHistogram(sharded->metrics()->Snapshot(),
+                               "qp_tier_load_seconds"));
   }
 }
 BENCHMARK(BM_ZipfianClosedLoopAndKillRecover)

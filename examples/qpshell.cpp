@@ -940,8 +940,8 @@ class Shell {
           tier.enabled ? std::to_string(tier.hot_resident) + "/" +
                              std::to_string(tier.hot_capacity)
                        : "all";
-      std::string cache = std::to_string(row.stats.cache.hits) + "/" +
-                          std::to_string(row.stats.cache.misses);
+      std::string cache = std::to_string(row.stats.cache_hits) + "/" +
+                          std::to_string(row.stats.cache_misses);
       std::string scrub =
           std::to_string(row.stats.storage.scrubs) + " passes/" +
           std::to_string(row.stats.storage.scrub_corruptions) + " corrupt";
@@ -1003,13 +1003,12 @@ class Shell {
     const storage::StorageStats& storage = last_stats_.storage;
     std::printf(
         "breaker: %s — %llu trips, %llu probes, %llu recoveries "
-        "(epoch %llu, next backoff %llums)\n",
+        "(next backoff %llums)\n",
         storage.breaker_open ? "OPEN (store read-only until a probe heals it)"
                              : "closed",
         static_cast<unsigned long long>(storage.breaker_trips),
         static_cast<unsigned long long>(storage.breaker_probes),
         static_cast<unsigned long long>(storage.breaker_recoveries),
-        static_cast<unsigned long long>(storage.breaker_epoch),
         static_cast<unsigned long long>(storage.breaker_backoff_ms));
     std::printf(
         "scrubber: %llu passes, %llu corruptions found, %llu repaired "

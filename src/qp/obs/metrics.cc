@@ -332,6 +332,14 @@ Histogram* MetricsRegistry::histogram(std::string_view name,
   return it->second.instrument.get();
 }
 
+MetricScope MetricScope::OrOwn() const {
+  if (registry_ != nullptr) return *this;
+  MetricScope owning(nullptr, labels_);
+  owning.owned_ = std::make_shared<MetricsRegistry>();
+  owning.registry_ = owning.owned_.get();
+  return owning;
+}
+
 void MetricsRegistry::SetHelp(std::string_view name, std::string_view help) {
   std::lock_guard<std::mutex> lock(mutex_);
   help_[std::string(name)] = std::string(help);

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace qp {
@@ -234,6 +235,41 @@ class MetricsRegistry {
   LabeledMap<Gauge> labeled_gauges_;
   LabeledMap<Histogram> labeled_histograms_;
   std::map<std::string, std::string, std::less<>> help_;
+};
+
+/// Where a component registers its instruments: a registry plus the
+/// labels every series it registers carries — `{shard="<id>"}` for one
+/// shard of a cluster, none (the flat names) for a standalone component.
+/// Converts implicitly from a bare registry pointer.
+class MetricScope {
+ public:
+  MetricScope() = default;
+  MetricScope(MetricsRegistry* registry, MetricLabels labels = {})
+      : registry_(registry), labels_(std::move(labels)) {}
+
+  /// This scope when it names a registry; otherwise the same labels over
+  /// a fresh registry the result owns (its copies share it). A component
+  /// resolves its scope once at construction, so every instrument it
+  /// touches exists.
+  MetricScope OrOwn() const;
+
+  MetricsRegistry* registry() const { return registry_; }
+  const MetricLabels& labels() const { return labels_; }
+
+  Counter* counter(std::string_view name) const {
+    return registry_->counter(name, labels_);
+  }
+  Gauge* gauge(std::string_view name) const {
+    return registry_->gauge(name, labels_);
+  }
+  Histogram* histogram(std::string_view name) const {
+    return registry_->histogram(name, labels_);
+  }
+
+ private:
+  std::shared_ptr<MetricsRegistry> owned_;
+  MetricsRegistry* registry_ = nullptr;
+  MetricLabels labels_;
 };
 
 }  // namespace obs

@@ -7,18 +7,14 @@
 
 namespace qp {
 
-ProfileStore::ProfileStore(const Schema* schema, size_t num_shards,
-                           obs::MetricsRegistry* metrics)
-    : schema_(schema) {
-  if (metrics != nullptr) {
-    metric_gets_ = metrics->counter("qp_profile_store_gets_total");
-    metric_get_misses_ =
-        metrics->counter("qp_profile_store_get_misses_total");
-    metric_mutations_ = metrics->counter("qp_profile_store_mutations_total");
-  }
-  if (num_shards == 0) num_shards = 1;
-  shards_.reserve(num_shards);
-  for (size_t i = 0; i < num_shards; ++i) {
+ProfileStore::ProfileStore(const Schema* schema, obs::MetricScope metrics)
+    : schema_(schema),
+      metrics_(metrics.OrOwn()),
+      metric_gets_(metrics_.counter("qp_profile_store_gets_total")),
+      metric_get_misses_(metrics_.counter("qp_profile_store_get_misses_total")),
+      metric_mutations_(metrics_.counter("qp_profile_store_mutations_total")) {
+  shards_.reserve(kNumShards);
+  for (size_t i = 0; i < kNumShards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
 }
@@ -46,7 +42,7 @@ Status ProfileStore::Put(const std::string& user_id, UserProfile profile) {
     entry.graph = std::move(new_graph);
     entry.epoch = ++shard.next_epoch;
   }
-  if (metric_mutations_ != nullptr) metric_mutations_->Add(1);
+  metric_mutations_->Add(1);
   return Status::Ok();
 }
 
@@ -94,19 +90,19 @@ Status ProfileStore::Upsert(
       entry.profile = std::move(new_profile);
       entry.graph = std::move(new_graph);
       entry.epoch = ++shard.next_epoch;
-      if (metric_mutations_ != nullptr) metric_mutations_->Add(1);
+      metric_mutations_->Add(1);
       return Status::Ok();
     }
   }
 }
 
 Result<ProfileSnapshot> ProfileStore::Get(const std::string& user_id) const {
-  if (metric_gets_ != nullptr) metric_gets_->Add(1);
+  metric_gets_->Add(1);
   const Shard& shard = ShardFor(user_id);
   std::shared_lock<std::shared_mutex> lock(shard.mutex);
   auto it = shard.users.find(user_id);
   if (it == shard.users.end()) {
-    if (metric_get_misses_ != nullptr) metric_get_misses_->Add(1);
+    metric_get_misses_->Add(1);
     return Status::NotFound("unknown user: " + user_id);
   }
   return ProfileSnapshot{it->second.profile, it->second.graph,
@@ -122,7 +118,7 @@ Status ProfileStore::Remove(const std::string& user_id) {
   // Burn an epoch so a later re-insert of the same user can never revisit
   // an epoch a cache entry might still be keyed on.
   ++shard.next_epoch;
-  if (metric_mutations_ != nullptr) metric_mutations_->Add(1);
+  metric_mutations_->Add(1);
   return Status::Ok();
 }
 

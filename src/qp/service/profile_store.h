@@ -39,12 +39,14 @@ struct ProfileSnapshot {
 /// user only for the pointer swap.
 class ProfileStore {
  public:
+  /// Lock shards the user map is split across.
+  static constexpr size_t kNumShards = 16;
+
   /// `schema` is retained and must outlive the store (graphs reference
-  /// it). `num_shards` is clamped to >= 1. `metrics`, when given, counts
-  /// gets (hit/miss split) and mutations as qp_profile_store_* counters
-  /// (not owned; must outlive the store).
-  explicit ProfileStore(const Schema* schema, size_t num_shards = 16,
-                        obs::MetricsRegistry* metrics = nullptr);
+  /// it). Gets (hit/miss split) and mutations count as
+  /// qp_profile_store_* counters in `metrics` (its registry is not
+  /// owned and must outlive the store; without one the store owns one).
+  explicit ProfileStore(const Schema* schema, obs::MetricScope metrics = {});
 
   /// Inserts or replaces `user_id`'s profile: validates it, builds the
   /// personalization graph, swaps the entry and bumps the user's epoch.
@@ -107,9 +109,10 @@ class ProfileStore {
   Shard& ShardFor(const std::string& user_id) const;
 
   const Schema* schema_;
-  obs::Counter* metric_gets_ = nullptr;
-  obs::Counter* metric_get_misses_ = nullptr;
-  obs::Counter* metric_mutations_ = nullptr;
+  obs::MetricScope metrics_;
+  obs::Counter* const metric_gets_;
+  obs::Counter* const metric_get_misses_;
+  obs::Counter* const metric_mutations_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

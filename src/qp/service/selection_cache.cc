@@ -2,20 +2,8 @@
 
 namespace qp {
 
-SelectionCache::SelectionCache(size_t capacity,
-                               obs::MetricsRegistry* metrics)
-    : capacity_(capacity == 0 ? 1 : capacity) {
-  if (metrics != nullptr) {
-    metric_hits_ = metrics->counter("qp_selection_cache_hits_total");
-    metric_misses_ = metrics->counter("qp_selection_cache_misses_total");
-    metric_insertions_ =
-        metrics->counter("qp_selection_cache_insertions_total");
-    metric_evictions_ =
-        metrics->counter("qp_selection_cache_evictions_total");
-    metric_user_invalidations_ =
-        metrics->counter("qp_selection_cache_user_invalidations_total");
-  }
-}
+SelectionCache::SelectionCache(size_t capacity)
+    : capacity_(capacity == 0 ? 1 : capacity) {}
 
 std::string SelectionCache::MakeKey(const std::string& user_id,
                                     uint64_t epoch,
@@ -28,32 +16,24 @@ std::string SelectionCache::MakeKey(const std::string& user_id,
 SelectionCache::Paths SelectionCache::Lookup(const std::string& key) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++stats_.misses;
-    if (metric_misses_ != nullptr) metric_misses_->Add(1);
-    return nullptr;
-  }
-  ++stats_.hits;
-  if (metric_hits_ != nullptr) metric_hits_->Add(1);
+  if (it == index_.end()) return nullptr;
   lru_.splice(lru_.begin(), lru_, it->second);
   return it->second->paths;
 }
 
-void SelectionCache::Insert(const std::string& key, Paths paths) {
+size_t SelectionCache::Insert(const std::string& key, Paths paths) {
   std::lock_guard<std::mutex> lock(mutex_);
-  InsertLocked(/*user_id=*/"", key, std::move(paths));
+  return InsertLocked(/*user_id=*/"", key, std::move(paths));
 }
 
-void SelectionCache::Insert(const std::string& user_id,
-                            const std::string& key, Paths paths) {
+size_t SelectionCache::Insert(const std::string& user_id,
+                              const std::string& key, Paths paths) {
   std::lock_guard<std::mutex> lock(mutex_);
-  InsertLocked(user_id, key, std::move(paths));
+  return InsertLocked(user_id, key, std::move(paths));
 }
 
-void SelectionCache::InsertLocked(const std::string& user_id,
-                                  const std::string& key, Paths paths) {
-  ++stats_.insertions;
-  if (metric_insertions_ != nullptr) metric_insertions_->Add(1);
+size_t SelectionCache::InsertLocked(const std::string& user_id,
+                                    const std::string& key, Paths paths) {
   auto it = index_.find(key);
   if (it != index_.end()) {
     auto lru_it = it->second;  // UnindexLocked below invalidates `it`.
@@ -66,17 +46,18 @@ void SelectionCache::InsertLocked(const std::string& user_id,
     }
     lru_it->paths = std::move(paths);
     lru_.splice(lru_.begin(), lru_, lru_it);
-    return;
+    return 0;
   }
   lru_.push_front(Slot{key, user_id, std::move(paths)});
   index_[key] = lru_.begin();
   if (!user_id.empty()) by_user_[user_id].insert(key);
+  size_t evicted = 0;
   while (lru_.size() > capacity_) {
     UnindexLocked(lru_.back());
     lru_.pop_back();
-    ++stats_.evictions;
-    if (metric_evictions_ != nullptr) metric_evictions_->Add(1);
+    ++evicted;
   }
+  return evicted;
 }
 
 void SelectionCache::UnindexLocked(const Slot& slot) {
@@ -105,21 +86,12 @@ size_t SelectionCache::EraseUser(const std::string& user_id) {
     lru_.erase(lru_it);
     ++erased;
   }
-  stats_.user_invalidations += erased;
-  if (metric_user_invalidations_ != nullptr && erased > 0) {
-    metric_user_invalidations_->Add(erased);
-  }
   return erased;
 }
 
 size_t SelectionCache::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return lru_.size();
-}
-
-SelectionCacheStats SelectionCache::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
 }
 
 void SelectionCache::Clear() {

@@ -12,21 +12,9 @@
 
 #include "qp/core/interest_criterion.h"
 #include "qp/graph/preference_path.h"
-#include "qp/obs/metrics.h"
 #include "qp/query/query.h"
 
 namespace qp {
-
-/// Counters of one cache instance. Snapshot with SelectionCache::stats().
-struct SelectionCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t insertions = 0;
-  uint64_t evictions = 0;
-  /// EraseUser calls (not entries dropped): each is one targeted
-  /// per-user invalidation, e.g. after a routed mutation.
-  uint64_t user_invalidations = 0;
-};
 
 /// A bounded, thread-safe LRU cache of preference-selection results: the
 /// top-K PreferencePaths the selector extracted for one (user epoch,
@@ -39,15 +27,16 @@ struct SelectionCacheStats {
 /// epoch, which every profile mutation bumps, so entries for the old
 /// profile become unreachable immediately and age out through the LRU
 /// bound. Values are immutable shared_ptrs: hits share, never copy.
+///
+/// The cache counts nothing itself: Insert and EraseUser return how many
+/// entries they dropped, and the service counts hits, misses, insertions,
+/// evictions and invalidations in its registry.
 class SelectionCache {
  public:
   using Paths = std::shared_ptr<const std::vector<PreferencePath>>;
 
-  /// Caches at most `capacity` entries (clamped to >= 1). `metrics`,
-  /// when given, mirrors the stats into qp_selection_cache_* counters
-  /// (looked up once here; not owned, must outlive the cache).
-  explicit SelectionCache(size_t capacity,
-                          obs::MetricsRegistry* metrics = nullptr);
+  /// Caches at most `capacity` entries (clamped to >= 1).
+  explicit SelectionCache(size_t capacity);
 
   /// The composed cache key. Collision-free by construction: the exact
   /// canonical strings are keyed, not their hashes.
@@ -59,12 +48,13 @@ class SelectionCache {
   Paths Lookup(const std::string& key);
 
   /// Inserts (or refreshes) `paths` under `key`, evicting the least
-  /// recently used entry when full. The overload taking `user_id` also
-  /// indexes the entry by owner so EraseUser can drop exactly that
-  /// user's entries; the two-argument form leaves the entry unowned
-  /// (epoch aging still applies).
-  void Insert(const std::string& key, Paths paths);
-  void Insert(const std::string& user_id, const std::string& key, Paths paths);
+  /// recently used entry when full; returns the number evicted. The
+  /// overload taking `user_id` also indexes the entry by owner so
+  /// EraseUser can drop exactly that user's entries; the two-argument
+  /// form leaves the entry unowned (epoch aging still applies).
+  size_t Insert(const std::string& key, Paths paths);
+  size_t Insert(const std::string& user_id, const std::string& key,
+                Paths paths);
 
   /// Drops every entry owned by `user_id` — and nothing else. The
   /// surgical invalidation a mutation path wants: epoch keying already
@@ -75,9 +65,8 @@ class SelectionCache {
 
   size_t size() const;
   size_t capacity() const { return capacity_; }
-  SelectionCacheStats stats() const;
 
-  /// Drops every entry (stats are kept).
+  /// Drops every entry.
   void Clear();
 
  private:
@@ -87,24 +76,18 @@ class SelectionCache {
     Paths paths;
   };
 
-  void InsertLocked(const std::string& user_id, const std::string& key,
-                    Paths paths);
+  size_t InsertLocked(const std::string& user_id, const std::string& key,
+                      Paths paths);
   /// Unlinks one LRU slot from index_ and by_user_ (not from lru_).
   void UnindexLocked(const Slot& slot);
 
   size_t capacity_;
-  obs::Counter* metric_hits_ = nullptr;
-  obs::Counter* metric_misses_ = nullptr;
-  obs::Counter* metric_insertions_ = nullptr;
-  obs::Counter* metric_evictions_ = nullptr;
-  obs::Counter* metric_user_invalidations_ = nullptr;
   mutable std::mutex mutex_;
   /// Front = most recently used.
   std::list<Slot> lru_;
   std::unordered_map<std::string, std::list<Slot>::iterator> index_;
   /// Owner index: user id -> that user's cache keys.
   std::unordered_map<std::string, std::unordered_set<std::string>> by_user_;
-  SelectionCacheStats stats_;
 };
 
 }  // namespace qp

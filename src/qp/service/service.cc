@@ -46,6 +46,18 @@ Deadline EffectiveDeadline(const PersonalizationRequest& request) {
   return Deadline::Infinite();
 }
 
+/// Where a service and everything under it count: the caller's registry
+/// or an owned one. A shard labels every series it registers
+/// {shard="<id>"}, so every shard of a cluster shares one registry
+/// without colliding; a standalone service keeps the flat names.
+obs::MetricScope ServiceScope(const ServiceOptions& options) {
+  obs::MetricLabels labels;
+  if (options.shard_id >= 0) {
+    labels.emplace_back("shard", std::to_string(options.shard_id));
+  }
+  return obs::MetricScope(options.metrics, std::move(labels)).OrOwn();
+}
+
 }  // namespace
 
 const char* ToString(RequestDisposition disposition) {
@@ -62,81 +74,65 @@ const char* ToString(RequestDisposition disposition) {
   return "unknown";
 }
 
+PersonalizationService::Instruments::Instruments(const obs::MetricScope& scope)
+    : requests(scope.counter("qp_service_requests_total")),
+      batches(scope.counter("qp_service_batches_total")),
+      cache_hits(scope.counter("qp_service_cache_hits_total")),
+      cache_misses(scope.counter("qp_service_cache_misses_total")),
+      cache_bypasses(scope.counter("qp_service_cache_bypasses_total")),
+      cache_insertions(scope.counter("qp_selection_cache_insertions_total")),
+      cache_evictions(scope.counter("qp_selection_cache_evictions_total")),
+      cache_user_invalidations(
+          scope.counter("qp_selection_cache_user_invalidations_total")),
+      max_queue_depth(scope.gauge("qp_service_max_queue_depth")),
+      request_seconds(scope.histogram("qp_service_request_seconds")),
+      selection_seconds(scope.histogram("qp_service_selection_seconds")),
+      integration_seconds(scope.histogram("qp_service_integration_seconds")),
+      execution_seconds(scope.histogram("qp_service_execution_seconds")) {
+  auto disposition = [&](const char* name) {
+    obs::MetricLabels labels = scope.labels();
+    labels.emplace_back("disposition", name);
+    return scope.registry()->counter(
+        "qp_service_requests_by_disposition_total", labels);
+  };
+  full = disposition("full");
+  degraded = disposition("degraded");
+  shed = disposition("shed");
+  deadline_exceeded = disposition("deadline_exceeded");
+  error = disposition("error");
+}
+
 PersonalizationService::PersonalizationService(const Database* db,
                                                ServiceOptions options)
-    : PersonalizationService(db, std::move(options), nullptr) {}
+    : PersonalizationService(db, options, ServiceScope(options),
+                             /*store=*/nullptr) {}
 
 PersonalizationService::PersonalizationService(
-    const Database* db, ServiceOptions options,
-    std::unique_ptr<storage::ProfileBackend> store)
+    const Database* db, ServiceOptions options, obs::MetricScope scope,
+    std::unique_ptr<storage::DurableProfileStore> store)
     : db_(db),
       options_(options),
-      owned_metrics_(options.metrics == nullptr
-                         ? std::make_unique<obs::MetricsRegistry>()
-                         : nullptr),
-      metrics_(options.metrics != nullptr ? options.metrics
-                                          : owned_metrics_.get()),
-      store_(store != nullptr
-                 ? std::move(store)
-                 : std::make_unique<storage::DurableProfileStore>(
-                       &db->schema(), options.num_shards, metrics_)),
-      cache_(options.cache_capacity == 0 ? 1 : options.cache_capacity,
-             metrics_),
+      scope_(std::move(scope)),
+      store_(store != nullptr ? std::move(store)
+                              : std::make_unique<storage::DurableProfileStore>(
+                                    &db->schema(), scope_)),
+      cache_(options.cache_capacity == 0 ? 1 : options.cache_capacity),
       cache_enabled_(options.cache_capacity > 0),
       pool_(options.num_workers > 0 ? options.num_workers
                                     : std::thread::hardware_concurrency()),
-      slo_(options.slo) {
+      slo_(options.slo),
+      inst_(scope_) {
   // Concurrent workers share the database read-only; build every lazy
   // column index up front so Lookup never mutates under them.
   db_->WarmIndexes();
-  // A shard of a cluster labels its instruments {shard="<id>"} so every
-  // shard shares one registry without the stat re-homing the sharded
-  // front end used to do; a standalone service keeps the flat names.
-  obs::MetricLabels labels;
-  if (options_.shard_id >= 0) {
-    labels.emplace_back("shard", std::to_string(options_.shard_id));
-  }
-  auto counter = [&](const char* name) {
-    return metrics_->counter(name, labels);
-  };
-  inst_.requests = counter("qp_service_requests_total");
-  inst_.batches = counter("qp_service_batches_total");
-  inst_.errors = counter("qp_service_errors_total");
-  inst_.cache_hits = counter("qp_service_cache_hits_total");
-  inst_.cache_misses = counter("qp_service_cache_misses_total");
-  inst_.cache_bypasses = counter("qp_service_cache_bypasses_total");
-  inst_.shed = counter("qp_service_shed_total");
-  inst_.deadline_exceeded = counter("qp_service_deadline_exceeded_total");
-  inst_.degraded = counter("qp_service_degraded_total");
-  inst_.full = counter("qp_service_full_total");
-  auto disposition_counter = [&](const char* disposition) {
-    obs::MetricLabels with_disposition = labels;
-    with_disposition.emplace_back("disposition", disposition);
-    return metrics_->counter("qp_service_requests_by_disposition_total",
-                             with_disposition);
-  };
-  inst_.disp_full = disposition_counter("full");
-  inst_.disp_degraded = disposition_counter("degraded");
-  inst_.disp_shed = disposition_counter("shed");
-  inst_.disp_deadline_exceeded = disposition_counter("deadline_exceeded");
-  inst_.disp_error = disposition_counter("error");
-  inst_.max_queue_depth =
-      metrics_->gauge("qp_service_max_queue_depth", labels);
-  inst_.request_seconds =
-      metrics_->histogram("qp_service_request_seconds", labels);
-  inst_.selection_seconds =
-      metrics_->histogram("qp_service_selection_seconds", labels);
-  inst_.integration_seconds =
-      metrics_->histogram("qp_service_integration_seconds", labels);
-  inst_.execution_seconds =
-      metrics_->histogram("qp_service_execution_seconds", labels);
-  metrics_->SetHelp("qp_service_requests_total",
+  obs::MetricsRegistry* registry = scope_.registry();
+  registry->SetHelp("qp_service_requests_total",
                     "Requests admitted (counted at admission; dispositions "
                     "resolve later).");
-  metrics_->SetHelp("qp_service_requests_by_disposition_total",
+  registry->SetHelp("qp_service_requests_by_disposition_total",
                     "Requests by final disposition: full | degraded | shed | "
                     "deadline_exceeded | error.");
-  metrics_->SetHelp("qp_service_request_seconds",
+  registry->SetHelp("qp_service_request_seconds",
                     "End-to-end request latency (seconds), queue wait "
                     "included.");
   // The flight recorder wants fault fires even when the storage layer
@@ -151,24 +147,16 @@ PersonalizationService::OpenDurable(const Database* db,
     return Status::InvalidArgument(
         "OpenDurable requires options.storage.dir");
   }
-  // The registry must exist before the store opens: recovery gauges and
-  // the WAL's instruments are resolved against it during Open.
-  std::unique_ptr<obs::MetricsRegistry> owned;
-  if (options.metrics == nullptr) {
-    owned = std::make_unique<obs::MetricsRegistry>();
-    options.metrics = owned.get();
-  }
-  options.storage.metrics = options.metrics;
+  // The scope must exist before the store opens: recovery gauges and the
+  // WAL's instruments are resolved against it during Open. The service
+  // shares it, owned registry included.
+  obs::MetricScope scope = ServiceScope(options);
+  options.storage.metrics = scope;
   QP_ASSIGN_OR_RETURN(
       std::unique_ptr<storage::DurableProfileStore> store,
-      storage::DurableProfileStore::Open(&db->schema(), options.storage,
-                                         options.num_shards));
-  std::unique_ptr<PersonalizationService> service(
-      new PersonalizationService(db, std::move(options), std::move(store)));
-  // Hand the registry's ownership to the service (the raw pointer the
-  // members cached stays valid across the move).
-  if (owned != nullptr) service->owned_metrics_ = std::move(owned);
-  return service;
+      storage::DurableProfileStore::Open(&db->schema(), options.storage));
+  return std::unique_ptr<PersonalizationService>(new PersonalizationService(
+      db, std::move(options), std::move(scope), std::move(store)));
 }
 
 bool PersonalizationService::TryAdmit() {
@@ -229,7 +217,6 @@ PersonalizationResponse PersonalizationService::PersonalizeOne(
     response.disposition = RequestDisposition::kDeadlineExceeded;
     inst_.requests->Add(1);
     inst_.deadline_exceeded->Add(1);
-    inst_.disp_deadline_exceeded->Add(1);
     TraceUnranRequest("deadline_exceeded", "admission",
                       &request.trace_context);
     return response;
@@ -285,14 +272,11 @@ PersonalizationResponse PersonalizationService::PersonalizeInternal(
   // was incremented above, *before* any disposition — stats() relies on
   // that order for its accounting identity.
   if (!response.status.ok()) {
-    inst_.errors->Add(1);
-    inst_.disp_error->Add(1);
+    inst_.error->Add(1);
   } else if (response.disposition == RequestDisposition::kDegraded) {
     inst_.degraded->Add(1);
-    inst_.disp_degraded->Add(1);
   } else {
     inst_.full->Add(1);
-    inst_.disp_full->Add(1);
   }
 
   if (obs::kTracingCompiledIn) {
@@ -422,7 +406,7 @@ PersonalizationResponse PersonalizationService::RunPipeline(
       Executor executor(db_);
       executor.set_cancel_token(cancel);
       executor.set_trace(trace);
-      executor.BindMetrics(metrics_);
+      executor.BindMetrics(scope_.registry());
       auto result = executor.Execute(request.query);
       if (!result.ok()) {
         response.status = result.status();
@@ -481,9 +465,10 @@ PersonalizationResponse PersonalizationService::RunPipeline(
       // A deadline-truncated selection is a valid prefix for *this*
       // request but must not poison the cache for unconstrained ones.
       if (!response.outcome.selection_stats.degraded) {
-        cache_.Insert(request.user_id, key,
-                      std::make_shared<const std::vector<PreferencePath>>(
-                          selected));
+        inst_.cache_insertions->Add(1);
+        inst_.cache_evictions->Add(cache_.Insert(
+            request.user_id, key,
+            std::make_shared<const std::vector<PreferencePath>>(selected)));
       }
     }
   } else {
@@ -537,7 +522,7 @@ PersonalizationResponse PersonalizationService::RunPipeline(
     Executor executor(db_);
     executor.set_cancel_token(cancel);
     executor.set_trace(trace);
-    executor.BindMetrics(metrics_);
+    executor.BindMetrics(scope_.registry());
     auto result = response.outcome.sq.has_value()
                       ? executor.Execute(*response.outcome.sq)
                       : executor.Execute(*response.outcome.mq);
@@ -579,7 +564,6 @@ PersonalizationService::PersonalizeBatch(
       shed.disposition = RequestDisposition::kShed;
       inst_.requests->Add(1);
       inst_.shed->Add(1);
-      inst_.disp_shed->Add(1);
       TraceUnranRequest("shed", "admission", &request.trace_context);
       std::promise<PersonalizationResponse> promise;
       futures.push_back(promise.get_future());
@@ -606,7 +590,6 @@ PersonalizationService::PersonalizeBatch(
             response.disposition = RequestDisposition::kDeadlineExceeded;
             inst_.requests->Add(1);
             inst_.deadline_exceeded->Add(1);
-            inst_.disp_deadline_exceeded->Add(1);
             TraceUnranRequest("deadline_exceeded", "queue",
                               &request.trace_context);
           } else {
@@ -627,7 +610,6 @@ PersonalizationService::PersonalizeBatch(
       shed.disposition = RequestDisposition::kShed;
       inst_.requests->Add(1);
       inst_.shed->Add(1);
-      inst_.disp_shed->Add(1);
       // The request moved into the rejected task; its context is gone.
       TraceUnranRequest("shed", "admission", nullptr);
       promise->set_value(std::move(shed));
@@ -652,13 +634,20 @@ PersonalizationService::PersonalizeBatchAndWait(
   return responses;
 }
 
+size_t PersonalizationService::InvalidateUserSelections(
+    const std::string& user_id) {
+  const size_t erased = cache_.EraseUser(user_id);
+  inst_.cache_user_invalidations->Add(erased);
+  return erased;
+}
+
 ServiceStats PersonalizationService::stats() const {
   ServiceStats stats;
   // Read the disposition counters *before* `requests`: requests are
   // counted at admission and dispositions at resolution (in that program
   // order, seq_cst), so in this read order the disposition sum can trail
   // requests — in-flight work — but never exceed it.
-  stats.errors = inst_.errors->Value();
+  stats.errors = inst_.error->Value();
   stats.shed = inst_.shed->Value();
   stats.deadline_exceeded = inst_.deadline_exceeded->Value();
   stats.degraded = inst_.degraded->Value();
@@ -668,13 +657,15 @@ ServiceStats PersonalizationService::stats() const {
   stats.cache_hits = inst_.cache_hits->Value();
   stats.cache_misses = inst_.cache_misses->Value();
   stats.cache_bypasses = inst_.cache_bypasses->Value();
+  stats.cache_insertions = inst_.cache_insertions->Value();
+  stats.cache_evictions = inst_.cache_evictions->Value();
+  stats.cache_user_invalidations = inst_.cache_user_invalidations->Value();
   stats.max_queue_depth =
       static_cast<size_t>(inst_.max_queue_depth->Value());
   stats.selection_millis = inst_.selection_seconds->Snapshot().sum * 1e3;
   stats.integration_millis =
       inst_.integration_seconds->Snapshot().sum * 1e3;
   stats.execution_millis = inst_.execution_seconds->Snapshot().sum * 1e3;
-  stats.cache = cache_.stats();
   stats.storage = store_->storage_stats();
   stats.tier = store_->tier_stats();
   return stats;
@@ -684,61 +675,41 @@ std::string PersonalizationService::DumpMetrics(
     obs::ExportFormat format) const {
   // Sampled gauges: refreshed at dump time rather than maintained on the
   // hot path, so the export is a coherent point-in-time view for free.
-  metrics_->gauge("qp_service_queue_depth")
+  scope_.gauge("qp_service_queue_depth")
       ->Set(static_cast<double>(queued_.load(std::memory_order_relaxed)));
-  metrics_->gauge("qp_service_inflight")
+  scope_.gauge("qp_service_inflight")
       ->Set(static_cast<double>(inflight_.load(std::memory_order_relaxed)));
-  metrics_->gauge("qp_selection_cache_entries")
+  scope_.gauge("qp_selection_cache_entries")
       ->Set(static_cast<double>(cache_.size()));
-  storage::StorageStats storage = store_->storage_stats();
-  if (storage.durable) {
-    metrics_->gauge("qp_storage_wal_segment_bytes")
-        ->Set(static_cast<double>(storage.wal_segment_bytes));
-    metrics_->gauge("qp_storage_breaker_open")
-        ->Set(storage.breaker_open ? 1.0 : 0.0);
-    metrics_->gauge("qp_storage_quarantined_profiles")
-        ->Set(static_cast<double>(storage.quarantined_profiles));
+  if (store_->durable()) {
+    scope_.gauge("qp_storage_wal_segment_bytes")
+        ->Set(static_cast<double>(store_->storage_stats().wal_segment_bytes));
   }
   storage::TierStats tier = store_->tier_stats();
   if (tier.enabled) {
-    metrics_->gauge("qp_tier_hot_resident")
-        ->Set(static_cast<double>(tier.hot_resident));
-    metrics_->gauge("qp_tier_cold_users")
-        ->Set(static_cast<double>(tier.cold_users));
-    // The same residency split as a labeled family, so a cluster scrape
-    // can sum/compare tiers without parsing metric names.
-    obs::MetricLabels tier_labels;
-    if (options_.shard_id >= 0) {
-      tier_labels.emplace_back("shard", std::to_string(options_.shard_id));
-    }
+    obs::MetricLabels tier_labels = scope_.labels();
     tier_labels.emplace_back("tier", "hot");
-    metrics_->gauge("qp_tier_resident_users", tier_labels)
+    scope_.registry()->gauge("qp_tier_resident_users", tier_labels)
         ->Set(static_cast<double>(tier.hot_resident));
     tier_labels.back().second = "cold";
-    metrics_->gauge("qp_tier_resident_users", tier_labels)
+    scope_.registry()->gauge("qp_tier_resident_users", tier_labels)
         ->Set(static_cast<double>(tier.cold_users));
   }
   if (obs::kTracingCompiledIn) {
-    obs::MetricLabels slo_labels;
-    if (options_.shard_id >= 0) {
-      slo_labels.emplace_back("shard", std::to_string(options_.shard_id));
-    }
     const obs::SloSnapshot slo = slo_.Evaluate();
-    metrics_->gauge("qp_slo_availability", slo_labels)
-        ->Set(slo.availability);
-    metrics_->gauge("qp_slo_availability_burn_rate", slo_labels)
+    scope_.gauge("qp_slo_availability")->Set(slo.availability);
+    scope_.gauge("qp_slo_availability_burn_rate")
         ->Set(slo.availability_burn_rate);
-    metrics_->gauge("qp_slo_latency_attainment", slo_labels)
-        ->Set(slo.latency_attainment);
-    metrics_->gauge("qp_slo_latency_burn_rate", slo_labels)
-        ->Set(slo.latency_burn_rate);
-    metrics_->gauge("qp_slo_window_requests", slo_labels)
+    scope_.gauge("qp_slo_latency_attainment")->Set(slo.latency_attainment);
+    scope_.gauge("qp_slo_latency_burn_rate")->Set(slo.latency_burn_rate);
+    scope_.gauge("qp_slo_window_requests")
         ->Set(static_cast<double>(slo.window_requests));
-    metrics_->SetHelp("qp_slo_availability_burn_rate",
-                      "Error-budget burn multiple over the rolling window "
-                      "(1.0 = burning exactly the budget).");
+    scope_.registry()->SetHelp(
+        "qp_slo_availability_burn_rate",
+        "Error-budget burn multiple over the rolling window (1.0 = burning "
+        "exactly the budget).");
   }
-  return metrics_->Export(format);
+  return scope_.registry()->Export(format);
 }
 
 }  // namespace qp

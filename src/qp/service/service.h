@@ -28,8 +28,6 @@ namespace qp {
 struct ServiceOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency().
   size_t num_workers = 0;
-  /// Shards of the profile store.
-  size_t num_shards = 16;
   /// Selection-cache capacity in entries; 0 disables the cache.
   size_t cache_capacity = 4096;
   /// Admission control: maximum requests waiting for a worker (0 =
@@ -54,14 +52,15 @@ struct ServiceOptions {
   /// profiles across restarts.
   storage::StorageOptions storage{};
   /// External metrics registry. When null (default) the service creates
-  /// and owns one; either way every layer underneath — cache, profile
-  /// store, WAL — publishes into the same registry, exposed via
-  /// metrics() / DumpMetrics(). Not owned; must outlive the service.
+  /// and owns one; either way every layer underneath — profile store,
+  /// WAL, tier — counts into the same registry, exposed via metrics() /
+  /// DumpMetrics(). Not owned; must outlive the service.
   obs::MetricsRegistry* metrics = nullptr;
   /// Set by the sharded front end: this service is shard `shard_id` of a
   /// ShardedPersonalizationService. >= 0 stamps a "shard" span (with the
-  /// id) on every request trace and labels this shard's qp_service_*
-  /// instruments with {shard="<id>"}; -1 (default) = standalone service.
+  /// id) on every request trace and labels every series this shard
+  /// registers — service, cache, profile store, storage, WAL and tier —
+  /// with {shard="<id>"}; -1 (default) = standalone service, flat names.
   int shard_id = -1;
   /// Trace sampling: head rate + tail-keep rules (see
   /// obs::SamplingPolicy). The default traces every request, matching
@@ -136,14 +135,16 @@ struct PersonalizationResponse {
 /// sampled at submit time. Snapshot via PersonalizationService::stats().
 ///
 /// This struct is a *view*: the live values are registry instruments
-/// (qp_service_*), and stats() materializes them. The accounting
-/// identity `requests == full + degraded + shed + deadline_exceeded +
-/// errors` holds exactly at quiescence; a concurrent reader may observe
-/// the disposition sum *behind* requests (requests are counted at
-/// admission, dispositions at resolution) but never ahead of it —
-/// stats() reads dispositions first, and the counters' seq_cst ordering
-/// guarantees a disposition increment is never visible without the
-/// requests increment that preceded it.
+/// (qp_service_*, qp_selection_cache_*, and the storage and tier series
+/// StorageStats and TierStats read), and stats() materializes them. The
+/// dispositions are the qp_service_requests_by_disposition_total series.
+/// The accounting identity `requests == full + degraded + shed +
+/// deadline_exceeded + errors` holds exactly at quiescence; a concurrent
+/// reader may observe the disposition sum *behind* requests (requests
+/// are counted at admission, dispositions at resolution) but never ahead
+/// of it — stats() reads dispositions first, and the counters' seq_cst
+/// ordering guarantees a disposition increment is never visible without
+/// the requests increment that preceded it.
 struct ServiceStats {
   uint64_t requests = 0;
   uint64_t batches = 0;
@@ -153,6 +154,11 @@ struct ServiceStats {
   /// Requests that bypassed the cache (semantic filter attached, or the
   /// cache is disabled).
   uint64_t cache_bypasses = 0;
+  /// Selections cached, entries the LRU bound evicted, and entries
+  /// dropped by per-user invalidation (InvalidateUserSelections).
+  uint64_t cache_insertions = 0;
+  uint64_t cache_evictions = 0;
+  uint64_t cache_user_invalidations = 0;
   /// Overload accounting (see RequestDisposition): requests rejected at
   /// admission, expired before starting, and completed degraded. Requests
   /// that completed full are requests - errors - shed - deadline_exceeded
@@ -166,7 +172,6 @@ struct ServiceStats {
   double selection_millis = 0.0;
   double integration_millis = 0.0;
   double execution_millis = 0.0;
-  SelectionCacheStats cache;
   /// Durability counters: WAL records/bytes/fsyncs, checkpoints and the
   /// recovery cost of the Open that produced this service. All zero for
   /// an in-memory service.
@@ -197,25 +202,17 @@ class PersonalizationService {
   static Result<std::unique_ptr<PersonalizationService>> OpenDurable(
       const Database* db, ServiceOptions options);
 
-  /// Service over a caller-built storage backend — the constructor the
-  /// sharded front end uses to hand each shard its own (tiered, durable)
-  /// store. `backend` must not be null.
-  PersonalizationService(const Database* db, ServiceOptions options,
-                         std::unique_ptr<storage::ProfileBackend> backend);
-
   /// Profile management (thread-safe, usable while batches are in
   /// flight; see ProfileStore for the snapshot semantics). Mutations on
   /// a durable service are write-ahead logged.
-  storage::ProfileBackend& profiles() { return *store_; }
-  const storage::ProfileBackend& profiles() const { return *store_; }
+  storage::DurableProfileStore& profiles() { return *store_; }
+  const storage::DurableProfileStore& profiles() const { return *store_; }
 
   /// Drops user_id's selection-cache entries (and only theirs) — the
   /// targeted invalidation a routed mutation issues. Epoch keying already
   /// prevents stale hits; this frees the capacity they occupied. Returns
   /// the number of entries dropped.
-  size_t InvalidateUserSelections(const std::string& user_id) {
-    return cache_.EraseUser(user_id);
-  }
+  size_t InvalidateUserSelections(const std::string& user_id);
 
   /// Fans the requests across the worker pool; future i resolves to
   /// request i's response. Errors (unknown user, invalid query) surface
@@ -238,11 +235,11 @@ class PersonalizationService {
   /// The live metrics registry every layer of this service publishes
   /// into (owned unless ServiceOptions::metrics supplied an external
   /// one). Stable for the service's lifetime.
-  obs::MetricsRegistry* metrics() const { return metrics_; }
+  obs::MetricsRegistry* metrics() const { return scope_.registry(); }
 
   /// Exports the full registry in the given format, first refreshing
   /// sampled gauges (queue depth, inflight, cache size, live WAL segment
-  /// bytes, breaker state, SLO burn rates) so the dump is a coherent
+  /// bytes, tier residency, SLO burn rates) so the dump is a coherent
   /// point-in-time view.
   std::string DumpMetrics(obs::ExportFormat format) const;
 
@@ -266,6 +263,13 @@ class PersonalizationService {
   }
 
  private:
+  /// The service counting into `scope` (ServiceOptions::metrics, or a
+  /// registry the scope owns, under this service's labels) over `store`:
+  /// the one OpenDurable recovered, or a fresh in-memory store when null.
+  PersonalizationService(const Database* db, ServiceOptions options,
+                         obs::MetricScope scope,
+                         std::unique_ptr<storage::DurableProfileStore> store);
+
   /// Reserves an admission slot (queued + inflight), or returns false
   /// when either bound is reached — the caller sheds the request. CAS
   /// bounded, so neither counter ever exceeds its configured bound.
@@ -302,10 +306,11 @@ class PersonalizationService {
   const Database* db_;
   ServiceOptions options_;
   /// Declaration order matters: the registry must be live before the
-  /// store and cache below cache their instrument pointers into it.
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  obs::MetricsRegistry* metrics_;
-  std::unique_ptr<storage::ProfileBackend> store_;
+  /// instruments below resolve into it. `scope_` is the registry under
+  /// this service's labels ({shard="<id>"} on a shard, none standalone);
+  /// it owns the registry when ServiceOptions::metrics named none.
+  const obs::MetricScope scope_;
+  std::unique_ptr<storage::DurableProfileStore> store_;
   SelectionCache cache_;
   bool cache_enabled_;
   ThreadPool pool_;
@@ -329,31 +334,29 @@ class PersonalizationService {
   /// registry hands out stable pointers). Phase latencies live in
   /// histograms; ServiceStats' *_millis sums are the histogram sums.
   struct Instruments {
-    obs::Counter* requests = nullptr;
-    obs::Counter* batches = nullptr;
-    obs::Counter* errors = nullptr;
-    obs::Counter* cache_hits = nullptr;
-    obs::Counter* cache_misses = nullptr;
-    obs::Counter* cache_bypasses = nullptr;
-    obs::Counter* shed = nullptr;
-    obs::Counter* deadline_exceeded = nullptr;
-    obs::Counter* degraded = nullptr;
-    obs::Counter* full = nullptr;
-    /// The labeled mirror of the per-disposition counters: one
-    /// qp_service_requests_by_disposition_total{disposition=...} series
-    /// each (plus the shard label on a sharded deployment).
-    obs::Counter* disp_full = nullptr;
-    obs::Counter* disp_degraded = nullptr;
-    obs::Counter* disp_shed = nullptr;
-    obs::Counter* disp_deadline_exceeded = nullptr;
-    obs::Counter* disp_error = nullptr;
-    obs::Gauge* max_queue_depth = nullptr;
-    obs::Histogram* request_seconds = nullptr;
-    obs::Histogram* selection_seconds = nullptr;
-    obs::Histogram* integration_seconds = nullptr;
-    obs::Histogram* execution_seconds = nullptr;
+    explicit Instruments(const obs::MetricScope& scope);
+    obs::Counter* requests;
+    obs::Counter* batches;
+    obs::Counter* cache_hits;
+    obs::Counter* cache_misses;
+    obs::Counter* cache_bypasses;
+    obs::Counter* cache_insertions;
+    obs::Counter* cache_evictions;
+    obs::Counter* cache_user_invalidations;
+    /// One qp_service_requests_by_disposition_total{disposition=...}
+    /// series per disposition.
+    obs::Counter* full;
+    obs::Counter* degraded;
+    obs::Counter* shed;
+    obs::Counter* deadline_exceeded;
+    obs::Counter* error;
+    obs::Gauge* max_queue_depth;
+    obs::Histogram* request_seconds;
+    obs::Histogram* selection_seconds;
+    obs::Histogram* integration_seconds;
+    obs::Histogram* execution_seconds;
   };
-  Instruments inst_;
+  const Instruments inst_;
 };
 
 }  // namespace qp

@@ -8,7 +8,7 @@
 #include "qp/obs/flight_recorder.h"
 #include "qp/obs/trace.h"
 #include "qp/shard/sharded_service.h"
-#include "qp/storage/profile_backend.h"
+#include "qp/storage/durable_profile_store.h"
 #include "qp/util/fault_hub.h"
 
 namespace qp {
@@ -16,10 +16,10 @@ namespace shard {
 
 namespace {
 
-/// Replays one acknowledged source mutation onto the target backend.
+/// Replays one acknowledged source mutation onto the target store.
 /// Remove of a user the target never saw is clean: the tail may replay
 /// a create+remove pair whose create landed in the copy phase already.
-Status ApplyTail(storage::ProfileBackend& target,
+Status ApplyTail(storage::DurableProfileStore& target,
                  const storage::ProfileMutation& mutation) {
   switch (mutation.kind) {
     case storage::ProfileMutation::Kind::kPut:

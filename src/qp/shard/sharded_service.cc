@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "qp/obs/flight_recorder.h"
-#include "qp/storage/durable_profile_store.h"
 #include "qp/util/fault_hub.h"
 #include "qp/util/file.h"
 
@@ -107,13 +106,8 @@ ShardedPersonalizationService::OpenShard(size_t index) {
   opts.shard_id = static_cast<int>(index);
   opts.metrics = metrics_;
   opts.storage.dir = ShardDir(options_.dir, index);
-  opts.storage.metrics = metrics_;
-  QP_ASSIGN_OR_RETURN(
-      std::unique_ptr<storage::DurableProfileStore> store,
-      storage::DurableProfileStore::Open(&db_->schema(), opts.storage,
-                                         opts.num_shards));
-  auto service = std::make_shared<PersonalizationService>(db_, opts,
-                                                          std::move(store));
+  QP_ASSIGN_OR_RETURN(std::shared_ptr<PersonalizationService> service,
+                      PersonalizationService::OpenDurable(db_, opts));
   service->set_trace_sink(trace_sink_.load(std::memory_order_acquire));
   return service;
 }

@@ -44,11 +44,12 @@ struct ShardedOptions {
   /// Per-shard service tuning, applied to every shard. `storage.dir` is
   /// overridden with the shard subdirectory, `shard_id` with the shard's
   /// index, and `metrics` with the cluster-wide registry. Each shard
-  /// labels its qp_service_* instruments {shard="<id>"}, so one registry
-  /// carries genuinely per-shard series (no re-homing, no collisions)
-  /// and per-shard stats read back exact. `service.sampling` is the
-  /// cluster's head/tail trace-sampling policy — the router makes the
-  /// head decision and the shards honour it. Set
+  /// labels every series it registers — service, cache, profile store,
+  /// storage, WAL, tier — {shard="<id>"}, so one registry carries
+  /// genuinely per-shard series (no collisions) and per-shard stats read
+  /// back exact; a recovered shard continues its series.
+  /// `service.sampling` is the cluster's head/tail trace-sampling policy
+  /// — the router makes the head decision and the shards honour it. Set
   /// `service.storage.hot_capacity` for tiered shards.
   ServiceOptions service;
 };

@@ -26,18 +26,59 @@ namespace {
   return true;
 }();
 
+/// Resolves the store's scope once (owning a registry when none was
+/// given) and threads it into every WAL writer the store will create, so
+/// the store reads back exactly the qp_wal_* series its writers count.
+StorageOptions ResolveMetrics(StorageOptions options) {
+  options.metrics = options.metrics.OrOwn();
+  options.wal.metrics = options.metrics;
+  return options;
+}
+
+StorageOptions InMemoryOptions(obs::MetricScope metrics) {
+  StorageOptions options;
+  options.metrics = std::move(metrics);
+  return options;
+}
+
 }  // namespace
 
-DurableProfileStore::DurableProfileStore(const Schema* schema,
-                                         size_t num_shards,
-                                         obs::MetricsRegistry* metrics)
-    : store_(schema, num_shards, metrics), clock_(Clock::Real()) {}
+DurableProfileStore::Instruments::Instruments(const obs::MetricScope& scope)
+    : mutation_failures(scope.counter("qp_storage_mutation_failures_total")),
+      breaker_trips(scope.counter("qp_storage_breaker_trips_total")),
+      breaker_probes(scope.counter("qp_storage_breaker_probes_total")),
+      breaker_recoveries(scope.counter("qp_storage_breaker_recoveries_total")),
+      checkpoints(scope.counter("qp_storage_checkpoints_total")),
+      failed_checkpoints(scope.counter("qp_storage_failed_checkpoints_total")),
+      scrubs(scope.counter("qp_storage_scrubs_total")),
+      scrub_corruptions(scope.counter("qp_storage_scrub_corruptions_total")),
+      repairs(scope.counter("qp_storage_repairs_total")),
+      repair_failures(scope.counter("qp_storage_repair_failures_total")),
+      breaker_open(scope.gauge("qp_storage_breaker_open")),
+      quarantined(scope.gauge("qp_storage_quarantined_profiles")),
+      recovery_millis(scope.gauge("qp_storage_recovery_millis")),
+      snapshot_users_loaded(scope.gauge("qp_storage_snapshot_users_loaded")),
+      records_replayed(scope.gauge("qp_storage_records_replayed")),
+      torn_bytes_truncated(scope.gauge("qp_storage_torn_bytes_truncated")),
+      wal_records(scope.counter("qp_wal_records_appended_total")),
+      wal_bytes(scope.counter("qp_wal_bytes_appended_total")),
+      wal_fsyncs(scope.counter("qp_wal_fsyncs_total")),
+      wal_sync_retries(scope.counter("qp_wal_sync_retries_total")),
+      tier_hot_hits(scope.counter("qp_tier_hot_hits_total")),
+      tier_cold_loads(scope.counter("qp_tier_cold_loads_total")),
+      tier_evictions(scope.counter("qp_tier_evictions_total")),
+      tier_load_failures(scope.counter("qp_tier_load_failures_total")),
+      tier_load_seconds(scope.histogram("qp_tier_load_seconds")) {}
 
 DurableProfileStore::DurableProfileStore(const Schema* schema,
-                                         size_t num_shards,
+                                         obs::MetricScope metrics)
+    : DurableProfileStore(schema, InMemoryOptions(std::move(metrics))) {}
+
+DurableProfileStore::DurableProfileStore(const Schema* schema,
                                          StorageOptions options)
-    : store_(schema, num_shards, options.metrics),
-      options_(std::move(options)),
+    : options_(ResolveMetrics(std::move(options))),
+      inst_(options_.metrics),
+      store_(schema, options_.metrics),
       fs_(options_.fs != nullptr ? options_.fs : DefaultFileSystem()),
       clock_(options_.clock != nullptr ? options_.clock : Clock::Real()),
       dir_(options_.dir) {
@@ -46,70 +87,25 @@ DurableProfileStore::DurableProfileStore(const Schema* schema,
   if (options_.hot_capacity > 0 && !dir_.empty()) {
     tier_ = std::make_unique<ProfileTier>(options_.hot_capacity);
   }
-  if (options_.metrics != nullptr) {
-    // Thread the registry into every WAL writer this store will create
-    // (Recover and each checkpoint rotation construct from options_.wal).
-    options_.wal.metrics = options_.metrics;
-    metric_mutation_failures_ =
-        options_.metrics->counter("qp_storage_mutation_failures_total");
-    metric_breaker_trips_ =
-        options_.metrics->counter("qp_storage_breaker_trips_total");
-    metric_breaker_probes_ =
-        options_.metrics->counter("qp_storage_breaker_probes_total");
-    metric_breaker_recoveries_ =
-        options_.metrics->counter("qp_storage_breaker_recoveries_total");
-    metric_checkpoints_ =
-        options_.metrics->counter("qp_storage_checkpoints_total");
-    metric_failed_checkpoints_ =
-        options_.metrics->counter("qp_storage_failed_checkpoints_total");
-    metric_scrubs_ = options_.metrics->counter("qp_storage_scrubs_total");
-    metric_scrub_corruptions_ =
-        options_.metrics->counter("qp_storage_scrub_corruptions_total");
-    metric_repairs_ = options_.metrics->counter("qp_storage_repairs_total");
-    metric_repair_failures_ =
-        options_.metrics->counter("qp_storage_repair_failures_total");
-    gauge_breaker_open_ =
-        options_.metrics->gauge("qp_storage_breaker_open");
-    gauge_quarantined_ =
-        options_.metrics->gauge("qp_storage_quarantined_profiles");
-    if (tiered()) {
-      metric_tier_hits_ = options_.metrics->counter("qp_tier_hot_hits_total");
-      metric_tier_cold_loads_ =
-          options_.metrics->counter("qp_tier_cold_loads_total");
-      metric_tier_evictions_ =
-          options_.metrics->counter("qp_tier_evictions_total");
-      metric_tier_load_failures_ =
-          options_.metrics->counter("qp_tier_load_failures_total");
-      metric_tier_load_seconds_ =
-          options_.metrics->histogram("qp_tier_load_seconds");
-    }
-  }
+  // Both gauges are this store's state, set on every transition; a store
+  // reopened under the same labels starts closed and unquarantined.
+  inst_.breaker_open->Set(0.0);
+  inst_.quarantined->Set(0.0);
 }
 
 Result<std::unique_ptr<DurableProfileStore>> DurableProfileStore::Open(
-    const Schema* schema, StorageOptions options, size_t num_shards) {
+    const Schema* schema, StorageOptions options) {
   if (options.dir.empty()) {
     return Status::InvalidArgument(
         "DurableProfileStore::Open requires a storage directory; use the "
         "plain constructor for an in-memory store");
   }
   std::unique_ptr<DurableProfileStore> store(
-      new DurableProfileStore(schema, num_shards, std::move(options)));
+      new DurableProfileStore(schema, std::move(options)));
   WallTimer timer;
   uint64_t next_seqno = 1;
   QP_RETURN_IF_ERROR(store->Recover(&next_seqno));
-  store->recovery_millis_ = timer.ElapsedMillis();
-  if (store->options_.metrics != nullptr) {
-    obs::MetricsRegistry* metrics = store->options_.metrics;
-    metrics->gauge("qp_storage_recovery_millis")
-        ->Set(store->recovery_millis_);
-    metrics->gauge("qp_storage_snapshot_users_loaded")
-        ->Set(static_cast<double>(store->snapshot_users_loaded_));
-    metrics->gauge("qp_storage_records_replayed")
-        ->Set(static_cast<double>(store->records_replayed_));
-    metrics->gauge("qp_storage_torn_bytes_truncated")
-        ->Set(static_cast<double>(store->torn_bytes_truncated_));
-  }
+  store->inst_.recovery_millis->Set(timer.ElapsedMillis());
   if (store->options_.background_compaction &&
       store->options_.compact_threshold_bytes > 0) {
     store->compaction_running_.store(true, std::memory_order_release);
@@ -147,6 +143,9 @@ Status DurableProfileStore::Recover(uint64_t* next_seqno) {
   QP_RETURN_IF_ERROR(manifest_or.status());
   manifest_ = std::move(manifest_or).value();
 
+  uint64_t snapshot_users_loaded = 0;
+  uint64_t records_replayed = 0;
+
   // Base state: the snapshot. Its checksum is verified against the
   // manifest before a single profile is parsed. A tiered store indexes
   // the entry headers only — no profile is materialized until its first
@@ -161,7 +160,7 @@ Status DurableProfileStore::Recover(uint64_t* next_seqno) {
                         manifest_.snapshot_crc));
       for (const SnapshotEntry& entry : entries) {
         tier_->NoteSnapshotEntry(entry);
-        ++snapshot_users_loaded_;
+        ++snapshot_users_loaded;
       }
     } else {
       QP_ASSIGN_OR_RETURN(auto users,
@@ -170,7 +169,7 @@ Status DurableProfileStore::Recover(uint64_t* next_seqno) {
                                        manifest_.snapshot_crc));
       for (auto& [user_id, profile] : users) {
         QP_RETURN_IF_ERROR(store_.Put(user_id, std::move(profile)));
-        ++snapshot_users_loaded_;
+        ++snapshot_users_loaded;
       }
     }
   }
@@ -202,9 +201,11 @@ Status DurableProfileStore::Recover(uint64_t* next_seqno) {
       QP_RETURN_IF_ERROR(ApplyMutation(mutation));
     }
     last_seqno = record.seqno;
-    ++records_replayed_;
+    ++records_replayed;
   }
-  torn_bytes_truncated_ = reader.torn_bytes();
+  inst_.snapshot_users_loaded->Set(static_cast<double>(snapshot_users_loaded));
+  inst_.records_replayed->Set(static_cast<double>(records_replayed));
+  inst_.torn_bytes_truncated->Set(static_cast<double>(reader.torn_bytes()));
 
   // Drop a torn tail without ever truncating the only durable copy of
   // acknowledged records: rebuild the valid prefix in a temp file and
@@ -278,8 +279,7 @@ size_t DurableProfileStore::StripeFor(const std::string& user_id) const {
 Result<ProfileSnapshot> DurableProfileStore::Get(const std::string& user_id) {
   if (!tiered()) return store_.Get(user_id);
   if (auto hit = store_.Get(user_id); hit.ok()) {
-    tier_->CountHotHit();
-    if (metric_tier_hits_ != nullptr) metric_tier_hits_->Add(1);
+    inst_.tier_hot_hits->Add(1);
     tier_->Touch(user_id);
     return hit;
   }
@@ -302,27 +302,17 @@ Result<ProfileSnapshot> DurableProfileStore::LoadColdLocked(
   }
   WallTimer timer;
   if (Status fault = QP_FAULT_POINT("shard.load"); !fault.ok()) {
-    tier_->CountLoadFailure();
-    if (metric_tier_load_failures_ != nullptr) {
-      metric_tier_load_failures_->Add(1);
-    }
+    inst_.tier_load_failures->Add(1);
     return fault;
   }
   UserProfile profile;
   Status built = BuildFromPlan(user_id, plan, &profile);
   if (!built.ok()) {
-    tier_->CountLoadFailure();
-    if (metric_tier_load_failures_ != nullptr) {
-      metric_tier_load_failures_->Add(1);
-    }
+    inst_.tier_load_failures->Add(1);
     return built;
   }
-  const double millis = timer.ElapsedMillis();
-  tier_->CountColdLoad(millis);
-  if (metric_tier_cold_loads_ != nullptr) metric_tier_cold_loads_->Add(1);
-  if (metric_tier_load_seconds_ != nullptr) {
-    metric_tier_load_seconds_->RecordMillis(millis);
-  }
+  inst_.tier_cold_loads->Add(1);
+  inst_.tier_load_seconds->RecordMillis(timer.ElapsedMillis());
   for (;;) {
     // Install through the validating Put: the reload gets a strictly
     // larger epoch than the evicted incarnation, so stale cached
@@ -384,9 +374,7 @@ void DurableProfileStore::EvictOverBudget() {
     // will simply fault the profile back in (NotFound here is fine).
     store_.Remove(victim);
   }
-  if (!victims.empty() && metric_tier_evictions_ != nullptr) {
-    metric_tier_evictions_->Add(victims.size());
-  }
+  inst_.tier_evictions->Add(victims.size());
 }
 
 std::vector<std::pair<std::string, ProfileSnapshot>>
@@ -453,7 +441,20 @@ Result<std::vector<WalTailRecord>> DurableProfileStore::ReadMutationsAfter(
 }
 
 TierStats DurableProfileStore::tier_stats() const {
-  return tiered() ? tier_->stats() : TierStats{};
+  TierStats stats;
+  if (!tiered()) return stats;
+  const ProfileTier::Residency residency = tier_->residency();
+  stats.enabled = true;
+  stats.hot_capacity = tier_->hot_capacity();
+  stats.hot_resident = residency.hot;
+  stats.cold_users = residency.cold;
+  stats.overlay_records = residency.overlay_records;
+  stats.hot_hits = inst_.tier_hot_hits->Value();
+  stats.cold_loads = inst_.tier_cold_loads->Value();
+  stats.evictions = inst_.tier_evictions->Value();
+  stats.load_failures = inst_.tier_load_failures->Value();
+  stats.load_millis = inst_.tier_load_seconds->Snapshot().sum * 1e3;
+  return stats;
 }
 
 Status DurableProfileStore::AdmitMutation() {
@@ -509,16 +510,12 @@ void DurableProfileStore::OpenBreaker(BreakerState from) {
                          from == kHalfOpen ? "half_open->open"
                                            : "closed->open",
                          dir_);
-  breaker_trips_.fetch_add(1, std::memory_order_relaxed);
-  if (metric_breaker_trips_ != nullptr) {
-    metric_breaker_trips_->Add(1);
-    gauge_breaker_open_->Set(1.0);
-  }
+  inst_.breaker_trips->Add(1);
+  inst_.breaker_open->Set(1.0);
 }
 
 Status DurableProfileStore::ProbeRecover() {
-  breaker_probes_.fetch_add(1, std::memory_order_relaxed);
-  if (metric_breaker_probes_ != nullptr) metric_breaker_probes_->Add(1);
+  inst_.breaker_probes->Add(1);
   // The probe is a checkpoint: exclusive cut under every stripe, exactly
   // like Checkpoint(). The caller holds no stripe yet (AdmitMutation
   // runs before the mutation takes one), so the ordering is safe.
@@ -538,20 +535,13 @@ Status DurableProfileStore::ProbeRecover() {
     compact_backoff_bytes_.store(0, std::memory_order_release);
     breaker_backoff_ms_.store(options_.breaker_backoff.count(),
                               std::memory_order_relaxed);
-    breaker_epoch_.fetch_add(1, std::memory_order_relaxed);
-    breaker_recoveries_.fetch_add(1, std::memory_order_relaxed);
-    if (metric_breaker_recoveries_ != nullptr) {
-      metric_breaker_recoveries_->Add(1);
-      gauge_breaker_open_->Set(0.0);
-    }
+    inst_.breaker_recoveries->Add(1);
+    inst_.breaker_open->Set(0.0);
     breaker_state_.store(kClosed, std::memory_order_release);
     obs::RecordFlightEvent(obs::FlightEventType::kBreakerTransition,
                            "half_open->closed", dir_);
   } else {
-    ++failed_checkpoints_;
-    if (metric_failed_checkpoints_ != nullptr) {
-      metric_failed_checkpoints_->Add(1);
-    }
+    inst_.failed_checkpoints->Add(1);
     last_checkpoint_error_ = status.message();
     OpenBreaker(kHalfOpen);
   }
@@ -564,10 +554,7 @@ Status DurableProfileStore::LogMutation(const std::string& payload) {
     consecutive_failures_.store(0, std::memory_order_relaxed);
     return status;
   }
-  mutation_failures_.fetch_add(1, std::memory_order_relaxed);
-  if (metric_mutation_failures_ != nullptr) {
-    metric_mutation_failures_->Add(1);
-  }
+  inst_.mutation_failures->Add(1);
   const uint64_t failures =
       consecutive_failures_.fetch_add(1, std::memory_order_acq_rel) + 1;
   if (options_.breaker_threshold > 0 &&
@@ -632,8 +619,8 @@ Status DurableProfileStore::Upsert(
     if (plan.alive) {
       WallTimer load_timer;
       QP_RETURN_IF_ERROR(BuildFromPlan(user_id, plan, &merged));
-      tier_->CountColdLoad(load_timer.ElapsedMillis());
-      if (metric_tier_cold_loads_ != nullptr) metric_tier_cold_loads_->Add(1);
+      inst_.tier_cold_loads->Add(1);
+      inst_.tier_load_seconds->RecordMillis(load_timer.ElapsedMillis());
     }
   }
   for (const AtomicPreference& pref : preferences) {
@@ -710,15 +697,11 @@ Status DurableProfileStore::Checkpoint() {
     last_checkpoint_error_.clear();
     compact_backoff_bytes_.store(0, std::memory_order_release);
   } else {
-    ++failed_checkpoints_;
-    if (metric_failed_checkpoints_ != nullptr) {
-      metric_failed_checkpoints_->Add(1);
-    }
+    inst_.failed_checkpoints->Add(1);
     last_checkpoint_error_ = status.message();
-    compact_backoff_bytes_.store(
-        segment_base_bytes_ + wal_->stats().bytes_appended +
-            options_.compact_threshold_bytes,
-        std::memory_order_release);
+    compact_backoff_bytes_.store(segment_base_bytes_ + wal_->segment_bytes() +
+                                     options_.compact_threshold_bytes,
+                                 std::memory_order_release);
   }
   return status;
 }
@@ -811,17 +794,11 @@ Status DurableProfileStore::CheckpointLocked(bool for_recovery) {
 
   const Manifest old = manifest_;
   manifest_ = next;
-  WalWriterStats finished = wal_->stats();
-  retired_.records_appended += finished.records_appended;
-  retired_.bytes_appended += finished.bytes_appended;
-  retired_.fsyncs += finished.fsyncs;
-  retired_.sync_retries += finished.sync_retries;
   wal_->Close();
   wal_ = std::make_unique<WalWriter>(std::move(new_wal_file), seqno + 1,
                                      options_.wal);
   segment_base_bytes_ = 0;
-  ++checkpoints_;
-  if (metric_checkpoints_ != nullptr) metric_checkpoints_->Add(1);
+  inst_.checkpoints->Add(1);
   if (tiered()) tier_->ResetAfterCheckpoint(new_entries);
 
   if (!old.snapshot_file.empty() && old.snapshot_file != next.snapshot_file) {
@@ -876,8 +853,7 @@ void DurableProfileStore::MaybeKickCompaction() {
       !compaction_running_.load(std::memory_order_acquire)) {
     return;
   }
-  const uint64_t segment_bytes =
-      segment_base_bytes_ + wal_->stats().bytes_appended;
+  const uint64_t segment_bytes = segment_base_bytes_ + wal_->segment_bytes();
   if (segment_bytes < options_.compact_threshold_bytes) return;
   if (segment_bytes < compact_backoff_bytes_.load(std::memory_order_acquire)) {
     return;  // Last checkpoint failed; wait for real growth first.
@@ -909,45 +885,45 @@ void DurableProfileStore::CompactionLoop() {
 StorageStats DurableProfileStore::storage_stats() const {
   StorageStats stats;
   stats.durable = durable();
-  stats.recovery_millis = recovery_millis_;
-  stats.snapshot_users_loaded = snapshot_users_loaded_;
-  stats.records_replayed = records_replayed_;
-  stats.torn_bytes_truncated = torn_bytes_truncated_;
-  if (!durable()) return stats;
-  stats.mutation_failures =
-      mutation_failures_.load(std::memory_order_relaxed);
-  stats.breaker_trips = breaker_trips_.load(std::memory_order_relaxed);
+  stats.recovery_millis = inst_.recovery_millis->Value();
+  stats.snapshot_users_loaded =
+      static_cast<uint64_t>(inst_.snapshot_users_loaded->Value());
+  stats.records_replayed =
+      static_cast<uint64_t>(inst_.records_replayed->Value());
+  stats.torn_bytes_truncated =
+      static_cast<uint64_t>(inst_.torn_bytes_truncated->Value());
+  stats.records_appended = inst_.wal_records->Value();
+  stats.bytes_appended = inst_.wal_bytes->Value();
+  stats.fsyncs = inst_.wal_fsyncs->Value();
+  stats.sync_retries = inst_.wal_sync_retries->Value();
+  stats.mutation_failures = inst_.mutation_failures->Value();
+  // Recoveries before trips: a recovery follows its trip in program
+  // order, so in this read order recoveries never exceed trips.
+  stats.breaker_recoveries = inst_.breaker_recoveries->Value();
+  stats.breaker_probes = inst_.breaker_probes->Value();
+  stats.breaker_trips = inst_.breaker_trips->Value();
   stats.breaker_open =
       breaker_state_.load(std::memory_order_acquire) != kClosed;
-  stats.breaker_probes = breaker_probes_.load(std::memory_order_relaxed);
-  stats.breaker_recoveries =
-      breaker_recoveries_.load(std::memory_order_relaxed);
-  stats.breaker_epoch = breaker_epoch_.load(std::memory_order_relaxed);
   stats.breaker_backoff_ms =
       breaker_backoff_ms_.load(std::memory_order_relaxed);
-  stats.scrubs = scrubs_.load(std::memory_order_relaxed);
-  stats.scrub_corruptions = scrub_corruptions_.load(std::memory_order_relaxed);
-  stats.repairs = repairs_.load(std::memory_order_relaxed);
-  stats.repair_failures = repair_failures_.load(std::memory_order_relaxed);
+  stats.scrubs = inst_.scrubs->Value();
+  stats.scrub_corruptions = inst_.scrub_corruptions->Value();
+  stats.repairs = inst_.repairs->Value();
+  stats.repair_failures = inst_.repair_failures->Value();
   stats.quarantined_profiles =
       quarantine_count_.load(std::memory_order_relaxed);
+  stats.checkpoints = inst_.checkpoints->Value();
+  stats.failed_checkpoints = inst_.failed_checkpoints->Value();
   {
     std::lock_guard<std::mutex> scrub_lock(scrub_error_mutex_);
     stats.last_scrub_error = last_scrub_error_;
   }
   std::lock_guard<std::mutex> meta(meta_mutex_);
-  stats.checkpoints = checkpoints_;
-  stats.failed_checkpoints = failed_checkpoints_;
   stats.last_checkpoint_error = last_checkpoint_error_;
   if (wal_ != nullptr) {
-    WalWriterStats live = wal_->stats();
-    stats.records_appended = retired_.records_appended + live.records_appended;
-    stats.bytes_appended = retired_.bytes_appended + live.bytes_appended;
-    stats.fsyncs = retired_.fsyncs + live.fsyncs;
-    stats.sync_retries = retired_.sync_retries + live.sync_retries;
     stats.last_appended_seqno = wal_->last_appended_seqno();
     stats.last_synced_seqno = wal_->last_synced_seqno();
-    stats.wal_segment_bytes = segment_base_bytes_ + live.bytes_appended;
+    stats.wal_segment_bytes = segment_base_bytes_ + wal_->segment_bytes();
   }
   return stats;
 }

@@ -14,9 +14,10 @@
 #include <utility>
 #include <vector>
 
+#include "qp/obs/metrics.h"
 #include "qp/obs/trace.h"
+#include "qp/pref/preference.h"
 #include "qp/service/profile_store.h"
-#include "qp/storage/profile_backend.h"
 #include "qp/storage/record.h"
 #include "qp/storage/scrub.h"
 #include "qp/storage/snapshot.h"
@@ -28,6 +29,89 @@
 
 namespace qp {
 namespace storage {
+
+/// Storage-side counters, surfaced through ServiceStats::storage. A view:
+/// every count is read back from the store's registry instruments
+/// (qp_storage_*, qp_wal_*, the recovery gauges), and only the control
+/// state — breaker state and backoff, quarantine size, WAL seqnos and
+/// segment length, the last error messages — comes from the store
+/// itself. The instruments live in StorageOptions::metrics under its
+/// labels, so stores that share a scope share the counts: in a cluster,
+/// a shard reopened by RecoverShard continues its {shard="<id>"} series
+/// rather than starting again from zero.
+struct StorageStats {
+  bool durable = false;
+  uint64_t records_appended = 0;  // WAL records over the store's lifetime.
+  uint64_t bytes_appended = 0;    // WAL bytes over the store's lifetime.
+  uint64_t fsyncs = 0;
+  /// Fsync attempts that failed transiently and were retried by the WAL.
+  uint64_t sync_retries = 0;
+  /// Mutations that failed at the WAL (after its retries).
+  uint64_t mutation_failures = 0;
+  /// Times the circuit breaker tripped the store to read-only. A true
+  /// counter: every open — first trip or a failed probe re-opening —
+  /// increments it.
+  uint64_t breaker_trips = 0;
+  /// Half-open recovery accounting: probes attempted, and probes that
+  /// closed the breaker.
+  uint64_t breaker_probes = 0;
+  uint64_t breaker_recoveries = 0;
+  /// The backoff a re-open would currently wait before probing again.
+  uint64_t breaker_backoff_ms = 0;
+  /// True while mutations are being rejected with Unavailable.
+  bool breaker_open = false;
+  /// Integrity scrubber accounting: completed passes, findings (disk CRC
+  /// damage + in-memory invariant violations), repairs, and the profiles
+  /// currently quarantined.
+  uint64_t scrubs = 0;
+  uint64_t scrub_corruptions = 0;
+  uint64_t repairs = 0;
+  uint64_t repair_failures = 0;
+  uint64_t quarantined_profiles = 0;
+  std::string last_scrub_error;
+  uint64_t checkpoints = 0;
+  uint64_t failed_checkpoints = 0;
+  /// Message of the most recent checkpoint/compaction failure; cleared
+  /// when one succeeds again. Background compaction failures are not
+  /// returned to any caller, so this is where they surface.
+  std::string last_checkpoint_error;
+  uint64_t last_appended_seqno = 0;
+  uint64_t last_synced_seqno = 0;
+  uint64_t wal_segment_bytes = 0;  // Live (uncompacted) WAL length.
+  // Recovery outcome of the Open() that produced this store.
+  double recovery_millis = 0.0;
+  uint64_t snapshot_users_loaded = 0;
+  uint64_t records_replayed = 0;
+  uint64_t torn_bytes_truncated = 0;
+};
+
+/// Hot/cold residency counters of a tiered store. All zero (and
+/// `enabled` false) for a store that keeps every profile resident. The
+/// event counts and load time are read back from the qp_tier_*
+/// instruments; the residency split from the tier itself.
+struct TierStats {
+  bool enabled = false;
+  size_t hot_capacity = 0;  // Max profiles resident at once.
+  size_t hot_resident = 0;  // Profiles currently in memory.
+  size_t cold_users = 0;    // Alive users currently evicted to disk.
+  uint64_t hot_hits = 0;    // Gets answered from memory.
+  uint64_t cold_loads = 0;  // Gets that paged a profile in from disk.
+  uint64_t evictions = 0;   // Profiles dropped from memory (disk kept).
+  uint64_t load_failures = 0;
+  /// Mutation payloads buffered since the last checkpoint — the WAL
+  /// overlay cold loads replay on top of their snapshot body. Bounded by
+  /// the compaction threshold.
+  uint64_t overlay_records = 0;
+  double load_millis = 0.0;  // Cumulative cold-load wall time.
+};
+
+/// One decoded record of a store's mutation log, as streamed by
+/// ReadMutationsAfter: the log position plus the mutation it carries.
+/// Seqnos are strictly increasing within one stream.
+struct WalTailRecord {
+  uint64_t seqno = 0;
+  ProfileMutation mutation;
+};
 
 /// How (and whether) a DurableProfileStore persists its state.
 struct StorageOptions {
@@ -89,15 +173,14 @@ struct StorageOptions {
   /// instead of sleeping, so backoff expiry is deterministic under
   /// sanitizer load. Not owned; must outlive the store.
   Clock* clock = nullptr;
-  /// When set, storage event counters (qp_storage_*) and the WAL's own
-  /// instruments (qp_wal_*, threaded through WalOptions::metrics) are
-  /// published here; recovery outcome gauges are set once at Open. Not
-  /// owned; must outlive the store.
-  obs::MetricsRegistry* metrics = nullptr;
+  /// Where the store counts its events: storage (qp_storage_*), tier
+  /// (qp_tier_*) and profile-store (qp_profile_store_*) instruments, the
+  /// recovery outcome gauges set once at Open, and the WAL's own
+  /// instruments (qp_wal_*; this scope replaces WalOptions::metrics).
+  /// The registry is not owned and must outlive the store; without one
+  /// the store owns one.
+  obs::MetricScope metrics;
 };
-
-// StorageStats and TierStats live in profile_backend.h (the interface
-// this store implements); included above.
 
 /// A crash-safe ProfileStore: every mutation is appended to a CRC32C-
 /// framed write-ahead log before it is applied to the in-memory sharded
@@ -122,14 +205,12 @@ struct StorageOptions {
 /// profile can never be served for its successor. Epochs are *not*
 /// persisted: they key in-process caches, and a recovered store starts a
 /// fresh process with a fresh (empty) cache.
-class DurableProfileStore : public ProfileBackend {
+class DurableProfileStore {
  public:
-  /// In-memory pass-through (no directory, nothing persisted). When
-  /// `metrics` is given the inner ProfileStore publishes its counters
-  /// there (the qp_storage_* / qp_wal_* families stay silent — there is
-  /// no log to account for).
-  DurableProfileStore(const Schema* schema, size_t num_shards = 16,
-                      obs::MetricsRegistry* metrics = nullptr);
+  /// In-memory pass-through (no directory, nothing persisted), counting
+  /// into `metrics` like StorageOptions::metrics.
+  explicit DurableProfileStore(const Schema* schema,
+                               obs::MetricScope metrics = {});
 
   /// Opens (or initializes) the storage directory, recovering durable
   /// state: load the manifest's snapshot, replay the WAL tail, truncate
@@ -137,9 +218,9 @@ class DurableProfileStore : public ProfileBackend {
   /// checksum mid-log, a manifest/snapshot mismatch — fails the open
   /// with a non-OK status rather than serving a silently wrong store.
   static Result<std::unique_ptr<DurableProfileStore>> Open(
-      const Schema* schema, StorageOptions options, size_t num_shards = 16);
+      const Schema* schema, StorageOptions options);
 
-  ~DurableProfileStore() override;
+  ~DurableProfileStore();
 
   DurableProfileStore(const DurableProfileStore&) = delete;
   DurableProfileStore& operator=(const DurableProfileStore&) = delete;
@@ -150,56 +231,64 @@ class DurableProfileStore : public ProfileBackend {
   /// receives a "wal_append" span covering the log write (group commit +
   /// fsync included) — the durability cost of the mutation.
   Status Put(const std::string& user_id, UserProfile profile,
-             obs::RequestTrace* trace = nullptr) override;
+             obs::RequestTrace* trace = nullptr);
   Status Upsert(const std::string& user_id,
                 const std::vector<AtomicPreference>& preferences,
-                obs::RequestTrace* trace = nullptr) override;
+                obs::RequestTrace* trace = nullptr);
   Status Remove(const std::string& user_id,
-                obs::RequestTrace* trace = nullptr) override;
+                obs::RequestTrace* trace = nullptr);
 
-  /// Reads delegate to the in-memory store (same snapshot semantics).
-  /// Under tiering, a miss on an alive-but-cold user pages the profile
-  /// in from snapshot + WAL overlay (the "shard.load" fault site),
-  /// evicting over-budget residents — so a reload always carries a
-  /// strictly larger epoch than the evicted incarnation.
-  Result<ProfileSnapshot> Get(const std::string& user_id) override;
-  std::vector<std::pair<std::string, ProfileSnapshot>> All() override;
+  /// The user's current snapshot (NotFound for unknown users); reads
+  /// delegate to the in-memory store (same snapshot semantics). `Get` is
+  /// non-const by design: under tiering, a miss on an alive-but-cold
+  /// user pages the profile in from snapshot + WAL overlay (the
+  /// "shard.load" fault site), evicting over-budget residents — so a
+  /// reload always carries a strictly larger epoch than the evicted
+  /// incarnation.
+  Result<ProfileSnapshot> Get(const std::string& user_id);
+
+  /// Every alive user's snapshot, sorted by user id. A tiered store
+  /// faults cold users in (and back out) through its LRU to build this —
+  /// a debugging/export surface, not a hot path.
+  std::vector<std::pair<std::string, ProfileSnapshot>> All();
 
   /// Alive user ids without loading bodies: the tier index under
   /// tiering, the in-memory store's key set otherwise.
-  std::vector<std::string> Users() const override;
+  std::vector<std::string> Users() const;
 
-  /// Streams the live WAL segment's records with seqno > `after_seqno`,
-  /// decoded. OutOfRange once a checkpoint has rotated the requested
-  /// range away (restart from a fresh copy); Unimplemented for a
-  /// non-durable store. A torn final frame ends the stream cleanly — it
-  /// was never acknowledged. See ProfileBackend::ReadMutationsAfter.
-  Result<std::vector<WalTailRecord>> ReadMutationsAfter(
-      uint64_t after_seqno) override;
+  /// Streams the mutation log tail: every acknowledged mutation with a
+  /// sequence number strictly greater than `after_seqno`, in log order —
+  /// the seam live migration drains a source shard through. OutOfRange
+  /// once a checkpoint has rotated the requested range away (restart
+  /// from a fresh copy); Unimplemented for a non-durable store. A torn
+  /// final frame (an append in flight on another thread) ends the
+  /// stream cleanly — it was never acknowledged.
+  Result<std::vector<WalTailRecord>> ReadMutationsAfter(uint64_t after_seqno);
 
-  size_t size() const override;
-  const Schema& schema() const override { return store_.schema(); }
+  /// Alive users, resident or not.
+  size_t size() const;
+  const Schema& schema() const { return store_.schema(); }
 
-  bool durable() const override { return !dir_.empty(); }
+  bool durable() const { return !dir_.empty(); }
 
   /// Writes a snapshot of the current state and truncates the WAL it
   /// covers. Blocks mutators for the duration. No-op when nothing was
   /// logged since the last checkpoint.
-  Status Checkpoint() override;
+  Status Checkpoint();
 
   /// Forces every acknowledged mutation to stable storage (useful under
   /// FsyncPolicy::kInterval / kNever).
-  Status Sync() override;
+  Status Sync();
 
   /// Flushes, stops background compaction and closes the WAL. Further
   /// mutations fail; reads keep working. Called by the destructor.
-  Status Close() override;
+  Status Close();
 
-  StorageStats storage_stats() const override;
+  StorageStats storage_stats() const;
 
   /// Residency counters; TierStats::enabled is false unless
   /// StorageOptions::hot_capacity was set.
-  TierStats tier_stats() const override;
+  TierStats tier_stats() const;
 
   /// One synchronous integrity pass (the background scrubber runs
   /// exactly this on its cadence): re-verify the committed generation on
@@ -208,19 +297,19 @@ class DurableProfileStore : public ProfileBackend {
   /// Returns non-OK only when the pass itself could not run (closed
   /// store) — findings are reported, not returned.
   Status ScrubOnce(ScrubReport* report = nullptr,
-                   obs::RequestTrace* trace = nullptr) override;
+                   obs::RequestTrace* trace = nullptr);
 
   /// Rebuilds one user's profile from durable truth — last good snapshot
   /// + a WAL replay filtered to that user — installs it (validated) and
   /// lifts the quarantine. The repair path behind scrub_auto_repair.
-  Status RepairUser(const std::string& user_id) override;
+  Status RepairUser(const std::string& user_id);
 
   /// Quarantine surface: quarantined users are excluded from
   /// personalization (the service serves their raw queries, degraded)
   /// until repaired. IsQuarantined is hot-path cheap: one relaxed load
   /// while the set is empty.
-  bool IsQuarantined(const std::string& user_id) const override;
-  std::vector<std::string> QuarantinedUsers() const override;
+  bool IsQuarantined(const std::string& user_id) const;
+  std::vector<std::string> QuarantinedUsers() const;
 
   /// Chaos/test backdoor: plants an unvalidated profile in memory (the
   /// WAL and durable state stay intact) — the damage ScrubOnce must
@@ -238,8 +327,40 @@ class DurableProfileStore : public ProfileBackend {
   /// taking their stripe.
   enum BreakerState : int { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
 
-  DurableProfileStore(const Schema* schema, size_t num_shards,
-                      StorageOptions options);
+  /// This store's registry instruments, resolved once at construction
+  /// from StorageOptions::metrics: the storage and tier events it counts,
+  /// the recovery gauges, and the qp_wal_* counters its WAL writers share
+  /// (read back, never incremented, here).
+  struct Instruments {
+    explicit Instruments(const obs::MetricScope& scope);
+    obs::Counter* mutation_failures;
+    obs::Counter* breaker_trips;
+    obs::Counter* breaker_probes;
+    obs::Counter* breaker_recoveries;
+    obs::Counter* checkpoints;
+    obs::Counter* failed_checkpoints;
+    obs::Counter* scrubs;
+    obs::Counter* scrub_corruptions;
+    obs::Counter* repairs;
+    obs::Counter* repair_failures;
+    obs::Gauge* breaker_open;
+    obs::Gauge* quarantined;
+    obs::Gauge* recovery_millis;
+    obs::Gauge* snapshot_users_loaded;
+    obs::Gauge* records_replayed;
+    obs::Gauge* torn_bytes_truncated;
+    obs::Counter* wal_records;
+    obs::Counter* wal_bytes;
+    obs::Counter* wal_fsyncs;
+    obs::Counter* wal_sync_retries;
+    obs::Counter* tier_hot_hits;
+    obs::Counter* tier_cold_loads;
+    obs::Counter* tier_evictions;
+    obs::Counter* tier_load_failures;
+    obs::Histogram* tier_load_seconds;
+  };
+
+  DurableProfileStore(const Schema* schema, StorageOptions options);
 
   Status Recover(uint64_t* next_seqno);
   Status ApplyMutation(const ProfileMutation& mutation);
@@ -289,8 +410,12 @@ class DurableProfileStore : public ProfileBackend {
   void ScrubMemory(ScrubReport* report, obs::RequestTrace* trace);
   void SetQuarantined(const std::string& user_id, bool quarantined);
 
-  ProfileStore store_;
+  /// Declaration order matters: options_.metrics is resolved (and
+  /// threaded into options_.wal) before the instruments and the inner
+  /// store register into it.
   StorageOptions options_;
+  const Instruments inst_;
+  ProfileStore store_;
   FileSystem* fs_ = nullptr;
   Clock* clock_ = nullptr;
   std::string dir_;
@@ -302,7 +427,7 @@ class DurableProfileStore : public ProfileBackend {
   /// Per-user mutation serialization; ordered before meta_mutex_.
   mutable std::array<std::mutex, kNumStripes> stripes_;
 
-  /// Guards wal_, manifest_, the accumulated counters and closed_.
+  /// Guards wal_, manifest_, last_checkpoint_error_ and closed_.
   /// Mutators may read wal_ while holding only their stripe: the pointer
   /// is swapped exclusively under *all* stripes (checkpoint/close), which
   /// any stripe holder excludes.
@@ -310,9 +435,6 @@ class DurableProfileStore : public ProfileBackend {
   std::unique_ptr<WalWriter> wal_;
   Manifest manifest_;
   uint64_t segment_base_bytes_ = 0;  // Recovered bytes kept in the segment.
-  WalWriterStats retired_;           // Stats of closed WAL segments.
-  uint64_t checkpoints_ = 0;
-  uint64_t failed_checkpoints_ = 0;
   std::string last_checkpoint_error_;
   bool closed_ = false;
 
@@ -326,17 +448,12 @@ class DurableProfileStore : public ProfileBackend {
   /// Circuit-breaker state. Atomics because mutators read/advance them
   /// under only their stripe lock, and stats() reads them lock-free.
   std::atomic<uint64_t> consecutive_failures_{0};
-  std::atomic<uint64_t> mutation_failures_{0};
-  std::atomic<uint64_t> breaker_trips_{0};
   std::atomic<int> breaker_state_{kClosed};
   /// Steady-clock nanos at the moment the breaker (re)opened, and the
   /// backoff the next probe waits for. Written only by the thread that
   /// performed the open transition.
   std::atomic<int64_t> breaker_opened_ns_{0};
   std::atomic<int64_t> breaker_backoff_ms_{0};
-  std::atomic<uint64_t> breaker_probes_{0};
-  std::atomic<uint64_t> breaker_recoveries_{0};
-  std::atomic<uint64_t> breaker_epoch_{0};
 
   /// Quarantine set maintained by the scrubber. The atomic count lets
   /// the per-request IsQuarantined check skip the mutex entirely in the
@@ -345,37 +462,8 @@ class DurableProfileStore : public ProfileBackend {
   std::unordered_set<std::string> quarantined_;
   std::atomic<size_t> quarantine_count_{0};
 
-  /// Scrubber accounting (lock-free; last_scrub_error_ under its mutex).
-  std::atomic<uint64_t> scrubs_{0};
-  std::atomic<uint64_t> scrub_corruptions_{0};
-  std::atomic<uint64_t> repairs_{0};
-  std::atomic<uint64_t> repair_failures_{0};
   mutable std::mutex scrub_error_mutex_;
   std::string last_scrub_error_;
-
-  double recovery_millis_ = 0.0;
-  uint64_t snapshot_users_loaded_ = 0;
-  uint64_t records_replayed_ = 0;
-  uint64_t torn_bytes_truncated_ = 0;
-
-  /// Cached registry instruments (null when StorageOptions::metrics is).
-  obs::Counter* metric_mutation_failures_ = nullptr;
-  obs::Counter* metric_breaker_trips_ = nullptr;
-  obs::Counter* metric_breaker_probes_ = nullptr;
-  obs::Counter* metric_breaker_recoveries_ = nullptr;
-  obs::Counter* metric_checkpoints_ = nullptr;
-  obs::Counter* metric_failed_checkpoints_ = nullptr;
-  obs::Counter* metric_scrubs_ = nullptr;
-  obs::Counter* metric_scrub_corruptions_ = nullptr;
-  obs::Counter* metric_repairs_ = nullptr;
-  obs::Counter* metric_repair_failures_ = nullptr;
-  obs::Gauge* gauge_breaker_open_ = nullptr;
-  obs::Gauge* gauge_quarantined_ = nullptr;
-  obs::Counter* metric_tier_hits_ = nullptr;
-  obs::Counter* metric_tier_cold_loads_ = nullptr;
-  obs::Counter* metric_tier_evictions_ = nullptr;
-  obs::Counter* metric_tier_load_failures_ = nullptr;
-  obs::Histogram* metric_tier_load_seconds_ = nullptr;
 
   std::mutex compact_mutex_;
   std::condition_variable compact_cv_;

@@ -99,16 +99,10 @@ Status DurableProfileStore::ScrubOnce(ScrubReport* report,
   if (durable()) ScrubDisk(report, trace);
   ScrubMemory(report, trace);
 
-  scrubs_.fetch_add(1, std::memory_order_relaxed);
-  if (metric_scrubs_ != nullptr) metric_scrubs_->Add(1);
+  inst_.scrubs->Add(1);
   const uint64_t found =
       report->disk_corruptions + report->invariant_violations;
-  if (found > 0) {
-    scrub_corruptions_.fetch_add(found, std::memory_order_relaxed);
-    if (metric_scrub_corruptions_ != nullptr) {
-      metric_scrub_corruptions_->Add(found);
-    }
-  }
+  inst_.scrub_corruptions->Add(found);
   {
     std::lock_guard<std::mutex> lock(scrub_error_mutex_);
     last_scrub_error_ = report->first_error;
@@ -186,14 +180,12 @@ void DurableProfileStore::ScrubDisk(ScrubReport* report,
   Status repaired = CheckpointLocked(/*for_recovery=*/true);
   if (repaired.ok()) {
     ++report->repaired;
-    repairs_.fetch_add(1, std::memory_order_relaxed);
-    if (metric_repairs_ != nullptr) metric_repairs_->Add(1);
+    inst_.repairs->Add(1);
     obs::RecordFlightEvent(obs::FlightEventType::kRepair,
                            "disk_generation", dir_);
   } else {
     ++report->repair_failures;
-    repair_failures_.fetch_add(1, std::memory_order_relaxed);
-    if (metric_repair_failures_ != nullptr) metric_repair_failures_->Add(1);
+    inst_.repair_failures->Add(1);
   }
 }
 
@@ -304,11 +296,9 @@ Status DurableProfileStore::RepairUser(const std::string& user_id) {
   }();
   if (status.ok()) {
     SetQuarantined(user_id, false);
-    repairs_.fetch_add(1, std::memory_order_relaxed);
-    if (metric_repairs_ != nullptr) metric_repairs_->Add(1);
+    inst_.repairs->Add(1);
   } else {
-    repair_failures_.fetch_add(1, std::memory_order_relaxed);
-    if (metric_repair_failures_ != nullptr) metric_repair_failures_->Add(1);
+    inst_.repair_failures->Add(1);
   }
   return status;
 }
@@ -348,9 +338,7 @@ void DurableProfileStore::SetQuarantined(const std::string& user_id,
                            user_id, dir_);
   }
   quarantine_count_.store(quarantined_.size(), std::memory_order_release);
-  if (gauge_quarantined_ != nullptr) {
-    gauge_quarantined_->Set(static_cast<double>(quarantined_.size()));
-  }
+  inst_.quarantined->Set(static_cast<double>(quarantined_.size()));
 }
 
 void DurableProfileStore::CorruptInMemoryForTest(const std::string& user_id,

@@ -90,7 +90,6 @@ std::vector<std::string> ProfileTier::EvictOverBudget() {
     }
     evicted.push_back(victim);
     lru_.pop_back();
-    ++evictions_;
   }
   return evicted;
 }
@@ -147,41 +146,18 @@ void ProfileTier::ResetAfterCheckpoint(
   overlay_records_ = 0;
 }
 
-void ProfileTier::CountHotHit() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++hot_hits_;
-}
-
-void ProfileTier::CountColdLoad(double millis) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++cold_loads_;
-  load_millis_ += millis;
-}
-
-void ProfileTier::CountLoadFailure() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++load_failures_;
-}
-
 size_t ProfileTier::alive_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return users_.size();
 }
 
-TierStats ProfileTier::stats() const {
+ProfileTier::Residency ProfileTier::residency() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  TierStats stats;
-  stats.enabled = true;
-  stats.hot_capacity = capacity_;
-  stats.hot_resident = lru_.size();
-  stats.cold_users = users_.size() - lru_.size();
-  stats.hot_hits = hot_hits_;
-  stats.cold_loads = cold_loads_;
-  stats.evictions = evictions_;
-  stats.load_failures = load_failures_;
-  stats.overlay_records = overlay_records_;
-  stats.load_millis = load_millis_;
-  return stats;
+  Residency residency;
+  residency.hot = lru_.size();
+  residency.cold = users_.size() - lru_.size();
+  residency.overlay_records = overlay_records_;
+  return residency;
 }
 
 }  // namespace storage

@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "qp/storage/profile_backend.h"
 #include "qp/storage/record.h"
 #include "qp/storage/snapshot.h"
 
@@ -96,13 +95,17 @@ class ProfileTier {
   /// unchanged — the hot set stays hot.
   void ResetAfterCheckpoint(const std::vector<SnapshotEntry>& entries);
 
-  /// Cold-load accounting, driven by the store.
-  void CountHotHit();
-  void CountColdLoad(double millis);
-  void CountLoadFailure();
-
   size_t alive_count() const;
-  TierStats stats() const;
+
+  /// One consistent reading of the residency split: profiles in memory,
+  /// alive users on disk only, and the overlay records buffered since
+  /// the last checkpoint.
+  struct Residency {
+    size_t hot = 0;
+    size_t cold = 0;
+    uint64_t overlay_records = 0;
+  };
+  Residency residency() const;
 
  private:
   struct UserState {
@@ -119,11 +122,6 @@ class ProfileTier {
   std::unordered_map<std::string, UserState> users_;
   std::list<std::string> lru_;  // Front = most recently used; hot users only.
   uint64_t overlay_records_ = 0;
-  uint64_t hot_hits_ = 0;
-  uint64_t cold_loads_ = 0;
-  uint64_t evictions_ = 0;
-  uint64_t load_failures_ = 0;
-  double load_millis_ = 0.0;
 };
 
 }  // namespace storage

@@ -48,23 +48,18 @@ void EncodeWalRecord(uint64_t seqno, std::string_view payload,
 
 WalWriter::WalWriter(std::unique_ptr<WritableFile> file, uint64_t first_seqno,
                      WalOptions options)
-    : options_(options),
+    : options_(std::move(options)),
+      metrics_(options_.metrics.OrOwn()),
+      metric_records_(metrics_.counter("qp_wal_records_appended_total")),
+      metric_bytes_(metrics_.counter("qp_wal_bytes_appended_total")),
+      metric_fsyncs_(metrics_.counter("qp_wal_fsyncs_total")),
+      metric_sync_retries_(metrics_.counter("qp_wal_sync_retries_total")),
+      metric_sync_seconds_(metrics_.histogram("qp_wal_sync_seconds")),
       file_(std::move(file)),
       next_seqno_(first_seqno),
       synced_seqno_(first_seqno - 1),
       pending_max_seqno_(first_seqno - 1),
-      last_sync_time_(std::chrono::steady_clock::now()) {
-  if (options_.metrics != nullptr) {
-    metric_records_ =
-        options_.metrics->counter("qp_wal_records_appended_total");
-    metric_bytes_ = options_.metrics->counter("qp_wal_bytes_appended_total");
-    metric_fsyncs_ = options_.metrics->counter("qp_wal_fsyncs_total");
-    metric_sync_retries_ =
-        options_.metrics->counter("qp_wal_sync_retries_total");
-    metric_sync_seconds_ =
-        options_.metrics->histogram("qp_wal_sync_seconds");
-  }
-}
+      last_sync_time_(std::chrono::steady_clock::now()) {}
 
 WalWriter::~WalWriter() { Close(); }
 
@@ -89,12 +84,9 @@ Status WalWriter::AppendLocked(std::string_view payload,
   const size_t size_before = pending_.size();
   EncodeWalRecord(s, payload, &pending_);
   pending_max_seqno_ = s;
-  stats_.records_appended += 1;
-  stats_.bytes_appended += pending_.size() - size_before;
-  if (metric_records_ != nullptr) {
-    metric_records_->Add(1);
-    metric_bytes_->Add(pending_.size() - size_before);
-  }
+  segment_bytes_ += pending_.size() - size_before;
+  metric_records_->Add(1);
+  metric_bytes_->Add(pending_.size() - size_before);
   if (seqno != nullptr) *seqno = s;
 
   if (options_.fsync != FsyncPolicy::kEveryRecord) {
@@ -128,26 +120,11 @@ Status WalWriter::AppendLocked(std::string_view payload,
       const uint64_t batch_max = pending_max_seqno_;
       lock->unlock();
       Status status = file_->Append(batch);
-      uint64_t retries = 0;
-      const auto sync_start = std::chrono::steady_clock::now();
-      if (status.ok()) status = SyncWithRetries(&retries);
-      const double sync_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        sync_start)
-              .count();
+      if (status.ok()) status = SyncWithRetries();
       lock->lock();
       flushing_ = false;
-      stats_.sync_retries += retries;
-      if (metric_sync_retries_ != nullptr && retries > 0) {
-        metric_sync_retries_->Add(retries);
-      }
       if (status.ok()) {
         synced_seqno_ = std::max(synced_seqno_, batch_max);
-        stats_.fsyncs += 1;
-        if (metric_fsyncs_ != nullptr) {
-          metric_fsyncs_->Add(1);
-          metric_sync_seconds_->Record(sync_seconds);
-        }
       } else {
         error_ = status;
       }
@@ -178,27 +155,12 @@ Status WalWriter::SyncLocked(std::unique_lock<std::mutex>* lock) {
   lock->unlock();
   Status status;
   if (!batch.empty()) status = file_->Append(batch);
-  uint64_t retries = 0;
-  const auto sync_start = std::chrono::steady_clock::now();
-  if (status.ok()) status = SyncWithRetries(&retries);
-  const double sync_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    sync_start)
-          .count();
+  if (status.ok()) status = SyncWithRetries();
   lock->lock();
   flushing_ = false;
-  stats_.sync_retries += retries;
-  if (metric_sync_retries_ != nullptr && retries > 0) {
-    metric_sync_retries_->Add(retries);
-  }
   if (status.ok()) {
     synced_seqno_ = std::max(synced_seqno_, target);
     last_sync_time_ = std::chrono::steady_clock::now();
-    stats_.fsyncs += 1;
-    if (metric_fsyncs_ != nullptr) {
-      metric_fsyncs_->Add(1);
-      metric_sync_seconds_->Record(sync_seconds);
-    }
   } else {
     error_ = status;
   }
@@ -206,11 +168,12 @@ Status WalWriter::SyncLocked(std::unique_lock<std::mutex>* lock) {
   return status;
 }
 
-Status WalWriter::SyncWithRetries(uint64_t* retries) {
+Status WalWriter::SyncWithRetries() {
   // The chaos site sits inside the retry loop so an injected fsync
   // failure is indistinguishable from a real one: it burns a retry,
   // backs off, and only defeats the writer if it keeps firing past the
   // retry budget (at which point the error goes sticky upstream).
+  const auto start = std::chrono::steady_clock::now();
   Status status = QP_FAULT_POINT("wal.sync");
   if (status.ok()) status = file_->Sync();
   std::chrono::milliseconds backoff = options_.retry_backoff;
@@ -218,9 +181,15 @@ Status WalWriter::SyncWithRetries(uint64_t* retries) {
        ++attempt) {
     std::this_thread::sleep_for(backoff);
     backoff = std::min(backoff * 2, std::chrono::milliseconds(100));
-    ++*retries;
+    metric_sync_retries_->Add(1);
     status = QP_FAULT_POINT("wal.sync");
     if (status.ok()) status = file_->Sync();
+  }
+  if (status.ok()) {
+    metric_fsyncs_->Add(1);
+    metric_sync_seconds_->Record(std::chrono::duration<double>(
+                                     std::chrono::steady_clock::now() - start)
+                                     .count());
   }
   return status;
 }
@@ -252,9 +221,9 @@ uint64_t WalWriter::last_synced_seqno() const {
   return synced_seqno_;
 }
 
-WalWriterStats WalWriter::stats() const {
+uint64_t WalWriter::segment_bytes() const {
   std::unique_lock<std::mutex> lock(mutex_);
-  return stats_;
+  return segment_bytes_;
 }
 
 WalReader::WalReader(std::string_view data, uint64_t expected_first_seqno)

@@ -47,24 +47,13 @@ struct WalOptions {
   /// the first error, the historical behavior.
   int max_sync_retries = 0;
   std::chrono::milliseconds retry_backoff{1};
-  /// When set, the writer mirrors its stats into qp_wal_* counters and
-  /// records per-fsync latency (including retry backoff) into the
-  /// qp_wal_sync_seconds histogram. Instruments are looked up once at
-  /// construction. Not owned; must outlive the writer.
-  obs::MetricsRegistry* metrics = nullptr;
-};
-
-/// Counters a writer accumulates over its lifetime. When
-/// WalOptions::metrics is set these are also mirrored, increment for
-/// increment, into the registry (qp_wal_*); the struct remains the
-/// canonical per-writer view because registry counters aggregate across
-/// writer generations (segment rotations).
-struct WalWriterStats {
-  uint64_t records_appended = 0;
-  uint64_t bytes_appended = 0;
-  uint64_t fsyncs = 0;
-  /// Fsync attempts that failed and were retried (successfully or not).
-  uint64_t sync_retries = 0;
+  /// Where the writer counts records, bytes, fsyncs and fsync retries
+  /// (qp_wal_*_total) and records per-fsync latency, retry backoff
+  /// included (the qp_wal_sync_seconds histogram). Instruments are looked
+  /// up once at construction, so successive writer generations of one
+  /// store continue the same series. The registry is not owned and must
+  /// outlive the writer; without one the writer owns one.
+  obs::MetricScope metrics;
 };
 
 /// On-disk record frame (all integers little-endian):
@@ -105,20 +94,26 @@ class WalWriter {
   uint64_t last_appended_seqno() const;
   /// Highest sequence number known durable (0 if none).
   uint64_t last_synced_seqno() const;
-
-  WalWriterStats stats() const;
+  /// Bytes this writer has framed into its segment: the segment's growth
+  /// since the writer opened it, which drives compaction.
+  uint64_t segment_bytes() const;
 
  private:
   Status AppendLocked(std::string_view payload, std::unique_lock<std::mutex>* lock,
                       uint64_t* seqno);
   Status SyncLocked(std::unique_lock<std::mutex>* lock);
-  /// file_->Sync() with up to max_sync_retries backoff retries. Called
-  /// UNLOCKED (the flushing_ flag keeps the file exclusively ours);
-  /// `*retries` counts attempts made, for the caller to fold into stats
-  /// once the lock is re-held.
-  Status SyncWithRetries(uint64_t* retries);
+  /// file_->Sync() with up to max_sync_retries backoff retries, counting
+  /// the retries and timing a successful fsync. Called UNLOCKED (the
+  /// flushing_ flag keeps the file exclusively ours).
+  Status SyncWithRetries();
 
   const WalOptions options_;
+  const obs::MetricScope metrics_;
+  obs::Counter* const metric_records_;
+  obs::Counter* const metric_bytes_;
+  obs::Counter* const metric_fsyncs_;
+  obs::Counter* const metric_sync_retries_;
+  obs::Histogram* const metric_sync_seconds_;
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::unique_ptr<WritableFile> file_;
@@ -130,12 +125,7 @@ class WalWriter {
   bool flushing_ = false;
   Status error_;  // Sticky first failure.
   std::chrono::steady_clock::time_point last_sync_time_;
-  WalWriterStats stats_;
-  obs::Counter* metric_records_ = nullptr;
-  obs::Counter* metric_bytes_ = nullptr;
-  obs::Counter* metric_fsyncs_ = nullptr;
-  obs::Counter* metric_sync_retries_ = nullptr;
-  obs::Histogram* metric_sync_seconds_ = nullptr;
+  uint64_t segment_bytes_ = 0;
 };
 
 /// One decoded record.

@@ -140,14 +140,18 @@ QP_BENCH_JSON="$REPORT" "$ROOT/build/bench/service_throughput" \
   --benchmark_min_time=0.5 >/dev/null
 # Robustness costs: disarmed fault-point overhead, breaker
 # time-to-recover, steady-state scrub tax (acceptance bar: < 2%).
-QP_BENCH_JSON="$REPORT" "$ROOT/build/bench/fault_recovery" \
-  --benchmark_min_time=0.05 >/dev/null
 # Executor timings per query shape / K / L, plus their totals, which the
-# gate below holds under 2x the baseline.
+# gate below holds under 2x the baseline. fault_recovery, fig8 and fig9
+# gate millisecond-scale timings that one noisy run on a shared host can
+# double, so each runs three times and the gate reads the median.
+for run in 1 2 3; do
+  QP_BENCH_JSON="$REPORT" "$ROOT/build/bench/fault_recovery" \
+    --benchmark_min_time=0.05 >/dev/null
+  QP_BENCH_JSON="$REPORT" "$ROOT/build/bench/fig8_sq_mq_vs_k" >/dev/null
+  QP_BENCH_JSON="$REPORT" "$ROOT/build/bench/fig9_sq_mq_vs_l" >/dev/null
+done
 QP_BENCH_JSON="$REPORT" "$ROOT/build/bench/ablation_exec" \
   --benchmark_min_time=0.05 >/dev/null
-QP_BENCH_JSON="$REPORT" "$ROOT/build/bench/fig8_sq_mq_vs_k" >/dev/null
-QP_BENCH_JSON="$REPORT" "$ROOT/build/bench/fig9_sq_mq_vs_l" >/dev/null
 # Sharded scale-out: the zipfian closed loop over 1M distinct users with
 # a bounded hot set, a live reshard (grow by two) under traffic with the
 # migration-window p99 recorded, plus the kill/recover phase. The report
@@ -160,8 +164,9 @@ cat "$REPORT"
 
 echo "==== [ci] bench regression gate (vs BENCH_baseline.json) ===="
 # Fails on a >25% drop in service / shard-cluster throughput, on an
-# executor total or other guarded latency above 2x its baseline, or on a
-# violated shard invariant. Regenerate
+# executor total or other guarded latency above 2x its baseline (each
+# read as the median of the report's runs), or on a violated shard
+# invariant. Regenerate
 # the baseline (and review the diff) when a deliberate perf change moves
 # the floor: copy build/bench_report.json over BENCH_baseline.json.
 python3 tests/check_bench_regression.py \

@@ -162,10 +162,31 @@ TEST_F(ServiceTraceTest, FullRequestTraceMatchesResponse) {
     return value != nullptr ? value->number : -1.0;
   };
   EXPECT_EQ(counter_value("qp_service_requests_total"), 2.0);
-  EXPECT_EQ(counter_value("qp_service_full_total"), 2.0);
   EXPECT_EQ(counter_value("qp_service_cache_hits_total"), 1.0);
   EXPECT_EQ(counter_value("qp_service_cache_misses_total"), 1.0);
-  EXPECT_EQ(counter_value("qp_service_errors_total"), 0.0);
+  EXPECT_EQ(counter_value("qp_selection_cache_insertions_total"), 1.0);
+  // Dispositions are counted once, in the labeled family only.
+  EXPECT_EQ(counter_value("qp_service_full_total"), -1.0);
+  auto disposition_value = [&](const char* disposition) {
+    const JsonValue* labeled = root.Find("labeled");
+    const JsonValue* family =
+        labeled == nullptr ? nullptr : labeled->Find("counters");
+    family = family == nullptr
+                 ? nullptr
+                 : family->Find("qp_service_requests_by_disposition_total");
+    if (family == nullptr) return -1.0;
+    for (const JsonValue& sample : family->array) {
+      const JsonValue* labels = sample.Find("labels");
+      const JsonValue* value = labels == nullptr ? nullptr
+                                                 : labels->Find("disposition");
+      if (value != nullptr && value->str == disposition) {
+        return sample.Find("value")->number;
+      }
+    }
+    return -1.0;
+  };
+  EXPECT_EQ(disposition_value("full"), 2.0);
+  EXPECT_EQ(disposition_value("error"), 0.0);
   const JsonValue* gauges = root.Find("gauges");
   ASSERT_NE(gauges, nullptr);
   const JsonValue* cache_entries = gauges->Find("qp_selection_cache_entries");

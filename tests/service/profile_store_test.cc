@@ -24,7 +24,7 @@ class ProfileStoreTest : public ::testing::Test {
 };
 
 TEST_F(ProfileStoreTest, PutGetRemove) {
-  ProfileStore store(&schema_, 4);
+  ProfileStore store(&schema_);
   EXPECT_EQ(store.size(), 0u);
   EXPECT_FALSE(store.Get("julie").ok());
 
@@ -75,7 +75,7 @@ TEST_F(ProfileStoreTest, EpochBumpsOnEveryMutation) {
 TEST_F(ProfileStoreTest, RemoveThenReinsertNeverReusesAnEpoch) {
   // Cache keys embed (user, epoch); a re-inserted user reusing an old
   // epoch would resurrect cache entries of the deleted profile.
-  ProfileStore store(&schema_, 1);
+  ProfileStore store(&schema_);
   QP_ASSERT_OK(store.Put("julie", JulieProfile()));
   QP_ASSERT_OK(store.Put("julie", JulieProfile()));
   QP_ASSERT_OK_AND_ASSIGN(ProfileSnapshot before, store.Get("julie"));
@@ -98,7 +98,7 @@ TEST_F(ProfileStoreTest, ConcurrentUpsertsNeverLoseAnUpdate) {
       AttributeRef{"ACTOR", "name"}, Value::Str("G. Binoche"), 0.57);
 
   for (int round = 0; round < 50; ++round) {
-    ProfileStore store(&schema_, 4);
+    ProfileStore store(&schema_);
     QP_ASSERT_OK(store.Put("julie", JulieProfile()));
 
     std::atomic<bool> go{false};
@@ -126,7 +126,7 @@ TEST_F(ProfileStoreTest, SnapshotIsolationUnderConcurrentMutation) {
   // their snapshots. A torn read would surface as a selection edge count
   // matching neither profile, a crossed profile/graph pair, or (under
   // TSan) a race report.
-  ProfileStore store(&schema_, 4);
+  ProfileStore store(&schema_);
 
   UserProfile a = JulieProfile();
   UserProfile b = RobProfile();

@@ -1,5 +1,6 @@
-// SelectionCache unit tests: hit/miss accounting, LRU eviction bound,
-// epoch-keyed invalidation, and concurrent access sanity.
+// SelectionCache unit tests: hits and misses, the LRU eviction bound and
+// the eviction counts Insert returns, epoch-keyed invalidation, and
+// concurrent access sanity.
 
 #include <memory>
 #include <thread>
@@ -28,16 +29,11 @@ TEST(SelectionCacheTest, HitAfterInsertMissBefore) {
       InterestCriterion::TopCount(5));
 
   EXPECT_EQ(cache.Lookup(key), nullptr);
-  cache.Insert(key, MakePaths(3));
+  EXPECT_EQ(cache.Insert(key, MakePaths(3)), 0u);  // Nothing evicted.
   SelectionCache::Paths hit = cache.Lookup(key);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->size(), 3u);
-
-  SelectionCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.insertions, 1u);
-  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(SelectionCacheTest, KeyDistinguishesEpochQueryAndCriterion) {
@@ -78,12 +74,13 @@ TEST(SelectionCacheTest, LruEvictionBound) {
     return SelectionCache::MakeKey("u", 1, "q" + std::to_string(i),
                                    criterion);
   };
+  size_t evictions = 0;
   for (int i = 0; i < 10; ++i) {
-    cache.Insert(key(i), MakePaths(1));
+    evictions += cache.Insert(key(i), MakePaths(1));
     EXPECT_LE(cache.size(), 4u);
   }
   EXPECT_EQ(cache.size(), 4u);
-  EXPECT_EQ(cache.stats().evictions, 6u);
+  EXPECT_EQ(evictions, 6u);
   // The four most recent survive; the oldest six are gone.
   for (int i = 0; i < 6; ++i) EXPECT_EQ(cache.Lookup(key(i)), nullptr);
   for (int i = 6; i < 10; ++i) EXPECT_NE(cache.Lookup(key(i)), nullptr);
@@ -117,16 +114,16 @@ TEST(SelectionCacheTest, InsertSameKeyReplaces) {
   EXPECT_EQ(hit->size(), 5u);
 }
 
-TEST(SelectionCacheTest, ClearDropsEntriesKeepsStats) {
+TEST(SelectionCacheTest, ClearDropsEveryEntry) {
   SelectionCache cache(4);
   std::string key = SelectionCache::MakeKey(
       "u", 1, "q", InterestCriterion::TopCount(5));
-  cache.Insert(key, MakePaths(1));
+  cache.Insert("u", key, MakePaths(1));
   EXPECT_NE(cache.Lookup(key), nullptr);
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.Lookup(key), nullptr);
-  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.EraseUser("u"), 0u);  // The owner index is gone too.
 }
 
 TEST(SelectionCacheTest, EraseUserDropsOnlyThatUsersEntries) {
@@ -154,12 +151,11 @@ TEST(SelectionCacheTest, EraseUserDropsOnlyThatUsersEntries) {
   for (int i = 0; i < 2; ++i) EXPECT_NE(cache.Lookup(key("bob", i)),
                                         nullptr);
   EXPECT_NE(cache.Lookup(key("anon", 0)), nullptr);
-  EXPECT_EQ(cache.stats().user_invalidations, 3u);
 
   // Unknown or already-erased users are clean no-ops.
   EXPECT_EQ(cache.EraseUser("alice"), 0u);
   EXPECT_EQ(cache.EraseUser("nobody"), 0u);
-  EXPECT_EQ(cache.stats().user_invalidations, 3u);
+  EXPECT_EQ(cache.size(), 3u);
 }
 
 TEST(SelectionCacheTest, EvictionAndReplaceMaintainUserIndex) {
@@ -173,7 +169,7 @@ TEST(SelectionCacheTest, EvictionAndReplaceMaintainUserIndex) {
   // EraseUser sees only what is still resident.
   cache.Insert("alice", key(0), MakePaths(1));
   cache.Insert("alice", key(1), MakePaths(1));
-  cache.Insert("alice", key(2), MakePaths(1));  // Evicts key(0).
+  EXPECT_EQ(cache.Insert("alice", key(2), MakePaths(1)), 1u);  // key(0).
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.EraseUser("alice"), 2u);
   EXPECT_EQ(cache.size(), 0u);

@@ -1,9 +1,11 @@
 // ShardedPersonalizationService tests: stable routing that partitions
 // users across shard directories, cluster results identical to a single
 // unsharded service, per-user cache invalidation staying on the owner
-// shard, kill/recover fault containment, router fault sites, and the
-// per-shard span in request traces.
+// shard, kill/recover fault containment, router fault sites, the
+// per-shard span in request traces, and every shard's counts living in
+// its own {shard="<id>"} series.
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -14,6 +16,7 @@
 #include "qp/data/movie_db.h"
 #include "qp/data/paper_example.h"
 #include "qp/data/workload.h"
+#include "qp/obs/metrics.h"
 #include "qp/obs/trace.h"
 #include "qp/pref/profile_generator.h"
 #include "qp/shard/sharded_service.h"
@@ -87,6 +90,52 @@ class ShardedServiceTest : public ::testing::Test {
     }
     ADD_FAILURE() << "no user hashed to shard " << shard;
     return "";
+  }
+
+  /// Sum of every series named `name`, labeled or not: how the
+  /// end-to-end benchmark reads a cluster's counters.
+  static double CounterTotal(const obs::MetricsSnapshot& snapshot,
+                             const std::string& name) {
+    double total = 0.0;
+    for (const auto& [series, value] : snapshot.counters) {
+      if (series == name) total += static_cast<double>(value);
+    }
+    for (const auto& sample : snapshot.labeled_counters) {
+      if (sample.name == name) total += static_cast<double>(sample.value);
+    }
+    return total;
+  }
+
+  /// The counter `name`{shard="<shard>"}, or -1 when the registry has no
+  /// such series.
+  static double ShardSeries(const obs::MetricsSnapshot& snapshot,
+                            const std::string& name, size_t shard) {
+    const obs::MetricLabels labels = {{"shard", std::to_string(shard)}};
+    for (const auto& sample : snapshot.labeled_counters) {
+      if (sample.name == name && sample.labels == labels) {
+        return static_cast<double>(sample.value);
+      }
+    }
+    return -1.0;
+  }
+
+  /// Every shard row's `field` equals that shard's labeled series of
+  /// `name`, and the rows sum to the series' cluster-wide total. Call at
+  /// quiescence.
+  static void ExpectRowsMatchSeries(
+      const ShardedPersonalizationService& sharded, const std::string& name,
+      const std::function<uint64_t(const ServiceStats&)>& field) {
+    const ShardedStats stats = sharded.stats();
+    const obs::MetricsSnapshot snapshot = sharded.metrics()->Snapshot();
+    double sum = 0.0;
+    for (const ShardRow& row : stats.shards) {
+      ASSERT_TRUE(row.alive);
+      const double value = static_cast<double>(field(row.stats));
+      EXPECT_EQ(value, ShardSeries(snapshot, name, row.shard_id))
+          << name << " on shard " << row.shard_id;
+      sum += value;
+    }
+    EXPECT_EQ(sum, CounterTotal(snapshot, name)) << name;
   }
 
   std::unique_ptr<Database> db_;
@@ -384,6 +433,108 @@ TEST_F(ShardedServiceTest, TieredShardsBoundResidencyClusterWide) {
         sharded->Personalize(Request("user" + std::to_string(u), queries[0]));
     ASSERT_TRUE(response.status.ok()) << response.status;
   }
+  // Each shard's residency counters are its own labeled series.
+  ExpectRowsMatchSeries(*sharded, "qp_tier_hot_hits_total",
+                        [](const ServiceStats& s) { return s.tier.hot_hits; });
+  ExpectRowsMatchSeries(
+      *sharded, "qp_tier_cold_loads_total",
+      [](const ServiceStats& s) { return s.tier.cold_loads; });
+  ExpectRowsMatchSeries(
+      *sharded, "qp_tier_evictions_total",
+      [](const ServiceStats& s) { return s.tier.evictions; });
+}
+
+TEST_F(ShardedServiceTest, EveryShardCountsUnderItsOwnLabel) {
+  // Two shards, each quarantining one profile; then shard 1 repairs its
+  // own. Every storage series is per shard, so shard 1's repair cannot
+  // overwrite what shard 0 reports.
+  ShardedOptions options = Options(2);
+  options.service.storage.scrub_auto_repair = false;
+  auto sharded = MustOpen(std::move(options));
+  ASSERT_NE(sharded, nullptr);
+
+  constexpr size_t kUsers = 8;
+  for (size_t u = 0; u < kUsers; ++u) {
+    QP_ASSERT_OK(
+        sharded->PutProfile("user" + std::to_string(u), MakeProfile(u + 1)));
+  }
+  WorkloadGenerator workload(db_.get(), 17);
+  QP_ASSERT_OK_AND_ASSIGN(std::vector<SelectQuery> queries,
+                          workload.RandomQueries(1));
+  for (size_t u = 0; u < kUsers; ++u) {
+    PersonalizationRequest request =
+        Request("user" + std::to_string(u), queries[0]);
+    request.execute = false;
+    QP_ASSERT_OK(sharded->Personalize(request).status);
+    EXPECT_TRUE(sharded->Personalize(request).cache_hit);
+  }
+  QP_ASSERT_OK(sharded->UpsertProfile(
+      "user0", {MakeProfile(kUsers + 1).preferences().front()}));
+
+  UserProfile bogus;
+  bogus.AddOrUpdate(AtomicPreference::Selection(
+      AttributeRef{"NO_SUCH_TABLE", "attr"}, Value::Str("x"), 0.5));
+  const std::string victims[2] = {UserOnShard(*sharded, 0),
+                                  UserOnShard(*sharded, 1)};
+  for (size_t shard = 0; shard < 2; ++shard) {
+    storage::DurableProfileStore& store = sharded->Shard(shard)->profiles();
+    store.CorruptInMemoryForTest(victims[shard], bogus);
+    QP_ASSERT_OK(store.ScrubOnce());
+    ASSERT_TRUE(store.IsQuarantined(victims[shard])) << "shard " << shard;
+  }
+  QP_ASSERT_OK(sharded->Shard(1)->profiles().RepairUser(victims[1]));
+  QP_ASSERT_OK(sharded->Shard(1)->profiles().Checkpoint());
+
+  const std::string text =
+      sharded->metrics()->Export(obs::ExportFormat::kPrometheus);
+  EXPECT_NE(text.find("qp_storage_quarantined_profiles{shard=\"0\"} 1\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("qp_storage_quarantined_profiles{shard=\"1\"} 0\n"),
+            std::string::npos)
+      << text;
+
+  const ShardedStats stats = sharded->stats();
+  EXPECT_EQ(stats.shards[0].stats.storage.quarantined_profiles, 1u);
+  EXPECT_EQ(stats.shards[1].stats.storage.quarantined_profiles, 0u);
+  EXPECT_EQ(stats.shards[1].stats.storage.repairs, 1u);
+  EXPECT_EQ(stats.shards[0].stats.storage.repairs, 0u);
+
+  using Field = std::function<uint64_t(const ServiceStats&)>;
+  const std::vector<std::pair<std::string, Field>> series = {
+      {"qp_storage_scrubs_total",
+       [](const ServiceStats& s) { return s.storage.scrubs; }},
+      {"qp_storage_scrub_corruptions_total",
+       [](const ServiceStats& s) { return s.storage.scrub_corruptions; }},
+      {"qp_storage_repairs_total",
+       [](const ServiceStats& s) { return s.storage.repairs; }},
+      {"qp_storage_checkpoints_total",
+       [](const ServiceStats& s) { return s.storage.checkpoints; }},
+      {"qp_wal_records_appended_total",
+       [](const ServiceStats& s) { return s.storage.records_appended; }},
+      {"qp_wal_bytes_appended_total",
+       [](const ServiceStats& s) { return s.storage.bytes_appended; }},
+      {"qp_wal_fsyncs_total",
+       [](const ServiceStats& s) { return s.storage.fsyncs; }},
+      {"qp_service_requests_total",
+       [](const ServiceStats& s) { return s.requests; }},
+      {"qp_service_cache_hits_total",
+       [](const ServiceStats& s) { return s.cache_hits; }},
+      {"qp_service_cache_misses_total",
+       [](const ServiceStats& s) { return s.cache_misses; }},
+      {"qp_selection_cache_insertions_total",
+       [](const ServiceStats& s) { return s.cache_insertions; }},
+      {"qp_selection_cache_user_invalidations_total",
+       [](const ServiceStats& s) { return s.cache_user_invalidations; }},
+  };
+  for (const auto& [name, field] : series) {
+    ExpectRowsMatchSeries(*sharded, name, field);
+  }
+  const obs::MetricsSnapshot snapshot = sharded->metrics()->Snapshot();
+  EXPECT_EQ(CounterTotal(snapshot, "qp_service_requests_total"),
+            2.0 * kUsers);
+  EXPECT_EQ(CounterTotal(snapshot, "qp_storage_scrubs_total"), 2.0);
+  EXPECT_EQ(CounterTotal(snapshot, "qp_storage_checkpoints_total"), 1.0);
 }
 
 TEST_F(ShardedServiceTest, OpenValidatesOptions) {

@@ -8,6 +8,7 @@
 
 #include "common/test_util.h"
 #include "gtest/gtest.h"
+#include "qp/obs/metrics.h"
 #include "qp/data/movie_db.h"
 #include "qp/data/paper_example.h"
 #include "qp/storage/durable_profile_store.h"
@@ -29,7 +30,12 @@ class TieredStoreTest : public ::testing::Test {
     options.fs = &fs_;
     options.background_compaction = false;
     options.hot_capacity = hot_capacity;
+    options.metrics = &metrics_;
     return options;
+  }
+
+  uint64_t CounterValue(const char* name) {
+    return metrics_.counter(name)->Value();
   }
 
   std::unique_ptr<DurableProfileStore> MustOpen(StorageOptions options) {
@@ -50,6 +56,7 @@ class TieredStoreTest : public ::testing::Test {
 
   Schema schema_;
   FaultInjectingFileSystem fs_;
+  obs::MetricsRegistry metrics_;
 };
 
 TEST_F(TieredStoreTest, ResidencyIsBoundedByHotCapacity) {
@@ -78,6 +85,11 @@ TEST_F(TieredStoreTest, ResidencyIsBoundedByHotCapacity) {
   }
   stats = store->tier_stats();
   EXPECT_GT(stats.cold_loads, 0u);
+  // TierStats reads its counts back from the qp_tier_* series.
+  EXPECT_EQ(stats.hot_hits, CounterValue("qp_tier_hot_hits_total"));
+  EXPECT_EQ(stats.cold_loads, CounterValue("qp_tier_cold_loads_total"));
+  EXPECT_EQ(stats.evictions, CounterValue("qp_tier_evictions_total"));
+  EXPECT_EQ(stats.load_failures, CounterValue("qp_tier_load_failures_total"));
 }
 
 TEST_F(TieredStoreTest, ColdReloadIsByteIdentical) {
@@ -204,7 +216,14 @@ TEST_F(TieredStoreTest, TieredCheckpointReadableByUntieredStore) {
     // a cold user with a non-empty overlay for the second checkpoint.
     QP_ASSERT_OK(store->Checkpoint());
     std::vector<AtomicPreference> extra = {RobProfile().preferences().front()};
+    const uint64_t loads_before = store->tier_stats().cold_loads;
     QP_ASSERT_OK(store->Upsert(UserId(0), extra));
+    // The upsert merged over cold user 0: a cold load, timed like any
+    // other, so load_millis and the histogram count it too.
+    const TierStats after_upsert = store->tier_stats();
+    EXPECT_EQ(after_upsert.cold_loads, loads_before + 1);
+    EXPECT_EQ(metrics_.histogram("qp_tier_load_seconds")->Snapshot().count,
+              after_upsert.cold_loads);
     QP_ASSERT_OK(store->Get(UserId(3)).status());
     QP_ASSERT_OK(store->Checkpoint());
     QP_ASSERT_OK(store->Close());

@@ -85,12 +85,13 @@ TEST_F(BreakerRecoveryTest, HealedDiskClosesBreakerOnNextMutation) {
   EXPECT_EQ(stats.breaker_trips, 1u);
   EXPECT_EQ(stats.breaker_probes, 1u);
   EXPECT_EQ(stats.breaker_recoveries, 1u);
-  EXPECT_EQ(stats.breaker_epoch, 1u);
 
   // The observability contract the old one-way breaker broke: the gauge
   // returns to 0 when the breaker closes, and trips is a true counter.
+  // The stats above are this registry's series, read back.
   EXPECT_EQ(metrics_.gauge("qp_storage_breaker_open")->Value(), 0.0);
   EXPECT_EQ(metrics_.counter("qp_storage_breaker_trips_total")->Value(), 1u);
+  EXPECT_EQ(metrics_.counter("qp_storage_breaker_probes_total")->Value(), 1u);
   EXPECT_EQ(
       metrics_.counter("qp_storage_breaker_recoveries_total")->Value(), 1u);
 

@@ -11,6 +11,7 @@
 
 #include "common/test_util.h"
 #include "gtest/gtest.h"
+#include "qp/obs/metrics.h"
 #include "qp/storage/coding.h"
 #include "qp/storage/fault_injection.h"
 #include "qp/storage/wal.h"
@@ -228,19 +229,25 @@ TEST_F(WalTest, FlippedLengthFieldOnFinalRecordIsTorn) {
 }
 
 TEST_F(WalTest, SyncPolicyNeverDefersDurability) {
+  obs::MetricsRegistry metrics;
   WalOptions options;
   options.fsync = FsyncPolicy::kNever;
+  options.metrics = &metrics;
   WalWriter writer(NewFile("wal"), 1, options);
+  obs::Counter* fsyncs = metrics.counter("qp_wal_fsyncs_total");
   uint64_t seqno = 0;
   QP_ASSERT_OK(writer.Append("a", &seqno));
   QP_ASSERT_OK(writer.Append("b", &seqno));
   EXPECT_EQ(writer.last_appended_seqno(), 2u);
   EXPECT_EQ(writer.last_synced_seqno(), 0u);
-  EXPECT_EQ(writer.stats().fsyncs, 0u);
+  EXPECT_EQ(fsyncs->Value(), 0u);
+  EXPECT_EQ(metrics.counter("qp_wal_records_appended_total")->Value(), 2u);
 
   QP_ASSERT_OK(writer.Sync());
   EXPECT_EQ(writer.last_synced_seqno(), 2u);
-  EXPECT_GE(writer.stats().fsyncs, 1u);
+  EXPECT_GE(fsyncs->Value(), 1u);
+  EXPECT_EQ(metrics.histogram("qp_wal_sync_seconds")->Snapshot().count,
+            fsyncs->Value());
   QP_ASSERT_OK(writer.Close());
 }
 
@@ -321,7 +328,10 @@ TEST_F(WalTest, FsyncFailureIsSticky) {
 TEST_F(WalTest, GroupCommitPreservesEveryRecord) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 50;
-  WalWriter writer(NewFile("wal"), 1);
+  obs::MetricsRegistry metrics;
+  WalOptions options;
+  options.metrics = &metrics;
+  WalWriter writer(NewFile("wal"), 1, options);
 
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
@@ -345,7 +355,7 @@ TEST_F(WalTest, GroupCommitPreservesEveryRecord) {
   // durable; with 8 writers racing, one fsync should regularly cover
   // several records. The hard guarantee is <= one fsync per record.
   EXPECT_EQ(writer.last_synced_seqno(), writer.last_appended_seqno());
-  EXPECT_LE(writer.stats().fsyncs,
+  EXPECT_LE(metrics.counter("qp_wal_fsyncs_total")->Value(),
             static_cast<uint64_t>(kThreads * kPerThread));
   QP_ASSERT_OK(writer.Close());
 
