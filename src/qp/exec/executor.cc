@@ -628,35 +628,17 @@ bool PassesHaving(const CompoundQuery& query, const CompoundGroup& group,
 
 }  // namespace
 
-void Executor::BindMetrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    metric_disjuncts_ = nullptr;
-    metric_bindings_ = nullptr;
-    metric_raw_rows_ = nullptr;
-    return;
-  }
-  metric_disjuncts_ = registry->counter("qp_exec_disjuncts_total");
-  metric_bindings_ = registry->counter("qp_exec_bindings_total");
-  metric_raw_rows_ = registry->counter("qp_exec_raw_rows_total");
-}
-
 void Executor::FinishOuterExecute(obs::ScopedSpan* span,
                                   const ExecutorStats& entry,
                                   const ExecutorStats& exit,
                                   const Result<ResultSet>& result) const {
-  const size_t disjuncts = exit.disjuncts - entry.disjuncts;
-  const size_t bindings = exit.bindings - entry.bindings;
-  const size_t raw_rows = exit.raw_rows - entry.raw_rows;
-  span->Counter("disjuncts", disjuncts);
-  span->Counter("bindings", bindings);
-  span->Counter("raw_rows", raw_rows);
+  span->Counter("disjuncts", exit.disjuncts - entry.disjuncts);
+  span->Counter("bindings", exit.bindings - entry.bindings);
+  span->Counter("raw_rows", exit.raw_rows - entry.raw_rows);
   span->Counter("rows", result.ok() ? result.value().num_rows() : 0);
   span->Counter("truncated",
                 result.ok() && result.value().truncated() ? 1 : 0);
   span->End();
-  if (metric_disjuncts_ != nullptr) metric_disjuncts_->Add(disjuncts);
-  if (metric_bindings_ != nullptr) metric_bindings_->Add(bindings);
-  if (metric_raw_rows_ != nullptr) metric_raw_rows_->Add(raw_rows);
 }
 
 Result<ResultSet> Executor::Execute(const SelectQuery& query,
@@ -664,7 +646,7 @@ Result<ResultSet> Executor::Execute(const SelectQuery& query,
   ExecutorStats local;
   if (stats == nullptr) stats = &local;
   // Recursive frames (compound parts / exclusions) skip straight to the
-  // body: the outermost frame already owns the span and metric flush, and
+  // body: the outermost frame already owns the span, and
   // the shared stats pointer is only ever bumped at the working site.
   if (exec_depth_ > 0) return ExecuteSelectVec(query, stats);
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "qp/exec/result.h"
-#include "qp/obs/metrics.h"
 #include "qp/obs/trace.h"
 #include "qp/query/query.h"
 #include "qp/relational/database.h"
@@ -96,11 +95,6 @@ class Executor {
   /// must outlive the Execute calls.
   void set_trace(obs::RequestTrace* trace) { trace_ = trace; }
 
-  /// Mirrors ExecutorStats deltas into `registry` (qp_exec_* counters)
-  /// after each outermost Execute. Counter pointers are cached here, so
-  /// the per-query cost is three atomic adds. May be null to unbind.
-  void BindMetrics(obs::MetricsRegistry* registry);
-
  private:
   Result<ResultSet> ExecuteSelectVec(const SelectQuery& query,
                                      ExecutorStats* stats) const;
@@ -124,7 +118,7 @@ class Executor {
                            std::unordered_set<Row, RowHash, RowEq>* vetoed,
                            bool* truncated) const;
   /// Closes the outermost "execution" span with the stats delta and rows
-  /// produced, and mirrors the delta into the bound registry counters.
+  /// produced.
   void FinishOuterExecute(obs::ScopedSpan* span, const ExecutorStats& entry,
                           const ExecutorStats& exit,
                           const Result<ResultSet>& result) const;
@@ -132,11 +126,8 @@ class Executor {
   const Database* db_;
   const CancelToken* cancel_ = nullptr;
   obs::RequestTrace* trace_ = nullptr;
-  obs::Counter* metric_disjuncts_ = nullptr;
-  obs::Counter* metric_bindings_ = nullptr;
-  obs::Counter* metric_raw_rows_ = nullptr;
   /// Execute recursion depth (compound -> part / exclusion -> select).
-  /// Spans and metric flushes attach to the outermost frame only; stats
+  /// Spans attach to the outermost frame only; stats
   /// themselves are incremented exactly once at the working site.
   mutable size_t exec_depth_ = 0;
 };

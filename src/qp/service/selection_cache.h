@@ -23,7 +23,7 @@ namespace qp {
 /// Figure 6), and real query streams repeat — the "continuous
 /// re-evaluation under change" workload of Chomicki's preference surveys.
 ///
-/// Invalidation is epoch-based: the key embeds the user's ProfileStore
+/// Invalidation is epoch-based: the key embeds the user's profile-store
 /// epoch, which every profile mutation bumps, so entries for the old
 /// profile become unreachable immediately and age out through the LRU
 /// bound. Values are immutable shared_ptrs: hits share, never copy.

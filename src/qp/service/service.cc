@@ -88,7 +88,10 @@ PersonalizationService::Instruments::Instruments(const obs::MetricScope& scope)
       request_seconds(scope.histogram("qp_service_request_seconds")),
       selection_seconds(scope.histogram("qp_service_selection_seconds")),
       integration_seconds(scope.histogram("qp_service_integration_seconds")),
-      execution_seconds(scope.histogram("qp_service_execution_seconds")) {
+      execution_seconds(scope.histogram("qp_service_execution_seconds")),
+      exec_disjuncts(scope.counter("qp_exec_disjuncts_total")),
+      exec_bindings(scope.counter("qp_exec_bindings_total")),
+      exec_raw_rows(scope.counter("qp_exec_raw_rows_total")) {
   auto disposition = [&](const char* name) {
     obs::MetricLabels labels = scope.labels();
     labels.emplace_back("disposition", name);
@@ -100,6 +103,13 @@ PersonalizationService::Instruments::Instruments(const obs::MetricScope& scope)
   shed = disposition("shed");
   deadline_exceeded = disposition("deadline_exceeded");
   error = disposition("error");
+}
+
+void PersonalizationService::Instruments::CountExecution(
+    const ExecutorStats& stats) const {
+  exec_disjuncts->Add(stats.disjuncts);
+  exec_bindings->Add(stats.bindings);
+  exec_raw_rows->Add(stats.raw_rows);
 }
 
 PersonalizationService::PersonalizationService(const Database* db,
@@ -406,8 +416,9 @@ PersonalizationResponse PersonalizationService::RunPipeline(
       Executor executor(db_);
       executor.set_cancel_token(cancel);
       executor.set_trace(trace);
-      executor.BindMetrics(scope_.registry());
-      auto result = executor.Execute(request.query);
+      ExecutorStats exec_stats;
+      auto result = executor.Execute(request.query, &exec_stats);
+      inst_.CountExecution(exec_stats);
       if (!result.ok()) {
         response.status = result.status();
         return response;
@@ -522,10 +533,11 @@ PersonalizationResponse PersonalizationService::RunPipeline(
     Executor executor(db_);
     executor.set_cancel_token(cancel);
     executor.set_trace(trace);
-    executor.BindMetrics(scope_.registry());
+    ExecutorStats exec_stats;
     auto result = response.outcome.sq.has_value()
-                      ? executor.Execute(*response.outcome.sq)
-                      : executor.Execute(*response.outcome.mq);
+                      ? executor.Execute(*response.outcome.sq, &exec_stats)
+                      : executor.Execute(*response.outcome.mq, &exec_stats);
+    inst_.CountExecution(exec_stats);
     if (!result.ok()) {
       response.status = result.status();
       return response;

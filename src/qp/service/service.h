@@ -16,7 +16,6 @@
 #include "qp/obs/slo.h"
 #include "qp/obs/trace.h"
 #include "qp/relational/database.h"
-#include "qp/service/profile_store.h"
 #include "qp/service/selection_cache.h"
 #include "qp/service/thread_pool.h"
 #include "qp/storage/durable_profile_store.h"
@@ -181,7 +180,7 @@ struct ServiceStats {
 };
 
 /// The scale-out front door: a thread-pool-backed personalization service
-/// over a shared read-only Database and a sharded ProfileStore, with a
+/// over a shared read-only Database and a striped profile store, with a
 /// per-user top-K selection cache. Independent (user, query) pairs of a
 /// batch fan out across workers; per-request results are identical to a
 /// serial Personalizer run (the executor canonicalizes row order, the
@@ -203,7 +202,7 @@ class PersonalizationService {
       const Database* db, ServiceOptions options);
 
   /// Profile management (thread-safe, usable while batches are in
-  /// flight; see ProfileStore for the snapshot semantics). Mutations on
+  /// flight; see ProfileSnapshot for the snapshot semantics). Mutations on
   /// a durable service are write-ahead logged.
   storage::DurableProfileStore& profiles() { return *store_; }
   const storage::DurableProfileStore& profiles() const { return *store_; }
@@ -355,6 +354,11 @@ class PersonalizationService {
     obs::Histogram* selection_seconds;
     obs::Histogram* integration_seconds;
     obs::Histogram* execution_seconds;
+    /// The executor's work (ExecutorStats) per executed request.
+    obs::Counter* exec_disjuncts;
+    obs::Counter* exec_bindings;
+    obs::Counter* exec_raw_rows;
+    void CountExecution(const ExecutorStats& stats) const;
   };
   const Instruments inst_;
 };

@@ -14,29 +14,6 @@
 namespace qp {
 namespace shard {
 
-namespace {
-
-/// Replays one acknowledged source mutation onto the target store.
-/// Remove of a user the target never saw is clean: the tail may replay
-/// a create+remove pair whose create landed in the copy phase already.
-Status ApplyTail(storage::DurableProfileStore& target,
-                 const storage::ProfileMutation& mutation) {
-  switch (mutation.kind) {
-    case storage::ProfileMutation::Kind::kPut:
-      return target.Put(mutation.user_id, mutation.profile);
-    case storage::ProfileMutation::Kind::kUpsert:
-      return target.Upsert(mutation.user_id, mutation.preferences);
-    case storage::ProfileMutation::Kind::kRemove: {
-      Status removed = target.Remove(mutation.user_id);
-      if (removed.code() == StatusCode::kNotFound) return Status::Ok();
-      return removed;
-    }
-  }
-  return Status::Internal("unknown mutation kind");
-}
-
-}  // namespace
-
 ShardMigrator::ShardMigrator(ShardedPersonalizationService* cluster,
                              MigrationOptions options,
                              obs::MetricsRegistry* metrics)
@@ -177,7 +154,13 @@ Status ShardMigrator::TailRound(uint32_t partition, uint32_t source,
   for (const storage::WalTailRecord& record : records) {
     if (cluster_->PartitionFor(record.mutation.user_id) == partition) {
       QP_RETURN_IF_ERROR(QP_FAULT_POINT("migrate.apply"));
-      QP_RETURN_IF_ERROR(ApplyTail(target_svc->profiles(), record.mutation));
+      // Remove of a user the target never saw is clean: the tail may
+      // replay a create+remove pair whose create landed in the copy
+      // phase already.
+      Status applied = target_svc->profiles().Apply(record.mutation);
+      if (!applied.ok() && applied.code() != StatusCode::kNotFound) {
+        return applied;
+      }
       metric_tail_records_->Add(1);
     }
     // Only past a successfully applied (or skipped foreign) record: a

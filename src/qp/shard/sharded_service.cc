@@ -410,6 +410,7 @@ Result<ProfileSnapshot> ShardedPersonalizationService::GetProfile(
 }
 
 Status ShardedPersonalizationService::KillShard(size_t index) {
+  std::lock_guard<std::mutex> lifecycle(lifecycle_mutex_);
   std::shared_ptr<PersonalizationService> victim;
   {
     std::unique_lock<std::shared_mutex> lock(mutex_);
@@ -421,15 +422,17 @@ Status ShardedPersonalizationService::KillShard(size_t index) {
   }
   if (victim == nullptr) return Status::Ok();  // Already down.
   metric_kills_->Add(1);
-  // Dropping the (possibly last) reference outside the lock: in-flight
-  // requests holding their own copy finish first; the final release
-  // drains the shard's worker pool and closes its WAL — routing is never
-  // blocked behind the teardown.
-  victim.reset();
+  // Fence, then forget, outside the routing lock: a request or migration
+  // step may still hold the victim, so its store closes here — waiting
+  // out the mutations already under their stripes and refusing the rest
+  // — before RecoverShard may replay the same directory. The final
+  // release of the service drains its worker pool.
+  (void)victim->profiles().Close();
   return Status::Ok();
 }
 
 Status ShardedPersonalizationService::RecoverShard(size_t index) {
+  std::lock_guard<std::mutex> lifecycle(lifecycle_mutex_);
   {
     std::shared_lock<std::shared_mutex> lock(mutex_);
     if (index >= slots_.size()) {
@@ -437,17 +440,11 @@ Status ShardedPersonalizationService::RecoverShard(size_t index) {
     }
     if (slots_[index] != nullptr) return Status::Ok();  // Already alive.
   }
-  // Recovery (snapshot + WAL replay) runs outside any lock — the other
-  // shards keep serving while this one rebuilds.
+  // Recovery (snapshot + WAL replay) runs outside the routing lock — the
+  // other shards keep serving while this one rebuilds.
   QP_ASSIGN_OR_RETURN(std::shared_ptr<PersonalizationService> reopened,
                       OpenShard(index));
   std::unique_lock<std::shared_mutex> lock(mutex_);
-  if (index >= slots_.size()) {
-    return Status::InvalidArgument("no shard " + std::to_string(index));
-  }
-  if (slots_[index] != nullptr) {
-    return Status::Ok();  // Lost a recover race; keep the winner.
-  }
   slots_[index] = std::move(reopened);
   metric_recoveries_->Add(1);
   return Status::Ok();
@@ -588,6 +585,7 @@ Status ShardedPersonalizationService::Reshard(size_t new_num_shards) {
       // Grow: open the new shard directories first so migrations have
       // live targets, then commit the count, then move partitions.
       for (size_t i = current->num_shards; i < new_num_shards; ++i) {
+        std::lock_guard<std::mutex> lifecycle(lifecycle_mutex_);
         {
           std::shared_lock<std::shared_mutex> lock(mutex_);
           if (i < slots_.size() && slots_[i] != nullptr) continue;
@@ -596,7 +594,7 @@ Status ShardedPersonalizationService::Reshard(size_t new_num_shards) {
                             OpenShard(i));
         std::unique_lock<std::shared_mutex> lock(mutex_);
         if (slots_.size() < i + 1) slots_.resize(i + 1);
-        if (slots_[i] == nullptr) slots_[i] = std::move(opened);
+        slots_[i] = std::move(opened);
       }
       QP_RETURN_IF_ERROR(CommitRoutingChange(
           [&](RoutingTable& t) { t.num_shards = new_num_shards; }));
@@ -616,6 +614,7 @@ Status ShardedPersonalizationService::Reshard(size_t new_num_shards) {
       }
       QP_RETURN_IF_ERROR(CommitRoutingChange(
           [&](RoutingTable& t) { t.num_shards = new_num_shards; }));
+      std::lock_guard<std::mutex> lifecycle(lifecycle_mutex_);
       std::vector<std::shared_ptr<PersonalizationService>> retired;
       {
         std::unique_lock<std::shared_mutex> lock(mutex_);
@@ -624,8 +623,11 @@ Status ShardedPersonalizationService::Reshard(size_t new_num_shards) {
         }
         slots_.resize(new_num_shards);
       }
-      // Retired services close their (empty) stores outside the lock.
-      retired.clear();
+      // Retired (empty) stores are fenced like killed ones, outside the
+      // routing lock, before a later grow may reopen their directories.
+      for (const auto& service : retired) {
+        if (service != nullptr) (void)service->profiles().Close();
+      }
       return Status::Ok();
     }
     // Same count: still converge ownership (a re-run after a partial

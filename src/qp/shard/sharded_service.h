@@ -93,7 +93,7 @@ struct ShardedStats {
 /// read-only Database and the metrics registry.
 ///
 /// Fault containment is the point: KillShard drops one shard's service
-/// (draining its workers, closing its WAL cleanly) while the other
+/// and fences its store (closing its WAL cleanly) while the other
 /// shards keep serving at full fidelity; requests routed to the dead
 /// shard are shed with Status::Unavailable. RecoverShard reopens the
 /// shard from its own directory — snapshot + WAL replay — and because
@@ -146,14 +146,19 @@ class ShardedPersonalizationService {
   Status RemoveProfile(const std::string& user_id);
   Result<ProfileSnapshot> GetProfile(const std::string& user_id);
 
-  /// Drops shard `index`'s service: in-flight requests finish (they hold
-  /// a reference), new ones shed, the store closes cleanly. Idempotent —
-  /// killing a dead shard is a no-op.
+  /// Drops shard `index`'s service and closes its store before
+  /// returning: in-flight requests finish (they hold a reference) and
+  /// keep reading, new ones shed, and a mutation still holding the old
+  /// instance either completed before the close or fails Unavailable —
+  /// so nothing it acknowledges can land behind a later RecoverShard's
+  /// replay. Idempotent — killing a dead shard is a no-op.
   Status KillShard(size_t index);
 
-  /// Reopens shard `index` from its directory (snapshot + WAL replay).
-  /// Every mutation acknowledged before the kill is recovered — the
-  /// zero-loss guarantee the chaos suite asserts. No-op if alive.
+  /// Reopens shard `index` from its directory (snapshot + WAL replay),
+  /// only after the previous writer's Close has returned — even under a
+  /// concurrent kill. Every mutation acknowledged before the kill is
+  /// recovered — the zero-loss guarantee the chaos suite asserts. No-op
+  /// if alive.
   Status RecoverShard(size_t index);
 
   /// Live resharding: grows (opening fresh shard directories) or
@@ -286,6 +291,11 @@ class ShardedPersonalizationService {
 
   /// Serializes Reshard() calls and journal file rewrites.
   std::mutex reshard_mutex_;
+  /// Serializes every slot open and teardown — KillShard's fence,
+  /// RecoverShard, and Reshard's grow/retire — so a shard directory is
+  /// reopened only after its previous store's Close has returned.
+  /// Ordered after reshard_mutex_ and before mutex_.
+  std::mutex lifecycle_mutex_;
   std::mutex routing_write_mutex_;
   mutable std::mutex journal_mutex_;
   std::vector<MigrationJournalEntry> journal_;

@@ -68,7 +68,10 @@ DurableProfileStore::Instruments::Instruments(const obs::MetricScope& scope)
       tier_cold_loads(scope.counter("qp_tier_cold_loads_total")),
       tier_evictions(scope.counter("qp_tier_evictions_total")),
       tier_load_failures(scope.counter("qp_tier_load_failures_total")),
-      tier_load_seconds(scope.histogram("qp_tier_load_seconds")) {}
+      tier_load_seconds(scope.histogram("qp_tier_load_seconds")),
+      gets(scope.counter("qp_profile_store_gets_total")),
+      get_misses(scope.counter("qp_profile_store_get_misses_total")),
+      mutations(scope.counter("qp_profile_store_mutations_total")) {}
 
 DurableProfileStore::DurableProfileStore(const Schema* schema,
                                          obs::MetricScope metrics)
@@ -76,9 +79,9 @@ DurableProfileStore::DurableProfileStore(const Schema* schema,
 
 DurableProfileStore::DurableProfileStore(const Schema* schema,
                                          StorageOptions options)
-    : options_(ResolveMetrics(std::move(options))),
+    : schema_(schema),
+      options_(ResolveMetrics(std::move(options))),
       inst_(options_.metrics),
-      store_(schema, options_.metrics),
       fs_(options_.fs != nullptr ? options_.fs : DefaultFileSystem()),
       clock_(options_.clock != nullptr ? options_.clock : Clock::Real()),
       dir_(options_.dir) {
@@ -145,6 +148,9 @@ Status DurableProfileStore::Recover(uint64_t* next_seqno) {
 
   uint64_t snapshot_users_loaded = 0;
   uint64_t records_replayed = 0;
+  // An untiered store replays into plain profiles and builds each
+  // surviving user's graph once, after the last record.
+  std::unordered_map<std::string, std::optional<UserProfile>> replayed;
 
   // Base state: the snapshot. Its checksum is verified against the
   // manifest before a single profile is parsed. A tiered store indexes
@@ -168,7 +174,7 @@ Status DurableProfileStore::Recover(uint64_t* next_seqno) {
                                        manifest_.snapshot_bytes,
                                        manifest_.snapshot_crc));
       for (auto& [user_id, profile] : users) {
-        QP_RETURN_IF_ERROR(store_.Put(user_id, std::move(profile)));
+        replayed[user_id] = std::move(profile);
         ++snapshot_users_loaded;
       }
     }
@@ -198,10 +204,16 @@ Status DurableProfileStore::Recover(uint64_t* next_seqno) {
       // until first touch.
       tier_->NoteLogged(mutation, std::string(record.payload));
     } else {
-      QP_RETURN_IF_ERROR(ApplyMutation(mutation));
+      Replay(&mutation, &replayed[mutation.user_id]);
     }
     last_seqno = record.seqno;
     ++records_replayed;
+  }
+  for (auto& [user_id, profile] : replayed) {
+    if (!profile.has_value()) continue;
+    QP_ASSIGN_OR_RETURN(ProfileSnapshot prepared,
+                        Prepare(std::move(*profile)));
+    Install(StripeFor(user_id), user_id, std::move(prepared));
   }
   inst_.snapshot_users_loaded->Set(static_cast<double>(snapshot_users_loaded));
   inst_.records_replayed->Set(static_cast<double>(records_replayed));
@@ -255,86 +267,139 @@ Status DurableProfileStore::Recover(uint64_t* next_seqno) {
   return Status::Ok();
 }
 
-Status DurableProfileStore::ApplyMutation(const ProfileMutation& mutation) {
-  switch (mutation.kind) {
-    case ProfileMutation::Kind::kPut:
-      return store_.Put(mutation.user_id, mutation.profile);
-    case ProfileMutation::Kind::kUpsert:
-      return store_.Upsert(mutation.user_id, mutation.preferences);
-    case ProfileMutation::Kind::kRemove: {
-      Status status = store_.Remove(mutation.user_id);
-      // Remove of a user the snapshot no longer contains is fine: the
-      // snapshot may already cover this record (replay is idempotent).
-      if (status.code() == StatusCode::kNotFound) return Status::Ok();
-      return status;
-    }
-  }
-  return Status::Internal("unknown mutation kind");
+DurableProfileStore::Stripe& DurableProfileStore::StripeFor(
+    const std::string& user_id) const {
+  return stripes_[std::hash<std::string>{}(user_id) % kNumStripes];
 }
 
-size_t DurableProfileStore::StripeFor(const std::string& user_id) const {
-  return std::hash<std::string>{}(user_id) % kNumStripes;
+std::array<std::unique_lock<std::mutex>, DurableProfileStore::kNumStripes>
+DurableProfileStore::LockAllStripes() {
+  std::array<std::unique_lock<std::mutex>, kNumStripes> locks;
+  for (size_t i = 0; i < kNumStripes; ++i) {
+    locks[i] = std::unique_lock<std::mutex>(stripes_[i].writer);
+  }
+  return locks;
+}
+
+std::optional<ProfileSnapshot> DurableProfileStore::Resident(
+    Stripe& stripe, const std::string& user_id) const {
+  std::shared_lock<std::shared_mutex> lock(stripe.readers);
+  auto it = stripe.users.find(user_id);
+  if (it == stripe.users.end()) return std::nullopt;
+  return it->second;
+}
+
+std::vector<std::pair<std::string, ProfileSnapshot>>
+DurableProfileStore::AllResident() const {
+  std::vector<std::pair<std::string, ProfileSnapshot>> out;
+  for (Stripe& stripe : stripes_) {
+    std::shared_lock<std::shared_mutex> lock(stripe.readers);
+    out.insert(out.end(), stripe.users.begin(), stripe.users.end());
+  }
+  std::sort(out.begin(), out.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return out;
+}
+
+Result<ProfileSnapshot> DurableProfileStore::Prepare(
+    UserProfile profile) const {
+  QP_ASSIGN_OR_RETURN(PersonalizationGraph graph,
+                      PersonalizationGraph::Build(schema_, profile));
+  return ProfileSnapshot{
+      std::make_shared<const UserProfile>(std::move(profile)),
+      std::make_shared<const PersonalizationGraph>(std::move(graph)), 0};
+}
+
+ProfileSnapshot DurableProfileStore::Install(Stripe& stripe,
+                                             const std::string& user_id,
+                                             ProfileSnapshot prepared) {
+  std::unique_lock<std::shared_mutex> lock(stripe.readers);
+  prepared.epoch = ++stripe.next_epoch;
+  ProfileSnapshot& entry = stripe.users[user_id];
+  entry = std::move(prepared);
+  return entry;
+}
+
+void DurableProfileStore::Drop(Stripe& stripe, const std::string& user_id) {
+  std::unique_lock<std::shared_mutex> lock(stripe.readers);
+  stripe.users.erase(user_id);
 }
 
 Result<ProfileSnapshot> DurableProfileStore::Get(const std::string& user_id) {
-  if (!tiered()) return store_.Get(user_id);
-  if (auto hit = store_.Get(user_id); hit.ok()) {
-    inst_.tier_hot_hits->Add(1);
-    tier_->Touch(user_id);
-    return hit;
+  inst_.gets->Add(1);
+  Result<ProfileSnapshot> snapshot = Lookup(user_id);
+  if (snapshot.status().code() == StatusCode::kNotFound) {
+    inst_.get_misses->Add(1);
   }
-  // Cold (or truly absent): take the user's stripe so the load
-  // serializes against mutations of the same user, then re-check — a
-  // racing Get may have paged the profile in already.
-  std::lock_guard<std::mutex> stripe(stripes_[StripeFor(user_id)]);
-  if (auto hit = store_.Get(user_id); hit.ok()) {
-    tier_->Touch(user_id);
-    return hit;
+  return snapshot;
+}
+
+Result<ProfileSnapshot> DurableProfileStore::Lookup(
+    const std::string& user_id) {
+  Stripe& stripe = StripeFor(user_id);
+  if (auto hit = Resident(stripe, user_id)) {
+    if (tiered()) {
+      inst_.tier_hot_hits->Add(1);
+      tier_->Touch(user_id);
+    }
+    return *std::move(hit);
   }
-  return LoadColdLocked(user_id);
+  if (!tiered()) return Status::NotFound("unknown user: " + user_id);
+  // Cold (or truly absent): the writer mutex serializes the load against
+  // mutations of the same user; re-check first — a racing Get may have
+  // paged the profile in already.
+  std::lock_guard<std::mutex> writer(stripe.writer);
+  if (auto hit = Resident(stripe, user_id)) {
+    tier_->Touch(user_id);
+    return *std::move(hit);
+  }
+  return LoadColdLocked(stripe, user_id);
+}
+
+Result<std::optional<UserProfile>> DurableProfileStore::CurrentLocked(
+    Stripe& stripe, const std::string& user_id) {
+  if (auto resident = Resident(stripe, user_id)) {
+    return std::optional<UserProfile>(*resident->profile);
+  }
+  std::optional<UserProfile> current;
+  if (!tiered()) return current;
+  const ProfileTier::LoadPlan plan = tier_->PlanLoad(user_id);
+  if (!plan.alive) return current;
+  WallTimer timer;
+  QP_ASSIGN_OR_RETURN(current, BuildFromPlan(plan));
+  inst_.tier_cold_loads->Add(1);
+  inst_.tier_load_seconds->RecordMillis(timer.ElapsedMillis());
+  return current;
 }
 
 Result<ProfileSnapshot> DurableProfileStore::LoadColdLocked(
-    const std::string& user_id) {
+    Stripe& stripe, const std::string& user_id) {
   const ProfileTier::LoadPlan plan = tier_->PlanLoad(user_id);
-  if (!plan.alive) {
-    return Status::NotFound("no profile for user " + user_id);
-  }
+  if (!plan.alive) return Status::NotFound("unknown user: " + user_id);
   WallTimer timer;
-  if (Status fault = QP_FAULT_POINT("shard.load"); !fault.ok()) {
+  Result<UserProfile> profile = [&]() -> Result<UserProfile> {
+    QP_RETURN_IF_ERROR(QP_FAULT_POINT("shard.load"));
+    return BuildFromPlan(plan);
+  }();
+  if (!profile.ok()) {
     inst_.tier_load_failures->Add(1);
-    return fault;
-  }
-  UserProfile profile;
-  Status built = BuildFromPlan(user_id, plan, &profile);
-  if (!built.ok()) {
-    inst_.tier_load_failures->Add(1);
-    return built;
+    return profile.status();
   }
   inst_.tier_cold_loads->Add(1);
   inst_.tier_load_seconds->RecordMillis(timer.ElapsedMillis());
-  for (;;) {
-    // Install through the validating Put: the reload gets a strictly
-    // larger epoch than the evicted incarnation, so stale cached
-    // selections keyed on the old epoch can never be served again.
-    UserProfile incarnation = profile;
-    QP_RETURN_IF_ERROR(store_.Put(user_id, std::move(incarnation)));
-    tier_->Touch(user_id);
-    // Capture the snapshot *before* rebalancing the budget. Eviction
-    // never takes the victim's stripe, so a concurrent mutator on
-    // another stripe can evict this user between the Put and the Get —
-    // in that rare window the read-back misses and we simply reinstall
-    // (the durable state is complete; only residency was lost).
-    Result<ProfileSnapshot> snapshot = store_.Get(user_id);
-    EvictOverBudget();
-    if (snapshot.ok()) return snapshot;
-  }
+  // The reload gets a strictly larger epoch than the evicted incarnation,
+  // so stale cached selections keyed on the old epoch are never served.
+  QP_ASSIGN_OR_RETURN(ProfileSnapshot prepared,
+                      Prepare(std::move(profile).value()));
+  ProfileSnapshot snapshot = Install(stripe, user_id, std::move(prepared));
+  tier_->Touch(user_id);
+  EvictOverBudget();
+  return snapshot;
 }
 
-Status DurableProfileStore::BuildFromPlan(const std::string& user_id,
-                                          const ProfileTier::LoadPlan& plan,
-                                          UserProfile* profile) {
-  *profile = UserProfile();
+Result<UserProfile> DurableProfileStore::BuildFromPlan(
+    const ProfileTier::LoadPlan& plan) {
+  std::optional<UserProfile> profile;
   if (plan.in_snapshot) {
     // Reading manifest_ under a single stripe is safe: the pointer-and-
     // name swap happens only under *all* stripes (checkpoint), which any
@@ -343,27 +408,18 @@ Status DurableProfileStore::BuildFromPlan(const std::string& user_id,
         std::string body,
         fs_->ReadFileRange(JoinPath(dir_, manifest_.snapshot_file),
                            plan.offset, plan.length));
-    QP_ASSIGN_OR_RETURN(*profile, UserProfile::Parse(body));
+    QP_ASSIGN_OR_RETURN(profile, UserProfile::Parse(body));
   }
   for (const std::string& payload : plan.tail) {
     QP_ASSIGN_OR_RETURN(ProfileMutation mutation, DecodeMutation(payload));
-    switch (mutation.kind) {
-      case ProfileMutation::Kind::kPut:
-        *profile = std::move(mutation.profile);
-        break;
-      case ProfileMutation::Kind::kUpsert:
-        for (const AtomicPreference& pref : mutation.preferences) {
-          profile->AddOrUpdate(pref);
-        }
-        break;
-      case ProfileMutation::Kind::kRemove:
-        // The tier erases removed users outright; a remove in a live
-        // overlay means the bookkeeping is out of sync with the log.
-        return Status::Internal("remove record in overlay of alive user " +
-                                user_id);
-    }
+    Replay(&mutation, &profile);
   }
-  return Status::Ok();
+  // The tier erases removed users outright; an alive user replaying to
+  // nothing means the bookkeeping is out of sync with the log.
+  if (!profile.has_value()) {
+    return Status::Internal("overlay of an alive user replays to no profile");
+  }
+  return std::move(*profile);
 }
 
 void DurableProfileStore::EvictOverBudget() {
@@ -371,22 +427,22 @@ void DurableProfileStore::EvictOverBudget() {
   for (const std::string& victim : victims) {
     // Dropping the resident copy only — the durable state is already
     // complete. A racing reload may have lost its residency marker and
-    // will simply fault the profile back in (NotFound here is fine).
-    store_.Remove(victim);
+    // will simply fault the profile back in.
+    Drop(StripeFor(victim), victim);
   }
   inst_.tier_evictions->Add(victims.size());
 }
 
 std::vector<std::pair<std::string, ProfileSnapshot>>
 DurableProfileStore::All() {
-  if (!tiered()) return store_.All();
+  if (!tiered()) return AllResident();
   // Fault every alive user through the LRU: memory stays bounded by the
   // hot budget while the caller walks the full population. Users whose
   // load fails (injected faults, quarantined damage) are skipped — this
   // is a debugging/export surface, not a recovery path.
   std::vector<std::pair<std::string, ProfileSnapshot>> all;
   for (const std::string& user_id : tier_->AliveUsers()) {
-    if (auto snapshot = Get(user_id); snapshot.ok()) {
+    if (auto snapshot = Lookup(user_id); snapshot.ok()) {
       all.emplace_back(user_id, std::move(snapshot).value());
     }
   }
@@ -394,11 +450,24 @@ DurableProfileStore::All() {
 }
 
 size_t DurableProfileStore::size() const {
-  return tiered() ? tier_->alive_count() : store_.size();
+  if (tiered()) return tier_->alive_count();
+  size_t total = 0;
+  for (Stripe& stripe : stripes_) {
+    std::shared_lock<std::shared_mutex> lock(stripe.readers);
+    total += stripe.users.size();
+  }
+  return total;
 }
 
 std::vector<std::string> DurableProfileStore::Users() const {
-  return tiered() ? tier_->AliveUsers() : store_.Users();
+  if (tiered()) return tier_->AliveUsers();
+  std::vector<std::string> out;
+  for (Stripe& stripe : stripes_) {
+    std::shared_lock<std::shared_mutex> lock(stripe.readers);
+    for (const auto& [user_id, entry] : stripe.users) out.push_back(user_id);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 Result<std::vector<WalTailRecord>> DurableProfileStore::ReadMutationsAfter(
@@ -519,10 +588,7 @@ Status DurableProfileStore::ProbeRecover() {
   // The probe is a checkpoint: exclusive cut under every stripe, exactly
   // like Checkpoint(). The caller holds no stripe yet (AdmitMutation
   // runs before the mutation takes one), so the ordering is safe.
-  std::array<std::unique_lock<std::mutex>, kNumStripes> locks;
-  for (size_t i = 0; i < kNumStripes; ++i) {
-    locks[i] = std::unique_lock<std::mutex>(stripes_[i]);
-  }
+  auto locks = LockAllStripes();
   std::lock_guard<std::mutex> meta(meta_mutex_);
   if (closed_) {
     OpenBreaker(kHalfOpen);
@@ -564,120 +630,79 @@ Status DurableProfileStore::LogMutation(const std::string& payload) {
   return status;
 }
 
-Status DurableProfileStore::Put(const std::string& user_id,
-                                UserProfile profile,
-                                obs::RequestTrace* trace) {
-  if (!durable()) return store_.Put(user_id, std::move(profile));
+Status DurableProfileStore::Apply(ProfileMutation mutation,
+                                  obs::RequestTrace* trace) {
+  // A closed store refuses before the breaker sees the mutation; the
+  // re-check under the writer mutex is the fence itself — Close() takes
+  // every writer mutex, so nothing appends once it has returned.
+  const auto closed = [this] {
+    return closed_.load(std::memory_order_acquire)
+               ? Status::Unavailable("profile store is closed")
+               : Status::Ok();
+  };
+  QP_RETURN_IF_ERROR(closed());
   QP_RETURN_IF_ERROR(AdmitMutation());
-  // Validate before logging — the WAL must never contain a mutation
-  // whose replay would fail.
-  QP_RETURN_IF_ERROR(profile.Validate(store_.schema()));
-  ProfileMutation mutation = ProfileMutation::Put(user_id, std::move(profile));
-  std::string payload;
-  EncodeMutation(mutation, &payload);
+  const std::string& user_id = mutation.user_id;
+  Stripe& stripe = StripeFor(user_id);
+  std::lock_guard<std::mutex> writer(stripe.writer);
+  QP_RETURN_IF_ERROR(closed());
 
-  std::lock_guard<std::mutex> stripe(stripes_[StripeFor(user_id)]);
-  {
+  // The state this mutation applies to. A Put replaces whatever is
+  // there, and a Remove only needs the user to exist (resident or cold).
+  std::optional<UserProfile> profile;
+  if (mutation.kind == ProfileMutation::Kind::kUpsert) {
+    QP_ASSIGN_OR_RETURN(profile, CurrentLocked(stripe, user_id));
+  } else if (mutation.kind == ProfileMutation::Kind::kRemove &&
+             !Resident(stripe, user_id).has_value() &&
+             !(tiered() && tier_->Contains(user_id))) {
+    return Status::NotFound("unknown user: " + user_id);  // Nothing to log.
+  }
+  std::string payload;
+  if (durable()) EncodeMutation(mutation, &payload);
+  Replay(&mutation, &profile);
+  std::optional<ProfileSnapshot> next;
+  if (profile.has_value()) {
+    QP_ASSIGN_OR_RETURN(next, Prepare(std::move(*profile)));
+  }
+  if (durable()) {
     obs::ScopedSpan span(trace, "wal_append");
     span.Counter("bytes", payload.size());
     QP_RETURN_IF_ERROR(LogMutation(payload));
   }
-  // Tier bookkeeping runs between the WAL append and the in-memory
-  // apply: once a mutation is logged, snapshot + overlay reproduce it,
-  // so eviction at any later point loses nothing acknowledged.
+  // Acknowledged. Tier bookkeeping runs before the swap: once a mutation
+  // is logged, snapshot + overlay reproduce it, so eviction at any later
+  // point loses nothing acknowledged.
   if (tiered()) tier_->NoteLogged(mutation, std::move(payload));
-  Status status = store_.Put(user_id, std::move(mutation.profile));
-  if (!status.ok()) {
-    return Status::Internal("logged mutation failed to apply: " +
-                            status.message());
+  if (next.has_value()) {
+    Install(stripe, user_id, std::move(*next));
+  } else {
+    Drop(stripe, user_id);
   }
-  if (tiered()) {
+  inst_.mutations->Add(1);
+  if (tiered() && next.has_value()) {
     tier_->Touch(user_id);
     EvictOverBudget();
   }
   MaybeKickCompaction();
   return Status::Ok();
+}
+
+Status DurableProfileStore::Put(const std::string& user_id,
+                                UserProfile profile,
+                                obs::RequestTrace* trace) {
+  return Apply(ProfileMutation::Put(user_id, std::move(profile)), trace);
 }
 
 Status DurableProfileStore::Upsert(
     const std::string& user_id,
     const std::vector<AtomicPreference>& preferences,
     obs::RequestTrace* trace) {
-  if (!durable()) return store_.Upsert(user_id, preferences);
-  QP_RETURN_IF_ERROR(AdmitMutation());
-
-  std::lock_guard<std::mutex> stripe(stripes_[StripeFor(user_id)]);
-  // Merge under the stripe lock so the validated result is exactly what
-  // replaying this upsert over the logged prefix will produce. An
-  // upsert of a cold user pages its current state in first — merging
-  // over an empty profile would silently drop the evicted preferences.
-  UserProfile merged;
-  if (auto current = store_.Get(user_id); current.ok()) {
-    merged = *current->profile;
-  } else if (tiered()) {
-    const ProfileTier::LoadPlan plan = tier_->PlanLoad(user_id);
-    if (plan.alive) {
-      WallTimer load_timer;
-      QP_RETURN_IF_ERROR(BuildFromPlan(user_id, plan, &merged));
-      inst_.tier_cold_loads->Add(1);
-      inst_.tier_load_seconds->RecordMillis(load_timer.ElapsedMillis());
-    }
-  }
-  for (const AtomicPreference& pref : preferences) {
-    merged.AddOrUpdate(pref);
-  }
-  QP_RETURN_IF_ERROR(merged.Validate(store_.schema()));
-
-  ProfileMutation mutation = ProfileMutation::Upsert(user_id, preferences);
-  std::string payload;
-  EncodeMutation(mutation, &payload);
-  {
-    obs::ScopedSpan span(trace, "wal_append");
-    span.Counter("bytes", payload.size());
-    QP_RETURN_IF_ERROR(LogMutation(payload));
-  }
-  if (tiered()) tier_->NoteLogged(mutation, std::move(payload));
-  Status status = store_.Put(user_id, std::move(merged));
-  if (!status.ok()) {
-    return Status::Internal("logged mutation failed to apply: " +
-                            status.message());
-  }
-  if (tiered()) {
-    tier_->Touch(user_id);
-    EvictOverBudget();
-  }
-  MaybeKickCompaction();
-  return Status::Ok();
+  return Apply(ProfileMutation::Upsert(user_id, preferences), trace);
 }
 
 Status DurableProfileStore::Remove(const std::string& user_id,
                                    obs::RequestTrace* trace) {
-  if (!durable()) return store_.Remove(user_id);
-  QP_RETURN_IF_ERROR(AdmitMutation());
-
-  std::lock_guard<std::mutex> stripe(stripes_[StripeFor(user_id)]);
-  // Existence check spans both tiers: a cold user is just as removable.
-  if (auto current = store_.Get(user_id); !current.ok()) {
-    if (!tiered() || !tier_->Contains(user_id)) {
-      return current.status();  // Unknown user: nothing to log.
-    }
-  }
-  ProfileMutation mutation = ProfileMutation::Remove(user_id);
-  std::string payload;
-  EncodeMutation(mutation, &payload);
-  {
-    obs::ScopedSpan span(trace, "wal_append");
-    span.Counter("bytes", payload.size());
-    QP_RETURN_IF_ERROR(LogMutation(payload));
-  }
-  if (tiered()) tier_->NoteLogged(mutation, std::move(payload));
-  Status status = store_.Remove(user_id);
-  if (!status.ok() && !(tiered() && status.code() == StatusCode::kNotFound)) {
-    return Status::Internal("logged mutation failed to apply: " +
-                            status.message());
-  }
-  MaybeKickCompaction();
-  return Status::Ok();
+  return Apply(ProfileMutation::Remove(user_id), trace);
 }
 
 Status DurableProfileStore::Checkpoint() {
@@ -686,10 +711,7 @@ Status DurableProfileStore::Checkpoint() {
   }
   // Lock every stripe (in order) so no mutation is between its WAL
   // append and its in-memory apply: the (seqno, state) cut is exact.
-  std::array<std::unique_lock<std::mutex>, kNumStripes> locks;
-  for (size_t i = 0; i < kNumStripes; ++i) {
-    locks[i] = std::unique_lock<std::mutex>(stripes_[i]);
-  }
+  auto locks = LockAllStripes();
   std::lock_guard<std::mutex> meta(meta_mutex_);
   Status status = CheckpointLocked();
   if (closed_) return status;
@@ -738,7 +760,7 @@ Status DurableProfileStore::CheckpointLocked(bool for_recovery) {
   std::vector<SnapshotEntry> new_entries;
   if (!tiered()) {
     SnapshotUsers users;
-    for (auto& [user_id, snapshot] : store_.All()) {
+    for (auto& [user_id, snapshot] : AllResident()) {
       users.emplace_back(user_id, snapshot.profile);
     }
     QP_RETURN_IF_ERROR(WriteSnapshot(fs_, JoinPath(dir_, next.snapshot_file),
@@ -752,7 +774,7 @@ Status DurableProfileStore::CheckpointLocked(bool for_recovery) {
     // mutations is rebuilt through the same plan a Get-load uses. All
     // stripes are held, so the plans are an exact cut.
     std::unordered_map<std::string, std::shared_ptr<const UserProfile>> hot;
-    for (auto& [user_id, snapshot] : store_.All()) {
+    for (auto& [user_id, snapshot] : AllResident()) {
       hot.emplace(user_id, snapshot.profile);
     }
     const std::string old_snapshot =
@@ -775,8 +797,7 @@ Status DurableProfileStore::CheckpointLocked(bool for_recovery) {
         QP_RETURN_IF_ERROR(writer.Add(user_id, body));
         continue;
       }
-      UserProfile rebuilt;
-      QP_RETURN_IF_ERROR(BuildFromPlan(user_id, plan, &rebuilt));
+      QP_ASSIGN_OR_RETURN(UserProfile rebuilt, BuildFromPlan(plan));
       QP_RETURN_IF_ERROR(writer.Add(user_id, rebuilt.Serialize()));
     }
     QP_RETURN_IF_ERROR(
@@ -834,16 +855,10 @@ Status DurableProfileStore::Close() {
     compact_cv_.notify_all();
     compactor_.join();
   }
-  if (!durable()) return Status::Ok();
-
-  std::array<std::unique_lock<std::mutex>, kNumStripes> locks;
-  for (size_t i = 0; i < kNumStripes; ++i) {
-    locks[i] = std::unique_lock<std::mutex>(stripes_[i]);
-  }
+  auto locks = LockAllStripes();
   std::lock_guard<std::mutex> meta(meta_mutex_);
-  if (closed_) return Status::Ok();
-  closed_ = true;
-  // A failed Open destroys the store before the WAL writer exists.
+  if (closed_.exchange(true, std::memory_order_acq_rel)) return Status::Ok();
+  // An in-memory store, or a failed Open, has no WAL writer.
   if (wal_ == nullptr) return Status::Ok();
   return wal_->Close();
 }

@@ -8,16 +8,21 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <shared_mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "qp/graph/personalization_graph.h"
 #include "qp/obs/metrics.h"
 #include "qp/obs/trace.h"
 #include "qp/pref/preference.h"
-#include "qp/service/profile_store.h"
+#include "qp/pref/profile.h"
+#include "qp/relational/schema.h"
 #include "qp/storage/record.h"
 #include "qp/storage/scrub.h"
 #include "qp/storage/snapshot.h"
@@ -28,6 +33,21 @@
 #include "qp/util/status.h"
 
 namespace qp {
+
+/// What a reader gets: an immutable view of one user's personalization
+/// state. The shared_ptrs keep the snapshot alive after the store moves
+/// on, so an in-flight selection never observes a half-updated profile —
+/// updates build a fresh profile + graph and atomically swap the entry
+/// (copy-on-write).
+struct ProfileSnapshot {
+  std::shared_ptr<const UserProfile> profile;
+  std::shared_ptr<const PersonalizationGraph> graph;
+  /// Bumped on every mutation of this user's profile. Cache keys embed it,
+  /// so a profile change silently invalidates every cached selection of
+  /// that user (stale entries age out of the LRU).
+  uint64_t epoch = 0;
+};
+
 namespace storage {
 
 /// Storage-side counters, surfaced through ServiceStats::storage. A view:
@@ -116,8 +136,8 @@ struct WalTailRecord {
 /// How (and whether) a DurableProfileStore persists its state.
 struct StorageOptions {
   /// Directory holding MANIFEST, the snapshot and the WAL. Empty
-  /// disables durability entirely — the store becomes a zero-cost
-  /// pass-through over the in-memory ProfileStore.
+  /// disables durability entirely — the store keeps its profiles in
+  /// memory only and logs nothing.
   std::string dir;
   /// WAL fsync policy and interval.
   WalOptions wal;
@@ -182,9 +202,10 @@ struct StorageOptions {
   obs::MetricScope metrics;
 };
 
-/// A crash-safe ProfileStore: every mutation is appended to a CRC32C-
-/// framed write-ahead log before it is applied to the in-memory sharded
-/// store, so `Open` on the same directory rebuilds the exact pre-crash
+/// The profile store: user id -> (UserProfile, PersonalizationGraph),
+/// in memory, and — when it has a storage directory — crash-safe: every
+/// mutation is appended to a CRC32C-framed write-ahead log before it is
+/// applied, so `Open` on the same directory rebuilds the exact pre-crash
 /// state up to the last synced sequence number.
 ///
 /// Layout of a storage directory:
@@ -192,23 +213,25 @@ struct StorageOptions {
 ///   snapshot-<seqno>.qps          full state through <seqno>
 ///   wal-<first>.log               mutations from <first> onward
 ///
-/// Concurrency: mutators serialize per user on a stripe lock that spans
-/// WAL append + in-memory apply, so log order equals apply order for any
-/// one user (cross-user mutations group-commit concurrently). Reads are
-/// lock-free with respect to the WAL — they go straight to the
-/// ProfileStore's shard locks. Checkpoint briefly holds every stripe to
-/// get a consistent (seqno, state) cut.
+/// Concurrency: users hash onto 16 stripes. A stripe's writer mutex
+/// serializes its mutations and is held across merge, graph build, WAL
+/// append and swap, so log order equals apply order for any one user
+/// (cross-user mutations group-commit concurrently). Its reader lock
+/// guards only the swap, so a Get never waits behind an fsync. Graph
+/// construction happens before the swap, so readers stall only for a
+/// pointer swap. Checkpoint briefly holds every writer mutex to get a
+/// consistent (seqno, state) cut.
 ///
-/// Epochs: the wrapper inherits the ProfileStore's shard-monotone epoch
-/// counter, and Remove burns an epoch, so remove-then-reinsert always
-/// yields a strictly larger epoch — cached selections of a deleted
-/// profile can never be served for its successor. Epochs are *not*
-/// persisted: they key in-process caches, and a recovered store starts a
-/// fresh process with a fresh (empty) cache.
+/// Epochs come from a stripe-wide monotone counter, so remove-then-
+/// reinsert (or evict-then-reload) always yields a strictly larger epoch
+/// — cached selections of a deleted profile can never be served for its
+/// successor. Epochs are *not* persisted: they key in-process caches, and
+/// a recovered store starts a fresh process with a fresh (empty) cache.
 class DurableProfileStore {
  public:
-  /// In-memory pass-through (no directory, nothing persisted), counting
-  /// into `metrics` like StorageOptions::metrics.
+  /// In-memory store (no directory, nothing persisted), counting into
+  /// `metrics` like StorageOptions::metrics. `schema` is retained and
+  /// must outlive the store (graphs reference it).
   explicit DurableProfileStore(const Schema* schema,
                                obs::MetricScope metrics = {});
 
@@ -225,11 +248,21 @@ class DurableProfileStore {
   DurableProfileStore(const DurableProfileStore&) = delete;
   DurableProfileStore& operator=(const DurableProfileStore&) = delete;
 
-  /// Mutators mirror ProfileStore but are logged before being applied.
-  /// They validate against the schema *before* logging, so the WAL never
-  /// contains a mutation that cannot be replayed. `trace`, when given,
-  /// receives a "wal_append" span covering the log write (group commit +
-  /// fsync included) — the durability cost of the mutation.
+  /// Runs one mutation through the store's one mutation path, under the
+  /// user's stripe: computes the new profile with Replay, builds its
+  /// graph (the one validation, so the WAL never holds a mutation whose
+  /// replay would fail), appends to the WAL when durable, then swaps and
+  /// bumps the user's epoch — nothing can fail after the append. Remove
+  /// of an unknown user is NotFound and logs nothing; a closed store
+  /// refuses with Unavailable before touching the WAL or the breaker.
+  /// `trace`, when given, receives a "wal_append" span covering the log
+  /// write (group commit + fsync included) — the durability cost of the
+  /// mutation. Live migration replays a source's log tail through this.
+  Status Apply(ProfileMutation mutation, obs::RequestTrace* trace = nullptr);
+
+  /// Apply, spelled out: Put replaces the user's profile, Upsert merges
+  /// each preference with AddOrUpdate (a new user starts empty), Remove
+  /// deletes the user (snapshots already taken stay valid).
   Status Put(const std::string& user_id, UserProfile profile,
              obs::RequestTrace* trace = nullptr);
   Status Upsert(const std::string& user_id,
@@ -238,8 +271,7 @@ class DurableProfileStore {
   Status Remove(const std::string& user_id,
                 obs::RequestTrace* trace = nullptr);
 
-  /// The user's current snapshot (NotFound for unknown users); reads
-  /// delegate to the in-memory store (same snapshot semantics). `Get` is
+  /// The user's current snapshot; NotFound for unknown users. `Get` is
   /// non-const by design: under tiering, a miss on an alive-but-cold
   /// user pages the profile in from snapshot + WAL overlay (the
   /// "shard.load" fault site), evicting over-budget residents — so a
@@ -252,8 +284,8 @@ class DurableProfileStore {
   /// a debugging/export surface, not a hot path.
   std::vector<std::pair<std::string, ProfileSnapshot>> All();
 
-  /// Alive user ids without loading bodies: the tier index under
-  /// tiering, the in-memory store's key set otherwise.
+  /// Alive user ids, sorted, without loading bodies: the tier index
+  /// under tiering, the resident key set otherwise.
   std::vector<std::string> Users() const;
 
   /// Streams the mutation log tail: every acknowledged mutation with a
@@ -267,7 +299,7 @@ class DurableProfileStore {
 
   /// Alive users, resident or not.
   size_t size() const;
-  const Schema& schema() const { return store_.schema(); }
+  const Schema& schema() const { return *schema_; }
 
   bool durable() const { return !dir_.empty(); }
 
@@ -280,8 +312,11 @@ class DurableProfileStore {
   /// FsyncPolicy::kInterval / kNever).
   Status Sync();
 
-  /// Flushes, stops background compaction and closes the WAL. Further
-  /// mutations fail; reads keep working. Called by the destructor.
+  /// Flushes, stops background compaction and the scrubber, and closes
+  /// the WAL. Waits for mutations already under their stripe; later ones
+  /// fail Unavailable without touching the WAL, so once Close returns no
+  /// append can land behind a reopen of the same directory. Reads keep
+  /// working. Called by the destructor.
   Status Close();
 
   StorageStats storage_stats() const;
@@ -311,14 +346,29 @@ class DurableProfileStore {
   bool IsQuarantined(const std::string& user_id) const;
   std::vector<std::string> QuarantinedUsers() const;
 
-  /// Chaos/test backdoor: plants an unvalidated profile in memory (the
-  /// WAL and durable state stay intact) — the damage ScrubOnce must
-  /// detect, quarantine and repair.
+  /// Chaos/test backdoor: plants an unvalidated profile in memory without
+  /// rebuilding the graph (the previous one, or an empty one, is kept;
+  /// the WAL and durable state stay intact) — the damage ScrubOnce must
+  /// detect, quarantine and repair. The epoch still bumps, so caches
+  /// notice.
   void CorruptInMemoryForTest(const std::string& user_id,
                               UserProfile profile);
 
  private:
   static constexpr size_t kNumStripes = 16;
+
+  /// One lock stripe of the user map; a user's stripe is its hash mod
+  /// kNumStripes. `writer` serializes the stripe's mutations, cold loads
+  /// and repairs, held across merge, graph build, WAL append and swap;
+  /// `readers` guards `users` and `next_epoch`, taken exclusively only
+  /// for the swap itself. Lock order: writer, then meta_mutex_, then
+  /// readers and the tier's mutex.
+  struct Stripe {
+    std::mutex writer;
+    std::shared_mutex readers;
+    std::unordered_map<std::string, ProfileSnapshot> users;
+    uint64_t next_epoch = 0;
+  };
 
   /// Breaker state machine: kClosed —(threshold consecutive failures)→
   /// kOpen —(backoff elapsed, a mutation arrives)→ kHalfOpen —(probe
@@ -358,27 +408,55 @@ class DurableProfileStore {
     obs::Counter* tier_evictions;
     obs::Counter* tier_load_failures;
     obs::Histogram* tier_load_seconds;
+    obs::Counter* gets;
+    obs::Counter* get_misses;
+    obs::Counter* mutations;
   };
 
   DurableProfileStore(const Schema* schema, StorageOptions options);
 
   Status Recover(uint64_t* next_seqno);
-  Status ApplyMutation(const ProfileMutation& mutation);
   bool tiered() const { return tier_ != nullptr; }
+  Stripe& StripeFor(const std::string& user_id) const;
+  /// Takes every stripe's writer mutex, in order: the cut checkpoints,
+  /// breaker probes, disk repairs and Close work under.
+  std::array<std::unique_lock<std::mutex>, kNumStripes> LockAllStripes();
+  /// Get without counting the get or the miss.
+  Result<ProfileSnapshot> Lookup(const std::string& user_id);
+  /// The user's resident snapshot, read under the stripe's reader lock.
+  std::optional<ProfileSnapshot> Resident(Stripe& stripe,
+                                          const std::string& user_id) const;
+  /// Every resident user's snapshot, sorted by user id.
+  std::vector<std::pair<std::string, ProfileSnapshot>> AllResident() const;
+  /// Builds `profile`'s graph — PersonalizationGraph::Build validates the
+  /// profile against the schema, the store's one validation — and wraps
+  /// both for Install.
+  Result<ProfileSnapshot> Prepare(UserProfile profile) const;
+  /// Swaps `prepared` in as the user's entry with a fresh epoch, under
+  /// the stripe's reader lock, and returns the installed snapshot.
+  ProfileSnapshot Install(Stripe& stripe, const std::string& user_id,
+                          ProfileSnapshot prepared);
+  /// Drops the user's resident entry (snapshots already taken stay valid).
+  void Drop(Stripe& stripe, const std::string& user_id);
+  /// The user's profile before a mutation, under the stripe's writer
+  /// mutex: a copy of the resident one, else (tiered) the one a cold load
+  /// would page in — an upsert of an evicted user must merge over its
+  /// durable preferences, not over nothing. nullopt: unknown user.
+  Result<std::optional<UserProfile>> CurrentLocked(Stripe& stripe,
+                                                   const std::string& user_id);
   /// Pages one cold (alive, non-resident) user in: snapshot range read +
   /// overlay replay, validated install, LRU eviction of over-budget
-  /// residents. Caller holds the user's stripe lock and has re-checked
-  /// the in-memory store. The "shard.load" fault site fires here.
-  Result<ProfileSnapshot> LoadColdLocked(const std::string& user_id);
+  /// residents. Caller holds the user's writer mutex and has re-checked
+  /// residency. The "shard.load" fault site fires here.
+  Result<ProfileSnapshot> LoadColdLocked(Stripe& stripe,
+                                         const std::string& user_id);
   /// Rebuilds a profile from a tier load plan (no locks of its own).
-  Status BuildFromPlan(const std::string& user_id,
-                       const ProfileTier::LoadPlan& plan,
-                       UserProfile* profile);
+  Result<UserProfile> BuildFromPlan(const ProfileTier::LoadPlan& plan);
   /// Drops over-budget residents from memory (their durable state is
   /// already complete — see StorageOptions::hot_capacity).
   void EvictOverBudget();
-  /// Appends one mutation payload to the WAL under the caller's stripe
-  /// lock, driving the circuit breaker: success resets the consecutive-
+  /// Appends one mutation payload to the WAL under the caller's writer
+  /// mutex, driving the circuit breaker: success resets the consecutive-
   /// failure count, failure advances it and trips the breaker at the
   /// threshold.
   Status LogMutation(const std::string& payload);
@@ -398,7 +476,6 @@ class DurableProfileStore {
   /// `for_recovery` skips the (dead) WAL's fsync and forces rotation
   /// even when no new records were logged since the manifest.
   Status CheckpointLocked(bool for_recovery = false);
-  size_t StripeFor(const std::string& user_id) const;
   void MaybeKickCompaction();
   void CompactionLoop();
   void ScrubLoop();
@@ -411,11 +488,10 @@ class DurableProfileStore {
   void SetQuarantined(const std::string& user_id, bool quarantined);
 
   /// Declaration order matters: options_.metrics is resolved (and
-  /// threaded into options_.wal) before the instruments and the inner
-  /// store register into it.
+  /// threaded into options_.wal) before the instruments register into it.
+  const Schema* schema_;
   StorageOptions options_;
   const Instruments inst_;
-  ProfileStore store_;
   FileSystem* fs_ = nullptr;
   Clock* clock_ = nullptr;
   std::string dir_;
@@ -424,19 +500,21 @@ class DurableProfileStore {
   /// enabled tiering. The tier's own mutex orders after stripes/meta.
   std::unique_ptr<ProfileTier> tier_;
 
-  /// Per-user mutation serialization; ordered before meta_mutex_.
-  mutable std::array<std::mutex, kNumStripes> stripes_;
+  mutable std::array<Stripe, kNumStripes> stripes_;
 
-  /// Guards wal_, manifest_, last_checkpoint_error_ and closed_.
-  /// Mutators may read wal_ while holding only their stripe: the pointer
-  /// is swapped exclusively under *all* stripes (checkpoint/close), which
-  /// any stripe holder excludes.
+  /// Guards wal_, manifest_ and last_checkpoint_error_. Mutators may
+  /// read wal_ while holding only their stripe: the pointer is swapped
+  /// exclusively under *all* stripes (checkpoint/close), which any
+  /// stripe holder excludes.
   mutable std::mutex meta_mutex_;
   std::unique_ptr<WalWriter> wal_;
   Manifest manifest_;
   uint64_t segment_base_bytes_ = 0;  // Recovered bytes kept in the segment.
   std::string last_checkpoint_error_;
-  bool closed_ = false;
+  /// Set once by Close() under every stripe and meta_mutex_; read
+  /// lock-free by mutators before they touch the breaker, and again
+  /// under their stripe — the fence.
+  std::atomic<bool> closed_{false};
 
   /// After a failed checkpoint, compaction is not re-kicked until the
   /// live segment outgrows this (failure point + one threshold), so a

@@ -169,6 +169,23 @@ ProfileMutation ProfileMutation::Remove(std::string user_id) {
   return m;
 }
 
+void Replay(ProfileMutation* mutation, std::optional<UserProfile>* profile) {
+  switch (mutation->kind) {
+    case ProfileMutation::Kind::kPut:
+      *profile = std::move(mutation->profile);
+      return;
+    case ProfileMutation::Kind::kUpsert:
+      if (!profile->has_value()) profile->emplace();
+      for (const AtomicPreference& preference : mutation->preferences) {
+        (*profile)->AddOrUpdate(preference);
+      }
+      return;
+    case ProfileMutation::Kind::kRemove:
+      profile->reset();
+      return;
+  }
+}
+
 void EncodePreference(const AtomicPreference& preference, std::string* dst) {
   switch (preference.kind()) {
     case AtomicPreference::Kind::kSelection:

@@ -1,6 +1,7 @@
 #ifndef QP_STORAGE_RECORD_H_
 #define QP_STORAGE_RECORD_H_
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -13,7 +14,7 @@ namespace qp {
 namespace storage {
 
 /// One logical profile mutation, the unit the WAL records and recovery
-/// replays. Mirrors the three ProfileStore mutators:
+/// replays. Mirrors the profile store's three mutators:
 ///   kPut    — whole-profile replace (payload: `profile`)
 ///   kUpsert — merge `preferences` into the current profile
 ///   kRemove — delete the user
@@ -30,6 +31,16 @@ struct ProfileMutation {
                                 std::vector<AtomicPreference> preferences);
   static ProfileMutation Remove(std::string user_id);
 };
+
+/// The one replay rule: `*profile` (nullopt: no such user) becomes the
+/// user's state after `*mutation`. kPut replaces it (moving
+/// `mutation->profile` out), kUpsert merges each preference with
+/// AddOrUpdate (a new user starts empty), kRemove drops it. Every path
+/// that turns logged mutations into profiles runs this: the store's
+/// mutators, recovery, a tiered store's cold loads and checkpoints,
+/// RepairUser, and (through DurableProfileStore::Apply) the migrator's
+/// tail.
+void Replay(ProfileMutation* mutation, std::optional<UserProfile>* profile);
 
 /// Appends the binary encoding of `mutation` to `*dst`. The encoding is
 /// exact (doubles as raw bit patterns), unlike the text profile format

@@ -171,10 +171,7 @@ void DurableProfileStore::ScrubDisk(ScrubReport* report,
   // so writing it out as a fresh snapshot + empty WAL generation (the
   // same rotation a breaker probe runs) replaces the damaged files with
   // an intact committed generation.
-  std::array<std::unique_lock<std::mutex>, kNumStripes> locks;
-  for (size_t i = 0; i < kNumStripes; ++i) {
-    locks[i] = std::unique_lock<std::mutex>(stripes_[i]);
-  }
+  auto locks = LockAllStripes();
   std::lock_guard<std::mutex> meta(meta_mutex_);
   if (closed_) return;
   Status repaired = CheckpointLocked(/*for_recovery=*/true);
@@ -192,10 +189,9 @@ void DurableProfileStore::ScrubDisk(ScrubReport* report,
 void DurableProfileStore::ScrubMemory(ScrubReport* report,
                                       obs::RequestTrace* trace) {
   obs::ScopedSpan span(trace, "scrub_memory");
-  const Schema& schema = store_.schema();
-  for (const auto& [user_id, snapshot] : store_.All()) {
+  for (const auto& [user_id, snapshot] : AllResident()) {
     Status status =
-        CheckProfileInvariants(schema, *snapshot.profile, snapshot.graph.get());
+        CheckProfileInvariants(schema(), *snapshot.profile, snapshot.graph.get());
     if (status.ok()) {
       // A quarantined profile that checks out again (a later Put replaced
       // it, or a repair landed between passes) is released.
@@ -231,12 +227,12 @@ Status DurableProfileStore::RepairUser(const std::string& user_id) {
     // mutators (stripe before meta, the store's lock order), so the
     // durable truth read here cannot be overwritten by a concurrent Put
     // that our stale re-install would then clobber.
-    std::lock_guard<std::mutex> stripe(stripes_[StripeFor(user_id)]);
+    Stripe& stripe = StripeFor(user_id);
+    std::lock_guard<std::mutex> writer(stripe.writer);
     std::lock_guard<std::mutex> meta(meta_mutex_);
     if (closed_) return Status::FailedPrecondition("store is closed");
 
-    bool present = false;
-    UserProfile rebuilt;
+    std::optional<UserProfile> rebuilt;
     if (!manifest_.snapshot_file.empty()) {
       QP_ASSIGN_OR_RETURN(
           auto users,
@@ -245,7 +241,6 @@ Status DurableProfileStore::RepairUser(const std::string& user_id) {
       for (auto& [id, profile] : users) {
         if (id == user_id) {
           rebuilt = std::move(profile);
-          present = true;
           break;
         }
       }
@@ -260,38 +255,25 @@ Status DurableProfileStore::RepairUser(const std::string& user_id) {
       if (!has_record) break;
       QP_ASSIGN_OR_RETURN(ProfileMutation mutation,
                           DecodeMutation(record.payload));
-      if (mutation.user_id != user_id) continue;
-      switch (mutation.kind) {
-        case ProfileMutation::Kind::kPut:
-          rebuilt = std::move(mutation.profile);
-          present = true;
-          break;
-        case ProfileMutation::Kind::kUpsert:
-          for (const AtomicPreference& preference : mutation.preferences) {
-            rebuilt.AddOrUpdate(preference);
-          }
-          present = true;
-          break;
-        case ProfileMutation::Kind::kRemove:
-          rebuilt = UserProfile();
-          present = false;
-          break;
-      }
+      if (mutation.user_id == user_id) Replay(&mutation, &rebuilt);
     }
-    if (present) {
-      // Validated install through the inner store: rebuilds the graph,
-      // bumps the epoch (caches notice), never touches the WAL — the
-      // repaired state *is* the replay of what is already logged.
-      QP_RETURN_IF_ERROR(store_.Put(user_id, std::move(rebuilt)));
-      if (tiered()) {
-        tier_->Touch(user_id);
-        EvictOverBudget();
-      }
+    if (!rebuilt.has_value()) {
+      // Durable truth says the user does not exist; absence is the
+      // repair.
+      Drop(stripe, user_id);
+      if (tiered()) tier_->Erase(user_id);
       return Status::Ok();
     }
-    // Durable truth says the user does not exist; absence is the repair.
-    store_.Remove(user_id);
-    if (tiered()) tier_->Erase(user_id);
+    // Validated install: rebuilds the graph, bumps the epoch (caches
+    // notice), never touches the WAL — the repaired state *is* the
+    // replay of what is already logged.
+    QP_ASSIGN_OR_RETURN(ProfileSnapshot prepared,
+                        Prepare(std::move(*rebuilt)));
+    Install(stripe, user_id, std::move(prepared));
+    if (tiered()) {
+      tier_->Touch(user_id);
+      EvictOverBudget();
+    }
     return Status::Ok();
   }();
   if (status.ok()) {
@@ -343,7 +325,19 @@ void DurableProfileStore::SetQuarantined(const std::string& user_id,
 
 void DurableProfileStore::CorruptInMemoryForTest(const std::string& user_id,
                                                  UserProfile profile) {
-  store_.InstallUnvalidatedForTest(user_id, std::move(profile));
+  Stripe& stripe = StripeFor(user_id);
+  std::lock_guard<std::mutex> writer(stripe.writer);
+  std::unique_lock<std::shared_mutex> lock(stripe.readers);
+  ProfileSnapshot& entry = stripe.users[user_id];
+  entry.profile = std::make_shared<const UserProfile>(std::move(profile));
+  if (entry.graph == nullptr) {
+    // A brand-new corrupt entry still needs *a* graph so readers do not
+    // dereference null; an empty one matches "graph out of sync with
+    // profile", which is exactly what the scrubber must detect.
+    entry.graph = std::make_shared<const PersonalizationGraph>(
+        PersonalizationGraph::Build(schema_, UserProfile()).value());
+  }
+  entry.epoch = ++stripe.next_epoch;
 }
 
 void DurableProfileStore::ScrubLoop() {

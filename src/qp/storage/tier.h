@@ -21,7 +21,7 @@ namespace storage {
 /// overlay a cold load replays without re-reading the log file), and an
 /// LRU over the profiles currently resident in memory.
 ///
-/// The tier never touches the disk or the in-memory ProfileStore itself
+/// The tier never touches the disk or the store's resident profiles itself
 /// — it answers "how do I rebuild this user?" (PlanLoad) and "who goes
 /// cold?" (EvictOverBudget); the store executes the plan. Thread-safe
 /// behind one internal mutex; every operation is O(1)-ish map/list work,

@@ -1,7 +1,7 @@
 // Regression tests for ExecutorStats attribution: `disjuncts` must
 // count one unit per conjunctive block *per part*, and repeated /
-// recursive executions must accumulate linearly. The qp_exec_* registry
-// mirrors and the "execution" trace span must report the same deltas as
+// recursive executions must accumulate linearly. The "execution" trace
+// span and the service's qp_exec_* series must report the same deltas as
 // the caller's stats struct.
 
 #include "common/test_util.h"
@@ -12,6 +12,7 @@
 #include "qp/obs/metrics.h"
 #include "qp/obs/trace.h"
 #include "qp/query/sql_parser.h"
+#include "qp/service/service.h"
 
 namespace qp {
 namespace {
@@ -136,22 +137,11 @@ TEST(ExecutorStatsAttributionTest, RegistryAndTraceMirrorStatsDeltas) {
   PersonalizationOutcome outcome = PaperOutcome();
   ASSERT_TRUE(outcome.mq.has_value());
 
-  obs::MetricsRegistry registry;
   obs::RequestTrace trace;
   Executor executor(&*db);
-  executor.BindMetrics(&registry);
   executor.set_trace(&trace);
-
   ExecutorStats stats;
   ASSERT_TRUE(executor.Execute(*outcome.mq, &stats).ok());
-
-  EXPECT_EQ(registry.counter("qp_exec_disjuncts_total")->Value(),
-            stats.disjuncts);
-  EXPECT_EQ(registry.counter("qp_exec_bindings_total")->Value(),
-            stats.bindings);
-  EXPECT_EQ(registry.counter("qp_exec_raw_rows_total")->Value(),
-            stats.raw_rows);
-
   if (obs::kTracingCompiledIn) {
     const obs::TraceSpan* span = trace.FindSpan("execution");
     ASSERT_NE(span, nullptr);
@@ -165,12 +155,30 @@ TEST(ExecutorStatsAttributionTest, RegistryAndTraceMirrorStatsDeltas) {
     EXPECT_EQ(part_spans, outcome.mq->parts().size());
   }
 
-  // Mirrors accumulate across executions just like the struct does.
-  ExecutorStats again;
-  executor.set_trace(nullptr);
-  ASSERT_TRUE(executor.Execute(*outcome.mq, &again).ok());
+  // The service adds each executed request's stats to its qp_exec_*
+  // series, which accumulate across requests just like the struct does.
+  obs::MetricsRegistry registry;
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.metrics = &registry;
+  PersonalizationService service(&*db, options);
+  QP_ASSERT_OK(service.profiles().Put("julie", JulieProfile()));
+  PersonalizationRequest request;
+  request.user_id = "julie";
+  request.query = TonightQuery();
+  request.options.criterion = InterestCriterion::TopCount(3);
+  request.options.integration.min_satisfied = 2;
+  for (const PersonalizationResponse& response :
+       service.PersonalizeBatchAndWait({request, request})) {
+    QP_ASSERT_OK(response.status);
+    ASSERT_TRUE(response.outcome.mq.has_value());
+  }
   EXPECT_EQ(registry.counter("qp_exec_disjuncts_total")->Value(),
-            stats.disjuncts + again.disjuncts);
+            2 * stats.disjuncts);
+  EXPECT_EQ(registry.counter("qp_exec_bindings_total")->Value(),
+            2 * stats.bindings);
+  EXPECT_EQ(registry.counter("qp_exec_raw_rows_total")->Value(),
+            2 * stats.raw_rows);
 }
 
 }  // namespace

@@ -9,7 +9,8 @@
 #   tests/run_sanitized.sh address -R 'service|thread_pool'
 #
 # Extra arguments after the sanitizer name are passed through to ctest
-# (e.g. -R <regex> to restrict which tests run).
+# (e.g. -R <regex> to restrict which tests run). With such arguments only
+# the tests they select are built; with none, the whole tree is.
 
 set -euo pipefail
 
@@ -29,10 +30,29 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 for sanitizer in "${sanitizers[@]}"; do
   build_dir="$ROOT/build-$sanitizer"
   echo "==== [$sanitizer] configuring $build_dir ===="
-  cmake -B "$build_dir" -S "$ROOT" -DQP_SANITIZE="$sanitizer" \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+  # A new tree uses Ninja when it is installed: it builds several selected
+  # targets in parallel, where the Makefile generator's top level builds
+  # one target at a time. An existing tree keeps its generator.
+  generator=()
+  if [[ ! -f "$build_dir/CMakeCache.txt" ]] && command -v ninja >/dev/null; then
+    generator=(-G Ninja)
+  fi
+  cmake -B "$build_dir" -S "$ROOT" "${generator[@]}" \
+    -DQP_SANITIZE="$sanitizer" -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   echo "==== [$sanitizer] building ===="
-  cmake --build "$build_dir" -j "$JOBS"
+  if [[ ${#CTEST_ARGS[@]} -gt 0 ]]; then
+    # qp_add_test names each test after its executable target, so the
+    # tests ctest selects are exactly the targets to build.
+    mapfile -t targets < <(cd "$build_dir" && ctest -N "${CTEST_ARGS[@]}" |
+      sed -n 's/^ *Test *#[0-9]*: //p')
+    if [[ ${#targets[@]} -eq 0 ]]; then
+      echo "no tests match: ${CTEST_ARGS[*]}" >&2
+      exit 1
+    fi
+    cmake --build "$build_dir" -j "$JOBS" --target "${targets[@]}"
+  else
+    cmake --build "$build_dir" -j "$JOBS"
+  fi
   echo "==== [$sanitizer] running ctest ===="
   if [[ "$sanitizer" == thread ]]; then
     # halt_on_error makes a race fail the test instead of just logging.

@@ -1,7 +1,9 @@
-// ProfileStore tests: put/get/remove semantics, epoch monotonicity, and
-// the snapshot-isolation guarantee — concurrent mutation plus selection
+// In-memory profile store tests (DurableProfileStore without a storage
+// directory): put/get/remove semantics, epoch monotonicity, and the
+// snapshot-isolation guarantee — concurrent mutation plus selection
 // never observes a half-updated profile (run under -DQP_SANITIZE=thread
-// to also prove data-race freedom).
+// to also prove data-race freedom). The concurrent cases drive the same
+// stripe path a durable store's mutations take, minus the WAL append.
 
 #include <atomic>
 #include <thread>
@@ -12,7 +14,7 @@
 #include "qp/core/selection.h"
 #include "qp/data/movie_db.h"
 #include "qp/data/paper_example.h"
-#include "qp/service/profile_store.h"
+#include "qp/storage/durable_profile_store.h"
 
 namespace qp {
 namespace {
@@ -24,7 +26,7 @@ class ProfileStoreTest : public ::testing::Test {
 };
 
 TEST_F(ProfileStoreTest, PutGetRemove) {
-  ProfileStore store(&schema_);
+  storage::DurableProfileStore store(&schema_);
   EXPECT_EQ(store.size(), 0u);
   EXPECT_FALSE(store.Get("julie").ok());
 
@@ -46,7 +48,7 @@ TEST_F(ProfileStoreTest, PutGetRemove) {
 }
 
 TEST_F(ProfileStoreTest, InvalidProfileIsRejected) {
-  ProfileStore store(&schema_);
+  storage::DurableProfileStore store(&schema_);
   UserProfile bad;
   QP_ASSERT_OK(bad.Add(AtomicPreference::Selection(
       AttributeRef{"NO_SUCH_TABLE", "x"}, Value::Str("y"), 0.5)));
@@ -55,7 +57,7 @@ TEST_F(ProfileStoreTest, InvalidProfileIsRejected) {
 }
 
 TEST_F(ProfileStoreTest, EpochBumpsOnEveryMutation) {
-  ProfileStore store(&schema_);
+  storage::DurableProfileStore store(&schema_);
   QP_ASSERT_OK(store.Put("julie", JulieProfile()));
   QP_ASSERT_OK_AND_ASSIGN(ProfileSnapshot first, store.Get("julie"));
 
@@ -75,7 +77,7 @@ TEST_F(ProfileStoreTest, EpochBumpsOnEveryMutation) {
 TEST_F(ProfileStoreTest, RemoveThenReinsertNeverReusesAnEpoch) {
   // Cache keys embed (user, epoch); a re-inserted user reusing an old
   // epoch would resurrect cache entries of the deleted profile.
-  ProfileStore store(&schema_);
+  storage::DurableProfileStore store(&schema_);
   QP_ASSERT_OK(store.Put("julie", JulieProfile()));
   QP_ASSERT_OK(store.Put("julie", JulieProfile()));
   QP_ASSERT_OK_AND_ASSIGN(ProfileSnapshot before, store.Get("julie"));
@@ -90,15 +92,16 @@ TEST_F(ProfileStoreTest, ConcurrentUpsertsNeverLoseAnUpdate) {
   // merge, then install under an exclusive lock — two racing upserts of
   // *different* preferences could both start from the same base and the
   // second install would silently drop the first writer's preference.
-  // The epoch-validated retry makes the merge atomic: after two threads
-  // each upsert their own preference set, both sets must be present.
+  // The stripe's writer mutex, held from the read of the base through
+  // the swap, makes the merge atomic: after two threads each upsert
+  // their own preference set, both sets must be present.
   AtomicPreference mine = AtomicPreference::Selection(
       AttributeRef{"GENRE", "genre"}, Value::Str("western"), 0.31);
   AtomicPreference yours = AtomicPreference::Selection(
       AttributeRef{"ACTOR", "name"}, Value::Str("G. Binoche"), 0.57);
 
   for (int round = 0; round < 50; ++round) {
-    ProfileStore store(&schema_);
+    storage::DurableProfileStore store(&schema_);
     QP_ASSERT_OK(store.Put("julie", JulieProfile()));
 
     std::atomic<bool> go{false};
@@ -126,7 +129,7 @@ TEST_F(ProfileStoreTest, SnapshotIsolationUnderConcurrentMutation) {
   // their snapshots. A torn read would surface as a selection edge count
   // matching neither profile, a crossed profile/graph pair, or (under
   // TSan) a race report.
-  ProfileStore store(&schema_);
+  storage::DurableProfileStore store(&schema_);
 
   UserProfile a = JulieProfile();
   UserProfile b = RobProfile();

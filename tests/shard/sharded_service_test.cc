@@ -5,10 +5,12 @@
 // per-shard span in request traces, and every shard's counts living in
 // its own {shard="<id>"} series.
 
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/test_util.h"
@@ -332,6 +334,64 @@ TEST_F(ShardedServiceTest, KillShardShedsOnlyItsUsersAndRecoverHeals) {
   EXPECT_EQ(sharded->stats().router.shard_recoveries, 1u);
 }
 
+TEST_F(ShardedServiceTest, KillFencesAWriteInFlightBeforeRecoverReopens) {
+#ifdef QP_FAULTS_DISABLED
+  GTEST_SKIP() << "fault injection compiled out";
+#endif
+  // An upsert sleeps inside shard 0's WAL append, holding the old
+  // instance, while the shard is killed and recovered. Unfenced, the old
+  // writer appends after the recovery replayed the same log: the write
+  // is acknowledged but missing from the recovered shard, and the
+  // recovered writer's next record repeats its sequence number.
+  auto sharded = MustOpen(Options(2));
+  ASSERT_NE(sharded, nullptr);
+  const std::string user = UserOnShard(*sharded, 0);
+  QP_ASSERT_OK(sharded->PutProfile(user, MakeProfile(1)));
+  const AtomicPreference held = AtomicPreference::Selection(
+      AttributeRef{"GENRE", "genre"}, Value::Str("held"), 0.41);
+  const AtomicPreference after = AtomicPreference::Selection(
+      AttributeRef{"GENRE", "genre"}, Value::Str("after"), 0.43);
+  auto has = [](const ProfileSnapshot& snapshot, const AtomicPreference& p) {
+    for (const AtomicPreference& q : snapshot.profile->preferences()) {
+      if (storage::PreferencesEqual(p, q)) return true;
+    }
+    return false;
+  };
+
+  Status upserted;
+  {
+    ScopedFaultInjection faults(/*seed=*/18);
+    FaultRule hold;
+    hold.fire_on_nth = 1;
+    hold.mode = FaultMode::kDelay;
+    hold.delay = std::chrono::milliseconds(50);
+    FaultHub::Global()->SetRule("wal.append", hold);
+    std::thread writer(
+        [&] { upserted = sharded->UpsertProfile(user, {held}); });
+    while (FaultHub::Global()->fires("wal.append") == 0) {
+      std::this_thread::yield();
+    }
+    QP_ASSERT_OK(sharded->KillShard(0));
+    QP_ASSERT_OK(sharded->RecoverShard(0));
+    writer.join();
+  }
+  if (upserted.ok()) {
+    QP_ASSERT_OK_AND_ASSIGN(ProfileSnapshot live, sharded->GetProfile(user));
+    EXPECT_TRUE(has(live, held)) << "acknowledged upsert lost by recovery";
+  } else {
+    EXPECT_EQ(upserted.code(), StatusCode::kUnavailable) << upserted;
+  }
+  QP_ASSERT_OK(sharded->UpsertProfile(user, {after}));
+
+  // A cold reopen replays a gap-free log holding every acknowledged write.
+  sharded.reset();
+  sharded = MustOpen(Options(2));
+  ASSERT_NE(sharded, nullptr);
+  QP_ASSERT_OK_AND_ASSIGN(ProfileSnapshot reopened, sharded->GetProfile(user));
+  EXPECT_TRUE(has(reopened, after));
+  EXPECT_EQ(has(reopened, held), upserted.ok());
+}
+
 TEST_F(ShardedServiceTest, RouteFaultSiteShedsRequestsAndMutations) {
 #ifdef QP_FAULTS_DISABLED
   GTEST_SKIP() << "fault injection compiled out";
@@ -466,6 +526,7 @@ TEST_F(ShardedServiceTest, EveryShardCountsUnderItsOwnLabel) {
         Request("user" + std::to_string(u), queries[0]);
     request.execute = false;
     QP_ASSERT_OK(sharded->Personalize(request).status);
+    request.execute = true;
     EXPECT_TRUE(sharded->Personalize(request).cache_hit);
   }
   QP_ASSERT_OK(sharded->UpsertProfile(
@@ -535,6 +596,22 @@ TEST_F(ShardedServiceTest, EveryShardCountsUnderItsOwnLabel) {
             2.0 * kUsers);
   EXPECT_EQ(CounterTotal(snapshot, "qp_storage_scrubs_total"), 2.0);
   EXPECT_EQ(CounterTotal(snapshot, "qp_storage_checkpoints_total"), 1.0);
+
+  // The executor's work is counted per shard too, never under the bare
+  // name. Both shards executed requests, so each ran disjuncts.
+  EXPECT_GT(ShardSeries(snapshot, "qp_exec_disjuncts_total", 0), 0.0);
+  EXPECT_GT(ShardSeries(snapshot, "qp_exec_disjuncts_total", 1), 0.0);
+  for (const char* name : {"qp_exec_disjuncts_total", "qp_exec_bindings_total",
+                           "qp_exec_raw_rows_total"}) {
+    const double shard0 = ShardSeries(snapshot, name, 0);
+    const double shard1 = ShardSeries(snapshot, name, 1);
+    EXPECT_GE(shard0, 0.0) << name;
+    EXPECT_GE(shard1, 0.0) << name;
+    EXPECT_EQ(shard0 + shard1, CounterTotal(snapshot, name)) << name;
+    for (const auto& [series, value] : snapshot.counters) {
+      EXPECT_NE(series, name) << "unlabeled series " << name;
+    }
+  }
 }
 
 TEST_F(ShardedServiceTest, OpenValidatesOptions) {

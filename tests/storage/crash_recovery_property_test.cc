@@ -10,7 +10,11 @@
 //   a corrupted record in the *middle* of the log fails the open.
 //
 // The reference is an independent in-test replica of the mutation
-// semantics (plain std::map, no shared code with the store).
+// semantics (plain std::map, no shared code with the store). It checks
+// the store's one mutation path in all three shapes: every trial's
+// durable store, tiered (two profiles hot out of five users) in one
+// trial in three, and an in-memory store fed the same mutations, which
+// skips the crash step.
 //
 // Run under -DQP_SANITIZE=address / thread via tests/run_sanitized.sh to
 // also prove memory- and race-safety of the recovery paths.
@@ -103,6 +107,8 @@ class CrashRecoveryPropertyTest : public ::testing::Test {
     options.compact_threshold_bytes = 0;  // Only explicit checkpoints.
     options.wal.fsync =
         rng.Below(2) == 0 ? FsyncPolicy::kEveryRecord : FsyncPolicy::kNever;
+    if (seed % 3 == 0) options.hot_capacity = 2;
+    DurableProfileStore memory(&schema);
 
     auto store_or = DurableProfileStore::Open(&schema, options);
     if (!store_or.ok()) {
@@ -127,6 +133,7 @@ class CrashRecoveryPropertyTest : public ::testing::Test {
       if (action < 5) {
         UserProfile profile = RandomGridProfile(&rng);
         Status status = store->Put(user, profile);
+        if (status.ok()) status = memory.Put(user, profile);
         if (!status.ok()) {
           ADD_FAILURE() << "seed " << seed << ": put failed: " << status;
           return false;
@@ -140,6 +147,7 @@ class CrashRecoveryPropertyTest : public ::testing::Test {
           prefs.push_back(RandomGridPreference(&rng));
         }
         Status status = store->Upsert(user, prefs);
+        if (status.ok()) status = memory.Upsert(user, prefs);
         if (!status.ok()) {
           ADD_FAILURE() << "seed " << seed << ": upsert failed: " << status;
           return false;
@@ -149,6 +157,10 @@ class CrashRecoveryPropertyTest : public ::testing::Test {
         states.push_back(current);
       } else {
         Status status = store->Remove(user);
+        if (memory.Remove(user).code() != status.code()) {
+          ADD_FAILURE() << "seed " << seed << ": in-memory remove disagrees";
+          return false;
+        }
         if (status.ok()) {
           current.erase(user);
           states.push_back(current);
@@ -174,6 +186,11 @@ class CrashRecoveryPropertyTest : public ::testing::Test {
           return false;
         }
       }
+    }
+
+    if (!StatesEqual(current, memory.All())) {
+      ADD_FAILURE() << "seed " << seed << ": in-memory store diverged";
+      return false;
     }
 
     // Optionally end the run with an injected I/O fault: a short write
