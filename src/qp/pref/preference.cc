@@ -1,5 +1,8 @@
 #include "qp/pref/preference.h"
 
+#include <cmath>
+#include <functional>
+
 #include "qp/util/string_util.h"
 
 namespace qp {
@@ -55,14 +58,38 @@ std::string AtomicPreference::ToString() const {
 
 namespace {
 
-/// Literal rendering whose parse yields the identical Value: reals need
-/// the round-trip formatter (ToSqlLiteral's 6 significant digits would
-/// silently perturb a stored degree-of-interest or target).
+/// Literal rendering whose parse yields the identical Value, type
+/// included: reals need the round-trip formatter (ToSqlLiteral's 6
+/// significant digits would silently perturb a stored degree-of-interest
+/// or target), and an integral real gets a ".0" so that 7.0 and -0.0
+/// parse back as doubles rather than as the integers 7 and 0.
 std::string ExactLiteral(const Value& value) {
-  if (value.type() == DataType::kDouble) {
-    return FormatDoubleRoundTrip(value.as_double());
+  if (value.type() != DataType::kDouble) return value.ToSqlLiteral();
+  std::string text = FormatDoubleRoundTrip(value.as_double());
+  if (text.find_first_not_of("-0123456789") == std::string::npos) {
+    text += ".0";
   }
-  return value.ToSqlLiteral();
+  return text;
+}
+
+void HashCombine(size_t* seed, size_t value) {
+  *seed ^= value + 0x9e3779b97f4a7c15ULL + (*seed << 6) + (*seed >> 2);
+}
+
+/// Agrees with Value's equality: a number hashes through its double (Int
+/// and Real compare by their doubles), and -0.0 as 0.0.
+size_t LiteralHash(const Value& value) {
+  switch (value.type()) {
+    case DataType::kNull:
+      return 0;
+    case DataType::kString:
+      return std::hash<std::string>{}(value.as_string());
+    case DataType::kInt64:
+    case DataType::kDouble:
+      break;
+  }
+  const double d = value.AsNumeric();
+  return std::hash<double>{}(d == 0.0 ? 0.0 : d);
 }
 
 }  // namespace
@@ -90,6 +117,20 @@ bool AtomicPreference::SameCondition(const AtomicPreference& other) const {
   if (!(attribute_ == other.attribute_)) return false;
   if (is_join()) return target_ == other.target_;
   return value_ == other.value_ && width_ == other.width_;
+}
+
+size_t AtomicPreference::ConditionHash() const {
+  const std::hash<std::string> hash_string;
+  size_t seed = static_cast<size_t>(kind_);
+  HashCombine(&seed, hash_string(attribute_.table));
+  HashCombine(&seed, hash_string(attribute_.column));
+  if (is_join()) {
+    HashCombine(&seed, hash_string(target_.table));
+    HashCombine(&seed, hash_string(target_.column));
+  } else {
+    HashCombine(&seed, LiteralHash(value_));
+  }
+  return seed;
 }
 
 }  // namespace qp

@@ -75,6 +75,11 @@ class AtomicPreference {
   /// True if both describe the same condition (degree ignored).
   bool SameCondition(const AtomicPreference& other) const;
 
+  /// A hash of the condition that agrees with SameCondition: conditions
+  /// it calls equal hash alike, so 2 and 2.0 hash alike, and the near
+  /// width (where -0.0 equals 0.0) is left out.
+  size_t ConditionHash() const;
+
  private:
   AtomicPreference() = default;
 

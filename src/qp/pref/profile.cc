@@ -1,5 +1,6 @@
 #include "qp/pref/profile.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "qp/pref/doi.h"
@@ -8,7 +9,11 @@
 
 namespace qp {
 
-Status UserProfile::Add(AtomicPreference preference) {
+namespace {
+
+/// The degree rules of a stored preference, which Add and Validate both
+/// enforce: in [-1, 1] (so not NaN), not zero, and not negative on a join.
+Status CheckDegree(const AtomicPreference& preference) {
   if (!IsValidSignedDoi(preference.doi())) {
     return Status::InvalidArgument("degree of interest out of [-1, 1]: " +
                                    std::to_string(preference.doi()));
@@ -22,24 +27,41 @@ Status UserProfile::Add(AtomicPreference preference) {
         "join preferences are structural and cannot be negative: " +
         preference.ToString());
   }
-  for (const auto& existing : preferences_) {
-    if (existing.SameCondition(preference)) {
-      return Status::AlreadyExists("preference already stored: " +
-                                   preference.ConditionString());
+  return Status::Ok();
+}
+
+}  // namespace
+
+size_t UserProfile::FindCondition(const AtomicPreference& preference,
+                                  size_t hash) const {
+  for (size_t i = 0; i < hashes_.size(); ++i) {
+    if (hashes_[i] == hash && preferences_[i].SameCondition(preference)) {
+      return i;
     }
   }
+  return kNotFound;
+}
+
+Status UserProfile::Add(AtomicPreference preference) {
+  QP_RETURN_IF_ERROR(CheckDegree(preference));
+  const size_t hash = preference.ConditionHash();
+  if (FindCondition(preference, hash) != kNotFound) {
+    return Status::AlreadyExists("preference already stored: " +
+                                 preference.ConditionString());
+  }
   preferences_.push_back(std::move(preference));
+  hashes_.push_back(hash);
   return Status::Ok();
 }
 
 void UserProfile::AddOrUpdate(AtomicPreference preference) {
-  for (auto& existing : preferences_) {
-    if (existing.SameCondition(preference)) {
-      existing = std::move(preference);
-      return;
-    }
+  const size_t hash = preference.ConditionHash();
+  if (size_t i = FindCondition(preference, hash); i != kNotFound) {
+    preferences_[i] = std::move(preference);
+    return;
   }
   preferences_.push_back(std::move(preference));
+  hashes_.push_back(hash);
 }
 
 size_t UserProfile::NumSelections() const {
@@ -74,6 +96,7 @@ const AtomicPreference* UserProfile::FindSelection(const AttributeRef& attr,
 
 Status UserProfile::Validate(const Schema& schema) const {
   for (const auto& p : preferences_) {
+    QP_RETURN_IF_ERROR(CheckDegree(p));
     if (p.is_near()) {
       QP_ASSIGN_OR_RETURN(DataType type, schema.AttributeType(p.attribute()));
       if (type != DataType::kInt64 && type != DataType::kDouble) {
@@ -149,21 +172,35 @@ Result<AtomicPreference> ParseEntry(const std::vector<Token>& tokens,
     return tokens[(*pos)++].text;
   };
 
-  auto parse_signed_number = [&]() -> Result<Value> {
-    double sign = 1.0;
+  // The lexer makes '-' a symbol, so a sign is its own token. It is
+  // converted with the digits, which keeps INT64_MIN and -0.0 exact.
+  auto signed_number = [&]() -> Result<std::string> {
+    std::string text;
     if (tokens[*pos].IsSymbol("-")) {
-      sign = -1.0;
+      text = "-";
       ++*pos;
     }
     if (tokens[*pos].kind != TokenKind::kNumber) {
       return error("expected number, got '" + tokens[*pos].text + "'");
     }
-    const std::string& text = tokens[(*pos)++].text;
+    text += tokens[(*pos)++].text;
+    return text;
+  };
+  // A literal is a double when written with a point, else an int64.
+  auto parse_literal = [&]() -> Result<Value> {
+    QP_ASSIGN_OR_RETURN(std::string text, signed_number());
     if (text.find('.') != std::string::npos) {
-      return Value::Real(sign * std::strtod(text.c_str(), nullptr));
+      return Value::Real(std::strtod(text.c_str(), nullptr));
     }
-    return Value::Int(static_cast<int64_t>(sign) *
-                      std::strtoll(text.c_str(), nullptr, 10));
+    errno = 0;
+    const long long v = std::strtoll(text.c_str(), nullptr, 10);
+    if (errno == ERANGE) return error("integer out of range: " + text);
+    return Value::Int(v);
+  };
+  // Widths and degrees are doubles however they are written.
+  auto parse_real = [&]() -> Result<double> {
+    QP_ASSIGN_OR_RETURN(std::string text, signed_number());
+    return std::strtod(text.c_str(), nullptr);
   };
 
   QP_RETURN_IF_ERROR(expect_symbol("["));
@@ -174,16 +211,16 @@ Result<AtomicPreference> ParseEntry(const std::vector<Token>& tokens,
     QP_RETURN_IF_ERROR(expect_symbol("."));
     QP_ASSIGN_OR_RETURN(std::string column, expect_ident());
     QP_RETURN_IF_ERROR(expect_symbol(","));
-    QP_ASSIGN_OR_RETURN(Value target, parse_signed_number());
+    QP_ASSIGN_OR_RETURN(Value target, parse_literal());
     QP_RETURN_IF_ERROR(expect_symbol(","));
-    QP_ASSIGN_OR_RETURN(Value width_value, parse_signed_number());
+    QP_ASSIGN_OR_RETURN(double width, parse_real());
     QP_RETURN_IF_ERROR(expect_symbol(")"));
     QP_RETURN_IF_ERROR(expect_symbol(","));
-    QP_ASSIGN_OR_RETURN(Value doi_value, parse_signed_number());
+    QP_ASSIGN_OR_RETURN(double doi, parse_real());
     QP_RETURN_IF_ERROR(expect_symbol("]"));
     return AtomicPreference::NearSelection(
-        {std::move(table), std::move(column)}, std::move(target),
-        width_value.AsNumeric(), doi_value.AsNumeric());
+        {std::move(table), std::move(column)}, std::move(target), width,
+        doi);
   }
 
   QP_ASSIGN_OR_RETURN(std::string table, expect_ident());
@@ -201,26 +238,20 @@ Result<AtomicPreference> ParseEntry(const std::vector<Token>& tokens,
     QP_ASSIGN_OR_RETURN(right.column, expect_ident());
   } else if (tokens[*pos].kind == TokenKind::kString) {
     value = Value::Str(tokens[(*pos)++].text);
-  } else if (tokens[*pos].kind == TokenKind::kNumber) {
-    const std::string& text = tokens[(*pos)++].text;
-    value = text.find('.') != std::string::npos
-                ? Value::Real(std::strtod(text.c_str(), nullptr))
-                : Value::Int(std::strtoll(text.c_str(), nullptr, 10));
+  } else if (tokens[*pos].kind == TokenKind::kNumber ||
+             tokens[*pos].IsSymbol("-")) {
+    QP_ASSIGN_OR_RETURN(value, parse_literal());
   } else {
     return error("expected attribute or literal after '='");
   }
 
   QP_RETURN_IF_ERROR(expect_symbol(","));
-  double sign = 1.0;
-  if (tokens[*pos].IsSymbol("-")) {
-    sign = -1.0;
-    ++*pos;
-  }
-  if (tokens[*pos].kind != TokenKind::kNumber) {
+  if (!tokens[*pos].IsSymbol("-") &&
+      tokens[*pos].kind != TokenKind::kNumber) {
     return error("expected degree of interest, got '" + tokens[*pos].text +
                  "'");
   }
-  double doi = sign * std::strtod(tokens[(*pos)++].text.c_str(), nullptr);
+  QP_ASSIGN_OR_RETURN(double doi, parse_real());
   QP_RETURN_IF_ERROR(expect_symbol("]"));
 
   if (is_join) {

@@ -17,12 +17,14 @@ class UserProfile {
  public:
   UserProfile() = default;
 
-  /// Adds a preference. Fails if the degree is outside [0, 1], the degree
-  /// is 0 (zero-valued preferences are not stored), or a preference with
-  /// the same condition already exists.
+  /// Adds a preference. Fails if the degree is outside [-1, 1] or NaN,
+  /// the degree is 0 (zero-valued preferences are not stored), a join's
+  /// degree is negative, or a preference with the same condition
+  /// (SameCondition) already exists.
   Status Add(AtomicPreference preference);
 
-  /// Adds or replaces the preference with the same condition.
+  /// Adds or replaces the preference with the same condition. Checks no
+  /// degree: Validate does, before a store accepts the profile.
   void AddOrUpdate(AtomicPreference preference);
 
   const std::vector<AtomicPreference>& preferences() const {
@@ -45,14 +47,18 @@ class UserProfile {
   const AtomicPreference* FindSelection(const AttributeRef& attr,
                                         const Value& value) const;
 
-  /// Checks every preference against `schema`: attributes must exist,
-  /// selection literal types must match the column type, and every join
-  /// preference must correspond to a declared schema join.
+  /// Checks every preference: its degree obeys Add's rules, and against
+  /// `schema`, attributes must exist, selection literal types must match
+  /// the column type, and every join preference must correspond to a
+  /// declared schema join.
   Status Validate(const Schema& schema) const;
 
   /// Renders the profile in the paper's text format, one entry per line:
   ///   [ PLAY.mid=MOVIE.mid, 1 ]
   ///   [ GENRE.genre='comedy', 0.9 ]
+  /// Parse reads it back exactly, value types included. Stores keep
+  /// profiles in the binary codec (storage::EncodeProfile); this format
+  /// is for profile files and display.
   std::string Serialize() const;
 
   /// Parses the format produced by Serialize. Lines that are empty or
@@ -61,7 +67,16 @@ class UserProfile {
   static Result<UserProfile> Parse(std::string_view text);
 
  private:
+  static constexpr size_t kNotFound = static_cast<size_t>(-1);
+
+  /// Index of the stored preference whose condition equals
+  /// `preference`'s, or kNotFound. `hash` is its ConditionHash.
+  size_t FindCondition(const AtomicPreference& preference, size_t hash) const;
+
   std::vector<AtomicPreference> preferences_;
+  /// ConditionHash of each preference, index for index: the duplicate
+  /// check calls SameCondition only where the hashes match.
+  std::vector<size_t> hashes_;
 };
 
 }  // namespace qp

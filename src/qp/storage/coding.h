@@ -9,10 +9,10 @@
 namespace qp {
 namespace storage {
 
-/// Little-endian fixed-width integer framing for the binary WAL format.
-/// Doubles travel as their raw IEEE-754 bit pattern, so degrees of
-/// interest round-trip exactly (the text profile format rounds to six
-/// significant digits; the log must not).
+/// Little-endian fixed-width integer framing for the binary profile
+/// codec, the one format every profile at rest uses: WAL records and
+/// snapshot bodies alike. Doubles travel as their raw IEEE-754 bit
+/// pattern, so degrees of interest and literals round-trip exactly.
 
 inline void PutFixed32(std::string* dst, uint32_t v) {
   char buf[4];

@@ -153,7 +153,7 @@ Status DurableProfileStore::Recover(uint64_t* next_seqno) {
   std::unordered_map<std::string, std::optional<UserProfile>> replayed;
 
   // Base state: the snapshot. Its checksum is verified against the
-  // manifest before a single profile is parsed. A tiered store indexes
+  // manifest before a single profile is decoded. A tiered store indexes
   // the entry headers only — no profile is materialized until its first
   // Get — so recovery cost and resident set stay O(hot budget), not
   // O(users).
@@ -408,7 +408,7 @@ Result<UserProfile> DurableProfileStore::BuildFromPlan(
         std::string body,
         fs_->ReadFileRange(JoinPath(dir_, manifest_.snapshot_file),
                            plan.offset, plan.length));
-    QP_ASSIGN_OR_RETURN(profile, UserProfile::Parse(body));
+    QP_ASSIGN_OR_RETURN(profile, DecodeProfile(body));
   }
   for (const std::string& payload : plan.tail) {
     QP_ASSIGN_OR_RETURN(ProfileMutation mutation, DecodeMutation(payload));
@@ -768,9 +768,9 @@ Status DurableProfileStore::CheckpointLocked(bool for_recovery) {
                                      &next.snapshot_crc));
   } else {
     // Tiered merge: every alive user lands in the new snapshot, but only
-    // the resident ones are serialized from memory. A cold user whose
+    // the resident ones are encoded from memory. A cold user whose
     // overlay is empty has its body copied verbatim from the old
-    // snapshot (byte-identical, no parse); a cold user with buffered
+    // snapshot (byte-identical, no decode); a cold user with buffered
     // mutations is rebuilt through the same plan a Get-load uses. All
     // stripes are held, so the plans are an exact cut.
     std::unordered_map<std::string, std::shared_ptr<const UserProfile>> hot;
@@ -785,20 +785,19 @@ Status DurableProfileStore::CheckpointLocked(bool for_recovery) {
     const auto plans = tier_->CheckpointPlans();
     QP_RETURN_IF_ERROR(
         writer.Open(JoinPath(dir_, next.snapshot_file), plans.size()));
+    std::string body;
     for (const auto& [user_id, plan] : plans) {
+      body.clear();
       if (auto it = hot.find(user_id); it != hot.end()) {
-        QP_RETURN_IF_ERROR(writer.Add(user_id, it->second->Serialize()));
-        continue;
-      }
-      if (plan.in_snapshot && plan.tail.empty()) {
+        EncodeProfile(*it->second, &body);
+      } else if (plan.in_snapshot && plan.tail.empty()) {
         QP_ASSIGN_OR_RETURN(
-            std::string body,
-            fs_->ReadFileRange(old_snapshot, plan.offset, plan.length));
-        QP_RETURN_IF_ERROR(writer.Add(user_id, body));
-        continue;
+            body, fs_->ReadFileRange(old_snapshot, plan.offset, plan.length));
+      } else {
+        QP_ASSIGN_OR_RETURN(UserProfile rebuilt, BuildFromPlan(plan));
+        EncodeProfile(rebuilt, &body);
       }
-      QP_ASSIGN_OR_RETURN(UserProfile rebuilt, BuildFromPlan(plan));
-      QP_RETURN_IF_ERROR(writer.Add(user_id, rebuilt.Serialize()));
+      QP_RETURN_IF_ERROR(writer.Add(user_id, body));
     }
     QP_RETURN_IF_ERROR(
         writer.Finish(&next.snapshot_bytes, &next.snapshot_crc));

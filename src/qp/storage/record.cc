@@ -210,12 +210,31 @@ void EncodePreference(const AtomicPreference& preference, std::string* dst) {
   }
 }
 
+void EncodeProfile(const UserProfile& profile, std::string* dst) {
+  EncodePreferences(profile.preferences(), dst);
+}
+
+Result<UserProfile> DecodeProfile(std::string_view data) {
+  Decoder in(data);
+  std::vector<AtomicPreference> preferences;
+  if (!DecodePreferences(&in, &preferences) || !in.empty()) {
+    return Status::ParseError("corrupt profile body");
+  }
+  UserProfile profile;
+  for (AtomicPreference& preference : preferences) {
+    if (Status status = profile.Add(std::move(preference)); !status.ok()) {
+      return Status::ParseError("corrupt profile body: " + status.message());
+    }
+  }
+  return profile;
+}
+
 void EncodeMutation(const ProfileMutation& mutation, std::string* dst) {
   dst->push_back(static_cast<char>(mutation.kind));
   PutLengthPrefixed(dst, mutation.user_id);
   switch (mutation.kind) {
     case ProfileMutation::Kind::kPut:
-      EncodePreferences(mutation.profile.preferences(), dst);
+      EncodeProfile(mutation.profile, dst);
       break;
     case ProfileMutation::Kind::kUpsert:
       EncodePreferences(mutation.preferences, dst);
@@ -266,6 +285,9 @@ Result<ProfileMutation> DecodeMutation(std::string_view data) {
 
 bool PreferencesEqual(const AtomicPreference& a, const AtomicPreference& b) {
   if (a.kind() != b.kind()) return false;
+  // SameCondition lets Int(7) equal Real(7.0); a stored literal must
+  // come back with its type.
+  if (!a.is_join() && a.value().type() != b.value().type()) return false;
   if (!a.SameCondition(b)) return false;
   if (a.doi() != b.doi()) return false;
   if (a.is_near() && a.width() != b.width()) return false;

@@ -42,9 +42,21 @@ struct ProfileMutation {
 /// tail.
 void Replay(ProfileMutation* mutation, std::optional<UserProfile>* profile);
 
-/// Appends the binary encoding of `mutation` to `*dst`. The encoding is
-/// exact (doubles as raw bit patterns), unlike the text profile format
-/// which rounds degrees to six significant digits.
+/// Appends the binary encoding of `profile` to `*dst`: a preference
+/// count, then each preference as tagged values with doubles as raw bit
+/// patterns. This one codec carries every profile at rest — a snapshot
+/// body is exactly this, and so is a WAL Put record after its user id —
+/// and it reproduces each profile bit for bit, value types included.
+void EncodeProfile(const UserProfile& profile, std::string* dst);
+
+/// Decodes exactly one EncodeProfile body. A framing violation
+/// (truncation, trailing bytes, unknown tag) and every preference
+/// UserProfile::Add refuses (duplicate condition, degree outside [-1, 1]
+/// or NaN, zero degree, negative join) yield a ParseError.
+Result<UserProfile> DecodeProfile(std::string_view data);
+
+/// Appends the binary encoding of `mutation` to `*dst`: its kind, user
+/// id and, for kPut, the EncodeProfile body.
 void EncodeMutation(const ProfileMutation& mutation, std::string* dst);
 
 /// Decodes one mutation from `data`, which must contain exactly one
@@ -57,7 +69,8 @@ Result<ProfileMutation> DecodeMutation(std::string_view data);
 void EncodePreference(const AtomicPreference& preference, std::string* dst);
 
 /// True when the two preferences are identical including kind, condition,
-/// width and exact degree bits (SameCondition ignores the degree).
+/// literal type, width and exact degree (SameCondition ignores the degree
+/// and lets Int(7) equal Real(7.0)).
 bool PreferencesEqual(const AtomicPreference& a, const AtomicPreference& b);
 
 /// Exact structural equality of two profiles: same preferences in the

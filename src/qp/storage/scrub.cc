@@ -37,15 +37,10 @@ bool DegreeInRange(double doi) {
 
 Status CheckProfileInvariants(const Schema& schema, const UserProfile& profile,
                               const PersonalizationGraph* graph) {
-  // The standing validation first: attributes exist, literal types match,
-  // join preferences correspond to declared schema joins.
+  // The standing validation first, the one a store ran before accepting
+  // the profile: degrees obey Add's rules, attributes exist, literal
+  // types match, join preferences correspond to declared schema joins.
   QP_RETURN_IF_ERROR(profile.Validate(schema));
-  for (const AtomicPreference& preference : profile.preferences()) {
-    if (!DegreeInRange(preference.doi())) {
-      return BadDegree("preference " + preference.ConditionString(),
-                       preference.doi());
-    }
-  }
   if (graph == nullptr) {
     return Status::Internal("profile has no personalization graph");
   }

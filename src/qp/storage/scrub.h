@@ -39,10 +39,11 @@ struct ScrubReport {
 };
 
 /// Re-checks the invariants a healthy in-memory profile must satisfy:
-/// validates against the schema (attribute existence, literal types, doi
-/// within (0, 1]) and bounds every graph edge's |doi| by 1 — the per-edge
-/// bound that makes a preference path's implicit degree f(D), the product
-/// of its edge degrees, obey f(D) ≤ min(D). Returns the first violation.
+/// UserProfile::Validate (|doi| within (0, 1], no negative join,
+/// attribute existence, literal types) and bounds every graph edge's
+/// |doi| by 1 — the per-edge bound that makes a preference path's
+/// implicit degree f(D), the product of its edge degrees, obey
+/// f(D) ≤ min(D). Returns the first violation.
 Status CheckProfileInvariants(const Schema& schema, const UserProfile& profile,
                               const PersonalizationGraph* graph);
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <functional>
 
+#include "qp/storage/record.h"
 #include "qp/util/crc32c.h"
 #include "qp/util/string_util.h"
 
@@ -15,7 +16,10 @@ const char kManifestName[] = "MANIFEST";
 
 namespace {
 
-const char kSnapshotHeader[] = "qp-snapshot v1";
+// v2 bodies are the binary profile codec (EncodeProfile). A header of
+// another version is refused with its name, not as damage.
+const char kSnapshotHeader[] = "qp-snapshot v2";
+const char kSnapshotMagic[] = "qp-snapshot ";
 const char kManifestHeader[] = "qp-manifest v1";
 
 bool ParseUint64(std::string_view text, uint64_t* out) {
@@ -170,8 +174,11 @@ Status WriteSnapshot(FileSystem* fs, const std::string& path,
                      uint32_t* crc) {
   SnapshotWriter writer(fs);
   QP_RETURN_IF_ERROR(writer.Open(path, users.size()));
+  std::string body;
   for (const auto& [user_id, profile] : users) {
-    QP_RETURN_IF_ERROR(writer.Add(user_id, profile->Serialize()));
+    body.clear();
+    EncodeProfile(*profile, &body);
+    QP_RETURN_IF_ERROR(writer.Add(user_id, body));
   }
   return writer.Finish(bytes, crc);
 }
@@ -181,7 +188,7 @@ namespace {
 /// The one framing walk both readers share: verifies size + CRC against
 /// the manifest, then visits every `user` entry with its id, body view
 /// and the body's byte offset in the file. The visitor decides what to
-/// materialize — LoadSnapshot parses profiles, IndexSnapshot records
+/// materialize — LoadSnapshot decodes profiles, IndexSnapshot records
 /// positions only.
 Status VerifyAndWalkSnapshot(
     const std::string& content, const std::string& path,
@@ -211,7 +218,13 @@ Status VerifyAndWalkSnapshot(
   };
 
   std::string_view line;
-  if (!read_line(&line) || line != kSnapshotHeader) {
+  if (!read_line(&line)) return corrupt("bad header");
+  if (line != kSnapshotHeader) {
+    if (StartsWith(line, kSnapshotMagic)) {
+      return Status::ParseError(
+          "unsupported snapshot " + path + ": format '" + std::string(line) +
+          "', this build reads only '" + kSnapshotHeader + "'");
+    }
     return corrupt("bad header");
   }
   if (!read_line(&line) || !StartsWith(line, "count ")) {
@@ -259,7 +272,7 @@ Result<std::vector<std::pair<std::string, UserProfile>>> LoadSnapshot(
   QP_RETURN_IF_ERROR(VerifyAndWalkSnapshot(
       content, path, expected_bytes, expected_crc,
       [&](std::string&& user_id, std::string_view body, uint64_t) -> Status {
-        QP_ASSIGN_OR_RETURN(UserProfile profile, UserProfile::Parse(body));
+        QP_ASSIGN_OR_RETURN(UserProfile profile, DecodeProfile(body));
         users.emplace_back(std::move(user_id), std::move(profile));
         return Status::Ok();
       }));

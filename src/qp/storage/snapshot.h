@@ -45,24 +45,28 @@ Result<Manifest> ReadManifest(FileSystem* fs, const std::string& dir);
 using SnapshotUsers =
     std::vector<std::pair<std::string, std::shared_ptr<const UserProfile>>>;
 
-/// Serializes `users` to `path` (profile bodies in the paper's text
-/// round-trip format, byte-length framed), fsyncs it, and reports the
-/// byte count + CRC32C for the manifest.
+/// Writes `users` to `path` and fsyncs it, reporting the byte count +
+/// CRC32C for the manifest. The format ("qp-snapshot v2") is a text
+/// header and count line, then per user a "user <idlen> <bodylen>" line,
+/// the id, a newline and the body: the user's profile in the binary
+/// profile codec (EncodeProfile), which reproduces it bit for bit.
 Status WriteSnapshot(FileSystem* fs, const std::string& path,
                      const SnapshotUsers& users, uint64_t* bytes,
                      uint32_t* crc);
 
 /// Loads and verifies a snapshot written by WriteSnapshot. A size or
 /// checksum mismatch against the manifest values is an error — a
-/// snapshot is either wholly valid or the directory is corrupt.
+/// snapshot is either wholly valid or the directory is corrupt — and so
+/// is any body DecodeProfile refuses. Another format version (v1 bodies
+/// were text) is a ParseError that names it.
 Result<std::vector<std::pair<std::string, UserProfile>>> LoadSnapshot(
     FileSystem* fs, const std::string& path, uint64_t expected_bytes,
     uint32_t expected_crc);
 
-/// Where one user's serialized profile body sits inside a snapshot file,
+/// Where one user's encoded profile body sits inside a snapshot file,
 /// the unit of the tiered store's cold index: a cold profile is paged in
-/// with a single ReadFileRange(offset, length) + UserProfile::Parse, no
-/// other entry touched.
+/// with a single ReadFileRange(offset, length) + DecodeProfile, no other
+/// entry touched.
 struct SnapshotEntry {
   std::string user_id;
   uint64_t offset = 0;  // Byte offset of the profile body in the file.
@@ -71,7 +75,7 @@ struct SnapshotEntry {
 
 /// Verifies the whole file (size + CRC32C against the manifest) and
 /// walks only the length-framed entry headers — profile bodies are never
-/// parsed — returning every user's body position. This is how a tiered
+/// decoded — returning every user's body position. This is how a tiered
 /// recovery indexes a million-user snapshot without materializing a
 /// single profile.
 Result<std::vector<SnapshotEntry>> IndexSnapshot(FileSystem* fs,

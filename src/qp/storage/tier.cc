@@ -27,7 +27,7 @@ void ProfileTier::NoteLogged(const ProfileMutation& mutation,
       state.tail.push_back(std::move(payload));
       ++overlay_records_;
       // The Put payload alone reproduces the profile; the snapshot base
-      // would only be parsed and thrown away.
+      // would only be decoded and thrown away.
       state.in_snapshot = false;
       break;
     }

@@ -12,8 +12,8 @@ Two kinds of checks, mirroring what a reviewer reads the sidecar for:
      throughputs on the same machine class stay stable well inside 25%.
   2. Ceiling guards: lower-is-better metrics (executor totals over the
      ablation_exec queries and the fig8/fig9 sweeps, breaker recovery
-     latency, the scrubber's throughput tax, request p99 inside the
-     live-reshard migration window) must not exceed baseline * headroom.
+     latency, request p99 inside the live-reshard migration window)
+     must not exceed baseline * headroom.
      Absolute latencies jitter more than ratios, so the headroom is
      generous (2x) — the gate catches order-of-magnitude cliffs, not
      noise.
@@ -23,7 +23,7 @@ Two kinds of checks, mirroring what a reviewer reads the sidecar for:
      the hot budget.
   4. Absolute ceilings: design budgets the current run must stay under
      regardless of the baseline (the sampled-tracing tax at a 1% head
-     rate must stay below 3%).
+     rate must stay below 3%, the scrubber's throughput tax below 2%).
 
 A metric present in the baseline but missing from the current report is
 an error (a silently dropped bench is how regressions hide); a metric new
@@ -60,7 +60,6 @@ GUARDED_MAX = [
     ("fig9_sq_mq_vs_l", "total_sq_exec_ms", 2.0),
     ("fig9_sq_mq_vs_l", "total_mq_exec_ms", 2.0),
     ("fault_recovery", "breaker_recover_ms", 2.0),
-    ("fault_recovery", "scrub_tax_pct", 2.0),
     ("shard_scale", "reshard_window_p99_ms", 2.0),
 ]
 
@@ -79,9 +78,13 @@ INVARIANTS = [
 # (bench, scalar, ceiling) absolute bounds on the *current* report,
 # independent of the baseline. Unlike GUARDED_MAX these do not scale
 # with history: the sampled-tracing tax at a 1% head rate is a design
-# budget (< 3% or always-on tracing is not shippable), not a trajectory.
+# budget (< 3% or always-on tracing is not shippable), not a trajectory,
+# and so is the background scrubber's tax on mutation throughput (the
+# < 2% acceptance bar; the paired measurement reads within a point of
+# zero, where 2x a one-draw baseline would let ~7.6% through).
 ABSOLUTE_MAX = [
     ("service_throughput", "sampled_trace_tax_pct", 3.0),
+    ("fault_recovery", "scrub_tax_pct", 2.0),
 ]
 
 

@@ -30,11 +30,11 @@
 #      as an artifact diff;
 #   5. a regression gate: the fresh bench report is checked against the
 #      committed BENCH_baseline.json — a >25% drop in service/shard
-#      throughput, an executor total (ablation_exec, fig8, fig9), a
-#      fault-recovery cost (breaker time-to-recover, scrub tax) or
-#      reshard migration-window p99 above 2x its baseline, or a violated
-#      shard invariant (acked loss — kill/recover or live reshard —
-#      unbounded residency), fails the run;
+#      throughput, an executor total (ablation_exec, fig8, fig9), the
+#      breaker's time-to-recover or reshard migration-window p99 above
+#      2x its baseline, a scrub tax above 2% or a sampled-tracing tax
+#      above 3%, or a violated shard invariant (acked loss — kill/recover
+#      or live reshard — unbounded residency), fails the run;
 #   6. the end-to-end benchmark (bench/e2e) in smoke mode on each of its
 #      workloads: every run checks 512 answers against the serial
 #      Personalizer, and write_mix also checks every write after a
@@ -50,6 +50,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 ROOT="$PWD"
 JOBS="$(nproc 2>/dev/null || echo 2)"
+source "$ROOT/tests/cmake_generator.sh"
 
 # Suites that must also pass sanitized: the storage/durability layer, the
 # request-lifecycle (deadline / cancellation / admission) suites, and the
@@ -96,8 +97,11 @@ QP_CHAOS_TRIALS=100 QP_EXEC_TRIALS=150 QP_SHARD_CHAOS_TRIALS=25 \
 
 echo "==== [ci] QP_FAULTS_DISABLED compile check ===="
 # Production builds compile every fault site to a literal no-op; this
-# gate catches a site whose disabled stub no longer typechecks.
-cmake -B "$ROOT/build-nofaults" -S "$ROOT" -DQP_FAULTS_DISABLED=ON >/dev/null
+# gate catches a site whose disabled stub no longer typechecks. Like the
+# sanitizer trees, a new tree uses Ninja so its targets build in parallel.
+qp_generator_for "$ROOT/build-nofaults"
+cmake -B "$ROOT/build-nofaults" -S "$ROOT" "${QP_GENERATOR[@]}" \
+  -DQP_FAULTS_DISABLED=ON >/dev/null
 cmake --build "$ROOT/build-nofaults" -j "$JOBS" \
   --target qp_storage qp_service qp_shard qpshell fault_hub_test \
   tiered_store_test sharded_service_test routing_table_test reshard_test
@@ -113,7 +117,9 @@ echo "==== [ci] QP_OBS_DISABLED compile check ===="
 # site stubs to a no-op, so the full stack (libraries + the shell, which
 # exercises \blackbox/\slo/\migrations) has to build and the
 # tracing-independent suites still pass.
-cmake -B "$ROOT/build-noobs" -S "$ROOT" -DQP_OBS_DISABLED=ON >/dev/null
+qp_generator_for "$ROOT/build-noobs"
+cmake -B "$ROOT/build-noobs" -S "$ROOT" "${QP_GENERATOR[@]}" \
+  -DQP_OBS_DISABLED=ON >/dev/null
 cmake --build "$ROOT/build-noobs" -j "$JOBS" \
   --target qp_obs qp_storage qp_service qp_shard qpshell \
   flight_recorder_test slo_test sharded_service_test reshard_test
@@ -164,9 +170,9 @@ cat "$REPORT"
 
 echo "==== [ci] bench regression gate (vs BENCH_baseline.json) ===="
 # Fails on a >25% drop in service / shard-cluster throughput, on an
-# executor total or other guarded latency above 2x its baseline (each
-# read as the median of the report's runs), or on a violated shard
-# invariant. Regenerate
+# executor total or other guarded latency above 2x its baseline, on a
+# tax above its absolute ceiling (each read as the median of the
+# report's runs), or on a violated shard invariant. Regenerate
 # the baseline (and review the diff) when a deliberate perf change moves
 # the floor: copy build/bench_report.json over BENCH_baseline.json.
 python3 tests/check_bench_regression.py \

@@ -1,9 +1,14 @@
 #include "qp/pref/profile.h"
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "common/test_util.h"
 #include "gtest/gtest.h"
 #include "qp/data/movie_db.h"
 #include "qp/data/paper_example.h"
+#include "qp/util/random.h"
 
 namespace qp {
 namespace {
@@ -93,6 +98,104 @@ TEST(UserProfileTest, RejectsDuplicateConditions) {
   UserProfile profile;
   QP_EXPECT_OK(profile.Add(Comedy(0.9)));
   EXPECT_EQ(profile.Add(Comedy(0.5)).code(), StatusCode::kAlreadyExists);
+}
+
+TEST(UserProfileTest, HashedDuplicateCheckMatchesALinearScan) {
+  // A small pool of conditions that collide in every way SameCondition
+  // allows: 2 vs 2.0, 0 vs 0.0 vs -0.0, near widths 0.0 vs -0.0, a near
+  // and an exact selection on one attribute and value, and both
+  // directions of a join. The reference is the plain linear scan.
+  const AttributeRef a{"T", "a"}, b{"U", "b"};
+  const std::vector<Value> values = {
+      Value::Int(2),    Value::Real(2.0),  Value::Int(0),
+      Value::Real(0.0), Value::Real(-0.0), Value::Str("2"),
+      Value::Int(-5),   Value::Null()};
+  const std::vector<double> widths = {0.0, -0.0, 1.0};
+  const std::vector<double> degrees = {0.25, 0.5, 1.0, -0.5};
+  Rng rng(20261019);
+  for (int sequence = 0; sequence < 200; ++sequence) {
+    UserProfile profile;
+    std::vector<AtomicPreference> reference;
+    for (int op = 0; op < 40; ++op) {
+      const AttributeRef& attr = rng.Below(2) == 0 ? a : b;
+      const Value& value = values[rng.Below(values.size())];
+      double doi = degrees[rng.Below(degrees.size())];
+      AtomicPreference pref = AtomicPreference::Selection(attr, value, doi);
+      switch (rng.Below(3)) {
+        case 0:
+          break;
+        case 1:
+          pref = AtomicPreference::NearSelection(
+              attr, value, widths[rng.Below(widths.size())], doi);
+          break;
+        default:
+          pref = rng.Below(2) == 0
+                     ? AtomicPreference::Join(a, b, std::fabs(doi))
+                     : AtomicPreference::Join(b, a, std::fabs(doi));
+          break;
+      }
+      size_t match = reference.size();
+      for (size_t i = 0; i < reference.size(); ++i) {
+        if (reference[i].SameCondition(pref)) {
+          match = i;
+          break;
+        }
+      }
+      if (rng.Below(2) == 0) {
+        Status status = profile.Add(pref);
+        if (match < reference.size()) {
+          EXPECT_EQ(status.code(), StatusCode::kAlreadyExists)
+              << "sequence " << sequence << " op " << op << ": "
+              << pref.ToString();
+        } else {
+          QP_EXPECT_OK(status);
+          reference.push_back(pref);
+        }
+      } else {
+        profile.AddOrUpdate(pref);
+        if (match < reference.size()) {
+          reference[match] = pref;
+        } else {
+          reference.push_back(pref);
+        }
+      }
+      ASSERT_EQ(profile.size(), reference.size())
+          << "sequence " << sequence << " op " << op;
+      for (size_t i = 0; i < reference.size(); ++i) {
+        const AtomicPreference& got = profile.preferences()[i];
+        EXPECT_EQ(got.kind(), reference[i].kind());
+        EXPECT_TRUE(got.SameCondition(reference[i]));
+        EXPECT_EQ(got.doi(), reference[i].doi());
+        if (!got.is_join()) {
+          EXPECT_EQ(got.value().type(), reference[i].value().type());
+        }
+      }
+    }
+  }
+}
+
+TEST(UserProfileTest, ConditionHashAgreesWithSameCondition) {
+  auto selection = [](Value value) {
+    return AtomicPreference::Selection({"T", "a"}, std::move(value), 0.5);
+  };
+  EXPECT_EQ(selection(Value::Int(2)).ConditionHash(),
+            selection(Value::Real(2.0)).ConditionHash());
+  EXPECT_EQ(selection(Value::Real(0.0)).ConditionHash(),
+            selection(Value::Real(-0.0)).ConditionHash());
+  EXPECT_EQ(selection(Value::Int(0)).ConditionHash(),
+            selection(Value::Real(-0.0)).ConditionHash());
+  // Beyond 2^53 an int equals the double it rounds to.
+  const int64_t big = (int64_t{1} << 53) + 1;
+  ASSERT_TRUE(selection(Value::Int(big))
+                  .SameCondition(selection(Value::Real(0x1p53))));
+  EXPECT_EQ(selection(Value::Int(big)).ConditionHash(),
+            selection(Value::Real(0x1p53)).ConditionHash());
+  EXPECT_EQ(AtomicPreference::NearSelection({"T", "a"}, Value::Int(3), 0.0,
+                                            0.5)
+                .ConditionHash(),
+            AtomicPreference::NearSelection({"T", "a"}, Value::Int(3), -0.0,
+                                            0.5)
+                .ConditionHash());
 }
 
 TEST(UserProfileTest, AddOrUpdateReplaces) {
@@ -195,6 +298,36 @@ TEST(UserProfileTest, ParseErrors) {
   EXPECT_FALSE(UserProfile::Parse("GENRE.genre='comedy', 0.9").ok());
   EXPECT_FALSE(UserProfile::Parse("[ GENRE.genre='comedy', 0.9").ok());
   EXPECT_FALSE(UserProfile::Parse("[ GENRE.genre='comedy', 1.9 ]").ok());
+}
+
+TEST(UserProfileTest, TextFormatKeepsLiteralTypesAndSigns) {
+  // An integral double must not come back as an integer, and a negative
+  // literal must parse: the text format round-trips what a store accepts.
+  UserProfile profile;
+  QP_ASSERT_OK(profile.Add(
+      AtomicPreference::Selection({"T", "a"}, Value::Int(-5), 0.5)));
+  QP_ASSERT_OK(profile.Add(
+      AtomicPreference::Selection({"T", "b"}, Value::Real(7.0), 0.75)));
+  QP_ASSERT_OK(profile.Add(
+      AtomicPreference::Selection({"T", "c"}, Value::Real(-0.0), 0.25)));
+  QP_ASSERT_OK(profile.Add(AtomicPreference::Selection(
+      {"T", "d"}, Value::Int(std::numeric_limits<int64_t>::min()), 1.0)));
+  EXPECT_EQ(profile.Serialize(),
+            "[ T.a=-5, 0.5 ]\n"
+            "[ T.b=7.0, 0.75 ]\n"
+            "[ T.c=-0.0, 0.25 ]\n"
+            "[ T.d=-9223372036854775808, 1 ]\n");
+
+  auto reparsed = UserProfile::Parse(profile.Serialize());
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status();
+  ASSERT_EQ(reparsed->size(), profile.size());
+  for (size_t i = 0; i < profile.size(); ++i) {
+    const Value& want = profile.preferences()[i].value();
+    const Value& got = reparsed->preferences()[i].value();
+    EXPECT_EQ(got.type(), want.type()) << i;
+    EXPECT_EQ(got, want) << i;
+  }
+  EXPECT_TRUE(std::signbit(reparsed->preferences()[2].value().as_double()));
 }
 
 TEST(UserProfileTest, SerializeParseRoundTrip) {

@@ -16,6 +16,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 ROOT="$PWD"
+source "$ROOT/tests/cmake_generator.sh"
 
 sanitizers=()
 case "${1:-all}" in
@@ -30,14 +31,8 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 for sanitizer in "${sanitizers[@]}"; do
   build_dir="$ROOT/build-$sanitizer"
   echo "==== [$sanitizer] configuring $build_dir ===="
-  # A new tree uses Ninja when it is installed: it builds several selected
-  # targets in parallel, where the Makefile generator's top level builds
-  # one target at a time. An existing tree keeps its generator.
-  generator=()
-  if [[ ! -f "$build_dir/CMakeCache.txt" ]] && command -v ninja >/dev/null; then
-    generator=(-G Ninja)
-  fi
-  cmake -B "$build_dir" -S "$ROOT" "${generator[@]}" \
+  qp_generator_for "$build_dir"
+  cmake -B "$build_dir" -S "$ROOT" "${QP_GENERATOR[@]}" \
     -DQP_SANITIZE="$sanitizer" -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   echo "==== [$sanitizer] building ===="
   if [[ ${#CTEST_ARGS[@]} -gt 0 ]]; then

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -15,6 +16,7 @@
 #include "gtest/gtest.h"
 #include "qp/data/movie_db.h"
 #include "qp/data/paper_example.h"
+#include "qp/graph/personalization_graph.h"
 #include "qp/service/service.h"
 #include "qp/storage/durable_profile_store.h"
 #include "qp/storage/fault_injection.h"
@@ -442,6 +444,90 @@ TEST_F(DurableStoreTest, ConcurrentMutatorsThenRecovery) {
     ASSERT_NE(it, expected.end()) << user_id;
     EXPECT_TRUE(ProfilesEqual(*snapshot.profile, it->second)) << user_id;
   }
+}
+
+TEST_F(DurableStoreTest, TypedLiteralsSurviveCheckpointAndReopen) {
+  // A negative int literal and an integral double on a DOUBLE column:
+  // every acknowledged profile must reopen type-exactly and build its
+  // graph, through an untiered store's recovery and a tiered store's cold
+  // load of a checkpointed body alike.
+  Schema schema;
+  QP_ASSERT_OK(schema.AddTable(TableSchema(
+      "T", {{"a", DataType::kInt64}, {"b", DataType::kDouble}}, {})));
+  UserProfile typed;
+  QP_ASSERT_OK(typed.Add(
+      AtomicPreference::Selection({"T", "a"}, Value::Int(-5), 0.5)));
+  QP_ASSERT_OK(typed.Add(
+      AtomicPreference::Selection({"T", "b"}, Value::Real(7.0), -0.75)));
+  UserProfile other;
+  QP_ASSERT_OK(other.Add(
+      AtomicPreference::Selection({"T", "b"}, Value::Real(-0.0), 0.25)));
+
+  for (size_t hot_capacity : {size_t{0}, size_t{1}}) {
+    SCOPED_TRACE("hot_capacity " + std::to_string(hot_capacity));
+    FaultInjectingFileSystem fs;
+    StorageOptions options;
+    options.dir = "db";
+    options.fs = &fs;
+    options.background_compaction = false;
+    options.hot_capacity = hot_capacity;
+    {
+      auto store_or = DurableProfileStore::Open(&schema, options);
+      QP_ASSERT_OK(store_or.status());
+      auto store = std::move(store_or).value();
+      QP_ASSERT_OK(store->Put("typed", typed));
+      QP_ASSERT_OK(store->Put("other", other));  // Tiered: "typed" is cold.
+      QP_ASSERT_OK(store->Checkpoint());
+      QP_ASSERT_OK(store->Close());
+    }
+    auto store_or = DurableProfileStore::Open(&schema, options);
+    QP_ASSERT_OK(store_or.status());
+    auto store = std::move(store_or).value();
+    for (const auto& [user, expected] :
+         {std::pair<const char*, const UserProfile*>{"typed", &typed},
+          {"other", &other}}) {
+      auto snapshot = store->Get(user);
+      ASSERT_TRUE(snapshot.ok()) << user << ": " << snapshot.status();
+      EXPECT_TRUE(ProfilesEqual(*snapshot->profile, *expected)) << user;
+      QP_EXPECT_OK(
+          PersonalizationGraph::Build(&schema, *snapshot->profile).status());
+    }
+  }
+}
+
+TEST_F(DurableStoreTest, UpsertRefusesDegreesAReloadRefuses) {
+  // Each of these would be acknowledged and checkpointed, after which no
+  // reopen could load the profile: the store refuses it before the WAL.
+  const std::vector<AtomicPreference> refused = {
+      AtomicPreference::Selection({"GENRE", "genre"}, Value::Str("noir"), 0.0),
+      AtomicPreference::Selection({"GENRE", "genre"}, Value::Str("noir"), 1.5),
+      AtomicPreference::Selection({"GENRE", "genre"}, Value::Str("noir"),
+                                  -3.0),
+      AtomicPreference::Selection({"GENRE", "genre"}, Value::Str("noir"),
+                                  std::numeric_limits<double>::quiet_NaN()),
+      AtomicPreference::Join({"PLAY", "mid"}, {"MOVIE", "mid"}, -0.5),
+  };
+  {
+    auto store = MustOpen(Options());
+    ASSERT_NE(store, nullptr);
+    QP_ASSERT_OK(store->Put("julie", JulieProfile()));
+    for (const AtomicPreference& pref : refused) {
+      EXPECT_EQ(store->Upsert("julie", {pref}).code(),
+                StatusCode::kInvalidArgument)
+          << pref.ToString();
+      EXPECT_EQ(store->Upsert("newcomer", {pref}).code(),
+                StatusCode::kInvalidArgument)
+          << pref.ToString();
+    }
+    EXPECT_EQ(store->storage_stats().records_appended, 1u);
+    QP_ASSERT_OK(store->Checkpoint());
+    QP_ASSERT_OK(store->Close());
+  }
+  auto store = MustOpen(Options());
+  ASSERT_NE(store, nullptr);
+  QP_ASSERT_OK_AND_ASSIGN(ProfileSnapshot julie, store->Get("julie"));
+  EXPECT_TRUE(ProfilesEqual(*julie.profile, JulieProfile()));
+  EXPECT_FALSE(store->Get("newcomer").ok());
 }
 
 TEST_F(DurableStoreTest, ServiceIntegration) {

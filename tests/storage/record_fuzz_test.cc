@@ -1,11 +1,14 @@
-// Round-trip fuzzing of the binary WAL record format, the storage-layer
-// extension of the parser/profile fuzz suites: random mutations encode
-// and decode to bit-identical structures, every truncation of a valid
-// encoding is rejected (the format is prefix-free per kind), and random
-// or bit-flipped input never crashes the decoder.
+// Round-trip fuzzing of the binary profile codec (WAL records and
+// snapshot bodies), the storage-layer extension of the parser/profile
+// fuzz suites: random mutations and profiles encode and decode to
+// bit-identical structures, every truncation of a valid encoding is
+// rejected (the format is prefix-free per kind), a profile body the
+// store could never have written is refused, and random or bit-flipped
+// input never crashes the decoder.
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -13,6 +16,7 @@
 #include "gtest/gtest.h"
 #include "qp/pref/preference.h"
 #include "qp/pref/profile.h"
+#include "qp/storage/coding.h"
 #include "qp/storage/record.h"
 #include "qp/storage/wal.h"
 #include "qp/util/random.h"
@@ -116,6 +120,41 @@ ProfileMutation RandomMutation(Rng* rng) {
   }
 }
 
+// A degree UserProfile::Add accepts: any double in [-1, 1] but zero,
+// and positive for a join.
+double RandomStoredDegree(Rng* rng, bool join) {
+  for (;;) {
+    double doi = rng->NextDouble();
+    if (doi == 0.0) continue;
+    return join || rng->Below(2) == 0 ? doi : -doi;
+  }
+}
+
+// A profile a store could hold: random conditions (full-byte names,
+// every literal type) with stored degrees, duplicates dropped by Add.
+UserProfile RandomStoredProfile(Rng* rng) {
+  UserProfile profile;
+  size_t n = rng->Below(12);
+  for (size_t i = 0; i < n; ++i) {
+    AtomicPreference pref = RandomPreference(rng);
+    if (pref.is_join()) {
+      pref = AtomicPreference::Join(pref.attribute(), pref.target(),
+                                    RandomStoredDegree(rng, true));
+    } else if (pref.is_near()) {
+      pref = AtomicPreference::NearSelection(pref.attribute(), pref.value(),
+                                             pref.width(),
+                                             RandomStoredDegree(rng, false));
+    } else {
+      pref = AtomicPreference::Selection(pref.attribute(), pref.value(),
+                                         RandomStoredDegree(rng, false));
+    }
+    Status status = profile.Add(std::move(pref));
+    EXPECT_TRUE(status.ok() || status.code() == StatusCode::kAlreadyExists)
+        << status;
+  }
+  return profile;
+}
+
 void ExpectMutationsEqual(const ProfileMutation& a, const ProfileMutation& b) {
   ASSERT_EQ(a.kind, b.kind);
   EXPECT_EQ(a.user_id, b.user_id);
@@ -141,6 +180,90 @@ TEST(RecordFuzzTest, RandomMutationsRoundTripBitExactly) {
     std::string re_encoded;
     EncodeMutation(*decoded, &re_encoded);
     EXPECT_EQ(encoded, re_encoded) << "iter " << iter;
+  }
+}
+
+TEST(RecordFuzzTest, RandomProfilesRoundTripThroughTheProfileCodec) {
+  Rng rng(20261019);
+  for (int iter = 0; iter < 2000; ++iter) {
+    UserProfile profile = RandomStoredProfile(&rng);
+    std::string encoded;
+    EncodeProfile(profile, &encoded);
+    auto decoded = DecodeProfile(encoded);
+    ASSERT_TRUE(decoded.ok()) << "iter " << iter << ": " << decoded.status();
+    EXPECT_TRUE(ProfilesEqual(profile, *decoded)) << "iter " << iter;
+    std::string re_encoded;
+    EncodeProfile(*decoded, &re_encoded);
+    EXPECT_EQ(encoded, re_encoded) << "iter " << iter;
+
+    // The same bytes ride in a WAL Put record after its user id.
+    std::string put;
+    EncodeMutation(ProfileMutation::Put("u", profile), &put);
+    EXPECT_EQ(put.substr(put.size() - encoded.size()), encoded);
+  }
+}
+
+TEST(RecordFuzzTest, ProfileCodecRefusesDamagedBodies) {
+  Rng rng(8080);
+  for (int iter = 0; iter < 200; ++iter) {
+    UserProfile profile = RandomStoredProfile(&rng);
+    std::string encoded;
+    EncodeProfile(profile, &encoded);
+    for (size_t len = 0; len < encoded.size(); ++len) {
+      auto decoded = DecodeProfile(std::string_view(encoded).substr(0, len));
+      EXPECT_EQ(decoded.status().code(), StatusCode::kParseError)
+          << "iter " << iter << ": truncation to " << len;
+    }
+    encoded.push_back(static_cast<char>(rng.Below(256)));
+    EXPECT_EQ(DecodeProfile(encoded).status().code(), StatusCode::kParseError)
+        << "iter " << iter << ": trailing byte";
+  }
+  std::string unknown_tag;
+  PutFixed32(&unknown_tag, 1);
+  unknown_tag.push_back(static_cast<char>(9));
+  EXPECT_EQ(DecodeProfile(unknown_tag).status().code(),
+            StatusCode::kParseError);
+}
+
+TEST(RecordFuzzTest, ProfileCodecRefusesWhatAddRefuses) {
+  // Framing-valid bodies that no store writes: each must fail to decode
+  // as loudly as a damaged one.
+  auto body_of = [](const std::vector<AtomicPreference>& preferences) {
+    std::string body;
+    PutFixed32(&body, static_cast<uint32_t>(preferences.size()));
+    for (const AtomicPreference& pref : preferences) {
+      EncodePreference(pref, &body);
+    }
+    return body;
+  };
+  auto comedy = [](double doi) {
+    return AtomicPreference::Selection({"GENRE", "genre"},
+                                       Value::Str("comedy"), doi);
+  };
+  auto year = [](Value value) {
+    return AtomicPreference::Selection({"MOVIE", "year"}, std::move(value),
+                                       0.5);
+  };
+  const AtomicPreference join =
+      AtomicPreference::Join({"PLAY", "mid"}, {"MOVIE", "mid"}, 1.0);
+  QP_ASSERT_OK(DecodeProfile(body_of({comedy(0.9), join})).status());
+
+  const std::vector<std::pair<const char*, std::string>> refused = {
+      {"duplicate", body_of({comedy(0.9), comedy(0.4)})},
+      {"duplicate 2 vs 2.0", body_of({year(Value::Int(2)),
+                                      year(Value::Real(2.0))})},
+      {"duplicate join", body_of({join, join})},
+      {"zero", body_of({comedy(0.0)})},
+      {"above one", body_of({comedy(1.5)})},
+      {"below minus one", body_of({comedy(-3.0)})},
+      {"nan", body_of({comedy(std::numeric_limits<double>::quiet_NaN())})},
+      {"infinite", body_of({comedy(std::numeric_limits<double>::infinity())})},
+      {"negative join", body_of({AtomicPreference::Join(
+                            {"PLAY", "mid"}, {"MOVIE", "mid"}, -0.5)})},
+  };
+  for (const auto& [what, body] : refused) {
+    auto decoded = DecodeProfile(body);
+    EXPECT_EQ(decoded.status().code(), StatusCode::kParseError) << what;
   }
 }
 
@@ -252,11 +375,11 @@ TEST(RecordFuzzTest, BitFlipsNeverCrashTheDecoder) {
 
 TEST(RecordFuzzTest, BothDurableFormatsPreserveBitsOnlyTheDisplayRounds) {
   // A degree with more than six significant digits: the display
-  // rendering (ToString, 6 significant digits) rounds it, but both
-  // durable formats must not — the binary WAL record and the text
-  // snapshot (UserProfile::Serialize, which renders degrees with the
-  // round-trip formatter; the chaos suite caught the earlier display
-  // rendering silently perturbing snapshotted degrees).
+  // rendering (ToString, 6 significant digits) rounds it, but neither
+  // the binary profile codec (WAL records and snapshot bodies) nor the
+  // text profile format (UserProfile::Serialize, which renders degrees
+  // with the round-trip formatter; the chaos suite caught the earlier
+  // display rendering silently perturbing snapshotted degrees) may.
   const double doi = 0.123456789012345;
   UserProfile profile;
   QP_ASSERT_OK(profile.Add(AtomicPreference::Selection(
@@ -280,10 +403,21 @@ TEST(RecordFuzzTest, BothDurableFormatsPreserveBitsOnlyTheDisplayRounds) {
 }
 
 TEST(RecordFuzzTest, TextFormatRoundTripsOnTheBenchmarkGrid) {
-  // Degrees on a dyadic grid (k/16) have short exact decimal forms, so
-  // they survive the text format bit-exactly — the property the snapshot
-  // writer (which serializes profiles as text) relies on for the
-  // crash-recovery suite's generated profiles.
+  // The text profile format (qpshell's profile files, profile_inspector)
+  // reproduces every profile a store accepts, literal types included:
+  // RandomValue's ints and doubles at full range, negatives, integral
+  // doubles and -0.0, with degrees on a dyadic grid and at full
+  // precision.
+  const std::vector<Value> edges = {
+      Value::Int(-5),
+      Value::Int(std::numeric_limits<int64_t>::min()),
+      Value::Int(std::numeric_limits<int64_t>::max()),
+      Value::Real(7.0),
+      Value::Real(-7.0),
+      Value::Real(-0.0),
+      Value::Real(0.0),
+      Value::Real(1e300),
+      Value::Real(-std::numeric_limits<double>::denorm_min())};
   Rng rng(5);
   for (int iter = 0; iter < 200; ++iter) {
     UserProfile profile;
@@ -293,9 +427,29 @@ TEST(RecordFuzzTest, TextFormatRoundTripsOnTheBenchmarkGrid) {
     QP_ASSERT_OK(profile.Add(AtomicPreference::Join(
         AttributeRef{"PLAY", "mid"}, AttributeRef{"MOVIE", "mid"},
         static_cast<double>(1 + rng.Below(16)) / 16.0)));
+    for (int i = 0; i < 6; ++i) {
+      Value number = RandomValue(&rng);
+      if (number.type() != DataType::kInt64 &&
+          number.type() != DataType::kDouble) {
+        number = edges[rng.Below(edges.size())];
+      }
+      if (number.type() == DataType::kDouble && rng.Below(3) == 0) {
+        number = Value::Real(std::trunc(std::fmod(number.as_double(), 1e6)));
+      }
+      const AttributeRef attr{"T", "c" + std::to_string(i)};
+      const double doi = RandomStoredDegree(&rng, false);
+      AtomicPreference pref =
+          i % 3 == 2 ? AtomicPreference::NearSelection(
+                           attr, number, std::fabs(RandomDouble(&rng)), doi)
+                     : AtomicPreference::Selection(attr, number, doi);
+      QP_ASSERT_OK(profile.Add(std::move(pref)));
+    }
     auto reparsed = UserProfile::Parse(profile.Serialize());
-    ASSERT_TRUE(reparsed.ok()) << reparsed.status();
-    EXPECT_TRUE(ProfilesEqual(profile, *reparsed)) << "iter " << iter;
+    ASSERT_TRUE(reparsed.ok()) << reparsed.status() << "\n"
+                               << profile.Serialize();
+    EXPECT_TRUE(ProfilesEqual(profile, *reparsed))
+        << "iter " << iter << "\n"
+        << profile.Serialize();
   }
 }
 

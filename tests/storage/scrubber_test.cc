@@ -4,6 +4,7 @@
 // from durable truth (last good snapshot + WAL replay).
 
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -71,6 +72,27 @@ TEST(CheckProfileInvariantsTest, AcceptsValidProfileWithMatchingGraph) {
 TEST(CheckProfileInvariantsTest, RejectsSchemaViolations) {
   Schema schema = MovieSchema();
   EXPECT_FALSE(CheckProfileInvariants(schema, BogusProfile(), nullptr).ok());
+}
+
+TEST(CheckProfileInvariantsTest, RejectsDegreesAddRefuses) {
+  // AddOrUpdate checks no degree, so these profiles can exist in memory;
+  // the memory pass flags each through UserProfile::Validate, the check
+  // that makes a store refuse them.
+  Schema schema = MovieSchema();
+  const std::vector<AtomicPreference> refused = {
+      AtomicPreference::Selection({"GENRE", "genre"}, Value::Str("noir"), 0.0),
+      AtomicPreference::Selection({"GENRE", "genre"}, Value::Str("noir"), 1.5),
+      AtomicPreference::Selection({"GENRE", "genre"}, Value::Str("noir"),
+                                  std::numeric_limits<double>::quiet_NaN()),
+      AtomicPreference::Join({"PLAY", "mid"}, {"MOVIE", "mid"}, -0.5),
+  };
+  for (const AtomicPreference& pref : refused) {
+    UserProfile profile = JulieProfile();
+    profile.AddOrUpdate(pref);
+    EXPECT_EQ(CheckProfileInvariants(schema, profile, nullptr).code(),
+              StatusCode::kInvalidArgument)
+        << pref.ToString();
+  }
 }
 
 TEST(CheckProfileInvariantsTest, RejectsGraphOutOfSyncWithProfile) {

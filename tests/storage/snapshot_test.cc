@@ -1,6 +1,7 @@
 // Snapshot + manifest tests: atomic manifest commit, snapshot round-trip
-// through the text profile format, and checksum/size verification against
-// the manifest before a single profile is parsed.
+// through the binary profile codec, checksum/size verification against
+// the manifest before a single profile is decoded, and the refusal of
+// another format version by name.
 
 #include <memory>
 #include <string>
@@ -8,10 +9,13 @@
 
 #include "common/test_util.h"
 #include "gtest/gtest.h"
+#include "qp/data/movie_db.h"
 #include "qp/data/paper_example.h"
+#include "qp/storage/durable_profile_store.h"
 #include "qp/storage/fault_injection.h"
 #include "qp/storage/record.h"
 #include "qp/storage/snapshot.h"
+#include "qp/util/crc32c.h"
 
 namespace qp {
 namespace storage {
@@ -135,8 +139,6 @@ TEST_F(SnapshotTest, SnapshotRoundTrip) {
   ASSERT_EQ(loaded.size(), users.size());
   for (size_t i = 0; i < users.size(); ++i) {
     EXPECT_EQ(loaded[i].first, users[i].first) << "user " << i;
-    // The text profile format is exact for the example profiles (their
-    // degrees are short decimals).
     EXPECT_TRUE(ProfilesEqual(loaded[i].second, *users[i].second))
         << "user " << i;
   }
@@ -179,6 +181,46 @@ TEST_F(SnapshotTest, SizeMismatchIsRejectedBeforeParsing) {
   QP_ASSERT_OK(WriteSnapshot(&fs_, "db/snap", users, &bytes, &crc));
   auto loaded = LoadSnapshot(&fs_, "db/snap", bytes + 1, crc);
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+}
+
+TEST_F(SnapshotTest, VersionOneSnapshotIsRefusedByName) {
+  // A v1 snapshot (text bodies) with a valid size and checksum: its
+  // header names a format this build does not read.
+  const std::string body = "[ GENRE.genre='comedy', 1 ]\n";
+  const std::string v1 = "qp-snapshot v1\ncount 1\nuser 5 " +
+                         std::to_string(body.size()) + "\njulie\n" + body;
+  QP_ASSERT_OK(WriteFileAtomic(&fs_, "db/snap", v1));
+  const uint32_t crc = crc32c::Value(v1);
+  auto loaded = LoadSnapshot(&fs_, "db/snap", v1.size(), crc);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  EXPECT_NE(loaded.status().message().find("qp-snapshot v1"),
+            std::string::npos)
+      << loaded.status();
+  EXPECT_EQ(IndexSnapshot(&fs_, "db/snap", v1.size(), crc).status().code(),
+            StatusCode::kParseError);
+
+  // Open fails the same way, untiered and tiered.
+  Manifest manifest;
+  manifest.seqno = 1;
+  manifest.snapshot_file = "snap";
+  manifest.snapshot_bytes = v1.size();
+  manifest.snapshot_crc = crc;
+  manifest.wal_file = WalFileName(2);
+  QP_ASSERT_OK(WriteManifest(&fs_, "db", manifest));
+  Schema schema = MovieSchema();
+  for (size_t hot_capacity : {size_t{0}, size_t{1}}) {
+    StorageOptions options;
+    options.dir = "db";
+    options.fs = &fs_;
+    options.background_compaction = false;
+    options.hot_capacity = hot_capacity;
+    auto store = DurableProfileStore::Open(&schema, options);
+    EXPECT_EQ(store.status().code(), StatusCode::kParseError)
+        << "hot_capacity " << hot_capacity;
+    EXPECT_NE(store.status().message().find("qp-snapshot v1"),
+              std::string::npos)
+        << store.status();
+  }
 }
 
 TEST_F(SnapshotTest, MissingSnapshotFileIsNotFound) {
