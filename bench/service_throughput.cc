@@ -194,8 +194,7 @@ BENCHMARK(BM_PersonalizeBatch)
 /// runs the same batch twice, tracing detached then attached to a
 /// NullTraceSink (spans are recorded and the trace is built, then
 /// dropped). overhead_pct is the relative wall-time increase — the
-/// acceptance bar is < 2%, and with tracing compiled out
-/// (QP_OBS_DISABLED) it should be indistinguishable from noise.
+/// acceptance bar is < 2%.
 void BM_TraceNullSinkOverhead(benchmark::State& state) {
   auto service = MakeService(2, /*enable_cache=*/true);
   if (service == nullptr) {
@@ -225,7 +224,6 @@ void BM_TraceNullSinkOverhead(benchmark::State& state) {
       seconds_off > 0 ? (seconds_on - seconds_off) / seconds_off * 100.0
                       : 0.0;
   state.counters["overhead_pct"] = overhead_pct;
-  state.counters["traced"] = obs::kTracingCompiledIn ? 1.0 : 0.0;
   Report().AddScalar("trace_null_sink_overhead_pct", overhead_pct);
 }
 BENCHMARK(BM_TraceNullSinkOverhead)

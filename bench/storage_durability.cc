@@ -182,7 +182,8 @@ BENCHMARK(BM_WalAppend)
 /// Recovery time as a function of WAL length: a store is seeded with N
 /// logged mutations (no checkpoint, so recovery must replay all of
 /// them), then each iteration runs a full Open — manifest read, WAL
-/// scan + CRC verification, decode, and in-memory apply.
+/// scan + CRC verification, and each record decoded into the tier's
+/// overlay. No profile is built: each one pages in on its first Get.
 void BM_Recovery(benchmark::State& state) {
   const size_t num_mutations = static_cast<size_t>(state.range(0));
 
@@ -251,9 +252,9 @@ BENCHMARK(BM_Recovery)
     ->UseRealTime();
 
 /// Recovery after a checkpoint: the same mutation count, but compacted
-/// into a snapshot first — recovery loads the snapshot and replays only
-/// the post-checkpoint tail. Contrast with BM_Recovery at equal
-/// `mutations` to see what checkpointing buys.
+/// into a snapshot first — recovery verifies and indexes the snapshot
+/// (no body decoded) and replays only the post-checkpoint tail. Contrast
+/// with BM_Recovery at equal `mutations` to see what checkpointing buys.
 void BM_RecoveryAfterCheckpoint(benchmark::State& state) {
   const size_t num_mutations = static_cast<size_t>(state.range(0));
 

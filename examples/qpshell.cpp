@@ -40,6 +40,14 @@ namespace {
 
 using namespace qp;
 
+/// "<resident>/<budget>" of a durable store's tier ("all" for an
+/// in-memory store); a store without a budget shows "inf".
+std::string Residency(const storage::TierStats& tier) {
+  if (!tier.enabled) return "all";
+  return std::to_string(tier.hot_resident) + "/" +
+         (tier.hot_capacity > 0 ? std::to_string(tier.hot_capacity) : "inf");
+}
+
 class Shell {
  public:
   Shell() : schema_(MovieSchema()) {
@@ -244,7 +252,8 @@ class Shell {
         "                      one durable store per shard under <dir>,\n"
         "                      default qpshell-cluster). hot > 0 keeps at\n"
         "                      most `hot` profiles per shard in memory\n"
-        "                      (tiered: the rest page from disk). \\batch\n"
+        "                      (the rest page from disk; 0, the default,\n"
+        "                      is no budget). \\batch\n"
         "                      routes through the cluster; \\stats and\n"
         "                      \\health grow per-shard rows\n"
         "  \\shards             per-shard residency/breaker/scrub rows\n"
@@ -689,7 +698,7 @@ class Shell {
         hot_capacity > 0
             ? (" (tiered: <= " + std::to_string(hot_capacity) +
                " hot profiles per shard)").c_str()
-            : " (untiered)",
+            : " (no hot budget: profiles page in on first use and stay)",
         profile_name_.c_str(), sharded_->ShardFor(profile_name_));
   }
 
@@ -936,10 +945,7 @@ class Shell {
       auto shard = sharded_->Shard(row.shard_id);
       size_t users = shard == nullptr ? 0 : shard->profiles().size();
       const storage::TierStats& tier = row.stats.tier;
-      std::string resident =
-          tier.enabled ? std::to_string(tier.hot_resident) + "/" +
-                             std::to_string(tier.hot_capacity)
-                       : "all";
+      const std::string resident = Residency(tier);
       std::string cache = std::to_string(row.stats.cache_hits) + "/" +
                           std::to_string(row.stats.cache_misses);
       std::string scrub =
@@ -988,10 +994,7 @@ class Shell {
             static_cast<unsigned long long>(st.scrubs),
             static_cast<unsigned long long>(st.scrub_corruptions),
             static_cast<unsigned long long>(st.quarantined_profiles),
-            tier.enabled ? (std::to_string(tier.hot_resident) + "/" +
-                            std::to_string(tier.hot_capacity) + " hot")
-                               .c_str()
-                         : "off",
+            tier.enabled ? (Residency(tier) + " hot").c_str() : "off",
             static_cast<unsigned long long>(tier.load_failures));
       }
       return;

@@ -72,7 +72,6 @@ FlightRecorder* FlightRecorder::Global() {
 
 FlightRecorder::FlightRecorder() : slots_(kSlots) {}
 
-#ifndef QP_OBS_DISABLED
 void FlightRecorder::Record(const FlightEvent& event) {
   const uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[ticket % kSlots];
@@ -92,7 +91,6 @@ void FlightRecorder::Record(const FlightEvent& event) {
   }
   slot.seq.store(2 * ticket + 2, std::memory_order_release);
 }
-#endif
 
 std::vector<FlightEvent> FlightRecorder::Dump() const {
   const uint64_t floor = floor_.load(std::memory_order_relaxed);
@@ -150,14 +148,6 @@ std::string FlightRecorder::ToJson(const std::vector<FlightEvent>& events) {
 void RecordFlightEvent(FlightEventType type, std::string_view what,
                        std::string_view detail, uint64_t a, uint64_t b,
                        uint64_t trace_id) {
-#ifdef QP_OBS_DISABLED
-  (void)type;
-  (void)what;
-  (void)detail;
-  (void)a;
-  (void)b;
-  (void)trace_id;
-#else
   FlightEvent event;
   event.type = type;
   CopyTruncated(what, event.what, sizeof(event.what));
@@ -166,18 +156,13 @@ void RecordFlightEvent(FlightEventType type, std::string_view what,
   event.b = b;
   event.trace_id = trace_id;
   FlightRecorder::Global()->Record(event);
-#endif
 }
 
 void RecordTraceSummary(const RequestTrace& trace) {
-#ifdef QP_OBS_DISABLED
-  (void)trace;
-#else
   RecordFlightEvent(FlightEventType::kTraceSummary, trace.disposition(),
                     trace.stopped_phase(),
                     static_cast<uint64_t>(trace.total_millis() * 1000.0),
                     trace.spans().size(), trace.trace_id());
-#endif
 }
 
 void RecordFaultFire(std::string_view site, uint64_t call_index) {

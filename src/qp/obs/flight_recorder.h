@@ -67,11 +67,7 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-#ifdef QP_OBS_DISABLED
-  void Record(const FlightEvent&) {}
-#else
   void Record(const FlightEvent& event);
-#endif
 
   /// Consistent copies of the retained events, oldest first. Slots being
   /// overwritten during the scan are skipped, not torn.
@@ -105,9 +101,8 @@ class FlightRecorder {
   std::vector<Slot> slots_;
 };
 
-/// Convenience recorders (no-ops under QP_OBS_DISABLED). These are the
-/// only calls instrumented subsystems make, so the callsites stay one
-/// line.
+/// Convenience recorders. These are the only calls instrumented
+/// subsystems make, so the callsites stay one line.
 void RecordFlightEvent(FlightEventType type, std::string_view what,
                        std::string_view detail, uint64_t a = 0,
                        uint64_t b = 0, uint64_t trace_id = 0);

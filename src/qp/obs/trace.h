@@ -13,17 +13,6 @@
 namespace qp {
 namespace obs {
 
-/// Define QP_OBS_DISABLED at compile time to stub out every tracing hook
-/// (ScopedSpan becomes an empty object and the pipeline never allocates
-/// a RequestTrace). Metrics counters stay on — they are wait-free
-/// increments — but span bookkeeping, which is the only per-request
-/// allocation tracing adds, vanishes entirely.
-#ifdef QP_OBS_DISABLED
-inline constexpr bool kTracingCompiledIn = false;
-#else
-inline constexpr bool kTracingCompiledIn = true;
-#endif
-
 /// Process-unique non-zero 64-bit id (SplitMix64 over an atomic
 /// counter). Used for both trace ids and span ids, so span ids are
 /// unique across every trace in the process: the router and the shard
@@ -34,9 +23,7 @@ uint64_t NewTraceId();
 
 /// The propagation envelope that crosses component boundaries: stamped
 /// on a request by the router, adopted by the shard service, carried
-/// into migration step traces by the owning reshard operation. Always a
-/// real struct even under QP_OBS_DISABLED — it is a request field — but
-/// with tracing compiled out nothing ever populates it.
+/// into migration step traces by the owning reshard operation.
 struct TraceContext {
   uint64_t trace_id = 0;
   /// The span on the caller's side that the callee's root spans become
@@ -49,25 +36,16 @@ struct TraceContext {
   bool valid() const { return trace_id != 0; }
 };
 
-/// Head + tail sampling policy. The head decision is made before any
-/// span is allocated (a deterministic hash of the trace id against
-/// `head_rate`), so an unsampled request pays nothing. Tail rules
-/// resurrect a minimal disposition-only trace for requests that turn out
-/// interesting after the fact: shed / deadline_exceeded / degraded /
-/// error dispositions, slower than `slow_millis`, or overlapping an
-/// injected fault fire.
+/// Head sampling policy. The head decision is made before any span is
+/// allocated (a deterministic hash of the trace id against `head_rate`),
+/// so an unsampled request pays nothing. A fixed tail rule then
+/// resurrects a minimal disposition-only trace for requests that turn
+/// out interesting after the fact: any disposition but full, slower than
+/// the service's rolling p99, or overlapping an injected fault fire.
 struct SamplingPolicy {
   /// Fraction of requests traced up front. 1.0 (default) preserves the
   /// trace-everything behaviour of the single-node plane.
   double head_rate = 1.0;
-  bool keep_shed = true;
-  bool keep_deadline_exceeded = true;
-  bool keep_degraded = true;
-  bool keep_errors = true;
-  /// Requests slower than this are always kept (0 = rule off). The
-  /// service wires this to its rolling p99 estimate.
-  double slow_millis = 0.0;
-  bool keep_fault_fired = true;
 };
 
 /// The head decision for a trace id under `rate`: deterministic (the
@@ -183,16 +161,9 @@ class RequestTrace {
 
 /// RAII span: opens on construction, closes on destruction (or explicit
 /// End). A null trace makes every method a no-op costing one branch, so
-/// instrumented code needs no `if (trace)` litter; with QP_OBS_DISABLED
-/// the whole object compiles away.
+/// instrumented code needs no `if (trace)` litter.
 class ScopedSpan {
  public:
-#ifdef QP_OBS_DISABLED
-  ScopedSpan(RequestTrace*, const char*) {}
-  void Counter(const char*, uint64_t) {}
-  void End() {}
-  size_t index() const { return 0; }
-#else
   ScopedSpan(RequestTrace* trace, const char* name) : trace_(trace) {
     if (trace_ != nullptr) index_ = trace_->StartSpan(name);
   }
@@ -216,7 +187,6 @@ class ScopedSpan {
  private:
   RequestTrace* trace_ = nullptr;
   size_t index_ = 0;
-#endif
 };
 
 /// Where finished traces go. Implementations must be thread-safe: every

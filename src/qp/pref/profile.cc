@@ -1,6 +1,7 @@
 #include "qp/pref/profile.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "qp/pref/doi.h"
@@ -11,9 +12,13 @@ namespace qp {
 
 namespace {
 
-/// The degree rules of a stored preference, which Add and Validate both
-/// enforce: in [-1, 1] (so not NaN), not zero, and not negative on a join.
-Status CheckDegree(const AtomicPreference& preference) {
+/// The number rules of a stored preference, which Add and Validate both
+/// enforce: its degree is in [-1, 1] (so not NaN), not zero, and not
+/// negative on a join; a DOUBLE literal or near target, and a near width,
+/// is finite. The text format has no spelling for an infinity or a NaN,
+/// and a NaN literal never equals itself, so SameCondition could not
+/// find it again.
+Status CheckNumbers(const AtomicPreference& preference) {
   if (!IsValidSignedDoi(preference.doi())) {
     return Status::InvalidArgument("degree of interest out of [-1, 1]: " +
                                    std::to_string(preference.doi()));
@@ -26,6 +31,16 @@ Status CheckDegree(const AtomicPreference& preference) {
     return Status::InvalidArgument(
         "join preferences are structural and cannot be negative: " +
         preference.ToString());
+  }
+  if (!preference.is_join() &&
+      preference.value().type() == DataType::kDouble &&
+      !std::isfinite(preference.value().as_double())) {
+    return Status::InvalidArgument("literal is not finite: " +
+                                   preference.ToString());
+  }
+  if (preference.is_near() && !std::isfinite(preference.width())) {
+    return Status::InvalidArgument("near width is not finite: " +
+                                   preference.ToString());
   }
   return Status::Ok();
 }
@@ -43,7 +58,7 @@ size_t UserProfile::FindCondition(const AtomicPreference& preference,
 }
 
 Status UserProfile::Add(AtomicPreference preference) {
-  QP_RETURN_IF_ERROR(CheckDegree(preference));
+  QP_RETURN_IF_ERROR(CheckNumbers(preference));
   const size_t hash = preference.ConditionHash();
   if (FindCondition(preference, hash) != kNotFound) {
     return Status::AlreadyExists("preference already stored: " +
@@ -96,7 +111,7 @@ const AtomicPreference* UserProfile::FindSelection(const AttributeRef& attr,
 
 Status UserProfile::Validate(const Schema& schema) const {
   for (const auto& p : preferences_) {
-    QP_RETURN_IF_ERROR(CheckDegree(p));
+    QP_RETURN_IF_ERROR(CheckNumbers(p));
     if (p.is_near()) {
       QP_ASSIGN_OR_RETURN(DataType type, schema.AttributeType(p.attribute()));
       if (type != DataType::kInt64 && type != DataType::kDouble) {

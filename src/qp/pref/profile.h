@@ -19,7 +19,8 @@ class UserProfile {
 
   /// Adds a preference. Fails if the degree is outside [-1, 1] or NaN,
   /// the degree is 0 (zero-valued preferences are not stored), a join's
-  /// degree is negative, or a preference with the same condition
+  /// degree is negative, a DOUBLE literal, near target or near width is
+  /// infinite or NaN, or a preference with the same condition
   /// (SameCondition) already exists.
   Status Add(AtomicPreference preference);
 
@@ -47,7 +48,7 @@ class UserProfile {
   const AtomicPreference* FindSelection(const AttributeRef& attr,
                                         const Value& value) const;
 
-  /// Checks every preference: its degree obeys Add's rules, and against
+  /// Checks every preference: its numbers obey Add's rules, and against
   /// `schema`, attributes must exist, selection literal types must match
   /// the column type, and every join preference must correspond to a
   /// declared schema join.

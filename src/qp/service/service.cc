@@ -182,39 +182,37 @@ bool PersonalizationService::TryAdmit() {
   return true;
 }
 
+bool PersonalizationService::KeepTail(std::string_view disposition,
+                                      double elapsed_millis,
+                                      bool fault_fired) const {
+  if (disposition != ToString(RequestDisposition::kFull)) return true;
+  const double slow = slow_p99_millis_.load(std::memory_order_relaxed);
+  return (slow > 0.0 && elapsed_millis >= slow) || fault_fired;
+}
+
 void PersonalizationService::TraceUnranRequest(
     const char* disposition, const char* phase,
     const obs::TraceContext* context) {
-  if (!obs::kTracingCompiledIn) return;
   // An unserved request attains neither objective.
   slo_.Record(/*served=*/false,
               std::numeric_limits<double>::infinity());
   obs::TraceSink* sink = trace_sink_.load(std::memory_order_acquire);
   if (sink == nullptr) return;
-  // Tail-keep rules: shed / queue-expired requests are kept even when
-  // not head-sampled — they are exactly the traces an overload
-  // post-mortem needs.
-  const obs::SamplingPolicy& policy = options_.sampling;
-  const std::string_view what = disposition;
-  bool keep = context != nullptr && context->valid() && context->sampled;
-  if (!keep && what == "shed") keep = policy.keep_shed;
-  if (!keep && what == "deadline_exceeded") {
-    keep = policy.keep_deadline_exceeded;
+  // Shed and queue-expired requests are never full, so the tail rule
+  // keeps them even when not head-sampled — they are exactly the traces
+  // an overload post-mortem needs.
+  const bool sampled =
+      context != nullptr && context->valid() && context->sampled;
+  if (!sampled && !KeepTail(disposition, /*elapsed_millis=*/0.0,
+                            /*fault_fired=*/false)) {
+    return;
   }
-  if (!keep) return;
   obs::RequestTrace trace = context != nullptr && context->valid()
                                 ? obs::RequestTrace(*context)
                                 : obs::RequestTrace();
   trace.SetDisposition(disposition, phase);
   obs::RecordTraceSummary(trace);
   sink->Consume(std::move(trace));
-}
-
-double PersonalizationService::SlowTraceThresholdMillis() const {
-  if (options_.sampling.slow_millis > 0.0) {
-    return options_.sampling.slow_millis;
-  }
-  return slow_p99_millis_.load(std::memory_order_relaxed);
 }
 
 PersonalizationResponse PersonalizationService::PersonalizeOne(
@@ -249,11 +247,11 @@ PersonalizationResponse PersonalizationService::PersonalizeInternal(
   obs::TraceContext context = request.trace_context;
   bool tail_candidate = false;
   // Fault-fire watermark for the tail rule; the sentinel means "not
-  // watching" (hub disarmed or the rule is off) so the common path
-  // never takes the hub's shared lock.
+  // watching" (hub disarmed) so the common path never takes the hub's
+  // shared lock.
   constexpr uint64_t kNotWatching = ~uint64_t{0};
   uint64_t fires_before = kNotWatching;
-  if (obs::kTracingCompiledIn && sink != nullptr) {
+  if (sink != nullptr) {
     if (!context.valid()) {
       context.trace_id = obs::NewTraceId();
       context.parent_span_id = 0;
@@ -264,8 +262,7 @@ PersonalizationResponse PersonalizationService::PersonalizeInternal(
       trace.emplace(context);
     } else {
       tail_candidate = true;
-      if (options_.sampling.keep_fault_fired &&
-          FaultHub::Global()->armed()) {
+      if (FaultHub::Global()->armed()) {
         fires_before = FaultHub::Global()->total_fires();
       }
     }
@@ -289,16 +286,14 @@ PersonalizationResponse PersonalizationService::PersonalizeInternal(
     inst_.full->Add(1);
   }
 
-  if (obs::kTracingCompiledIn) {
-    slo_.Record(response.status.ok(), elapsed_millis);
-    // The slow-trace threshold tracks the live p99; refresh the cached
-    // copy every 1024 completions so the tail rule costs one relaxed
-    // load per request, not a histogram merge.
-    const uint64_t done = completed_.fetch_add(1, std::memory_order_relaxed);
-    if ((done & 1023u) == 1023u && options_.sampling.slow_millis <= 0.0) {
-      slow_p99_millis_.store(inst_.request_seconds->Snapshot().p99() * 1e3,
-                             std::memory_order_relaxed);
-    }
+  slo_.Record(response.status.ok(), elapsed_millis);
+  // The slow-trace threshold tracks the live p99; refresh the cached copy
+  // every 1024 completions so the tail rule costs one relaxed load per
+  // request, not a histogram merge.
+  const uint64_t done = completed_.fetch_add(1, std::memory_order_relaxed);
+  if ((done & 1023u) == 1023u) {
+    slow_p99_millis_.store(inst_.request_seconds->Snapshot().p99() * 1e3,
+                           std::memory_order_relaxed);
   }
 
   if (sink != nullptr && (trace.has_value() || tail_candidate)) {
@@ -325,30 +320,13 @@ PersonalizationResponse PersonalizationService::PersonalizeInternal(
       obs::RecordTraceSummary(*trace);
       sink->Consume(std::move(*trace));
     } else {
-      // Tail rules: resurrect a minimal (span-less) trace for outcomes
+      // The tail rule resurrects a minimal (span-less) trace for outcomes
       // the head coin must never lose — errors, degradations, slow
       // requests, and anything a chaos fault touched.
-      const obs::SamplingPolicy& policy = options_.sampling;
-      bool keep = false;
-      if (!response.status.ok()) {
-        keep = policy.keep_errors;
-      } else if (response.disposition == RequestDisposition::kDegraded) {
-        keep = policy.keep_degraded;
-      } else if (response.disposition == RequestDisposition::kShed) {
-        keep = policy.keep_shed;
-      } else if (response.disposition ==
-                 RequestDisposition::kDeadlineExceeded) {
-        keep = policy.keep_deadline_exceeded;
-      }
-      if (!keep) {
-        const double slow = SlowTraceThresholdMillis();
-        keep = slow > 0.0 && elapsed_millis >= slow;
-      }
-      if (!keep && fires_before != kNotWatching &&
-          FaultHub::Global()->total_fires() > fires_before) {
-        keep = true;
-      }
-      if (keep) {
+      const bool fault_fired =
+          fires_before != kNotWatching &&
+          FaultHub::Global()->total_fires() > fires_before;
+      if (KeepTail(disposition, elapsed_millis, fault_fired)) {
         obs::RequestTrace tail(context);
         tail.SetDisposition(disposition, std::move(phase));
         obs::RecordTraceSummary(tail);
@@ -707,20 +685,18 @@ std::string PersonalizationService::DumpMetrics(
     scope_.registry()->gauge("qp_tier_resident_users", tier_labels)
         ->Set(static_cast<double>(tier.cold_users));
   }
-  if (obs::kTracingCompiledIn) {
-    const obs::SloSnapshot slo = slo_.Evaluate();
-    scope_.gauge("qp_slo_availability")->Set(slo.availability);
-    scope_.gauge("qp_slo_availability_burn_rate")
-        ->Set(slo.availability_burn_rate);
-    scope_.gauge("qp_slo_latency_attainment")->Set(slo.latency_attainment);
-    scope_.gauge("qp_slo_latency_burn_rate")->Set(slo.latency_burn_rate);
-    scope_.gauge("qp_slo_window_requests")
-        ->Set(static_cast<double>(slo.window_requests));
-    scope_.registry()->SetHelp(
-        "qp_slo_availability_burn_rate",
-        "Error-budget burn multiple over the rolling window (1.0 = burning "
-        "exactly the budget).");
-  }
+  const obs::SloSnapshot slo = slo_.Evaluate();
+  scope_.gauge("qp_slo_availability")->Set(slo.availability);
+  scope_.gauge("qp_slo_availability_burn_rate")
+      ->Set(slo.availability_burn_rate);
+  scope_.gauge("qp_slo_latency_attainment")->Set(slo.latency_attainment);
+  scope_.gauge("qp_slo_latency_burn_rate")->Set(slo.latency_burn_rate);
+  scope_.gauge("qp_slo_window_requests")
+      ->Set(static_cast<double>(slo.window_requests));
+  scope_.registry()->SetHelp(
+      "qp_slo_availability_burn_rate",
+      "Error-budget burn multiple over the rolling window (1.0 = burning "
+      "exactly the budget).");
   return scope_.registry()->Export(format);
 }
 

@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "qp/core/context.h"
@@ -61,10 +62,10 @@ struct ServiceOptions {
   /// registers — service, cache, profile store, storage, WAL and tier —
   /// with {shard="<id>"}; -1 (default) = standalone service, flat names.
   int shard_id = -1;
-  /// Trace sampling: head rate + tail-keep rules (see
-  /// obs::SamplingPolicy). The default traces every request, matching
-  /// the single-node plane; clusters dial head_rate down and rely on the
-  /// tail rules to keep the interesting traces.
+  /// Trace sampling: the head rate (see obs::SamplingPolicy). The
+  /// default traces every request, matching the single-node plane;
+  /// clusters dial head_rate down and rely on the tail rule to keep the
+  /// interesting traces.
   obs::SamplingPolicy sampling{};
   /// Rolling-window availability/latency objectives; evaluated into
   /// qp_slo_* gauges at DumpMetrics time and via SloStatus().
@@ -175,7 +176,7 @@ struct ServiceStats {
   /// recovery cost of the Open that produced this service. All zero for
   /// an in-memory service.
   storage::StorageStats storage;
-  /// Hot/cold residency counters; enabled only for a tiered backend.
+  /// Hot/cold residency counters; enabled for every durable store.
   storage::TierStats tier;
 };
 
@@ -290,17 +291,19 @@ class PersonalizationService {
                                       const CancelToken* cancel, bool degrade,
                                       obs::RequestTrace* trace);
 
+  /// The tail sampling rule, for a request the head coin did not trace:
+  /// keep its trace when the disposition is not full, when it ran slower
+  /// than the rolling p99 of qp_service_request_seconds (refreshed every
+  /// 1024 completions), or when a fault fire overlapped it.
+  bool KeepTail(std::string_view disposition, double elapsed_millis,
+                bool fault_fired) const;
+
   /// Builds and delivers the minimal trace for a request that never ran
-  /// (shed at admission, expired in queue), honouring the sampling
-  /// policy's tail-keep rules, and records the SLO miss. No-op without a
-  /// sink. `context` (may be null) links the trace to the caller's.
+  /// (shed at admission, expired in queue), honouring the tail rule, and
+  /// records the SLO miss. No-op without a sink. `context` (may be null)
+  /// links the trace to the caller's.
   void TraceUnranRequest(const char* disposition, const char* phase,
                          const obs::TraceContext* context);
-
-  /// The slow-trace threshold for the tail sampling rule: the policy's
-  /// explicit slow_millis when set, else a cached rolling p99 of
-  /// qp_service_request_seconds (refreshed every 1024 completions).
-  double SlowTraceThresholdMillis() const;
 
   const Database* db_;
   ServiceOptions options_;

@@ -27,9 +27,9 @@ ThreadPool::ThreadPool(size_t num_threads) {
   }
 }
 
-ThreadPool::~ThreadPool() { Shutdown(DrainMode::kDrain); }
+ThreadPool::~ThreadPool() { Shutdown(); }
 
-void ThreadPool::Shutdown(DrainMode mode) {
+void ThreadPool::Shutdown() {
   // First caller wins; everyone else (including the destructor after an
   // explicit Shutdown) just waits for the join to have happened.
   if (stopping_.exchange(true, std::memory_order_acq_rel)) {
@@ -37,16 +37,6 @@ void ThreadPool::Shutdown(DrainMode mode) {
       std::this_thread::yield();
     }
     return;
-  }
-  if (mode == DrainMode::kDiscard) {
-    // Submit re-checks stopping_ under the queue mutex, so after this
-    // sweep no task can sit in a deque: late submitters see stopping_
-    // and bail, earlier ones are cleared here.
-    for (auto& queue : queues_) {
-      std::lock_guard<std::mutex> lock(queue->mutex);
-      pending_.fetch_sub(queue->tasks.size(), std::memory_order_acq_rel);
-      queue->tasks.clear();
-    }
   }
   {
     // Pair with the workers' wait so no notify is lost between their
@@ -75,9 +65,10 @@ bool ThreadPool::Submit(std::function<void()> task) {
   pending_.fetch_add(1, std::memory_order_release);
   {
     std::lock_guard<std::mutex> lock(queues_[target]->mutex);
-    // Checked under the queue mutex: Shutdown sets stopping_ before it
-    // sweeps the deques (kDiscard), so either this push is swept or this
-    // check sees stopping_ — a task can never be left behind unrun.
+    // Checked after pending_ counts the task: the workers exit only once
+    // stopping_ is set and pending_ is zero, so either this push runs
+    // before they leave or this check sees stopping_ — a task can never
+    // be left behind unrun.
     if (stopping_.load(std::memory_order_acquire)) {
       pending_.fetch_sub(1, std::memory_order_acq_rel);
       return false;

@@ -23,31 +23,20 @@ namespace qp {
 /// a throwing task terminates, like an exception escaping std::thread.
 class ThreadPool {
  public:
-  /// What Shutdown does with tasks still queued when it is called.
-  enum class DrainMode {
-    /// Run every queued task before the workers exit (the historical
-    /// destructor behavior).
-    kDrain,
-    /// Drop queued tasks on the floor; only tasks already executing
-    /// finish. Callers owning futures for dropped tasks must resolve
-    /// them through some other channel (the service resolves via
-    /// Submit's false return before this can happen).
-    kDiscard,
-  };
-
   /// Spawns `num_threads` workers (clamped to >= 1).
   explicit ThreadPool(size_t num_threads);
 
-  /// Shutdown(kDrain) + join, if not already shut down.
+  /// Shutdown, if not already shut down.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Stops the pool and joins the workers. Idempotent; the first call
-  /// picks the mode, later calls (and the destructor) are no-ops. After
-  /// Shutdown begins, Submit safely returns false instead of enqueueing.
-  void Shutdown(DrainMode mode = DrainMode::kDrain);
+  /// Stops the pool: runs every task already queued, then joins the
+  /// workers. Idempotent; later calls (and the destructor) wait for the
+  /// first one's join. After Shutdown begins, Submit safely returns false
+  /// instead of enqueueing.
+  void Shutdown();
 
   /// Enqueues `task` and returns true. Called from a worker thread, the
   /// task goes to that worker's own deque (stealable by the rest); from

@@ -14,6 +14,15 @@
 namespace qp {
 namespace shard {
 
+namespace {
+
+/// How many times a migration restarts its copy phase after the source's
+/// WAL rotated past the tail watermark (a checkpoint during migration)
+/// before giving up.
+constexpr int kMaxCopyRestarts = 3;
+
+}  // namespace
+
 ShardMigrator::ShardMigrator(ShardedPersonalizationService* cluster,
                              MigrationOptions options,
                              obs::MetricsRegistry* metrics)
@@ -228,18 +237,16 @@ Status ShardMigrator::MigratePartition(uint32_t partition, uint32_t target,
     metric_partition_seconds_->Record(
         static_cast<double>(clock_->NowNanos() - start_ns) / 1e9);
     phase_event(status.ok() ? "migrated" : "aborted");
-    if (obs::kTracingCompiledIn) {
-      trace.SetDisposition(status.ok() ? "migrated" : "migration_aborted",
-                           /*stopped_phase=*/"");
-      obs::RecordTraceSummary(trace);
-      auto retained =
-          std::make_shared<const obs::RequestTrace>(std::move(trace));
-      {
-        std::lock_guard<std::mutex> guard(last_trace_mutex_);
-        last_trace_ = retained;
-      }
-      if (sink != nullptr) sink->Consume(*retained);
+    trace.SetDisposition(status.ok() ? "migrated" : "migration_aborted",
+                         /*stopped_phase=*/"");
+    obs::RecordTraceSummary(trace);
+    auto retained =
+        std::make_shared<const obs::RequestTrace>(std::move(trace));
+    {
+      std::lock_guard<std::mutex> guard(last_trace_mutex_);
+      last_trace_ = retained;
     }
+    if (sink != nullptr) sink->Consume(*retained);
     return status;
   };
 
@@ -286,7 +293,7 @@ Status ShardMigrator::MigratePartition(uint32_t partition, uint32_t target,
     }
     if (status.ok()) break;
     if (status.code() == StatusCode::kOutOfRange &&
-        restarts < options_.max_copy_restarts) {
+        restarts < kMaxCopyRestarts) {
       // The source checkpointed the tail away (WAL rotated); start the
       // copy phase over from a fresh watermark. The rotated records may
       // include removes the first pass's copies now shadow, so the

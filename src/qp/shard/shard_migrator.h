@@ -32,10 +32,6 @@ struct MigrationOptions {
   /// cutover commit. Zero cuts over immediately; chaos tests widen it
   /// to race mutators through the mirrored-write path.
   std::chrono::milliseconds dual_write_hold{0};
-  /// How many times a migration restarts its copy phase after the
-  /// source's WAL rotated past the tail watermark (checkpoint during
-  /// migration) before giving up.
-  int max_copy_restarts = 3;
   /// Time source for backoff sleeps; nullptr = Clock::Real().
   Clock* clock = nullptr;
 };

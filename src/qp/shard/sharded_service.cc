@@ -189,7 +189,7 @@ PersonalizationResponse ShardedPersonalizationService::Personalize(
     return ShedResponse("shard " + std::to_string(index) + " is down");
   }
   obs::TraceSink* sink = trace_sink_.load(std::memory_order_acquire);
-  if (!obs::kTracingCompiledIn || sink == nullptr) {
+  if (sink == nullptr) {
     return shard->PersonalizeOne(request);
   }
   const obs::TraceContext context = EdgeContext(request.trace_context);
@@ -262,7 +262,7 @@ ShardedPersonalizationService::PersonalizeBatchAndWait(
           ShedResponse("shard " + std::to_string(index) + " is down");
       continue;
     }
-    if (obs::kTracingCompiledIn && sink != nullptr) {
+    if (sink != nullptr) {
       const obs::TraceContext context =
           EdgeContext(requests[i].trace_context);
       if (context.sampled) {
@@ -639,8 +639,7 @@ Status ShardedPersonalizationService::Reshard(size_t new_num_shards) {
   op_trace.SetDisposition(status.ok() ? "resharded" : "reshard_failed",
                           /*stopped_phase=*/"");
   obs::RecordTraceSummary(op_trace);
-  if (obs::TraceSink* sink = trace_sink_.load(std::memory_order_acquire);
-      obs::kTracingCompiledIn && sink != nullptr) {
+  if (obs::TraceSink* sink = trace_sink_.load(std::memory_order_acquire)) {
     sink->Consume(std::move(op_trace));
   }
   return status;

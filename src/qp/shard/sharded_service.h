@@ -50,7 +50,8 @@ struct ShardedOptions {
   /// back exact; a recovered shard continues its series.
   /// `service.sampling` is the cluster's head/tail trace-sampling policy
   /// — the router makes the head decision and the shards honour it. Set
-  /// `service.storage.hot_capacity` for tiered shards.
+  /// `service.storage.hot_capacity` to bound each shard's resident
+  /// profiles.
   ServiceOptions service;
 };
 
@@ -87,8 +88,8 @@ struct ShardedStats {
 };
 
 /// The scale-out front end: N independent PersonalizationServices, each
-/// owning its own durable (optionally tiered) profile store under its
-/// own subdirectory, behind a hash router. A user's profile and its
+/// owning its own durable profile store under its own subdirectory,
+/// behind a hash router. A user's profile and its
 /// queries live on exactly one shard, so shards share nothing but the
 /// read-only Database and the metrics registry.
 ///

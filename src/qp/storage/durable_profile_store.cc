@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
-#include <unordered_map>
 
 #include "qp/obs/flight_recorder.h"
 #include "qp/storage/record.h"
@@ -87,9 +86,7 @@ DurableProfileStore::DurableProfileStore(const Schema* schema,
       dir_(options_.dir) {
   breaker_backoff_ms_.store(options_.breaker_backoff.count(),
                             std::memory_order_relaxed);
-  if (options_.hot_capacity > 0 && !dir_.empty()) {
-    tier_ = std::make_unique<ProfileTier>(options_.hot_capacity);
-  }
+  if (durable()) tier_ = std::make_unique<ProfileTier>(options_.hot_capacity);
   // Both gauges are this store's state, set on every transition; a store
   // reopened under the same labels starts closed and unquarantined.
   inst_.breaker_open->Set(0.0);
@@ -148,41 +145,24 @@ Status DurableProfileStore::Recover(uint64_t* next_seqno) {
 
   uint64_t snapshot_users_loaded = 0;
   uint64_t records_replayed = 0;
-  // An untiered store replays into plain profiles and builds each
-  // surviving user's graph once, after the last record.
-  std::unordered_map<std::string, std::optional<UserProfile>> replayed;
 
-  // Base state: the snapshot. Its checksum is verified against the
-  // manifest before a single profile is decoded. A tiered store indexes
-  // the entry headers only — no profile is materialized until its first
-  // Get — so recovery cost and resident set stay O(hot budget), not
-  // O(users).
+  // Base state: the snapshot's entry headers. Its checksum is verified
+  // against the manifest, but no profile is decoded — each one pages in
+  // on its first Get or mutation — so recovery costs one pass over the
+  // snapshot bytes plus the log, not a decode and graph build per user.
   if (!manifest_.snapshot_file.empty()) {
-    const std::string snapshot_path = JoinPath(dir_, manifest_.snapshot_file);
-    if (tiered()) {
-      QP_ASSIGN_OR_RETURN(
-          auto entries,
-          IndexSnapshot(fs_, snapshot_path, manifest_.snapshot_bytes,
-                        manifest_.snapshot_crc));
-      for (const SnapshotEntry& entry : entries) {
-        tier_->NoteSnapshotEntry(entry);
-        ++snapshot_users_loaded;
-      }
-    } else {
-      QP_ASSIGN_OR_RETURN(auto users,
-                          LoadSnapshot(fs_, snapshot_path,
-                                       manifest_.snapshot_bytes,
-                                       manifest_.snapshot_crc));
-      for (auto& [user_id, profile] : users) {
-        replayed[user_id] = std::move(profile);
-        ++snapshot_users_loaded;
-      }
-    }
+    QP_ASSIGN_OR_RETURN(
+        auto entries,
+        IndexSnapshot(fs_, JoinPath(dir_, manifest_.snapshot_file),
+                      manifest_.snapshot_bytes, manifest_.snapshot_crc));
+    for (const SnapshotEntry& entry : entries) tier_->NoteSnapshotEntry(entry);
+    snapshot_users_loaded = entries.size();
   }
 
-  // Tail state: replay the WAL. A torn final record is the expected
-  // signature of a crash mid-append and is silently dropped; anything
-  // else that fails to verify is real corruption and fails the open.
+  // Tail state: replay the WAL into the overlay. A torn final record is
+  // the expected signature of a crash mid-append and is silently
+  // dropped; anything else that fails to verify is real corruption and
+  // fails the open.
   std::string wal_path = JoinPath(dir_, manifest_.wal_file);
   std::string wal_content;
   if (auto content_or = fs_->ReadFile(wal_path); content_or.ok()) {
@@ -199,21 +179,9 @@ Status DurableProfileStore::Recover(uint64_t* next_seqno) {
     if (!has_record) break;
     QP_ASSIGN_OR_RETURN(ProfileMutation mutation,
                         DecodeMutation(record.payload));
-    if (tiered()) {
-      // The overlay absorbs the record; the profile itself stays cold
-      // until first touch.
-      tier_->NoteLogged(mutation, std::string(record.payload));
-    } else {
-      Replay(&mutation, &replayed[mutation.user_id]);
-    }
+    tier_->NoteLogged(mutation, std::string(record.payload));
     last_seqno = record.seqno;
     ++records_replayed;
-  }
-  for (auto& [user_id, profile] : replayed) {
-    if (!profile.has_value()) continue;
-    QP_ASSIGN_OR_RETURN(ProfileSnapshot prepared,
-                        Prepare(std::move(*profile)));
-    Install(StripeFor(user_id), user_id, std::move(prepared));
   }
   inst_.snapshot_users_loaded->Set(static_cast<double>(snapshot_users_loaded));
   inst_.records_replayed->Set(static_cast<double>(records_replayed));
@@ -338,19 +306,19 @@ Result<ProfileSnapshot> DurableProfileStore::Lookup(
     const std::string& user_id) {
   Stripe& stripe = StripeFor(user_id);
   if (auto hit = Resident(stripe, user_id)) {
-    if (tiered()) {
+    if (durable()) {
       inst_.tier_hot_hits->Add(1);
-      tier_->Touch(user_id);
+      tier_->NoteHit(user_id);
     }
     return *std::move(hit);
   }
-  if (!tiered()) return Status::NotFound("unknown user: " + user_id);
+  if (!durable()) return Status::NotFound("unknown user: " + user_id);
   // Cold (or truly absent): the writer mutex serializes the load against
   // mutations of the same user; re-check first — a racing Get may have
   // paged the profile in already.
   std::lock_guard<std::mutex> writer(stripe.writer);
   if (auto hit = Resident(stripe, user_id)) {
-    tier_->Touch(user_id);
+    tier_->NoteHit(user_id);
     return *std::move(hit);
   }
   return LoadColdLocked(stripe, user_id);
@@ -362,7 +330,7 @@ Result<std::optional<UserProfile>> DurableProfileStore::CurrentLocked(
     return std::optional<UserProfile>(*resident->profile);
   }
   std::optional<UserProfile> current;
-  if (!tiered()) return current;
+  if (!durable()) return current;
   const ProfileTier::LoadPlan plan = tier_->PlanLoad(user_id);
   if (!plan.alive) return current;
   WallTimer timer;
@@ -403,11 +371,14 @@ Result<UserProfile> DurableProfileStore::BuildFromPlan(
   if (plan.in_snapshot) {
     // Reading manifest_ under a single stripe is safe: the pointer-and-
     // name swap happens only under *all* stripes (checkpoint), which any
-    // stripe holder excludes.
+    // stripe holder excludes. The file's CRC was checked when Open read
+    // it whole; the body is checked again on its own, because its bytes
+    // may have rotted on disk since.
     QP_ASSIGN_OR_RETURN(
         std::string body,
         fs_->ReadFileRange(JoinPath(dir_, manifest_.snapshot_file),
-                           plan.offset, plan.length));
+                           plan.base.offset, plan.base.length));
+    QP_RETURN_IF_ERROR(VerifyEntryBody(plan.base, body));
     QP_ASSIGN_OR_RETURN(profile, DecodeProfile(body));
   }
   for (const std::string& payload : plan.tail) {
@@ -435,7 +406,7 @@ void DurableProfileStore::EvictOverBudget() {
 
 std::vector<std::pair<std::string, ProfileSnapshot>>
 DurableProfileStore::All() {
-  if (!tiered()) return AllResident();
+  if (!durable()) return AllResident();
   // Fault every alive user through the LRU: memory stays bounded by the
   // hot budget while the caller walks the full population. Users whose
   // load fails (injected faults, quarantined damage) are skipped — this
@@ -450,7 +421,7 @@ DurableProfileStore::All() {
 }
 
 size_t DurableProfileStore::size() const {
-  if (tiered()) return tier_->alive_count();
+  if (durable()) return tier_->alive_count();
   size_t total = 0;
   for (Stripe& stripe : stripes_) {
     std::shared_lock<std::shared_mutex> lock(stripe.readers);
@@ -460,7 +431,7 @@ size_t DurableProfileStore::size() const {
 }
 
 std::vector<std::string> DurableProfileStore::Users() const {
-  if (tiered()) return tier_->AliveUsers();
+  if (durable()) return tier_->AliveUsers();
   std::vector<std::string> out;
   for (Stripe& stripe : stripes_) {
     std::shared_lock<std::shared_mutex> lock(stripe.readers);
@@ -511,7 +482,7 @@ Result<std::vector<WalTailRecord>> DurableProfileStore::ReadMutationsAfter(
 
 TierStats DurableProfileStore::tier_stats() const {
   TierStats stats;
-  if (!tiered()) return stats;
+  if (!durable()) return stats;
   const ProfileTier::Residency residency = tier_->residency();
   stats.enabled = true;
   stats.hot_capacity = tier_->hot_capacity();
@@ -654,7 +625,7 @@ Status DurableProfileStore::Apply(ProfileMutation mutation,
     QP_ASSIGN_OR_RETURN(profile, CurrentLocked(stripe, user_id));
   } else if (mutation.kind == ProfileMutation::Kind::kRemove &&
              !Resident(stripe, user_id).has_value() &&
-             !(tiered() && tier_->Contains(user_id))) {
+             !(durable() && tier_->Contains(user_id))) {
     return Status::NotFound("unknown user: " + user_id);  // Nothing to log.
   }
   std::string payload;
@@ -672,14 +643,14 @@ Status DurableProfileStore::Apply(ProfileMutation mutation,
   // Acknowledged. Tier bookkeeping runs before the swap: once a mutation
   // is logged, snapshot + overlay reproduce it, so eviction at any later
   // point loses nothing acknowledged.
-  if (tiered()) tier_->NoteLogged(mutation, std::move(payload));
+  if (durable()) tier_->NoteLogged(mutation, std::move(payload));
   if (next.has_value()) {
     Install(stripe, user_id, std::move(*next));
   } else {
     Drop(stripe, user_id);
   }
   inst_.mutations->Add(1);
-  if (tiered() && next.has_value()) {
+  if (durable() && next.has_value()) {
     tier_->Touch(user_id);
     EvictOverBudget();
   }
@@ -741,15 +712,16 @@ Status DurableProfileStore::CheckpointLocked(bool for_recovery) {
   } else {
     // For a breaker-recovery probe or a scrub repair the current WAL
     // writer is dead or its generation damaged, so its Sync would fail
-    // (or re-persist garbage); the in-memory state already equals
-    // exactly the acknowledged mutations, and writing it out as a fresh
-    // snapshot + empty WAL generation *is* the probe/repair. The
-    // "nothing new" early-return is skipped too: rotation itself is the
-    // point even when no records landed since the last manifest. The
-    // rotation consumes one logical tick so the new generation's file
-    // names can never collide with the committed one's — a recovery at
-    // an unchanged seqno must not overwrite (and then garbage-collect)
-    // the very snapshot the live manifest references.
+    // (or re-persist garbage); the resident profiles, the tier's overlay
+    // and the cold bodies already hold exactly the acknowledged
+    // mutations, so writing them out as a fresh snapshot + empty WAL
+    // generation *is* the probe/repair. The "nothing new" early-return
+    // is skipped too: rotation itself is the point even when no records
+    // landed since the last manifest. The rotation consumes one logical
+    // tick so the new generation's file names can never collide with the
+    // committed one's — a recovery at an unchanged seqno must not
+    // overwrite (and then garbage-collect) the very snapshot the live
+    // manifest references.
     ++seqno;
   }
 
@@ -757,52 +729,42 @@ Status DurableProfileStore::CheckpointLocked(bool for_recovery) {
   next.seqno = seqno;
   next.snapshot_file = SnapshotFileName(seqno);
   next.wal_file = WalFileName(seqno + 1);
-  std::vector<SnapshotEntry> new_entries;
-  if (!tiered()) {
-    SnapshotUsers users;
-    for (auto& [user_id, snapshot] : AllResident()) {
-      users.emplace_back(user_id, snapshot.profile);
-    }
-    QP_RETURN_IF_ERROR(WriteSnapshot(fs_, JoinPath(dir_, next.snapshot_file),
-                                     users, &next.snapshot_bytes,
-                                     &next.snapshot_crc));
-  } else {
-    // Tiered merge: every alive user lands in the new snapshot, but only
-    // the resident ones are encoded from memory. A cold user whose
-    // overlay is empty has its body copied verbatim from the old
-    // snapshot (byte-identical, no decode); a cold user with buffered
-    // mutations is rebuilt through the same plan a Get-load uses. All
-    // stripes are held, so the plans are an exact cut.
-    std::unordered_map<std::string, std::shared_ptr<const UserProfile>> hot;
-    for (auto& [user_id, snapshot] : AllResident()) {
-      hot.emplace(user_id, snapshot.profile);
-    }
-    const std::string old_snapshot =
-        manifest_.snapshot_file.empty()
-            ? std::string()
-            : JoinPath(dir_, manifest_.snapshot_file);
-    SnapshotWriter writer(fs_);
-    const auto plans = tier_->CheckpointPlans();
-    QP_RETURN_IF_ERROR(
-        writer.Open(JoinPath(dir_, next.snapshot_file), plans.size()));
-    std::string body;
-    for (const auto& [user_id, plan] : plans) {
-      body.clear();
-      if (auto it = hot.find(user_id); it != hot.end()) {
-        EncodeProfile(*it->second, &body);
-      } else if (plan.in_snapshot && plan.tail.empty()) {
-        QP_ASSIGN_OR_RETURN(
-            body, fs_->ReadFileRange(old_snapshot, plan.offset, plan.length));
-      } else {
-        QP_ASSIGN_OR_RETURN(UserProfile rebuilt, BuildFromPlan(plan));
-        EncodeProfile(rebuilt, &body);
-      }
+  // Every alive user lands in the new snapshot, but only the resident
+  // ones are encoded from memory. A cold user whose overlay is empty has
+  // its body copied verbatim from the old snapshot (no decode), under
+  // the checksum it was written with: a body that rotted since still
+  // fails its own check in the new generation, where the damage is
+  // confined to its user, instead of being sealed under a fresh
+  // checksum. A cold user with buffered mutations is rebuilt through the
+  // same plan a Get-load uses, which checks the body first; a rotted one
+  // fails the checkpoint, since nothing else holds that profile. All
+  // stripes are held, so residency and plans are an exact cut.
+  const std::string old_snapshot = JoinPath(dir_, manifest_.snapshot_file);
+  SnapshotWriter writer(fs_);
+  const std::vector<std::string> users = tier_->AliveUsers();
+  QP_RETURN_IF_ERROR(
+      writer.Open(JoinPath(dir_, next.snapshot_file), users.size()));
+  std::string body;
+  for (const std::string& user_id : users) {
+    body.clear();
+    if (auto resident = Resident(StripeFor(user_id), user_id)) {
+      EncodeProfile(*resident->profile, &body);
       QP_RETURN_IF_ERROR(writer.Add(user_id, body));
+      continue;
     }
-    QP_RETURN_IF_ERROR(
-        writer.Finish(&next.snapshot_bytes, &next.snapshot_crc));
-    new_entries = writer.TakeEntries();
+    const ProfileTier::LoadPlan plan = tier_->PlanLoad(user_id);
+    if (plan.in_snapshot && plan.tail.empty()) {
+      QP_ASSIGN_OR_RETURN(body, fs_->ReadFileRange(old_snapshot,
+                                                   plan.base.offset,
+                                                   plan.base.length));
+      QP_RETURN_IF_ERROR(writer.AddCopy(plan.base, body));
+      continue;
+    }
+    QP_ASSIGN_OR_RETURN(UserProfile rebuilt, BuildFromPlan(plan));
+    EncodeProfile(rebuilt, &body);
+    QP_RETURN_IF_ERROR(writer.Add(user_id, body));
   }
+  QP_RETURN_IF_ERROR(writer.Finish(&next.snapshot_bytes, &next.snapshot_crc));
   QP_ASSIGN_OR_RETURN(
       std::unique_ptr<WritableFile> new_wal_file,
       fs_->NewWritableFile(JoinPath(dir_, next.wal_file), true));
@@ -819,7 +781,7 @@ Status DurableProfileStore::CheckpointLocked(bool for_recovery) {
                                      options_.wal);
   segment_base_bytes_ = 0;
   inst_.checkpoints->Add(1);
-  if (tiered()) tier_->ResetAfterCheckpoint(new_entries);
+  tier_->ResetAfterCheckpoint(writer.TakeEntries());
 
   if (!old.snapshot_file.empty() && old.snapshot_file != next.snapshot_file) {
     fs_->RemoveFile(JoinPath(dir_, old.snapshot_file));  // Best effort.

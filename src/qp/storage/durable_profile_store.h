@@ -105,13 +105,13 @@ struct StorageStats {
   uint64_t torn_bytes_truncated = 0;
 };
 
-/// Hot/cold residency counters of a tiered store. All zero (and
-/// `enabled` false) for a store that keeps every profile resident. The
-/// event counts and load time are read back from the qp_tier_*
-/// instruments; the residency split from the tier itself.
+/// Hot/cold residency counters of a durable store. All zero (and
+/// `enabled` false) for an in-memory store, which keeps every profile
+/// resident. The event counts and load time are read back from the
+/// qp_tier_* instruments; the residency split from the tier itself.
 struct TierStats {
   bool enabled = false;
-  size_t hot_capacity = 0;  // Max profiles resident at once.
+  size_t hot_capacity = 0;  // Max profiles resident at once; 0 = no budget.
   size_t hot_resident = 0;  // Profiles currently in memory.
   size_t cold_users = 0;    // Alive users currently evicted to disk.
   uint64_t hot_hits = 0;    // Gets answered from memory.
@@ -174,16 +174,19 @@ struct StorageOptions {
   /// 0 disables the background thread; ScrubOnce() still works.
   std::chrono::milliseconds scrub_interval{0};
   bool scrub_auto_repair = true;
-  /// Tiered residency: when > 0, at most this many profiles are resident
-  /// in memory at once. The rest stay cold on disk — recovery indexes
-  /// the snapshot's entry headers instead of materializing profiles, a
-  /// Get of a cold user pages exactly its body in (snapshot range read +
-  /// WAL-overlay replay) under the user's stripe, and installs beyond
-  /// the budget evict the least-recently-used resident. Eviction loses
-  /// nothing: every acknowledged mutation hit the WAL before the ack, so
-  /// disk state always equals acknowledged state. 0 (default) keeps
-  /// every profile resident — the behavior of PR 2–6. Requires a
-  /// storage directory.
+  /// Residency budget of a durable store: at most this many profiles are
+  /// resident in memory at once; 0 (default) means no budget. Either way
+  /// recovery indexes the snapshot's entry headers and replays the log
+  /// into an overlay instead of materializing profiles; the first Get or
+  /// mutation of a cold user pages exactly its body in (snapshot range
+  /// read checked against the body's own checksum, then overlay replay)
+  /// under the user's stripe, and a body that fails the check fails only
+  /// that user's loads. Installs beyond a budget evict the least-recently-
+  /// used resident; without one, a profile stays resident once paged in.
+  /// Eviction loses nothing: every acknowledged mutation hit the WAL
+  /// before the ack, so disk state always equals acknowledged state. An
+  /// in-memory store (no directory) has nothing to page from and ignores
+  /// this.
   size_t hot_capacity = 0;
   /// Filesystem to operate on; nullptr = the process-wide POSIX one.
   /// Tests pass a FaultInjectingFileSystem here.
@@ -236,10 +239,13 @@ class DurableProfileStore {
                                obs::MetricScope metrics = {});
 
   /// Opens (or initializes) the storage directory, recovering durable
-  /// state: load the manifest's snapshot, replay the WAL tail, truncate
-  /// a torn final record. Corruption anywhere before the tail — a bad
-  /// checksum mid-log, a manifest/snapshot mismatch — fails the open
-  /// with a non-OK status rather than serving a silently wrong store.
+  /// state: index the manifest's snapshot, replay the WAL tail into the
+  /// overlay, truncate a torn final record. Corruption anywhere before
+  /// the tail — a bad checksum mid-log, a manifest/snapshot mismatch —
+  /// fails the open with a non-OK status rather than serving a silently
+  /// wrong store. Profiles decode on first use, so a body or record that
+  /// passes its CRC but fails to decode or validate fails only that
+  /// user's load (qp_tier_load_failures_total).
   static Result<std::unique_ptr<DurableProfileStore>> Open(
       const Schema* schema, StorageOptions options);
 
@@ -272,20 +278,20 @@ class DurableProfileStore {
                 obs::RequestTrace* trace = nullptr);
 
   /// The user's current snapshot; NotFound for unknown users. `Get` is
-  /// non-const by design: under tiering, a miss on an alive-but-cold
+  /// non-const by design: in a durable store, a miss on an alive-but-cold
   /// user pages the profile in from snapshot + WAL overlay (the
   /// "shard.load" fault site), evicting over-budget residents — so a
   /// reload always carries a strictly larger epoch than the evicted
   /// incarnation.
   Result<ProfileSnapshot> Get(const std::string& user_id);
 
-  /// Every alive user's snapshot, sorted by user id. A tiered store
-  /// faults cold users in (and back out) through its LRU to build this —
-  /// a debugging/export surface, not a hot path.
+  /// Every alive user's snapshot, sorted by user id. A durable store
+  /// faults cold users in (and, under a budget, back out) through its
+  /// LRU to build this — a debugging/export surface, not a hot path.
   std::vector<std::pair<std::string, ProfileSnapshot>> All();
 
-  /// Alive user ids, sorted, without loading bodies: the tier index
-  /// under tiering, the resident key set otherwise.
+  /// Alive user ids, sorted, without loading bodies: the tier index of a
+  /// durable store, the resident key set of an in-memory one.
   std::vector<std::string> Users() const;
 
   /// Streams the mutation log tail: every acknowledged mutation with a
@@ -321,8 +327,8 @@ class DurableProfileStore {
 
   StorageStats storage_stats() const;
 
-  /// Residency counters; TierStats::enabled is false unless
-  /// StorageOptions::hot_capacity was set.
+  /// Residency counters; TierStats::enabled is false for an in-memory
+  /// store.
   TierStats tier_stats() const;
 
   /// One synchronous integrity pass (the background scrubber runs
@@ -416,7 +422,6 @@ class DurableProfileStore {
   DurableProfileStore(const Schema* schema, StorageOptions options);
 
   Status Recover(uint64_t* next_seqno);
-  bool tiered() const { return tier_ != nullptr; }
   Stripe& StripeFor(const std::string& user_id) const;
   /// Takes every stripe's writer mutex, in order: the cut checkpoints,
   /// breaker probes, disk repairs and Close work under.
@@ -439,8 +444,8 @@ class DurableProfileStore {
   /// Drops the user's resident entry (snapshots already taken stay valid).
   void Drop(Stripe& stripe, const std::string& user_id);
   /// The user's profile before a mutation, under the stripe's writer
-  /// mutex: a copy of the resident one, else (tiered) the one a cold load
-  /// would page in — an upsert of an evicted user must merge over its
+  /// mutex: a copy of the resident one, else (durable) the one a cold
+  /// load would page in — an upsert of a cold user must merge over its
   /// durable preferences, not over nothing. nullopt: unknown user.
   Result<std::optional<UserProfile>> CurrentLocked(Stripe& stripe,
                                                    const std::string& user_id);
@@ -496,8 +501,8 @@ class DurableProfileStore {
   Clock* clock_ = nullptr;
   std::string dir_;
 
-  /// Residency bookkeeping; null unless StorageOptions::hot_capacity
-  /// enabled tiering. The tier's own mutex orders after stripes/meta.
+  /// Residency bookkeeping; null exactly for an in-memory store. The
+  /// tier's own mutex orders after stripes/meta.
   std::unique_ptr<ProfileTier> tier_;
 
   mutable std::array<Stripe, kNumStripes> stripes_;

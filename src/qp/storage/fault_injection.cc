@@ -124,8 +124,8 @@ Result<std::string> FaultInjectingFileSystem::ReadFile(
 Result<std::string> FaultInjectingFileSystem::ReadFileRange(
     const std::string& path, uint64_t offset, uint64_t length) {
   // Same fault surface as ReadFile, but O(length): the default
-  // whole-file fallback would make every tiered cold load copy the
-  // entire snapshot.
+  // whole-file fallback would make every cold load copy the entire
+  // snapshot.
   FaultAction fault = QP_FAULT_ACTION("fs.read");
   fault.Sleep();
   if (fault.fire && fault.mode != FaultMode::kDelay) {

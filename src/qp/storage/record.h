@@ -37,9 +37,8 @@ struct ProfileMutation {
 /// `mutation->profile` out), kUpsert merges each preference with
 /// AddOrUpdate (a new user starts empty), kRemove drops it. Every path
 /// that turns logged mutations into profiles runs this: the store's
-/// mutators, recovery, a tiered store's cold loads and checkpoints,
-/// RepairUser, and (through DurableProfileStore::Apply) the migrator's
-/// tail.
+/// mutators, a durable store's cold loads and checkpoints, RepairUser,
+/// and (through DurableProfileStore::Apply) the migrator's tail.
 void Replay(ProfileMutation* mutation, std::optional<UserProfile>* profile);
 
 /// Appends the binary encoding of `profile` to `*dst`: a preference
@@ -52,7 +51,8 @@ void EncodeProfile(const UserProfile& profile, std::string* dst);
 /// Decodes exactly one EncodeProfile body. A framing violation
 /// (truncation, trailing bytes, unknown tag) and every preference
 /// UserProfile::Add refuses (duplicate condition, degree outside [-1, 1]
-/// or NaN, zero degree, negative join) yield a ParseError.
+/// or NaN, zero degree, negative join, non-finite literal or width)
+/// yield a ParseError.
 Result<UserProfile> DecodeProfile(std::string_view data);
 
 /// Appends the binary encoding of `mutation` to `*dst`: its kind, user

@@ -126,17 +126,36 @@ void DurableProfileStore::ScrubDisk(ScrubReport* report,
       auto loaded =
           LoadSnapshot(fs_, JoinPath(dir_, manifest_.snapshot_file),
                        manifest_.snapshot_bytes, manifest_.snapshot_crc);
-      if (loaded.ok()) {
-        report->snapshot_verified = true;
-      } else {
+      if (!loaded.ok()) {
         ++report->disk_corruptions;
         failure = "snapshot: " + loaded.status().message();
+        need_repair = true;
+      } else {
+        report->snapshot_verified = true;
+        for (const LoadedEntry& entry : *loaded) {
+          if (entry.profile.ok()) continue;
+          // A body that fails on its own inside an intact file was carried
+          // over from a generation where it had already rotted. While it
+          // is still its user's only copy a rewrite would carry it again,
+          // so it is reported, not repaired: that user's loads fail until
+          // a Put or Remove replaces it, and the rewrite after that drops
+          // it.
+          report->snapshot_verified = false;
+          ++report->disk_corruptions;
+          report->corrupt_users.push_back(entry.user_id);
+          if (failure.empty()) {
+            failure = "snapshot: " + entry.profile.status().message();
+          }
+          const ProfileTier::LoadPlan plan = tier_->PlanLoad(entry.user_id);
+          if (!plan.alive || !plan.in_snapshot) need_repair = true;
+        }
       }
     }
     auto data = fs_->ReadFile(JoinPath(dir_, manifest_.wal_file));
     if (!data.ok()) {
       ++report->disk_corruptions;
       if (failure.empty()) failure = "wal: " + data.status().message();
+      need_repair = true;
     } else {
       WalReader reader(*data, manifest_.seqno + 1);
       WalRecord record;
@@ -149,23 +168,27 @@ void DurableProfileStore::ScrubDisk(ScrubReport* report,
           // live writer the tail is simply an append in flight.
           ++report->disk_corruptions;
           if (failure.empty()) failure = "wal: " + status.message();
+          need_repair = true;
           break;
         }
         if (!has_record) break;
         ++report->wal_frames_verified;
       }
     }
-    need_repair = report->disk_corruptions > 0;
   }
   if (!failure.empty() && report->first_error.empty()) {
     report->first_error = failure;
   }
   if (!need_repair || !options_.scrub_auto_repair) return;
 
-  // The in-memory state still holds exactly the acknowledged mutations,
-  // so writing it out as a fresh snapshot + empty WAL generation (the
-  // same rotation a breaker probe runs) replaces the damaged files with
-  // an intact committed generation.
+  // The resident profiles, the tier's overlay and the cold bodies still
+  // hold exactly the acknowledged mutations. Writing them out as a fresh
+  // snapshot + empty WAL generation (the same rotation a breaker probe
+  // runs) replaces the damaged files with an intact committed generation.
+  // A cold body the damage hit is that profile's only copy: it is carried
+  // over under the checksum it was written with, so the next pass reports
+  // it and its user's loads keep failing, while everyone else is served
+  // and the next Open succeeds.
   auto locks = LockAllStripes();
   std::lock_guard<std::mutex> meta(meta_mutex_);
   if (closed_) return;
@@ -230,12 +253,12 @@ Status DurableProfileStore::RepairUser(const std::string& user_id) {
     std::optional<UserProfile> rebuilt;
     if (!manifest_.snapshot_file.empty()) {
       QP_ASSIGN_OR_RETURN(
-          auto users,
+          auto entries,
           LoadSnapshot(fs_, JoinPath(dir_, manifest_.snapshot_file),
                        manifest_.snapshot_bytes, manifest_.snapshot_crc));
-      for (auto& [id, profile] : users) {
-        if (id == user_id) {
-          rebuilt = std::move(profile);
+      for (LoadedEntry& entry : entries) {
+        if (entry.user_id == user_id) {
+          QP_ASSIGN_OR_RETURN(rebuilt, std::move(entry.profile));
           break;
         }
       }
@@ -256,7 +279,7 @@ Status DurableProfileStore::RepairUser(const std::string& user_id) {
       // Durable truth says the user does not exist; absence is the
       // repair.
       Drop(stripe, user_id);
-      if (tiered()) tier_->Erase(user_id);
+      tier_->Erase(user_id);
       return Status::Ok();
     }
     // Validated install: rebuilds the graph, bumps the epoch (caches
@@ -265,10 +288,8 @@ Status DurableProfileStore::RepairUser(const std::string& user_id) {
     QP_ASSIGN_OR_RETURN(ProfileSnapshot prepared,
                         Prepare(std::move(*rebuilt)));
     Install(stripe, user_id, std::move(prepared));
-    if (tiered()) {
-      tier_->Touch(user_id);
-      EvictOverBudget();
-    }
+    tier_->Touch(user_id);
+    EvictOverBudget();
     return Status::Ok();
   }();
   if (status.ok()) {

@@ -20,16 +20,20 @@ namespace storage {
 /// StorageStats (scrubs, scrub_corruptions, repairs, ...).
 struct ScrubReport {
   /// Disk pass: the committed generation re-verified end to end.
-  bool snapshot_verified = false;    // Manifest names no snapshot, or CRC ok.
+  /// Manifest names no snapshot, or its CRC and every entry checksum ok.
+  bool snapshot_verified = false;
   uint64_t wal_frames_verified = 0;  // CRC-valid frames in the live WAL.
-  /// Mid-log CRC damage or a snapshot/manifest mismatch. A torn tail at
-  /// the very end of the WAL is NOT corruption — with a live writer it
-  /// is simply an append in flight.
+  /// Mid-log CRC damage, a snapshot/manifest mismatch, or a snapshot
+  /// body that fails its own entry checksum. A torn tail at the very end
+  /// of the WAL is NOT corruption — with a live writer it is simply an
+  /// append in flight.
   uint64_t disk_corruptions = 0;
   /// Memory pass: profiles whose standing invariants failed re-checking
   /// (schema validation, doi ∈ (0,1], graph edges in range — the bounds
   /// that make f(D) ≤ min(D) hold for every preference path).
   uint64_t invariant_violations = 0;
+  /// Users whose snapshot body failed its checksum or whose in-memory
+  /// profile failed the memory pass.
   std::vector<std::string> corrupt_users;
   /// Actions taken this pass.
   uint64_t quarantined = 0;

@@ -16,9 +16,10 @@ const char kManifestName[] = "MANIFEST";
 
 namespace {
 
-// v2 bodies are the binary profile codec (EncodeProfile). A header of
-// another version is refused with its name, not as damage.
-const char kSnapshotHeader[] = "qp-snapshot v2";
+// v3 bodies are the binary profile codec (EncodeProfile), each behind a
+// checksum of its own. A header of another version is refused with its
+// name, not as damage.
+const char kSnapshotHeader[] = "qp-snapshot v3";
 const char kSnapshotMagic[] = "qp-snapshot ";
 const char kManifestHeader[] = "qp-manifest v1";
 
@@ -30,7 +31,25 @@ bool ParseUint64(std::string_view text, uint64_t* out) {
   return ec == std::errc() && ptr == end;
 }
 
+bool ParseCrc(std::string_view text, uint32_t* out) {
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, *out, 16);
+  return text.size() == 8 && ec == std::errc() && ptr == end;
+}
+
+uint32_t BodyCrc(std::string_view body) {
+  return crc32c::Mask(crc32c::Value(body));
+}
+
 }  // namespace
+
+Status VerifyEntryBody(const SnapshotEntry& entry, std::string_view body) {
+  if (body.size() == entry.length && BodyCrc(body) == entry.crc) {
+    return Status::Ok();
+  }
+  return Status::ParseError("corrupt snapshot entry of user '" +
+                            entry.user_id + "': body checksum mismatch");
+}
 
 std::string SnapshotFileName(uint64_t seqno) {
   char buf[64];
@@ -123,6 +142,16 @@ Status SnapshotWriter::Open(const std::string& path, uint64_t count) {
 }
 
 Status SnapshotWriter::Add(const std::string& user_id, std::string_view body) {
+  return Append(user_id, body, BodyCrc(body));
+}
+
+Status SnapshotWriter::AddCopy(const SnapshotEntry& entry,
+                               std::string_view body) {
+  return Append(entry.user_id, body, entry.crc);
+}
+
+Status SnapshotWriter::Append(const std::string& user_id,
+                              std::string_view body, uint32_t body_crc) {
   if (!status_.ok()) return status_;
   if (file_ == nullptr) return Status::FailedPrecondition("writer not open");
   if (added_ == declared_count_) {
@@ -130,14 +159,17 @@ Status SnapshotWriter::Add(const std::string& user_id, std::string_view body) {
                "snapshot writer: more entries than the declared count");
   }
   ++added_;
-  buffer_ += "user " + std::to_string(user_id.size()) + " " +
-             std::to_string(body.size()) + "\n";
-  buffer_ += user_id;
-  buffer_ += "\n";
   SnapshotEntry entry;
   entry.user_id = user_id;
-  entry.offset = written_ + buffer_.size();
   entry.length = body.size();
+  entry.crc = body_crc;
+  char crc_hex[16];
+  std::snprintf(crc_hex, sizeof crc_hex, "%08x", entry.crc);
+  buffer_ += "user " + std::to_string(user_id.size()) + " " +
+             std::to_string(body.size()) + " " + crc_hex + "\n";
+  buffer_ += user_id;
+  buffer_ += "\n";
+  entry.offset = written_ + buffer_.size();
   entries_.push_back(std::move(entry));
   buffer_.append(body);
   // 1 MiB write granularity: big enough to amortize syscalls, small
@@ -169,32 +201,17 @@ Status SnapshotWriter::Finish(uint64_t* bytes, uint32_t* crc) {
   return Status::Ok();
 }
 
-Status WriteSnapshot(FileSystem* fs, const std::string& path,
-                     const SnapshotUsers& users, uint64_t* bytes,
-                     uint32_t* crc) {
-  SnapshotWriter writer(fs);
-  QP_RETURN_IF_ERROR(writer.Open(path, users.size()));
-  std::string body;
-  for (const auto& [user_id, profile] : users) {
-    body.clear();
-    EncodeProfile(*profile, &body);
-    QP_RETURN_IF_ERROR(writer.Add(user_id, body));
-  }
-  return writer.Finish(bytes, crc);
-}
-
 namespace {
 
 /// The one framing walk both readers share: verifies size + CRC against
-/// the manifest, then visits every `user` entry with its id, body view
-/// and the body's byte offset in the file. The visitor decides what to
-/// materialize — LoadSnapshot decodes profiles, IndexSnapshot records
-/// positions only.
+/// the manifest, then visits every `user` entry with its header (id,
+/// body offset, length and checksum) and body view. The visitor decides
+/// what to materialize — LoadSnapshot decodes profiles, IndexSnapshot
+/// records positions only.
 Status VerifyAndWalkSnapshot(
     const std::string& content, const std::string& path,
     uint64_t expected_bytes, uint32_t expected_crc,
-    const std::function<Status(std::string&&, std::string_view, uint64_t)>&
-        visit) {
+    const std::function<Status(SnapshotEntry&&, std::string_view)>& visit) {
   auto corrupt = [&](const std::string& what) {
     return Status::ParseError("corrupt snapshot " + path + ": " + what);
   };
@@ -239,23 +256,27 @@ Status VerifyAndWalkSnapshot(
     }
     std::vector<std::string> fields = Split(line, ' ');
     uint64_t id_len, body_len;
-    if (fields.size() != 3 || !ParseUint64(fields[1], &id_len) ||
-        !ParseUint64(fields[2], &body_len)) {
+    SnapshotEntry entry;
+    if (fields.size() != 4 || !ParseUint64(fields[1], &id_len) ||
+        !ParseUint64(fields[2], &body_len) ||
+        !ParseCrc(fields[3], &entry.crc)) {
       return corrupt("bad user header");
     }
     // Bounds-check by subtraction: huge lengths must not wrap the sum.
     if (id_len >= content.size() - pos) {  // id plus its '\n' terminator.
       return corrupt("user entry past EOF");
     }
-    std::string user_id = content.substr(pos, id_len);
+    entry.user_id = content.substr(pos, id_len);
     pos += id_len;
     if (content[pos] != '\n') return corrupt("missing id terminator");
     ++pos;
     if (body_len > content.size() - pos) {
       return corrupt("user entry past EOF");
     }
+    entry.offset = pos;
+    entry.length = body_len;
     std::string_view body = std::string_view(content).substr(pos, body_len);
-    QP_RETURN_IF_ERROR(visit(std::move(user_id), body, pos));
+    QP_RETURN_IF_ERROR(visit(std::move(entry), body));
     pos += body_len;
   }
   if (pos != content.size()) return corrupt("trailing bytes");
@@ -264,19 +285,23 @@ Status VerifyAndWalkSnapshot(
 
 }  // namespace
 
-Result<std::vector<std::pair<std::string, UserProfile>>> LoadSnapshot(
-    FileSystem* fs, const std::string& path, uint64_t expected_bytes,
-    uint32_t expected_crc) {
+Result<std::vector<LoadedEntry>> LoadSnapshot(FileSystem* fs,
+                                              const std::string& path,
+                                              uint64_t expected_bytes,
+                                              uint32_t expected_crc) {
   QP_ASSIGN_OR_RETURN(std::string content, fs->ReadFile(path));
-  std::vector<std::pair<std::string, UserProfile>> users;
+  std::vector<LoadedEntry> entries;
   QP_RETURN_IF_ERROR(VerifyAndWalkSnapshot(
       content, path, expected_bytes, expected_crc,
-      [&](std::string&& user_id, std::string_view body, uint64_t) -> Status {
-        QP_ASSIGN_OR_RETURN(UserProfile profile, DecodeProfile(body));
-        users.emplace_back(std::move(user_id), std::move(profile));
+      [&](SnapshotEntry&& entry, std::string_view body) -> Status {
+        Status verified = VerifyEntryBody(entry, body);
+        entries.push_back(
+            {std::move(entry.user_id),
+             verified.ok() ? DecodeProfile(body)
+                           : Result<UserProfile>(std::move(verified))});
         return Status::Ok();
       }));
-  return users;
+  return entries;
 }
 
 Result<std::vector<SnapshotEntry>> IndexSnapshot(FileSystem* fs,
@@ -287,12 +312,7 @@ Result<std::vector<SnapshotEntry>> IndexSnapshot(FileSystem* fs,
   std::vector<SnapshotEntry> entries;
   QP_RETURN_IF_ERROR(VerifyAndWalkSnapshot(
       content, path, expected_bytes, expected_crc,
-      [&](std::string&& user_id, std::string_view body,
-          uint64_t offset) -> Status {
-        SnapshotEntry entry;
-        entry.user_id = std::move(user_id);
-        entry.offset = offset;
-        entry.length = body.size();
+      [&](SnapshotEntry&& entry, std::string_view) -> Status {
         entries.push_back(std::move(entry));
         return Status::Ok();
       }));

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -40,70 +41,90 @@ Status WriteManifest(FileSystem* fs, const std::string& dir,
                      const Manifest& manifest);
 Result<Manifest> ReadManifest(FileSystem* fs, const std::string& dir);
 
-/// One user's state inside a snapshot. Profiles are carried as
-/// shared_ptrs on the write side so snapshotting never copies them.
-using SnapshotUsers =
-    std::vector<std::pair<std::string, std::shared_ptr<const UserProfile>>>;
-
-/// Writes `users` to `path` and fsyncs it, reporting the byte count +
-/// CRC32C for the manifest. The format ("qp-snapshot v2") is a text
-/// header and count line, then per user a "user <idlen> <bodylen>" line,
-/// the id, a newline and the body: the user's profile in the binary
-/// profile codec (EncodeProfile), which reproduces it bit for bit.
-Status WriteSnapshot(FileSystem* fs, const std::string& path,
-                     const SnapshotUsers& users, uint64_t* bytes,
-                     uint32_t* crc);
-
-/// Loads and verifies a snapshot written by WriteSnapshot. A size or
-/// checksum mismatch against the manifest values is an error — a
-/// snapshot is either wholly valid or the directory is corrupt — and so
-/// is any body DecodeProfile refuses. Another format version (v1 bodies
-/// were text) is a ParseError that names it.
-Result<std::vector<std::pair<std::string, UserProfile>>> LoadSnapshot(
-    FileSystem* fs, const std::string& path, uint64_t expected_bytes,
-    uint32_t expected_crc);
-
 /// Where one user's encoded profile body sits inside a snapshot file,
-/// the unit of the tiered store's cold index: a cold profile is paged in
-/// with a single ReadFileRange(offset, length) + DecodeProfile, no other
-/// entry touched.
+/// the unit of a durable store's cold index: a cold profile is paged in
+/// with a single ReadFileRange(offset, length), checked against `crc`
+/// and decoded, no other entry touched.
 struct SnapshotEntry {
   std::string user_id;
   uint64_t offset = 0;  // Byte offset of the profile body in the file.
   uint64_t length = 0;  // Body length in bytes.
+  uint32_t crc = 0;     // Masked CRC32C of the body, from its header.
 };
+
+/// The check every body passes before it is decoded: its length and
+/// checksum match its entry header. The file's CRC is verified only when
+/// the whole file is read (Open, the scrubber), so a body read later on
+/// its own needs this one; a ParseError naming the user otherwise.
+Status VerifyEntryBody(const SnapshotEntry& entry, std::string_view body);
+
+/// One entry of a loaded snapshot: its user and the decoded profile, or
+/// why the body cannot be trusted (it fails its entry checksum, or
+/// DecodeProfile refuses it).
+struct LoadedEntry {
+  std::string user_id;
+  Result<UserProfile> profile;
+};
+
+/// Loads and verifies a snapshot written by SnapshotWriter, decoding
+/// every body: the scrubber's whole-generation check and RepairUser's
+/// source of truth. A size, checksum or framing mismatch against the
+/// manifest values fails the whole load — the file is damaged — while a
+/// body that fails on its own fails only its entry's profile, because a
+/// checkpoint carries a rotted body into the next file under the
+/// checksum it was written with (SnapshotWriter::AddCopy). Another
+/// format version (v1 bodies were text, v2 entries had no checksum) is
+/// a ParseError that names it.
+Result<std::vector<LoadedEntry>> LoadSnapshot(FileSystem* fs,
+                                              const std::string& path,
+                                              uint64_t expected_bytes,
+                                              uint32_t expected_crc);
 
 /// Verifies the whole file (size + CRC32C against the manifest) and
 /// walks only the length-framed entry headers — profile bodies are never
-/// decoded — returning every user's body position. This is how a tiered
-/// recovery indexes a million-user snapshot without materializing a
+/// decoded — returning every user's body position and checksum. This is
+/// how recovery indexes a million-user snapshot without materializing a
 /// single profile.
 Result<std::vector<SnapshotEntry>> IndexSnapshot(FileSystem* fs,
                                                  const std::string& path,
                                                  uint64_t expected_bytes,
                                                  uint32_t expected_crc);
 
-/// Streaming counterpart of WriteSnapshot for checkpoints that merge
-/// hot in-memory profiles with cold bodies copied from the previous
-/// snapshot: entries are appended one at a time (buffered, CRC32C
-/// extended incrementally) so the writer never holds the whole snapshot
-/// in memory, and each Add records the body's SnapshotEntry for the next
-/// cold index. Usage: Open (with the exact final entry count — the
-/// format's count header is written up front), Add per user in sorted
-/// order, Finish (flush + fsync + close, reporting bytes and CRC for the
-/// manifest). Any error is sticky and fails Finish.
+/// The one snapshot writer: a checkpoint streams hot in-memory profiles
+/// (Add) and cold bodies copied from the previous snapshot (AddCopy)
+/// through it. The format ("qp-snapshot v3") is a text header and count
+/// line, then per user a "user <idlen> <bodylen> <crc>" line (crc: the
+/// body's masked CRC32C in 8 hex digits), the id, a newline and the
+/// body: the user's profile in the binary profile codec (EncodeProfile),
+/// which reproduces it bit for bit. Entries are appended one at a time
+/// (buffered, CRC32C extended incrementally) so the writer never holds
+/// the whole snapshot in memory, and each Add or AddCopy records the
+/// body's SnapshotEntry for the next cold index. Usage: Open (with the
+/// exact final entry count — the format's count header is written up
+/// front), Add or AddCopy per user in sorted order, Finish (flush +
+/// fsync + close, reporting bytes and CRC for the manifest). Any error
+/// is sticky and fails Finish.
 class SnapshotWriter {
  public:
   explicit SnapshotWriter(FileSystem* fs);
 
   Status Open(const std::string& path, uint64_t count);
+  /// Appends a body encoded now, under a checksum computed here.
   Status Add(const std::string& user_id, std::string_view body);
+  /// Appends a body copied byte for byte out of an older snapshot, under
+  /// the checksum `entry` was written with rather than one computed now:
+  /// a body that rotted since fails its check in the new file just as in
+  /// the old one, instead of being sealed under a fresh checksum.
+  Status AddCopy(const SnapshotEntry& entry, std::string_view body);
   Status Finish(uint64_t* bytes, uint32_t* crc);
 
-  /// Body positions of every Add, in Add order. Valid after Finish.
+  /// Body positions of every entry, in the order added. Valid after
+  /// Finish.
   std::vector<SnapshotEntry> TakeEntries() { return std::move(entries_); }
 
  private:
+  Status Append(const std::string& user_id, std::string_view body,
+                uint32_t body_crc);
   Status Flush();
 
   FileSystem* fs_;

@@ -5,8 +5,7 @@
 namespace qp {
 namespace storage {
 
-ProfileTier::ProfileTier(size_t hot_capacity)
-    : capacity_(hot_capacity == 0 ? 1 : hot_capacity) {}
+ProfileTier::ProfileTier(size_t hot_capacity) : capacity_(hot_capacity) {}
 
 void ProfileTier::NoteSnapshotEntry(const SnapshotEntry& entry) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -14,6 +13,7 @@ void ProfileTier::NoteSnapshotEntry(const SnapshotEntry& entry) {
   state.in_snapshot = true;
   state.offset = entry.offset;
   state.length = entry.length;
+  state.crc = entry.crc;
 }
 
 void ProfileTier::NoteLogged(const ProfileMutation& mutation,
@@ -55,8 +55,10 @@ ProfileTier::LoadPlan ProfileTier::PlanLoad(const std::string& user_id) const {
   if (it == users_.end()) return plan;
   plan.alive = true;
   plan.in_snapshot = it->second.in_snapshot;
-  plan.offset = it->second.offset;
-  plan.length = it->second.length;
+  plan.base.user_id = user_id;
+  plan.base.offset = it->second.offset;
+  plan.base.length = it->second.length;
+  plan.base.crc = it->second.crc;
   plan.tail = it->second.tail;
   return plan;
 }
@@ -80,8 +82,9 @@ void ProfileTier::Touch(const std::string& user_id) {
 }
 
 std::vector<std::string> ProfileTier::EvictOverBudget() {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> evicted;
+  if (capacity_ == 0) return evicted;
+  std::lock_guard<std::mutex> lock(mutex_);
   while (lru_.size() > capacity_) {
     const std::string& victim = lru_.back();
     auto it = users_.find(victim);
@@ -112,25 +115,6 @@ std::vector<std::string> ProfileTier::AliveUsers() const {
   return users;
 }
 
-std::vector<std::pair<std::string, ProfileTier::LoadPlan>>
-ProfileTier::CheckpointPlans() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::pair<std::string, LoadPlan>> plans;
-  plans.reserve(users_.size());
-  for (const auto& [user_id, state] : users_) {
-    LoadPlan plan;
-    plan.alive = true;
-    plan.in_snapshot = state.in_snapshot;
-    plan.offset = state.offset;
-    plan.length = state.length;
-    plan.tail = state.tail;
-    plans.emplace_back(user_id, std::move(plan));
-  }
-  std::sort(plans.begin(), plans.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return plans;
-}
-
 void ProfileTier::ResetAfterCheckpoint(
     const std::vector<SnapshotEntry>& entries) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -141,6 +125,7 @@ void ProfileTier::ResetAfterCheckpoint(
     it->second.in_snapshot = true;
     it->second.offset = entry.offset;
     it->second.length = entry.length;
+    it->second.crc = entry.crc;
     it->second.tail.clear();
   }
   overlay_records_ = 0;

@@ -15,11 +15,14 @@
 namespace qp {
 namespace storage {
 
-/// Residency bookkeeping for a tiered DurableProfileStore: which users
-/// are alive, where each one's base body sits in the committed snapshot,
-/// which logged mutations have landed since that snapshot (the WAL
-/// overlay a cold load replays without re-reading the log file), and an
-/// LRU over the profiles currently resident in memory.
+/// Residency bookkeeping for every DurableProfileStore with a storage
+/// directory: which users are alive, where each one's base body sits in
+/// the committed snapshot, which logged mutations have landed since that
+/// snapshot (the WAL overlay a cold load replays without re-reading the
+/// log file), and an LRU over the profiles currently resident in memory.
+/// Recovery only indexes, so every profile starts cold and pages in on
+/// its first use; a hot budget of 0 means no budget — nothing is ever
+/// evicted, so once paged in a profile stays resident.
 ///
 /// The tier never touches the disk or the store's resident profiles itself
 /// — it answers "how do I rebuild this user?" (PlanLoad) and "who goes
@@ -36,13 +39,13 @@ namespace storage {
 /// nothing — the next Get pages it back byte-identically.
 class ProfileTier {
  public:
-  /// At most `hot_capacity` profiles resident (clamped to >= 1).
+  /// At most `hot_capacity` profiles resident; 0 = no budget.
   explicit ProfileTier(size_t hot_capacity);
 
   size_t hot_capacity() const { return capacity_; }
 
   /// Recovery: records one snapshot entry (user alive, base body at
-  /// offset/length, no overlay yet).
+  /// offset/length under its checksum, no overlay yet).
   void NoteSnapshotEntry(const SnapshotEntry& entry);
 
   /// Records an acknowledged logged mutation. kPut resets the user's
@@ -59,8 +62,7 @@ class ProfileTier {
   struct LoadPlan {
     bool alive = false;
     bool in_snapshot = false;
-    uint64_t offset = 0;
-    uint64_t length = 0;
+    SnapshotEntry base;  // The committed body; meaningful iff in_snapshot.
     std::vector<std::string> tail;
   };
   LoadPlan PlanLoad(const std::string& user_id) const;
@@ -72,10 +74,17 @@ class ProfileTier {
   /// EvictOverBudget so the decision happens once per install.
   void Touch(const std::string& user_id);
 
+  /// A Get found `user_id` resident: refreshes its LRU position. Free
+  /// without a budget, where the order is never read (the install that
+  /// made the user resident already marked it).
+  void NoteHit(const std::string& user_id) {
+    if (capacity_ > 0) Touch(user_id);
+  }
+
   /// Pops least-recently-used residents until the budget holds, marking
-  /// them cold. Returns the users to drop from memory; the tier has
-  /// already forgotten their residency, so a racing Touch re-inserts
-  /// harmlessly.
+  /// them cold; never evicts without a budget. Returns the users to drop
+  /// from memory; the tier has already forgotten their residency, so a
+  /// racing Touch re-inserts harmlessly.
   std::vector<std::string> EvictOverBudget();
 
   /// Forgets `user_id` entirely (repair discovered the durable truth has
@@ -85,10 +94,6 @@ class ProfileTier {
   /// Every alive user, sorted — the iteration order of All() and of
   /// checkpoint merges.
   std::vector<std::string> AliveUsers() const;
-
-  /// Checkpoint support: every alive user with its rebuild plan, sorted
-  /// by user id. Call under a consistent cut (all stripes held).
-  std::vector<std::pair<std::string, LoadPlan>> CheckpointPlans() const;
 
   /// After a checkpoint committed: every alive user's base is now
   /// `entries` (the new snapshot), overlays are gone. Residency is
@@ -112,12 +117,13 @@ class ProfileTier {
     bool in_snapshot = false;
     uint64_t offset = 0;
     uint64_t length = 0;
+    uint32_t crc = 0;
     std::vector<std::string> tail;
     bool hot = false;
     std::list<std::string>::iterator lru_it;  // Valid iff hot.
   };
 
-  size_t capacity_;
+  const size_t capacity_;
   mutable std::mutex mutex_;
   std::unordered_map<std::string, UserState> users_;
   std::list<std::string> lru_;  // Front = most recently used; hot users only.

@@ -100,8 +100,7 @@ Status WalWriter::AppendLocked(std::string_view payload,
       return status;
     }
     if (options_.fsync == FsyncPolicy::kInterval &&
-        std::chrono::steady_clock::now() - last_sync_time_ >=
-            options_.sync_interval) {
+        std::chrono::steady_clock::now() - last_sync_time_ >= kSyncInterval) {
       return SyncLocked(lock);
     }
     return Status::Ok();

@@ -24,7 +24,7 @@ enum class FsyncPolicy {
   /// while the previous fsync was in flight.
   kEveryRecord,
   /// Records are written to the OS immediately but fsynced at most once
-  /// per `sync_interval`. A crash loses at most one interval of
+  /// per kSyncInterval. A crash loses at most one interval of
   /// acknowledged records.
   kInterval,
   /// Never fsync (the OS flushes when it pleases). Fastest; a crash may
@@ -34,10 +34,11 @@ enum class FsyncPolicy {
 
 const char* FsyncPolicyName(FsyncPolicy policy);
 
+/// Max time acknowledged records may sit unsynced under kInterval.
+inline constexpr std::chrono::milliseconds kSyncInterval{50};
+
 struct WalOptions {
   FsyncPolicy fsync = FsyncPolicy::kEveryRecord;
-  /// Max time acknowledged records may sit unsynced under kInterval.
-  std::chrono::milliseconds sync_interval{50};
   /// How many times a failed fsync is retried (with exponential backoff
   /// starting at `retry_backoff`, capped at 100ms per wait) before the
   /// failure becomes sticky. Retrying fsync is safe — it re-requests

@@ -10,8 +10,13 @@ namespace crc32c {
 
 /// CRC-32C (Castagnoli, reflected polynomial 0x82F63B78), the checksum
 /// used by the storage layer to frame WAL records and snapshot files.
-/// Software slice-by-4 implementation; Extend(0, ...) == Value(...).
+/// The SSE4.2 crc32 instruction where the CPU has it, else a software
+/// slice-by-4; Extend(0, ...) == Value(...).
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
+
+/// The table-driven slice-by-4 that Extend falls back to on a CPU
+/// without SSE4.2, callable on any CPU so tests run it everywhere.
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n);
 
 inline uint32_t Value(const char* data, size_t n) {
   return Extend(0, data, n);

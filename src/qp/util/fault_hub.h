@@ -17,11 +17,8 @@
 /// subsystem (`QP_FAULT_POINT("wal.sync")`, `"pool.submit"`, ...) with
 /// per-site schedules that are a pure function of (seed, site, call
 /// index) — the same seed always produces the same fault schedule, so
-/// any chaos-trial failure replays exactly.
-///
-/// Define QP_FAULTS_DISABLED at compile time to stub every fault site to
-/// a literal `Status::Ok()` / empty action: production builds carry zero
-/// chaos overhead, not even the disarmed atomic load.
+/// any chaos-trial failure replays exactly. A disarmed site costs one
+/// relaxed atomic load.
 
 namespace qp {
 
@@ -157,14 +154,9 @@ class ScopedFaultInjection {
 
 }  // namespace qp
 
-#ifdef QP_FAULTS_DISABLED
-#define QP_FAULT_POINT(site) ::qp::Status::Ok()
-#define QP_FAULT_ACTION(site) ::qp::FaultAction{}
-#else
 /// Drop-in fault site returning Status: `QP_RETURN_IF_ERROR(QP_FAULT_POINT("wal.sync"));`
 #define QP_FAULT_POINT(site) ::qp::FaultHub::Global()->Check(site)
 /// Fault site for code with its own partial/delay semantics.
 #define QP_FAULT_ACTION(site) ::qp::FaultHub::Global()->Evaluate(site)
-#endif
 
 #endif  // QP_UTIL_FAULT_HUB_H_

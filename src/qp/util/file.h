@@ -51,7 +51,7 @@ class FileSystem {
   /// must find out, not get a short read. The default implementation is
   /// ReadFile + substr, so every FileSystem (including the fault-
   /// injecting one, which keeps its read-fault wiring) supports it; the
-  /// POSIX implementation overrides it with pread so the tiered profile
+  /// POSIX implementation overrides it with pread so the durable profile
   /// store can page one cold profile in without touching the rest of a
   /// multi-megabyte snapshot.
   virtual Result<std::string> ReadFileRange(const std::string& path,

@@ -27,9 +27,6 @@ namespace {
 class ChaosBlackboxTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!obs::kTracingCompiledIn) {
-      GTEST_SKIP() << "observability compiled out";
-    }
     MovieDbConfig config;
     config.num_movies = 200;
     config.num_actors = 100;
@@ -115,9 +112,6 @@ bool HasEvent(const std::vector<obs::FlightEvent>& events,
 }
 
 TEST_F(ChaosBlackboxTest, MigrateChaosLeavesFullEvidenceInTheRecorder) {
-#ifdef QP_FAULTS_DISABLED
-  GTEST_SKIP() << "fault injection compiled out";
-#endif
   auto sharded = MustOpen(Options(2));
   ASSERT_NE(sharded, nullptr);
   obs::FragmentTraceSink sink(128);
@@ -190,9 +184,6 @@ TEST_F(ChaosBlackboxTest, MigrateChaosLeavesFullEvidenceInTheRecorder) {
 }
 
 TEST_F(ChaosBlackboxTest, RecorderDumpIsParseableJson) {
-#ifdef QP_FAULTS_DISABLED
-  GTEST_SKIP() << "fault injection compiled out";
-#endif
   auto sharded = MustOpen(Options(2));
   ASSERT_NE(sharded, nullptr);
   QP_ASSERT_OK(sharded->PutProfile("user0", MakeProfile(1)));

@@ -363,10 +363,6 @@ TEST_F(ChaosPropertyTest, SeededTrialsSurviveRandomFaultSchedules) {
 /// *request* meets which fault — determinism is per (seed, call index),
 /// not per wall-clock interleaving.
 TEST_F(ChaosPropertyTest, SameSeedSameDispositionsSameFinalState) {
-#ifdef QP_FAULTS_DISABLED
-  GTEST_SKIP() << "fault injection compiled out: every schedule is empty, "
-                  "so the different-seeds-differ sanity check cannot hold";
-#endif
   struct RunRecord {
     std::vector<std::pair<int, int>> dispositions;  // (status code, dispo).
     std::vector<std::pair<std::string, uint64_t>> fires;  // site -> count.

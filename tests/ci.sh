@@ -14,12 +14,7 @@
 #      unsanitized in stage 1; every trial prints its seed, so a failure
 #      names its exact replay) are only trusted once they have passed
 #      under both;
-#   3. compile checks that -DQP_FAULTS_DISABLED=ON and -DQP_OBS_DISABLED=ON
-#      still build: fault sites and the observability plane (trace
-#      contexts, flight recorder, SLO tracking) must stub to literal
-#      no-ops in production builds, with the tracing-independent suites
-#      still green in each stubbed tree;
-#   4. benchmark snapshots in machine-readable JSON via $QP_BENCH_JSON
+#   3. benchmark snapshots in machine-readable JSON via $QP_BENCH_JSON
 #      (build/bench_report.json: one BenchReport object per line —
 #      overload disposition fractions, service-throughput latency
 #      percentiles, fault-recovery costs: breaker time-to-recover and
@@ -28,14 +23,14 @@
 #      per-L execution times and their totals), so a regression in
 #      shed/degrade/recovery behaviour or the perf trajectory shows up
 #      as an artifact diff;
-#   5. a regression gate: the fresh bench report is checked against the
+#   4. a regression gate: the fresh bench report is checked against the
 #      committed BENCH_baseline.json — a >25% drop in service/shard
 #      throughput, an executor total (ablation_exec, fig8, fig9), the
 #      breaker's time-to-recover or reshard migration-window p99 above
 #      2x its baseline, a scrub tax above 2% or a sampled-tracing tax
 #      above 3%, or a violated shard invariant (acked loss — kill/recover
 #      or live reshard — unbounded residency), fails the run;
-#   6. the end-to-end benchmark (bench/e2e) in smoke mode on each of its
+#   5. the end-to-end benchmark (bench/e2e) in smoke mode on each of its
 #      workloads: every run checks 512 answers against the serial
 #      Personalizer, and write_mix also checks every write after a
 #      close/reopen, so a wrong answer fails CI even though the
@@ -50,7 +45,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 ROOT="$PWD"
 JOBS="$(nproc 2>/dev/null || echo 2)"
-source "$ROOT/tests/cmake_generator.sh"
 
 # Suites that must also pass sanitized: the storage/durability layer, the
 # request-lifecycle (deadline / cancellation / admission) suites, and the
@@ -94,39 +88,6 @@ QP_CHAOS_TRIALS=100 QP_EXEC_TRIALS=150 QP_SHARD_CHAOS_TRIALS=25 \
   QP_RESHARD_TRIALS=50 \
   tests/run_sanitized.sh all \
   -R "$STORAGE_FILTER|$LIFECYCLE_FILTER|$OBS_FILTER|$CHAOS_FILTER|$EXEC_FILTER|$SHARD_FILTER"
-
-echo "==== [ci] QP_FAULTS_DISABLED compile check ===="
-# Production builds compile every fault site to a literal no-op; this
-# gate catches a site whose disabled stub no longer typechecks. Like the
-# sanitizer trees, a new tree uses Ninja so its targets build in parallel.
-qp_generator_for "$ROOT/build-nofaults"
-cmake -B "$ROOT/build-nofaults" -S "$ROOT" "${QP_GENERATOR[@]}" \
-  -DQP_FAULTS_DISABLED=ON >/dev/null
-cmake --build "$ROOT/build-nofaults" -j "$JOBS" \
-  --target qp_storage qp_service qp_shard qpshell fault_hub_test \
-  tiered_store_test sharded_service_test routing_table_test reshard_test
-# The shard suites run in the stubbed build too: fault-dependent cases
-# (including the migrate.* cutover/abort tests) GTEST_SKIP themselves,
-# everything else must pass with sites no-opped.
-(cd "$ROOT/build-nofaults" && ctest --output-on-failure \
-  -R 'fault_hub_test|tiered_store_test|sharded_service_test|routing_table_test|reshard_test')
-
-echo "==== [ci] QP_OBS_DISABLED compile check ===="
-# The observability plane must compile out the same way: with
-# -DQP_OBS_DISABLED=ON every trace-context, flight-recorder and SLO call
-# site stubs to a no-op, so the full stack (libraries + the shell, which
-# exercises \blackbox/\slo/\migrations) has to build and the
-# tracing-independent suites still pass.
-qp_generator_for "$ROOT/build-noobs"
-cmake -B "$ROOT/build-noobs" -S "$ROOT" "${QP_GENERATOR[@]}" \
-  -DQP_OBS_DISABLED=ON >/dev/null
-cmake --build "$ROOT/build-noobs" -j "$JOBS" \
-  --target qp_obs qp_storage qp_service qp_shard qpshell \
-  flight_recorder_test slo_test sharded_service_test reshard_test
-# Trace-dependent cases GTEST_SKIP themselves when kTracingCompiledIn is
-# false; everything else must pass with the plane stubbed out.
-(cd "$ROOT/build-noobs" && ctest --output-on-failure \
-  -R 'flight_recorder_test|slo_test|sharded_service_test|reshard_test')
 
 echo "==== [ci] benchmark snapshots (JSON) ===="
 REPORT="$ROOT/build/bench_report.json"

@@ -266,7 +266,6 @@ bool SameRows(const std::vector<Row>& a, const std::vector<Row>& b) {
 }
 
 std::string DumpFlightRecorderSnapshot(const std::string& label) {
-  if (!obs::kTracingCompiledIn) return "";
   std::string path = label + "_blackbox.json";
   if (const char* dir = std::getenv("QP_ARTIFACT_DIR")) {
     path = std::string(dir) + "/" + path;

@@ -72,8 +72,7 @@ bool SameRows(const std::vector<Row>& a, const std::vector<Row>& b);
 /// (under $QP_ARTIFACT_DIR when set, the working directory otherwise)
 /// and names the path on stderr. Chaos suites call it when a trial
 /// fails, so the in-memory blackbox rides along as the post-mortem
-/// artifact. Returns the path, or "" when observability is compiled
-/// out or the write failed.
+/// artifact. Returns the path, or "" when the write failed.
 std::string DumpFlightRecorderSnapshot(const std::string& label);
 
 }  // namespace testing_util

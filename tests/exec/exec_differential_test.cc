@@ -292,9 +292,6 @@ TEST_F(ExecDifferentialTest, ChaosFaultYieldsTheErrorOrTheOracleAnswer) {
   // the executor builds. A run the fault hit must return the injected
   // error; a run that built fewer than N disjuncts must return the
   // oracle's answer.
-#ifdef QP_FAULTS_DISABLED
-  GTEST_SKIP() << "fault injection compiled out";
-#endif
   const size_t trials = std::max<size_t>(20, TrialsFromEnv(800) / 12);
   size_t checked = 0;
   for (size_t n = 0; n < trials; ++n) {

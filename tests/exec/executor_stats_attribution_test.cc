@@ -142,18 +142,16 @@ TEST(ExecutorStatsAttributionTest, RegistryAndTraceMirrorStatsDeltas) {
   executor.set_trace(&trace);
   ExecutorStats stats;
   ASSERT_TRUE(executor.Execute(*outcome.mq, &stats).ok());
-  if (obs::kTracingCompiledIn) {
-    const obs::TraceSpan* span = trace.FindSpan("execution");
-    ASSERT_NE(span, nullptr);
-    EXPECT_EQ(span->counter("disjuncts"), stats.disjuncts);
-    EXPECT_EQ(span->counter("bindings"), stats.bindings);
-    // One "part" child span per MQ part.
-    size_t part_spans = 0;
-    for (const obs::TraceSpan& s : trace.spans()) {
-      if (s.name == "part") ++part_spans;
-    }
-    EXPECT_EQ(part_spans, outcome.mq->parts().size());
+  const obs::TraceSpan* span = trace.FindSpan("execution");
+  ASSERT_NE(span, nullptr);
+  EXPECT_EQ(span->counter("disjuncts"), stats.disjuncts);
+  EXPECT_EQ(span->counter("bindings"), stats.bindings);
+  // One "part" child span per MQ part.
+  size_t part_spans = 0;
+  for (const obs::TraceSpan& s : trace.spans()) {
+    if (s.name == "part") ++part_spans;
   }
+  EXPECT_EQ(part_spans, outcome.mq->parts().size());
 
   // The service adds each executed request's stats to its qp_exec_*
   // series, which accumulate across requests just like the struct does.

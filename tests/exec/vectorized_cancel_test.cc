@@ -110,9 +110,6 @@ TEST_F(VectorizedCancelTest, ChaosFaultSurfacesThroughBatchLoop) {
   // exec.disjunct armed in error mode: the fault fires inside
   // BuildConjunct before the batch loop runs a single step, and must
   // surface as the injected error.
-#ifdef QP_FAULTS_DISABLED
-  GTEST_SKIP() << "fault injection compiled out";
-#endif
   SelectQuery query = Parse(
       "select MV.title from MOVIE MV, GENRE GN where MV.mid=GN.mid");
 

@@ -18,14 +18,6 @@ namespace qp {
 namespace obs {
 namespace {
 
-// With the plane compiled out (QP_OBS_DISABLED) every Record call is a
-// no-op; the behavioural tests skip and CompiledOutRecorderIsANoOp
-// asserts the stub instead.
-#define QP_SKIP_IF_OBS_DISABLED()                         \
-  if (!kTracingCompiledIn) {                              \
-    GTEST_SKIP() << "observability compiled out";         \
-  }
-
 class FlightRecorderTest : public ::testing::Test {
  protected:
   // The recorder is process-global; every test starts from an empty
@@ -37,19 +29,7 @@ class FlightRecorderTest : public ::testing::Test {
   }
 };
 
-TEST_F(FlightRecorderTest, CompiledOutRecorderIsANoOp) {
-  if (kTracingCompiledIn) {
-    GTEST_SKIP() << "only meaningful under QP_OBS_DISABLED";
-  }
-  RecordFlightEvent(FlightEventType::kFaultFired, "site", "detail", 1, 2, 3);
-  RequestTrace trace;
-  RecordTraceSummary(trace);
-  EXPECT_TRUE(FlightRecorder::Global()->Dump().empty());
-  EXPECT_EQ(FlightRecorder::Global()->total_recorded(), 0u);
-}
-
 TEST_F(FlightRecorderTest, RecordsInOrderWithPayload) {
-  QP_SKIP_IF_OBS_DISABLED();
   RecordFlightEvent(FlightEventType::kBreakerTransition, "breaker",
                     "closed->open", 7, 0);
   RecordFlightEvent(FlightEventType::kQuarantine, "julie", "db", 0, 0,
@@ -67,7 +47,6 @@ TEST_F(FlightRecorderTest, RecordsInOrderWithPayload) {
 }
 
 TEST_F(FlightRecorderTest, TruncatesOverlongStrings) {
-  QP_SKIP_IF_OBS_DISABLED();
   const std::string longer(200, 'x');
   RecordFlightEvent(FlightEventType::kTraceSummary, longer, longer);
   std::vector<FlightEvent> events = FlightRecorder::Global()->Dump();
@@ -78,7 +57,6 @@ TEST_F(FlightRecorderTest, TruncatesOverlongStrings) {
 }
 
 TEST_F(FlightRecorderTest, WrapAroundKeepsTheNewestEvents) {
-  QP_SKIP_IF_OBS_DISABLED();
   const size_t total = FlightRecorder::kSlots + 100;
   for (size_t i = 0; i < total; ++i) {
     RecordFlightEvent(FlightEventType::kTraceSummary, "evt", "", i);
@@ -94,7 +72,6 @@ TEST_F(FlightRecorderTest, WrapAroundKeepsTheNewestEvents) {
 }
 
 TEST_F(FlightRecorderTest, ClearHidesButKeepsCounting) {
-  QP_SKIP_IF_OBS_DISABLED();
   RecordFlightEvent(FlightEventType::kRepair, "user", "");
   const uint64_t before = FlightRecorder::Global()->total_recorded();
   FlightRecorder::Global()->Clear();
@@ -105,7 +82,6 @@ TEST_F(FlightRecorderTest, ClearHidesButKeepsCounting) {
 }
 
 TEST_F(FlightRecorderTest, ToJsonEscapesAndNamesTypes) {
-  QP_SKIP_IF_OBS_DISABLED();
   RecordFlightEvent(FlightEventType::kFaultFired, "site\"with\\quotes",
                     "", 3);
   std::vector<FlightEvent> events = FlightRecorder::Global()->Dump();
@@ -115,7 +91,6 @@ TEST_F(FlightRecorderTest, ToJsonEscapesAndNamesTypes) {
 }
 
 TEST_F(FlightRecorderTest, SummarizesAFinishedTrace) {
-  QP_SKIP_IF_OBS_DISABLED();
   RequestTrace trace;
   trace.EndSpan(trace.StartSpan("selection"));
   trace.EndSpan(trace.StartSpan("execution"));
@@ -131,10 +106,6 @@ TEST_F(FlightRecorderTest, SummarizesAFinishedTrace) {
 }
 
 TEST_F(FlightRecorderTest, ArmedFaultSiteFiresIntoTheRecorder) {
-  QP_SKIP_IF_OBS_DISABLED();
-#ifdef QP_FAULTS_DISABLED
-  GTEST_SKIP() << "fault injection compiled out";
-#endif
   // The hub-to-recorder bridge: install the listener the way the
   // storage layer's registrar does, arm a deterministic rule, and the
   // fire shows up as a kFaultFired event naming the site and call index.
@@ -153,7 +124,6 @@ TEST_F(FlightRecorderTest, ArmedFaultSiteFiresIntoTheRecorder) {
 }
 
 TEST_F(FlightRecorderTest, ConcurrentWritersAndDumpersStayConsistent) {
-  QP_SKIP_IF_OBS_DISABLED();
   // 4 writers flood the ring past wraparound while 2 readers dump
   // continuously: every dumped event must be internally consistent
   // (payload matches its writer's stamp) and in strictly increasing

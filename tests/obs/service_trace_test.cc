@@ -73,7 +73,6 @@ std::vector<std::string> RootSpanNames(const obs::RequestTrace& trace) {
 }
 
 TEST_F(ServiceTraceTest, FullRequestTraceMatchesResponse) {
-  if (!obs::kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   PersonalizationService service(db_.get(), ServiceOptions{.num_workers = 1});
   QP_ASSERT_OK(service.profiles().Put("julie", JulieProfile()));
   obs::LastTraceSink sink;
@@ -214,7 +213,6 @@ TEST_F(ServiceTraceTest, FullRequestTraceMatchesResponse) {
 }
 
 TEST_F(ServiceTraceTest, DeadlineExpiredBeforeStartDeliversMinimalTrace) {
-  if (!obs::kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   PersonalizationService service(db_.get(), ServiceOptions{.num_workers = 1});
   QP_ASSERT_OK(service.profiles().Put("julie", JulieProfile()));
   obs::LastTraceSink sink;
@@ -240,7 +238,6 @@ TEST_F(ServiceTraceTest, DeadlineExpiredBeforeStartDeliversMinimalTrace) {
 }
 
 TEST_F(ServiceTraceTest, ErrorTraceRecordsStoppedPhase) {
-  if (!obs::kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   PersonalizationService service(db_.get(), ServiceOptions{.num_workers = 1});
   obs::LastTraceSink sink;
   service.set_trace_sink(&sink);
@@ -261,7 +258,6 @@ TEST_F(ServiceTraceTest, ErrorTraceRecordsStoppedPhase) {
 }
 
 TEST_F(ServiceTraceTest, OverloadedBatchTracesReconcileWithStats) {
-  if (!obs::kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   // One worker, a one-deep queue bound with the degradation ladder on:
   // a 32-request batch must shed some requests at admission and step K
   // down for queued ones. Counts are scheduling-dependent; what must

@@ -135,7 +135,6 @@ TEST(ScopedSpanTest, NullTraceIsNoOp) {
 }
 
 TEST(ScopedSpanTest, RaiiClosesOnScopeExit) {
-  if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   RequestTrace trace;
   {
     ScopedSpan span(&trace, "scoped");
@@ -148,7 +147,6 @@ TEST(ScopedSpanTest, RaiiClosesOnScopeExit) {
 }
 
 TEST(ScopedSpanTest, ExplicitEndThenDestructorCountsOnce) {
-  if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   RequestTrace trace;
   {
     ScopedSpan span(&trace, "ended_early");

@@ -127,7 +127,7 @@ TEST(ThreadPoolTest, ExplicitShutdownDrainsAndRejectsLateSubmits) {
   for (int i = 0; i < kTasks; ++i) {
     EXPECT_TRUE(pool.Submit([&done] { done.fetch_add(1); }));
   }
-  pool.Shutdown(ThreadPool::DrainMode::kDrain);
+  pool.Shutdown();
   EXPECT_EQ(done.load(), kTasks);
 
   // After shutdown, Submit is a documented failure, not UB: it returns
@@ -137,40 +137,8 @@ TEST(ThreadPoolTest, ExplicitShutdownDrainsAndRejectsLateSubmits) {
   EXPECT_FALSE(ran.load());
 
   // Idempotent: a second shutdown (and the destructor after it) no-op.
-  pool.Shutdown(ThreadPool::DrainMode::kDiscard);
+  pool.Shutdown();
   EXPECT_EQ(done.load(), kTasks);
-}
-
-TEST(ThreadPoolTest, ShutdownDiscardDropsQueuedTasks) {
-  ThreadPool pool(1);
-  std::promise<void> release;
-  std::shared_future<void> gate(release.get_future());
-  std::promise<void> started;
-  pool.Submit([&started, gate] {
-    started.set_value();
-    gate.wait();
-  });
-  started.get_future().wait();  // The only worker is pinned in a task.
-
-  std::atomic<int> done{0};
-  constexpr int kQueued = 50;
-  for (int i = 0; i < kQueued; ++i) {
-    EXPECT_TRUE(pool.Submit([&done] { done.fetch_add(1); }));
-  }
-
-  // Shutdown(kDiscard) sweeps the deques before joining; it can only
-  // return once the pinned task finishes, so release the gate as soon as
-  // the sweep is observable (queue depth drops to zero).
-  std::thread shutdown([&pool] {
-    pool.Shutdown(ThreadPool::DrainMode::kDiscard);
-  });
-  while (pool.ApproxQueueDepth() != 0) std::this_thread::yield();
-  release.set_value();
-  shutdown.join();
-
-  // Every queued task was dropped; only the pinned one ran.
-  EXPECT_EQ(done.load(), 0);
-  EXPECT_FALSE(pool.Submit([&done] { done.fetch_add(1); }));
 }
 
 TEST(ThreadPoolTest, ConcurrentShutdownsAreSafe) {
@@ -180,21 +148,20 @@ TEST(ThreadPoolTest, ConcurrentShutdownsAreSafe) {
     for (int i = 0; i < 20; ++i) {
       pool.Submit([&done] { done.fetch_add(1); });
     }
-    // Two racing shutdowns with different modes: the first caller picks
-    // the mode, the loser must block until the join completes — either
-    // way both return with the pool fully stopped.
-    std::thread a([&pool] { pool.Shutdown(ThreadPool::DrainMode::kDrain); });
-    std::thread b([&pool] { pool.Shutdown(ThreadPool::DrainMode::kDiscard); });
+    // Two racing shutdowns: the loser must block until the winner's join
+    // completes, so both return with every task run and the pool stopped.
+    std::thread a([&pool] { pool.Shutdown(); });
+    std::thread b([&pool] { pool.Shutdown(); });
     a.join();
     b.join();
     EXPECT_FALSE(pool.Submit([] {}));
-    EXPECT_LE(done.load(), 20);
+    EXPECT_EQ(done.load(), 20);
   }
 }
 
 TEST(ThreadPoolTest, SubmitRacingShutdownNeverLosesATask) {
   // A submitter hammering the pool while another thread shuts it down:
-  // every Submit that returned true must have its task run (kDrain), and
+  // every Submit that returned true must have its task run, and
   // every false return must leave the task unrun. Accounting both sides
   // proves no task is silently dropped-but-acknowledged.
   for (int round = 0; round < 10; ++round) {
@@ -213,7 +180,7 @@ TEST(ThreadPoolTest, SubmitRacingShutdownNeverLosesATask) {
     });
     std::thread stopper([&] {
       while (!go.load()) std::this_thread::yield();
-      pool->Shutdown(ThreadPool::DrainMode::kDrain);
+      pool->Shutdown();
     });
     go.store(true);
     submitter.join();

@@ -186,9 +186,6 @@ TEST_F(ReshardTest, ReopenAfterReshardRoutingFileWinsOverStaleOptions) {
 }
 
 TEST_F(ReshardTest, CutoverFaultAbortsCleanlyAndRetryConverges) {
-#ifdef QP_FAULTS_DISABLED
-  GTEST_SKIP() << "fault injection compiled out";
-#endif
   ShardedOptions options = Options(2);
   options.migration.max_attempts = 2;
   auto sharded = MustOpen(std::move(options));
@@ -223,9 +220,6 @@ TEST_F(ReshardTest, CutoverFaultAbortsCleanlyAndRetryConverges) {
 }
 
 TEST_F(ReshardTest, TailApplyFaultRetriesWithoutLosingAckedMutations) {
-#ifdef QP_FAULTS_DISABLED
-  GTEST_SKIP() << "fault injection compiled out";
-#endif
   auto sharded = MustOpen(Options(2));
   ASSERT_NE(sharded, nullptr);
   auto shadow = Populate(sharded.get(), 24, 9000);
@@ -271,9 +265,6 @@ TEST_F(ReshardTest, TailApplyFaultRetriesWithoutLosingAckedMutations) {
 }
 
 TEST_F(ReshardTest, CopyRestartAfterWalRotationDropsPartialCopy) {
-#ifdef QP_FAULTS_DISABLED
-  GTEST_SKIP() << "fault injection compiled out";
-#endif
   auto sharded = MustOpen(Options(2));
   ASSERT_NE(sharded, nullptr);
   auto shadow = Populate(sharded.get(), 24, 10000);

@@ -335,9 +335,6 @@ TEST_F(ShardedServiceTest, KillShardShedsOnlyItsUsersAndRecoverHeals) {
 }
 
 TEST_F(ShardedServiceTest, KillFencesAWriteInFlightBeforeRecoverReopens) {
-#ifdef QP_FAULTS_DISABLED
-  GTEST_SKIP() << "fault injection compiled out";
-#endif
   // An upsert sleeps inside shard 0's WAL append, holding the old
   // instance, while the shard is killed and recovered. Unfenced, the old
   // writer appends after the recovery replayed the same log: the write
@@ -393,9 +390,6 @@ TEST_F(ShardedServiceTest, KillFencesAWriteInFlightBeforeRecoverReopens) {
 }
 
 TEST_F(ShardedServiceTest, RouteFaultSiteShedsRequestsAndMutations) {
-#ifdef QP_FAULTS_DISABLED
-  GTEST_SKIP() << "fault injection compiled out";
-#endif
   auto sharded = MustOpen(Options(2));
   ASSERT_NE(sharded, nullptr);
   QP_ASSERT_OK(sharded->PutProfile("julie", MakeProfile(1)));
@@ -427,7 +421,6 @@ TEST_F(ShardedServiceTest, RouteFaultSiteShedsRequestsAndMutations) {
 }
 
 TEST_F(ShardedServiceTest, TracesCarryTheShardSpan) {
-  if (!obs::kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   auto sharded = MustOpen(Options(3));
   ASSERT_NE(sharded, nullptr);
   // The router and the shard each deliver their own fragment of the

@@ -1,7 +1,8 @@
 // Tiered hot/cold DurableProfileStore tests: bounded residency under a
 // hot budget, cold loads that reproduce evicted state byte-identically,
 // upsert/remove of cold users, checkpoint merges of hot + cold entries,
-// WAL-overlay recovery, and the "shard.load" fault site.
+// WAL-overlay recovery, the same tier without a budget, and the
+// "shard.load" fault site.
 
 #include <string>
 #include <vector>
@@ -203,7 +204,7 @@ TEST_F(TieredStoreTest, RecoveryIndexesSnapshotWithoutMaterializing) {
   }
 }
 
-TEST_F(TieredStoreTest, TieredCheckpointReadableByUntieredStore) {
+TEST_F(TieredStoreTest, CheckpointMergeReopensWithoutABudget) {
   constexpr size_t kUsers = 6;
   {
     auto store = MustOpen(Options(2));
@@ -228,8 +229,8 @@ TEST_F(TieredStoreTest, TieredCheckpointReadableByUntieredStore) {
     QP_ASSERT_OK(store->Checkpoint());
     QP_ASSERT_OK(store->Close());
   }
-  // An untiered reopen parses the merged snapshot wholesale: every user
-  // must be present and equal to its logical state.
+  // A reopen without a budget pages every user of the merged snapshot
+  // in: each must be present and equal to its logical state.
   auto plain = MustOpen(Options(0));
   ASSERT_NE(plain, nullptr);
   EXPECT_EQ(plain->size(), kUsers);
@@ -243,6 +244,58 @@ TEST_F(TieredStoreTest, TieredCheckpointReadableByUntieredStore) {
     ASSERT_TRUE(snapshot.ok()) << snapshot.status();
     EXPECT_TRUE(ProfilesEqual(*snapshot->profile, ProfileFor(i)));
   }
+}
+
+TEST_F(TieredStoreTest, NoBudgetStoreStartsColdAndNeverEvicts) {
+  // hot_capacity = 0 is the same tier without a budget: recovery indexes
+  // the snapshot, each profile pages in on its first Get and then stays.
+  constexpr size_t kUsers = 6;
+  {
+    auto store = MustOpen(Options(0));
+    ASSERT_NE(store, nullptr);
+    for (size_t i = 0; i < kUsers; ++i) {
+      QP_ASSERT_OK(store->Put(UserId(i), ProfileFor(i)));
+    }
+    QP_ASSERT_OK(store->Checkpoint());
+    QP_ASSERT_OK(store->Close());
+  }
+  auto store = MustOpen(Options(0));
+  ASSERT_NE(store, nullptr);
+  TierStats stats = store->tier_stats();
+  EXPECT_TRUE(stats.enabled);
+  EXPECT_EQ(stats.hot_capacity, 0u);
+  EXPECT_EQ(stats.hot_resident, 0u);
+  EXPECT_EQ(stats.cold_users, kUsers);
+
+  // Each first Get is one cold load; a second Get of the user is a hit.
+  const uint64_t loads = CounterValue("qp_tier_cold_loads_total");
+  constexpr size_t kPagedIn = kUsers / 2;
+  for (size_t i = 0; i < kPagedIn; ++i) {
+    QP_ASSERT_OK(store->Get(UserId(i)).status());
+    EXPECT_EQ(CounterValue("qp_tier_cold_loads_total"), loads + i + 1);
+    QP_ASSERT_OK(store->Get(UserId(i)).status());
+    EXPECT_EQ(CounterValue("qp_tier_cold_loads_total"), loads + i + 1);
+  }
+  stats = store->tier_stats();
+  EXPECT_EQ(stats.hot_resident, kPagedIn);
+  EXPECT_EQ(stats.cold_users, kUsers - kPagedIn);
+
+  // A checkpoint while the rest are still cold encodes the hot users,
+  // copies the cold bodies and adds a new user; the reopen reproduces
+  // every profile exactly.
+  QP_ASSERT_OK(store->Put(UserId(kUsers), ProfileFor(kUsers)));
+  QP_ASSERT_OK(store->Checkpoint());
+  QP_ASSERT_OK(store->Close());
+  store = MustOpen(Options(0));
+  ASSERT_NE(store, nullptr);
+  EXPECT_EQ(store->tier_stats().cold_users, kUsers + 1);
+  for (size_t i = 0; i <= kUsers; ++i) {
+    auto snapshot = store->Get(UserId(i));
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+    EXPECT_EQ(snapshot->profile->Serialize(), ProfileFor(i).Serialize());
+  }
+  EXPECT_EQ(store->tier_stats().hot_resident, kUsers + 1);
+  EXPECT_EQ(CounterValue("qp_tier_evictions_total"), 0u);
 }
 
 TEST_F(TieredStoreTest, AllPagesEveryUserThroughTheBudget) {
@@ -265,9 +318,6 @@ TEST_F(TieredStoreTest, AllPagesEveryUserThroughTheBudget) {
 }
 
 TEST_F(TieredStoreTest, ShardLoadFaultSiteFailsColdLoads) {
-#ifdef QP_FAULTS_DISABLED
-  GTEST_SKIP() << "fault injection compiled out";
-#endif
   auto store = MustOpen(Options(1));
   ASSERT_NE(store, nullptr);
   QP_ASSERT_OK(store->Put("julie", JulieProfile()));

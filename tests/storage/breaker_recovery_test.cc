@@ -17,7 +17,9 @@
 #include "qp/storage/durable_profile_store.h"
 #include "qp/storage/fault_injection.h"
 #include "qp/storage/record.h"
+#include "qp/storage/snapshot.h"
 #include "qp/util/clock.h"
+#include "qp/util/file.h"
 #include "qp/util/status.h"
 
 namespace qp {
@@ -99,6 +101,39 @@ TEST_F(BreakerRecoveryTest, HealedDiskClosesBreakerOnNextMutation) {
   QP_ASSERT_OK(store->Upsert(
       "julie", {AtomicPreference::Selection(AttributeRef{"GENRE", "genre"},
                                             Value::Str("western"), 0.25)}));
+}
+
+TEST_F(BreakerRecoveryTest, ProbeCarriesADamagedColdBodyAndRecovers) {
+  {
+    auto store = MustOpen(Options());
+    ASSERT_NE(store, nullptr);
+    QP_ASSERT_OK(store->Put("julie", JulieProfile()));
+    QP_ASSERT_OK(store->Put("rob", RobProfile()));
+    QP_ASSERT_OK(store->Checkpoint());
+    QP_ASSERT_OK(store->Close());
+  }
+  auto store = MustOpen(Options());  // julie and rob are cold.
+  ASSERT_NE(store, nullptr);
+  // julie's body rots on disk: the snapshot is her only copy.
+  QP_ASSERT_OK_AND_ASSIGN(Manifest manifest, ReadManifest(&fs_, "db"));
+  const std::string path = JoinPath("db", manifest.snapshot_file);
+  QP_ASSERT_OK_AND_ASSIGN(
+      auto entries, IndexSnapshot(&fs_, path, manifest.snapshot_bytes,
+                                  manifest.snapshot_crc));
+  ASSERT_EQ(entries[0].user_id, "julie");
+  QP_ASSERT_OK(
+      fs_.FlipBit(path, entries[0].offset + entries[0].length - 8, 0));
+
+  // The probe's checkpoint carries julie's body over under its old
+  // checksum instead of failing on it, so the store heals.
+  TripBreaker(store.get());
+  fs_.SetSyncFailure(false);
+  WaitBackoff();
+  QP_ASSERT_OK(store->Put("ann", RobProfile()));
+  EXPECT_FALSE(store->storage_stats().breaker_open);
+  EXPECT_EQ(store->Get("julie").status().code(), StatusCode::kParseError);
+  QP_ASSERT_OK_AND_ASSIGN(ProfileSnapshot rob, store->Get("rob"));
+  EXPECT_TRUE(ProfilesEqual(*rob.profile, RobProfile()));
 }
 
 TEST_F(BreakerRecoveryTest, NoAcknowledgedMutationIsLostAcrossRecovery) {

@@ -12,9 +12,9 @@
 // The reference is an independent in-test replica of the mutation
 // semantics (plain std::map, no shared code with the store). It checks
 // the store's one mutation path in all three shapes: every trial's
-// durable store, tiered (two profiles hot out of five users) in one
-// trial in three, and an in-memory store fed the same mutations, which
-// skips the crash step.
+// durable store, with a hot budget that evicts (two profiles hot out of
+// five users) in one trial in three and without one otherwise, and an
+// in-memory store fed the same mutations, which skips the crash step.
 //
 // Run under -DQP_SANITIZE=address / thread via tests/run_sanitized.sh to
 // also prove memory- and race-safety of the recovery paths.
@@ -107,6 +107,8 @@ class CrashRecoveryPropertyTest : public ::testing::Test {
     options.compact_threshold_bytes = 0;  // Only explicit checkpoints.
     options.wal.fsync =
         rng.Below(2) == 0 ? FsyncPolicy::kEveryRecord : FsyncPolicy::kNever;
+    // Every durable store runs the tier; the split separates a budget
+    // that evicts (a third of the seeds) from no budget at all.
     if (seed % 3 == 0) options.hot_capacity = 2;
     DurableProfileStore memory(&schema);
 

@@ -24,6 +24,35 @@ TEST(Crc32cTest, KnownVectors) {
   EXPECT_EQ(Value(ascending), 0x46DD794Eu);
 }
 
+TEST(Crc32cTest, MatchesABitwiseReferenceAtEveryLengthAndAlignment) {
+  // Extend takes eight bytes per step where the CPU allows, the portable
+  // fallback four, and both the rest one at a time; a bit-at-a-time
+  // reference checks every split of both.
+  const auto reference = [](const char* data, size_t n) {
+    uint32_t crc = ~0u;
+    for (size_t i = 0; i < n; ++i) {
+      crc ^= static_cast<unsigned char>(data[i]);
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc & 1) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+      }
+    }
+    return ~crc;
+  };
+  std::string data(80, '\0');
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<char>(i * 151 + 13);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; offset + n <= data.size(); ++n) {
+      const uint32_t expected = reference(data.data() + offset, n);
+      EXPECT_EQ(Value(data.data() + offset, n), expected)
+          << "offset " << offset << " length " << n;
+      EXPECT_EQ(ExtendPortable(0, data.data() + offset, n), expected)
+          << "offset " << offset << " length " << n;
+    }
+  }
+}
+
 TEST(Crc32cTest, EmptyInputIsZero) {
   EXPECT_EQ(Value(""), 0u);
 }

@@ -449,8 +449,8 @@ TEST_F(DurableStoreTest, ConcurrentMutatorsThenRecovery) {
 TEST_F(DurableStoreTest, TypedLiteralsSurviveCheckpointAndReopen) {
   // A negative int literal and an integral double on a DOUBLE column:
   // every acknowledged profile must reopen type-exactly and build its
-  // graph, through an untiered store's recovery and a tiered store's cold
-  // load of a checkpointed body alike.
+  // graph, through a cold load of a checkpointed body with and without a
+  // hot budget alike.
   Schema schema;
   QP_ASSERT_OK(schema.AddTable(TableSchema(
       "T", {{"a", DataType::kInt64}, {"b", DataType::kDouble}}, {})));
@@ -476,7 +476,7 @@ TEST_F(DurableStoreTest, TypedLiteralsSurviveCheckpointAndReopen) {
       QP_ASSERT_OK(store_or.status());
       auto store = std::move(store_or).value();
       QP_ASSERT_OK(store->Put("typed", typed));
-      QP_ASSERT_OK(store->Put("other", other));  // Tiered: "typed" is cold.
+      QP_ASSERT_OK(store->Put("other", other));  // Budget 1: "typed" is cold.
       QP_ASSERT_OK(store->Checkpoint());
       QP_ASSERT_OK(store->Close());
     }
@@ -498,6 +498,11 @@ TEST_F(DurableStoreTest, TypedLiteralsSurviveCheckpointAndReopen) {
 TEST_F(DurableStoreTest, UpsertRefusesDegreesAReloadRefuses) {
   // Each of these would be acknowledged and checkpointed, after which no
   // reopen could load the profile: the store refuses it before the WAL.
+  auto near = [](Value target, double width) {
+    return AtomicPreference::NearSelection({"MOVIE", "year"},
+                                           std::move(target), width, 0.5);
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::vector<AtomicPreference> refused = {
       AtomicPreference::Selection({"GENRE", "genre"}, Value::Str("noir"), 0.0),
       AtomicPreference::Selection({"GENRE", "genre"}, Value::Str("noir"), 1.5),
@@ -506,6 +511,9 @@ TEST_F(DurableStoreTest, UpsertRefusesDegreesAReloadRefuses) {
       AtomicPreference::Selection({"GENRE", "genre"}, Value::Str("noir"),
                                   std::numeric_limits<double>::quiet_NaN()),
       AtomicPreference::Join({"PLAY", "mid"}, {"MOVIE", "mid"}, -0.5),
+      near(Value::Real(kInf), 5.0),
+      near(Value::Real(std::numeric_limits<double>::quiet_NaN()), 5.0),
+      near(Value::Int(2000), kInf),
   };
   {
     auto store = MustOpen(Options());

@@ -244,9 +244,17 @@ TEST(RecordFuzzTest, ProfileCodecRefusesWhatAddRefuses) {
     return AtomicPreference::Selection({"MOVIE", "year"}, std::move(value),
                                        0.5);
   };
+  auto near = [](Value target, double width) {
+    return AtomicPreference::NearSelection({"MOVIE", "year"},
+                                           std::move(target), width, 0.5);
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   const AtomicPreference join =
       AtomicPreference::Join({"PLAY", "mid"}, {"MOVIE", "mid"}, 1.0);
-  QP_ASSERT_OK(DecodeProfile(body_of({comedy(0.9), join})).status());
+  QP_ASSERT_OK(DecodeProfile(body_of({comedy(0.9), join,
+                                      near(Value::Real(1999.5), 5.0)}))
+                   .status());
 
   const std::vector<std::pair<const char*, std::string>> refused = {
       {"duplicate", body_of({comedy(0.9), comedy(0.4)})},
@@ -256,10 +264,16 @@ TEST(RecordFuzzTest, ProfileCodecRefusesWhatAddRefuses) {
       {"zero", body_of({comedy(0.0)})},
       {"above one", body_of({comedy(1.5)})},
       {"below minus one", body_of({comedy(-3.0)})},
-      {"nan", body_of({comedy(std::numeric_limits<double>::quiet_NaN())})},
-      {"infinite", body_of({comedy(std::numeric_limits<double>::infinity())})},
+      {"nan", body_of({comedy(kNaN)})},
+      {"infinite", body_of({comedy(kInf)})},
       {"negative join", body_of({AtomicPreference::Join(
                             {"PLAY", "mid"}, {"MOVIE", "mid"}, -0.5)})},
+      {"infinite literal", body_of({year(Value::Real(kInf))})},
+      {"nan literal", body_of({year(Value::Real(kNaN))})},
+      {"infinite near target", body_of({near(Value::Real(-kInf), 5.0)})},
+      {"nan near target", body_of({near(Value::Real(kNaN), 5.0)})},
+      {"infinite near width", body_of({near(Value::Int(2000), kInf)})},
+      {"nan near width", body_of({near(Value::Int(2000), kNaN)})},
   };
   for (const auto& [what, body] : refused) {
     auto decoded = DecodeProfile(body);

@@ -56,6 +56,38 @@ class ScrubberTest : public ::testing::Test {
     return store_or.ok() ? std::move(store_or).value() : nullptr;
   }
 
+  /// Checkpoints julie and rob and reopens the store: both users are
+  /// cold, and the snapshot holds the only copy of each profile.
+  std::unique_ptr<DurableProfileStore> ReopenCold() {
+    {
+      auto store = MustOpen(Options());
+      if (store == nullptr) return nullptr;
+      EXPECT_TRUE(store->Put("julie", JulieProfile()).ok());
+      EXPECT_TRUE(store->Put("rob", RobProfile()).ok());
+      EXPECT_TRUE(store->Checkpoint().ok());
+      EXPECT_TRUE(store->Close().ok());
+    }
+    return MustOpen(Options());
+  }
+
+  /// Flips the low mantissa bit of `user_id`'s last degree in the
+  /// committed snapshot: the body still decodes, to a profile that user
+  /// never had.
+  void FlipLastDegreeBit(const std::string& user_id) {
+    auto manifest = ReadManifest(&fs_, "db");
+    ASSERT_TRUE(manifest.ok()) << manifest.status();
+    const std::string path = JoinPath("db", manifest->snapshot_file);
+    auto entries = IndexSnapshot(&fs_, path, manifest->snapshot_bytes,
+                                 manifest->snapshot_crc);
+    ASSERT_TRUE(entries.ok()) << entries.status();
+    for (const SnapshotEntry& entry : *entries) {
+      if (entry.user_id != user_id) continue;
+      QP_ASSERT_OK(fs_.FlipBit(path, entry.offset + entry.length - 8, 0));
+      return;
+    }
+    FAIL() << user_id << " has no snapshot entry";
+  }
+
   Schema schema_;
   FaultInjectingFileSystem fs_;
   obs::MetricsRegistry metrics_;
@@ -235,6 +267,99 @@ TEST_F(ScrubberTest, SnapshotBitFlipIsDetectedAndRepaired) {
   EXPECT_EQ(store->size(), 2u);
   QP_ASSERT_OK_AND_ASSIGN(ProfileSnapshot julie, store->Get("julie"));
   EXPECT_TRUE(ProfilesEqual(*julie.profile, JulieProfile()));
+}
+
+TEST_F(ScrubberTest, ColdBodyDamageStaysWithItsUserThroughACheckpoint) {
+  auto store = ReopenCold();
+  ASSERT_NE(store, nullptr);
+  FlipLastDegreeBit("julie");
+
+  // The checkpoint copies julie's rotted body under the checksum it was
+  // written with, not a fresh one: the new generation is sound as a
+  // file, and julie's body still fails its own check.
+  QP_ASSERT_OK(store->Put("ann", RobProfile()));  // Something to checkpoint.
+  QP_ASSERT_OK(store->Checkpoint());
+  EXPECT_EQ(store->Get("julie").status().code(), StatusCode::kParseError);
+  EXPECT_EQ(store->tier_stats().load_failures, 1u);
+  QP_ASSERT_OK(store->Close());
+
+  // Confined to julie: the store opens, everyone else is served, and
+  // every pass reports her body without rewriting what it cannot mend.
+  store = MustOpen(Options());
+  ASSERT_NE(store, nullptr);
+  EXPECT_EQ(store->Get("julie").status().code(), StatusCode::kParseError);
+  QP_ASSERT_OK_AND_ASSIGN(ProfileSnapshot rob, store->Get("rob"));
+  EXPECT_TRUE(ProfilesEqual(*rob.profile, RobProfile()));
+  QP_ASSERT_OK(store->Get("ann").status());
+  for (int pass = 0; pass < 2; ++pass) {
+    ScrubReport report;
+    QP_ASSERT_OK(store->ScrubOnce(&report));
+    EXPECT_FALSE(report.snapshot_verified);
+    EXPECT_EQ(report.disk_corruptions, 1u);
+    EXPECT_EQ(report.corrupt_users, std::vector<std::string>{"julie"});
+    EXPECT_EQ(report.repaired, 0u);
+    EXPECT_EQ(report.repair_failures, 0u);
+  }
+
+  // A Put replaces julie's profile, so her rotted body is dead weight:
+  // the next pass rewrites the generation without it.
+  QP_ASSERT_OK(store->Put("julie", JulieProfile()));
+  ScrubReport report;
+  QP_ASSERT_OK(store->ScrubOnce(&report));
+  EXPECT_EQ(report.repaired, 1u);
+  QP_ASSERT_OK(store->ScrubOnce(&report));
+  EXPECT_TRUE(report.snapshot_verified);
+  EXPECT_EQ(report.disk_corruptions, 0u);
+  QP_ASSERT_OK(store->Close());
+  store = MustOpen(Options());
+  ASSERT_NE(store, nullptr);
+  QP_ASSERT_OK_AND_ASSIGN(ProfileSnapshot julie, store->Get("julie"));
+  EXPECT_TRUE(ProfilesEqual(*julie.profile, JulieProfile()));
+}
+
+TEST_F(ScrubberTest, RepairRewritesTheGenerationAroundADamagedColdBody) {
+  auto store = ReopenCold();
+  ASSERT_NE(store, nullptr);
+  FlipLastDegreeBit("julie");
+
+  // The file fails its CRC, so the pass repairs: rob's body comes over
+  // intact and julie's under its old checksum.
+  ScrubReport report;
+  QP_ASSERT_OK(store->ScrubOnce(&report));
+  EXPECT_FALSE(report.snapshot_verified);
+  EXPECT_EQ(report.repaired, 1u);
+  // The next pass finds only julie's body, and does not repair again.
+  QP_ASSERT_OK(store->ScrubOnce(&report));
+  EXPECT_EQ(report.corrupt_users, std::vector<std::string>{"julie"});
+  EXPECT_EQ(report.repaired, 0u);
+  QP_ASSERT_OK(store->Close());
+
+  store = MustOpen(Options());
+  ASSERT_NE(store, nullptr);
+  EXPECT_EQ(store->Get("julie").status().code(), StatusCode::kParseError);
+  QP_ASSERT_OK_AND_ASSIGN(ProfileSnapshot rob, store->Get("rob"));
+  EXPECT_TRUE(ProfilesEqual(*rob.profile, RobProfile()));
+}
+
+TEST_F(ScrubberTest, DamageToAResidentBodyIsRepairedWhileOthersAreCold) {
+  auto store = ReopenCold();
+  ASSERT_NE(store, nullptr);
+  // julie pages in before her body rots; rob stays cold throughout.
+  QP_ASSERT_OK(store->Get("julie").status());
+  FlipLastDegreeBit("julie");
+  ScrubReport report;
+  QP_ASSERT_OK(store->ScrubOnce(&report));
+  EXPECT_FALSE(report.snapshot_verified);
+  EXPECT_EQ(report.repaired, 1u);
+  EXPECT_EQ(store->tier_stats().cold_loads, 1u);  // julie's, not rob's.
+  QP_ASSERT_OK(store->Close());
+
+  store = MustOpen(Options());
+  ASSERT_NE(store, nullptr);
+  QP_ASSERT_OK_AND_ASSIGN(ProfileSnapshot julie, store->Get("julie"));
+  EXPECT_TRUE(ProfilesEqual(*julie.profile, JulieProfile()));
+  QP_ASSERT_OK_AND_ASSIGN(ProfileSnapshot rob, store->Get("rob"));
+  EXPECT_TRUE(ProfilesEqual(*rob.profile, RobProfile()));
 }
 
 TEST_F(ScrubberTest, MidLogWalBitFlipIsDetectedAndRepaired) {
