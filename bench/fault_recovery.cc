@@ -96,7 +96,7 @@ void BM_BreakerTimeToRecover(benchmark::State& state) {
     StorageOptions options;
     options.dir = "db";
     options.fs = &fs;
-    options.background_compaction = false;
+    options.compact_threshold_bytes = 0;
     options.wal.max_sync_retries = 0;
     options.breaker_threshold = 2;
     options.breaker_backoff = std::chrono::milliseconds(1);

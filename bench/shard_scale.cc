@@ -145,7 +145,6 @@ void BM_ZipfianClosedLoopAndKillRecover(benchmark::State& state) {
     options.service.num_workers = 4;
     options.service.cache_capacity = 4096;
     options.service.storage.fs = &fs;
-    options.service.storage.background_compaction = false;
     options.service.storage.compact_threshold_bytes = 0;  // Explicit only.
     options.service.storage.hot_capacity = kHotBudget;
     auto sharded_or = ShardedPersonalizationService::Open(&db, options);

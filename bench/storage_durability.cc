@@ -195,7 +195,7 @@ void BM_Recovery(benchmark::State& state) {
   Schema schema = MovieSchema();
   StorageOptions options;
   options.dir = dir.path();
-  options.background_compaction = false;
+  options.compact_threshold_bytes = 0;
   options.wal.fsync = FsyncPolicy::kNever;  // Seeding speed; synced below.
 
   {
@@ -266,7 +266,7 @@ void BM_RecoveryAfterCheckpoint(benchmark::State& state) {
   Schema schema = MovieSchema();
   StorageOptions options;
   options.dir = dir.path();
-  options.background_compaction = false;
+  options.compact_threshold_bytes = 0;
   options.wal.fsync = FsyncPolicy::kNever;
 
   {

@@ -261,8 +261,9 @@ class Shell {
         "  \\kill I | \\recover I  drop / reopen shard I — survivors keep\n"
         "                      serving; recovery replays snapshot + WAL\n"
         "  \\reshard N          live-reshard the open cluster to N shards:\n"
-        "                      per-partition copy -> WAL tail -> dual-write\n"
-        "                      -> atomic cutover, serving throughout\n"
+        "                      per-partition copy -> WAL tail -> drain and\n"
+        "                      atomic cutover under one barrier, serving\n"
+        "                      throughout\n"
         "  \\migrations         migration counters + routing version + any\n"
         "                      journaled in-flight partition moves + the\n"
         "                      span tree of the last partition migration\n"
@@ -323,7 +324,7 @@ class Shell {
     }
     storage::StorageOptions options;
     options.dir = arg;
-    options.background_compaction = false;
+    options.compact_threshold_bytes = 0;
     auto store = storage::DurableProfileStore::Open(&schema_, options);
     if (!Check(store.status())) return;
     if (!Check((*store)->Put(profile_name_, profile_))) return;
@@ -350,7 +351,7 @@ class Shell {
     }
     storage::StorageOptions options;
     options.dir = dir;
-    options.background_compaction = false;
+    options.compact_threshold_bytes = 0;
     auto store = storage::DurableProfileStore::Open(&schema_, options);
     if (!Check(store.status())) return;
     storage::StorageStats stats = (*store)->storage_stats();
@@ -750,8 +751,8 @@ class Shell {
     shard::MigrationStats after = sharded_->migration_stats();
     std::printf(
         "resharded to %zu shards (routing v%llu): %llu partitions moved, "
-        "%llu users copied, %llu tail records, %llu dual writes, %llu "
-        "retries — cluster served throughout\n",
+        "%llu users copied, %llu tail records, %llu retries — cluster "
+        "served throughout\n",
         sharded_->num_shards(),
         static_cast<unsigned long long>(sharded_->routing_version()),
         static_cast<unsigned long long>(after.partitions_migrated -
@@ -760,8 +761,6 @@ class Shell {
                                         before.users_copied),
         static_cast<unsigned long long>(after.tail_records -
                                         before.tail_records),
-        static_cast<unsigned long long>(after.dual_writes -
-                                        before.dual_writes),
         static_cast<unsigned long long>(after.retries - before.retries));
   }
 
@@ -777,8 +776,7 @@ class Shell {
     std::printf(
         "routing v%llu over %zu partitions / %zu shards%s\n"
         "migrations: %llu committed, %llu aborted, %llu active; %llu users "
-        "copied, %llu tail records, %llu dual writes, %llu retries, %llu "
-        "copy restarts\n",
+        "copied, %llu tail records, %llu retries, %llu copy restarts\n",
         static_cast<unsigned long long>(stats.routing_version),
         stats.num_partitions, sharded_->num_shards(),
         m.resharding ? " — RESHARD IN FLIGHT" : "",
@@ -787,7 +785,6 @@ class Shell {
         static_cast<unsigned long long>(m.active),
         static_cast<unsigned long long>(m.users_copied),
         static_cast<unsigned long long>(m.tail_records),
-        static_cast<unsigned long long>(m.dual_writes),
         static_cast<unsigned long long>(m.retries),
         static_cast<unsigned long long>(m.copy_restarts));
     auto journal =

@@ -2,21 +2,19 @@
 
 namespace qp {
 
-void AssociationSemanticFilter::AddAssociation(const Value& a,
-                                               const Value& b) {
+void SemanticFilter::AddAssociation(const Value& a, const Value& b) {
   associations_[a].insert(b);
   associations_[b].insert(a);
 }
 
-bool AssociationSemanticFilter::Associated(const Value& a,
-                                           const Value& b) const {
+bool SemanticFilter::Associated(const Value& a, const Value& b) const {
   if (a == b) return true;
   auto it = associations_.find(a);
   return it != associations_.end() && it->second.contains(b);
 }
 
-bool AssociationSemanticFilter::IsRelated(const PreferencePath& path,
-                                          const SelectQuery& query) const {
+bool SemanticFilter::IsRelated(const PreferencePath& path,
+                               const SelectQuery& query) const {
   if (!path.selection().has_value()) return true;  // Joins are neutral.
   std::vector<AtomicCondition> atoms;
   if (query.where() != nullptr) query.where()->CollectAtoms(&atoms);

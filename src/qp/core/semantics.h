@@ -20,26 +20,15 @@ namespace qp {
 /// only ever *narrows* the selection algorithm's output (the algorithm
 /// "may output only these").
 ///
-/// Implementations must be cheap and side-effect free; the selector calls
-/// IsRelated once per candidate transitive selection.
-class SemanticFilter {
- public:
-  virtual ~SemanticFilter() = default;
-
-  /// True if the transitive selection `path` is semantically related to
-  /// `query`.
-  virtual bool IsRelated(const PreferencePath& path,
-                         const SelectQuery& query) const = 0;
-};
-
-/// A simple value-association knowledge base: the designer (or a mined
+/// The knowledge is a value-association base: the designer (or a mined
 /// co-occurrence model) declares which literal values go together, e.g.
 /// 'comedy' <-> 'W. Allen'. A preference is related to a query iff the
 /// query mentions no literals at all (nothing to relate against) or some
 /// query literal is associated with the preference's selection value.
 /// Association is reflexive (every value relates to itself) and
-/// symmetric.
-class AssociationSemanticFilter : public SemanticFilter {
+/// symmetric. The selector calls IsRelated once per candidate transitive
+/// selection; it is cheap and side-effect free.
+class SemanticFilter {
  public:
   /// Declares `a` and `b` as associated (stored symmetrically).
   void AddAssociation(const Value& a, const Value& b);
@@ -47,8 +36,9 @@ class AssociationSemanticFilter : public SemanticFilter {
   /// True if the values are equal or were declared associated.
   bool Associated(const Value& a, const Value& b) const;
 
-  bool IsRelated(const PreferencePath& path,
-                 const SelectQuery& query) const override;
+  /// True if the transitive selection `path` is semantically related to
+  /// `query`.
+  bool IsRelated(const PreferencePath& path, const SelectQuery& query) const;
 
  private:
   std::unordered_map<Value, std::unordered_set<Value, ValueHash>, ValueHash>

@@ -414,7 +414,8 @@ PersonalizationResponse PersonalizationService::RunPipeline(
 
   // Phase 1: preference selection, served from the cache when possible.
   // A semantic filter changes what Select returns but is not part of the
-  // key (it is an opaque callback), so such requests bypass the cache.
+  // key (its association base is the caller's, and can grow between
+  // requests), so such requests bypass the cache.
   WallTimer timer;
   std::vector<PreferencePath> selected;
   bool cacheable =

@@ -33,7 +33,6 @@ ShardMigrator::ShardMigrator(ShardedPersonalizationService* cluster,
   metric_aborted_ = metrics->counter("qp_migrate_aborts_total");
   metric_users_copied_ = metrics->counter("qp_migrate_users_copied_total");
   metric_tail_records_ = metrics->counter("qp_migrate_tail_records_total");
-  metric_dual_writes_ = metrics->counter("qp_migrate_dual_writes_total");
   metric_retries_ = metrics->counter("qp_migrate_retries_total");
   metric_copy_restarts_ = metrics->counter("qp_migrate_copy_restarts_total");
   gauge_active_ = metrics->gauge("qp_migrate_active");
@@ -48,7 +47,6 @@ MigrationStats ShardMigrator::stats() const {
   stats.partitions_aborted = metric_aborted_->Value();
   stats.users_copied = metric_users_copied_->Value();
   stats.tail_records = metric_tail_records_->Value();
-  stats.dual_writes = metric_dual_writes_->Value();
   stats.retries = metric_retries_->Value();
   stats.copy_restarts = metric_copy_restarts_->Value();
   stats.active = static_cast<uint64_t>(gauge_active_->Value());
@@ -95,8 +93,7 @@ Status ShardMigrator::CopyUser(const std::string& user_id, uint32_t source,
   auto snapshot_or = source_svc->profiles().Get(user_id);
   if (!snapshot_or.ok()) {
     if (snapshot_or.status().code() == StatusCode::kNotFound) {
-      // Removed since we enumerated (or a failed dual-write mirror of a
-      // remove): make the target agree.
+      // Removed since we enumerated: make the target agree.
       Status removed = target_svc->profiles().Remove(user_id);
       if (removed.code() == StatusCode::kNotFound) return Status::Ok();
       return removed;
@@ -114,11 +111,27 @@ Status ShardMigrator::CopyPhase(uint32_t partition, uint32_t source,
     return Status::Unavailable("source shard " + std::to_string(source) +
                                " is down");
   }
+  // The target does not own the partition, so nothing it holds for it
+  // was acknowledged there: a previous copy whose abort could not clean
+  // up, a copy this migration made before the source's WAL rotated, or a
+  // retired shard's leftovers that a grow reopened. The enumeration
+  // below alone decides what the target holds.
+  QP_RETURN_IF_ERROR(WithRetries("copy cleanup", [&] {
+    return cluster_->RemovePartitionUsers(partition, target);
+  }));
   // Watermark before enumerating: every mutation acknowledged after it
   // is replayed by the tail, every state at or before it is captured by
   // the per-user copies below (a copy races only with mutations the
-  // tail will replay anyway — replay is idempotent).
-  *watermark = source_svc->profiles().storage_stats().last_appended_seqno;
+  // tail will replay anyway — replay is idempotent). A mutation takes
+  // its seqno before its profile reaches the memory the copies read, so
+  // one in flight here would count toward the watermark yet be missing
+  // from its copy; reading the watermark under the partition's mutex,
+  // which mutators hold across their apply, waits such a mutation out.
+  {
+    std::lock_guard<std::mutex> quiesce(
+        cluster_->partitions_[partition]->mutex);
+    *watermark = source_svc->profiles().storage_stats().last_appended_seqno;
+  }
   const std::vector<std::string> users = source_svc->profiles().Users();
   uint64_t copied = 0;
   for (const std::string& user : users) {
@@ -184,13 +197,6 @@ Status ShardMigrator::TailRound(uint32_t partition, uint32_t source,
 Status ShardMigrator::Abort(uint32_t partition, uint32_t source,
                             uint32_t target, Status cause) {
   (void)source;  // The source keeps serving untouched — nothing to undo.
-  {
-    auto& ps = *cluster_->partitions_[partition];
-    std::lock_guard<std::mutex> guard(ps.mutex);
-    ps.phase = ShardedPersonalizationService::kIdle;
-    ps.target = 0;
-    ps.dirty.clear();
-  }
   metric_aborted_->Add(1);
   // Drop the partial copy. If the target is unreachable the journal
   // entry stays behind on purpose: reopen resolution sees routing still
@@ -260,17 +266,7 @@ Status ShardMigrator::MigratePartition(uint32_t partition, uint32_t target,
     return finish(journaled);
   }
 
-  auto& ps = *cluster_->partitions_[partition];
-  auto set_phase = [&](int phase, const char* name) {
-    {
-      std::lock_guard<std::mutex> guard(ps.mutex);
-      ps.phase = phase;
-      ps.target = target;
-      ps.dirty.clear();
-    }
-    phase_event(name);
-  };
-  set_phase(ShardedPersonalizationService::kCopying, "copying");
+  phase_event("copying");
 
   uint64_t applied = 0;
   int restarts = 0;
@@ -281,7 +277,7 @@ Status ShardMigrator::MigratePartition(uint32_t partition, uint32_t target,
       status = CopyPhase(partition, source, target, &applied, tp);
     }
     if (!status.ok()) return finish(Abort(partition, source, target, status));
-    set_phase(ShardedPersonalizationService::kTailing, "tailing");
+    phase_event("tailing");
     bool caught_up = false;
     {
       obs::ScopedSpan span(tp, "migrate_tail");
@@ -296,65 +292,36 @@ Status ShardMigrator::MigratePartition(uint32_t partition, uint32_t target,
         restarts < kMaxCopyRestarts) {
       // The source checkpointed the tail away (WAL rotated); start the
       // copy phase over from a fresh watermark. The rotated records may
-      // include removes the first pass's copies now shadow, so the
-      // partial copy is dropped first — the fresh enumeration alone
-      // decides what the target holds.
+      // include removes the first pass's copies now shadow; the copy
+      // phase drops that partial copy before it enumerates again.
       ++restarts;
       metric_copy_restarts_->Add(1);
-      status = WithRetries("copy restart cleanup", [&] {
-        return cluster_->RemovePartitionUsers(partition, target);
-      });
-      if (!status.ok()) {
-        return finish(Abort(partition, source, target, status));
-      }
       applied = 0;
-      set_phase(ShardedPersonalizationService::kCopying, "copy_restart");
+      phase_event("copy_restart");
       continue;
     }
     return finish(Abort(partition, source, target, status));
   }
 
   // Barrier: block the partition's mutators, drain the last of the
-  // tail, then reopen mutations in dual-write mode. After this window
-  // target state == source state for every partition user.
+  // tail, then persist the owner flip — the atomic commit point — under
+  // the same hold. The target equals the source at the flip, and no
+  // mutation of the partition runs between the drain and the commit;
+  // mutators blocked here resume against the new owner.
   {
-    std::unique_lock<std::mutex> barrier(ps.mutex);
-    obs::ScopedSpan span(tp, "migrate_drain");
-    bool caught_up = false;
-    do {
-      status = WithRetries("final drain", [&] {
-        return TailRound(partition, source, target, &applied, &caught_up);
-      });
-    } while (status.ok() && !caught_up);
-    if (!status.ok()) {
-      barrier.unlock();
-      return finish(Abort(partition, source, target, status));
-    }
-    ps.dirty.clear();
-    ps.target = target;
-    ps.phase = ShardedPersonalizationService::kDualWrite;
-  }
-  phase_event("dual_write");
-
-  if (options_.dual_write_hold.count() > 0) {
-    clock_->SleepFor(std::chrono::duration_cast<std::chrono::nanoseconds>(
-        options_.dual_write_hold));
-  }
-
-  // Cutover barrier: repair any users whose mirror failed during the
-  // window, then persist the owner flip — the atomic commit point.
-  {
-    std::unique_lock<std::mutex> barrier(ps.mutex);
-    obs::ScopedSpan span(tp, "migrate_cutover");
-    std::vector<std::string> dirty(ps.dirty.begin(), ps.dirty.end());
-    std::sort(dirty.begin(), dirty.end());
-    for (const std::string& user : dirty) {
-      status = WithRetries("dirty re-copy",
-                           [&] { return CopyUser(user, source, target); });
-      if (!status.ok()) break;
+    std::unique_lock<std::mutex> barrier(
+        cluster_->partitions_[partition]->mutex);
+    {
+      obs::ScopedSpan span(tp, "migrate_drain");
+      bool caught_up = false;
+      do {
+        status = WithRetries("final drain", [&] {
+          return TailRound(partition, source, target, &applied, &caught_up);
+        });
+      } while (status.ok() && !caught_up);
     }
     if (status.ok()) {
-      metric_users_copied_->Add(dirty.size());
+      obs::ScopedSpan span(tp, "migrate_cutover");
       status = WithRetries("cutover commit", [&] {
         QP_RETURN_IF_ERROR(QP_FAULT_POINT("migrate.cutover"));
         return cluster_->CommitRoutingChange(
@@ -365,15 +332,13 @@ Status ShardMigrator::MigratePartition(uint32_t partition, uint32_t target,
       barrier.unlock();
       return finish(Abort(partition, source, target, status));
     }
-    ps.phase = ShardedPersonalizationService::kIdle;
-    ps.target = 0;
-    ps.dirty.clear();
   }
   phase_event("cutover_committed");
 
   // Cleanup outside the barrier: the partition serves from the target
   // now; the source's leftover copies are garbage. A failure here keeps
-  // the journal entry so reopen resolution finishes the job.
+  // the journal entry for ResolveJournal to finish the job: at the next
+  // Open, or — when a shrink retires the source — before the retire.
   {
     obs::ScopedSpan span(tp, "migrate_cleanup");
     Status cleanup = WithRetries("source cleanup", [&] {

@@ -28,10 +28,6 @@ struct MigrationOptions {
   int max_attempts = 5;
   std::chrono::milliseconds backoff{1};
   std::chrono::milliseconds backoff_max{100};
-  /// How long the dual-write window stays open between tail drain and
-  /// cutover commit. Zero cuts over immediately; chaos tests widen it
-  /// to race mutators through the mirrored-write path.
-  std::chrono::milliseconds dual_write_hold{0};
   /// Time source for backoff sleeps; nullptr = Clock::Real().
   Clock* clock = nullptr;
 };
@@ -40,9 +36,8 @@ struct MigrationOptions {
 struct MigrationStats {
   uint64_t partitions_migrated = 0;  // Cutovers committed.
   uint64_t partitions_aborted = 0;   // Migrations rolled back cleanly.
-  uint64_t users_copied = 0;         // Profiles moved in copy/repair.
+  uint64_t users_copied = 0;         // Profiles moved by copy phases.
   uint64_t tail_records = 0;         // WAL records replayed onto targets.
-  uint64_t dual_writes = 0;          // Mutations mirrored in the window.
   uint64_t retries = 0;              // Step retries across all phases.
   uint64_t copy_restarts = 0;        // Copy phases restarted (WAL rotated).
   uint64_t active = 0;               // Partitions migrating right now.
@@ -51,19 +46,19 @@ struct MigrationStats {
 
 /// Drives the per-partition live-migration state machine:
 ///
-///   copy      snapshot the partition's users source -> target, with a
-///             WAL watermark taken first ("migrate.copy" fault site);
+///   copy      drop whatever the target already holds for the partition
+///             (a stale copy is never acknowledged state), then snapshot
+///             the partition's users source -> target, with a WAL
+///             watermark taken first under the partition's mutex
+///             ("migrate.copy" fault site);
 ///   tail      replay the source's WAL records past the watermark onto
 ///             the target until caught up ("migrate.tail");
-///   drain     briefly block the partition's mutators and apply the
-///             final tail — target now equals source exactly;
-///   dual      reopen mutations: each is applied to the source (the
-///             ack) and mirrored to the target; a failed mirror marks
-///             the user dirty for re-copy at cutover;
-///   cutover   re-copy dirty users, persist the routing table with the
-///             partition's owner flipped and the version bumped — the
-///             atomic commit point ("migrate.cutover") — and install
-///             it;
+///   drain     block the partition's mutators and apply the final tail —
+///             target now equals source exactly;
+///   cutover   still under that one barrier, persist the routing table
+///             with the partition's owner flipped and the version bumped
+///             — the atomic commit point ("migrate.cutover") — and
+///             install it, then release the mutators to the new owner;
 ///   cleanup   delete the partition's users from the source and drop
 ///             their cached selections.
 ///
@@ -73,7 +68,7 @@ struct MigrationStats {
 /// otherwise -> drop the partial copy. Every step retries with
 /// exponential backoff; exhaustion aborts the partition cleanly — the
 /// source shard keeps serving reads and acknowledged writes throughout,
-/// so degradation is bounded latency (the drain/cutover barriers),
+/// so degradation is bounded latency (the drain-and-cutover barrier),
 /// never unavailability.
 ///
 /// Owned by (and operating on) one ShardedPersonalizationService; all
@@ -107,16 +102,14 @@ class ShardMigrator {
   /// the first migration.
   std::shared_ptr<const obs::RequestTrace> last_trace() const;
 
-  /// Mutation-path hook: counts a mirrored write (see dual phase).
-  void CountDualWrite() { metric_dual_writes_->Add(1); }
-
  private:
   /// Runs `step` with retry + exponential backoff; `what` names the
   /// step in the exhaustion error.
   Status WithRetries(const char* what, const std::function<Status()>& step);
 
-  /// Copies every partition user source -> target, watermark first.
-  /// On success *watermark holds the WAL seqno the tail starts after.
+  /// Drops the target's partition users, then copies every partition
+  /// user source -> target, watermark first. On success *watermark holds
+  /// the WAL seqno the tail starts after.
   Status CopyPhase(uint32_t partition, uint32_t source, uint32_t target,
                    uint64_t* watermark, obs::RequestTrace* trace);
 
@@ -133,9 +126,9 @@ class ShardMigrator {
   Status CopyUser(const std::string& user_id, uint32_t source,
                   uint32_t target);
 
-  /// Rolls a failed migration back: phase -> idle, partial copy dropped
-  /// from the target, journal entry cleared (left for reopen resolution
-  /// if the target is unreachable). Returns `cause`.
+  /// Rolls a failed migration back: partial copy dropped from the
+  /// target, journal entry cleared (left for reopen resolution if the
+  /// target is unreachable). Returns `cause`.
   Status Abort(uint32_t partition, uint32_t source, uint32_t target,
                Status cause);
 
@@ -150,7 +143,6 @@ class ShardMigrator {
   obs::Counter* metric_aborted_ = nullptr;
   obs::Counter* metric_users_copied_ = nullptr;
   obs::Counter* metric_tail_records_ = nullptr;
-  obs::Counter* metric_dual_writes_ = nullptr;
   obs::Counter* metric_retries_ = nullptr;
   obs::Counter* metric_copy_restarts_ = nullptr;
   obs::Gauge* gauge_active_ = nullptr;

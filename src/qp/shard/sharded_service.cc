@@ -319,47 +319,25 @@ Status ShardedPersonalizationService::RouteMutation(
     return Status::Unavailable("shard routing failed: " + fault.message());
   }
   const size_t partition = PartitionFor(user_id);
-  PartitionState& ps = *partitions_[partition];
-  // The partition mutex spans route + apply + mirror: this partition's
-  // drain/cutover barriers exclude us, so the owner read below stays
-  // the owner for the whole mutation — a cutover can never strand an
-  // acknowledged write on the losing shard.
-  std::lock_guard<std::mutex> guard(ps.mutex);
+  // The partition mutex spans route + apply: this partition's drain-and-
+  // cutover barrier excludes us, so the owner read below stays the owner
+  // for the whole mutation — a cutover can never strand an acknowledged
+  // write on the losing shard.
+  std::lock_guard<std::mutex> guard(partitions_[partition]->mutex);
   std::shared_ptr<PersonalizationService> owner_svc;
-  std::shared_ptr<PersonalizationService> mirror_svc;
   size_t owner = 0;
-  bool dual = false;
   {
     std::shared_lock<std::shared_mutex> lock(mutex_);
     owner = routing_->owner[partition];
     owner_svc = owner < slots_.size() ? slots_[owner] : nullptr;
-    if (ps.phase == kDualWrite) {
-      dual = true;
-      mirror_svc = ps.target < slots_.size() ? slots_[ps.target] : nullptr;
-    }
   }
   if (owner_svc == nullptr) {
     metric_shed_->Add(1);
     return Status::Unavailable("shard " + std::to_string(owner) + " is down");
   }
-  // The owner's apply is the acknowledgement; everything after it is
-  // best-effort repair bookkeeping.
   QP_RETURN_IF_ERROR(apply(*owner_svc));
   metric_invalidated_->Add(
       static_cast<uint64_t>(owner_svc->InvalidateUserSelections(user_id)));
-  if (dual) {
-    migrator_->CountDualWrite();
-    Status mirror = mirror_svc != nullptr
-                        ? apply(*mirror_svc)
-                        : Status::Unavailable("migration target is down");
-    if (mirror.ok()) {
-      mirror_svc->InvalidateUserSelections(user_id);
-    } else if (mirror.code() != StatusCode::kNotFound) {
-      // NotFound mirrors a remove the target never saw — already equal.
-      // Anything else leaves the target behind: re-copied at cutover.
-      ps.dirty.insert(user_id);
-    }
-  }
   return Status::Ok();
 }
 
@@ -604,6 +582,12 @@ Status ShardedPersonalizationService::Reshard(size_t new_num_shards) {
       // Shrink: move every partition off the retiring shards first; the
       // count (and the teardown) commit only when nothing routes there.
       QP_RETURN_IF_ERROR(migrator_->MigrateTo(plan, op_context));
+      // A migration whose source cleanup or journal removal failed still
+      // reported success and left its journal entry, which may name a
+      // shard about to retire. Resolve every entry while that shard is
+      // still open (this call is the only migration driver, so none is in
+      // flight): an entry outliving its shard would fail the next Open.
+      QP_RETURN_IF_ERROR(ResolveJournal());
       auto table = RoutingSnapshot();
       for (uint32_t p = 0; p < table->owner.size(); ++p) {
         if (table->owner[p] >= new_num_shards) {

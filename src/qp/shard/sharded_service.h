@@ -8,7 +8,6 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "qp/obs/metrics.h"
@@ -165,9 +164,11 @@ class ShardedPersonalizationService {
   /// Live resharding: grows (opening fresh shard directories) or
   /// shrinks (retiring emptied ones) the cluster to `new_num_shards`,
   /// migrating every partition that changes owner through the
-  /// ShardMigrator's copy -> tail -> dual-write -> cutover machine. The
-  /// cluster serves throughout: reads and acknowledged writes never
-  /// pause for more than a partition's drain/cutover barrier. Safe to
+  /// ShardMigrator's copy -> tail -> drain-and-cutover machine. The
+  /// cluster serves throughout: reads never pause, and a partition's
+  /// mutations pause only for its one drain-and-cutover barrier. A
+  /// shrink resolves every journaled migration before it retires a
+  /// shard, so no journal entry outlives the shard it names. Safe to
   /// re-run after a partial failure — already-moved partitions are
   /// no-ops. Returns the first partition's error when some partitions
   /// could not move (their users stay on their source shards; routing
@@ -200,26 +201,14 @@ class ShardedPersonalizationService {
   void set_trace_sink(obs::TraceSink* sink);
 
  private:
-  /// Migration phases a partition moves through; kIdle outside a
-  /// migration. Guarded by the partition's mutex.
-  enum MigrationPhase : int {
-    kIdle = 0,
-    kCopying = 1,
-    kTailing = 2,
-    kDualWrite = 3,
-  };
-
   /// Per-partition coordination between the mutation path and the
-  /// migrator. Mutators hold `mutex` across route + apply (+ mirror),
-  /// so the migrator's drain/cutover barriers exclude them exactly for
-  /// the final-tail and owner-flip windows — bounded added latency,
-  /// never unavailability.
+  /// migrator. Mutators hold `mutex` across route + apply, so holding it
+  /// waits out every mutation of the partition in flight: the migrator
+  /// takes it briefly to read a copy watermark, and for its one
+  /// drain-and-cutover barrier across the final tail and the owner flip
+  /// — bounded added latency, never unavailability.
   struct PartitionState {
     std::mutex mutex;
-    int phase = kIdle;    // Guarded by mutex.
-    uint32_t target = 0;  // Valid while phase != kIdle; guarded by mutex.
-    /// Users whose dual-write mirror failed; re-copied at cutover.
-    std::unordered_set<std::string> dirty;  // Guarded by mutex.
   };
 
   ShardedPersonalizationService(const Database* db, ShardedOptions options);
@@ -255,19 +244,20 @@ class ShardedPersonalizationService {
   Status JournalAdd(const MigrationJournalEntry& entry);
   Status JournalRemove(uint32_t partition);
 
-  /// Applies crash-recovery resolution for journaled migrations found
-  /// at Open: cutover committed -> finish the source cleanup, else ->
-  /// drop the partial target copy. Never a half-moved user.
+  /// Resolves every journaled migration: cutover committed -> finish the
+  /// source cleanup, else -> drop the partial target copy. Never a
+  /// half-moved user. Runs at Open (crash recovery) and in a shrink
+  /// before it retires a shard, while no migration is in flight.
   Status ResolveJournal();
 
   /// Deletes every partition-`partition` user from shard `shard` and
   /// drops their cached selections (cutover cleanup / abort rollback).
   Status RemovePartitionUsers(uint32_t partition, uint32_t shard);
 
-  /// The mutation path: routes `user_id` under its partition's mutex,
-  /// applies `apply` to the owner (the acknowledgement), and mirrors it
-  /// to the migration target during a dual-write window. Retries the
-  /// routing snapshot when a cutover slips between snapshot and lock.
+  /// The mutation path: routes `user_id` under its partition's mutex and
+  /// applies `apply` to the owner (the acknowledgement). The owner is
+  /// read under the mutex, so a cutover cannot slip between route and
+  /// apply.
   Status RouteMutation(
       const std::string& user_id,
       const std::function<Status(PersonalizationService&)>& apply);

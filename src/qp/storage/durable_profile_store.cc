@@ -106,8 +106,7 @@ Result<std::unique_ptr<DurableProfileStore>> DurableProfileStore::Open(
   uint64_t next_seqno = 1;
   QP_RETURN_IF_ERROR(store->Recover(&next_seqno));
   store->inst_.recovery_millis->Set(timer.ElapsedMillis());
-  if (store->options_.background_compaction &&
-      store->options_.compact_threshold_bytes > 0) {
+  if (store->options_.compact_threshold_bytes > 0) {
     store->compaction_running_.store(true, std::memory_order_release);
     store->compactor_ = std::thread([s = store.get()] { s->CompactionLoop(); });
   }

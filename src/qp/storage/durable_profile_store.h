@@ -141,13 +141,10 @@ struct StorageOptions {
   std::string dir;
   /// WAL fsync policy and interval.
   WalOptions wal;
-  /// Once the live WAL segment exceeds this many bytes, a checkpoint
-  /// (snapshot + WAL truncation) is triggered. 0 = only explicit
-  /// Checkpoint() calls compact.
+  /// Once the live WAL segment exceeds this many bytes, a background
+  /// thread checkpoints (snapshot + WAL truncation). 0 = no compaction
+  /// thread: only explicit Checkpoint() calls compact.
   uint64_t compact_threshold_bytes = 4u << 20;
-  /// Run compaction on a background thread (otherwise the threshold is
-  /// checked but compaction only happens via Checkpoint()).
-  bool background_compaction = true;
   /// Circuit breaker: after this many *consecutive* failed mutations
   /// (WAL append/fsync failures that survived the WAL's own retries),
   /// the store trips to read-only — further mutations fail fast with
@@ -170,7 +167,7 @@ struct StorageOptions {
   /// (snapshot CRC, WAL frame CRCs) and the in-memory profile
   /// invariants, quarantining profiles that fail (served degraded,
   /// excluded from selection) and — when scrub_auto_repair is set —
-  /// rebuilding them from the last good snapshot + WAL replay.
+  /// rebuilding them from their snapshot body + logged overlay.
   /// 0 disables the background thread; ScrubOnce() still works.
   std::chrono::milliseconds scrub_interval{0};
   bool scrub_auto_repair = true;
@@ -340,9 +337,11 @@ class DurableProfileStore {
   Status ScrubOnce(ScrubReport* report = nullptr,
                    obs::RequestTrace* trace = nullptr);
 
-  /// Rebuilds one user's profile from durable truth — last good snapshot
-  /// + a WAL replay filtered to that user — installs it (validated) and
-  /// lifts the quarantine. The repair path behind scrub_auto_repair.
+  /// Rebuilds one user's profile from durable truth — the plan a cold
+  /// load runs: its checksummed snapshot body plus the logged overlay —
+  /// installs it (validated) and lifts the quarantine; a user the tier
+  /// does not hold is repaired by dropping it. The repair path behind
+  /// scrub_auto_repair.
   Status RepairUser(const std::string& user_id);
 
   /// Quarantine surface: quarantined users are excluded from

@@ -37,8 +37,8 @@ struct ProfileMutation {
 /// `mutation->profile` out), kUpsert merges each preference with
 /// AddOrUpdate (a new user starts empty), kRemove drops it. Every path
 /// that turns logged mutations into profiles runs this: the store's
-/// mutators, a durable store's cold loads and checkpoints, RepairUser,
-/// and (through DurableProfileStore::Apply) the migrator's tail.
+/// mutators, a durable store's cold loads, checkpoints and repairs, and
+/// (through DurableProfileStore::Apply) the migrator's tail.
 void Replay(ProfileMutation* mutation, std::optional<UserProfile>* profile);
 
 /// Appends the binary encoding of `profile` to `*dst`: a preference

@@ -242,51 +242,27 @@ Status DurableProfileStore::RepairUser(const std::string& user_id) {
   }
   Status status = [&]() -> Status {
     // The user's stripe serializes the repair against that user's
-    // mutators (stripe before meta, the store's lock order), so the
-    // durable truth read here cannot be overwritten by a concurrent Put
-    // that our stale re-install would then clobber.
+    // mutators and cold loads, so the plan read here cannot be
+    // overwritten by a concurrent Put that our stale re-install would
+    // then clobber; it also pins the committed snapshot the plan points
+    // into (checkpoints rotate it only under every stripe).
     Stripe& stripe = StripeFor(user_id);
     std::lock_guard<std::mutex> writer(stripe.writer);
-    std::lock_guard<std::mutex> meta(meta_mutex_);
     if (closed_) return Status::FailedPrecondition("store is closed");
-
-    std::optional<UserProfile> rebuilt;
-    if (!manifest_.snapshot_file.empty()) {
-      QP_ASSIGN_OR_RETURN(
-          auto entries,
-          LoadSnapshot(fs_, JoinPath(dir_, manifest_.snapshot_file),
-                       manifest_.snapshot_bytes, manifest_.snapshot_crc));
-      for (LoadedEntry& entry : entries) {
-        if (entry.user_id == user_id) {
-          QP_ASSIGN_OR_RETURN(rebuilt, std::move(entry.profile));
-          break;
-        }
-      }
-    }
-    QP_ASSIGN_OR_RETURN(std::string data,
-                        fs_->ReadFile(JoinPath(dir_, manifest_.wal_file)));
-    WalReader reader(data, manifest_.seqno + 1);
-    WalRecord record;
-    bool has_record = false;
-    for (;;) {
-      QP_RETURN_IF_ERROR(reader.Next(&record, &has_record));
-      if (!has_record) break;
-      QP_ASSIGN_OR_RETURN(ProfileMutation mutation,
-                          DecodeMutation(record.payload));
-      if (mutation.user_id == user_id) Replay(&mutation, &rebuilt);
-    }
-    if (!rebuilt.has_value()) {
-      // Durable truth says the user does not exist; absence is the
-      // repair.
+    // Durable truth is what a cold load would page in: the user's
+    // checksummed snapshot body plus the logged overlay.
+    const ProfileTier::LoadPlan plan = tier_->PlanLoad(user_id);
+    if (!plan.alive) {
+      // The tier holds no such user; absence is the repair.
       Drop(stripe, user_id);
-      tier_->Erase(user_id);
       return Status::Ok();
     }
+    QP_ASSIGN_OR_RETURN(UserProfile rebuilt, BuildFromPlan(plan));
     // Validated install: rebuilds the graph, bumps the epoch (caches
     // notice), never touches the WAL — the repaired state *is* the
     // replay of what is already logged.
     QP_ASSIGN_OR_RETURN(ProfileSnapshot prepared,
-                        Prepare(std::move(*rebuilt)));
+                        Prepare(std::move(rebuilt)));
     Install(stripe, user_id, std::move(prepared));
     tier_->Touch(user_id);
     EvictOverBudget();

@@ -67,14 +67,13 @@ struct LoadedEntry {
 };
 
 /// Loads and verifies a snapshot written by SnapshotWriter, decoding
-/// every body: the scrubber's whole-generation check and RepairUser's
-/// source of truth. A size, checksum or framing mismatch against the
-/// manifest values fails the whole load — the file is damaged — while a
-/// body that fails on its own fails only its entry's profile, because a
-/// checkpoint carries a rotted body into the next file under the
-/// checksum it was written with (SnapshotWriter::AddCopy). Another
-/// format version (v1 bodies were text, v2 entries had no checksum) is
-/// a ParseError that names it.
+/// every body: the scrubber's whole-generation check. A size, checksum
+/// or framing mismatch against the manifest values fails the whole load
+/// — the file is damaged — while a body that fails on its own fails only
+/// its entry's profile, because a checkpoint carries a rotted body into
+/// the next file under the checksum it was written with
+/// (SnapshotWriter::AddCopy). Another format version (v1 bodies were
+/// text, v2 entries had no checksum) is a ParseError that names it.
 Result<std::vector<LoadedEntry>> LoadSnapshot(FileSystem* fs,
                                               const std::string& path,
                                               uint64_t expected_bytes,

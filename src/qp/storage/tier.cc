@@ -97,15 +97,6 @@ std::vector<std::string> ProfileTier::EvictOverBudget() {
   return evicted;
 }
 
-void ProfileTier::Erase(const std::string& user_id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = users_.find(user_id);
-  if (it == users_.end()) return;
-  overlay_records_ -= it->second.tail.size();
-  if (it->second.hot) lru_.erase(it->second.lru_it);
-  users_.erase(it);
-}
-
 std::vector<std::string> ProfileTier::AliveUsers() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> users;

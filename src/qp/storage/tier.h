@@ -87,10 +87,6 @@ class ProfileTier {
   /// racing Touch re-inserts harmlessly.
   std::vector<std::string> EvictOverBudget();
 
-  /// Forgets `user_id` entirely (repair discovered the durable truth has
-  /// no such user).
-  void Erase(const std::string& user_id);
-
   /// Every alive user, sorted — the iteration order of All() and of
   /// checkpoint merges.
   std::vector<std::string> AliveUsers() const;

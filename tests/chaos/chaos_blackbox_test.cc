@@ -53,7 +53,7 @@ class ChaosBlackboxTest : public ::testing::Test {
     options.dir = "cluster";
     options.service.num_workers = 2;
     options.service.storage.fs = &fs_;
-    options.service.storage.background_compaction = false;
+    options.service.storage.compact_threshold_bytes = 0;
     // Fail-fast breaker so a dead disk trips it in two mutations.
     options.service.storage.wal.max_sync_retries = 0;
     options.service.storage.breaker_threshold = 2;

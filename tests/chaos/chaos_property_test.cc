@@ -206,7 +206,7 @@ TEST_F(ChaosPropertyTest, SeededTrialsSurviveRandomFaultSchedules) {
     options.cache_capacity = 64;
     options.storage.dir = "db";
     options.storage.fs = &fs;
-    options.storage.background_compaction = false;
+    options.storage.compact_threshold_bytes = 0;
     options.storage.wal.max_sync_retries = 1;
     options.storage.wal.retry_backoff = std::chrono::milliseconds(0);
     options.storage.breaker_threshold = 2;
@@ -376,7 +376,7 @@ TEST_F(ChaosPropertyTest, SameSeedSameDispositionsSameFinalState) {
     options.cache_capacity = 16;
     options.storage.dir = "db";
     options.storage.fs = &fs;
-    options.storage.background_compaction = false;
+    options.storage.compact_threshold_bytes = 0;
     options.storage.wal.max_sync_retries = 1;
     options.storage.wal.retry_backoff = std::chrono::milliseconds(0);
     options.storage.breaker_threshold = 2;

@@ -82,8 +82,9 @@ echo "==== [ci] sanitized storage + lifecycle + obs + chaos + exec suites ===="
 # against shard death — exactly the code TSan/ASan exist to vet.
 # The reshard chaos trials (QP_RESHARD_TRIALS=50 per sanitizer, >= 100
 # total) drive the live-migration state machine — copy / WAL tail /
-# dual-write / cutover — under armed migrate.* fault schedules with
-# shard kills landing mid-migration and a mutator racing the barriers.
+# drain and cutover under one barrier — under armed migrate.* fault
+# schedules with shard kills landing mid-migration and a mutator racing
+# the barrier.
 QP_CHAOS_TRIALS=100 QP_EXEC_TRIALS=150 QP_SHARD_CHAOS_TRIALS=25 \
   QP_RESHARD_TRIALS=50 \
   tests/run_sanitized.sh all \

@@ -11,7 +11,7 @@ namespace qp {
 namespace {
 
 TEST(AssociationFilterTest, ReflexiveAndSymmetric) {
-  AssociationSemanticFilter filter;
+  SemanticFilter filter;
   EXPECT_TRUE(filter.Associated(Value::Str("x"), Value::Str("x")));
   EXPECT_FALSE(filter.Associated(Value::Str("x"), Value::Str("y")));
   filter.AddAssociation(Value::Str("x"), Value::Str("y"));
@@ -45,7 +45,7 @@ class SemanticSelectionTest : public ::testing::Test {
   Schema schema_;
   std::unique_ptr<PersonalizationGraph> graph_;
   std::unique_ptr<PreferenceSelector> selector_;
-  AssociationSemanticFilter filter_;
+  SemanticFilter filter_;
 };
 
 TEST_F(SemanticSelectionTest, FilterNarrowsSelection) {

@@ -100,7 +100,7 @@ TEST(ServiceStatsIdentityTest, IdentityHoldsWhileBreakerCycles) {
   options.cache_capacity = 0;
   options.storage.dir = "db";
   options.storage.fs = &fs;
-  options.storage.background_compaction = false;
+  options.storage.compact_threshold_bytes = 0;
   options.storage.wal.max_sync_retries = 0;
   options.storage.wal.retry_backoff = std::chrono::milliseconds(0);
   options.storage.breaker_threshold = 2;

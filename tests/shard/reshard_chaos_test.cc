@@ -86,11 +86,10 @@ class ReshardChaosTest : public ::testing::Test {
     options.dir = "cluster";
     options.service.num_workers = num_workers;
     options.service.storage.fs = fs;
-    options.service.storage.background_compaction = false;
+    options.service.storage.compact_threshold_bytes = 0;
     options.migration.backoff = std::chrono::milliseconds(0);
     options.migration.backoff_max = std::chrono::milliseconds(1);
     options.migration.max_attempts = 3;
-    options.migration.dual_write_hold = std::chrono::milliseconds(1);
     return options;
   }
 

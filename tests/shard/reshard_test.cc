@@ -2,8 +2,11 @@
 // acknowledged profile with exactly one owner per user, the persisted
 // routing table outlives (and overrides) stale open options, a faulted
 // cutover aborts cleanly and converges on retry, journaled migrations
-// resolve both ways after a crash, and the dual-write window mirrors
-// concurrent mutations without losing an ack.
+// resolve both ways after a crash, a shrink resolves a leftover journal
+// entry before it retires the shard it names, a grow drops a stale copy
+// its target already held, a put in flight at the copy watermark is
+// neither skipped by the tail nor missing from the copy, and a mutator
+// racing the drain-and-cutover barrier loses no ack.
 
 #include <algorithm>
 #include <atomic>
@@ -54,7 +57,7 @@ class ReshardTest : public ::testing::Test {
     options.dir = "cluster";
     options.service.num_workers = 2;
     options.service.storage.fs = &fs_;
-    options.service.storage.background_compaction = false;
+    options.service.storage.compact_threshold_bytes = 0;
     options.migration.backoff = std::chrono::milliseconds(0);
     return options;
   }
@@ -346,7 +349,7 @@ TEST_F(ReshardTest, JournalResolutionDropsUncommittedPartialCopy) {
     storage::StorageOptions store_options;
     store_options.dir = "cluster/shard-" + std::to_string(target);
     store_options.fs = &fs_;
-    store_options.background_compaction = false;
+    store_options.compact_threshold_bytes = 0;
     QP_ASSERT_OK_AND_ASSIGN(
         auto store, storage::DurableProfileStore::Open(&db_->schema(),
                                                        store_options));
@@ -389,7 +392,7 @@ TEST_F(ReshardTest, JournalResolutionFinishesCommittedCutover) {
     storage::StorageOptions store_options;
     store_options.dir = "cluster/shard-" + std::to_string(target);
     store_options.fs = &fs_;
-    store_options.background_compaction = false;
+    store_options.compact_threshold_bytes = 0;
     QP_ASSERT_OK_AND_ASSIGN(
         auto store, storage::DurableProfileStore::Open(&db_->schema(),
                                                        store_options));
@@ -415,17 +418,138 @@ TEST_F(ReshardTest, JournalResolutionFinishesCommittedCutover) {
   ExpectExactlyShadow(reopened.get(), shadow);
 }
 
-TEST_F(ReshardTest, DualWriteWindowMirrorsConcurrentMutations) {
-  ShardedOptions options = Options(2, /*num_partitions=*/8);
-  options.migration.dual_write_hold = std::chrono::milliseconds(25);
+TEST_F(ReshardTest, GrowDropsAStaleCopyItsTargetAlreadyHeld) {
+  auto sharded = MustOpen(Options(2));
+  ASSERT_NE(sharded, nullptr);
+  auto shadow = Populate(sharded.get(), 16, 11000);
+  QP_ASSERT_OK_AND_ASSIGN(RoutingTable plan,
+                          PlanReshard(sharded->routing(), 3));
+  // A user nobody ever acknowledged, in a partition the grow hands to
+  // the new shard 2.
+  std::string ghost;
+  for (int k = 0; ghost.empty(); ++k) {
+    std::string candidate = "ghost" + std::to_string(k);
+    if (plan.owner[sharded->PartitionFor(candidate)] == 2) ghost = candidate;
+  }
+  sharded.reset();
+
+  // shard-2's directory already holds a copy of the ghost: what an
+  // aborted migration whose target cleanup failed, or a retired shard
+  // that a later grow reopens, leaves behind.
+  {
+    storage::StorageOptions store_options;
+    store_options.dir = "cluster/shard-2";
+    store_options.fs = &fs_;
+    store_options.compact_threshold_bytes = 0;
+    QP_ASSERT_OK_AND_ASSIGN(
+        auto store, storage::DurableProfileStore::Open(&db_->schema(),
+                                                       store_options));
+    QP_ASSERT_OK(store->Put(ghost, MakeProfile(11999)));
+  }
+
+  // The grow copies the ghost's partition onto shard 2 over the stale
+  // copy: only what the source held may survive the cutover.
+  auto reopened = MustOpen(Options(2));
+  ASSERT_NE(reopened, nullptr);
+  QP_ASSERT_OK(reopened->Reshard(3));
+  EXPECT_EQ(reopened->ShardFor(ghost), 2u);
+  auto served = reopened->GetProfile(ghost);
+  EXPECT_EQ(served.status().code(), StatusCode::kNotFound)
+      << "served the never-acknowledged " << ghost;
+  ExpectExactlyShadow(reopened.get(), shadow);
+}
+
+TEST_F(ReshardTest, ShrinkResolvesALeftoverJournalEntryBeforeRetiring) {
+  ShardedOptions options = Options(3);
+  options.migration.max_attempts = 1;
   auto sharded = MustOpen(std::move(options));
+  ASSERT_NE(sharded, nullptr);
+  auto shadow = Populate(sharded.get(), 24, 12000);
+
+  {
+    // Call 1 is the first migration's JournalAdd, call 2 its
+    // JournalRemove: that migration commits and cleans its source, then
+    // fails to clear its entry, which names the retiring shard 2. It
+    // still reports success, so the shrink goes on to retire shard 2.
+    ScopedFaultInjection chaos(29);
+    FaultRule rule;
+    rule.fire_on_nth = 2;
+    rule.max_fires = 1;
+    FaultHub::Global()->SetRule("migrate.journal", rule);
+    QP_ASSERT_OK(sharded->Reshard(2));
+    EXPECT_EQ(FaultHub::Global()->fires("migrate.journal"), 1u);
+  }
+  EXPECT_EQ(sharded->num_shards(), 2u);
+  EXPECT_FALSE(fs_.Exists("cluster/MIGRATION"));
+  ExpectExactlyShadow(sharded.get(), shadow);
+  sharded.reset();
+
+  // No journal entry outlived the shard it named, so the reopen has
+  // nothing to resolve against a retired shard.
+  auto reopened = MustOpen(Options(3));
+  ASSERT_NE(reopened, nullptr);
+  EXPECT_EQ(reopened->num_shards(), 2u);
+  ExpectExactlyShadow(reopened.get(), shadow);
+}
+
+TEST_F(ReshardTest, CopyCapturesAMutationInFlightAtItsWatermark) {
+  auto sharded = MustOpen(Options(4));
+  ASSERT_NE(sharded, nullptr);
+  auto shadow = Populate(sharded.get(), 16, 13000);
+  // A user of the first partition the shrink moves: its copy phase
+  // starts at once, with no shard to open first.
+  RoutingTable current = sharded->routing();
+  QP_ASSERT_OK_AND_ASSIGN(RoutingTable plan, PlanReshard(current, 2));
+  uint32_t first_moved = 0;
+  while (plan.owner[first_moved] == current.owner[first_moved]) {
+    ++first_moved;
+  }
+  std::string user;
+  for (const auto& [id, profile] : shadow) {
+    if (sharded->PartitionFor(id) == first_moved) user = id;
+  }
+  ASSERT_FALSE(user.empty());
+
+  // The first WAL sync stalls: the put below holds its sequence number,
+  // in the source's log, while its profile is not yet in memory. A copy
+  // watermark taken at that moment counts the record, so the tail skips
+  // it, and a copy that reads the old profile loses an acknowledged put.
+  ScopedFaultInjection chaos(31);
+  FaultRule stall;
+  stall.fire_on_nth = 1;
+  stall.max_fires = 1;
+  stall.mode = FaultMode::kDelay;
+  stall.delay = std::chrono::microseconds(50000);
+  FaultHub::Global()->SetRule("wal.sync", stall);
+  UserProfile fresh = MakeProfile(13999);
+  std::thread writer([&] { QP_ASSERT_OK(sharded->PutProfile(user, fresh)); });
+  while (FaultHub::Global()->calls("wal.sync") == 0) {
+    std::this_thread::yield();
+  }
+  Status resharded = sharded->Reshard(2);
+  writer.join();
+  QP_ASSERT_OK(resharded);
+  shadow[user] = std::move(fresh);
+  ExpectExactlyShadow(sharded.get(), shadow);
+}
+
+TEST_F(ReshardTest, MutatorRacingTheCutoverBarrierLosesNoAck) {
+  auto sharded = MustOpen(Options(2, /*num_partitions=*/8));
   ASSERT_NE(sharded, nullptr);
   auto shadow = Populate(sharded.get(), 12, 7000);
 
-  // A mutator hammers every user while the reshard holds each
-  // partition's dual-write window open: mutations landing in the window
-  // are acknowledged by the source and mirrored to the target, so after
-  // cutover the target serves the freshest acknowledged state.
+  // Every tail round — the tail phase's and the final drain's under the
+  // barrier — stalls at entry, so the mutator below overlaps each
+  // migrating partition's copy, tail and barrier: a mutation the source
+  // acknowledges before the barrier reaches the target through the
+  // tail, and one that waits at the barrier lands on the new owner.
+  ScopedFaultInjection chaos(23);
+  FaultRule stall;
+  stall.fire_every = 1;
+  stall.mode = FaultMode::kDelay;
+  stall.delay = std::chrono::microseconds(5000);
+  FaultHub::Global()->SetRule("migrate.tail", stall);
+
   std::mutex shadow_mutex;
   std::atomic<bool> done{false};
   std::thread mutator([&] {
@@ -435,7 +559,7 @@ TEST_F(ReshardTest, DualWriteWindowMirrorsConcurrentMutations) {
         std::string user = "u" + std::to_string(i);
         UserProfile profile = MakeProfile(8000 + round * 31 + i);
         Status put = sharded->PutProfile(user, profile);
-        ASSERT_TRUE(put.ok()) << put;  // No faults armed: every ack lands.
+        ASSERT_TRUE(put.ok()) << put;  // Only delays armed: every ack lands.
         std::lock_guard<std::mutex> lock(shadow_mutex);
         shadow[user] = std::move(profile);
       }
@@ -448,7 +572,7 @@ TEST_F(ReshardTest, DualWriteWindowMirrorsConcurrentMutations) {
   mutator.join();
   QP_ASSERT_OK(resharded);
 
-  EXPECT_GE(sharded->migration_stats().dual_writes, 1u);
+  EXPECT_GE(sharded->migration_stats().tail_records, 1u);
   ExpectExactlyShadow(sharded.get(), shadow);
 }
 

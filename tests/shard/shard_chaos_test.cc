@@ -73,7 +73,7 @@ class ShardChaosTest : public ::testing::Test {
     options.dir = "cluster";
     options.service.num_workers = 2;
     options.service.storage.fs = fs;
-    options.service.storage.background_compaction = false;
+    options.service.storage.compact_threshold_bytes = 0;
     // Small hot budget: cold loads (the "shard.load" site) happen under
     // real traffic, not just in targeted unit tests.
     options.service.storage.hot_capacity = 3;

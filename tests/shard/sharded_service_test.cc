@@ -52,7 +52,7 @@ class ShardedServiceTest : public ::testing::Test {
     options.dir = "cluster";
     options.service.num_workers = 2;
     options.service.storage.fs = &fs_;
-    options.service.storage.background_compaction = false;
+    options.service.storage.compact_threshold_bytes = 0;
     return options;
   }
 

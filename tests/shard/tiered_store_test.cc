@@ -29,7 +29,7 @@ class TieredStoreTest : public ::testing::Test {
     StorageOptions options;
     options.dir = "db";
     options.fs = &fs_;
-    options.background_compaction = false;
+    options.compact_threshold_bytes = 0;
     options.hot_capacity = hot_capacity;
     options.metrics = &metrics_;
     return options;

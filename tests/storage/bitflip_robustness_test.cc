@@ -44,7 +44,7 @@ class BitflipRobustnessTest : public ::testing::Test {
     StorageOptions options;
     options.dir = "db";
     options.fs = fs;
-    options.background_compaction = false;
+    options.compact_threshold_bytes = 0;
     return options;
   }
 

@@ -34,7 +34,7 @@ class BreakerRecoveryTest : public ::testing::Test {
     StorageOptions options;
     options.dir = "db";
     options.fs = &fs_;
-    options.background_compaction = false;
+    options.compact_threshold_bytes = 0;
     options.wal.max_sync_retries = 0;  // Fail fast; retries tested elsewhere.
     options.breaker_threshold = 2;
     options.breaker_backoff = std::chrono::milliseconds(1);

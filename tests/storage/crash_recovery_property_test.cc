@@ -103,7 +103,6 @@ class CrashRecoveryPropertyTest : public ::testing::Test {
     StorageOptions options;
     options.dir = "db";
     options.fs = &fs;
-    options.background_compaction = false;
     options.compact_threshold_bytes = 0;  // Only explicit checkpoints.
     options.wal.fsync =
         rng.Below(2) == 0 ? FsyncPolicy::kEveryRecord : FsyncPolicy::kNever;
@@ -312,7 +311,6 @@ TEST_F(CrashRecoveryPropertyTest, MidLogBitFlipsFailTheOpen) {
     StorageOptions options;
     options.dir = "db";
     options.fs = &fs;
-    options.background_compaction = false;
     options.compact_threshold_bytes = 0;
 
     size_t num_records = 2 + rng.Below(10);
@@ -367,7 +365,6 @@ TEST_F(CrashRecoveryPropertyTest, FinalRecordBitFlipsAreTruncated) {
     StorageOptions options;
     options.dir = "db";
     options.fs = &fs;
-    options.background_compaction = false;
     options.compact_threshold_bytes = 0;
 
     size_t num_records = 2 + rng.Below(6);

@@ -35,7 +35,7 @@ class DurableStoreTest : public ::testing::Test {
     StorageOptions options;
     options.dir = "db";
     options.fs = &fs_;
-    options.background_compaction = false;
+    options.compact_threshold_bytes = 0;
     return options;
   }
 
@@ -358,7 +358,6 @@ TEST_F(DurableStoreTest, UnsyncedMutationsMayVanishUnderPolicyNever) {
 
 TEST_F(DurableStoreTest, BackgroundCompactionKicksInPastTheThreshold) {
   StorageOptions options = Options();
-  options.background_compaction = true;
   options.compact_threshold_bytes = 256;  // Tiny: every few puts compact.
   auto store = MustOpen(options);
   ASSERT_NE(store, nullptr);
@@ -469,7 +468,7 @@ TEST_F(DurableStoreTest, TypedLiteralsSurviveCheckpointAndReopen) {
     StorageOptions options;
     options.dir = "db";
     options.fs = &fs;
-    options.background_compaction = false;
+    options.compact_threshold_bytes = 0;
     options.hot_capacity = hot_capacity;
     {
       auto store_or = DurableProfileStore::Open(&schema, options);
@@ -545,7 +544,7 @@ TEST_F(DurableStoreTest, ServiceIntegration) {
   options.num_workers = 2;
   options.storage.dir = "db";
   options.storage.fs = &fs_;
-  options.storage.background_compaction = false;
+  options.storage.compact_threshold_bytes = 0;
   {
     QP_ASSERT_OK_AND_ASSIGN(auto service,
                             PersonalizationService::OpenDurable(&db, options));

@@ -1,7 +1,8 @@
 // The background integrity scrubber: re-verifies the committed
 // generation on disk (snapshot CRC, WAL frame CRCs) and the in-memory
 // profile invariants, quarantines profiles that fail, and repairs them
-// from durable truth (last good snapshot + WAL replay).
+// from durable truth (snapshot body + logged overlay, the cold-load
+// plan).
 
 #include <chrono>
 #include <limits>
@@ -45,7 +46,7 @@ class ScrubberTest : public ::testing::Test {
     StorageOptions options;
     options.dir = "db";
     options.fs = &fs_;
-    options.background_compaction = false;
+    options.compact_threshold_bytes = 0;
     options.metrics = &metrics_;
     return options;
   }
@@ -235,6 +236,21 @@ TEST_F(ScrubberTest, ExplicitRepairUserRestoresDurableTruth) {
   store->CorruptInMemoryForTest("ghost", BogusProfile());
   QP_ASSERT_OK(store->RepairUser("ghost"));
   EXPECT_FALSE(store->Get("ghost").ok());
+
+  // A user whose truth is a snapshot base plus a logged overlay: the
+  // repair replays rob's upsert over his checkpointed body.
+  AtomicPreference extra = AtomicPreference::Selection(
+      AttributeRef{"GENRE", "genre"}, Value::Str("western"), 0.25);
+  UserProfile expected_rob = RobProfile();
+  expected_rob.AddOrUpdate(extra);
+  QP_ASSERT_OK(store->Put("rob", RobProfile()));
+  QP_ASSERT_OK(store->Checkpoint());
+  QP_ASSERT_OK(store->Upsert("rob", {extra}));
+  store->CorruptInMemoryForTest("rob", BogusProfile());
+  QP_ASSERT_OK(store->RepairUser("rob"));
+  EXPECT_FALSE(store->IsQuarantined("rob"));
+  QP_ASSERT_OK_AND_ASSIGN(ProfileSnapshot rob, store->Get("rob"));
+  EXPECT_TRUE(ProfilesEqual(*rob.profile, expected_rob));
 }
 
 TEST_F(ScrubberTest, SnapshotBitFlipIsDetectedAndRepaired) {

@@ -309,7 +309,7 @@ TEST_F(SnapshotTest, OlderSnapshotVersionsAreRefusedByName) {
       StorageOptions options;
       options.dir = "db";
       options.fs = &fs_;
-      options.background_compaction = false;
+      options.compact_threshold_bytes = 0;
       options.hot_capacity = hot_capacity;
       auto store = DurableProfileStore::Open(&schema, options);
       EXPECT_EQ(store.status().code(), StatusCode::kParseError)

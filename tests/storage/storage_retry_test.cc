@@ -104,7 +104,7 @@ class StorageBreakerTest : public ::testing::Test {
     StorageOptions options;
     options.dir = "db";
     options.fs = &fs_;
-    options.background_compaction = false;
+    options.compact_threshold_bytes = 0;
     options.wal.max_sync_retries = 3;
     options.wal.retry_backoff = std::chrono::milliseconds(0);
     return options;
