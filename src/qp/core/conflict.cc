@@ -2,30 +2,38 @@
 
 namespace qp {
 
-bool ConflictDetector::ConflictsWithQuery(const PreferencePath& path,
-                                          const QueryGraph& query_graph) {
-  if (!path.is_selection()) return false;
-  if (!path.AllJoinsToOne()) return false;
-
-  // Mirror the path's join chain inside the query graph.
-  std::string alias = path.anchor_alias();
-  for (const JoinEdge& join : path.joins()) {
-    std::optional<std::string> next =
-        query_graph.FollowJoin(alias, join.from, join.to);
-    if (!next.has_value()) return false;  // Query does not constrain this
-                                          // chain; a fresh chain is used.
-    alias = *std::move(next);
+std::optional<size_t> ConflictDetector::MirrorStep(
+    const QueryGraph& query_graph, std::optional<size_t> var,
+    const JoinEdge& join) {
+  if (!var.has_value() || join.cardinality != JoinCardinality::kToOne) {
+    return std::nullopt;
   }
+  return query_graph.FollowJoin(*var, join.join);
+}
 
-  const SelectionEdge& selection = *path.selection();
-  // Soft selections never conflict: they admit a whole neighbourhood.
-  if (selection.is_near()) return false;
-  for (const auto& [column, value] : query_graph.SelectionsOn(alias)) {
-    if (column == selection.attribute.column && value != selection.value) {
+bool ConflictDetector::ConflictsAt(const QueryGraph& query_graph,
+                                   std::optional<size_t> mirror,
+                                   const SelectionEdge& selection) {
+  if (!mirror.has_value() || selection.is_near()) return false;
+  for (const QueryGraph::Selection& fixed :
+       query_graph.SelectionsOn(*mirror)) {
+    if (fixed.column == selection.attribute_id.column &&
+        fixed.value != selection.value) {
       return true;
     }
   }
   return false;
+}
+
+bool ConflictDetector::ConflictsWithQuery(const PreferencePath& path,
+                                          const QueryGraph& query_graph) {
+  if (!path.is_selection()) return false;
+  std::optional<size_t> mirror =
+      query_graph.FindVariable(path.anchor_alias());
+  for (const JoinEdge& join : path.joins()) {
+    mirror = MirrorStep(query_graph, mirror, join);
+  }
+  return ConflictsAt(query_graph, mirror, *path.selection());
 }
 
 bool ConflictDetector::Conflicting(const PreferencePath& a,
@@ -35,15 +43,12 @@ bool ConflictDetector::Conflicting(const PreferencePath& a,
   if (!a.AllJoinsToOne() || !b.AllJoinsToOne()) return false;
   if (a.joins().size() != b.joins().size()) return false;
   for (size_t i = 0; i < a.joins().size(); ++i) {
-    if (!(a.joins()[i].from == b.joins()[i].from) ||
-        !(a.joins()[i].to == b.joins()[i].to)) {
-      return false;
-    }
+    if (a.joins()[i].join != b.joins()[i].join) return false;
   }
   const SelectionEdge& sa = *a.selection();
   const SelectionEdge& sb = *b.selection();
   if (sa.is_near() || sb.is_near()) return false;  // Soft: no conflicts.
-  return sa.attribute == sb.attribute && sa.value != sb.value;
+  return sa.attribute_id == sb.attribute_id && sa.value != sb.value;
 }
 
 }  // namespace qp

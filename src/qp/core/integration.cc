@@ -1,12 +1,36 @@
 #include "qp/core/integration.h"
 
+#include <algorithm>
 #include <cctype>
-#include <map>
+#include <iterator>
 
 #include "qp/core/conflict.h"
 
 namespace qp {
 namespace {
+
+/// Each relation's alias prefix (its name's first two letters, upper-
+/// cased), computed once per integration call.
+class AliasPrefixes {
+ public:
+  const std::string& For(const JoinEdge& edge) {
+    if (edge.to_table >= prefixes_.size()) {
+      prefixes_.resize(edge.to_table + 1);
+    }
+    std::string& prefix = prefixes_[edge.to_table];
+    if (prefix.empty()) {
+      const std::string& table = edge.to.table;
+      for (size_t i = 0; i < table.size() && i < 2; ++i) {
+        prefix += static_cast<char>(
+            std::toupper(static_cast<unsigned char>(table[i])));
+      }
+    }
+    return prefix;
+  }
+
+ private:
+  std::vector<std::string> prefixes_;  // By TableId; empty until needed.
+};
 
 /// Allocates tuple variables in `query` for preference paths and
 /// materializes each path's conditions against those variables,
@@ -14,82 +38,98 @@ namespace {
 /// diverge at the first to-many join).
 class VariableAllocator {
  public:
-  explicit VariableAllocator(SelectQuery* query) : query_(query) {}
+  VariableAllocator(SelectQuery* query, AliasPrefixes* prefixes)
+      : query_(query), prefixes_(prefixes) {}
 
-  std::vector<AtomicCondition> Materialize(const PreferencePath& path) {
-    std::vector<AtomicCondition> atoms;
-    std::string current = path.anchor_alias();
-    std::string chain_key = current;
+  /// Appends `path`'s conditions, over the variables it is given, to
+  /// `atoms`.
+  void Materialize(const PreferencePath& path,
+                   std::vector<AtomicCondition>* atoms) {
+    // Variables are positions in the query's FROM list. A to-one prefix
+    // is identified by where it starts and the joins it takes, so the
+    // variable it reaches is keyed by (variable, join) step by step.
+    size_t current = VariableIndex(path.anchor_alias());
     bool sharable = true;  // Still on the (possibly shared) to-one prefix.
     for (const JoinEdge& edge : path.joins()) {
-      chain_key += "|" + edge.from.ToString() + "=" + edge.to.ToString();
-      std::string target;
+      size_t target;
       if (edge.cardinality == JoinCardinality::kToOne && sharable) {
-        auto it = shared_.find(chain_key);
+        auto it = std::find_if(shared_.begin(), shared_.end(),
+                               [&](const SharedStep& step) {
+                                 return step.from == current &&
+                                        step.join == edge.join;
+                               });
         if (it != shared_.end()) {
-          target = it->second;
+          target = it->to;
         } else {
-          target = NewVariable(edge.to.table);
-          shared_.emplace(chain_key, target);
+          target = NewVariable(edge);
+          shared_.push_back({current, edge.join, target});
         }
       } else {
         // First to-many join (or anything after one): fresh variables so
         // independent preferences stay independent.
         sharable = false;
-        target = NewVariable(edge.to.table);
+        target = NewVariable(edge);
       }
-      atoms.push_back(AtomicCondition::Join(current, edge.from.column,
-                                            target, edge.to.column));
-      current = std::move(target);
+      atoms->push_back(AtomicCondition::Join(Alias(current), edge.from.column,
+                                             Alias(target), edge.to.column));
+      current = target;
     }
     if (path.selection().has_value()) {
-      if (path.selection()->is_near()) {
-        atoms.push_back(AtomicCondition::Near(
-            current, path.selection()->attribute.column,
-            path.selection()->value, path.selection()->near_width));
+      const SelectionEdge& selection = *path.selection();
+      if (selection.is_near()) {
+        atoms->push_back(AtomicCondition::Near(Alias(current),
+                                               selection.attribute.column,
+                                               selection.value,
+                                               selection.near_width));
       } else {
-        atoms.push_back(AtomicCondition::Selection(
-            current, path.selection()->attribute.column,
-            path.selection()->value));
+        atoms->push_back(AtomicCondition::Selection(
+            Alias(current), selection.attribute.column, selection.value));
       }
     }
-    return atoms;
   }
 
  private:
-  std::string NewVariable(const std::string& table) {
-    std::string prefix;
-    for (char c : table.substr(0, 2)) {
-      prefix += static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-    }
-    std::string alias = query_->FreshAlias(prefix);
+  /// One shared to-one step: `join` taken from variable `from` reaches
+  /// variable `to`.
+  struct SharedStep {
+    size_t from;
+    JoinId join;
+    size_t to;
+  };
+
+  size_t VariableIndex(const std::string& alias) const {
+    return static_cast<size_t>(query_->FindVariable(alias) -
+                               query_->from().data());
+  }
+  const std::string& Alias(size_t var) const {
+    return query_->from()[var].alias;
+  }
+
+  size_t NewVariable(const JoinEdge& edge) {
+    std::string alias = query_->FreshAlias(prefixes_->For(edge));
     // AddVariable cannot fail: FreshAlias guarantees uniqueness.
-    (void)query_->AddVariable(alias, table);
-    return alias;
+    (void)query_->AddVariable(std::move(alias), edge.to.table);
+    return query_->from().size() - 1;
   }
 
   SelectQuery* query_;
-  std::map<std::string, std::string> shared_;
+  AliasPrefixes* prefixes_;
+  std::vector<SharedStep> shared_;
 };
 
-/// AND of `atoms` as a condition tree, dropping exact duplicates
-/// ("any repeated conditions are removed").
-ConditionPtr Conjunction(const std::vector<AtomicCondition>& atoms) {
-  std::vector<AtomicCondition> unique;
-  for (const AtomicCondition& atom : atoms) {
-    bool seen = false;
-    for (const AtomicCondition& u : unique) {
-      if (u == atom) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) unique.push_back(atom);
-  }
+/// `where` AND `atoms` as one flat condition tree, dropping exact
+/// duplicates among the atoms ("any repeated conditions are removed");
+/// the first of equal atoms keeps its place.
+ConditionPtr Conjunction(std::vector<AtomicCondition> atoms,
+                         ConditionPtr where = nullptr) {
   std::vector<ConditionPtr> nodes;
-  nodes.reserve(unique.size());
-  for (AtomicCondition& atom : unique) {
-    nodes.push_back(ConditionNode::MakeAtom(std::move(atom)));
+  nodes.reserve(atoms.size() + 1);
+  nodes.push_back(std::move(where));  // MakeAnd drops a null.
+  for (AtomicCondition& atom : atoms) {
+    const bool seen = std::any_of(
+        nodes.begin() + 1, nodes.end(),
+        [&](const ConditionPtr& node) { return node->atom() == atom; });
+    if (!seen) nodes.push_back(ConditionNode::MakeAtom(std::move(atom)));
   }
   return ConditionNode::MakeAnd(std::move(nodes));
 }
@@ -135,6 +175,19 @@ Status CheckMandatoryConflicts(const std::vector<PreferencePath>& preferences,
   return Status::Ok();
 }
 
+/// Every path must leave a variable of the query it is integrated into.
+Status CheckAnchors(const SelectQuery& original,
+                    const std::vector<PreferencePath>& paths) {
+  for (const PreferencePath& path : paths) {
+    if (!original.HasVariable(path.anchor_alias())) {
+      return Status::InvalidArgument(
+          "preference anchored at an undeclared variable: " +
+          path.anchor_alias());
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Result<SelectQuery> PreferenceIntegrator::BuildSingleQuery(
@@ -157,6 +210,7 @@ Result<SelectQuery> PreferenceIntegrator::BuildSingleQuery(
   QP_RETURN_IF_ERROR(CheckParams(preferences.size(), params));
   QP_RETURN_IF_ERROR(
       CheckMandatoryConflicts(preferences, params.mandatory_count));
+  QP_RETURN_IF_ERROR(CheckAnchors(original, preferences));
 
   const size_t k = preferences.size();
   const size_t m = params.mandatory_count;
@@ -164,19 +218,20 @@ Result<SelectQuery> PreferenceIntegrator::BuildSingleQuery(
 
   SelectQuery result = original;
   result.set_distinct(true);
-  VariableAllocator allocator(&result);
+  AliasPrefixes prefixes;
+  VariableAllocator allocator(&result, &prefixes);
 
-  std::vector<std::vector<AtomicCondition>> conditions;
-  conditions.reserve(k);
-  for (const PreferencePath& path : preferences) {
-    conditions.push_back(allocator.Materialize(path));
+  std::vector<std::vector<AtomicCondition>> conditions(k);
+  for (size_t i = 0; i < k; ++i) {
+    allocator.Materialize(preferences[i], &conditions[i]);
   }
 
   // Mandatory block: conjunction of the top-M conditions.
   std::vector<AtomicCondition> mandatory_atoms;
   for (size_t i = 0; i < m; ++i) {
-    mandatory_atoms.insert(mandatory_atoms.end(), conditions[i].begin(),
-                           conditions[i].end());
+    mandatory_atoms.insert(mandatory_atoms.end(),
+                           std::make_move_iterator(conditions[i].begin()),
+                           std::make_move_iterator(conditions[i].end()));
   }
 
   // Optional block: disjunction over all conflict-free L-subsets.
@@ -209,7 +264,7 @@ Result<SelectQuery> PreferenceIntegrator::BuildSingleQuery(
           atoms.insert(atoms.end(), conditions[m + idx].begin(),
                        conditions[m + idx].end());
         }
-        disjuncts.push_back(Conjunction(atoms));
+        disjuncts.push_back(Conjunction(std::move(atoms)));
         return;
       }
       for (size_t i = next; i < optional; ++i) {
@@ -236,7 +291,8 @@ Result<SelectQuery> PreferenceIntegrator::BuildSingleQuery(
   }
 
   result.set_where(ConditionNode::MakeAnd(
-      {original.where(), Conjunction(mandatory_atoms), disjunction}));
+      {original.where(), Conjunction(std::move(mandatory_atoms)),
+       disjunction}));
   return result;
 }
 
@@ -252,8 +308,10 @@ Result<CompoundQuery> PreferenceIntegrator::BuildMultipleQueries(
     const std::vector<PreferencePath>& preferences,
     const std::vector<PreferencePath>& negatives,
     const IntegrationParams& params) const {
+  AliasPrefixes prefixes;
   // Dislikes attach to the compound after the positive structure exists.
   auto attach_negatives = [&](CompoundQuery* compound) -> Status {
+    QP_RETURN_IF_ERROR(CheckAnchors(original, negatives));
     for (const PreferencePath& dislike : negatives) {
       if (!dislike.is_negative()) {
         return Status::InvalidArgument(
@@ -262,10 +320,10 @@ Result<CompoundQuery> PreferenceIntegrator::BuildMultipleQueries(
       }
       SelectQuery part = original;
       part.set_distinct(true);
-      VariableAllocator allocator(&part);
-      std::vector<AtomicCondition> atoms = allocator.Materialize(dislike);
-      part.set_where(
-          ConditionNode::Conjoin(original.where(), Conjunction(atoms)));
+      VariableAllocator allocator(&part, &prefixes);
+      std::vector<AtomicCondition> atoms;
+      allocator.Materialize(dislike, &atoms);
+      part.set_where(Conjunction(std::move(atoms), original.where()));
       if (params.negative_mode == NegativeMode::kVeto) {
         compound->AddExclusion(std::move(part));
       } else {
@@ -289,6 +347,7 @@ Result<CompoundQuery> PreferenceIntegrator::BuildMultipleQueries(
   QP_RETURN_IF_ERROR(CheckParams(preferences.size(), params));
   QP_RETURN_IF_ERROR(
       CheckMandatoryConflicts(preferences, params.mandatory_count));
+  QP_RETURN_IF_ERROR(CheckAnchors(original, preferences));
 
   const size_t k = preferences.size();
   const size_t m = params.mandatory_count;
@@ -301,15 +360,12 @@ Result<CompoundQuery> PreferenceIntegrator::BuildMultipleQueries(
   if (mandatory_only) {
     SelectQuery part = original;
     part.set_distinct(true);
-    VariableAllocator allocator(&part);
+    VariableAllocator allocator(&part, &prefixes);
     std::vector<AtomicCondition> atoms;
     for (size_t i = 0; i < m; ++i) {
-      std::vector<AtomicCondition> cond =
-          allocator.Materialize(preferences[i]);
-      atoms.insert(atoms.end(), cond.begin(), cond.end());
+      allocator.Materialize(preferences[i], &atoms);
     }
-    part.set_where(
-        ConditionNode::Conjoin(original.where(), Conjunction(atoms)));
+    part.set_where(Conjunction(std::move(atoms), original.where()));
     compound.AddPart(std::move(part), m == 0 ? 0.0 : preferences[0].doi());
     compound.set_having(HavingClause::None());
     compound.set_order_by_degree(false);
@@ -317,20 +373,19 @@ Result<CompoundQuery> PreferenceIntegrator::BuildMultipleQueries(
     return compound;
   }
 
+  size_t mandatory_length = 0;
+  for (size_t j = 0; j < m; ++j) mandatory_length += preferences[j].Length();
   for (size_t i = m; i < k; ++i) {
     SelectQuery part = original;
     part.set_distinct(true);
-    VariableAllocator allocator(&part);
+    VariableAllocator allocator(&part, &prefixes);
     std::vector<AtomicCondition> atoms;
+    atoms.reserve(mandatory_length + preferences[i].Length());
     for (size_t j = 0; j < m; ++j) {
-      std::vector<AtomicCondition> cond =
-          allocator.Materialize(preferences[j]);
-      atoms.insert(atoms.end(), cond.begin(), cond.end());
+      allocator.Materialize(preferences[j], &atoms);
     }
-    std::vector<AtomicCondition> cond = allocator.Materialize(preferences[i]);
-    atoms.insert(atoms.end(), cond.begin(), cond.end());
-    part.set_where(
-        ConditionNode::Conjoin(original.where(), Conjunction(atoms)));
+    allocator.Materialize(preferences[i], &atoms);
+    part.set_where(Conjunction(std::move(atoms), original.where()));
     compound.AddPart(std::move(part), preferences[i].doi());
   }
 

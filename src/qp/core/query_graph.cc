@@ -2,52 +2,58 @@
 
 namespace qp {
 
-const std::vector<std::pair<std::string, Value>> QueryGraph::kNoSelections;
-
 Result<QueryGraph> QueryGraph::Build(const SelectQuery& query,
                                      const Schema& schema) {
   QP_RETURN_IF_ERROR(query.Validate(schema));
   QueryGraph graph;
   graph.variables_ = query.from();
+  graph.uses_table_.assign(schema.tables().size(), false);
+  graph.selections_.resize(graph.variables_.size());
   for (const TupleVariable& var : graph.variables_) {
-    graph.tables_.insert(var.table);
+    const TableId table = *schema.FindTableId(var.table);
+    graph.var_tables_.push_back(table);
+    graph.uses_table_[table] = true;
   }
-  if (query.where() != nullptr) {
-    std::vector<AtomicCondition> atoms;
-    query.where()->CollectAtoms(&atoms);
-    for (const AtomicCondition& atom : atoms) {
-      if (atom.is_selection()) {
-        graph.selections_[atom.var()].emplace_back(atom.column(),
-                                                   atom.value());
-      } else {
-        const TupleVariable* left = query.FindVariable(atom.left_var());
-        const TupleVariable* right = query.FindVariable(atom.right_var());
-        graph.joins_.push_back(
-            {atom.left_var(),
-             AttributeRef{left->table, atom.left_column()},
-             atom.right_var(),
-             AttributeRef{right->table, atom.right_column()}});
-      }
+  if (query.where() == nullptr) return graph;
+
+  // Validate checked every name below, so each resolves.
+  auto attribute = [&](size_t var, const std::string& column) {
+    const TableId table = graph.var_tables_[var];
+    return AttributeId{table, static_cast<uint32_t>(
+                                  *schema.tables()[table].ColumnIndex(column))};
+  };
+  query.where()->ForEachAtom([&](const AtomicCondition& atom) {
+    if (atom.is_selection()) {
+      const size_t var = *graph.FindVariable(atom.var());
+      graph.selections_[var].push_back(
+          {attribute(var, atom.column()).column, atom.value()});
+    } else if (atom.is_join()) {
+      const size_t left = *graph.FindVariable(atom.left_var());
+      const size_t right = *graph.FindVariable(atom.right_var());
+      // A join no schema join declares matches no preference edge.
+      std::optional<JoinId> join =
+          schema.FindJoinId(attribute(left, atom.left_column()),
+                            attribute(right, atom.right_column()));
+      if (join.has_value()) graph.joins_.push_back({left, right, *join});
     }
-  }
+  });
   return graph;
 }
 
-const std::vector<std::pair<std::string, Value>>& QueryGraph::SelectionsOn(
+std::optional<size_t> QueryGraph::FindVariable(
     const std::string& alias) const {
-  auto it = selections_.find(alias);
-  return it == selections_.end() ? kNoSelections : it->second;
+  for (size_t i = 0; i < variables_.size(); ++i) {
+    if (variables_[i].alias == alias) return i;
+  }
+  return std::nullopt;
 }
 
-std::optional<std::string> QueryGraph::FollowJoin(
-    const std::string& alias, const AttributeRef& from,
-    const AttributeRef& to) const {
-  for (const JoinAtomInfo& join : joins_) {
-    if (join.left_var == alias && join.left == from && join.right == to) {
-      return join.right_var;
-    }
-    if (join.right_var == alias && join.right == from && join.left == to) {
-      return join.left_var;
+std::optional<size_t> QueryGraph::FollowJoin(size_t var, JoinId join) const {
+  // Traversing an atom backwards is the declared join's other direction.
+  for (const JoinAtom& atom : joins_) {
+    if (atom.left_var == var && atom.join == join) return atom.right_var;
+    if (atom.right_var == var && (atom.join ^ 1u) == join) {
+      return atom.left_var;
     }
   }
   return std::nullopt;

@@ -8,22 +8,60 @@
 namespace qp {
 namespace {
 
-/// Queue entry: candidate path plus an insertion sequence number so that
-/// among equal degrees, earlier-inserted (shorter) paths come out first —
-/// the paper's "place after the last path with degree >= its degree".
-struct Candidate {
-  PreferencePath path;
-  uint64_t seq;
+constexpr uint32_t kNoParent = UINT32_MAX;
+
+/// A frontier node: a candidate path, stored as its last edge plus the
+/// node it extends (kNoParent for a path's first edge, which leaves query
+/// variable `var`). Exactly one of `join` and `selection` is set; both
+/// point into the personalization graph, so a push copies no name.
+struct Node {
+  uint32_t parent;
+  uint32_t var;
+  const JoinEdge* join;
+  const SelectionEdge* selection;
 };
 
-struct CandidateOrder {
+/// Queue entry: a node's path degree plus an insertion sequence number so
+/// that among equal degrees, earlier-inserted (shorter) paths come out
+/// first — the paper's "place after the last path with degree >= its
+/// degree".
+struct Entry {
+  double doi;
+  uint64_t seq;
+  uint32_t node;
+};
+
+struct EntryOrder {
   /// std::priority_queue pops the *largest*; define "larger" as higher
   /// degree, then smaller sequence number.
-  bool operator()(const Candidate& a, const Candidate& b) const {
-    if (a.path.doi() != b.path.doi()) return a.path.doi() < b.path.doi();
+  bool operator()(const Entry& a, const Entry& b) const {
+    if (a.doi != b.doi) return a.doi < b.doi;
     return a.seq > b.seq;
   }
 };
+
+/// The join edges of `node`'s path, in path order, into `chain`.
+void CollectJoins(const std::vector<Node>& arena, uint32_t node,
+                  std::vector<const JoinEdge*>* chain) {
+  chain->clear();
+  for (uint32_t at = node; at != kNoParent; at = arena[at].parent) {
+    if (arena[at].join != nullptr) chain->push_back(arena[at].join);
+  }
+  std::reverse(chain->begin(), chain->end());
+}
+
+/// The path `chain` + `selection` leaving query variable `var`, names
+/// and all: built only for a path the caller keeps or a filter judges.
+PreferencePath MaterializePath(const SelectQuery& query, uint32_t var,
+                               const std::vector<const JoinEdge*>& chain,
+                               const SelectionEdge& selection) {
+  std::vector<JoinEdge> joins;
+  joins.reserve(chain.size());
+  for (const JoinEdge* join : chain) joins.push_back(*join);
+  const TupleVariable& anchor = query.from()[var];
+  return PreferencePath(anchor.alias, anchor.table, std::move(joins),
+                        selection);
+}
 
 }  // namespace
 
@@ -59,40 +97,56 @@ Result<std::vector<PreferencePath>> PreferenceSelector::SelectInternal(
   SelectionStats local_stats;
   if (stats == nullptr) stats = &local_stats;
 
-  std::priority_queue<Candidate, std::vector<Candidate>, CandidateOrder>
-      queue;
+  // The frontier: an arena of nodes, each one edge long, and a queue of
+  // plain entries into it.
+  std::vector<Node> arena;
+  arena.reserve(64);
+  std::vector<Entry> heap;
+  heap.reserve(64);
+  std::priority_queue<Entry, std::vector<Entry>, EntryOrder> queue(
+      EntryOrder(), std::move(heap));
   uint64_t seq = 0;
-  auto push = [&](PreferencePath path) {
-    queue.push(Candidate{std::move(path), seq++});
+  auto push = [&](double doi, Node node) {
+    queue.push(Entry{doi, seq++, static_cast<uint32_t>(arena.size())});
+    arena.push_back(node);
     ++stats->paths_pushed;
     stats->max_queue_size = std::max(stats->max_queue_size, queue.size());
+  };
+  std::vector<const JoinEdge*> chain;
+  // A selection ending `chain` at variable `var` passes the conflict and
+  // semantic checks; `mirror` is the chain mapped into the query graph.
+  auto admissible = [&](uint32_t var, std::optional<size_t> mirror,
+                        const SelectionEdge& edge) {
+    if (ConflictDetector::ConflictsAt(query_graph, mirror, edge)) {
+      ++stats->pruned_conflict;
+      return false;
+    }
+    if (semantic != nullptr &&
+        !semantic->IsRelated(MaterializePath(query, var, chain, edge),
+                             query)) {
+      ++stats->pruned_semantic;
+      return false;
+    }
+    return true;
   };
 
   // Step 1 (Figure 5): seed with every atomic element syntactically
   // related to the query — selection and join edges leaving the relations
   // of the query's tuple variables.
-  for (const TupleVariable& var : query.from()) {
-    PreferencePath root(var.alias, var.table);
-    for (const SelectionEdge& edge : graph_->SelectionsOn(var.table)) {
-      PreferencePath path = root.ExtendedBy(edge);
-      if (ConflictDetector::ConflictsWithQuery(path, query_graph)) {
-        ++stats->pruned_conflict;
-        continue;
-      }
-      if (semantic != nullptr && !semantic->IsRelated(path, query)) {
-        ++stats->pruned_semantic;
-        continue;
-      }
-      push(std::move(path));
+  for (uint32_t var = 0; var < query_graph.variables().size(); ++var) {
+    const TableId table = query_graph.TableOf(var);
+    for (const SelectionEdge& edge : graph_->SelectionsOn(table)) {
+      if (!admissible(var, var, edge)) continue;
+      push(edge.doi, Node{kNoParent, var, nullptr, &edge});
     }
-    for (const JoinEdge& edge : graph_->JoinsFrom(var.table)) {
-      if (query_graph.UsesTable(edge.to.table)) {
+    for (const JoinEdge& edge : graph_->JoinsFrom(table)) {
+      if (query_graph.UsesTable(edge.to_table)) {
         // Expanding into a relation of the query would traverse the query
         // graph rather than expand outwards.
         ++stats->pruned_cycle;
         continue;
       }
-      push(root.ExtendedBy(edge));
+      push(edge.doi, Node{kNoParent, var, &edge, nullptr});
     }
   }
 
@@ -107,28 +161,38 @@ Result<std::vector<PreferencePath>> PreferenceSelector::SelectInternal(
       stats->degraded = true;
       return selected;
     }
-    PreferencePath path = queue.top().path;
+    const Entry entry = queue.top();
     queue.pop();
     ++stats->paths_popped;
+    const Node node = arena[entry.node];
 
-    if (path.is_selection()) {
-      if (!criterion.Accepts(state, path.doi())) break;
-      state.Add(path.doi());
-      selected.push_back(std::move(path));
+    if (node.selection != nullptr) {
+      if (!criterion.Accepts(state, entry.doi)) break;
+      state.Add(entry.doi);
+      CollectJoins(arena, node.parent, &chain);
+      selected.push_back(
+          MaterializePath(query, node.var, chain, *node.selection));
       continue;
     }
 
     // A transitive join: expand unless the criterion rules out anything
     // it could ever produce (its degree bounds every extension, and the
     // admissible check accounts for state growth before evaluation).
-    if (!criterion.MightAcceptLater(state, path.doi(), path.doi())) break;
+    if (!criterion.MightAcceptLater(state, entry.doi, entry.doi)) break;
 
-    const std::string& end = path.EndTable();
+    const TableId end = node.join->to_table;
     // Merge the two presorted adjacency lists in decreasing edge degree so
     // extensions are generated in decreasing path degree, enabling the
     // early break below.
-    const auto& selections = graph_->SelectionsOn(end);
-    const auto& joins = graph_->JoinsFrom(end);
+    const auto selections = graph_->SelectionsOn(end);
+    const auto joins = graph_->JoinsFrom(end);
+    CollectJoins(arena, entry.node, &chain);
+    // The chain is mapped into the query graph once; every selection
+    // ending it is checked against that variable.
+    std::optional<size_t> mirror = node.var;
+    for (const JoinEdge* join : chain) {
+      mirror = ConflictDetector::MirrorStep(query_graph, mirror, *join);
+    }
     size_t si = 0;
     size_t ji = 0;
     while (si < selections.size() || ji < joins.size()) {
@@ -137,33 +201,34 @@ Result<std::vector<PreferencePath>> PreferenceSelector::SelectInternal(
           (si < selections.size() && selections[si].doi >= joins[ji].doi);
       double edge_doi =
           take_selection ? selections[si].doi : joins[ji].doi;
-      if (!criterion.MightAcceptLater(state, path.doi() * edge_doi,
-                                      path.doi())) {
+      if (!criterion.MightAcceptLater(state, entry.doi * edge_doi,
+                                      entry.doi)) {
         // Remaining edges have lower degree; none can pass.
         ++stats->pruned_criterion;
         break;
       }
       if (take_selection) {
-        PreferencePath extended = path.ExtendedBy(selections[si]);
+        const SelectionEdge& edge = selections[si];
         ++si;
-        if (ConflictDetector::ConflictsWithQuery(extended, query_graph)) {
-          ++stats->pruned_conflict;
-          continue;
-        }
-        if (semantic != nullptr && !semantic->IsRelated(extended, query)) {
-          ++stats->pruned_semantic;
-          continue;
-        }
-        push(std::move(extended));
+        if (!admissible(node.var, mirror, edge)) continue;
+        push(entry.doi * edge.doi,
+             Node{entry.node, node.var, nullptr, &edge});
       } else {
         const JoinEdge& edge = joins[ji];
         ++ji;
-        if (path.VisitsTable(edge.to.table) ||
-            query_graph.UsesTable(edge.to.table)) {
+        // Acyclic: never back into the query's relations (which include
+        // the anchor's) or a relation the chain already reached.
+        const bool cycle =
+            query_graph.UsesTable(edge.to_table) ||
+            std::any_of(chain.begin(), chain.end(), [&](const JoinEdge* join) {
+              return join->to_table == edge.to_table;
+            });
+        if (cycle) {
           ++stats->pruned_cycle;
           continue;
         }
-        push(path.ExtendedBy(edge));
+        push(entry.doi * edge.doi,
+             Node{entry.node, node.var, &edge, nullptr});
       }
     }
   }

@@ -40,7 +40,11 @@ struct SelectionStats {
 /// The implementation is the paper's best-first traversal: a queue of
 /// candidate paths ordered by decreasing degree (ties broken towards
 /// shorter/earlier paths), expanding join paths outwards from the query
-/// graph and pruning cycles, conflicts, and criterion failures.
+/// graph and pruning cycles, conflicts, and criterion failures. The
+/// candidates live in a per-call arena, one graph edge and a parent index
+/// each, and every check runs on schema ids; a PreferencePath, names and
+/// all, is built only for an accepted selection or for one a
+/// SemanticFilter judges.
 class PreferenceSelector {
  public:
   /// `graph` is retained and must outlive the selector.

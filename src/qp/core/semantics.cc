@@ -16,16 +16,16 @@ bool SemanticFilter::Associated(const Value& a, const Value& b) const {
 bool SemanticFilter::IsRelated(const PreferencePath& path,
                                const SelectQuery& query) const {
   if (!path.selection().has_value()) return true;  // Joins are neutral.
-  std::vector<AtomicCondition> atoms;
-  if (query.where() != nullptr) query.where()->CollectAtoms(&atoms);
+  if (query.where() == nullptr) return true;
   bool any_literal = false;
-  for (const AtomicCondition& atom : atoms) {
-    if (atom.is_join()) continue;
+  bool associated = false;
+  query.where()->ForEachAtom([&](const AtomicCondition& atom) {
+    if (associated || atom.is_join()) return;
     any_literal = true;
-    if (Associated(atom.value(), path.selection()->value)) return true;
-  }
+    associated = Associated(atom.value(), path.selection()->value);
+  });
   // A query without literals constrains nothing semantically.
-  return !any_literal;
+  return associated || !any_literal;
 }
 
 }  // namespace qp

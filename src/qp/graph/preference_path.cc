@@ -11,6 +11,18 @@ PreferencePath::PreferencePath(std::string anchor_alias,
     : anchor_alias_(std::move(anchor_alias)),
       anchor_table_(std::move(anchor_table)) {}
 
+PreferencePath::PreferencePath(std::string anchor_alias,
+                               std::string anchor_table,
+                               std::vector<JoinEdge> joins,
+                               std::optional<SelectionEdge> selection)
+    : anchor_alias_(std::move(anchor_alias)),
+      anchor_table_(std::move(anchor_table)),
+      joins_(std::move(joins)),
+      selection_(std::move(selection)) {
+  for (const JoinEdge& join : joins_) doi_ *= join.doi;
+  if (selection_.has_value()) doi_ *= selection_->doi;
+}
+
 PreferencePath PreferencePath::ExtendedBy(const JoinEdge& edge) const {
   assert(!is_selection());
   assert(edge.from.table == EndTable());
@@ -103,7 +115,7 @@ void Enumerate(const PersonalizationGraph& graph,
                const PreferencePath& prefix, bool negative,
                std::vector<PreferencePath>* out) {
   const std::string& end = prefix.EndTable();
-  const std::vector<SelectionEdge>& selections =
+  std::span<const SelectionEdge> selections =
       negative ? graph.NegativeSelectionsOn(end) : graph.SelectionsOn(end);
   for (const SelectionEdge& edge : selections) {
     out->push_back(prefix.ExtendedBy(edge));

@@ -25,6 +25,13 @@ class PreferencePath {
   /// ranges over `anchor_table`. Degree of the empty path is 1.
   PreferencePath(std::string anchor_alias, std::string anchor_table);
 
+  /// The path from `anchor_alias` along `joins`, terminated by
+  /// `selection` when given. Its degree is the product of the edge
+  /// degrees, multiplied in path order (as ExtendedBy accumulates it).
+  PreferencePath(std::string anchor_alias, std::string anchor_table,
+                 std::vector<JoinEdge> joins,
+                 std::optional<SelectionEdge> selection);
+
   /// The path extended by one more join / terminated by a selection.
   /// Extending requires composability (edge leaves EndTable()) and, for
   /// joins, acyclicity — callers enforce both; asserts in debug builds.

@@ -109,46 +109,63 @@ const AtomicPreference* UserProfile::FindSelection(const AttributeRef& attr,
   return nullptr;
 }
 
+Result<ResolvedPreference> ResolvePreference(const Schema& schema,
+                                             const AtomicPreference& p) {
+  QP_RETURN_IF_ERROR(CheckNumbers(p));
+  ResolvedPreference resolved;
+  if (p.is_join()) {
+    Result<AttributeId> from = schema.ResolveAttribute(p.attribute());
+    if (!from.ok()) {
+      return Status::NotFound("unknown attribute in preference: " +
+                              p.attribute().ToString());
+    }
+    Result<AttributeId> to = schema.ResolveAttribute(p.target());
+    if (!to.ok()) {
+      return Status::NotFound("unknown attribute in preference: " +
+                              p.target().ToString());
+    }
+    std::optional<JoinId> join = schema.FindJoinId(*from, *to);
+    if (!join.has_value()) {
+      return Status::InvalidArgument(
+          "join preference does not match any declared schema join: " +
+          p.ToString());
+    }
+    resolved.attribute = *from;
+    resolved.join = *join;
+    resolved.target_table = to->table;
+    return resolved;
+  }
+  QP_ASSIGN_OR_RETURN(resolved.attribute,
+                      schema.ResolveAttribute(p.attribute()));
+  const DataType type =
+      schema.tables()[resolved.attribute.table]
+          .column(resolved.attribute.column)
+          .type;
+  if (p.is_near()) {
+    if (type != DataType::kInt64 && type != DataType::kDouble) {
+      return Status::InvalidArgument(
+          "near preference requires a numeric attribute: " + p.ToString());
+    }
+    if (p.value().type() != DataType::kInt64 &&
+        p.value().type() != DataType::kDouble) {
+      return Status::InvalidArgument(
+          "near preference requires a numeric target: " + p.ToString());
+    }
+    if (!(p.width() > 0.0)) {
+      return Status::InvalidArgument(
+          "near preference requires a positive width: " + p.ToString());
+    }
+  } else if (!p.value().is_null() && p.value().type() != type) {
+    return Status::InvalidArgument("selection preference type mismatch: " +
+                                   p.ToString() + " (column is " +
+                                   DataTypeName(type) + ")");
+  }
+  return resolved;
+}
+
 Status UserProfile::Validate(const Schema& schema) const {
   for (const auto& p : preferences_) {
-    QP_RETURN_IF_ERROR(CheckNumbers(p));
-    if (p.is_near()) {
-      QP_ASSIGN_OR_RETURN(DataType type, schema.AttributeType(p.attribute()));
-      if (type != DataType::kInt64 && type != DataType::kDouble) {
-        return Status::InvalidArgument(
-            "near preference requires a numeric attribute: " + p.ToString());
-      }
-      if (p.value().type() != DataType::kInt64 &&
-          p.value().type() != DataType::kDouble) {
-        return Status::InvalidArgument(
-            "near preference requires a numeric target: " + p.ToString());
-      }
-      if (!(p.width() > 0.0)) {
-        return Status::InvalidArgument(
-            "near preference requires a positive width: " + p.ToString());
-      }
-    } else if (p.is_selection()) {
-      QP_ASSIGN_OR_RETURN(DataType type, schema.AttributeType(p.attribute()));
-      if (!p.value().is_null() && p.value().type() != type) {
-        return Status::InvalidArgument(
-            "selection preference type mismatch: " + p.ToString() +
-            " (column is " + DataTypeName(type) + ")");
-      }
-    } else {
-      if (!schema.HasAttribute(p.attribute())) {
-        return Status::NotFound("unknown attribute in preference: " +
-                                p.attribute().ToString());
-      }
-      if (!schema.HasAttribute(p.target())) {
-        return Status::NotFound("unknown attribute in preference: " +
-                                p.target().ToString());
-      }
-      if (schema.FindJoin(p.attribute(), p.target()) == nullptr) {
-        return Status::InvalidArgument(
-            "join preference does not match any declared schema join: " +
-            p.ToString());
-      }
-    }
+    QP_RETURN_IF_ERROR(ResolvePreference(schema, p).status());
   }
   return Status::Ok();
 }

@@ -80,6 +80,22 @@ class UserProfile {
   std::vector<size_t> hashes_;
 };
 
+/// A stored preference's names resolved against a schema.
+struct ResolvedPreference {
+  /// The selection attribute, or the join's already-in-query side.
+  AttributeId attribute;
+  /// The declared join a join preference traverses (joins only).
+  JoinId join = 0;
+  /// The relation a join preference reaches (joins only).
+  TableId target_table = 0;
+};
+
+/// Applies UserProfile::Validate's checks to one preference, with the
+/// same status codes and messages, and resolves its names on the way:
+/// one hash lookup per relation name.
+Result<ResolvedPreference> ResolvePreference(const Schema& schema,
+                                             const AtomicPreference& p);
+
 }  // namespace qp
 
 #endif  // QP_PREF_PROFILE_H_

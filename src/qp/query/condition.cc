@@ -81,7 +81,7 @@ bool operator==(const AtomicCondition& a, const AtomicCondition& b) {
 }
 
 ConditionPtr ConditionNode::MakeAtom(AtomicCondition atom) {
-  auto node = std::shared_ptr<ConditionNode>(new ConditionNode());
+  auto node = std::make_shared<ConditionNode>(Key());
   node->kind_ = Kind::kAtom;
   node->atom_ = std::move(atom);
   return node;
@@ -101,7 +101,7 @@ ConditionPtr ConditionNode::MakeAnd(std::vector<ConditionPtr> children) {
   }
   if (flat.empty()) return nullptr;
   if (flat.size() == 1) return flat[0];
-  auto node = std::shared_ptr<ConditionNode>(new ConditionNode());
+  auto node = std::make_shared<ConditionNode>(Key());
   node->kind_ = Kind::kAnd;
   node->children_ = std::move(flat);
   return node;
@@ -121,7 +121,7 @@ ConditionPtr ConditionNode::MakeOr(std::vector<ConditionPtr> children) {
   }
   if (flat.empty()) return nullptr;
   if (flat.size() == 1) return flat[0];
-  auto node = std::shared_ptr<ConditionNode>(new ConditionNode());
+  auto node = std::make_shared<ConditionNode>(Key());
   node->kind_ = Kind::kOr;
   node->children_ = std::move(flat);
   return node;
@@ -132,11 +132,7 @@ ConditionPtr ConditionNode::Conjoin(ConditionPtr a, ConditionPtr b) {
 }
 
 void ConditionNode::CollectAtoms(std::vector<AtomicCondition>* out) const {
-  if (kind_ == Kind::kAtom) {
-    out->push_back(atom_);
-    return;
-  }
-  for (const auto& child : children_) child->CollectAtoms(out);
+  ForEachAtom([out](const AtomicCondition& atom) { out->push_back(atom); });
 }
 
 std::string ConditionNode::ToSql() const {

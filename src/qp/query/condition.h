@@ -86,8 +86,16 @@ using ConditionPtr = std::shared_ptr<const ConditionNode>;
 /// AND / OR nodes over atoms. A null ConditionPtr means "true" (no
 /// qualification).
 class ConditionNode {
+  /// Only the factories can make the key the constructor takes; the
+  /// constructor is public so they can allocate node and count together.
+  struct Key {
+    explicit Key() = default;
+  };
+
  public:
   enum class Kind { kAtom, kAnd, kOr };
+
+  explicit ConditionNode(Key) {}
 
   /// Factories. MakeAnd / MakeOr flatten nested nodes of the same kind,
   /// drop null children, and collapse a single child to itself; an empty
@@ -107,6 +115,16 @@ class ConditionNode {
   /// Appends every atom in the subtree to `out` (pre-order).
   void CollectAtoms(std::vector<AtomicCondition>* out) const;
 
+  /// Calls `fn` on every atom in the subtree (pre-order), copying none.
+  template <typename Fn>
+  void ForEachAtom(Fn&& fn) const {
+    if (kind_ == Kind::kAtom) {
+      fn(atom_);
+      return;
+    }
+    for (const ConditionPtr& child : children_) child->ForEachAtom(fn);
+  }
+
   /// SQL rendering with minimal parenthesization: OR children of an AND
   /// are parenthesized.
   std::string ToSql() const;
@@ -115,8 +133,6 @@ class ConditionNode {
   size_t NumAtoms() const;
 
  private:
-  ConditionNode() = default;
-
   Kind kind_ = Kind::kAtom;
   AtomicCondition atom_;
   std::vector<ConditionPtr> children_;

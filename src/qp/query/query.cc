@@ -113,11 +113,11 @@ Status SelectQuery::Validate(const Schema& schema) const {
         ResolveAttribute(*this, schema, item.var, item.column).status());
   }
   if (where_ != nullptr) {
-    std::vector<AtomicCondition> atoms;
-    where_->CollectAtoms(&atoms);
-    for (const auto& atom : atoms) {
-      QP_RETURN_IF_ERROR(ValidateAtom(*this, schema, atom));
-    }
+    Status status = Status::Ok();
+    where_->ForEachAtom([&](const AtomicCondition& atom) {
+      if (status.ok()) status = ValidateAtom(*this, schema, atom);
+    });
+    QP_RETURN_IF_ERROR(status);
   }
   return Status::Ok();
 }

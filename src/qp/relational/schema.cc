@@ -36,6 +36,7 @@ Status Schema::AddTable(TableSchema table) {
                                      "' in table " + table.name());
     }
   }
+  table_ids_.emplace(table.name(), static_cast<TableId>(tables_.size()));
   tables_.push_back(std::move(table));
   return Status::Ok();
 }
@@ -66,6 +67,8 @@ Status Schema::AddJoin(AttributeRef left, AttributeRef right,
                                    right.ToString() + " is " +
                                    DataTypeName(rt.value()));
   }
+  join_ids_.emplace_back(ResolveAttribute(left).value(),
+                         ResolveAttribute(right).value());
   joins_.push_back(SchemaJoin{std::move(left), std::move(right),
                               left_to_right, right_to_left});
   return Status::Ok();
@@ -76,11 +79,15 @@ Status Schema::AddForeignKey(AttributeRef fk, AttributeRef pk) {
                  JoinCardinality::kToMany);
 }
 
+std::optional<TableId> Schema::FindTableId(const std::string& name) const {
+  auto it = table_ids_.find(name);
+  if (it == table_ids_.end()) return std::nullopt;
+  return it->second;
+}
+
 const TableSchema* Schema::FindTable(const std::string& name) const {
-  for (const auto& table : tables_) {
-    if (table.name() == name) return &table;
-  }
-  return nullptr;
+  std::optional<TableId> id = FindTableId(name);
+  return id.has_value() ? &tables_[*id] : nullptr;
 }
 
 Result<const TableSchema*> Schema::GetTable(const std::string& name) const {
@@ -89,21 +96,21 @@ Result<const TableSchema*> Schema::GetTable(const std::string& name) const {
   return table;
 }
 
-bool Schema::HasAttribute(const AttributeRef& ref) const {
-  const TableSchema* table = FindTable(ref.table);
-  return table != nullptr && table->HasColumn(ref.column);
-}
-
-Result<DataType> Schema::AttributeType(const AttributeRef& ref) const {
-  const TableSchema* table = FindTable(ref.table);
-  if (table == nullptr) {
+Result<AttributeId> Schema::ResolveAttribute(const AttributeRef& ref) const {
+  std::optional<TableId> table = FindTableId(ref.table);
+  if (!table.has_value()) {
     return Status::NotFound("unknown table: " + ref.table);
   }
-  auto idx = table->ColumnIndex(ref.column);
+  auto idx = tables_[*table].ColumnIndex(ref.column);
   if (!idx.has_value()) {
     return Status::NotFound("unknown attribute: " + ref.ToString());
   }
-  return table->column(*idx).type;
+  return AttributeId{*table, static_cast<uint32_t>(*idx)};
+}
+
+Result<DataType> Schema::AttributeType(const AttributeRef& ref) const {
+  QP_ASSIGN_OR_RETURN(AttributeId id, ResolveAttribute(ref));
+  return tables_[id.table].column(id.column).type;
 }
 
 const SchemaJoin* Schema::FindJoin(const AttributeRef& a,
@@ -117,14 +124,14 @@ const SchemaJoin* Schema::FindJoin(const AttributeRef& a,
   return nullptr;
 }
 
-Result<JoinCardinality> Schema::JoinCardinalityFrom(
-    const AttributeRef& from, const AttributeRef& to) const {
-  const SchemaJoin* join = FindJoin(from, to);
-  if (join == nullptr) {
-    return Status::NotFound("no declared join between " + from.ToString() +
-                            " and " + to.ToString());
+std::optional<JoinId> Schema::FindJoinId(AttributeId from,
+                                         AttributeId to) const {
+  for (size_t i = 0; i < join_ids_.size(); ++i) {
+    const auto& [left, right] = join_ids_[i];
+    if (left == from && right == to) return static_cast<JoinId>(2 * i);
+    if (right == from && left == to) return static_cast<JoinId>(2 * i + 1);
   }
-  return join->left == from ? join->left_to_right : join->right_to_left;
+  return std::nullopt;
 }
 
 std::vector<Schema::OutgoingJoin> Schema::JoinsFrom(

@@ -1,8 +1,10 @@
 #ifndef QP_RELATIONAL_SCHEMA_H_
 #define QP_RELATIONAL_SCHEMA_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "qp/relational/value.h"
@@ -54,6 +56,24 @@ struct AttributeRef {
   std::string ToString() const { return table + "." + column; }
 };
 
+/// Dense id of a relation: its position in Schema::tables().
+using TableId = uint32_t;
+
+/// An attribute resolved against a schema: its relation's id and its
+/// column's index in that relation.
+struct AttributeId {
+  TableId table = 0;
+  uint32_t column = 0;
+
+  friend bool operator==(const AttributeId&, const AttributeId&) = default;
+};
+
+/// A declared join in one traversal direction: twice its index in
+/// Schema::joins(), plus one when it is traversed from `right` to `left`.
+/// Two traversals have the same id exactly when they join the same
+/// attributes in the same direction.
+using JoinId = uint32_t;
+
 /// Cardinality of a join when followed in a given direction: to-one means
 /// each tuple of the source relation matches at most one tuple of the
 /// target (e.g. PLAY -> THEATRE via tid), to-many means it may match many
@@ -95,6 +115,9 @@ class Schema {
   /// fk-side -> pk-side is to-one, pk-side -> fk-side is to-many.
   Status AddForeignKey(AttributeRef fk, AttributeRef pk);
 
+  /// The relation's dense id, found by one hash lookup.
+  std::optional<TableId> FindTableId(const std::string& name) const;
+
   const TableSchema* FindTable(const std::string& name) const;
   bool HasTable(const std::string& name) const {
     return FindTable(name) != nullptr;
@@ -102,8 +125,12 @@ class Schema {
   /// Fails with kNotFound instead of returning nullptr.
   Result<const TableSchema*> GetTable(const std::string& name) const;
 
+  /// `ref` resolved to ids; kNotFound names the unknown table or attribute.
+  Result<AttributeId> ResolveAttribute(const AttributeRef& ref) const;
   /// True if `ref` names an existing table.column.
-  bool HasAttribute(const AttributeRef& ref) const;
+  bool HasAttribute(const AttributeRef& ref) const {
+    return ResolveAttribute(ref).ok();
+  }
   Result<DataType> AttributeType(const AttributeRef& ref) const;
 
   const std::vector<TableSchema>& tables() const { return tables_; }
@@ -114,10 +141,14 @@ class Schema {
   const SchemaJoin* FindJoin(const AttributeRef& a,
                              const AttributeRef& b) const;
 
-  /// Cardinality of the declared join when traversed from `from` to `to`,
-  /// or an error if no such join exists.
-  Result<JoinCardinality> JoinCardinalityFrom(const AttributeRef& from,
-                                              const AttributeRef& to) const;
+  /// The traversal of a declared join from `from` to `to`, or nullopt if
+  /// the pair was never declared.
+  std::optional<JoinId> FindJoinId(AttributeId from, AttributeId to) const;
+  /// Cardinality of the traversal `join` (a FindJoinId result).
+  JoinCardinality CardinalityOf(JoinId join) const {
+    const SchemaJoin& declared = joins_[join / 2];
+    return join % 2 == 0 ? declared.left_to_right : declared.right_to_left;
+  }
 
   /// All declared joins incident to `table`, as (this-side, other-side,
   /// cardinality this->other) triples.
@@ -130,7 +161,10 @@ class Schema {
 
  private:
   std::vector<TableSchema> tables_;
+  std::unordered_map<std::string, TableId> table_ids_;
   std::vector<SchemaJoin> joins_;
+  /// joins_[i]'s (left, right) attributes, resolved.
+  std::vector<std::pair<AttributeId, AttributeId>> join_ids_;
 };
 
 }  // namespace qp

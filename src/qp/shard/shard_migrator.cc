@@ -90,17 +90,19 @@ Status ShardMigrator::CopyUser(const std::string& user_id, uint32_t source,
     return Status::Unavailable("target shard " + std::to_string(target) +
                                " is down");
   }
-  auto snapshot_or = source_svc->profiles().Get(user_id);
-  if (!snapshot_or.ok()) {
-    if (snapshot_or.status().code() == StatusCode::kNotFound) {
+  // Peek, not Get: paging every copied user in would evict the source's
+  // hot set, partitions that stay put included.
+  auto profile_or = source_svc->profiles().Peek(user_id);
+  if (!profile_or.ok()) {
+    if (profile_or.status().code() == StatusCode::kNotFound) {
       // Removed since we enumerated: make the target agree.
       Status removed = target_svc->profiles().Remove(user_id);
       if (removed.code() == StatusCode::kNotFound) return Status::Ok();
       return removed;
     }
-    return snapshot_or.status();
+    return profile_or.status();
   }
-  return target_svc->profiles().Put(user_id, *snapshot_or.value().profile);
+  return target_svc->profiles().Put(user_id, std::move(profile_or).value());
 }
 
 Status ShardMigrator::CopyPhase(uint32_t partition, uint32_t source,

@@ -122,7 +122,8 @@ class ShardMigrator {
                    uint64_t* applied, bool* caught_up);
 
   /// Copies one user's current source state onto the target (Remove
-  /// when the source no longer has the user).
+  /// when the source no longer has the user). Reads through Peek, so the
+  /// source's hot set is left as it was.
   Status CopyUser(const std::string& user_id, uint32_t source,
                   uint32_t target);
 

@@ -323,6 +323,17 @@ Result<ProfileSnapshot> DurableProfileStore::Lookup(
   return LoadColdLocked(stripe, user_id);
 }
 
+Result<UserProfile> DurableProfileStore::Peek(const std::string& user_id) {
+  Stripe& stripe = StripeFor(user_id);
+  std::lock_guard<std::mutex> writer(stripe.writer);
+  QP_ASSIGN_OR_RETURN(std::optional<UserProfile> current,
+                      CurrentLocked(stripe, user_id));
+  if (!current.has_value()) {
+    return Status::NotFound("unknown user: " + user_id);
+  }
+  return *std::move(current);
+}
+
 Result<std::optional<UserProfile>> DurableProfileStore::CurrentLocked(
     Stripe& stripe, const std::string& user_id) {
   if (auto resident = Resident(stripe, user_id)) {

@@ -282,6 +282,13 @@ class DurableProfileStore {
   /// incarnation.
   Result<ProfileSnapshot> Get(const std::string& user_id);
 
+  /// The user's profile without paging it in: a copy of the resident
+  /// one, else (durable) one built from the user's load plan under the
+  /// stripe's writer mutex. Installs, touches and evicts nothing, so a
+  /// caller walking many users (a live migration's copy) leaves the hot
+  /// set as it found it. NotFound for unknown users.
+  Result<UserProfile> Peek(const std::string& user_id);
+
   /// Every alive user's snapshot, sorted by user id. A durable store
   /// faults cold users in (and, under a budget, back out) through its
   /// LRU to build this — a debugging/export surface, not a hot path.

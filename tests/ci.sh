@@ -57,6 +57,9 @@ OBS_FILTER='obs_metrics|obs_trace|service_trace|executor_stats_attribution|servi
 CHAOS_FILTER='fault_hub|breaker_recovery|scrubber_test|bitflip_robustness|chaos_property|chaos_blackbox'
 EXEC_FILTER='batch_table|exec_differential|vectorized_cancel|key_index_property|compound_exec|executor_edge|executor_test|shared_core'
 SHARD_FILTER='tiered_store|sharded_service|shard_chaos|routing_table|reshard_test|reshard_chaos'
+# The selector's arena frontier, the id-resolved graphs it walks and the
+# integrator that renders its picks back into SQL.
+CORE_FILTER='schema_test|personalization_graph_test|preference_path_test|query_graph_test|conflict_test|selection_test|integration_test|semantics_test|selection_cache_property_test'
 
 echo "==== [ci] regular build ===="
 cmake -B "$ROOT/build" -S "$ROOT" >/dev/null
@@ -70,7 +73,7 @@ if [[ "${1:-}" == "--fast" ]]; then
   exit 0
 fi
 
-echo "==== [ci] sanitized storage + lifecycle + obs + chaos + exec suites ===="
+echo "==== [ci] sanitized storage + lifecycle + obs + chaos + exec + shard + core suites ===="
 # 100 seeded chaos trials per sanitizer build (>= 200 total), and 150
 # executor-vs-oracle trials per sanitizer build (the unsanitized
 # 800-trial sweep already ran in stage 1). A failing or hanging trial
@@ -88,7 +91,7 @@ echo "==== [ci] sanitized storage + lifecycle + obs + chaos + exec suites ===="
 QP_CHAOS_TRIALS=100 QP_EXEC_TRIALS=150 QP_SHARD_CHAOS_TRIALS=25 \
   QP_RESHARD_TRIALS=50 \
   tests/run_sanitized.sh all \
-  -R "$STORAGE_FILTER|$LIFECYCLE_FILTER|$OBS_FILTER|$CHAOS_FILTER|$EXEC_FILTER|$SHARD_FILTER"
+  -R "$STORAGE_FILTER|$LIFECYCLE_FILTER|$OBS_FILTER|$CHAOS_FILTER|$EXEC_FILTER|$SHARD_FILTER|$CORE_FILTER"
 
 echo "==== [ci] benchmark snapshots (JSON) ===="
 REPORT="$ROOT/build/bench_report.json"

@@ -37,7 +37,9 @@ class ConflictTest : public ::testing::Test {
 
   SelectionEdge Sel(const std::string& table, const std::string& column,
                     const std::string& value, double doi = 0.5) {
-    return SelectionEdge{{table, column}, Value::Str(value), doi};
+    SelectionEdge edge{{table, column}, Value::Str(value), doi};
+    edge.attribute_id = schema_.ResolveAttribute(edge.attribute).value();
+    return edge;
   }
 
   Schema schema_;

@@ -21,6 +21,20 @@ class QueryGraphTest : public ::testing::Test {
     return std::move(graph).value();
   }
 
+  TableId Table(const std::string& name) {
+    return *schema_.FindTableId(name);
+  }
+  size_t Var(const QueryGraph& g, const std::string& alias) {
+    return *g.FindVariable(alias);
+  }
+  uint32_t Column(const std::string& table, const std::string& column) {
+    return schema_.ResolveAttribute({table, column})->column;
+  }
+  JoinId Join(const AttributeRef& from, const AttributeRef& to) {
+    return *schema_.FindJoinId(*schema_.ResolveAttribute(from),
+                               *schema_.ResolveAttribute(to));
+  }
+
   Schema schema_;
 };
 
@@ -28,43 +42,64 @@ TEST_F(QueryGraphTest, VariablesAndTables) {
   QueryGraph g = Build(
       "select MV.title from MOVIE MV, PLAY PL where MV.mid=PL.mid");
   EXPECT_EQ(g.variables().size(), 2u);
-  EXPECT_TRUE(g.UsesTable("MOVIE"));
-  EXPECT_TRUE(g.UsesTable("PLAY"));
-  EXPECT_FALSE(g.UsesTable("GENRE"));
+  EXPECT_EQ(g.TableOf(Var(g, "MV")), Table("MOVIE"));
+  EXPECT_EQ(g.TableOf(Var(g, "PL")), Table("PLAY"));
+  EXPECT_TRUE(g.UsesTable(Table("MOVIE")));
+  EXPECT_TRUE(g.UsesTable(Table("PLAY")));
+  EXPECT_FALSE(g.UsesTable(Table("GENRE")));
+  EXPECT_FALSE(g.FindVariable("ZZ").has_value());
 }
 
 TEST_F(QueryGraphTest, SelectionsPerVariable) {
   QueryGraph g = Build(
       "select MV.title from MOVIE MV, PLAY PL where MV.mid=PL.mid and "
       "PL.date='2/7/2003' and MV.year=1999");
-  ASSERT_EQ(g.SelectionsOn("PL").size(), 1u);
-  EXPECT_EQ(g.SelectionsOn("PL")[0].first, "date");
-  EXPECT_EQ(g.SelectionsOn("PL")[0].second, Value::Str("2/7/2003"));
-  ASSERT_EQ(g.SelectionsOn("MV").size(), 1u);
-  EXPECT_TRUE(g.SelectionsOn("ZZ").empty());
+  ASSERT_EQ(g.SelectionsOn(Var(g, "PL")).size(), 1u);
+  EXPECT_EQ(g.SelectionsOn(Var(g, "PL"))[0].column, Column("PLAY", "date"));
+  EXPECT_EQ(g.SelectionsOn(Var(g, "PL"))[0].value, Value::Str("2/7/2003"));
+  ASSERT_EQ(g.SelectionsOn(Var(g, "MV")).size(), 1u);
+  EXPECT_EQ(g.SelectionsOn(Var(g, "MV"))[0].column, Column("MOVIE", "year"));
+}
+
+TEST_F(QueryGraphTest, NearConditionsAreNotEqualitySelections) {
+  // A soft condition admits a neighbourhood, so it fixes no value a
+  // preference could conflict with; the graph still builds.
+  QueryGraph g = Build(
+      "select MV.title from MOVIE MV where near(MV.year, 1994, 5) and "
+      "MV.title='Heat'");
+  ASSERT_EQ(g.SelectionsOn(Var(g, "MV")).size(), 1u);
+  EXPECT_EQ(g.SelectionsOn(Var(g, "MV"))[0].column, Column("MOVIE", "title"));
 }
 
 TEST_F(QueryGraphTest, FollowJoinBothDirections) {
   QueryGraph g = Build(
       "select MV.title from MOVIE MV, PLAY PL where MV.mid=PL.mid");
   // From MV following MOVIE.mid=PLAY.mid reaches PL...
-  auto to_pl = g.FollowJoin("MV", {"MOVIE", "mid"}, {"PLAY", "mid"});
+  auto to_pl =
+      g.FollowJoin(Var(g, "MV"), Join({"MOVIE", "mid"}, {"PLAY", "mid"}));
   ASSERT_TRUE(to_pl.has_value());
-  EXPECT_EQ(*to_pl, "PL");
+  EXPECT_EQ(*to_pl, Var(g, "PL"));
   // ...and the reverse direction reaches MV, regardless of the atom's
   // left/right orientation in the SQL text.
-  auto to_mv = g.FollowJoin("PL", {"PLAY", "mid"}, {"MOVIE", "mid"});
+  auto to_mv =
+      g.FollowJoin(Var(g, "PL"), Join({"PLAY", "mid"}, {"MOVIE", "mid"}));
   ASSERT_TRUE(to_mv.has_value());
-  EXPECT_EQ(*to_mv, "MV");
+  EXPECT_EQ(*to_mv, Var(g, "MV"));
+  // The direction must match the side the walk starts on.
+  EXPECT_FALSE(
+      g.FollowJoin(Var(g, "MV"), Join({"PLAY", "mid"}, {"MOVIE", "mid"}))
+          .has_value());
 }
 
 TEST_F(QueryGraphTest, FollowJoinMissing) {
   QueryGraph g = Build(
       "select MV.title from MOVIE MV, PLAY PL where MV.mid=PL.mid");
   EXPECT_FALSE(
-      g.FollowJoin("MV", {"MOVIE", "mid"}, {"GENRE", "mid"}).has_value());
+      g.FollowJoin(Var(g, "MV"), Join({"MOVIE", "mid"}, {"GENRE", "mid"}))
+          .has_value());
   EXPECT_FALSE(
-      g.FollowJoin("PL", {"PLAY", "tid"}, {"THEATRE", "tid"}).has_value());
+      g.FollowJoin(Var(g, "PL"), Join({"PLAY", "tid"}, {"THEATRE", "tid"}))
+          .has_value());
 }
 
 TEST_F(QueryGraphTest, ReplicatedRelations) {
@@ -72,9 +107,9 @@ TEST_F(QueryGraphTest, ReplicatedRelations) {
       "select A1.name from ACTOR A1, ACTOR A2 where A1.name='x' and "
       "A2.name='y'");
   EXPECT_EQ(g.variables().size(), 2u);
-  EXPECT_TRUE(g.UsesTable("ACTOR"));
-  EXPECT_EQ(g.SelectionsOn("A1").size(), 1u);
-  EXPECT_EQ(g.SelectionsOn("A2").size(), 1u);
+  EXPECT_TRUE(g.UsesTable(Table("ACTOR")));
+  EXPECT_EQ(g.SelectionsOn(Var(g, "A1")).size(), 1u);
+  EXPECT_EQ(g.SelectionsOn(Var(g, "A2")).size(), 1u);
 }
 
 TEST_F(QueryGraphTest, InvalidQueryRejected) {
@@ -86,8 +121,8 @@ TEST_F(QueryGraphTest, InvalidQueryRejected) {
 
 TEST_F(QueryGraphTest, NoWhereClause) {
   QueryGraph g = Build("select MV.title from MOVIE MV");
-  EXPECT_TRUE(g.SelectionsOn("MV").empty());
-  EXPECT_TRUE(g.UsesTable("MOVIE"));
+  EXPECT_TRUE(g.SelectionsOn(Var(g, "MV")).empty());
+  EXPECT_TRUE(g.UsesTable(Table("MOVIE")));
 }
 
 }  // namespace

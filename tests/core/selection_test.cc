@@ -1,11 +1,17 @@
 #include "qp/core/selection.h"
 
+#include <cmath>
+#include <cstring>
+#include <string_view>
+
 #include "common/test_util.h"
 #include "gtest/gtest.h"
+#include "qp/core/integration.h"
 #include "qp/data/movie_db.h"
 #include "qp/data/paper_example.h"
 #include "qp/data/workload.h"
 #include "qp/query/sql_parser.h"
+#include "qp/query/sql_writer.h"
 
 namespace qp {
 namespace {
@@ -217,6 +223,124 @@ TEST_P(SelectionPropertyTest, AgreesWithBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SelectionPropertyTest,
                          ::testing::Values(7, 17, 27, 37, 47));
+
+/// `profile` with every degree rounded to tenths (at least 0.1), so that
+/// equal path degrees are common.
+UserProfile RoundedToTenths(const UserProfile& profile) {
+  UserProfile rounded;
+  for (const AtomicPreference& p : profile.preferences()) {
+    const double doi = std::max(0.1, std::round(p.doi() * 10.0) / 10.0);
+    Status added;
+    if (p.is_join()) {
+      added = rounded.Add(AtomicPreference::Join(p.attribute(), p.target(),
+                                                 doi));
+    } else if (p.is_near()) {
+      added = rounded.Add(AtomicPreference::NearSelection(
+          p.attribute(), p.value(), p.width(), doi));
+    } else {
+      added = rounded.Add(
+          AtomicPreference::Selection(p.attribute(), p.value(), doi));
+    }
+    EXPECT_TRUE(added.ok()) << added;
+  }
+  return rounded;
+}
+
+/// Pins the selector's order among equal degrees and the SQL each
+/// selection integrates to. Seeded random profiles (half of them with
+/// degrees rounded to tenths, near preferences mixed in) select under
+/// three criteria; each result's anchor, condition and exact degree bits,
+/// plus its MQ (L = 1, ranked) and SQ (K <= 6, L = 2) integrations, fold
+/// into one FNV-1a digest. SelectionPropertyTest lets shapes differ on
+/// ties; this case does not: reordering equal-degree candidates, or any
+/// change to an integrated alias or atom order, moves the digest.
+TEST(SelectionDigestTest, TieOrderAndIntegratedSqlArePinned) {
+  uint64_t digest = 14695981039346656037ull;
+  auto fold = [&](std::string_view bytes) {
+    for (unsigned char c : bytes) {
+      digest = (digest ^ c) * 1099511628211ull;
+    }
+    digest = (digest ^ 0xffu) * 1099511628211ull;  // Field separator.
+  };
+
+  Schema schema = MovieSchema();
+  const PreferenceIntegrator integrator;
+  size_t selected_paths = 0;
+  size_t equal_neighbours = 0;
+  for (uint64_t seed : {3u, 13u, 23u, 33u}) {
+    MovieDbConfig config;
+    config.num_movies = 50;
+    config.num_actors = 25;
+    config.num_directors = 10;
+    config.num_theatres = 5;
+    config.seed = seed;
+    auto db = GenerateMovieDatabase(config);
+    ASSERT_TRUE(db.ok());
+    auto pools = MovieCandidatePools(*db);
+    ASSERT_TRUE(pools.ok());
+    ProfileGenerator profiles(&schema, std::move(pools).value());
+    WorkloadGenerator workload(&*db, seed * 7 + 1);
+    Rng rng(seed);
+
+    for (int trial = 0; trial < 16; ++trial) {
+      ProfileGeneratorOptions options;
+      options.num_selections = 10 + rng.Below(30);
+      options.near_fraction = 0.3;
+      auto profile = profiles.Generate(options, &rng);
+      ASSERT_TRUE(profile.ok());
+      if (trial % 2 == 0) profile = RoundedToTenths(*profile);
+      auto graph = PersonalizationGraph::Build(&schema, *profile);
+      ASSERT_TRUE(graph.ok()) << graph.status();
+      PreferenceSelector selector(&*graph);
+      auto query = workload.RandomQuery();
+      ASSERT_TRUE(query.ok());
+
+      const InterestCriterion criteria[] = {
+          InterestCriterion::TopCount(1 + rng.Below(12)),
+          InterestCriterion::MinDegree(0.5 * rng.NextDouble()),
+          InterestCriterion::DisjunctiveAbove(0.3 + 0.4 * rng.NextDouble()),
+      };
+      for (const InterestCriterion& criterion : criteria) {
+        auto selected = selector.Select(*query, criterion);
+        ASSERT_TRUE(selected.ok()) << selected.status();
+        fold(criterion.ToString());
+        for (size_t i = 0; i < selected->size(); ++i) {
+          const PreferencePath& path = (*selected)[i];
+          const double doi = path.doi();
+          uint64_t bits;
+          std::memcpy(&bits, &doi, sizeof(bits));
+          fold(path.anchor_alias());
+          fold(path.ConditionString());
+          fold(std::to_string(bits));
+          ++selected_paths;
+          if (i > 0 && (*selected)[i - 1].doi() == path.doi()) {
+            ++equal_neighbours;
+          }
+        }
+
+        IntegrationParams mq;
+        mq.min_satisfied = 1;
+        mq.order_by_degree = true;
+        auto compound = integrator.BuildMultipleQueries(*query, *selected, mq);
+        fold(compound.ok() ? ToSql(*compound) : compound.status().ToString());
+
+        std::vector<PreferencePath> top(
+            selected->begin(),
+            selected->begin() + std::min<size_t>(6, selected->size()));
+        IntegrationParams sq;
+        sq.min_satisfied = 2;
+        auto single = integrator.BuildSingleQuery(*query, top, sq);
+        fold(single.ok() ? ToSql(*single) : single.status().ToString());
+      }
+    }
+  }
+  // The case only pins tie order if ties occur.
+  EXPECT_GT(selected_paths, 500u);
+  EXPECT_GT(equal_neighbours, 50u);
+  // Recorded at the string-keyed selector this frontier replaced.
+  EXPECT_EQ(digest, 0xb005c2fb15ff970dull)
+      << std::hex << "digest 0x" << digest;
+}
 
 }  // namespace
 }  // namespace qp

@@ -47,8 +47,13 @@ TEST(SchemaTest, AddTableRejectsDuplicateColumns) {
 TEST(SchemaTest, FindTable) {
   Schema schema;
   QP_EXPECT_OK(schema.AddTable(TwoColumnTable("A")));
+  QP_EXPECT_OK(schema.AddTable(TwoColumnTable("B")));
   EXPECT_NE(schema.FindTable("A"), nullptr);
   EXPECT_EQ(schema.FindTable("Z"), nullptr);
+  // A table's id is its position in tables().
+  EXPECT_EQ(schema.FindTableId("A"), 0u);
+  EXPECT_EQ(schema.FindTableId("B"), 1u);
+  EXPECT_FALSE(schema.FindTableId("Z").has_value());
   EXPECT_TRUE(schema.GetTable("A").ok());
   EXPECT_EQ(schema.GetTable("Z").status().code(), StatusCode::kNotFound);
 }
@@ -61,6 +66,12 @@ TEST(SchemaTest, AttributeChecks) {
   EXPECT_FALSE(schema.HasAttribute({"B", "id"}));
   EXPECT_EQ(schema.AttributeType({"A", "name"}).value(), DataType::kString);
   EXPECT_FALSE(schema.AttributeType({"A", "zz"}).ok());
+  EXPECT_EQ(schema.ResolveAttribute({"A", "name"}).value(),
+            (AttributeId{0, 1}));
+  EXPECT_EQ(schema.ResolveAttribute({"A", "zz"}).status().message(),
+            "unknown attribute: A.zz");
+  EXPECT_EQ(schema.ResolveAttribute({"B", "id"}).status().message(),
+            "unknown table: B");
 }
 
 TEST(SchemaTest, ForeignKeyCardinalities) {
@@ -72,15 +83,20 @@ TEST(SchemaTest, ForeignKeyCardinalities) {
   QP_EXPECT_OK(
       schema.AddForeignKey({"CHILD", "parent_id"}, {"PARENT", "id"}));
 
-  // Child -> parent is to-one; parent -> child is to-many.
-  EXPECT_EQ(
-      schema.JoinCardinalityFrom({"CHILD", "parent_id"}, {"PARENT", "id"})
-          .value(),
-      JoinCardinality::kToOne);
-  EXPECT_EQ(
-      schema.JoinCardinalityFrom({"PARENT", "id"}, {"CHILD", "parent_id"})
-          .value(),
-      JoinCardinality::kToMany);
+  // Child -> parent is to-one; parent -> child is to-many. The two
+  // directions of the one declared join have adjacent ids.
+  const AttributeId child = schema.ResolveAttribute({"CHILD", "parent_id"})
+                                .value();
+  const AttributeId parent = schema.ResolveAttribute({"PARENT", "id"}).value();
+  std::optional<JoinId> up = schema.FindJoinId(child, parent);
+  std::optional<JoinId> down = schema.FindJoinId(parent, child);
+  ASSERT_TRUE(up.has_value());
+  ASSERT_TRUE(down.has_value());
+  EXPECT_EQ(*up, 0u);
+  EXPECT_EQ(*down, 1u);
+  EXPECT_EQ(schema.CardinalityOf(*up), JoinCardinality::kToOne);
+  EXPECT_EQ(schema.CardinalityOf(*down), JoinCardinality::kToMany);
+  EXPECT_FALSE(schema.FindJoinId(child, child).has_value());
 }
 
 TEST(SchemaTest, AddJoinValidation) {

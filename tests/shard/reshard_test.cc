@@ -5,8 +5,9 @@
 // resolve both ways after a crash, a shrink resolves a leftover journal
 // entry before it retires the shard it names, a grow drops a stale copy
 // its target already held, a put in flight at the copy watermark is
-// neither skipped by the tail nor missing from the copy, and a mutator
-// racing the drain-and-cutover barrier loses no ack.
+// neither skipped by the tail nor missing from the copy, a mutator
+// racing the drain-and-cutover barrier loses no ack, and a grow's copy
+// leaves the sources' hot sets resident.
 
 #include <algorithm>
 #include <atomic>
@@ -148,6 +149,61 @@ TEST_F(ReshardTest, GrowPreservesEveryUserWithExactlyOneOwner) {
   // Resharding to the current count converges as a no-op.
   QP_ASSERT_OK(sharded->Reshard(4));
   EXPECT_EQ(sharded->migration_stats().partitions_migrated, 8u);
+}
+
+TEST_F(ReshardTest, GrowLeavesTheSourcesHotSetsResident) {
+  ShardedOptions options = Options(2);
+  options.service.storage.hot_capacity = 8;
+  auto sharded = MustOpen(std::move(options));
+  ASSERT_NE(sharded, nullptr);
+  auto shadow = Populate(sharded.get(), 400, 6000);
+  for (size_t s = 0; s < 2; ++s) {
+    QP_ASSERT_OK(sharded->Shard(s)->profiles().Checkpoint());
+  }
+  auto cold_loads = [&] {
+    uint64_t total = 0;
+    for (size_t s = 0; s < sharded->num_shards(); ++s) {
+      total += sharded->Shard(s)->profiles().tier_stats().cold_loads;
+    }
+    return total;
+  };
+
+  // Read 8 users of partitions the grow leaves in place hot, 4 per shard.
+  const RoutingTable before = sharded->routing();
+  QP_ASSERT_OK_AND_ASSIGN(RoutingTable plan, PlanReshard(before, 4));
+  std::vector<std::string> hot;
+  std::vector<size_t> per_shard(2, 0);
+  for (const auto& [user, profile] : shadow) {
+    const size_t partition = sharded->PartitionFor(user);
+    const uint32_t owner = before.owner[partition];
+    if (plan.owner[partition] != owner || per_shard[owner] == 4) continue;
+    ++per_shard[owner];
+    hot.push_back(user);
+  }
+  ASSERT_EQ(hot.size(), 8u);
+  for (const std::string& user : hot) {
+    QP_ASSERT_OK(sharded->GetProfile(user).status());
+  }
+  const uint64_t loads_hot = cold_loads();
+  for (const std::string& user : hot) {
+    QP_ASSERT_OK(sharded->GetProfile(user).status());
+  }
+  ASSERT_EQ(cold_loads(), loads_hot) << "the 8 users did not stay resident";
+
+  // The copy reads some 200 users of the moving partitions; none of them
+  // may be paged in on its source and push the 8 out.
+  QP_ASSERT_OK(sharded->Reshard(4));
+  ASSERT_GT(sharded->migration_stats().users_copied, 100u);
+  const uint64_t loads_after = cold_loads();
+  for (const std::string& user : hot) {
+    auto snapshot = sharded->GetProfile(user);
+    QP_ASSERT_OK(snapshot.status());
+    EXPECT_TRUE(
+        storage::ProfilesEqual(*snapshot.value().profile, shadow.at(user)));
+  }
+  EXPECT_EQ(cold_loads(), loads_after)
+      << "a reshard evicted hot users of partitions that did not move";
+  ExpectExactlyShadow(sharded.get(), shadow);
 }
 
 TEST_F(ReshardTest, ShrinkDrainsRetiredShardsAndTearsThemDown) {
