@@ -97,7 +97,6 @@ void BM_BreakerTimeToRecover(benchmark::State& state) {
     options.dir = "db";
     options.fs = &fs;
     options.compact_threshold_bytes = 0;
-    options.wal.max_sync_retries = 0;
     options.breaker_threshold = 2;
     options.breaker_backoff = std::chrono::milliseconds(1);
     auto store_or = DurableProfileStore::Open(&schema, options);

@@ -39,18 +39,6 @@ bench::BenchReport& Report() {
   return *report;
 }
 
-const char* PolicyLabel(FsyncPolicy policy) {
-  switch (policy) {
-    case FsyncPolicy::kEveryRecord:
-      return "every_record";
-    case FsyncPolicy::kInterval:
-      return "interval";
-    case FsyncPolicy::kNever:
-      return "never";
-  }
-  return "unknown";
-}
-
 /// A fresh directory under /tmp, removed (with its contents) on scope
 /// exit. The benchmarks run against the real POSIX filesystem so the
 /// fsync costs they report are the ones production would pay.
@@ -93,14 +81,7 @@ const std::string& SharedPayload() {
 }
 
 FsyncPolicy PolicyFromArg(int64_t arg) {
-  switch (arg) {
-    case 0:
-      return FsyncPolicy::kEveryRecord;
-    case 1:
-      return FsyncPolicy::kInterval;
-    default:
-      return FsyncPolicy::kNever;
-  }
+  return arg == 0 ? FsyncPolicy::kEveryRecord : FsyncPolicy::kNever;
 }
 
 /// WAL append throughput: `writers` threads each acknowledge a slice of
@@ -162,7 +143,7 @@ void BM_WalAppend(benchmark::State& state) {
       benchmark::Counter::kIsRate);
   state.counters["fsyncs"] = fsyncs;
 
-  std::string label = std::string(PolicyLabel(policy)) + "_w" +
+  std::string label = std::string(FsyncPolicyName(policy)) + "_w" +
                       std::to_string(writers);
   Report().AddScalar("fsyncs/" + label, fsyncs);
   Report().AddScalar("records/" + label, static_cast<double>(records));
@@ -174,8 +155,7 @@ BENCHMARK(BM_WalAppend)
     ->Args({0, 1})  // every_record, serial: one fsync per record.
     ->Args({0, 4})  // every_record, group commit across 4 writers.
     ->Args({0, 8})
-    ->Args({1, 1})  // interval: fsync at most every 50 ms.
-    ->Args({2, 1})  // never: pure write(2) throughput.
+    ->Args({1, 1})  // never: pure write(2) throughput.
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -919,13 +919,18 @@ class Shell {
   /// traffic, hot/cold residency, breaker and scrubber state per row.
   void PrintShardRows() {
     shard::ShardedStats stats = sharded_->stats();
+    // Each owner shard's cache counts the entries a routed mutation drops.
+    uint64_t invalidated = 0;
+    for (const shard::ShardRow& row : stats.shards) {
+      invalidated += row.stats.cache_user_invalidations;
+    }
     std::printf(
         "router: %llu requests, %llu mutations, %llu shed, %llu cache "
         "entries invalidated, %llu kills / %llu recoveries\n",
         static_cast<unsigned long long>(stats.router.requests),
         static_cast<unsigned long long>(stats.router.mutations),
         static_cast<unsigned long long>(stats.router.shed),
-        static_cast<unsigned long long>(stats.router.invalidated_entries),
+        static_cast<unsigned long long>(invalidated),
         static_cast<unsigned long long>(stats.router.shard_kills),
         static_cast<unsigned long long>(stats.router.shard_recoveries));
     // Lifecycle counters (requests/shed/...) aggregate cluster-wide in
@@ -1052,9 +1057,7 @@ class Shell {
         stats.max_queue_depth,
         max_queue_depth_ == 0 ? " (queue unbounded)" : "");
     std::printf(
-        "storage: %llu fsync retries, %llu failed mutations, breaker %s "
-        "(%llu trips)\n",
-        static_cast<unsigned long long>(stats.storage.sync_retries),
+        "storage: %llu failed mutations, breaker %s (%llu trips)\n",
         static_cast<unsigned long long>(stats.storage.mutation_failures),
         stats.storage.breaker_open ? "OPEN (store is read-only)" : "closed",
         static_cast<unsigned long long>(stats.storage.breaker_trips));

@@ -21,36 +21,19 @@ SelectionCache::Paths SelectionCache::Lookup(const std::string& key) {
   return it->second->paths;
 }
 
-size_t SelectionCache::Insert(const std::string& key, Paths paths) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return InsertLocked(/*user_id=*/"", key, std::move(paths));
-}
-
 size_t SelectionCache::Insert(const std::string& user_id,
                               const std::string& key, Paths paths) {
   std::lock_guard<std::mutex> lock(mutex_);
-  return InsertLocked(user_id, key, std::move(paths));
-}
-
-size_t SelectionCache::InsertLocked(const std::string& user_id,
-                                    const std::string& key, Paths paths) {
   auto it = index_.find(key);
   if (it != index_.end()) {
-    auto lru_it = it->second;  // UnindexLocked below invalidates `it`.
-    if (lru_it->user_id != user_id) {
-      // Same key, different (or newly declared) owner: re-home it.
-      UnindexLocked(*lru_it);
-      lru_it->user_id = user_id;
-      index_[key] = lru_it;
-      if (!user_id.empty()) by_user_[user_id].insert(key);
-    }
-    lru_it->paths = std::move(paths);
-    lru_.splice(lru_.begin(), lru_, lru_it);
+    // The key embeds its user, so a refresh keeps the owner it has.
+    it->second->paths = std::move(paths);
+    lru_.splice(lru_.begin(), lru_, it->second);
     return 0;
   }
   lru_.push_front(Slot{key, user_id, std::move(paths)});
   index_[key] = lru_.begin();
-  if (!user_id.empty()) by_user_[user_id].insert(key);
+  by_user_[user_id].insert(key);
   size_t evicted = 0;
   while (lru_.size() > capacity_) {
     UnindexLocked(lru_.back());
@@ -62,7 +45,6 @@ size_t SelectionCache::InsertLocked(const std::string& user_id,
 
 void SelectionCache::UnindexLocked(const Slot& slot) {
   index_.erase(slot.key);
-  if (slot.user_id.empty()) return;
   auto it = by_user_.find(slot.user_id);
   if (it == by_user_.end()) return;
   it->second.erase(slot.key);

@@ -47,12 +47,10 @@ class SelectionCache {
   /// The cached selection, or nullptr on miss.
   Paths Lookup(const std::string& key);
 
-  /// Inserts (or refreshes) `paths` under `key`, evicting the least
-  /// recently used entry when full; returns the number evicted. The
-  /// overload taking `user_id` also indexes the entry by owner so
-  /// EraseUser can drop exactly that user's entries; the two-argument
-  /// form leaves the entry unowned (epoch aging still applies).
-  size_t Insert(const std::string& key, Paths paths);
+  /// Inserts (or refreshes) `paths` under `key`, owned by `user_id` —
+  /// the user MakeKey embedded in it — so EraseUser can drop exactly that
+  /// user's entries. Evicts the least recently used entry when full;
+  /// returns the number evicted.
   size_t Insert(const std::string& user_id, const std::string& key,
                 Paths paths);
 
@@ -72,12 +70,10 @@ class SelectionCache {
  private:
   struct Slot {
     std::string key;
-    std::string user_id;  // Empty when inserted without an owner.
+    std::string user_id;
     Paths paths;
   };
 
-  size_t InsertLocked(const std::string& user_id, const std::string& key,
-                      Paths paths);
   /// Unlinks one LRU slot from index_ and by_user_ (not from lru_).
   void UnindexLocked(const Slot& slot);
 

@@ -15,24 +15,6 @@
 namespace qp {
 namespace {
 
-/// Atomically reserves one unit in `counter` unless it is at `bound`
-/// (0 = unbounded). The CAS guarantees the counter never exceeds the
-/// bound regardless of concurrent admitters.
-bool TryReserve(std::atomic<size_t>* counter, size_t bound) {
-  if (bound == 0) {
-    counter->fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  size_t current = counter->load(std::memory_order_relaxed);
-  while (true) {
-    if (current >= bound) return false;
-    if (counter->compare_exchange_weak(current, current + 1,
-                                       std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-}
-
 /// The request's latency budget: an explicit deadline_ms wins, else the
 /// context's desired response time, else unbounded.
 Deadline EffectiveDeadline(const PersonalizationRequest& request) {
@@ -174,11 +156,15 @@ bool PersonalizationService::TryAdmit() {
   // path — the future still resolves, the accounting identity still
   // holds. Delay mode models a slow admission check instead.
   if (!QP_FAULT_POINT("service.admit").ok()) return false;
-  if (!TryReserve(&inflight_, options_.max_inflight)) return false;
-  if (!TryReserve(&queued_, options_.max_queue_depth)) {
-    inflight_.fetch_sub(1, std::memory_order_relaxed);
-    return false;
-  }
+  // The CAS keeps the queue within the bound whatever the concurrent
+  // admitters do.
+  const size_t bound = options_.max_queue_depth;
+  size_t current = queued_.load(std::memory_order_relaxed);
+  do {
+    if (bound != 0 && current >= bound) return false;
+  } while (!queued_.compare_exchange_weak(current, current + 1,
+                                          std::memory_order_relaxed));
+  inflight_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -190,44 +176,34 @@ bool PersonalizationService::KeepTail(std::string_view disposition,
   return (slow > 0.0 && elapsed_millis >= slow) || fault_fired;
 }
 
-void PersonalizationService::TraceUnranRequest(
-    const char* disposition, const char* phase,
-    const obs::TraceContext* context) {
+PersonalizationResponse PersonalizationService::Refuse(
+    Status status, const char* phase, const obs::TraceContext& context) {
+  PersonalizationResponse response;
+  const bool shed = status.code() == StatusCode::kUnavailable;
+  response.status = std::move(status);
+  response.disposition = shed ? RequestDisposition::kShed
+                              : RequestDisposition::kDeadlineExceeded;
+  inst_.requests->Add(1);
+  (shed ? inst_.shed : inst_.deadline_exceeded)->Add(1);
   // An unserved request attains neither objective.
-  slo_.Record(/*served=*/false,
-              std::numeric_limits<double>::infinity());
-  obs::TraceSink* sink = trace_sink_.load(std::memory_order_acquire);
-  if (sink == nullptr) return;
-  // Shed and queue-expired requests are never full, so the tail rule
-  // keeps them even when not head-sampled — they are exactly the traces
-  // an overload post-mortem needs.
-  const bool sampled =
-      context != nullptr && context->valid() && context->sampled;
-  if (!sampled && !KeepTail(disposition, /*elapsed_millis=*/0.0,
-                            /*fault_fired=*/false)) {
-    return;
+  slo_.Record(/*served=*/false, std::numeric_limits<double>::infinity());
+  if (obs::TraceSink* sink = trace_sink_.load(std::memory_order_acquire)) {
+    // Never full, so the tail rule keeps it even when not head-sampled —
+    // these are exactly the traces an overload post-mortem needs.
+    obs::RequestTrace trace(context);
+    trace.SetDisposition(ToString(response.disposition), phase);
+    obs::RecordTraceSummary(trace);
+    sink->Consume(std::move(trace));
   }
-  obs::RequestTrace trace = context != nullptr && context->valid()
-                                ? obs::RequestTrace(*context)
-                                : obs::RequestTrace();
-  trace.SetDisposition(disposition, phase);
-  obs::RecordTraceSummary(trace);
-  sink->Consume(std::move(trace));
+  return response;
 }
 
 PersonalizationResponse PersonalizationService::PersonalizeOne(
     const PersonalizationRequest& request) {
   CancelToken cancel(EffectiveDeadline(request));
   if (cancel.ShouldStop()) {
-    PersonalizationResponse response;
-    response.status =
-        Status::DeadlineExceeded("budget exhausted before start");
-    response.disposition = RequestDisposition::kDeadlineExceeded;
-    inst_.requests->Add(1);
-    inst_.deadline_exceeded->Add(1);
-    TraceUnranRequest("deadline_exceeded", "admission",
-                      &request.trace_context);
-    return response;
+    return Refuse(Status::DeadlineExceeded("budget exhausted before start"),
+                  "admission", request.trace_context);
   }
   return PersonalizeInternal(request, &cancel, /*degrade=*/false);
 }
@@ -386,129 +362,21 @@ PersonalizationResponse PersonalizationService::RunPipeline(
   // than personalizing from state known to violate its invariants. The
   // scrubber's repair path lifts the quarantine once the profile is
   // rebuilt from the last good snapshot + WAL replay.
-  if (store_->IsQuarantined(request.user_id)) {
-    obs::ScopedSpan quarantine_span(trace, "quarantined_bypass");
+  const bool quarantined = store_->IsQuarantined(request.user_id);
+  obs::ScopedSpan quarantine_span(quarantined ? trace : nullptr,
+                                  "quarantined_bypass");
+  if (quarantined) {
     response.outcome.sq = request.query;
-    if (request.execute) {
-      WallTimer exec_timer;
-      Executor executor(db_);
-      executor.set_cancel_token(cancel);
-      executor.set_trace(trace);
-      ExecutorStats exec_stats;
-      auto result = executor.Execute(request.query, &exec_stats);
-      inst_.CountExecution(exec_stats);
-      if (!result.ok()) {
-        response.status = result.status();
-        return response;
-      }
-      response.results = std::move(result).value();
-      if (options.top_n > 0) response.results.Truncate(options.top_n);
-      response.execution_millis = exec_timer.ElapsedMillis();
-      inst_.execution_seconds->RecordMillis(response.execution_millis);
-    }
-    response.disposition = RequestDisposition::kDegraded;
-    return response;
-  }
-  const PersonalizationGraph& graph = *snapshot->graph;
-  PreferenceSelector selector(&graph);
-
-  // Phase 1: preference selection, served from the cache when possible.
-  // A semantic filter changes what Select returns but is not part of the
-  // key (its association base is the caller's, and can grow between
-  // requests), so such requests bypass the cache.
-  WallTimer timer;
-  std::vector<PreferencePath> selected;
-  bool cacheable =
-      cache_enabled_ && options.semantic_filter == nullptr;
-  // Chaos site: a faulted cache lookup degrades to a bypass — the
-  // request recomputes its selection (correct, just slower) rather than
-  // failing or serving a stale entry.
-  if (cacheable) {
-    FaultAction cache_fault = QP_FAULT_ACTION("cache.lookup");
-    cache_fault.Sleep();
-    if (cache_fault.fire && cache_fault.mode != FaultMode::kDelay) {
-      cacheable = false;
-    }
-  }
-  if (cacheable) {
-    std::string key = SelectionCache::MakeKey(
-        request.user_id, snapshot->epoch, CanonicalQueryKey(request.query),
-        options.criterion);
-    obs::ScopedSpan cache_span(trace, "cache_lookup");
-    SelectionCache::Paths cached = cache_.Lookup(key);
-    cache_span.Counter("hit", cached != nullptr ? 1 : 0);
-    cache_span.End();
-    if (cached != nullptr) {
-      response.cache_hit = true;
-      inst_.cache_hits->Add(1);
-      selected = *cached;
-    } else {
-      inst_.cache_misses->Add(1);
-      auto fresh = selector.Select(request.query, options.criterion,
-                                   &response.outcome.selection_stats,
-                                   /*semantic=*/nullptr, cancel, trace);
-      if (!fresh.ok()) {
-        response.status = fresh.status();
-        return response;
-      }
-      selected = std::move(fresh).value();
-      // A deadline-truncated selection is a valid prefix for *this*
-      // request but must not poison the cache for unconstrained ones.
-      if (!response.outcome.selection_stats.degraded) {
-        inst_.cache_insertions->Add(1);
-        inst_.cache_evictions->Add(cache_.Insert(
-            request.user_id, key,
-            std::make_shared<const std::vector<PreferencePath>>(selected)));
-      }
-    }
   } else {
-    inst_.cache_bypasses->Add(1);
-    auto fresh =
-        selector.Select(request.query, options.criterion,
-                        &response.outcome.selection_stats,
-                        options.semantic_filter, cancel, trace);
-    if (!fresh.ok()) {
-      response.status = fresh.status();
-      return response;
-    }
-    selected = std::move(fresh).value();
+    response.status =
+        Rewrite(request, *snapshot, options, cancel, trace, &response);
+    if (!response.status.ok()) return response;
   }
-
-  std::vector<PreferencePath> negatives;
-  if (options.max_negative > 0) {
-    obs::ScopedSpan negative_span(trace, "negative_selection");
-    auto neg = selector.SelectNegative(request.query,
-                                       options.max_negative,
-                                       options.negative_min_doi);
-    if (!neg.ok()) {
-      response.status = neg.status();
-      return response;
-    }
-    negatives = std::move(neg).value();
-    negative_span.Counter("selected", negatives.size());
-  }
-  double selection_millis = timer.ElapsedMillis();
-  inst_.selection_seconds->RecordMillis(selection_millis);
-
-  // Phase 2: integration (identical to the serial Personalizer).
-  auto integrated = Personalizer::IntegrateSelected(
-      request.query, std::move(selected), std::move(negatives), options,
-      trace);
-  if (!integrated.ok()) {
-    response.status = integrated.status();
-    return response;
-  }
-  SelectionStats selection_stats = response.outcome.selection_stats;
-  response.outcome = std::move(integrated).value();
-  response.outcome.selection_stats = selection_stats;
-  response.outcome.selection_millis = selection_millis;
-  inst_.integration_seconds->RecordMillis(
-      response.outcome.integration_millis);
 
   // Phase 3: execution (ranked for MQ), unless the caller only wants the
   // rewritten query.
   if (request.execute) {
-    timer.Restart();
+    WallTimer timer;
     Executor executor(db_);
     executor.set_cancel_token(cancel);
     executor.set_trace(trace);
@@ -529,14 +397,96 @@ PersonalizationResponse PersonalizationService::RunPipeline(
     inst_.execution_seconds->RecordMillis(response.execution_millis);
   }
 
-  // Disposition: any reduction — K stepped down, selection cut to a
-  // prefix, execution truncated — makes the (still valid) answer
-  // degraded rather than full.
-  if (stepped_down || response.outcome.selection_stats.degraded ||
+  // Disposition: any reduction — the personalization bypassed, K stepped
+  // down, selection cut to a prefix, execution truncated — makes the
+  // (still valid) answer degraded rather than full.
+  if (quarantined || stepped_down ||
+      response.outcome.selection_stats.degraded ||
       response.results.truncated()) {
     response.disposition = RequestDisposition::kDegraded;
   }
   return response;
+}
+
+Status PersonalizationService::Rewrite(const PersonalizationRequest& request,
+                                       const ProfileSnapshot& snapshot,
+                                       const PersonalizationOptions& options,
+                                       const CancelToken* cancel,
+                                       obs::RequestTrace* trace,
+                                       PersonalizationResponse* response) {
+  PreferenceSelector selector(snapshot.graph.get());
+  SelectionStats& selection_stats = response->outcome.selection_stats;
+
+  // Phase 1: preference selection, served from the cache when possible.
+  // A semantic filter changes what Select returns but is not part of the
+  // key (its association base is the caller's, and can grow between
+  // requests), so such requests bypass the cache.
+  WallTimer timer;
+  bool cacheable = cache_enabled_ && options.semantic_filter == nullptr;
+  // Chaos site: a faulted cache lookup degrades to a bypass — the
+  // request recomputes its selection (correct, just slower) rather than
+  // failing or serving a stale entry.
+  if (cacheable) {
+    FaultAction cache_fault = QP_FAULT_ACTION("cache.lookup");
+    cache_fault.Sleep();
+    if (cache_fault.fire && cache_fault.mode != FaultMode::kDelay) {
+      cacheable = false;
+    }
+  }
+  std::string key;
+  SelectionCache::Paths cached;
+  if (cacheable) {
+    key = SelectionCache::MakeKey(request.user_id, snapshot.epoch,
+                                  CanonicalQueryKey(request.query),
+                                  options.criterion);
+    obs::ScopedSpan cache_span(trace, "cache_lookup");
+    cached = cache_.Lookup(key);
+    cache_span.Counter("hit", cached != nullptr ? 1 : 0);
+  }
+  std::vector<PreferencePath> selected;
+  if (cached != nullptr) {
+    response->cache_hit = true;
+    inst_.cache_hits->Add(1);
+    selected = *cached;
+  } else {
+    (cacheable ? inst_.cache_misses : inst_.cache_bypasses)->Add(1);
+    QP_ASSIGN_OR_RETURN(
+        selected, selector.Select(request.query, options.criterion,
+                                  &selection_stats, options.semantic_filter,
+                                  cancel, trace));
+    // A deadline-truncated selection is a valid prefix for *this*
+    // request but must not poison the cache for unconstrained ones.
+    if (cacheable && !selection_stats.degraded) {
+      inst_.cache_insertions->Add(1);
+      inst_.cache_evictions->Add(cache_.Insert(
+          request.user_id, key,
+          std::make_shared<const std::vector<PreferencePath>>(selected)));
+    }
+  }
+
+  std::vector<PreferencePath> negatives;
+  if (options.max_negative > 0) {
+    obs::ScopedSpan negative_span(trace, "negative_selection");
+    QP_ASSIGN_OR_RETURN(negatives,
+                        selector.SelectNegative(request.query,
+                                                options.max_negative,
+                                                options.negative_min_doi));
+    negative_span.Counter("selected", negatives.size());
+  }
+  const double selection_millis = timer.ElapsedMillis();
+  inst_.selection_seconds->RecordMillis(selection_millis);
+
+  // Phase 2: integration (identical to the serial Personalizer).
+  QP_ASSIGN_OR_RETURN(PersonalizationOutcome outcome,
+                      Personalizer::IntegrateSelected(
+                          request.query, std::move(selected),
+                          std::move(negatives), options, trace));
+  outcome.selection_stats = selection_stats;
+  outcome.selection_millis = selection_millis;
+  response->outcome = std::move(outcome);
+  inst_.integration_seconds->RecordMillis(
+      response->outcome.integration_millis);
+  return Status::Ok();
 }
 
 std::vector<std::future<PersonalizationResponse>>
@@ -546,64 +496,48 @@ PersonalizationService::PersonalizeBatch(
   std::vector<std::future<PersonalizationResponse>> futures;
   futures.reserve(requests.size());
   for (PersonalizationRequest& request : requests) {
-    // Admission control: reserve a queue + inflight slot before touching
-    // the pool. A request that does not fit is shed right here — its
-    // future resolves immediately and no worker time is spent on it.
-    if (!TryAdmit()) {
-      PersonalizationResponse shed;
-      shed.status = Status::Unavailable("admission control: queue full");
-      shed.disposition = RequestDisposition::kShed;
-      inst_.requests->Add(1);
-      inst_.shed->Add(1);
-      TraceUnranRequest("shed", "admission", &request.trace_context);
-      std::promise<PersonalizationResponse> promise;
-      futures.push_back(promise.get_future());
-      promise.set_value(std::move(shed));
-      continue;
-    }
-    // The budget clock starts now, so it covers time spent in the queue.
-    auto cancel = std::make_shared<CancelToken>(EffectiveDeadline(request));
     auto promise =
         std::make_shared<std::promise<PersonalizationResponse>>();
     futures.push_back(promise->get_future());
+    // Admission control: reserve a queue slot before touching the pool. A
+    // request that does not fit is shed right here — its future resolves
+    // immediately and no worker time is spent on it.
+    if (!TryAdmit()) {
+      promise->set_value(
+          Refuse(Status::Unavailable("admission control: queue full"),
+                 "admission", request.trace_context));
+      continue;
+    }
+    // The request moves into the task; a refused task takes it along.
+    const obs::TraceContext context = request.trace_context;
+    // The budget clock starts now, so it covers time spent in the queue.
+    auto cancel = std::make_shared<CancelToken>(EffectiveDeadline(request));
     bool submitted =
         pool_.Submit([this, request = std::move(request), cancel, promise]() {
-          // This request is now executing, not queued; the depth left
+          // This request is now running, not queued; the depth left
           // behind decides whether it runs degraded.
-          size_t depth =
+          const size_t depth =
               queued_.fetch_sub(1, std::memory_order_relaxed) - 1;
-          PersonalizationResponse response;
-          if (cancel->ShouldStop()) {
-            // The budget died in the queue: never start selection or
-            // execution for it.
-            response.status =
-                Status::DeadlineExceeded("budget exhausted in queue");
-            response.disposition = RequestDisposition::kDeadlineExceeded;
-            inst_.requests->Add(1);
-            inst_.deadline_exceeded->Add(1);
-            TraceUnranRequest("deadline_exceeded", "queue",
-                              &request.trace_context);
-          } else {
-            const bool degrade = options_.degrade_queue_depth > 0 &&
-                                 depth >= options_.degrade_queue_depth;
-            response = PersonalizeInternal(request, cancel.get(), degrade);
-          }
+          const bool degrade = options_.degrade_queue_depth > 0 &&
+                               depth >= options_.degrade_queue_depth;
+          // A budget that died in the queue never starts selection or
+          // execution.
+          PersonalizationResponse response =
+              cancel->ShouldStop()
+                  ? Refuse(Status::DeadlineExceeded(
+                               "budget exhausted in queue"),
+                           "queue", request.trace_context)
+                  : PersonalizeInternal(request, cancel.get(), degrade);
           inflight_.fetch_sub(1, std::memory_order_relaxed);
           promise->set_value(std::move(response));
         });
     if (!submitted) {
       // The pool refused the task (shutting down): release the admission
-      // slots and resolve the future as shed so no caller hangs.
+      // slot and resolve the future as shed so no caller hangs.
       queued_.fetch_sub(1, std::memory_order_relaxed);
       inflight_.fetch_sub(1, std::memory_order_relaxed);
-      PersonalizationResponse shed;
-      shed.status = Status::Unavailable("service shutting down");
-      shed.disposition = RequestDisposition::kShed;
-      inst_.requests->Add(1);
-      inst_.shed->Add(1);
-      // The request moved into the rejected task; its context is gone.
-      TraceUnranRequest("shed", "admission", nullptr);
-      promise->set_value(std::move(shed));
+      promise->set_value(Refuse(Status::Unavailable("service shutting down"),
+                                "admission", context));
       continue;
     }
     inst_.max_queue_depth->SetMax(

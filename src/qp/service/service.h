@@ -35,11 +35,9 @@ struct ServiceOptions {
   /// shed immediately — its future resolves to Status::Unavailable with
   /// disposition kShed — instead of growing the queue. The bound is
   /// enforced with compare-and-swap, so the queue never exceeds it even
-  /// under concurrent submission.
+  /// under concurrent submission. With a fixed worker count it also
+  /// bounds the requests admitted at once (queued + running).
   size_t max_queue_depth = 0;
-  /// Maximum admitted requests (queued + executing) at once (0 =
-  /// unbounded). Excess requests are shed like max_queue_depth.
-  size_t max_inflight = 0;
   /// Graceful degradation: when a worker picks up a request and the
   /// queue behind it is at least this deep (0 = disabled), the request
   /// runs with its top-count K stepped down (halved, minimum 1 — the
@@ -107,8 +105,8 @@ enum class RequestDisposition {
   /// to a top-K prefix by the deadline, and/or execution truncated. The
   /// response is still a valid (partial) answer with Status::Ok.
   kDegraded,
-  /// Rejected at admission (queue/inflight bound); Status::Unavailable,
-  /// nothing ran.
+  /// Rejected at admission (queue bound) or by a stopped pool;
+  /// Status::Unavailable, nothing ran.
   kShed,
   /// Budget expired before a worker started it; Status::DeadlineExceeded,
   /// nothing ran.
@@ -270,9 +268,9 @@ class PersonalizationService {
                          obs::MetricScope scope,
                          std::unique_ptr<storage::DurableProfileStore> store);
 
-  /// Reserves an admission slot (queued + inflight), or returns false
-  /// when either bound is reached — the caller sheds the request. CAS
-  /// bounded, so neither counter ever exceeds its configured bound.
+  /// Reserves a queue slot, or returns false when the queue is at
+  /// max_queue_depth — the caller sheds the request. CAS bounded, so the
+  /// queue never exceeds the bound.
   bool TryAdmit();
 
   /// The full pipeline under a cancel token. `degrade` steps the
@@ -286,10 +284,20 @@ class PersonalizationService {
 
   /// The pipeline itself: profile lookup, cache/selection, integration,
   /// execution. Pure with respect to accounting except for the cache
-  /// hit/miss/bypass counters and per-phase latency histograms.
+  /// hit/miss/bypass counters and per-phase latency histograms. A
+  /// quarantined profile skips selection and integration: its raw query
+  /// runs through the same execution step, degraded.
   PersonalizationResponse RunPipeline(const PersonalizationRequest& request,
                                       const CancelToken* cancel, bool degrade,
                                       obs::RequestTrace* trace);
+
+  /// The pipeline's rewrite: preference selection (through the cache
+  /// unless bypassed), then integration into `response->outcome`.
+  Status Rewrite(const PersonalizationRequest& request,
+                 const ProfileSnapshot& snapshot,
+                 const PersonalizationOptions& options,
+                 const CancelToken* cancel, obs::RequestTrace* trace,
+                 PersonalizationResponse* response);
 
   /// The tail sampling rule, for a request the head coin did not trace:
   /// keep its trace when the disposition is not full, when it ran slower
@@ -298,12 +306,16 @@ class PersonalizationService {
   bool KeepTail(std::string_view disposition, double elapsed_millis,
                 bool fault_fired) const;
 
-  /// Builds and delivers the minimal trace for a request that never ran
-  /// (shed at admission, expired in queue), honouring the tail rule, and
-  /// records the SLO miss. No-op without a sink. `context` (may be null)
-  /// links the trace to the caller's.
-  void TraceUnranRequest(const char* disposition, const char* phase,
-                         const obs::TraceContext* context);
+  /// The one refusal path, for a request that never runs: expired before
+  /// start or in the queue (`status` DeadlineExceeded), or shed at
+  /// admission or by a stopped pool (`status` Unavailable). Counts the
+  /// request and its disposition, records the SLO miss and, with a sink
+  /// attached, delivers a minimal trace naming the disposition and the
+  /// `phase` it stopped in, under the caller's `context`. Such a request
+  /// is never full, so the tail rule keeps its trace whether or not it
+  /// was head-sampled.
+  PersonalizationResponse Refuse(Status status, const char* phase,
+                                 const obs::TraceContext& context);
 
   const Database* db_;
   ServiceOptions options_;
@@ -317,8 +329,9 @@ class PersonalizationService {
   bool cache_enabled_;
   ThreadPool pool_;
 
-  /// Admission state: requests waiting for a worker, and requests
-  /// admitted but not yet completed (queued + executing).
+  /// Requests waiting for a worker (the admission bound's count), and
+  /// requests admitted but not yet resolved (queued + running; the
+  /// qp_service_inflight gauge).
   std::atomic<size_t> queued_{0};
   std::atomic<size_t> inflight_{0};
 

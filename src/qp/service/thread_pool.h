@@ -1,7 +1,6 @@
 #ifndef QP_SERVICE_THREAD_POOL_H_
 #define QP_SERVICE_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -12,12 +11,12 @@
 
 namespace qp {
 
-/// A fixed-size work-stealing thread pool. Each worker owns a deque: it
-/// pushes and pops its own work LIFO (cache-friendly for task trees) and
-/// steals FIFO from the other workers when its deque drains — the
-/// standard Chase-Lev discipline, here with per-deque mutexes, which is
-/// plenty for the coarse-grained tasks (whole personalization requests)
-/// this pool runs.
+/// A fixed-size thread pool over one FIFO queue: tasks start in
+/// submission order, so under a backlog the oldest request runs first
+/// and is the last to see its budget run out. One mutex guards the
+/// queue and one condition variable parks idle workers, which is plenty
+/// for the coarse-grained tasks (whole personalization requests) this
+/// pool runs.
 ///
 /// Tasks must not throw (the library reports failures through Status);
 /// a throwing task terminates, like an exception escaping std::thread.
@@ -38,42 +37,29 @@ class ThreadPool {
   /// instead of enqueueing.
   void Shutdown();
 
-  /// Enqueues `task` and returns true. Called from a worker thread, the
-  /// task goes to that worker's own deque (stealable by the rest); from
-  /// outside the pool, deques are fed round-robin. Once Shutdown has
-  /// begun, returns false and the task is NOT enqueued (never UB, never
-  /// silently dropped-but-true): the caller decides how to surface the
-  /// rejection.
+  /// Enqueues `task` at the back of the queue and returns true. Once
+  /// Shutdown has begun, returns false and the task is NOT enqueued
+  /// (never UB, never silently dropped-but-true): the caller decides how
+  /// to surface the rejection.
   bool Submit(std::function<void()> task);
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Tasks currently queued (not yet running). Approximate: reads the
-  /// deques without a global lock.
+  /// Tasks currently queued (not yet running); stale as soon as it
+  /// returns.
   size_t ApproxQueueDepth() const;
 
  private:
-  struct WorkerQueue {
-    std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
-  };
+  void WorkerLoop();
 
-  void WorkerLoop(size_t self);
-
-  /// Pops own work (back) or steals (front of the next non-empty deque,
-  /// scanning from self+1). Returns false when every deque is empty.
-  bool TryTake(size_t self, std::function<void()>* task);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
+  mutable std::mutex mutex_;
+  /// Signals workers (a task arrived, or shutdown began) and Shutdown
+  /// callers waiting for the first one's join.
+  std::condition_variable cv_;
+  std::deque<std::function<void()>> tasks_;
+  bool stopping_ = false;
+  bool joined_ = false;
   std::vector<std::thread> workers_;
-
-  /// Wakes idle workers; guards only the sleep/wake handshake.
-  std::mutex wake_mutex_;
-  std::condition_variable wake_cv_;
-  std::atomic<bool> stopping_{false};
-  std::atomic<bool> joined_{false};
-  std::atomic<size_t> next_queue_{0};
-  std::atomic<size_t> pending_{0};
 };
 
 }  // namespace qp

@@ -32,8 +32,6 @@ ShardedPersonalizationService::ShardedPersonalizationService(
   metric_requests_ = metrics_->counter("qp_router_requests_total");
   metric_mutations_ = metrics_->counter("qp_router_mutations_total");
   metric_shed_ = metrics_->counter("qp_router_shed_total");
-  metric_invalidated_ =
-      metrics_->counter("qp_router_invalidated_entries_total");
   metric_kills_ = metrics_->counter("qp_router_shard_kills_total");
   metric_recoveries_ = metrics_->counter("qp_router_shard_recoveries_total");
   gauge_routing_version_ = metrics_->gauge("qp_router_version");
@@ -161,60 +159,70 @@ PersonalizationResponse ShardedPersonalizationService::ShedResponse(
   return response;
 }
 
-obs::TraceContext ShardedPersonalizationService::EdgeContext(
-    const obs::TraceContext& incoming) const {
-  // The router is the cluster's trace edge: an already-valid context
-  // (e.g. a test standing in for an upstream gateway) is honoured as-is;
-  // otherwise the trace id is minted and the head coin flipped here,
-  // once, for the whole distributed request.
-  obs::TraceContext context = incoming;
-  if (!context.valid()) {
-    context.trace_id = obs::NewTraceId();
-    context.sampled = obs::HeadSampled(
-        context.trace_id, options_.service.sampling.head_rate);
-  }
-  return context;
-}
-
-PersonalizationResponse ShardedPersonalizationService::Personalize(
-    const PersonalizationRequest& request) {
+std::optional<PersonalizationResponse> ShardedPersonalizationService::Enter(
+    const PersonalizationRequest& request, size_t index, bool alive,
+    obs::TraceSink* sink, RouterHop* hop) {
   metric_requests_->Add(1);
   if (Status fault = QP_FAULT_POINT("shard.route"); !fault.ok()) {
     return ShedResponse("shard routing failed: " + fault.message());
   }
-  size_t index = 0;
-  std::shared_ptr<PersonalizationService> shard = Route(request.user_id,
-                                                        &index);
-  if (shard == nullptr) {
+  if (!alive) {
     return ShedResponse("shard " + std::to_string(index) + " is down");
   }
+  hop->context = request.trace_context;
+  if (sink == nullptr) return std::nullopt;
+  // The router is the cluster's trace edge: an already-valid context
+  // (e.g. a test standing in for an upstream gateway) is honoured as-is;
+  // otherwise the trace id is minted and the head coin flipped here,
+  // once, for the whole distributed request. An unsampled request still
+  // sends the cluster trace id downstream, so a tail-kept trace joins its
+  // distributed family.
+  if (!hop->context.valid()) {
+    hop->context.trace_id = obs::NewTraceId();
+    hop->context.sampled = obs::HeadSampled(
+        hop->context.trace_id, options_.service.sampling.head_rate);
+  }
+  if (hop->context.sampled) {
+    // The router's own fragment: one span covering route + downstream,
+    // the parent every shard-side span tree hangs under.
+    obs::RequestTrace& fragment = hop->fragment.emplace(hop->context);
+    hop->span = fragment.StartSpan("router");
+    fragment.AddCounter(hop->span, "shard", index);
+    fragment.AddCounter(hop->span, "partition",
+                        PartitionFor(request.user_id));
+    hop->context = fragment.ContextForSpan(hop->span);
+  }
+  return std::nullopt;
+}
+
+void ShardedPersonalizationService::Leave(
+    RouterHop* hop, const PersonalizationResponse& response,
+    obs::TraceSink* sink) {
+  if (!hop->fragment.has_value()) return;
+  hop->fragment->EndSpan(hop->span);
+  hop->fragment->SetDisposition(
+      response.status.ok() ? ToString(response.disposition) : "error",
+      /*stopped_phase=*/"");
+  obs::RecordTraceSummary(*hop->fragment);
+  sink->Consume(std::move(*hop->fragment));
+}
+
+PersonalizationResponse ShardedPersonalizationService::Personalize(
+    const PersonalizationRequest& request) {
+  size_t index = 0;
+  std::shared_ptr<PersonalizationService> shard =
+      Route(request.user_id, &index);
   obs::TraceSink* sink = trace_sink_.load(std::memory_order_acquire);
-  if (sink == nullptr) {
-    return shard->PersonalizeOne(request);
+  RouterHop hop;
+  if (auto shed = Enter(request, index, shard != nullptr, sink, &hop)) {
+    return std::move(*shed);
   }
-  const obs::TraceContext context = EdgeContext(request.trace_context);
-  if (!context.sampled) {
-    // Not head-sampled: the shard still gets the cluster trace id, so a
-    // tail-kept trace joins its distributed family.
-    PersonalizationRequest routed = request;
-    routed.trace_context = context;
-    return shard->PersonalizeOne(routed);
-  }
-  // The router's own fragment: one span covering route + downstream, the
-  // parent every shard-side span tree hangs under.
-  obs::RequestTrace trace(context);
-  obs::ScopedSpan router_span(&trace, "router");
-  router_span.Counter("shard", index);
-  router_span.Counter("partition", PartitionFor(request.user_id));
+  // Untraced, the request goes to the shard as it came: no copy.
+  if (sink == nullptr) return shard->PersonalizeOne(request);
   PersonalizationRequest routed = request;
-  routed.trace_context = trace.ContextForSpan(router_span.index());
+  routed.trace_context = hop.context;
   PersonalizationResponse response = shard->PersonalizeOne(routed);
-  router_span.End();
-  trace.SetDisposition(response.status.ok() ? ToString(response.disposition)
-                                            : "error",
-                       /*stopped_phase=*/"");
-  obs::RecordTraceSummary(trace);
-  sink->Consume(std::move(trace));
+  Leave(&hop, response, sink);
   return response;
 }
 
@@ -235,47 +243,19 @@ ShardedPersonalizationService::PersonalizeBatchAndWait(
     shards = slots_;
   }
 
+  // Group request indexes by owner shard; the router's fragments close
+  // after the fan-in, so their "router" span covers queueing + shard work.
   obs::TraceSink* sink = trace_sink_.load(std::memory_order_acquire);
-  // Router fragments for head-sampled requests, closed after the fan-in
-  // (their "router" span covers queueing + shard work). Indexes into
-  // `responses`; the traces are built via indices, not ScopedSpan, so
-  // vector growth cannot dangle a span handle.
-  struct RouterFragment {
-    size_t response_index;
-    size_t span;
-    obs::RequestTrace trace;
-  };
-  std::vector<RouterFragment> fragments;
-
-  // Group request indexes by owner shard; shed dead-shard and
-  // fault-routed requests immediately.
+  std::vector<RouterHop> hops(requests.size());
   std::unordered_map<size_t, std::vector<size_t>> by_shard;
   for (size_t i = 0; i < requests.size(); ++i) {
-    metric_requests_->Add(1);
-    if (Status fault = QP_FAULT_POINT("shard.route"); !fault.ok()) {
-      responses[i] = ShedResponse("shard routing failed: " + fault.message());
-      continue;
-    }
     const size_t index = table->ShardFor(requests[i].user_id);
-    if (index >= shards.size() || shards[index] == nullptr) {
-      responses[i] =
-          ShedResponse("shard " + std::to_string(index) + " is down");
+    const bool alive = index < shards.size() && shards[index] != nullptr;
+    if (auto shed = Enter(requests[i], index, alive, sink, &hops[i])) {
+      responses[i] = std::move(*shed);
       continue;
     }
-    if (sink != nullptr) {
-      const obs::TraceContext context =
-          EdgeContext(requests[i].trace_context);
-      if (context.sampled) {
-        RouterFragment fragment{i, 0, obs::RequestTrace(context)};
-        fragment.span = fragment.trace.StartSpan("router");
-        fragment.trace.AddCounter(fragment.span, "shard", index);
-        requests[i].trace_context =
-            fragment.trace.ContextForSpan(fragment.span);
-        fragments.push_back(std::move(fragment));
-      } else {
-        requests[i].trace_context = context;
-      }
-    }
+    requests[i].trace_context = hops[i].context;
     by_shard[index].push_back(i);
   }
 
@@ -297,15 +277,8 @@ ShardedPersonalizationService::PersonalizeBatchAndWait(
       responses[request_indexes[j]] = futures[j].get();
     }
   }
-  for (RouterFragment& fragment : fragments) {
-    const PersonalizationResponse& response =
-        responses[fragment.response_index];
-    fragment.trace.EndSpan(fragment.span);
-    fragment.trace.SetDisposition(
-        response.status.ok() ? ToString(response.disposition) : "error",
-        /*stopped_phase=*/"");
-    obs::RecordTraceSummary(fragment.trace);
-    sink->Consume(std::move(fragment.trace));
+  for (size_t i = 0; i < hops.size(); ++i) {
+    Leave(&hops[i], responses[i], sink);
   }
   return responses;
 }
@@ -336,8 +309,7 @@ Status ShardedPersonalizationService::RouteMutation(
     return Status::Unavailable("shard " + std::to_string(owner) + " is down");
   }
   QP_RETURN_IF_ERROR(apply(*owner_svc));
-  metric_invalidated_->Add(
-      static_cast<uint64_t>(owner_svc->InvalidateUserSelections(user_id)));
+  owner_svc->InvalidateUserSelections(user_id);
   return Status::Ok();
 }
 
@@ -663,7 +635,6 @@ ShardedStats ShardedPersonalizationService::stats() const {
   stats.router.requests = metric_requests_->Value();
   stats.router.mutations = metric_mutations_->Value();
   stats.router.shed = metric_shed_->Value();
-  stats.router.invalidated_entries = metric_invalidated_->Value();
   stats.router.shard_kills = metric_kills_->Value();
   stats.router.shard_recoveries = metric_recoveries_->Value();
   stats.num_partitions = partitions_.size();

@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -62,8 +63,6 @@ struct RouterStats {
   /// Requests/mutations refused by the router itself: target shard down,
   /// or an injected "shard.route" fault.
   uint64_t shed = 0;
-  /// Selection-cache entries dropped by post-mutation invalidation.
-  uint64_t invalidated_entries = 0;
   uint64_t shard_kills = 0;
   uint64_t shard_recoveries = 0;
 };
@@ -216,10 +215,31 @@ class ShardedPersonalizationService {
   /// Builds shard `index`'s service from its subdirectory.
   Result<std::shared_ptr<PersonalizationService>> OpenShard(size_t index);
 
-  /// Resolves the trace context for a request entering through the
-  /// router: honours a valid incoming context, else mints the cluster
-  /// trace id and makes the head sampling decision.
-  obs::TraceContext EdgeContext(const obs::TraceContext& incoming) const;
+  /// The router's side of one request, from Enter to Leave: the trace
+  /// context the owner shard receives, and the router's own trace
+  /// fragment when the request is head-sampled.
+  struct RouterHop {
+    obs::TraceContext context;
+    std::optional<obs::RequestTrace> fragment;
+    size_t span = 0;
+  };
+
+  /// The router's half of every routed request, single or batched:
+  /// counts it, runs the "shard.route" fault site and sheds it when that
+  /// fires or its owner (shard `index`, `alive` or not) is down — the
+  /// shed response is returned. Otherwise, with a sink attached, resolves
+  /// the trace edge (honours a valid incoming context, else mints the
+  /// cluster trace id and flips the head coin) into `hop->context` and,
+  /// for a head-sampled request, opens the "router" span in
+  /// `hop->fragment`. Without a sink `hop->context` is the incoming one.
+  std::optional<PersonalizationResponse> Enter(
+      const PersonalizationRequest& request, size_t index, bool alive,
+      obs::TraceSink* sink, RouterHop* hop);
+
+  /// Closes and delivers `hop`'s router fragment, if it has one, with
+  /// the response's disposition.
+  static void Leave(RouterHop* hop, const PersonalizationResponse& response,
+                    obs::TraceSink* sink);
 
   /// The routing read: copies the target's shared_ptr under the shared
   /// lock (nullptr = shard down).
@@ -297,7 +317,6 @@ class ShardedPersonalizationService {
   obs::Counter* metric_requests_ = nullptr;
   obs::Counter* metric_mutations_ = nullptr;
   obs::Counter* metric_shed_ = nullptr;
-  obs::Counter* metric_invalidated_ = nullptr;
   obs::Counter* metric_kills_ = nullptr;
   obs::Counter* metric_recoveries_ = nullptr;
   obs::Gauge* gauge_routing_version_ = nullptr;

@@ -62,7 +62,6 @@ DurableProfileStore::Instruments::Instruments(const obs::MetricScope& scope)
       wal_records(scope.counter("qp_wal_records_appended_total")),
       wal_bytes(scope.counter("qp_wal_bytes_appended_total")),
       wal_fsyncs(scope.counter("qp_wal_fsyncs_total")),
-      wal_sync_retries(scope.counter("qp_wal_sync_retries_total")),
       tier_hot_hits(scope.counter("qp_tier_hot_hits_total")),
       tier_cold_loads(scope.counter("qp_tier_cold_loads_total")),
       tier_evictions(scope.counter("qp_tier_evictions_total")),
@@ -881,7 +880,6 @@ StorageStats DurableProfileStore::storage_stats() const {
   stats.records_appended = inst_.wal_records->Value();
   stats.bytes_appended = inst_.wal_bytes->Value();
   stats.fsyncs = inst_.wal_fsyncs->Value();
-  stats.sync_retries = inst_.wal_sync_retries->Value();
   stats.mutation_failures = inst_.mutation_failures->Value();
   // Recoveries before trips: a recovery follows its trip in program
   // order, so in this read order recoveries never exceed trips.

@@ -64,9 +64,7 @@ struct StorageStats {
   uint64_t records_appended = 0;  // WAL records over the store's lifetime.
   uint64_t bytes_appended = 0;    // WAL bytes over the store's lifetime.
   uint64_t fsyncs = 0;
-  /// Fsync attempts that failed transiently and were retried by the WAL.
-  uint64_t sync_retries = 0;
-  /// Mutations that failed at the WAL (after its retries).
+  /// Mutations that failed at the WAL.
   uint64_t mutation_failures = 0;
   /// Times the circuit breaker tripped the store to read-only. A true
   /// counter: every open — first trip or a failed probe re-opening —
@@ -139,15 +137,15 @@ struct StorageOptions {
   /// disables durability entirely — the store keeps its profiles in
   /// memory only and logs nothing.
   std::string dir;
-  /// WAL fsync policy and interval.
+  /// WAL fsync policy.
   WalOptions wal;
   /// Once the live WAL segment exceeds this many bytes, a background
   /// thread checkpoints (snapshot + WAL truncation). 0 = no compaction
   /// thread: only explicit Checkpoint() calls compact.
   uint64_t compact_threshold_bytes = 4u << 20;
   /// Circuit breaker: after this many *consecutive* failed mutations
-  /// (WAL append/fsync failures that survived the WAL's own retries),
-  /// the store trips to read-only — further mutations fail fast with
+  /// (WAL append or fsync failures, none of them retried), the store
+  /// trips to read-only — further mutations fail fast with
   /// Status::Unavailable instead of hammering a dead disk, while reads
   /// keep serving the in-memory state. 0 disables the breaker (mutations
   /// keep returning the WAL's sticky error).
@@ -319,7 +317,7 @@ class DurableProfileStore {
   Status Checkpoint();
 
   /// Forces every acknowledged mutation to stable storage (useful under
-  /// FsyncPolicy::kInterval / kNever).
+  /// FsyncPolicy::kNever).
   Status Sync();
 
   /// Flushes, stops background compaction and the scrubber, and closes
@@ -414,7 +412,6 @@ class DurableProfileStore {
     obs::Counter* wal_records;
     obs::Counter* wal_bytes;
     obs::Counter* wal_fsyncs;
-    obs::Counter* wal_sync_retries;
     obs::Counter* tier_hot_hits;
     obs::Counter* tier_cold_loads;
     obs::Counter* tier_evictions;

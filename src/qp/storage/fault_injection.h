@@ -50,8 +50,9 @@ class FaultInjectingFileSystem : public FileSystem {
   void SetSyncFailure(bool fail);
 
   /// The next `count` Sync() calls (on any file) fail with Internal,
-  /// then syncs succeed again — a *transient* fsync failure, the case
-  /// retry-with-backoff is meant to absorb. Independent of
+  /// then syncs succeed again — a *transient* fsync failure, which the
+  /// WAL does not retry: it fails the mutation and goes sticky until the
+  /// breaker's probe rewrites the acknowledged state. Independent of
   /// SetSyncFailure (which models a permanently dead disk).
   void FailNextSyncs(uint64_t count);
 

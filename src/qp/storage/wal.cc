@@ -1,7 +1,7 @@
 #include "qp/storage/wal.h"
 
 #include <algorithm>
-#include <thread>
+#include <chrono>
 #include <utility>
 
 #include "qp/storage/coding.h"
@@ -24,8 +24,6 @@ const char* FsyncPolicyName(FsyncPolicy policy) {
   switch (policy) {
     case FsyncPolicy::kEveryRecord:
       return "every_record";
-    case FsyncPolicy::kInterval:
-      return "interval";
     case FsyncPolicy::kNever:
       return "never";
   }
@@ -53,13 +51,11 @@ WalWriter::WalWriter(std::unique_ptr<WritableFile> file, uint64_t first_seqno,
       metric_records_(metrics_.counter("qp_wal_records_appended_total")),
       metric_bytes_(metrics_.counter("qp_wal_bytes_appended_total")),
       metric_fsyncs_(metrics_.counter("qp_wal_fsyncs_total")),
-      metric_sync_retries_(metrics_.counter("qp_wal_sync_retries_total")),
       metric_sync_seconds_(metrics_.histogram("qp_wal_sync_seconds")),
       file_(std::move(file)),
       next_seqno_(first_seqno),
       synced_seqno_(first_seqno - 1),
-      pending_max_seqno_(first_seqno - 1),
-      last_sync_time_(std::chrono::steady_clock::now()) {}
+      pending_max_seqno_(first_seqno - 1) {}
 
 WalWriter::~WalWriter() { Close(); }
 
@@ -89,21 +85,14 @@ Status WalWriter::AppendLocked(std::string_view payload,
   metric_bytes_->Add(pending_.size() - size_before);
   if (seqno != nullptr) *seqno = s;
 
-  if (options_.fsync != FsyncPolicy::kEveryRecord) {
+  if (options_.fsync == FsyncPolicy::kNever) {
     // Hand the bytes to the OS immediately (still under the lock, so
-    // frames reach the file in sequence order), fsync per policy.
+    // frames reach the file in sequence order); never fsync.
     std::string batch;
     batch.swap(pending_);
     Status status = file_->Append(batch);
-    if (!status.ok()) {
-      error_ = status;
-      return status;
-    }
-    if (options_.fsync == FsyncPolicy::kInterval &&
-        std::chrono::steady_clock::now() - last_sync_time_ >= kSyncInterval) {
-      return SyncLocked(lock);
-    }
-    return Status::Ok();
+    if (!status.ok()) error_ = status;
+    return status;
   }
 
   // Group commit: the first writer to find no flush in flight becomes
@@ -119,7 +108,7 @@ Status WalWriter::AppendLocked(std::string_view payload,
       const uint64_t batch_max = pending_max_seqno_;
       lock->unlock();
       Status status = file_->Append(batch);
-      if (status.ok()) status = SyncWithRetries();
+      if (status.ok()) status = SyncFile();
       lock->lock();
       flushing_ = false;
       if (status.ok()) {
@@ -154,12 +143,11 @@ Status WalWriter::SyncLocked(std::unique_lock<std::mutex>* lock) {
   lock->unlock();
   Status status;
   if (!batch.empty()) status = file_->Append(batch);
-  if (status.ok()) status = SyncWithRetries();
+  if (status.ok()) status = SyncFile();
   lock->lock();
   flushing_ = false;
   if (status.ok()) {
     synced_seqno_ = std::max(synced_seqno_, target);
-    last_sync_time_ = std::chrono::steady_clock::now();
   } else {
     error_ = status;
   }
@@ -167,23 +155,13 @@ Status WalWriter::SyncLocked(std::unique_lock<std::mutex>* lock) {
   return status;
 }
 
-Status WalWriter::SyncWithRetries() {
-  // The chaos site sits inside the retry loop so an injected fsync
-  // failure is indistinguishable from a real one: it burns a retry,
-  // backs off, and only defeats the writer if it keeps firing past the
-  // retry budget (at which point the error goes sticky upstream).
+Status WalWriter::SyncFile() {
+  // The chaos site sits right before the real fsync, so an injected
+  // failure takes exactly the path a real one does: the error goes
+  // sticky upstream.
   const auto start = std::chrono::steady_clock::now();
   Status status = QP_FAULT_POINT("wal.sync");
   if (status.ok()) status = file_->Sync();
-  std::chrono::milliseconds backoff = options_.retry_backoff;
-  for (int attempt = 0; !status.ok() && attempt < options_.max_sync_retries;
-       ++attempt) {
-    std::this_thread::sleep_for(backoff);
-    backoff = std::min(backoff * 2, std::chrono::milliseconds(100));
-    metric_sync_retries_->Add(1);
-    status = QP_FAULT_POINT("wal.sync");
-    if (status.ok()) status = file_->Sync();
-  }
   if (status.ok()) {
     metric_fsyncs_->Add(1);
     metric_sync_seconds_->Record(std::chrono::duration<double>(

@@ -1,7 +1,6 @@
 #ifndef QP_STORAGE_WAL_H_
 #define QP_STORAGE_WAL_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -23,10 +22,6 @@ enum class FsyncPolicy {
   /// are group-committed: one fsync covers every record that queued up
   /// while the previous fsync was in flight.
   kEveryRecord,
-  /// Records are written to the OS immediately but fsynced at most once
-  /// per kSyncInterval. A crash loses at most one interval of
-  /// acknowledged records.
-  kInterval,
   /// Never fsync (the OS flushes when it pleases). Fastest; a crash may
   /// lose everything since the last external Sync().
   kNever,
@@ -34,26 +29,18 @@ enum class FsyncPolicy {
 
 const char* FsyncPolicyName(FsyncPolicy policy);
 
-/// Max time acknowledged records may sit unsynced under kInterval.
-inline constexpr std::chrono::milliseconds kSyncInterval{50};
-
 struct WalOptions {
+  /// A failed fsync is never retried: after one, the kernel may already
+  /// have marked the unwritten pages clean and report the error only
+  /// once, so a retry can succeed with the records not on disk. The
+  /// failure goes sticky instead (see WalWriter::Append).
   FsyncPolicy fsync = FsyncPolicy::kEveryRecord;
-  /// How many times a failed fsync is retried (with exponential backoff
-  /// starting at `retry_backoff`, capped at 100ms per wait) before the
-  /// failure becomes sticky. Retrying fsync is safe — it re-requests
-  /// durability of bytes already handed to the OS; a failed *append* is
-  /// never retried, since a partial write followed by a re-append would
-  /// duplicate frame bytes and corrupt the log. 0 (default) = fail on
-  /// the first error, the historical behavior.
-  int max_sync_retries = 0;
-  std::chrono::milliseconds retry_backoff{1};
-  /// Where the writer counts records, bytes, fsyncs and fsync retries
-  /// (qp_wal_*_total) and records per-fsync latency, retry backoff
-  /// included (the qp_wal_sync_seconds histogram). Instruments are looked
-  /// up once at construction, so successive writer generations of one
-  /// store continue the same series. The registry is not owned and must
-  /// outlive the writer; without one the writer owns one.
+  /// Where the writer counts records, bytes and fsyncs (qp_wal_*_total)
+  /// and records per-fsync latency (the qp_wal_sync_seconds histogram).
+  /// Instruments are looked up once at construction, so successive
+  /// writer generations of one store continue the same series. The
+  /// registry is not owned and must outlive the writer; without one the
+  /// writer owns one.
   obs::MetricScope metrics;
 };
 
@@ -103,17 +90,16 @@ class WalWriter {
   Status AppendLocked(std::string_view payload, std::unique_lock<std::mutex>* lock,
                       uint64_t* seqno);
   Status SyncLocked(std::unique_lock<std::mutex>* lock);
-  /// file_->Sync() with up to max_sync_retries backoff retries, counting
-  /// the retries and timing a successful fsync. Called UNLOCKED (the
-  /// flushing_ flag keeps the file exclusively ours).
-  Status SyncWithRetries();
+  /// file_->Sync() behind the "wal.sync" fault site, counting and timing
+  /// a successful fsync. Called UNLOCKED (the flushing_ flag keeps the
+  /// file exclusively ours).
+  Status SyncFile();
 
   const WalOptions options_;
   const obs::MetricScope metrics_;
   obs::Counter* const metric_records_;
   obs::Counter* const metric_bytes_;
   obs::Counter* const metric_fsyncs_;
-  obs::Counter* const metric_sync_retries_;
   obs::Histogram* const metric_sync_seconds_;
   mutable std::mutex mutex_;
   std::condition_variable cv_;
@@ -125,7 +111,6 @@ class WalWriter {
   uint64_t pending_max_seqno_ = 0;
   bool flushing_ = false;
   Status error_;  // Sticky first failure.
-  std::chrono::steady_clock::time_point last_sync_time_;
   uint64_t segment_bytes_ = 0;
 };
 

@@ -55,7 +55,6 @@ class ChaosBlackboxTest : public ::testing::Test {
     options.service.storage.fs = &fs_;
     options.service.storage.compact_threshold_bytes = 0;
     // Fail-fast breaker so a dead disk trips it in two mutations.
-    options.service.storage.wal.max_sync_retries = 0;
     options.service.storage.breaker_threshold = 2;
     options.migration.max_attempts = 3;
     return options;

@@ -207,8 +207,6 @@ TEST_F(ChaosPropertyTest, SeededTrialsSurviveRandomFaultSchedules) {
     options.storage.dir = "db";
     options.storage.fs = &fs;
     options.storage.compact_threshold_bytes = 0;
-    options.storage.wal.max_sync_retries = 1;
-    options.storage.wal.retry_backoff = std::chrono::milliseconds(0);
     options.storage.breaker_threshold = 2;
     options.storage.breaker_backoff = std::chrono::milliseconds(1);
     options.storage.breaker_backoff_max = std::chrono::milliseconds(20);
@@ -377,8 +375,6 @@ TEST_F(ChaosPropertyTest, SameSeedSameDispositionsSameFinalState) {
     options.storage.dir = "db";
     options.storage.fs = &fs;
     options.storage.compact_threshold_bytes = 0;
-    options.storage.wal.max_sync_retries = 1;
-    options.storage.wal.retry_backoff = std::chrono::milliseconds(0);
     options.storage.breaker_threshold = 2;
     // One-way breaker + no scrub thread: no timing-dependent transitions.
     options.storage.breaker_backoff = std::chrono::milliseconds(0);

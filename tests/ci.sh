@@ -46,12 +46,13 @@ cd "$(dirname "$0")/.."
 ROOT="$PWD"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
-# Suites that must also pass sanitized: the storage/durability layer, the
+# Suites that must also pass sanitized: the storage/durability layer and
+# the serving layer's pool, batch path and selection cache, the
 # request-lifecycle (deadline / cancellation / admission) suites, and the
 # observability suites (sharded counters, trace delivery, the stats
 # accounting identity under concurrent readers).
 # Keep in sync with tests/CMakeLists.txt.
-STORAGE_FILTER='crc32c|wal_test|record_fuzz|snapshot_test|durable_store|crash_recovery|profile_store|thread_pool|service_batch'
+STORAGE_FILTER='crc32c|wal_test|record_fuzz|snapshot_test|durable_store|crash_recovery|profile_store|thread_pool|service_batch|selection_cache_test'
 LIFECYCLE_FILTER='deadline_test|selection_deadline|executor_cancel|service_lifecycle|storage_retry'
 OBS_FILTER='obs_metrics|obs_trace|service_trace|executor_stats_attribution|service_stats_identity|flight_recorder|slo_test|histogram_percentile|cluster_trace'
 CHAOS_FILTER='fault_hub|breaker_recovery|scrubber_test|bitflip_robustness|chaos_property|chaos_blackbox'

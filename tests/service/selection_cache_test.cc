@@ -29,7 +29,7 @@ TEST(SelectionCacheTest, HitAfterInsertMissBefore) {
       InterestCriterion::TopCount(5));
 
   EXPECT_EQ(cache.Lookup(key), nullptr);
-  EXPECT_EQ(cache.Insert(key, MakePaths(3)), 0u);  // Nothing evicted.
+  EXPECT_EQ(cache.Insert("julie", key, MakePaths(3)), 0u);  // No eviction.
   SelectionCache::Paths hit = cache.Lookup(key);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->size(), 3u);
@@ -59,7 +59,7 @@ TEST(SelectionCacheTest, KeyDistinguishesEpochQueryAndCriterion) {
 TEST(SelectionCacheTest, EpochBumpInvalidates) {
   SelectionCache cache(8);
   auto criterion = InterestCriterion::TopCount(5);
-  cache.Insert(SelectionCache::MakeKey("julie", 1, "q", criterion),
+  cache.Insert("julie", SelectionCache::MakeKey("julie", 1, "q", criterion),
                MakePaths(2));
   // After a profile mutation the caller looks up under the new epoch:
   // a miss, never the stale entry.
@@ -76,7 +76,7 @@ TEST(SelectionCacheTest, LruEvictionBound) {
   };
   size_t evictions = 0;
   for (int i = 0; i < 10; ++i) {
-    evictions += cache.Insert(key(i), MakePaths(1));
+    evictions += cache.Insert("u", key(i), MakePaths(1));
     EXPECT_LE(cache.size(), 4u);
   }
   EXPECT_EQ(cache.size(), 4u);
@@ -93,10 +93,10 @@ TEST(SelectionCacheTest, LookupRefreshesRecency) {
     return SelectionCache::MakeKey("u", 1, "q" + std::to_string(i),
                                    criterion);
   };
-  cache.Insert(key(0), MakePaths(1));
-  cache.Insert(key(1), MakePaths(1));
+  cache.Insert("u", key(0), MakePaths(1));
+  cache.Insert("u", key(1), MakePaths(1));
   EXPECT_NE(cache.Lookup(key(0)), nullptr);  // 0 becomes most recent.
-  cache.Insert(key(2), MakePaths(1));        // Evicts 1, not 0.
+  cache.Insert("u", key(2), MakePaths(1));   // Evicts 1, not 0.
   EXPECT_NE(cache.Lookup(key(0)), nullptr);
   EXPECT_EQ(cache.Lookup(key(1)), nullptr);
   EXPECT_NE(cache.Lookup(key(2)), nullptr);
@@ -106,8 +106,8 @@ TEST(SelectionCacheTest, InsertSameKeyReplaces) {
   SelectionCache cache(4);
   std::string key = SelectionCache::MakeKey(
       "u", 1, "q", InterestCriterion::TopCount(5));
-  cache.Insert(key, MakePaths(1));
-  cache.Insert(key, MakePaths(5));
+  cache.Insert("u", key, MakePaths(1));
+  cache.Insert("u", key, MakePaths(5));
   EXPECT_EQ(cache.size(), 1u);
   auto hit = cache.Lookup(key);
   ASSERT_NE(hit, nullptr);
@@ -133,17 +133,17 @@ TEST(SelectionCacheTest, EraseUserDropsOnlyThatUsersEntries) {
     return SelectionCache::MakeKey(user, 1, "q" + std::to_string(i),
                                    criterion);
   };
-  // User-aware inserts for A and B, plus one anonymous (keyed-only)
-  // entry that no per-user invalidation may touch.
+  // Entries of A and B, plus one of a third user that no invalidation
+  // of theirs may touch.
   for (int i = 0; i < 3; ++i) cache.Insert("alice", key("alice", i),
                                            MakePaths(1));
   for (int i = 0; i < 2; ++i) cache.Insert("bob", key("bob", i),
                                            MakePaths(1));
-  cache.Insert(key("anon", 0), MakePaths(1));
+  cache.Insert("anon", key("anon", 0), MakePaths(1));
   ASSERT_EQ(cache.size(), 6u);
 
   // Mutating Alice drops exactly her three entries; Bob's and the
-  // anonymous entry survive untouched.
+  // third user's survive untouched.
   EXPECT_EQ(cache.EraseUser("alice"), 3u);
   EXPECT_EQ(cache.size(), 3u);
   for (int i = 0; i < 3; ++i) EXPECT_EQ(cache.Lookup(key("alice", i)),
@@ -174,50 +174,14 @@ TEST(SelectionCacheTest, EvictionAndReplaceMaintainUserIndex) {
   EXPECT_EQ(cache.EraseUser("alice"), 2u);
   EXPECT_EQ(cache.size(), 0u);
 
-  // Re-inserting the same key under a different owner re-homes it.
+  // Refreshing a key keeps one slot and one index entry.
   cache.Insert("alice", key(7), MakePaths(1));
-  cache.Insert("bob", key(7), MakePaths(2));
-  EXPECT_EQ(cache.EraseUser("alice"), 0u);
+  EXPECT_EQ(cache.Insert("alice", key(7), MakePaths(2)), 0u);
   auto hit = cache.Lookup(key(7));
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->size(), 2u);
-  EXPECT_EQ(cache.EraseUser("bob"), 1u);
+  EXPECT_EQ(cache.EraseUser("alice"), 1u);
   EXPECT_EQ(cache.Lookup(key(7)), nullptr);
-}
-
-TEST(SelectionCacheTest, ReHomingAKeyMovesItsOwnerIndexEntry) {
-  // Regression pin: re-inserting an existing key under a new owner must
-  // unindex the old owner binding *before* touching the slot — the
-  // re-home path once erased the index entry and then dereferenced the
-  // invalidated iterator. The observable contract: the old owner no
-  // longer invalidates the entry, the new owner does, and lookups keep
-  // returning the freshest value throughout.
-  SelectionCache cache(8);
-  auto criterion = InterestCriterion::TopCount(5);
-  std::string key = SelectionCache::MakeKey("shared", 1, "q", criterion);
-
-  cache.Insert("alice", key, MakePaths(1));
-  cache.Insert("bob", key, MakePaths(3));  // Same key, new owner.
-
-  auto hit = cache.Lookup(key);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->size(), 3u);
-
-  EXPECT_EQ(cache.EraseUser("alice"), 0u);  // Alice's binding is gone.
-  ASSERT_NE(cache.Lookup(key), nullptr);
-  EXPECT_EQ(cache.EraseUser("bob"), 1u);    // Bob owns it now.
-  EXPECT_EQ(cache.Lookup(key), nullptr);
-
-  // Round-trip the other way: owned -> anonymous -> owned again.
-  cache.Insert("carol", key, MakePaths(2));
-  cache.Insert(key, MakePaths(4));  // Anonymous re-home.
-  EXPECT_EQ(cache.EraseUser("carol"), 0u);
-  hit = cache.Lookup(key);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->size(), 4u);
-  cache.Insert("dave", key, MakePaths(5));
-  EXPECT_EQ(cache.EraseUser("dave"), 1u);
-  EXPECT_EQ(cache.Lookup(key), nullptr);
 }
 
 TEST(SelectionCacheTest, ConcurrentMixedAccess) {
@@ -230,11 +194,11 @@ TEST(SelectionCacheTest, ConcurrentMixedAccess) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 500; ++i) {
+        const std::string user = "u" + std::to_string((t + i) % 8);
         std::string key = SelectionCache::MakeKey(
-            "u" + std::to_string((t + i) % 8), 1, "q" + std::to_string(i % 8),
-            criterion);
+            user, 1, "q" + std::to_string(i % 8), criterion);
         if (i % 3 == 0) {
-          cache.Insert(key, MakePaths(static_cast<size_t>(i % 5)));
+          cache.Insert(user, key, MakePaths(static_cast<size_t>(i % 5)));
         } else {
           auto hit = cache.Lookup(key);
           if (hit != nullptr) {

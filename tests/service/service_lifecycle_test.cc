@@ -1,5 +1,5 @@
 // Request lifecycle under load: admission control (shedding past the
-// queue/inflight bounds), per-request deadlines (exceeded in queue vs
+// queue bound, or by a stopped pool), per-request deadlines (exceeded in queue vs
 // degraded mid-run), the degradation ladder (K stepped down under queue
 // pressure), and the disposition accounting that ties it all together —
 // every response is exactly one of full / degraded / shed /
@@ -18,7 +18,9 @@
 #include "qp/data/paper_example.h"
 #include "qp/data/workload.h"
 #include "qp/pref/profile_generator.h"
+#include "qp/obs/trace.h"
 #include "qp/service/service.h"
+#include "qp/util/fault_hub.h"
 
 namespace qp {
 namespace {
@@ -152,21 +154,40 @@ TEST_F(ServiceLifecycleTest, AdmissionControlShedsPastTheBound) {
   EXPECT_EQ(calm[0].disposition, RequestDisposition::kFull);
 }
 
-TEST_F(ServiceLifecycleTest, MaxInflightBoundsAdmittedWork) {
+TEST_F(ServiceLifecycleTest, PoolRefusalShedsUnderTheCallersTrace) {
+  // A pool that refuses the task (shutting down, here an armed
+  // "pool.submit") sheds the request through the same refusal path as an
+  // admission bound, and its minimal trace joins the caller's trace.
   ServiceOptions options;
-  options.num_workers = 2;
-  options.max_inflight = 3;  // Queue unbounded, total admitted capped.
+  options.num_workers = 1;
   PersonalizationService service(db_.get(), options);
   QP_ASSERT_OK(service.profiles().Put("julie", MakeProfile(1)));
+  obs::FragmentTraceSink sink;
+  service.set_trace_sink(&sink);
 
-  constexpr size_t kBatch = 24;
-  auto responses = service.PersonalizeBatchAndWait(MakeRequests(kBatch, 17));
-  auto counts = Account(responses);
-  EXPECT_GE(counts[RequestDisposition::kShed], kBatch / 2);
-  EXPECT_EQ(counts[RequestDisposition::kShed] +
-                counts[RequestDisposition::kFull] +
-                counts[RequestDisposition::kDegraded],
-            kBatch);
+  std::vector<PersonalizationRequest> requests = MakeRequests(1, 17);
+  requests[0].trace_context.trace_id = 0x5eed;
+  requests[0].trace_context.parent_span_id = 0xa11;
+  requests[0].trace_context.sampled = true;
+  std::vector<PersonalizationResponse> responses;
+  {
+    ScopedFaultInjection chaos(7);
+    FaultRule rule;
+    rule.fire_every = 1;
+    FaultHub::Global()->SetRule("pool.submit", rule);
+    responses = service.PersonalizeBatchAndWait(std::move(requests));
+  }
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].disposition, RequestDisposition::kShed);
+  EXPECT_EQ(responses[0].status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(service.stats().shed, 1u);
+
+  EXPECT_EQ(sink.TraceIds(), std::vector<uint64_t>{0x5eed});
+  auto fragments = sink.Fragments(0x5eed);
+  ASSERT_EQ(fragments.size(), 1u);
+  EXPECT_EQ(fragments[0]->disposition(), "shed");
+  EXPECT_EQ(fragments[0]->stopped_phase(), "admission");
+  EXPECT_EQ(fragments[0]->root_parent_span_id(), 0xa11u);
 }
 
 TEST_F(ServiceLifecycleTest, ExpiredBudgetResolvesWithoutRunning) {
@@ -323,7 +344,6 @@ TEST_F(ServiceLifecycleTest, RepeatedOverloadRoundsStayAccounted) {
   ServiceOptions options;
   options.num_workers = 2;
   options.max_queue_depth = 3;
-  options.max_inflight = 6;
   PersonalizationService service(db_.get(), options);
   QP_ASSERT_OK(service.profiles().Put("julie", MakeProfile(1)));
 

@@ -101,8 +101,6 @@ TEST(ServiceStatsIdentityTest, IdentityHoldsWhileBreakerCycles) {
   options.storage.dir = "db";
   options.storage.fs = &fs;
   options.storage.compact_threshold_bytes = 0;
-  options.storage.wal.max_sync_retries = 0;
-  options.storage.wal.retry_backoff = std::chrono::milliseconds(0);
   options.storage.breaker_threshold = 2;
   options.storage.breaker_backoff = std::chrono::milliseconds(1);
   options.storage.breaker_backoff_max = std::chrono::milliseconds(10);

@@ -1,9 +1,11 @@
-// Stress tests for the work-stealing thread pool: correctness of every
-// submitted task across N threads x M batches, submissions from worker
-// threads (the stealing path), and teardown with work still queued.
+// Stress tests for the FIFO thread pool: correctness of every submitted
+// task across N threads x M batches, submission order kept under a
+// backlog, submissions from worker threads, and teardown with work still
+// queued.
 
 #include <atomic>
 #include <future>
+#include <mutex>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -118,6 +120,32 @@ TEST(ThreadPoolTest, QueueDepthReflectsBacklog) {
   }
   EXPECT_EQ(pool.ApproxQueueDepth(), 5u);
   release.set_value();
+}
+
+TEST(ThreadPoolTest, QueuedTasksStartInSubmissionOrder) {
+  // With its one worker blocked, six tasks queue up; they must start
+  // oldest first, so under a backlog the oldest request is the first to
+  // run, not the last.
+  ThreadPool pool(1);
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
+  std::promise<void> started;
+  pool.Submit([&started, gate] {
+    started.set_value();
+    gate.wait();
+  });
+  started.get_future().wait();
+  std::mutex order_mutex;
+  std::vector<int> order;
+  for (int i = 0; i < 6; ++i) {
+    pool.Submit([i, &order, &order_mutex] {
+      std::lock_guard<std::mutex> lock(order_mutex);
+      order.push_back(i);
+    });
+  }
+  release.set_value();
+  pool.Shutdown();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
 TEST(ThreadPoolTest, ExplicitShutdownDrainsAndRejectsLateSubmits) {

@@ -201,6 +201,31 @@ TEST_F(ClusterTraceTest, BatchFanOutSharesNothingAcrossRequests) {
   }
 }
 
+TEST_F(ClusterTraceTest, BatchRouterSpanCarriesShardAndPartition) {
+  // A head-sampled request routed through the batch path gets the same
+  // router span as the single path: its shard and its partition.
+  auto sharded = MustOpen(Options(2));
+  ASSERT_NE(sharded, nullptr);
+  obs::FragmentTraceSink sink;
+  sharded->set_trace_sink(&sink);
+  QP_ASSERT_OK(sharded->PutProfile("julie", MakeProfile(1)));
+  std::vector<PersonalizationRequest> requests;
+  requests.push_back(Request("julie", AnyQuery()));
+  auto responses = sharded->PersonalizeBatchAndWait(std::move(requests));
+  ASSERT_EQ(responses.size(), 1u);
+  QP_ASSERT_OK(responses[0].status);
+
+  std::vector<uint64_t> trace_ids = sink.TraceIds();
+  ASSERT_EQ(trace_ids.size(), 1u);
+  const obs::TraceSpan* router_span =
+      FindSpan(sink.Fragments(trace_ids[0]), "router");
+  ASSERT_NE(router_span, nullptr);
+  EXPECT_EQ(router_span->counter("shard"), sharded->ShardFor("julie"));
+  ASSERT_TRUE(router_span->has_counter("partition"));
+  EXPECT_EQ(router_span->counter("partition"),
+            sharded->PartitionFor("julie"));
+}
+
 TEST_F(ClusterTraceTest, UnsampledRequestsStillServe) {
   // head_rate 0 with a sink attached must not perturb results: the
   // response matches an untraced cluster's row for row.

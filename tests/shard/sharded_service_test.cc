@@ -260,7 +260,7 @@ TEST_F(ShardedServiceTest, MutationInvalidatesOnlyThatUsersSelections) {
   // Mutating A drops A's entries — and ONLY A's.
   QP_ASSERT_OK(sharded->UpsertProfile(
       user_a, {MakeProfile(3).preferences().front()}));
-  EXPECT_GE(sharded->stats().router.invalidated_entries, 1u);
+  EXPECT_GE(sharded->stats().shards[0].stats.cache_user_invalidations, 1u);
   PersonalizationResponse after_a = sharded->Personalize(request_a);
   QP_ASSERT_OK(after_a.status);
   EXPECT_FALSE(after_a.cache_hit);

@@ -35,7 +35,6 @@ class BreakerRecoveryTest : public ::testing::Test {
     options.dir = "db";
     options.fs = &fs_;
     options.compact_threshold_bytes = 0;
-    options.wal.max_sync_retries = 0;  // Fail fast; retries tested elsewhere.
     options.breaker_threshold = 2;
     options.breaker_backoff = std::chrono::milliseconds(1);
     options.breaker_backoff_max = std::chrono::milliseconds(50);

@@ -1,10 +1,16 @@
-// Storage resilience under fsync failures: transient failures are
-// retried with bounded backoff (no data loss, no duplicated frames);
-// persistent failures trip the circuit breaker, turning the store
-// read-only while reads keep serving the in-memory state.
+// Storage resilience under fsync failures: a failed fsync is never
+// retried. After one, the kernel may already have marked the unwritten
+// pages clean and report the error only once, so a retry can return
+// success with the records not on disk. The mutation fails and the WAL's
+// error goes sticky; the circuit breaker trips at its threshold, turning
+// the store read-only while reads keep serving the in-memory state, and
+// its half-open probe rewrites the acknowledged state into a fresh
+// generation.
 
+#include <chrono>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/test_util.h"
 #include "gtest/gtest.h"
@@ -14,86 +20,32 @@
 #include "qp/storage/durable_profile_store.h"
 #include "qp/storage/fault_injection.h"
 #include "qp/storage/wal.h"
+#include "qp/util/clock.h"
 #include "qp/util/status.h"
 
 namespace qp {
 namespace storage {
 namespace {
 
-class WalRetryTest : public ::testing::Test {
- protected:
-  std::unique_ptr<WalWriter> NewWriter(WalOptions options) {
-    auto file = fs_.NewWritableFile("wal-1.log", /*truncate=*/true);
-    EXPECT_TRUE(file.ok());
-    options.metrics = &metrics_;
-    return std::make_unique<WalWriter>(std::move(file).value(),
-                                       /*first_seqno=*/1, options);
-  }
-
-  uint64_t SyncRetries() {
-    return metrics_.counter("qp_wal_sync_retries_total")->Value();
-  }
-
-  FaultInjectingFileSystem fs_;
-  obs::MetricsRegistry metrics_;
-};
-
-TEST_F(WalRetryTest, TransientSyncFailureIsRetriedToSuccess) {
+TEST(WalSyncFailureTest, FailedFsyncIsNeverRetriedAndGoesSticky) {
+  FaultInjectingFileSystem fs;
+  obs::MetricsRegistry metrics;
+  auto file = fs.NewWritableFile("wal-1.log", /*truncate=*/true);
+  ASSERT_TRUE(file.ok()) << file.status();
   WalOptions options;
-  options.max_sync_retries = 5;
-  options.retry_backoff = std::chrono::milliseconds(0);
-  auto writer = NewWriter(options);
+  options.metrics = &metrics;
+  WalWriter writer(std::move(file).value(), /*first_seqno=*/1, options);
 
-  fs_.FailNextSyncs(2);
+  fs.FailNextSyncs(1);  // One transient failure; the disk heals after it.
   uint64_t seqno = 0;
-  QP_ASSERT_OK(writer->Append("payload", &seqno));
-  EXPECT_EQ(seqno, 1u);
-  EXPECT_EQ(writer->last_synced_seqno(), 1u);
-  EXPECT_EQ(SyncRetries(), 2u);
-
-  // The writer is healthy afterwards: further appends need no retries.
-  QP_ASSERT_OK(writer->Append("more", &seqno));
-  EXPECT_EQ(SyncRetries(), 2u);
-  QP_ASSERT_OK(writer->Close());
-
-  // The log holds each record exactly once (a retried fsync must never
-  // re-append bytes).
-  QP_ASSERT_OK_AND_ASSIGN(std::string data, fs_.ReadFile("wal-1.log"));
-  WalReader reader(data, 1);
-  WalRecord record;
-  bool has_record = false;
-  QP_ASSERT_OK(reader.Next(&record, &has_record));
-  ASSERT_TRUE(has_record);
-  EXPECT_EQ(record.payload, "payload");
-  QP_ASSERT_OK(reader.Next(&record, &has_record));
-  ASSERT_TRUE(has_record);
-  EXPECT_EQ(record.payload, "more");
-  QP_ASSERT_OK(reader.Next(&record, &has_record));
-  EXPECT_FALSE(has_record);
-  EXPECT_EQ(reader.torn_bytes(), 0u);
-}
-
-TEST_F(WalRetryTest, RetriesExhaustedBecomesStickyError) {
-  WalOptions options;
-  options.max_sync_retries = 2;
-  options.retry_backoff = std::chrono::milliseconds(0);
-  auto writer = NewWriter(options);
-
-  fs_.FailNextSyncs(10);  // More failures than the retry budget.
-  uint64_t seqno = 0;
-  EXPECT_FALSE(writer->Append("payload", &seqno).ok());
-  EXPECT_EQ(SyncRetries(), 2u);
-  // Sticky: the writer refuses further work even though the filesystem
-  // has recovered by now.
-  EXPECT_FALSE(writer->Append("again", &seqno).ok());
-}
-
-TEST_F(WalRetryTest, ZeroRetriesPreservesHistoricalBehaviour) {
-  auto writer = NewWriter(WalOptions{});
-  fs_.FailNextSyncs(1);
-  uint64_t seqno = 0;
-  EXPECT_FALSE(writer->Append("payload", &seqno).ok());
-  EXPECT_EQ(SyncRetries(), 0u);
+  EXPECT_FALSE(writer.Append("payload", &seqno).ok());
+  // Sticky: the writer refuses further work although the next fsync
+  // would succeed, and no fsync was retried behind the failed one.
+  EXPECT_FALSE(writer.Append("again", &seqno).ok());
+  EXPECT_FALSE(writer.Sync().ok());
+  EXPECT_EQ(writer.last_synced_seqno(), 0u);
+  EXPECT_EQ(fs.num_syncs(), 0u);
+  EXPECT_EQ(metrics.counter("qp_wal_fsyncs_total")->Value(), 0u);
 }
 
 class StorageBreakerTest : public ::testing::Test {
@@ -105,8 +57,10 @@ class StorageBreakerTest : public ::testing::Test {
     options.dir = "db";
     options.fs = &fs_;
     options.compact_threshold_bytes = 0;
-    options.wal.max_sync_retries = 3;
-    options.wal.retry_backoff = std::chrono::milliseconds(0);
+    options.breaker_backoff = std::chrono::milliseconds(1);
+    // The breaker's backoff runs on this clock: it stays open until a
+    // test advances it.
+    options.clock = &clock_;
     return options;
   }
 
@@ -117,32 +71,54 @@ class StorageBreakerTest : public ::testing::Test {
   }
 
   Schema schema_;
+  FakeClock clock_;
   FaultInjectingFileSystem fs_;
 };
 
-TEST_F(StorageBreakerTest, TransientFsyncFailuresAreAbsorbedWithoutDataLoss) {
+TEST_F(StorageBreakerTest,
+       TransientFsyncFailureFailsTheMutationAndTheProbeHeals) {
+  const std::vector<AtomicPreference> western = {AtomicPreference::Selection(
+      AttributeRef{"GENRE", "genre"}, Value::Str("western"), 0.25)};
   {
     auto store = MustOpen(Options());
     ASSERT_NE(store, nullptr);
-    fs_.FailNextSyncs(2);
     QP_ASSERT_OK(store->Put("julie", JulieProfile()));
-    QP_ASSERT_OK(store->Put("rob", RobProfile()));
 
+    // One fsync fails, once. The upsert whose record it was meant to make
+    // durable fails, and so does every mutation after it (the WAL's
+    // error is sticky) until the breaker trips at its threshold.
+    fs_.FailNextSyncs(1);
+    for (int attempt = 0; attempt < 3; ++attempt) {
+      EXPECT_FALSE(store->Upsert("julie", western).ok()) << attempt;
+    }
     StorageStats stats = store->storage_stats();
-    EXPECT_EQ(stats.sync_retries, 2u);
-    EXPECT_EQ(stats.mutation_failures, 0u);
-    EXPECT_EQ(stats.breaker_trips, 0u);
+    EXPECT_EQ(stats.mutation_failures, 3u);
+    EXPECT_TRUE(stats.breaker_open);
+    // Nothing failed is visible: julie is still her acknowledged self.
+    QP_ASSERT_OK_AND_ASSIGN(ProfileSnapshot julie, store->Get("julie"));
+    EXPECT_TRUE(ProfilesEqual(*julie.profile, JulieProfile()));
+
+    // After the backoff the next mutation runs the half-open probe, which
+    // rewrites the acknowledged state into a fresh generation, and then
+    // succeeds itself.
+    clock_.Advance(std::chrono::milliseconds(5));
+    QP_ASSERT_OK(store->Put("rob", RobProfile()));
+    stats = store->storage_stats();
     EXPECT_FALSE(stats.breaker_open);
+    EXPECT_EQ(stats.breaker_recoveries, 1u);
     QP_ASSERT_OK(store->Close());
   }
 
-  // Both profiles survive a reopen: the retried fsync really made the
-  // records durable.
+  // A reopen holds exactly the acknowledged profiles. The failed upsert's
+  // bytes reached the old log before its fsync failed; they must not
+  // come back.
   auto store = MustOpen(Options());
   ASSERT_NE(store, nullptr);
   EXPECT_EQ(store->size(), 2u);
   QP_ASSERT_OK_AND_ASSIGN(ProfileSnapshot julie, store->Get("julie"));
   EXPECT_TRUE(ProfilesEqual(*julie.profile, JulieProfile()));
+  QP_ASSERT_OK_AND_ASSIGN(ProfileSnapshot rob, store->Get("rob"));
+  EXPECT_TRUE(ProfilesEqual(*rob.profile, RobProfile()));
 }
 
 TEST_F(StorageBreakerTest, PersistentFailureTripsTheBreakerReadsKeepServing) {
@@ -152,7 +128,7 @@ TEST_F(StorageBreakerTest, PersistentFailureTripsTheBreakerReadsKeepServing) {
   ASSERT_NE(store, nullptr);
   QP_ASSERT_OK(store->Put("julie", JulieProfile()));
 
-  // The disk dies for good: every fsync (and its retries) fails.
+  // The disk dies for good: every fsync fails.
   fs_.SetSyncFailure(true);
   for (int attempt = 0; attempt < 3; ++attempt) {
     Status status = store->Put("rob", RobProfile());
@@ -178,13 +154,11 @@ TEST_F(StorageBreakerTest, PersistentFailureTripsTheBreakerReadsKeepServing) {
   EXPECT_EQ(stats.mutation_failures, 3u);
   EXPECT_EQ(stats.breaker_trips, 1u);
   EXPECT_TRUE(stats.breaker_open);
-  EXPECT_GT(stats.sync_retries, 0u);  // The first failure was retried.
 }
 
 TEST_F(StorageBreakerTest, ZeroThresholdDisablesTheBreaker) {
   StorageOptions options = Options();
   options.breaker_threshold = 0;
-  options.wal.max_sync_retries = 0;
   auto store = MustOpen(std::move(options));
   ASSERT_NE(store, nullptr);
 

@@ -389,7 +389,6 @@ TEST_F(WalTest, EmptyLogReadsCleanly) {
 
 TEST_F(WalTest, PolicyNames) {
   EXPECT_STREQ(FsyncPolicyName(FsyncPolicy::kEveryRecord), "every_record");
-  EXPECT_STREQ(FsyncPolicyName(FsyncPolicy::kInterval), "interval");
   EXPECT_STREQ(FsyncPolicyName(FsyncPolicy::kNever), "never");
 }
 
